@@ -102,8 +102,7 @@ def _live_spec() -> FleetScenarioSpec:
 
 
 def _one_live_round(spec, with_health: bool, heartbeat_dir):
-    config = parity_live_config(spec, score_chunk_bins=8,
-                                pooled_scoring=True)
+    config = parity_live_config(spec, score_chunk_bins=8)
     health = None
     if with_health:
         health = HealthMonitor(HealthConfig(heartbeat_path=os.path.join(

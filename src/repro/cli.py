@@ -127,12 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process-pool size (0 = serial)")
     fleet.add_argument("--batch-size", type=int, default=16,
                        help="jobs per executor batch")
-    fleet.add_argument("--detect-mode", choices=("per_item", "batched"),
-                       default="per_item",
-                       help="per_item runs each job's full pipeline "
-                            "individually; batched stacks same-length "
-                            "funnel-family jobs into one scoring pass "
-                            "(bit-identical results, higher throughput)")
     fleet.add_argument("--seed", type=int, default=7)
     fleet.add_argument("--obs-dir",
                        help="directory to write run artifacts "
@@ -274,16 +268,11 @@ def _add_live_runtime_options(live: argparse.ArgumentParser) -> None:
     live.add_argument("--score-chunk", type=int, default=6,
                       help="bins batched per streaming scoring call "
                            "(throughput knob; verdicts are unaffected)")
-    live.add_argument("--pooled-scoring", action="store_true",
-                      help="score all trackers' pending segments in one "
-                           "stacked pass per tick instead of per "
-                           "fragment (bit-identical verdicts)")
     live.add_argument("--fused-ingest", action="store_true",
                       help="run the whole ingest plane in fused batches "
                            "(batched store appends, batch queue drains, "
                            "one arena scatter-write + normalise per "
-                           "tick); implies --pooled-scoring, verdicts "
-                           "byte-identical")
+                           "tick); verdicts byte-identical")
     live.add_argument("--queue-capacity", type=int, default=64,
                       help="per-KPI ingest queue bound, in fragments")
     live.add_argument("--drain-budget", type=int, default=0,
@@ -446,7 +435,6 @@ def _cmd_assess_fleet(args: argparse.Namespace) -> dict:
         "history_days": args.history_days,
         "workers": args.workers,
         "batch_size": args.batch_size,
-        "detect_mode": args.detect_mode,
     }
     source = SyntheticFleetSource(FleetScenarioSpec(
         n_services=args.services,
@@ -461,8 +449,7 @@ def _cmd_assess_fleet(args: argparse.Namespace) -> dict:
         detectors=tuple(name.strip()
                         for name in args.detectors.split(",") if name.strip()),
         config=EngineConfig(workers=args.workers,
-                            batch_size=args.batch_size,
-                            detect_mode=args.detect_mode),
+                            batch_size=args.batch_size),
         funnel_config=config,
         obs=obs,
     )
@@ -532,7 +519,6 @@ def _run_live_replay(args: argparse.Namespace, command: str,
     live_config = parity_live_config(
         spec, funnel_config=funnel_config,
         score_chunk_bins=args.score_chunk,
-        pooled_scoring=args.pooled_scoring or args.fused_ingest,
         fused_ingest=args.fused_ingest,
         queue_capacity=args.queue_capacity,
         max_fragments_per_tick=args.drain_budget,
@@ -581,7 +567,6 @@ def _run_live_replay(args: argparse.Namespace, command: str,
                 "changes": args.changes,
                 "flush_bins": args.flush_bins,
                 "score_chunk": args.score_chunk,
-                "pooled_scoring": args.pooled_scoring or args.fused_ingest,
                 "fused_ingest": args.fused_ingest,
                 "queue_capacity": args.queue_capacity,
                 "drain_budget": args.drain_budget,
@@ -663,7 +648,6 @@ def _cmd_cluster_replay(args: argparse.Namespace):
     live_config = parity_live_config(
         spec, funnel_config=funnel_config,
         score_chunk_bins=args.score_chunk,
-        pooled_scoring=args.pooled_scoring or args.fused_ingest,
         fused_ingest=args.fused_ingest,
         queue_capacity=args.queue_capacity,
         max_fragments_per_tick=args.drain_budget,
@@ -702,7 +686,6 @@ def _cmd_cluster_replay(args: argparse.Namespace):
                 "shards": args.shards,
                 "replicas": args.replicas,
                 "flush_bins": args.flush_bins,
-                "pooled_scoring": args.pooled_scoring or args.fused_ingest,
                 "fused_ingest": args.fused_ingest,
                 "fault_plan": args.fault_plan,
                 "omega": args.omega,

@@ -33,15 +33,18 @@ Two code paths compute the same transform:
   paper's per-window cost profile without changing a single arithmetic
   step.  The test suite pins the two paths to each other.
 
-``scores_batch`` adds a leading *series* axis on top: a stack of
-same-length series becomes one ``(n_series * T, omega, omega)`` eigh and
-one vectorised Lanczos recursion.  ``scores(x)`` is literally
-``scores_batch(x[None])[0]``, so per-series vs. batched parity holds by
-construction; the remaining invariant — a row scores identically no
-matter which stack it is part of — follows from materialising each
-stack contiguously before the einsum products (fixed inner strides for
-any batch size) and from every downstream primitive (stacked ``eigh``,
-per-row norms and medians) operating element-independently per series.
+``scores_batch`` adds a leading *series* axis on top: the windows of a
+stack of same-length series are flattened into one ``n_series * T`` axis
+and scored in blocks of at most ``_BLOCK_WINDOWS`` — one
+``(block, omega, omega)`` eigh and one vectorised Lanczos recursion per
+block, so memory is bounded by the block, not by the stack height.
+``scores(x)`` is literally ``scores_batch(x[None])[0]``, so per-series
+vs. batched parity holds by construction; the remaining invariant — a
+row scores identically no matter which stack (or block) it is part of —
+follows from materialising each block contiguously before the einsum
+products (fixed inner strides for any batch size) and from every
+downstream primitive (stacked ``eigh``, per-row norms and medians)
+operating element-independently per window.
 """
 
 from __future__ import annotations
@@ -59,6 +62,12 @@ from .rsst import ImprovedSSTParams, median_mad_gate
 from .tridiag import tridiag_eigh
 
 __all__ = ["IkaSST"]
+
+#: Windows scored per kernel block.  ``scores_batch`` materialises the
+#: past/future Hankel stacks, the Lanczos basis and the ``eigh`` inputs
+#: for one block at a time, so its working set is bounded by this
+#: constant (~2 MB at omega = 9) instead of growing with stack height.
+_BLOCK_WINDOWS = 512
 
 
 class IkaSST:
@@ -235,9 +244,7 @@ class IkaSST:
         Returns ``(R, hi - lo)``.  ``sub`` must be C-contiguous so the
         window views below have batch-size-independent strides.
         """
-        p = self.params
-        omega, eta = p.omega, p.eta
-        k = min(self.krylov_k, omega)
+        omega = self.params.omega
         span = 2 * omega - 1          # samples per Hankel slice
         n_rows = sub.shape[0]
 
@@ -246,38 +253,51 @@ class IkaSST:
         slices = sliding_window_view(sub, span, axis=1)
         windows = sliding_window_view(slices, omega, axis=2)
 
-        # Future trajectory at t uses the slice starting at t;
-        # the past one uses the slice ending at t - 1, i.e. start t - span.
-        # Flatten (series, t) into one leading axis: every einsum, the
-        # stacked eigh and the Lanczos recursion below then cover all
-        # windows of all series in single calls.
+        # Flatten (series, t) into one leading window axis and walk it in
+        # blocks: every einsum, the stacked eigh and the Lanczos recursion
+        # cover a whole block in single calls, while the materialised
+        # stacks stay a couple of MB however tall the input is.  Each
+        # window's arithmetic is independent of its neighbours, so the
+        # block boundaries cannot change a bit of the result.
         n_t = hi - lo
-        fut = np.ascontiguousarray(
-            windows[:, lo:hi]).reshape(n_rows * n_t, p.delta, omega)
-        past = np.ascontiguousarray(
-            windows[:, lo - span:hi - span]).reshape(
-                n_rows * n_t, p.delta, omega)
+        raw = np.empty(n_rows * n_t, dtype=np.float64)
+        for start in range(0, raw.size, _BLOCK_WINDOWS):
+            row, t = np.divmod(
+                np.arange(start, min(start + _BLOCK_WINDOWS, raw.size)), n_t)
+            t += lo
+            # Future trajectory at t uses the slice starting at t; the
+            # past one the slice ending at t - 1, i.e. start t - span.
+            # Integer-array indexing copies, so both are C-contiguous.
+            raw[start:start + _BLOCK_WINDOWS] = self._raw_block(
+                windows[row, t], windows[row, t - span])
+        return raw.reshape(n_rows, n_t)
+
+    def _raw_block(self, fut: np.ndarray, past: np.ndarray) -> np.ndarray:
+        """Raw blended scores of one ``(B, delta, omega)`` window block."""
+        p = self.params
+        eta = p.eta
+        k = min(self.krylov_k, p.omega)
 
         # Eigen-pairs of A A^T via the omega x omega Gram matrices.
         gram = np.einsum("tjw,tjv->twv", fut, fut)
         lam_all, vec_all = np.linalg.eigh(gram)    # ascending per window
         lam_all = np.clip(lam_all, 0.0, None)
         if p.future_directions == "largest":
-            lam = lam_all[:, :-(eta + 1):-1]       # (R*T, eta) descending
-            betas = vec_all[:, :, :-(eta + 1):-1]  # (R*T, omega, eta)
+            lam = lam_all[:, :-(eta + 1):-1]       # (B, eta) descending
+            betas = vec_all[:, :, :-(eta + 1):-1]  # (B, omega, eta)
         else:
             lam = lam_all[:, :eta]
             betas = vec_all[:, :, :eta]
 
-        phi = np.empty((n_rows * n_t, eta), dtype=np.float64)
+        phi = np.empty((fut.shape[0], eta), dtype=np.float64)
         for i in range(eta):
             phi[:, i] = self._phi_batched(past, betas[:, :, i], k, eta)
 
         total = lam.sum(axis=1)
-        raw = np.zeros(n_rows * n_t, dtype=np.float64)
+        raw = np.zeros(fut.shape[0], dtype=np.float64)
         ok = total > 0.0
         raw[ok] = np.einsum("ti,ti->t", lam[ok], phi[ok]) / total[ok]
-        return raw.reshape(n_rows, n_t)
+        return raw
 
     def _phi_batched(self, past: np.ndarray, seeds: np.ndarray, k: int,
                      eta: int) -> np.ndarray:

@@ -11,10 +11,11 @@ deployment simulation), every assessment is
    :mod:`repro.topology.impact`) expands into
    :class:`~repro.engine.jobs.AssessmentJob` records, one per
    (entity, KPI, detector);
-2. **executed** — jobs run in configurable batches, serially or across
-   ``concurrent.futures`` process workers, through a single
-   :class:`~repro.engine.jobs.Detector` protocol implemented by FUNNEL,
-   the SST-only ablation and all baselines, with per-entity baseline
+2. **executed** — funnel-family jobs of equal series length are stacked
+   and scored in one pass per batch, with only the declared ones
+   proceeding to DiD attribution; baselines run one by one through the
+   :class:`~repro.engine.jobs.Detector` protocol — inline or across
+   ``concurrent.futures`` process workers, with per-entity baseline
    statistics cached so repeated windows never recompute them; and
 3. **instrumented** — every stage (plan, fetch, detect, attribute)
    emits counters and wall-clock timings through
@@ -23,10 +24,10 @@ deployment simulation), every assessment is
    metrics through :mod:`repro.obs`, with worker-side telemetry
    serialized back across the process-pool boundary.
 
-The parallel path is bit-identical to the serial one: each job builds
-its detector from a :class:`~repro.engine.jobs.DetectorSpec` with a
-seed derived from the job identity alone, so results never depend on
-batching, worker count, or scheduling order.
+Results never depend on batching, worker count, or scheduling order:
+stacked scoring is bitwise the per-series pipeline, and a job's detector
+is built from its :class:`~repro.engine.jobs.DetectorSpec` with a seed
+derived from the job identity alone.
 """
 
 from ..obs import ObsContext
@@ -38,8 +39,7 @@ from .cache import BaselineStatsCache, reset_shared_cache, shared_cache
 from .detectors import (build_detector, detector_names, register_detector,
                         spec_for_method)
 from .engine import AssessmentEngine, FleetAssessmentReport
-from .executor import DETECT_MODES, EngineConfig, execute_jobs, job_seed, \
-    run_job
+from .executor import EngineConfig, execute_jobs, job_seed, run_job
 from .fleet import FleetScenarioSpec, SyntheticFleetSource
 from .instrument import Instrumentation, add_hook, clear_hooks, remove_hook
 from .jobs import AssessmentJob, Detector, DetectorSpec, ItemOutcome, JobResult
@@ -48,7 +48,7 @@ from .planner import (ENTITY_METRICS, FetchedWindow, job_from_item,
 
 __all__ = [
     "AssessmentEngine", "AssessmentJob", "AttributionBatch",
-    "BATCHABLE_DETECTORS", "BaselineStatsCache", "DETECT_MODES",
+    "BATCHABLE_DETECTORS", "BaselineStatsCache",
     "DetectBatch", "DetectionRecord",
     "Detector", "DetectorSpec", "EngineConfig", "ENTITY_METRICS",
     "FetchedWindow", "FleetAssessmentReport", "FleetScenarioSpec",

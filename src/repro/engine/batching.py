@@ -1,6 +1,7 @@
 """Cross-series batched detection and deduplicated pool payloads.
 
-Two independent levers against the two costs BENCH_engine.json exposed:
+The two stages of the executor's one route, and the payload format its
+pool tasks travel in:
 
 * **Batched detect stage** (:func:`plan_detect_batches` /
   :func:`run_detect_batch`): funnel-family jobs whose treated aggregates
@@ -10,10 +11,10 @@ Two independent levers against the two costs BENCH_engine.json exposed:
   of one full pipeline invocation per job.  Only jobs that *declared* a
   change proceed to the per-item DiD attribution stage
   (:class:`AttributionBatch` / :func:`run_attribution_batch`); the
-  baselines (CUSUM/MRLS/WoW) keep their per-item path.  Because
+  baselines (CUSUM/MRLS/WoW) pass through ``run_job`` per item.  Because
   ``Funnel.detect_batch`` is bitwise the per-series pipeline (see
-  :meth:`repro.core.ika.IkaSST.scores_batch`), the mode flag changes
-  throughput, never verdicts.
+  :meth:`repro.core.ika.IkaSST.scores_batch`), results equal what
+  ``run_job`` returns for each job on its own.
 
 * **Packed batches** (:func:`pack_jobs` / :func:`unpack_jobs`): when
   jobs do cross the process-pool boundary, their series payloads are
@@ -129,7 +130,7 @@ def run_detect_batch(batch: DetectBatch) -> List[DetectionRecord]:
     """Score one stacked batch; runs in the worker (or inline).
 
     Baseline statistics come from the per-process shared cache exactly
-    as the per-item path's ``_baseline_stats_for`` would fetch them, so
+    as the per-item detectors' ``_baseline_stats_for`` fetches them, so
     cached and uncached jobs normalise bitwise identically.
     """
     funnel = Funnel(batch.spec.option("funnel_config"))

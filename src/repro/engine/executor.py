@@ -1,21 +1,31 @@
-"""Batched, optionally parallel execution of assessment jobs.
+"""Stacked, optionally parallel execution of assessment jobs.
 
 The executor takes an iterable of :class:`~repro.engine.jobs.AssessmentJob`
 and returns one :class:`~repro.engine.jobs.JobResult` per job, in input
-order.  Jobs are grouped into batches of :attr:`EngineConfig.batch_size`;
-with ``workers == 0`` the batches run inline (the serial reference
-path), otherwise they are shipped to a
-:class:`concurrent.futures.ProcessPoolExecutor` with a bounded number of
-in-flight batches so a fleet-sized job stream never materialises in
-memory all at once.
+order.  There is one execution route (:func:`execute_jobs`):
 
-**Parallel is bit-identical to serial.**  Both paths run the same
-:func:`_run_batch` function, and every job builds its own detector whose
-seed derives only from the job's identity (:func:`job_seed` — a CRC of
-the detector name, job id and job seed).  No detector state, RNG
-position, cache content or scheduling order can leak between jobs, so
-the results are a pure function of the job list — regardless of batch
-size, worker count, or which worker ran what.
+1. funnel-family jobs are grouped by detector spec and series length
+   into stacks of at most :attr:`EngineConfig.batch_size` rows and each
+   stack is scored with one :meth:`~repro.core.funnel.Funnel.detect_batch`
+   call (see :mod:`repro.engine.batching`);
+2. only the funnel jobs that declared a change proceed to DiD
+   attribution, in batches of the same size;
+3. the baselines (CUSUM / MRLS / WoW), which have no stacked detect
+   stage, pass through :func:`run_job` one by one.
+
+With ``workers == 0`` every task runs inline; otherwise the tasks of
+each stage are shipped to a
+:class:`concurrent.futures.ProcessPoolExecutor` with a bounded number in
+flight.
+
+**Results are a pure function of the job list.**  ``detect_batch`` is
+bitwise the per-series pipeline, and a passthrough job builds its own
+detector whose seed derives only from the job's identity
+(:func:`job_seed` — a CRC of the detector name, job id and job seed).
+No detector state, RNG position, cache content or scheduling order can
+leak between jobs — regardless of batch size, worker count, or which
+worker ran what.  :func:`run_job` (one job, its detector's full
+``assess``) is the oracle the tests hold the stacked route to.
 
 **Observability crosses the pool the same way results do.**  Module
 state (hooks, metric registries) is process-local, so a worker records
@@ -32,6 +42,7 @@ from __future__ import annotations
 import time
 import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -52,9 +63,6 @@ from .jobs import AssessmentJob, JobResult
 
 __all__ = ["EngineConfig", "job_seed", "run_job", "execute_jobs"]
 
-#: Valid values of :attr:`EngineConfig.detect_mode`.
-DETECT_MODES = ("per_item", "batched")
-
 #: Cap on batches submitted but not yet collected per worker.
 _INFLIGHT_PER_WORKER = 2
 
@@ -72,23 +80,16 @@ class EngineConfig:
     """Executor knobs.
 
     Attributes:
-        workers: process-pool size; ``0`` (the default) runs the serial
-            reference path inline — bit-identical, no pool overhead.
-        batch_size: jobs per executor task.  Larger batches amortise
-            pickling; smaller ones balance better across workers.
-        detect_mode: ``"per_item"`` runs every job's full pipeline
-            individually; ``"batched"`` stacks funnel-family jobs of
-            equal series length and scores each stack in one
-            :meth:`~repro.core.funnel.Funnel.detect_batch` call, with
-            only the jobs that declared a change proceeding to the
-            per-item DiD attribution stage.  The two modes are
-            bit-identical in results (see :mod:`repro.engine.batching`);
-            batched is the throughput mode.
+        workers: process-pool size; ``0`` (the default) runs every task
+            inline — bit-identical, no pool overhead.
+        batch_size: jobs per executor task — rows per detect stack, jobs
+            per attribution or passthrough batch.  Larger batches
+            amortise per-call and pickling cost; smaller ones balance
+            better across workers.
     """
 
     workers: int = 0
     batch_size: int = 16
-    detect_mode: str = "per_item"
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -96,10 +97,6 @@ class EngineConfig:
         if self.batch_size < 1:
             raise EngineError(
                 "batch_size must be >= 1, got %d" % self.batch_size)
-        if self.detect_mode not in DETECT_MODES:
-            raise EngineError(
-                "detect_mode must be one of %s, got %r"
-                % ("/".join(DETECT_MODES), self.detect_mode))
 
 
 def job_seed(job: AssessmentJob) -> int:
@@ -114,13 +111,17 @@ def job_seed(job: AssessmentJob) -> int:
 
 
 def run_job(job: AssessmentJob) -> JobResult:
-    """Assess one job with a freshly built, deterministically seeded detector."""
+    """Assess one job with a freshly built, deterministically seeded detector.
+
+    The passthrough route of the baselines, and the per-job oracle for
+    the stacked funnel route.
+    """
     detector = build_detector(job.detector, seed=job_seed(job))
     return detector.assess(job)
 
 
 def _run_batch(jobs: Sequence[AssessmentJob]) -> List[JobResult]:
-    """The one batch body both the serial and the pooled paths run."""
+    """One passthrough batch: the body inline and pooled runs share."""
     return [run_job(job) for job in jobs]
 
 
@@ -310,8 +311,9 @@ def execute_jobs(jobs: Iterable[AssessmentJob],
     """Run every job and return results in input order.
 
     Args:
-        jobs: the job stream (consumed lazily in the parallel path).
-        config: worker/batch sizing; defaults to serial execution.
+        jobs: the job stream (materialised: stacks are planned over
+            the whole list).
+        config: worker/batch sizing; defaults to inline execution.
         instrumentation: optional sink for the run's ``execute`` wall
             time, per-stage detector timings, and job/positive counters.
         obs: optional observability context.  Defaults to
@@ -323,30 +325,11 @@ def execute_jobs(jobs: Iterable[AssessmentJob],
     config = config or EngineConfig()
     obs = _resolve_obs(instrumentation, obs)
     started = time.perf_counter()
-    if obs is not None:
-        with obs.tracer.span("execute", workers=config.workers,
-                             batch_size=config.batch_size,
-                             detect_mode=config.detect_mode):
-            remote = obs.remote_context()
-            if config.detect_mode == "batched":
-                results = _execute_batched(jobs, config, instrumentation,
-                                           obs, remote)
-            elif config.workers == 0:
-                results = _execute_serial_observed(
-                    jobs, config, instrumentation, obs, remote)
-            else:
-                results = _execute_pooled(jobs, config, instrumentation,
-                                          obs, remote)
-    elif config.detect_mode == "batched":
-        results = _execute_batched(jobs, config, instrumentation, None, None)
-    elif config.workers == 0:
-        results = []
-        for batch in _batches(jobs, config.batch_size):
-            batch_results = _run_batch(batch)
-            _record(batch_results, instrumentation)
-            results.extend(batch_results)
-    else:
-        results = _execute_pooled(jobs, config, instrumentation, None, None)
+    root = (obs.tracer.span("execute", workers=config.workers,
+                            batch_size=config.batch_size)
+            if obs is not None else nullcontext())
+    with root:
+        results = _execute_batched(jobs, config, instrumentation, obs)
     if instrumentation is not None:
         instrumentation.add_time("execute", time.perf_counter() - started,
                                  items=len(results), mirror=False)
@@ -356,70 +339,6 @@ def execute_jobs(jobs: Iterable[AssessmentJob],
 def _absorb(obs: ObsContext, telemetry: WorkerTelemetry) -> None:
     obs.absorb(telemetry)
     emit_spans(telemetry.spans)
-
-
-def _execute_serial_observed(jobs: Iterable[AssessmentJob],
-                             config: EngineConfig,
-                             instrumentation: Optional[Instrumentation],
-                             obs: ObsContext,
-                             remote: RemoteContext) -> List[JobResult]:
-    """Serial path through the same telemetry channel the pool uses."""
-    results: List[JobResult] = []
-    for position, batch in enumerate(_batches(jobs, config.batch_size)):
-        batch_results, telemetry = _run_batch_observed(batch, remote,
-                                                       position)
-        _absorb(obs, telemetry)
-        _record(batch_results, instrumentation)
-        results.extend(batch_results)
-    return results
-
-
-def _execute_pooled(jobs: Iterable[AssessmentJob], config: EngineConfig,
-                    instrumentation: Optional[Instrumentation],
-                    obs: Optional[ObsContext],
-                    remote: Optional[RemoteContext]) -> List[JobResult]:
-    """Submit batches to a process pool, keeping bounded work in flight."""
-    max_inflight = config.workers * _INFLIGHT_PER_WORKER
-    ordered: dict = {}
-    pending: dict = {}
-    inflight_peak = 0
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        for position, batch in enumerate(_batches(jobs, config.batch_size)):
-            while len(pending) >= max_inflight:
-                done, _ = wait(tuple(pending), return_when=FIRST_COMPLETED)
-                for future in done:
-                    ordered[pending.pop(future)] = future.result()
-            # Ship the batch with duplicated series rows deduplicated:
-            # a change's peer-control series repeat across its jobs, so
-            # packing cuts the pickle volume roughly by the control
-            # fan-out (the fix for the 2-worker slowdown in
-            # BENCH_engine.json).
-            packed = pack_jobs(batch)
-            if obs is not None:
-                _count_packing(obs, packed)
-                future = pool.submit(_run_batch_packed_observed, packed,
-                                     remote, position)
-            else:
-                future = pool.submit(_run_batch_packed, packed)
-            pending[future] = position
-            inflight_peak = max(inflight_peak, len(pending))
-        for future, position in pending.items():
-            ordered[position] = future.result()
-    if obs is not None:
-        obs.metrics.gauge(
-            INFLIGHT_GAUGE,
-            help="Peak batches in flight across the pool.").set(
-            float(inflight_peak))
-    results: List[JobResult] = []
-    for position in sorted(ordered):
-        if obs is not None:
-            batch_results, telemetry = ordered[position]
-            _absorb(obs, telemetry)
-        else:
-            batch_results = ordered[position]
-        _record(batch_results, instrumentation)
-        results.extend(batch_results)
-    return results
 
 
 def _count_packing(obs: ObsContext, packed: PackedJobs) -> None:
@@ -437,12 +356,12 @@ def _run_stage(pool: Optional[ProcessPoolExecutor], max_inflight: int,
                tasks: Sequence, observed_fn, plain_fn,
                obs: Optional[ObsContext],
                remote: Optional[RemoteContext]) -> List:
-    """Run one batched-mode stage's tasks, results in task order.
+    """Run one stage's tasks, results in task order.
 
-    Inline when ``pool`` is ``None``; otherwise submitted with the same
-    bounded-inflight discipline as the per-item pooled path.  Worker
-    telemetry is absorbed in task order, so the resulting span stream is
-    deterministic for a given job list.
+    Inline when ``pool`` is ``None``; otherwise submitted with at most
+    ``max_inflight`` tasks uncollected.  Worker telemetry is absorbed in
+    task order, so the resulting span stream is deterministic for a
+    given job list.
     """
     outputs: List = [None] * len(tasks)
     if pool is None:
@@ -455,6 +374,7 @@ def _run_stage(pool: Optional[ProcessPoolExecutor], max_inflight: int,
                 outputs[position] = plain_fn(task)
         return outputs
     pending: dict = {}
+    inflight_peak = 0
     for position, task in enumerate(tasks):
         while len(pending) >= max_inflight:
             done, _ = wait(tuple(pending), return_when=FIRST_COMPLETED)
@@ -465,9 +385,13 @@ def _run_stage(pool: Optional[ProcessPoolExecutor], max_inflight: int,
         else:
             future = pool.submit(plain_fn, task)
         pending[future] = position
+        inflight_peak = max(inflight_peak, len(pending))
     for future, position in pending.items():
         outputs[position] = future.result()
     if obs is not None:
+        gauge = obs.metrics.gauge(
+            INFLIGHT_GAUGE, help="Peak tasks in flight across the pool.")
+        gauge.set(max(gauge.value(), float(inflight_peak)))
         for position, output in enumerate(outputs):
             outputs[position], telemetry = output
             _absorb(obs, telemetry)
@@ -476,21 +400,24 @@ def _run_stage(pool: Optional[ProcessPoolExecutor], max_inflight: int,
 
 def _execute_batched(jobs: Iterable[AssessmentJob], config: EngineConfig,
                      instrumentation: Optional[Instrumentation],
-                     obs: Optional[ObsContext],
-                     remote: Optional[RemoteContext]) -> List[JobResult]:
-    """The two-stage batched mode: stacked detect, then per-item DiD.
+                     obs: Optional[ObsContext]) -> List[JobResult]:
+    """Stacked detect, then DiD for the declared, then the baselines.
 
     Funnel-family jobs are grouped by series length into stacked
     batches; each batch crosses the pool boundary as one ndarray.  Only
     jobs whose batched detect declared a change are packed (control and
     history rows deduplicated) and shipped to the attribution stage.
-    Baseline detectors fall through to the per-item path.  Results are
-    bitwise the per-item results, in input order.
+    Baseline detectors pass through :func:`run_job` in packed batches.
+    Results are bitwise what :func:`run_job` returns per job, in input
+    order.
     """
     job_list = list(jobs)
     detect_batches, passthrough = plan_detect_batches(job_list,
                                                       config.batch_size)
+    remote = None
     if obs is not None:
+        # Taken inside the ``execute`` span: worker spans re-parent to it.
+        remote = obs.remote_context()
         obs.metrics.counter(
             BATCHED_CAPACITY_METRIC,
             help="Stacked-batch slot capacity (batches x batch_size)."

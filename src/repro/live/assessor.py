@@ -5,7 +5,9 @@ the change's ingest queues, one :class:`KpiTracker` (an
 :class:`~repro.live.detector.IncrementalDetector`) per monitored KPI,
 and growing buffers for the peer-control series.  The
 :class:`LiveAssessor` consumes drained fragments: treated fragments
-advance their tracker and, the moment a declaration fires, the DiD
+are buffered by their tracker, the tick's pool stage
+(:meth:`LiveAssessor.pool_score`) scores every tracker's pending segment
+in stacked batches and, for each declaration that fires, the DiD
 attribution of :meth:`repro.core.funnel.Funnel.attribute` runs on the
 buffered panels — peers for dark launches on machine-level KPIs, the
 history provider otherwise — and the verdict goes onto the bus.
@@ -97,8 +99,7 @@ class KpiTracker:
         self.detector = IncrementalDetector(
             change_index, config.funnel,
             score_chunk_bins=config.score_chunk_bins,
-            deferred_scoring=config.pooled_scoring,
-            arena=arena)
+            deferred_scoring=True, arena=arena)
         self.change_index = change_index
         self.degraded = False
         self.done = False
@@ -167,9 +168,8 @@ class LiveAssessor:
         self.clock = clock
         #: backoff sleeper between fetch retries (injectable).
         self.sleep = sleep
-        #: stacked cross-detector scorer, active under pooled_scoring.
-        self.pool = (DetectorPool(self.metrics)
-                     if config.pooled_scoring else None)
+        #: stacked cross-detector scorer the scheduler runs once per tick.
+        self.pool = DetectorPool(self.metrics)
         #: shared state blocks every tracker's detector lives in — one
         #: scatter-write + one broadcast normalise per fused tick, and
         #: contiguous row-gathers for the pool's stacked scoring.
@@ -316,6 +316,8 @@ class LiveAssessor:
                 return
             declared = detector.extend(fragment.values)
             if declared is not None:
+                # Only a tracker restored from a checkpoint that predates
+                # deferred scoring still scores inside ``extend``.
                 tracker.declaration = declared
                 self._attribute(session, tracker, now)
             return
@@ -331,16 +333,15 @@ class LiveAssessor:
     def pool_score(self, sessions: List[ChangeSession], now: int) -> int:
         """Score every open tracker's pending segment in stacked batches.
 
-        The scheduler calls this once per tick under ``pooled_scoring``,
-        after the drain and before deadline closes: trackers buffered
-        their fragments without scoring (deferred mode), so one
+        The scheduler calls this once per tick, after the drain and
+        before deadline closes: trackers buffered their fragments
+        without scoring, so one
         :meth:`~repro.live.pool.DetectorPool.score_pending` pass here
-        computes exactly the scores the per-fragment path would have —
-        bitwise — and any declaration routes through the same
-        ``_attribute`` path.  Returns the number of declarations found.
+        computes exactly the scores a standalone
+        :class:`~repro.live.detector.IncrementalDetector` would have —
+        bitwise — and every declaration is attributed in pool order.
+        Returns the number of declarations found.
         """
-        if self.pool is None:
-            return 0
         work: List[Tuple[ChangeSession, KpiTracker]] = []
         for session in sessions:
             for tracker in session.trackers.values():

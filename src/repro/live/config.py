@@ -18,6 +18,12 @@ DROP_NEWEST = "drop_newest"
 class LiveConfig:
     """Knobs of the live pipeline (watcher, queues, scheduler, assessor).
 
+    There is one scoring path: trackers buffer the fragments a tick
+    drains and the scheduler's pool stage scores every pending segment
+    in stacked cross-detector batches (one
+    :meth:`repro.core.ika.IkaSST.scores_batch` call per distinct segment
+    length) before any deadline close.
+
     Attributes:
         funnel: the detection/attribution parameters (paper defaults).
         assessment_window_seconds: how long a change stays open before
@@ -68,26 +74,15 @@ class LiveConfig:
             the assessor truncates every delivery at the session
             deadline — so a grace changes *when* verdicts emit, never
             what they say.
-        pooled_scoring: defer per-fragment scoring and let the
-            scheduler score every tracker's pending segment in stacked
-            cross-detector batches once per tick (one
-            :meth:`repro.core.ika.IkaSST.scores_batch` call per distinct
-            segment length).  The batched call is bitwise the per-series
-            one and the pool runs after the tick's drain — before any
-            deadline close — so declared indices and verdicts are
-            unchanged; only the amount of Python/LAPACK call overhead
-            per tick is.
-        fused_ingest: run the tick's ingest plane in fused batches on
-            top of pooled scoring: the store fans a batched append out
+        fused_ingest: run the tick's ingest plane in fused batches
+            ahead of the pool stage: the store fans a batched append out
             as one push per subscription, the queues hand the scheduler
             a materialised per-tick batch, and the shared
             :class:`~repro.live.arena.DetectorArena` scatter-writes and
             normalises every staged tracker in single vectorised
             passes.  No arithmetic is reordered — the same floats land
             in the same slots — so verdict JSONL is byte-identical to
-            the unfused pooled path (CI pins it with ``cmp``).
-            Requires ``pooled_scoring`` (fusing only buffers appends;
-            something must score them in bulk).
+            the unfused path (CI pins it with ``cmp``).
         repair_from_store: when the push stream skips ahead of a
             session's expected next bin (a dropped or reordered push),
             read the missing range back from the durable metric store
@@ -112,7 +107,6 @@ class LiveConfig:
     fetch_backoff_seconds: float = 0.0
     fetch_timeout_seconds: float = 0.0
     close_grace_seconds: int = 0
-    pooled_scoring: bool = False
     fused_ingest: bool = False
     repair_from_store: bool = False
 
@@ -145,8 +139,6 @@ class LiveConfig:
             raise ParameterError("fetch_timeout_seconds must be >= 0")
         if self.close_grace_seconds < 0:
             raise ParameterError("close_grace_seconds must be >= 0")
-        if self.fused_ingest and not self.pooled_scoring:
-            raise ParameterError("fused_ingest requires pooled_scoring")
 
 
 @dataclass(frozen=True)

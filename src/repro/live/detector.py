@@ -76,11 +76,13 @@ class IncrementalDetector:
         self.scorer = IkaSST(self.config.sst)
         self.change_index = change_index
         self.score_chunk_bins = max(1, score_chunk_bins)
-        #: When True, :meth:`extend` only buffers — a
-        #: :class:`~repro.live.pool.DetectorPool` scores the pending
-        #: segment in a stacked batch via :meth:`pending_segment` /
-        #: :meth:`apply_scores` / :meth:`scan`.  :meth:`flush` bypasses
+        #: When True (every live-service tracker), :meth:`extend` only
+        #: buffers — a :class:`~repro.live.pool.DetectorPool` scores the
+        #: pending segment in a stacked batch via :meth:`pending_bounds`
+        #: / :meth:`apply_scores` / :meth:`scan`.  :meth:`flush` bypasses
         #: the deferral, so a deadline close never loses a declaration.
+        #: False is the standalone mode: :meth:`extend` scores at once,
+        #: which is also the oracle the pooled path is tested against.
         self.deferred = bool(deferred_scoring)
         #: Samples each score consumes on either side of its position.
         self.span = self.config.sst.lead
@@ -264,9 +266,9 @@ class IncrementalDetector:
 
         Exactly the gating of ``_score(flush=False)`` — same chunk
         threshold — so a pooled detector scores the same ranges on the
-        same ticks a per-detector one would, just in a shared batch.
+        same ticks a standalone one would, just in a shared batch.
         The pool turns these bounds into arena row slices directly,
-        skipping the per-detector segment copy.
+        skipping a segment copy per detector.
         """
         if self._stats is None or self.declared is not None:
             return None

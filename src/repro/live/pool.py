@@ -1,6 +1,6 @@
-"""Cross-detector pooled scoring for the live service loop.
+"""Cross-detector pooled scoring — the live service's one scoring path.
 
-Per-fragment scoring pays the full fixed cost of one
+Scoring each tracker on its own pays the full fixed cost of one
 :meth:`repro.core.ika.IkaSST.scores` call — Hankel views, einsum
 dispatch, a LAPACK ``eigh`` — per tracker per tick.  At fleet scale a
 tick advances hundreds of trackers by the same bin, so those calls are
@@ -14,10 +14,12 @@ single :meth:`~repro.core.ika.IkaSST.scores_batch` call.
 
 Parity: ``scores_batch`` is bitwise the per-series scorer (pinned in
 ``tests/core/test_ika_batch.py``), each detector's write-back and scan
-are the very code the per-detector path runs, and the scheduler invokes
-the pool after the tick's drain and before any deadline close — so a
-pooled replay publishes the same verdict set as a per-detector one, and
-both match the offline engine.
+are the very code a standalone, immediately scoring
+:class:`~repro.live.detector.IncrementalDetector` runs (the oracle the
+tests compare against), and the scheduler invokes the pool after the
+tick's drain and before any deadline close — so a replay declares what
+standalone detectors fed the same bins declare, and matches the offline
+engine.
 """
 
 from __future__ import annotations

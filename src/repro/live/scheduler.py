@@ -1,4 +1,4 @@
-"""The event-time scheduler: poll, drain, close — on every tick.
+"""The event-time scheduler: poll, drain, pool, close — on every tick.
 
 One :meth:`EventTimeScheduler.tick` runs the live pipeline's control
 loop for one virtual instant ``now``:
@@ -7,13 +7,17 @@ loop for one virtual instant ``now``:
 2. **drain** — queued fragments flow into the assessor under the global
    per-tick budget (``max_fragments_per_tick``), oldest change first so
    the session nearest its deadline gets served before fresher ones;
-3. **pool-score** (``pooled_scoring`` only) — every tracker's pending
-   score segment, across all sessions, goes through one stacked
-   :class:`~repro.live.pool.DetectorPool` pass instead of the
-   per-fragment calls the drain deferred;
+   trackers only buffer what they receive;
+3. **pool** — every tracker's pending score segment, across all
+   sessions, goes through one stacked
+   :class:`~repro.live.pool.DetectorPool` pass; declarations are
+   attributed and emitted here, in pool order;
 4. **close** — every session whose deadline passed is settled: its
    detectors flush, open items emit ``no_change``, the subscription is
    cancelled.
+
+Stages 2-4 walk the sessions oldest change first; the ordering is
+computed once per tick, after the poll admitted the tick's arrivals.
 
 Between steps the scheduler maintains the pipeline's event-time health
 gauges: per-change *watermarks* (the oldest event time any subscribed
@@ -75,12 +79,13 @@ class EventTimeScheduler:
         self.watcher.poll(now)
         t_poll = clock()
         self._note_depth()  # ingest since the last tick
-        self._drain(now)
+        sessions = sorted(self.watcher.sessions.values(),
+                          key=lambda s: (s.change.at_time, s.change_id))
+        self._drain(sessions, now)
         t_drain = clock()
-        if self.config.pooled_scoring:
-            self.assessor.pool_score(self._sessions_by_age(), now)
+        self.assessor.pool_score(sessions, now)
         t_pool = clock()
-        closed = self._close_due(now)
+        closed = self._close_due(sessions, now)
         t_close = clock()
         stage_seconds = self.metrics.counter(
             TICK_STAGE_SECONDS_METRIC,
@@ -100,15 +105,11 @@ class EventTimeScheduler:
 
     # -- draining --------------------------------------------------------------
 
-    def _sessions_by_age(self) -> List[ChangeSession]:
-        return sorted(self.watcher.sessions.values(),
-                      key=lambda s: (s.change.at_time, s.change_id))
-
-    def _drain(self, now: int) -> None:
+    def _drain(self, sessions: List[ChangeSession], now: int) -> None:
         budget = self.config.max_fragments_per_tick
         remaining = budget if budget > 0 else 0
         fused = self.config.fused_ingest
-        for session in self._sessions_by_age():
+        for session in sessions:
             if budget > 0 and remaining <= 0:
                 break
             if fused:
@@ -127,10 +128,11 @@ class EventTimeScheduler:
 
     # -- deadlines -------------------------------------------------------------
 
-    def _close_due(self, now: int) -> List[ChangeSession]:
+    def _close_due(self, sessions: List[ChangeSession],
+                   now: int) -> List[ChangeSession]:
         closed = []
         grace = self.config.close_grace_seconds
-        for session in self._sessions_by_age():
+        for session in sessions:
             if session.deadline + grace > now:
                 continue
             self.assessor.reconcile_session(session, now)

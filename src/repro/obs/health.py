@@ -493,10 +493,8 @@ class HealthMonitor:
                     // bin_seconds
 
         pool = service.assessor.pool
-        pool_batches = self._delta(
-            "pool_batches", float(pool.batches) if pool else 0.0)
-        pool_series = self._delta(
-            "pool_series", float(pool.series) if pool else 0.0)
+        pool_batches = self._delta("pool_batches", float(pool.batches))
+        pool_series = self._delta("pool_series", float(pool.series))
 
         offered = self._delta("offered_fragments", self._total(
             self._counter_names["offered_fragments"]))

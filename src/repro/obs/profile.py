@@ -119,11 +119,17 @@ def _profile_detectors(spans: Sequence[SpanRecord],
         if span.name == "job":
             row["jobs"] += 1
             row["job_s"] += span.duration_s
-        else:
-            stage = row["stages"].setdefault(span.name,
-                                             {"calls": 0, "total_s": 0.0})
-            stage["calls"] += 1
-            stage["total_s"] += span.duration_s
+            continue
+        name = span.name
+        if name == "detect_batch":
+            # A stacked detect task stands in for the ``job`` and
+            # ``detect`` spans of every job it scored.
+            row["jobs"] += int(span.attr("jobs") or 0)
+            row["job_s"] += span.duration_s
+            name = "detect"
+        stage = row["stages"].setdefault(name, {"calls": 0, "total_s": 0.0})
+        stage["calls"] += 1
+        stage["total_s"] += span.duration_s
 
 
 def _profile_slowest(spans: Sequence[SpanRecord], profile: StageProfile,

@@ -58,18 +58,19 @@ class FleetSpec:
 
 
 def _service_names(n: int, rng: np.random.Generator) -> List[str]:
+    """``family.tier`` names, family by family.
+
+    Past the ``len(_FAMILIES) * len(_TIERS)`` distinct pairs the walk
+    starts over with a numeric tier suffix (``search.frontend2``), so
+    any fleet size gets unique names and small fleets keep theirs.
+    """
     names: List[str] = []
-    family_idx = tier_idx = 0
-    while len(names) < n:
-        family = _FAMILIES[family_idx % len(_FAMILIES)]
-        tier = _TIERS[tier_idx % len(_TIERS)]
-        name = "%s.%s" % (family, tier)
-        if name not in names:
-            names.append(name)
-        tier_idx += 1
-        if tier_idx % len(_TIERS) == 0:
-            family_idx += 1
-    return names[:n]
+    for i in range(n):
+        lap, slot = divmod(i, len(_FAMILIES) * len(_TIERS))
+        family, tier = divmod(slot, len(_TIERS))
+        names.append("%s.%s%s" % (_FAMILIES[family], _TIERS[tier],
+                                  lap + 1 if lap else ""))
+    return names
 
 
 def generate_fleet(spec: Optional[FleetSpec] = None) -> Fleet:
@@ -105,8 +106,10 @@ def generate_fleet(spec: Optional[FleetSpec] = None) -> Fleet:
         fleet.add_service(name, hostnames)
 
     # Cross-family request/response edges (e.g. search.frontend calls
-    # ads.api), in addition to the naming-derived ones.
-    for _ in range(spec.cross_family_edges):
+    # ads.api), in addition to the naming-derived ones.  A one-service
+    # fleet has no pair to draw.
+    edges = spec.cross_family_edges if spec.n_services >= 2 else 0
+    for _ in range(edges):
         a, b = rng.choice(spec.n_services, size=2, replace=False)
         source, target = names[int(a)], names[int(b)]
         if source.split(".")[0] != target.split(".")[0]:

@@ -5,13 +5,15 @@ so the interesting invariant is not "batched matches single" (true by
 construction) but **batch-size invariance**: a row must score to the
 exact same bytes no matter which — or how large — a stack it is part of.
 These tests pin that, plus ragged NaN-padded stacks, explicit lengths,
-and the input validation.
+the kernel's window-block cap and the input validation.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.core.ika import IkaSST
+from repro.core.ika import _BLOCK_WINDOWS, IkaSST
 from repro.core.rsst import ImprovedSSTParams
 from repro.core.scoring import robust_normalise
 from repro.exceptions import InsufficientDataError, ParameterError
@@ -101,6 +103,78 @@ class TestRaggedStacks:
         ika = IkaSST()
         with pytest.raises(InsufficientDataError):
             ika.scores_batch(padded)
+
+
+class TestBlockCap:
+    """The kernel walks the flattened (row, t) window axis in blocks of
+    ``_BLOCK_WINDOWS``; where the boundaries fall must not change a bit,
+    and the working set must not grow with the stack height."""
+
+    LENGTH = 100
+
+    def _windows(self, n_series, length=LENGTH):
+        params = ImprovedSSTParams()
+        return n_series * (params.last_index(length) - params.first_index())
+
+    @pytest.mark.parametrize("n_series", [7, 8, 40])
+    def test_rows_score_bitwise_across_block_boundaries(self, n_series):
+        blocks = -(-self._windows(n_series) // _BLOCK_WINDOWS)
+        assert blocks == {7: 1, 8: 2, 40: 6}[n_series]
+        assert self._windows(n_series) % _BLOCK_WINDOWS  # ragged last block
+        stack = _stack(seed=31, n_series=n_series, length=self.LENGTH)
+        ika = IkaSST()
+        batched = ika.scores_batch(stack)
+        for row in range(n_series):
+            # A lone row fits one block; in the stack its windows
+            # straddle whichever boundaries the rows above pushed there.
+            np.testing.assert_array_equal(batched[row],
+                                          ika.scores(stack[row]))
+
+    def test_rows_score_the_same_in_a_different_height_stack(self):
+        stack = _stack(seed=37, n_series=40, length=self.LENGTH)
+        ika = IkaSST()
+        full = ika.scores_batch(stack)
+        # Different heights shift every block boundary to other windows.
+        np.testing.assert_array_equal(ika.scores_batch(stack[3:12]),
+                                      full[3:12])
+        np.testing.assert_array_equal(ika.scores_batch(stack[::3]),
+                                      full[::3])
+
+    def test_ragged_groups_are_blocked_independently(self):
+        """NaN-padded rows regroup by length; each group is its own
+        block walk (two blocks for the long group, one for the short)."""
+        long_rows = _stack(seed=41, n_series=9, length=self.LENGTH)
+        short_rows = _stack(seed=43, n_series=5, length=70)
+        assert self._windows(9) > _BLOCK_WINDOWS > self._windows(5, 70)
+        long_at = [0, 2, 4, 6, 8, 10, 11, 12, 13]   # interleave the groups
+        short_at = [1, 3, 5, 7, 9]
+        padded = np.full((14, self.LENGTH), np.nan)
+        padded[long_at] = long_rows
+        padded[short_at, :70] = short_rows
+        ika = IkaSST()
+        batched = ika.scores_batch(padded)
+        np.testing.assert_array_equal(batched[long_at],
+                                      ika.scores_batch(long_rows))
+        for i, row in zip(short_at, short_rows):
+            np.testing.assert_array_equal(batched[i, :70], ika.scores(row))
+            assert not batched[i, 70:].any()
+        for i, row in zip(long_at, long_rows):
+            np.testing.assert_array_equal(batched[i], ika.scores(row))
+
+    def test_working_set_does_not_grow_with_stack_height(self):
+        """A (64, 240) stack is 13k windows: materialised whole, the
+        Hankel stacks, Lanczos bases and eigh inputs peak near 50 MB;
+        block by block they stay within a few MB."""
+        stack = _stack(seed=47, n_series=64, length=240)
+        ika = IkaSST()
+        ika.scores_batch(stack[:2])               # warm imports / caches
+        tracemalloc.start()
+        try:
+            ika.scores_batch(stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
 
 
 class TestValidation:

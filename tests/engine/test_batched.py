@@ -1,11 +1,13 @@
 """The batched detect stage: parity, planning, packing, counters.
 
-``detect_mode="batched"`` restructures execution — stacked detect, then
+The executor's one route restructures execution — stacked detect, then
 per-item attribution for declared funnel jobs only — but the contract is
-that it changes throughput, never results.  These tests pin batched ==
-per-item bit-identically (serial and pooled), the batch planner's
-grouping rules, the packed-payload round trip and its dedup win on a
-fleet whose changes treat several servers, and the batching counters.
+that stacking changes throughput, never results.  These tests pin
+``execute_jobs`` == ``run_job`` per job (the retained oracle: one job,
+its detector's full ``assess``) bit-identically, inline and pooled, the
+batch planner's grouping rules, the packed-payload round trip and its
+dedup win on a fleet whose changes treat several servers, and the
+batching counters.
 """
 
 import pickle
@@ -16,12 +18,11 @@ import pytest
 from repro.engine import (BATCHABLE_DETECTORS, EngineConfig,
                           FleetScenarioSpec, Instrumentation,
                           SyntheticFleetSource, execute_jobs, pack_jobs,
-                          plan_detect_batches, reset_shared_cache,
+                          plan_detect_batches, reset_shared_cache, run_job,
                           spec_for_method, unpack_jobs)
 from repro.engine.batching import (BATCHED_BATCHES_METRIC,
                                    BATCHED_CAPACITY_METRIC,
                                    BATCHED_JOBS_METRIC)
-from repro.exceptions import EngineError
 from repro.obs import ObsContext
 
 #: Multi-treated scenario: every change dark-launches onto >= 2 servers,
@@ -52,6 +53,12 @@ def _run(jobs, **config):
                         instrumentation=Instrumentation())
 
 
+def _oracle(jobs):
+    """Every job on its own through its detector's full pipeline."""
+    reset_shared_cache()
+    return [run_job(job) for job in jobs]
+
+
 def _assert_identical(a, b):
     assert len(a) == len(b)
     for left, right in zip(a, b):
@@ -64,27 +71,17 @@ def _assert_identical(a, b):
 
 class TestBatchedParity:
     def test_serial_batched_equals_per_item(self, mixed_jobs):
-        per_item = _run(mixed_jobs, workers=0, batch_size=8)
-        batched = _run(mixed_jobs, workers=0, batch_size=8,
-                       detect_mode="batched")
-        _assert_identical(per_item, batched)
+        batched = _run(mixed_jobs, workers=0, batch_size=8)
+        _assert_identical(_oracle(mixed_jobs), batched)
 
     def test_pooled_batched_equals_serial_per_item(self, mixed_jobs):
-        per_item = _run(mixed_jobs, workers=0, batch_size=8)
-        pooled = _run(mixed_jobs, workers=2, batch_size=8,
-                      detect_mode="batched")
-        _assert_identical(per_item, pooled)
+        pooled = _run(mixed_jobs, workers=2, batch_size=8)
+        _assert_identical(_oracle(mixed_jobs), pooled)
 
     def test_batch_size_does_not_matter(self, mixed_jobs):
-        small = _run(mixed_jobs, workers=0, batch_size=2,
-                     detect_mode="batched")
-        large = _run(mixed_jobs, workers=0, batch_size=64,
-                     detect_mode="batched")
+        small = _run(mixed_jobs, workers=0, batch_size=2)
+        large = _run(mixed_jobs, workers=0, batch_size=64)
         _assert_identical(small, large)
-
-    def test_invalid_detect_mode_rejected(self):
-        with pytest.raises(EngineError):
-            EngineConfig(detect_mode="stacked")
 
 
 class TestBatchPlanning:
@@ -155,8 +152,7 @@ class TestBatchedCounters:
                 for name, doc in snap.items()}
 
     def test_batched_run_counts_batches_jobs_capacity(self, mixed_jobs):
-        totals = self._observed(mixed_jobs, workers=0, batch_size=8,
-                                detect_mode="batched")
+        totals = self._observed(mixed_jobs, workers=0, batch_size=8)
         batchable = sum(1 for job in mixed_jobs
                         if job.detector.name in BATCHABLE_DETECTORS)
         assert totals[BATCHED_JOBS_METRIC] == batchable
@@ -166,6 +162,13 @@ class TestBatchedCounters:
             totals[BATCHED_CAPACITY_METRIC]
 
     def test_per_item_run_has_no_batched_counters(self, mixed_jobs):
-        totals = self._observed(mixed_jobs, workers=0, batch_size=8)
+        """The baselines are the jobs that still run per item: they have
+        no stacked detect stage, pass through ``run_job`` and leave the
+        batching counters untouched."""
+        baselines = [job for job in mixed_jobs
+                     if job.detector.name not in BATCHABLE_DETECTORS]
+        totals = self._observed(baselines, workers=0, batch_size=8)
+        assert totals["repro_engine_jobs_total"] == len(baselines)
         assert BATCHED_BATCHES_METRIC not in totals
         assert BATCHED_JOBS_METRIC not in totals
+        assert not totals.get(BATCHED_CAPACITY_METRIC)

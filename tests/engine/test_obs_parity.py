@@ -7,6 +7,11 @@ results and re-emits it in the parent — these tests pin the contract:
 aggregate counters, histogram counts, span counts and hook event counts
 are identical whether the batches ran inline or across a pool.
 
+The span tree is the stacked route's: one ``detect_batch`` span per
+stack and one ``attribute_batch`` span per batch of declared jobs under
+the ``execute`` root (funnel jobs get no per-job span — their cost is
+the stack's; only passthrough baselines are traced job by job).
+
 Gauges and transport counters are deliberately excluded: the
 in-flight-batches gauge and the packed-payload row counters only exist
 for pooled runs (serial pickles nothing), so parity is defined over the
@@ -19,8 +24,8 @@ import pytest
 
 from repro.engine import (AssessmentEngine, EngineConfig, FleetScenarioSpec,
                           Instrumentation, SyntheticFleetSource, add_hook,
-                          clear_hooks, execute_jobs, remove_hook,
-                          reset_shared_cache, spec_for_method)
+                          clear_hooks, execute_jobs, plan_detect_batches,
+                          remove_hook, reset_shared_cache, spec_for_method)
 from repro.engine.batching import (PACKED_ROWS_METRIC,
                                    PACKED_UNIQUE_ROWS_METRIC)
 from repro.engine.executor import INFLIGHT_GAUGE
@@ -118,21 +123,27 @@ class TestWorkerChannelParity:
         serial_names = TallyCounter(s.name for s in serial_obs.spans())
         pooled_names = TallyCounter(s.name for s in pooled_obs.spans())
         assert serial_names == pooled_names
-        assert serial_names["job"] == len(fleet_jobs)
+        stacks, passthrough = plan_detect_batches(fleet_jobs, batch_size=4)
+        assert not passthrough
+        assert serial_names["detect_batch"] == len(stacks)
+        assert serial_names["attribute_batch"] >= 1
         assert serial_names["execute"] == 1
+        assert "job" not in serial_names
 
         # The satellite fix itself: hooks see the same events either way.
         assert _event_counts(serial_events) == _event_counts(pooled_events)
-        assert _event_counts(serial_events)[("span", "job")] == \
-            len(fleet_jobs)
+        assert _event_counts(serial_events)[("span", "detect_batch")] == \
+            len(stacks)
 
     def test_worker_spans_reparent_under_execute(self, fleet_jobs):
         _, obs, _ = _observed_run(fleet_jobs[:8], workers=2)
         spans = obs.spans()
         execute = [s for s in spans if s.name == "execute"]
         assert len(execute) == 1
-        batches = [s for s in spans if s.name == "batch"]
-        assert batches
+        batches = [s for s in spans
+                   if s.name in ("detect_batch", "attribute_batch")]
+        assert {s.name for s in batches} == {"detect_batch",
+                                             "attribute_batch"}
         assert {s.parent_id for s in batches} == {execute[0].span_id}
         assert {s.trace_id for s in spans} == {obs.tracer.trace_id}
 

@@ -80,12 +80,16 @@ class TestEvaluateCorpus:
                                                  "variable"}
 
     def test_mrls_stride_rescales(self, tiny_corpus):
+        # MRLS costs ~0.5 s an item: 12 items at stride 3 run it 4 times.
+        items = tiny_corpus[:12]
         result = evaluate_corpus(
-            tiny_corpus, {"mrls": make_method("mrls")}, mrls_stride=3)
-        total = result.overall("mrls").total
-        # Rescaled totals approximate the full corpus (within stride
-        # granularity after the x86 synthesis).
-        assert total > 0
+            items, {"mrls": make_method("mrls")}, mrls_stride=3)
+        assert result.items_evaluated == len(items)
+        # Every third item was assessed and counted three times, so the
+        # raw strata add back up to the corpus slice.
+        assert sum(matrix.total for matrix in result.strata.values()) == \
+            len(items)
+        assert result.overall("mrls").total > 0
 
     def test_invalid_stride(self, tiny_corpus):
         with pytest.raises(EvaluationError):

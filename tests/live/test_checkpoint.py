@@ -17,7 +17,8 @@ from repro.exceptions import CheckpointError
 from repro.faults import DELAY, preset_plan
 from repro.live import parity_live_config, replay_scenario
 from repro.live.checkpoint import (CHECKPOINT_VERSION, Checkpointer,
-                                   load_checkpoint, restore_service)
+                                   load_checkpoint, restore_service,
+                                   write_checkpoint)
 from repro.telemetry.timeseries import MINUTE
 
 SPEC = FleetScenarioSpec(n_services=2, n_servers=8, n_changes=2,
@@ -182,12 +183,15 @@ class TestGuards:
 
 class TestPooledScoringResume:
     """PR 5's kill-and-resume contract must survive pooled scoring: the
-    detector state dict now carries the deferral flag, old checkpoints
-    without it still load, and a pooled replay resumed mid-stream
-    publishes the uninterrupted run's verdict bytes."""
+    detector state dict carries the deferral flag, checkpoints written
+    without it (or by inline-scoring trackers) still load, and a replay
+    resumed mid-stream publishes the uninterrupted run's verdict bytes."""
 
     def test_pooled_kill_and_resume_is_bit_identical(self, tmp_path):
-        config = parity_live_config(SPEC, pooled_scoring=True)
+        """Chunked pool passes: at the kill tick every tracker holds
+        bins it has buffered but not yet scored, and the resumed run
+        must cross the chunk threshold on the same tick."""
+        config = parity_live_config(SPEC, score_chunk_bins=7)
         baseline = replay_scenario(SPEC, live_config=config)
         path = str(tmp_path / "pooled.ckpt")
         killed = replay_scenario(SPEC, live_config=config,
@@ -199,6 +203,33 @@ class TestPooledScoringResume:
                                   resume_from=path, check_offline=True)
         assert resumed.resumed is True
         assert verdict_bytes(resumed) == verdict_bytes(baseline)
+        assert resumed.parity_ok is True
+
+    def test_inline_scoring_checkpoint_resumes_identically(self, tmp_path):
+        """Trackers checkpointed before deferral was the only mode carry
+        ``deferred: false``; restored, they score inside ``extend`` and
+        must still publish the same documents (they emit mid-drain, so
+        only intra-tick order may differ)."""
+        baseline = replay_scenario(SPEC)
+        path = str(tmp_path / "inline.ckpt")
+        killed = replay_scenario(SPEC, checkpoint_path=path,
+                                 checkpoint_every=10,
+                                 kill_after_ticks=KILL_AT)
+        assert killed.killed is True
+        with open(path) as handle:
+            records = [json.loads(line) for line in handle]
+        flipped = 0
+        for record in records:
+            for tracker in record.get("trackers", ()):
+                assert tracker["detector"]["deferred"] is True
+                tracker["detector"]["deferred"] = False
+                flipped += 1
+        assert flipped > 0
+        write_checkpoint(path, records)
+        reset_shared_cache()
+        resumed = replay_scenario(SPEC, resume_from=path, check_offline=True)
+        assert sorted(verdict_bytes(resumed)) == \
+            sorted(verdict_bytes(baseline))
         assert resumed.parity_ok is True
 
     def test_state_dict_round_trips_deferred_flag(self):
@@ -243,8 +274,7 @@ class TestFusedIngestResume:
     either — bit-identically, both directions."""
 
     def _config(self, fused):
-        return parity_live_config(SPEC, pooled_scoring=True,
-                                  fused_ingest=fused)
+        return parity_live_config(SPEC, fused_ingest=fused)
 
     def test_fused_kill_and_resume_is_bit_identical(self, tmp_path):
         config = self._config(fused=True)

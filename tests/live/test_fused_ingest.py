@@ -1,32 +1,29 @@
 """Fused ingest plane: batched store→queue→arena flow, byte-identical.
 
 The fused path (``fused_ingest=True``) moves the same fragments through
-the same stages as pooled scoring, one batch per tick instead of one
-Python frame per fragment.  The contract is the strongest one the live
-pipeline has: the verdict *stream* — every document, in order — must be
-byte-identical to the pooled path's.
+the same stages as the default ingest plane, one batch per tick instead
+of one Python frame per fragment.  The contract is the strongest one
+the live pipeline has: the verdict *stream* — every document, in order —
+must be byte-identical to the unfused path's.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine.fleet import FleetScenarioSpec, SyntheticFleetSource
-from repro.exceptions import ParameterError
-from repro.live import (LiveConfig, offline_verdict_records,
-                        parity_live_config, replay_scenario)
+from repro.live import (offline_verdict_records, parity_live_config,
+                        replay_scenario)
 from repro.live.assessor import FUSED_BATCHES_METRIC, FUSED_ROWS_METRIC
 from repro.live.queues import IngestQueues
 from repro.telemetry.kpi import KpiKey
 from repro.telemetry.store import MetricStore
 from repro.telemetry.timeseries import MINUTE, TimeSeries
 
+from .oracle import sorted_documents, standalone_verdict_documents
+
 SPEC = FleetScenarioSpec(n_services=3, n_servers=12, n_changes=4,
                          window_bins=120, change_offset=60,
                          history_days=1, seed=11)
-
-
-def verdict_doc_key(doc):
-    return sorted((k, repr(v)) for k, v in doc.items())
 
 
 @pytest.fixture(scope="module")
@@ -36,51 +33,40 @@ def offline_records():
 
 class TestFusedParity:
     def test_fused_equals_offline(self, offline_records):
-        config = parity_live_config(SPEC, pooled_scoring=True,
-                                    fused_ingest=True)
+        config = parity_live_config(SPEC, fused_ingest=True)
         report = replay_scenario(SPEC, live_config=config)
         assert report.live_records() == offline_records
 
     def test_fused_verdict_stream_byte_identical_to_pooled(self):
         """Raw stream equality — order included, every field included."""
-        pooled = replay_scenario(
-            SPEC, live_config=parity_live_config(SPEC, pooled_scoring=True))
+        pooled = replay_scenario(SPEC)
         fused = replay_scenario(
-            SPEC, live_config=parity_live_config(SPEC, pooled_scoring=True,
-                                                 fused_ingest=True))
+            SPEC, live_config=parity_live_config(SPEC, fused_ingest=True))
         assert [v.as_dict() for v in fused.verdicts] == \
             [v.as_dict() for v in pooled.verdicts]
 
     def test_fused_verdicts_match_per_detector(self):
-        """Same documents as unpooled scoring; only intra-tick bus order
-        is free (pooled emission happens after the drain)."""
-        plain = replay_scenario(SPEC)
-        fused = replay_scenario(
-            SPEC, live_config=parity_live_config(SPEC, pooled_scoring=True,
-                                                 fused_ingest=True))
-        assert sorted((v.as_dict() for v in plain.verdicts),
-                      key=verdict_doc_key) == \
-            sorted((v.as_dict() for v in fused.verdicts),
-                   key=verdict_doc_key)
+        """Same documents as one standalone, immediately scoring
+        detector per KPI; only intra-tick bus order is free (pooled
+        emission happens after the drain)."""
+        config = parity_live_config(SPEC, fused_ingest=True)
+        fused = replay_scenario(SPEC, live_config=config)
+        assert sorted_documents(fused.verdicts) == \
+            standalone_verdict_documents(SPEC, config)
 
     def test_fused_composes_with_chunking_and_batching(self,
                                                        offline_records):
-        config = parity_live_config(SPEC, pooled_scoring=True,
-                                    fused_ingest=True, score_chunk_bins=7)
+        config = parity_live_config(SPEC, fused_ingest=True,
+                                    score_chunk_bins=7)
         report = replay_scenario(SPEC, live_config=config, flush_bins=5)
         assert report.live_records() == offline_records
 
     def test_fused_actually_scatters(self):
-        config = parity_live_config(SPEC, pooled_scoring=True,
-                                    fused_ingest=True)
+        config = parity_live_config(SPEC, fused_ingest=True)
         report = replay_scenario(SPEC, live_config=config, flush_bins=5)
         counters = report.service_report["counters"]
         assert counters.get(FUSED_BATCHES_METRIC, 0) > 0
         assert counters.get(FUSED_ROWS_METRIC, 0) > 0
-
-    def test_fused_requires_pooled_scoring(self):
-        with pytest.raises(ParameterError):
-            LiveConfig(fused_ingest=True, pooled_scoring=False)
 
 
 class TestStoreBatchAppend:

@@ -12,6 +12,8 @@ from repro.engine.fleet import FleetScenarioSpec, SyntheticFleetSource
 from repro.live import (offline_verdict_records, parity_live_config,
                         replay_scenario)
 
+from .oracle import sorted_documents, standalone_verdict_documents
+
 SPEC = FleetScenarioSpec(n_services=3, n_servers=12, n_changes=4,
                          window_bins=120, change_offset=60,
                          history_days=1, seed=11)
@@ -48,38 +50,32 @@ class TestParity:
 
 
 class TestPooledScoringParity:
-    """Pooled (stacked cross-detector) scoring is a throughput mode:
-    the verdict stream must be identical to per-detector scoring —
-    field for field, not merely as parity records."""
-
-    def test_pooled_equals_offline(self, offline_records):
-        config = parity_live_config(SPEC, pooled_scoring=True)
-        report = replay_scenario(SPEC, live_config=config)
-        assert report.live_records() == offline_records
+    """Pooled (stacked cross-detector) scoring is the service's one
+    scoring path; detectors that score on their own inside ``extend``
+    are the oracle it must agree with — field for field, not merely as
+    parity records."""
 
     def test_pooled_verdicts_bit_identical_to_per_detector(self):
         """Same verdict *documents* — every field including emitted_at
-        and did_estimate — with only intra-tick bus order free to
-        differ (per-detector emits mid-drain, pooled after the drain)."""
-        plain = replay_scenario(SPEC)
-        pooled = replay_scenario(
-            SPEC, live_config=parity_live_config(SPEC, pooled_scoring=True))
-        key = lambda doc: sorted((k, repr(v)) for k, v in doc.items())
-        assert sorted((v.as_dict() for v in plain.verdicts), key=key) == \
-            sorted((v.as_dict() for v in pooled.verdicts), key=key)
+        and did_estimate — as one standalone detector per KPI fed the
+        same bins on the same ticks; only intra-tick bus order is free
+        (the pool emits after the drain, in pool order)."""
+        report = replay_scenario(SPEC)
+        assert sorted_documents(report.verdicts) == \
+            standalone_verdict_documents(SPEC)
 
     def test_pooled_composes_with_chunking_and_batching(self,
                                                         offline_records):
-        config = parity_live_config(SPEC, pooled_scoring=True,
-                                    score_chunk_bins=7)
+        config = parity_live_config(SPEC, score_chunk_bins=7)
         report = replay_scenario(SPEC, live_config=config, flush_bins=5)
         assert report.live_records() == offline_records
+        assert sorted_documents(report.verdicts) == \
+            standalone_verdict_documents(SPEC, config, flush_bins=5)
 
     def test_pool_actually_stacks(self):
         from repro.live.pool import (POOLED_BATCHES_METRIC,
                                      POOLED_SERIES_METRIC)
-        config = parity_live_config(SPEC, pooled_scoring=True)
-        report = replay_scenario(SPEC, live_config=config)
+        report = replay_scenario(SPEC)
         counters = report.service_report["counters"]
         batches = counters[POOLED_BATCHES_METRIC]
         series = counters[POOLED_SERIES_METRIC]

@@ -146,6 +146,25 @@ class TestProfile:
         profile = build_profile([orphan])
         assert profile.path("lonely").calls == 1
 
+    def test_stacked_detect_counts_as_its_jobs(self):
+        """Funnel jobs are scored a stack at a time and get no ``job``
+        span: the ``detect_batch`` span carries their count and time."""
+        spans = [
+            rec("s1", None, "execute", 1.0, workers=0, batch_size=16),
+            rec("s2", "s1", "detect_batch", 0.6, batch=0, jobs=12,
+                detector="funnel", series_bins=240),
+            rec("s3", "s1", "detect_batch", 0.2, batch=1, jobs=4,
+                detector="funnel", series_bins=240),
+            rec("s4", "s1", "attribute_batch", 0.1, batch=0, jobs=5),
+        ]
+        profile = build_profile(spans)
+        row = profile.detectors["funnel"]
+        assert row["jobs"] == 16
+        assert row["job_s"] == pytest.approx(0.8)
+        assert row["stages"]["detect"] == {"calls": 2,
+                                           "total_s": pytest.approx(0.8)}
+        assert profile.slowest_jobs == []
+
     def test_top_jobs_limit(self):
         profile = build_profile(FIXTURE_SPANS, top_jobs=1)
         assert [row["job_id"] for row in profile.slowest_jobs] == [1]

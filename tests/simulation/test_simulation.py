@@ -98,10 +98,14 @@ class TestServiceScenario:
 
 class TestDeployment:
     def test_tiny_week(self):
-        spec = DeploymentSpec(scale=0.0004, days=2, seed=11)
+        # 10 changes a day (the spec's floor) x 30 KPIs each: two full
+        # days of the pipeline at a third of the paper's KPIs per change.
+        spec = DeploymentSpec(scale=0.0004, days=2, seed=11,
+                              kpis_per_change=30.0)
         report = simulate_week(spec)
         assert len(report.days) == 2
-        assert report.daily_kpis > 0
+        assert report.daily_kpis == 300
+        assert sum(day.detections for day in report.days) >= 30
         row = report.as_table3_row()
         assert 0.0 <= row["precision"] <= 1.0
         # FUNNEL's deployed precision was 98.21%; the simulated one

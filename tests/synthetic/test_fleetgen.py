@@ -53,6 +53,23 @@ class TestGenerateFleet:
             impact = identify_impact_set(fleet, name, hosts[:1])
             assert impact.treated_hostnames == (hosts[0],)
 
+    @pytest.mark.parametrize("n_services", [1, 42, 43, 100])
+    def test_any_service_count_gets_unique_names(self, n_services):
+        """Only 7 x 6 family.tier pairs exist: past 42 services the
+        names used to never fill up (an endless loop), and a single
+        service crashed drawing a cross-family pair."""
+        fleet = generate_fleet(FleetSpec(n_services=n_services,
+                                         n_servers=4 * n_services))
+        names = fleet.service_names
+        assert len(names) == len(set(names)) == n_services
+        for name in names:
+            family, tier = name.split(".")
+            assert family and tier
+        # Growing the fleet never renames the services it already had.
+        smaller = generate_fleet(FleetSpec(n_services=min(n_services, 42),
+                                           n_servers=400))
+        assert set(smaller.service_names) <= set(names)
+
     def test_invalid_spec(self):
         with pytest.raises(ParameterError):
             FleetSpec(n_services=0)

@@ -23,11 +23,12 @@ FaultPlan`, so a wrapped replay is reproducible from its seed alone.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import (Callable, Deque, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
-from ..exceptions import TelemetryError
+from ..exceptions import ParameterError, TelemetryError
 from ..obs.metrics import MetricsRegistry
 from ..telemetry.kpi import KpiKey
 from ..telemetry.store import MetricStore, Subscription
@@ -148,12 +149,18 @@ class FaultyMetricStore:
             queue = self._pending[key] = deque()
         queue.append((release, fragment))
 
-    def append_batch(self, items: List[Tuple[KpiKey, TimeSeries]]) -> None:
-        """Batched append, unbatched on purpose: every fragment rolls
-        its own ingest fault and pushes through its own shim decision,
-        so a fused replay sees the exact per-fragment fault sequence an
-        unfused one does."""
-        for key, fragment in items:
+    def append_batch(self, keys: Sequence[KpiKey], start_time: int,
+                     block: np.ndarray) -> None:
+        """Block append, taken apart on purpose: every row becomes its
+        own fragment, rolls its own ingest fault and pushes through its
+        own shim decision, so a replay under a plan sees the exact
+        per-fragment fault sequence per-key appends would."""
+        if len(block) != len(keys):
+            raise ParameterError("block has %d rows for %d keys"
+                                 % (len(block), len(keys)))
+        fragments = [TimeSeries(start_time, self.bin_seconds, row)
+                     for row in block]
+        for key, fragment in zip(keys, fragments):
             self.append(key, fragment)
 
     def advance(self, now: int) -> None:

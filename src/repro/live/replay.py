@@ -29,6 +29,8 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..changes.log import ChangeLog
 from ..engine.engine import AssessmentEngine
 from ..engine.fleet import FleetScenarioSpec, SyntheticFleetSource
@@ -39,7 +41,7 @@ from ..obs.context import ObsContext
 from ..simulation.clock import SimulationClock
 from ..telemetry.kpi import KpiKey
 from ..telemetry.store import MetricStore
-from ..telemetry.timeseries import MINUTE, TimeSeries
+from ..telemetry.timeseries import MINUTE
 from .bus import LiveVerdict
 from .checkpoint import Checkpointer, load_checkpoint, restore_service
 from .config import LiveConfig
@@ -259,12 +261,18 @@ def replay_scenario(spec: Optional[FleetScenarioSpec] = None,
         if fault_plan.has_history_faults():
             history = FaultyHistoryProvider(source.history, fault_plan)
 
-    keys = list(keys) if keys is not None else fleet_kpi_keys(source)
-    arrays = {key: source.observed_series(key.entity_type, key.entity,
-                                          key.metric) for key in keys}
+    # One immutable key tuple and one (keys, bins) matrix of the streamed
+    # span: a tick is a column slice, and the store resolves the tuple's
+    # rows and subscribers once instead of per tick.
+    keys = tuple(keys if keys is not None else fleet_kpi_keys(source))
+    stream_bins = spec.n_changes * spec.window_bins
+    streamed = slice(spec.lead_bins, spec.lead_bins + stream_bins)
+    matrix = np.empty((len(keys), stream_bins), dtype=np.float64)
+    for row, key in enumerate(keys):
+        matrix[row] = source.observed_series(
+            key.entity_type, key.entity, key.metric)[streamed]
     at_time: Dict[str, int] = {c.change_id: c.at_time
                                for c in source.changes}
-    stream_bins = spec.n_changes * spec.window_bins
     plan_doc = fault_plan.describe() if faulty else None
     static_extra = {"spec": asdict(spec), "flush_bins": flush_bins,
                     "fault_plan": plan_doc}
@@ -294,12 +302,8 @@ def replay_scenario(spec: Optional[FleetScenarioSpec] = None,
         checkpointer.extra = dict(static_extra, offset=start_offset)
 
     def stream_chunk(offset: int, chunk: int) -> None:
-        absolute_bin = spec.lead_bins + offset
-        start_time = absolute_bin * MINUTE
-        store.append_batch([
-            (key, TimeSeries(start_time, MINUTE,
-                             arrays[key][absolute_bin:absolute_bin + chunk]))
-            for key in keys])
+        store.append_batch(keys, (spec.lead_bins + offset) * MINUTE,
+                           matrix[:, offset:offset + chunk])
 
     # Fast-forward to the checkpoint: replay the pre-checkpoint stream
     # into the fresh (fault-wrapped) store before any subscriber exists.

@@ -1,6 +1,7 @@
 """Common lightweight types shared across the repro packages.
 
-The types here are deliberately dependency-free (NumPy only) so that any
+The types here are deliberately dependency-free (NumPy and the leaf
+:mod:`repro.exceptions` only) so that any
 subpackage may import them without cycles.
 """
 
@@ -11,6 +12,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .exceptions import ParameterError
 
 __all__ = [
     "ChangeKind",
@@ -139,11 +142,9 @@ def as_float_array(values: Sequence[float], name: str = "series") -> np.ndarray:
         repro.exceptions.ParameterError: if the input is not 1-dimensional
             or contains non-finite entries.
     """
-    from .exceptions import ParameterError
-
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ParameterError("%s must be 1-D, got shape %s" % (name, arr.shape))
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ParameterError("%s contains NaN or infinite values" % name)
     return arr

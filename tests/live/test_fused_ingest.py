@@ -81,16 +81,19 @@ class TestStoreBatchAppend:
         key_a = KpiKey("server", "a", "cpu")
         key_b = KpiKey("server", "b", "cpu")
         batched, sequential = self._store(), self._store()
-        items = [(key_a, self._fragment(0)),
-                 (key_b, self._fragment(0)),
-                 (key_a, self._fragment(2 * MINUTE, (3.0, 4.0)))]
-        batched.append_batch(items)
-        for key, fragment in items:
-            sequential.append(key, fragment)
+        blocks = [((key_a, key_b), 0, [[1.0, 2.0], [5.0, 6.0]]),
+                  ((key_a,), 2 * MINUTE, [[3.0, 4.0]])]
+        for keys, start, block in blocks:
+            batched.append_batch(keys, start, np.array(block))
+            for key, row in zip(keys, block):
+                sequential.append(key, self._fragment(start, row))
         for key in (key_a, key_b):
             assert batched.series(key).values.tolist() == \
                 sequential.series(key).values.tolist()
-        assert batched.appended_fragments == sequential.appended_fragments
+            assert batched.series(key).start == sequential.series(key).start
+        assert batched.appended_fragments == \
+            sequential.appended_fragments == 3
+        assert batched.appended_bins == sequential.appended_bins == 6
 
     def test_batch_callback_gets_matched_sublist(self):
         store = self._store()
@@ -102,29 +105,35 @@ class TestStoreBatchAppend:
                         callback=lambda *a: seen.append(("item", a)),
                         batch_callback=lambda items: seen.append(
                             ("batch", list(items))))
-        items = [(key_a, self._fragment(0)),
-                 (key_c, self._fragment(0)),
-                 (key_b, self._fragment(0))]
-        store.append_batch(items)
-        # One batch delivery with only the subscribed keys, in batch
+        store.append_batch((key_a, key_c, key_b), 0,
+                           np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        # One batch delivery with only the subscribed keys, in block
         # order; the per-item callback is not used when a batch
         # callback exists.
         assert len(seen) == 1
         kind, delivered = seen[0]
         assert kind == "batch"
         assert [k for k, _ in delivered] == [key_a, key_b]
+        assert [f.values.tolist() for _, f in delivered] == \
+            [[1.0, 2.0], [5.0, 6.0]]
+        assert {(f.start, f.bin_seconds) for _, f in delivered} == \
+            {(0, MINUTE)}
 
     def test_batch_append_without_batch_callback_falls_back(self):
         store = self._store()
-        key = KpiKey("server", "a", "cpu")
+        key_a = KpiKey("server", "a", "cpu")
+        key_b = KpiKey("server", "b", "cpu")
         seen = []
-        store.subscribe([key], callback=lambda k, f: seen.append(k))
-        store.append_batch([(key, self._fragment(0)),
-                            (key, self._fragment(2 * MINUTE))])
-        assert seen == [key, key]
+        store.subscribe([key_a, key_b],
+                        callback=lambda k, f: seen.append((k, f.start)))
+        keys = (key_a, key_b)
+        store.append_batch(keys, 0, np.ones((2, 2)))
+        store.append_batch(keys, 2 * MINUTE, np.ones((2, 2)))
+        assert seen == [(key_a, 0), (key_b, 0),
+                        (key_a, 2 * MINUTE), (key_b, 2 * MINUTE)]
 
     def test_batch_ingest_precedes_every_push(self):
-        """All fragments are durable before the first push fires, so a
+        """All rows are durable before the first push fires, so a
         subscriber reading back the store sees the whole batch."""
         store = self._store()
         key_a = KpiKey("server", "a", "cpu")
@@ -134,8 +143,7 @@ class TestStoreBatchAppend:
             [key_a], callback=None,
             batch_callback=lambda items: lengths.append(
                 store.series(key_b).values.size))
-        store.append_batch([(key_a, self._fragment(0)),
-                            (key_b, self._fragment(0))])
+        store.append_batch((key_a, key_b), 0, np.ones((2, 2)))
         assert lengths == [2]
 
 

@@ -6,9 +6,9 @@ Four historical defects are pinned here:
   (merely flagged inactive), so a long-lived store serving a live
   pipeline leaked one dead entry per assessed change;
 * ``append`` used to rebuild the full concatenated array per fragment —
-  O(n) copying per push, quadratic over a stream — now replaced by
-  geometrically over-allocated columns;
-* ``series()`` used to hand out a live slice of the column buffer, so
+  O(n) copying per push, quadratic over a stream — now replaced by a
+  geometrically over-allocated table (bins and rows);
+* ``series()`` used to hand out a live slice of the storage buffer, so
   any caller mutation silently corrupted the store for every other
   reader;
 * ``Subscription`` used to be a value-compared dataclass, so cancelling
@@ -85,10 +85,23 @@ class TestSubscriptionLifecycle:
 
 class TestSeriesAliasing:
     def test_series_does_not_alias_the_column_buffer(self, store, key):
+        """The view owns its data: later appends and table growth in
+        either dimension (more bins, more keys) leave it as it was."""
         store.append(key, TimeSeries(0, 60, [1.0, 2.0]))
         view = store.series(key)
-        assert not np.shares_memory(view.values,
-                                    store._columns[key].values)
+        assert not np.shares_memory(view.values, store._table)
+        assert view.values.flags.writeable is False
+        table = store._table
+        store.append(key, TimeSeries(120, 60, np.full(500, 3.0)))
+        assert store._table.shape[1] > table.shape[1]     # bins grew
+        table = store._table
+        for i in range(100):
+            store.append(KpiKey("server", "web-%d" % (i + 2), "m"),
+                         TimeSeries(0, 60, [9.0]))
+        assert store._table.shape[0] > table.shape[0]     # rows grew
+        assert view.values.tolist() == [1.0, 2.0]
+        assert not np.shares_memory(store.series(key).values, store._table)
+        assert store.series(key).values.tolist() == [1.0, 2.0] + [3.0] * 500
 
     def test_series_view_is_read_only(self, store, key):
         store.append(key, TimeSeries(0, 60, [1.0, 2.0]))
@@ -151,16 +164,25 @@ class TestAppendGrowth:
         assert len(second) == 3
 
     def test_column_overallocates_geometrically(self, store, key):
+        """10k single-bin appends reallocate a logarithmic number of
+        times (doubling), not once per append."""
         store.append(key, TimeSeries(0, 60, np.ones(10)))
-        column = store._columns[key]
-        capacities = {column.values.size}
-        for i in range(200):
+        tables = {id(store._table): store._table}
+        for i in range(10_000):
             store.append(key, TimeSeries((10 + i) * 60, 60, [1.0]))
-            capacities.add(column.values.size)
-            column = store._columns[key]
-        # doubling growth: few distinct capacities, not one per append
-        assert len(capacities) < 8
-        assert column.values.size >= column.length
+            tables[id(store._table)] = store._table   # kept alive: ids unique
+        assert len(tables) <= 9                       # 64 -> 16384 bins
+        assert store._table.shape[1] >= len(store.series(key)) == 10_010
+
+    def test_rows_overallocate_geometrically(self, store):
+        keys = [KpiKey("server", "h%d" % i, "m") for i in range(2_000)]
+        tables = {}
+        for i, k in enumerate(keys):
+            store.append(k, TimeSeries(0, 60, [float(i)]))
+            tables[id(store._table)] = store._table
+        assert len(tables) <= 9                       # 16 -> 2048 rows
+        assert store.window_matrix(keys, 0, 60)[:, 0].tolist() == \
+            [float(i) for i in range(2_000)]
 
     def test_range_after_growth(self, store, key):
         for i in range(100):

@@ -799,7 +799,8 @@ def _batching_summary(metrics: dict) -> dict:
                                   BATCHED_CAPACITY_METRIC,
                                   BATCHED_JOBS_METRIC, PACKED_ROWS_METRIC,
                                   PACKED_UNIQUE_ROWS_METRIC)
-    from .live.pool import POOLED_BATCHES_METRIC, POOLED_SERIES_METRIC
+    from .live.pool import (GATED_CANDIDATES_METRIC, GATING_TABLES_METRIC,
+                            POOLED_BATCHES_METRIC, POOLED_SERIES_METRIC)
 
     counters = (metrics or {}).get("counters") or {}
     totals = {name: sum(entry.get("value", 0)
@@ -827,6 +828,11 @@ def _batching_summary(metrics: dict) -> dict:
         out["pooled_scoring_batches"] = pooled
         out["pooled_scoring_series"] = series
         out["pooled_scoring_mean_size"] = round(series / pooled, 2)
+    tables = totals.get(GATING_TABLES_METRIC, 0)
+    if tables:
+        out["pooled_gating_tables"] = tables
+        out["pooled_gating_candidates_per_table"] = round(
+            totals.get(GATED_CANDIDATES_METRIC, 0) / tables, 2)
     return out
 
 

@@ -134,13 +134,11 @@ class Funnel:
     ) -> List[List[DetectedChange]]:
         """:meth:`detect` for a stack of same-length series at once.
 
-        One batched normalisation and one :meth:`IkaSST.scores_batch`
-        call cover every row; the persistence scan then runs per row on
-        bitwise the same normalised samples and scores the per-series
-        path would produce — with ``gating="batched"``, which
-        precomputes each row's candidate statistics in one vectorised
-        pass instead of per-candidate ``np.median`` calls — so the
-        declared changes are identical to
+        One batched normalisation, one :meth:`IkaSST.scores_batch` call
+        and one :func:`~repro.core.scoring.declare_changes` (one gating
+        table for the stack) cover every row, each the stacked form of
+        what the per-series path calls — so the declared changes are
+        identical to
         ``[self.detect(row, ci, stats) for row, ci, stats in ...]``.
 
         Args:
@@ -166,16 +164,11 @@ class Funnel:
             stats=baseline_stats)
         scores = self.scorer.scores_batch(
             normalised, lengths=[width] * n_series)
-        lookahead = self.config.sst.lookahead - 1
-        out: List[List[DetectedChange]] = []
-        for row in range(n_series):
-            declared = declare_changes(normalised[row], scores[row],
-                                       self.config.policy,
-                                       lookahead=lookahead,
-                                       gating="batched")
-            out.append([c for c in declared
-                        if c.start_index >= indices[row] - 1])
-        return out
+        declared = declare_changes(
+            normalised, scores, self.config.policy,
+            lookahead=self.config.sst.lookahead - 1)
+        return [[c for c in changes if c.start_index >= ci - 1]
+                for changes, ci in zip(declared, indices)]
 
     # -- attribution ------------------------------------------------------------
 

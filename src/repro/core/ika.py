@@ -35,9 +35,10 @@ Two code paths compute the same transform:
 
 ``scores_batch`` adds a leading *series* axis on top: the windows of a
 stack of same-length series are flattened into one ``n_series * T`` axis
-and scored in blocks of at most ``_BLOCK_WINDOWS`` — one
-``(block, omega, omega)`` eigh and one vectorised Lanczos recursion per
-block, so memory is bounded by the block, not by the stack height.
+and scored in blocks of at most ``_BLOCK_PAIRS`` (window, future
+direction) pairs — one ``(block, omega, omega)`` eigh and one vectorised
+Lanczos recursion covering all ``eta`` directions per block, so memory
+is bounded by the block, not by the stack height.
 ``scores(x)`` is literally ``scores_batch(x[None])[0]``, so per-series
 vs. batched parity holds by construction; the remaining invariant — a
 row scores identically no matter which stack (or block) it is part of —
@@ -63,11 +64,12 @@ from .tridiag import tridiag_eigh
 
 __all__ = ["IkaSST"]
 
-#: Windows scored per kernel block.  ``scores_batch`` materialises the
+#: (window, future direction) pairs scored per kernel block —
+#: ``_BLOCK_PAIRS // eta`` windows.  ``scores_batch`` materialises the
 #: past/future Hankel stacks, the Lanczos basis and the ``eigh`` inputs
 #: for one block at a time, so its working set is bounded by this
 #: constant (~2 MB at omega = 9) instead of growing with stack height.
-_BLOCK_WINDOWS = 512
+_BLOCK_PAIRS = 512
 
 
 class IkaSST:
@@ -261,14 +263,15 @@ class IkaSST:
         # block boundaries cannot change a bit of the result.
         n_t = hi - lo
         raw = np.empty(n_rows * n_t, dtype=np.float64)
-        for start in range(0, raw.size, _BLOCK_WINDOWS):
+        step = max(1, _BLOCK_PAIRS // self.params.eta)
+        for start in range(0, raw.size, step):
             row, t = np.divmod(
-                np.arange(start, min(start + _BLOCK_WINDOWS, raw.size)), n_t)
+                np.arange(start, min(start + step, raw.size)), n_t)
             t += lo
             # Future trajectory at t uses the slice starting at t; the
             # past one the slice ending at t - 1, i.e. start t - span.
             # Integer-array indexing copies, so both are C-contiguous.
-            raw[start:start + _BLOCK_WINDOWS] = self._raw_block(
+            raw[start:start + step] = self._raw_block(
                 windows[row, t], windows[row, t - span])
         return raw.reshape(n_rows, n_t)
 
@@ -289,9 +292,14 @@ class IkaSST:
             lam = lam_all[:, :eta]
             betas = vec_all[:, :, :eta]
 
-        phi = np.empty((fut.shape[0], eta), dtype=np.float64)
-        for i in range(eta):
-            phi[:, i] = self._phi_batched(past, betas[:, :, i], k, eta)
+        # One Lanczos recursion for all directions: direction-major
+        # (eta * B) seeds against the past block repeated eta times.
+        # Copied contiguous first: a one-window block would reshape to a
+        # strided view, whose norm sums in another order.
+        seeds = np.ascontiguousarray(betas.transpose(2, 0, 1))
+        phi = self._phi_batched(np.tile(past, (eta, 1, 1)),
+                                seeds.reshape(-1, p.omega), k,
+                                eta).reshape(eta, -1).T
 
         total = lam.sum(axis=1)
         raw = np.zeros(fut.shape[0], dtype=np.float64)
@@ -301,7 +309,7 @@ class IkaSST:
 
     def _phi_batched(self, past: np.ndarray, seeds: np.ndarray, k: int,
                      eta: int) -> np.ndarray:
-        """Eq. 13 for one future direction across all windows at once.
+        """Eq. 13 for one seed per past window, all windows at once.
 
         ``past`` has shape ``(T, delta, omega)`` with ``past[t, j]`` the
         j-th column of ``B(t)``; ``seeds`` is ``(T, omega)``.  Runs the
@@ -326,12 +334,12 @@ class IkaSST:
             pv = np.einsum("tdw,tw->td", past, qj)
             w = np.einsum("tdw,td->tw", past, pv)
             alpha[:, j] = np.einsum("tw,tw->t", qj, w)
+            if j == k - 1:
+                break
             w = w - alpha[:, j, None] * qj - prev_beta[:, None] * prev
             # Full reorthogonalisation against the basis so far.
             coeffs = np.einsum("twj,tw->tj", basis[:, :, :j + 1], w)
             w = w - np.einsum("twj,tj->tw", basis[:, :, :j + 1], coeffs)
-            if j == k - 1:
-                break
             b = np.linalg.norm(w, axis=1)
             alive = b > 1e-12
             off[:, j] = np.where(alive, b, 0.0)

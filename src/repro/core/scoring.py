@@ -89,9 +89,9 @@ def robust_normalise_batch(
 
     Row ``i`` of the result is bitwise what
     ``robust_normalise(stacked[i], baselines[i], epsilon, stats[i])``
-    returns: the per-row medians/MADs partition exactly the same prefix
-    samples (``np.median`` over an axis is row-independent) and the
-    centre/scale transform broadcasts elementwise.
+    returns: the per-row medians/MADs are the same exact order
+    statistics of the same prefix samples (:func:`_prefix_median_mad`)
+    and the centre/scale transform broadcasts elementwise.
 
     Args:
         stacked: the ``(n_series, T)`` KPI stack.
@@ -137,15 +137,9 @@ def robust_normalise_batch(
                 meds[i] = float(entry[0])
                 scales[i] = float(entry[1])
                 todo[i] = False
-    # Group the remaining rows by prefix length so each group is one
-    # axis-median call over a rectangular block.
-    for baseline in np.unique(row_baselines[todo]):
-        rows = np.flatnonzero(todo & (row_baselines == baseline))
-        prefix = x[rows, :baseline]
-        med = np.median(prefix, axis=1)
-        scale = np.median(np.abs(prefix - med[:, None]), axis=1)
-        meds[rows] = med
-        scales[rows] = scale
+    if todo.any():
+        meds[todo], scales[todo] = _prefix_median_mad(
+            x, np.flatnonzero(todo), row_baselines[todo])
     return (x - meds[:, None]) / (MAD_TO_SIGMA * scales[:, None] + epsilon)
 
 
@@ -174,7 +168,7 @@ def estimate_change_start(series: Sequence[float], detected_at: int,
         )
     if baseline is None:
         baseline = detected_at
-    baseline = max(1, min(baseline, detected_at)) or 1
+    baseline = max(1, min(baseline, detected_at))
     med, scale = median_and_mad(x[:baseline])
     band = threshold_sigmas * (MAD_TO_SIGMA * scale + 1e-9)
     start = detected_at
@@ -266,66 +260,147 @@ class ChangeDeclarationPolicy:
             raise ParameterError("deviation_sigmas must be positive")
 
 
-def _prefix_median_mad(x: np.ndarray,
+#: Padded prefix cells sorted per gating-table block: like the kernel's
+#: block cap, the table walks its (row, candidate) pairs in blocks so the
+#: two sort buffers stay ~0.5 MB however many candidates a stack arms.
+_TABLE_BLOCK_CELLS = 1 << 16
+
+
+def _prefix_median_mad(stack: np.ndarray, rows: np.ndarray,
                        baselines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``median_and_mad(x[:b])`` for many prefix lengths ``b`` at once.
+    """``median_and_mad(stack[r, :b])`` for many ``(r, b)`` pairs at once.
 
     Median and MAD are exact order statistics: sorting a NaN-padded
     prefix matrix and averaging the two middle order statistics yields
     bitwise the values ``np.median`` computes per prefix (``np.median``
     takes the mean of the two partitioned middles for even sizes and the
-    single middle otherwise).  Requires finite samples — NaN padding is
-    how shorter prefixes are encoded internally.
+    single middle otherwise), whatever the padded width.  Requires
+    finite samples — NaN padding is how shorter prefixes are encoded.
     """
-    col = np.arange(x.size)
-    mask = col[None, :] < baselines[:, None]
-    rows = np.arange(baselines.size)
+    width = int(baselines.max())
+    pick = np.arange(baselines.size)
     lo = (baselines - 1) // 2
     hi = baselines // 2
 
-    srt = np.sort(np.where(mask, x[None, :], np.nan), axis=1)
-    meds = np.where(lo == hi, srt[rows, lo],
-                    (srt[rows, lo] + srt[rows, hi]) / 2.0)
-    sdev = np.sort(np.where(mask, np.abs(x[None, :] - meds[:, None]), np.nan),
-                   axis=1)
-    scales = np.where(lo == hi, sdev[rows, lo],
-                      (sdev[rows, lo] + sdev[rows, hi]) / 2.0)
+    srt = np.where(np.arange(width)[None, :] < baselines[:, None],
+                   stack[rows, :width], np.nan)
+    srt.sort(axis=1)
+    meds = np.where(lo == hi, srt[pick, lo],
+                    (srt[pick, lo] + srt[pick, hi]) / 2.0)
+    # The deviations of a sorted prefix are the same multiset; the NaN
+    # padding stays NaN and sorts last again.
+    sdev = np.abs(srt - meds[:, None])
+    sdev.sort(axis=1)
+    scales = np.where(lo == hi, sdev[pick, lo],
+                      (sdev[pick, lo] + sdev[pick, hi]) / 2.0)
     return meds, scales
 
 
-def _gating_table(x: np.ndarray, candidates: np.ndarray,
+def _gating_table(series: Sequence[np.ndarray],
+                  candidates: Sequence[np.ndarray],
                   policy: ChangeDeclarationPolicy) -> Tuple[
-                      np.ndarray, np.ndarray, np.ndarray]:
-    """Per-candidate confirmation statistics, computed in bulk.
+                      np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-candidate confirmation statistics for a ragged stack, in bulk.
 
-    For each armed candidate ``c`` the persistence rule consumes the
+    ``candidates[i]`` holds the candidates armed on the 1-D series
+    ``series[i]``.  For each one the persistence rule consumes the
     baseline ``median_and_mad(x[:max(1, c)])`` and the persistence
-    window's ``median(x[c:c+persistence])``.  The per-candidate path
-    recomputes them one ``np.median`` call at a time — the dominant cost
-    of the declaration scan.  This table computes all of them with two
-    sorts and one axis-median, bitwise equal to the per-candidate calls
-    (pinned in ``tests/core/test_scoring.py``).
+    window's ``median(x[c:c+persistence])`` — one ``np.median`` call at
+    a time, the dominant cost of a declaration scan.  The table computes
+    them all (every row of a stack, every detector of a pool pass; one
+    series is the one-row case) with two NaN-padded sorts per block of
+    candidates and one axis-median, bitwise equal to the per-candidate
+    calls (pinned in ``tests/core/test_scoring.py``).
 
-    Returns ``(meds, scales, window_medians)`` aligned with
-    ``candidates``; a window median is NaN when the window does not fit
-    the series (the per-candidate path rejects such candidates).
+    Returns ``(meds, scales, window_medians, finite)``: the statistics
+    aligned with the concatenated candidates — a window median is NaN
+    when the window does not fit its series (:func:`confirm_candidate`
+    rejects those) — and, per series, whether all its samples are
+    finite; the NaN padding cannot encode a series that is not, so its
+    statistics are meaningless.
     """
-    meds, scales = _prefix_median_mad(x, np.maximum(candidates, 1))
-    p = policy.persistence
-    window_meds = np.full(candidates.size, np.nan)
-    decidable = candidates + p <= x.size
-    if np.any(decidable):
-        windows = np.lib.stride_tricks.sliding_window_view(x, p)
-        window_meds[decidable] = np.median(windows[candidates[decidable]],
-                                           axis=1)
-    return meds, scales, window_meds
+    lengths = np.array([len(x) for x in series], dtype=np.intp)
+    stack = np.full((lengths.size, int(lengths.max(initial=0))), np.nan)
+    for row, x in enumerate(series):
+        stack[row, :lengths[row]] = x
+    finite = np.isfinite(stack).sum(axis=1) == lengths
+    sizes = [c.size for c in candidates]
+    meds = np.empty(sum(sizes), dtype=np.float64)
+    scales = np.empty(meds.size, dtype=np.float64)
+    window_meds = np.full(meds.size, np.nan)
+    if not meds.size:
+        return meds, scales, window_meds, finite
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    flat = np.concatenate(candidates)
+
+    baselines = np.maximum(flat, 1)
+    step = max(1, _TABLE_BLOCK_CELLS // int(baselines.max()))
+    for start in range(0, flat.size, step):
+        block = slice(start, start + step)
+        meds[block], scales[block] = _prefix_median_mad(
+            stack, rows[block], baselines[block])
+
+    fits = flat + policy.persistence <= lengths[rows]
+    if fits.any():
+        cols = flat[fits, None] + np.arange(policy.persistence)
+        window_meds[fits] = np.median(stack[rows[fits, None], cols], axis=1)
+    return meds, scales, window_meds, finite
+
+
+def _confirmed_directions(series: Sequence[np.ndarray],
+                          candidates: Sequence[np.ndarray],
+                          policy: ChangeDeclarationPolicy
+                          ) -> List[Optional[List[int]]]:
+    """The persistence rule over one :func:`_gating_table`.
+
+    Entry ``[i][j]`` is ``0`` where :func:`confirm_candidate` rejects
+    ``candidates[i][j]`` (window median inside the deviation band, or no
+    window: NaN compares false) and the declared direction ``+1`` /
+    ``-1`` where it confirms — the same comparison on the same floats.
+    Entry ``[i]`` is ``None`` for a series with non-finite samples: the
+    caller runs :func:`confirm_candidate` on it instead.
+    """
+    meds, scales, window_meds, finite = _gating_table(series, candidates,
+                                                      policy)
+    deviations = window_meds - meds
+    bands = policy.deviation_sigmas * (MAD_TO_SIGMA * scales + 1e-9)
+    flat = np.where(np.abs(deviations) > bands, np.sign(deviations),
+                    0.0).astype(np.intp).tolist()
+    out, start = [], 0
+    for row, ok in zip(candidates, finite.tolist()):
+        out.append(flat[start:start + row.size] if ok else None)
+        start += row.size
+    return out
+
+
+def _declared_change(x: np.ndarray, scores: np.ndarray, candidate: int,
+                     direction: int, policy: ChangeDeclarationPolicy,
+                     lookahead: int) -> Optional[DetectedChange]:
+    """What a confirmed candidate declares.  The change is declared at
+    the wall-clock bin by which all consumed samples exist: the later of
+    the persistence window's end and the scoring lookahead horizon — so
+    FUNNEL's detection delay has the persistence threshold as its floor
+    (paper section 4.4)."""
+    detected_at = candidate + max(policy.persistence - 1, lookahead)
+    if detected_at >= x.size:
+        return None
+    start = estimate_change_start(
+        x, min(candidate + policy.persistence - 1, detected_at),
+        baseline=candidate, threshold_sigmas=policy.deviation_sigmas,
+    )
+    return DetectedChange(
+        index=detected_at,
+        start_index=start,
+        score=float(scores[candidate:detected_at + 1].max()),
+        kind=classify_change(x, start, detected_at),
+        direction=direction,
+    )
 
 
 def declare_changes(series: Sequence[float], scores: Sequence[float],
                     policy: Optional[ChangeDeclarationPolicy] = None,
                     first_only: bool = False,
-                    lookahead: int = 0,
-                    gating: str = "per_candidate") -> List[DetectedChange]:
+                    lookahead: int = 0):
     """Apply the persistence rule to a scored series.
 
     A candidate is armed at each index whose score exceeds the
@@ -337,9 +412,13 @@ def declare_changes(series: Sequence[float], scores: Sequence[float],
     sub-threshold wobble cannot move it, while a genuine level shift or
     ramp does even when individual bins dip back into the noise band.
     An unconfirmed candidate is simply skipped and scanning resumes.
+    The rule is :func:`confirm_candidate`'s, read off one gating table.
 
     Args:
-        series: the (normalised or raw) KPI samples.
+        series: the (normalised or raw) KPI samples — or a
+            ``(n_series, T)`` stack of them, ``scores`` then having the
+            same shape: one gating table covers every row, and a series
+            is just the one-row case.
         scores: per-sample change scores, same length as ``series``.
         policy: declaration thresholds; defaults are the paper's.
         first_only: stop after the first declared change (the online
@@ -349,100 +428,48 @@ def declare_changes(series: Sequence[float], scores: Sequence[float],
             score at position ``t`` is only computable once those
             samples have arrived, so the declaration index — and hence
             the detection delay of section 4.4 — must account for them.
-        gating: ``"per_candidate"`` runs :func:`confirm_candidate` per
-            armed index (the reference path; what the streaming scan
-            mirrors); ``"batched"`` precomputes every candidate's
-            baseline/window statistics in one vectorised pass first —
-            same declarations, bit for bit, minus the per-candidate
-            ``np.median`` overhead that dominates the scan.  The batched
-            detect stage uses it (finite samples required).
 
     Returns:
         Declared changes ordered by detection index, each carrying the
-        estimated start index, classification and direction.
+        estimated start index, classification and direction; for a
+        stack, one such list per row.
     """
-    x = as_float_array(series)
-    s = as_float_array(np.asarray(scores, dtype=np.float64), name="scores")
-    if x.size != s.size:
+    x = np.asarray(series, dtype=np.float64)
+    s = np.asarray(scores, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape != s.shape:
         raise ParameterError(
-            "series (%d) and scores (%d) lengths differ" % (x.size, s.size)
-        )
+            "series %r and scores %r must be equal-length series or "
+            "equal-shape stacks" % (x.shape, s.shape))
+    if not (np.isfinite(x).all() and np.isfinite(s).all()):
+        raise ParameterError("series or scores contain NaN or infinite values")
     policy = policy or ChangeDeclarationPolicy()
     if lookahead < 0:
         raise ParameterError("lookahead must be >= 0")
-    if gating not in ("per_candidate", "batched"):
-        raise ParameterError(
-            "gating must be 'per_candidate' or 'batched', got %r" % (gating,))
-    changes: List[DetectedChange] = []
-    # Candidate masking: only armed indices run the (Python-level)
-    # persistence check — equivalent to scanning every index, since
-    # sub-threshold scores were skipped by the scan loop anyway.
-    candidates = np.flatnonzero(candidate_mask(s, policy))
-    if gating == "batched":
-        return _declare_from_table(x, s, candidates, policy, first_only,
-                                   lookahead)
-    resume = 0
-    for t in candidates:
-        if t < resume:
-            continue
-        declared = confirm_candidate(x, s, int(t), policy, lookahead)
-        if declared is None:
-            resume = t + 1
-            continue
-        changes.append(declared)
-        if first_only:
-            break
-        # Resume scanning after the confirmed persistence window.
-        resume = declared.index + 1
-    return changes
-
-
-def _declare_from_table(x: np.ndarray, s: np.ndarray,
-                        candidates: np.ndarray,
-                        policy: ChangeDeclarationPolicy,
-                        first_only: bool,
-                        lookahead: int) -> List[DetectedChange]:
-    """The ``gating="batched"`` scan: :func:`confirm_candidate` semantics
-    driven from a precomputed :func:`_gating_table`.
-
-    Every branch mirrors ``confirm_candidate`` on the same floats, so
-    the declared changes are bitwise those of the per-candidate path —
-    only the start estimation and classification (confirmed candidates
-    only, i.e. rarely) still run per candidate.
-    """
-    meds, scales, window_meds = _gating_table(x, candidates, policy)
-    bands = policy.deviation_sigmas * (MAD_TO_SIGMA * scales + 1e-9)
-    changes: List[DetectedChange] = []
-    resume = 0
-    for i, t in enumerate(candidates):
-        t = int(t)
-        if t < resume:
-            continue
-        resume = t + 1
-        if t + policy.persistence > x.size:
-            continue
-        deviation = window_meds[i] - meds[i]
-        if abs(deviation) <= bands[i]:
-            continue
-        detected_at = t + max(policy.persistence - 1, lookahead)
-        if detected_at >= x.size:
-            continue
-        start = estimate_change_start(
-            x, min(t + policy.persistence - 1, detected_at), baseline=t,
-            threshold_sigmas=policy.deviation_sigmas,
-        )
-        declared = DetectedChange(
-            index=detected_at,
-            start_index=start,
-            score=float(s[t:detected_at + 1].max()),
-            kind=classify_change(x, start, detected_at),
-            direction=1 if deviation > 0 else -1,
-        )
-        changes.append(declared)
-        if first_only:
-            break
-        resume = declared.index + 1
-    return changes
+    stack, score_stack = np.atleast_2d(x), np.atleast_2d(s)
+    # Candidate masking: only armed indices enter the table and the
+    # (Python-level) scan — equivalent to scanning every index, since
+    # sub-threshold scores would be skipped anyway.
+    candidates = [np.flatnonzero(row)
+                  for row in candidate_mask(score_stack, policy)]
+    directions = _confirmed_directions(stack, candidates, policy)
+    out: List[List[DetectedChange]] = []
+    for row, armed in enumerate(candidates):
+        changes: List[DetectedChange] = []
+        resume = 0
+        for t, direction in zip(armed.tolist(), directions[row]):
+            if t < resume or not direction:
+                continue
+            declared = _declared_change(stack[row], score_stack[row], t,
+                                        direction, policy, lookahead)
+            if declared is None:
+                continue
+            changes.append(declared)
+            if first_only:
+                break
+            # Resume scanning after the confirmed persistence window.
+            resume = declared.index + 1
+        out.append(changes)
+    return out if x.ndim == 2 else out[0]
 
 
 def candidate_mask(scores: Sequence[float],
@@ -450,9 +477,7 @@ def candidate_mask(scores: Sequence[float],
                    ) -> np.ndarray:
     """Boolean mask of armed candidate indices (``score > threshold``).
 
-    Accepts a 1-D score series or a 2-D ``(n_series, T)`` stack — the
-    batched detect stage masks the whole score matrix at once and only
-    rows with any armed index enter the per-item declaration scan.
+    Accepts a 1-D score series or a 2-D ``(n_series, T)`` stack.
     """
     s = np.asarray(scores, dtype=np.float64)
     policy = policy or ChangeDeclarationPolicy()
@@ -466,15 +491,11 @@ def confirm_candidate(x: np.ndarray, scores: np.ndarray, candidate: int,
 
     Confirms when the median of ``x[candidate : candidate+persistence]``
     sits more than the deviation band away from the pre-candidate
-    baseline median.  The change is declared at the wall-clock bin by
-    which all consumed samples exist: the later of the persistence
-    window's end and the scoring lookahead horizon — so FUNNEL's
-    detection delay has the persistence threshold as its floor
-    (paper section 4.4).
+    baseline median, each computed with a plain ``np.median``.
 
-    This is the per-candidate core of :func:`declare_changes`, public so
-    a streaming scan (:mod:`repro.live`) can apply the identical rule
-    candidate-by-candidate on a growing prefix.
+    This is the reference rule of :func:`declare_changes`: the gating
+    table is tested against it, and a live scan falls back to it for a
+    series carrying non-finite samples, which the table cannot encode.
     """
     end = candidate + policy.persistence
     if end > x.size:
@@ -487,18 +508,5 @@ def confirm_candidate(x: np.ndarray, scores: np.ndarray, candidate: int,
     deviation = window_median - med
     if abs(deviation) <= band:
         return None
-    detected_at = candidate + max(policy.persistence - 1, lookahead)
-    if detected_at >= x.size:
-        return None
-    start = estimate_change_start(
-        x, min(end - 1, detected_at), baseline=candidate,
-        threshold_sigmas=policy.deviation_sigmas,
-    )
-    kind = classify_change(x, start, detected_at)
-    return DetectedChange(
-        index=detected_at,
-        start_index=start,
-        score=float(scores[candidate:detected_at + 1].max()),
-        kind=kind,
-        direction=1 if deviation > 0 else -1,
-    )
+    return _declared_change(x, scores, candidate,
+                            1 if deviation > 0 else -1, policy, lookahead)

@@ -11,10 +11,10 @@ a growing prefix, exploiting two structural facts:
   to the offline full-array call;
 * :func:`repro.core.scoring.declare_changes` is prefix-stable: scanning
   a prefix finds exactly the full-scan declarations visible in it, so
-  applying :func:`repro.core.scoring.confirm_candidate` candidate by
-  candidate as scores appear yields the same first reportable
-  declaration (same ``index``, ``start_index`` and ``direction``) the
-  offline engine attributes.
+  deciding the armed candidates as their scores appear — the same rule,
+  read off the same gating table (:meth:`IncrementalDetector.scan`) —
+  yields the same first reportable declaration (same ``index``,
+  ``start_index`` and ``direction``) the offline engine attributes.
 
 The declared change's ``score`` and ``kind`` fields are the exception:
 offline computes them with samples *after* the declaration bin (the
@@ -44,15 +44,15 @@ pre-arena detector restore into an arena-backed one and vice versa.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..core.funnel import FunnelConfig
 from ..core.ika import IkaSST
 from ..core.robust import MAD_TO_SIGMA, median_and_mad
-from ..core.scoring import (_gating_table, classify_change,
-                            confirm_candidate, estimate_change_start)
+from ..core.scoring import (_confirmed_directions, _declared_change,
+                            confirm_candidate)
 from ..types import DetectedChange
 from .arena import DetectorArena
 
@@ -79,7 +79,8 @@ class IncrementalDetector:
         #: When True (every live-service tracker), :meth:`extend` only
         #: buffers — a :class:`~repro.live.pool.DetectorPool` scores the
         #: pending segment in a stacked batch via :meth:`pending_bounds`
-        #: / :meth:`apply_scores` / :meth:`scan`.  :meth:`flush` bypasses
+        #: / :meth:`apply_scores` and gates it from the pass's one table
+        #: via :meth:`armed` / :meth:`scan`.  :meth:`flush` bypasses
         #: the deferral, so a deadline close never loses a declaration.
         #: False is the standalone mode: :meth:`extend` scores at once,
         #: which is also the oracle the pooled path is tested against.
@@ -235,14 +236,14 @@ class IncrementalDetector:
         if self.deferred and not flush:
             return None
         self._score(flush=flush)
-        return self._scan()
+        return self.scan()
 
     def flush(self) -> Optional[DetectedChange]:
         """Score and scan everything computable (deadline close)."""
         if self._stats is None or self.declared is not None:
             return None
         self._score(flush=True)
-        return self._scan()
+        return self.scan()
 
     # -- scoring --------------------------------------------------------------
 
@@ -254,10 +255,7 @@ class IncrementalDetector:
         if not flush and t_hi - t_lo + 1 < self.score_chunk_bins:
             return
         segment = self._norm[t_lo - self.span:t_hi + self.span]
-        segment_scores = self.scorer.scores(segment)
-        self._scores[t_lo:t_hi + 1] = \
-            segment_scores[self.span:self.span + (t_hi - t_lo + 1)]
-        self._next_score_t = t_hi + 1
+        self.apply_scores(self.scorer.scores(segment), t_lo, t_hi)
 
     # -- pooled scoring --------------------------------------------------------
 
@@ -278,105 +276,71 @@ class IncrementalDetector:
             return None
         return t_lo, t_hi
 
-    def pending_segment(self) -> Optional[np.ndarray]:
-        """The normalised slice a pooled scoring pass must consume.
-
-        ``None`` when nothing is scoreable yet (or the detector already
-        declared).  The segment is the same ``_norm[t_lo-span:t_hi+span]``
-        view ``_score`` would hand to the scorer.
-        """
-        bounds = self.pending_bounds()
-        if bounds is None:
-            return None
-        t_lo, t_hi = bounds
-        return self._norm[t_lo - self.span:t_hi + self.span]
-
-    def apply_scores(self, segment_scores: np.ndarray) -> None:
-        """Write back one pooled scoring pass over :meth:`pending_segment`.
-
-        Identical write-back to ``_score``; a no-op if nothing was
-        pending (the pool never calls it that way).
-        """
-        bounds = self.pending_bounds()
-        if bounds is None:
-            return
-        t_lo, t_hi = bounds
+    def apply_scores(self, segment_scores: np.ndarray, t_lo: int,
+                     t_hi: int) -> None:
+        """Write back the scores of ``_norm[t_lo - span:t_hi + span]``
+        (one pooled pass over :meth:`pending_bounds`, or ``_score``)."""
         self._scores[t_lo:t_hi + 1] = \
             segment_scores[self.span:self.span + (t_hi - t_lo + 1)]
         self._next_score_t = t_hi + 1
 
-    def scan(self) -> Optional[DetectedChange]:
-        """Run the declaration scan after a pooled write-back."""
-        return self._scan()
-
     # -- declaration scan ------------------------------------------------------
 
-    def _scan(self) -> Optional[DetectedChange]:
-        if self.declared is not None:
-            return None
+    def armed(self) -> Tuple[np.ndarray, int]:
+        """Armed candidates from the scan cursor on, and how many of
+        them are decidable with the bins received so far.
+
+        A candidate is *attemptable* once its score exists, decidable
+        once its persistence window ends (candidate + persistence <= n)
+        and its declaration index fits (candidate + max(persistence-1,
+        lookahead) < n) — monotone in the candidate, hence a prefix.
+        """
         policy = self.config.policy
         n = self._n
-        # A candidate is only *attemptable* once its score exists and
-        # its persistence window plus declaration index fit the prefix.
         limit = min(self._next_score_t, n - self.span + 1)
-        if limit <= self._scan_t:
-            return None
-        s = self._scores[:n]
+        if self.declared is not None or limit <= self._scan_t:
+            return np.empty(0, dtype=np.intp), 0
         armed = np.flatnonzero(
-            s[self._scan_t:limit] > policy.score_threshold)
-        if armed.size == 0:
-            return None
+            self._scores[self._scan_t:limit] > policy.score_threshold)
         armed += self._scan_t
-        x = self._norm[:n]
-        # ``confirm_candidate`` early-returns unless the persistence
-        # window ends (candidate + persistence <= n) and the declaration
-        # index fits (candidate + max(persistence-1, lookahead) < n).
-        # Both are monotone in the candidate, so the decidable candidates
-        # are a prefix of ``armed`` — and for those the whole baseline /
-        # window statistics table can be computed in one vectorised pass,
-        # bitwise equal to the per-candidate medians (the ``_gating_table``
-        # contract, pinned in tests/core/test_scoring.py).
         pad = max(policy.persistence,
                   max(policy.persistence - 1, self.lookahead) + 1)
-        n_decidable = int(np.searchsorted(armed, n - pad, side="right"))
-        table = None
-        if n_decidable and np.isfinite(x).all():
-            meds, scales, window_meds = _gating_table(
-                x, armed[:n_decidable], policy)
-            bands = policy.deviation_sigmas * (MAD_TO_SIGMA * scales + 1e-9)
-            table = (meds, bands, window_meds)
-        for j, candidate in enumerate(armed):
-            candidate = int(candidate)
+        return armed, int(np.searchsorted(armed, n - pad, side="right"))
+
+    def scan(self, armed: Optional[np.ndarray] = None, n_decidable: int = 0,
+             directions: Optional[List[int]] = None
+             ) -> Optional[DetectedChange]:
+        """Decide the armed candidates, oldest first.
+
+        The pool passes :meth:`armed`'s result and this detector's slice
+        of the pass's gating table (``directions[j]`` for ``armed[j]``);
+        called bare, the detector builds its own one-row table.  Without
+        ``directions`` (the table refuses non-finite samples) every
+        candidate runs the reference ``confirm_candidate``.
+        """
+        policy = self.config.policy
+        x = self._norm[:self._n]
+        s = self._scores[:self._n]
+        if armed is None:
+            armed, n_decidable = self.armed()
+            if n_decidable:
+                directions = _confirmed_directions(
+                    [x], [armed[:n_decidable]], policy)[0]
+        for j, candidate in enumerate(armed.tolist()):
             if candidate < self._scan_t:
                 continue  # skipped by an earlier confirmed window
             if j >= n_decidable:
                 # Not decidable yet — retry from here on the next push.
                 self._scan_t = candidate
                 return None
-            if table is None:
-                # Non-finite samples: the NaN-padding trick inside the
-                # gating table needs finite data, so run the reference
-                # per-candidate rule (NaN statistics never confirm).
+            if directions is None:
                 declared = confirm_candidate(
                     x, s, candidate, policy, lookahead=self.lookahead)
+            elif directions[j]:
+                declared = _declared_change(
+                    x, s, candidate, directions[j], policy, self.lookahead)
             else:
-                deviation = table[2][j] - table[0][j]
-                if abs(deviation) <= table[1][j]:
-                    declared = None
-                else:
-                    detected_at = candidate + max(policy.persistence - 1,
-                                                  self.lookahead)
-                    start = estimate_change_start(
-                        x, min(candidate + policy.persistence - 1,
-                               detected_at),
-                        baseline=candidate,
-                        threshold_sigmas=policy.deviation_sigmas)
-                    declared = DetectedChange(
-                        index=detected_at,
-                        start_index=start,
-                        score=float(s[candidate:detected_at + 1].max()),
-                        kind=classify_change(x, start, detected_at),
-                        direction=1 if deviation > 0 else -1)
+                declared = None
             if declared is None:
                 self._scan_t = candidate + 1
                 continue

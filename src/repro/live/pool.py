@@ -10,16 +10,19 @@ the same computation repeated with different data.  The
 segment, groups the segments by length (trackers admitted at the same
 tick stay in lock-step, so typically one group dominates), stacks each
 group into a ``(n_detectors, segment)`` matrix and scores it with a
-single :meth:`~repro.core.ika.IkaSST.scores_batch` call.
+single :meth:`~repro.core.ika.IkaSST.scores_batch` call.  The
+declaration scan is pooled the same way: one
+:func:`~repro.core.scoring._gating_table` per pass covers every
+decidable armed candidate of every detector scored, all groups together.
 
 Parity: ``scores_batch`` is bitwise the per-series scorer (pinned in
 ``tests/core/test_ika_batch.py``), each detector's write-back and scan
 are the very code a standalone, immediately scoring
 :class:`~repro.live.detector.IncrementalDetector` runs (the oracle the
-tests compare against), and the scheduler invokes the pool after the
-tick's drain and before any deadline close — so a replay declares what
-standalone detectors fed the same bins declare, and matches the offline
-engine.
+tests compare against; its gating table is the one-row case of the
+pass's), and the scheduler invokes the pool after the tick's drain and
+before any deadline close — so a replay declares what standalone
+detectors fed the same bins declare, and matches the offline engine.
 """
 
 from __future__ import annotations
@@ -28,14 +31,18 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.scoring import _confirmed_directions
 from ..obs.metrics import MetricsRegistry
 from ..types import DetectedChange
 from .detector import IncrementalDetector
 
-__all__ = ["DetectorPool", "POOLED_BATCHES_METRIC", "POOLED_SERIES_METRIC"]
+__all__ = ["DetectorPool", "POOLED_BATCHES_METRIC", "POOLED_SERIES_METRIC",
+           "GATING_TABLES_METRIC", "GATED_CANDIDATES_METRIC"]
 
 POOLED_BATCHES_METRIC = "repro_live_pooled_batches_total"
 POOLED_SERIES_METRIC = "repro_live_pooled_series_total"
+GATING_TABLES_METRIC = "repro_live_gating_tables_total"
+GATED_CANDIDATES_METRIC = "repro_live_gated_candidates_total"
 
 
 class DetectorPool:
@@ -53,23 +60,20 @@ class DetectorPool:
 
         Returns ``(index, declaration)`` pairs — indices into
         ``detectors`` — for every detector whose freshly scored range
-        produced a declaration, in input order within each length group.
+        produced a declaration, group by group (first appearance) and in
+        input order within each length group.
         """
-        pending: List[Tuple[int, int, int]] = []
+        groups: dict = {}
         for index, detector in enumerate(detectors):
             bounds = detector.pending_bounds()
             if bounds is not None:
-                pending.append((index, bounds[0], bounds[1]))
-        if not pending:
-            return []
-        groups: dict = {}
-        for index, t_lo, t_hi in pending:
-            # Stackable = same scorer parameters AND same segment width;
-            # a service normally has one config, so one bucket per width.
-            detector = detectors[index]
-            key = (detector.config.sst, t_hi - t_lo + 2 * detector.span)
-            groups.setdefault(key, []).append((index, t_lo, t_hi))
-        declared: List[Tuple[int, DetectedChange]] = []
+                # Stackable = same scorer parameters AND same segment
+                # width; a service normally has one config, so one
+                # bucket per width.
+                t_lo, t_hi = bounds
+                key = (detector.config.sst, t_hi - t_lo + 2 * detector.span)
+                groups.setdefault(key, []).append((index, t_lo, t_hi))
+        plans: List[Tuple[int, IncrementalDetector, np.ndarray, int]] = []
         for members in groups.values():
             stack = self._stack(detectors, members)
             scorer = detectors[members[0][0]].scorer
@@ -84,12 +88,39 @@ class DetectorPool:
                 POOLED_SERIES_METRIC,
                 help="Detector segments scored through the pool.",
             ).inc(len(members))
-            for (index, _t_lo, _t_hi), row in zip(members, rows):
+            for (index, t_lo, t_hi), row in zip(members, rows):
                 detector = detectors[index]
-                detector.apply_scores(row)
-                declaration = detector.scan()
-                if declaration is not None:
-                    declared.append((index, declaration))
+                detector.apply_scores(row, t_lo, t_hi)
+                plans.append((index, detector) + detector.armed())
+        # Every group is written back: one gating table for the pass.
+        # A detector left out (nothing decidable, or another declaration
+        # policy than the pass — a service has one) or refused by the
+        # table (non-finite samples) scans by the reference rule.
+        policy = plans[0][1].config.policy if plans else None
+        tabled = [plan for plan in plans
+                  if plan[3] and plan[1].config.policy == policy]
+        directions: dict = {}
+        if tabled:
+            candidates = [armed[:n] for _, _, armed, n in tabled]
+            slices = _confirmed_directions(
+                [plan[1]._norm[:len(plan[1])] for plan in tabled],
+                candidates, policy)
+            directions = {plan[0]: slice_
+                          for plan, slice_ in zip(tabled, slices)}
+            self.metrics.counter(
+                GATING_TABLES_METRIC,
+                help="Gating tables built by the pool (one per pass).").inc()
+            self.metrics.counter(
+                GATED_CANDIDATES_METRIC,
+                help="Armed candidates a pool gating table covered.",
+            ).inc(sum(row.size for row in candidates))
+        # Scan group by group, input order inside a group.
+        declared: List[Tuple[int, DetectedChange]] = []
+        for index, detector, armed, n_decidable in plans:
+            declaration = detector.scan(armed, n_decidable,
+                                        directions.get(index))
+            if declaration is not None:
+                declared.append((index, declaration))
         return declared
 
     @staticmethod

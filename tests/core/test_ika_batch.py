@@ -5,7 +5,8 @@ so the interesting invariant is not "batched matches single" (true by
 construction) but **batch-size invariance**: a row must score to the
 exact same bytes no matter which — or how large — a stack it is part of.
 These tests pin that, plus ragged NaN-padded stacks, explicit lengths,
-the kernel's window-block cap and the input validation.
+the kernel's block cap, the fused-direction Lanczos recursion and the
+input validation.
 """
 
 import tracemalloc
@@ -13,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.ika import _BLOCK_WINDOWS, IkaSST
+from repro.core.ika import _BLOCK_PAIRS, IkaSST
 from repro.core.rsst import ImprovedSSTParams
 from repro.core.scoring import robust_normalise
 from repro.exceptions import InsufficientDataError, ParameterError
@@ -107,10 +108,12 @@ class TestRaggedStacks:
 
 class TestBlockCap:
     """The kernel walks the flattened (row, t) window axis in blocks of
-    ``_BLOCK_WINDOWS``; where the boundaries fall must not change a bit,
-    and the working set must not grow with the stack height."""
+    ``_BLOCK_PAIRS`` (window, direction) pairs — ``_BLOCK_PAIRS // eta``
+    windows; where the boundaries fall must not change a bit, and the
+    working set must not grow with the stack height."""
 
     LENGTH = 100
+    BLOCK_WINDOWS = _BLOCK_PAIRS // ImprovedSSTParams().eta
 
     def _windows(self, n_series, length=LENGTH):
         params = ImprovedSSTParams()
@@ -118,9 +121,9 @@ class TestBlockCap:
 
     @pytest.mark.parametrize("n_series", [7, 8, 40])
     def test_rows_score_bitwise_across_block_boundaries(self, n_series):
-        blocks = -(-self._windows(n_series) // _BLOCK_WINDOWS)
-        assert blocks == {7: 1, 8: 2, 40: 6}[n_series]
-        assert self._windows(n_series) % _BLOCK_WINDOWS  # ragged last block
+        blocks = -(-self._windows(n_series) // self.BLOCK_WINDOWS)
+        assert blocks == {7: 3, 8: 4, 40: 16}[n_series]
+        assert self._windows(n_series) % self.BLOCK_WINDOWS  # ragged last
         stack = _stack(seed=31, n_series=n_series, length=self.LENGTH)
         ika = IkaSST()
         batched = ika.scores_batch(stack)
@@ -142,13 +145,13 @@ class TestBlockCap:
 
     def test_ragged_groups_are_blocked_independently(self):
         """NaN-padded rows regroup by length; each group is its own
-        block walk (two blocks for the long group, one for the short)."""
+        block walk (four blocks for the long group, one for the short)."""
         long_rows = _stack(seed=41, n_series=9, length=self.LENGTH)
-        short_rows = _stack(seed=43, n_series=5, length=70)
-        assert self._windows(9) > _BLOCK_WINDOWS > self._windows(5, 70)
-        long_at = [0, 2, 4, 6, 8, 10, 11, 12, 13]   # interleave the groups
-        short_at = [1, 3, 5, 7, 9]
-        padded = np.full((14, self.LENGTH), np.nan)
+        short_rows = _stack(seed=43, n_series=4, length=70)
+        assert self._windows(9) > self.BLOCK_WINDOWS > self._windows(4, 70)
+        long_at = [0, 2, 4, 6, 8, 9, 10, 11, 12]    # interleave the groups
+        short_at = [1, 3, 5, 7]
+        padded = np.full((13, self.LENGTH), np.nan)
         padded[long_at] = long_rows
         padded[short_at, :70] = short_rows
         ika = IkaSST()
@@ -175,6 +178,63 @@ class TestBlockCap:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2 ** 20
+
+
+class TestFusedDirections:
+    """``_raw_block`` runs one Lanczos recursion over a direction-major
+    ``(eta * B)`` stack.  ``_phi_batched`` takes arbitrary seeds, so the
+    per-direction loop it replaced is spelled out here as the oracle."""
+
+    @staticmethod
+    def _per_direction(ika, fut, past):
+        p = ika.params
+        k = min(ika.krylov_k, p.omega)
+        lam, vec = np.linalg.eigh(np.einsum("tjw,tjv->twv", fut, fut))
+        lam = np.clip(lam, 0.0, None)
+        if p.future_directions == "largest":
+            lam, vec = lam[:, :-(p.eta + 1):-1], vec[:, :, :-(p.eta + 1):-1]
+        else:
+            lam, vec = lam[:, :p.eta], vec[:, :, :p.eta]
+        phi = np.stack([ika._phi_batched(past, vec[:, :, i], k, p.eta)
+                        for i in range(p.eta)], axis=1)
+        total = lam.sum(axis=1)
+        raw = np.zeros(fut.shape[0])
+        ok = total > 0.0
+        raw[ok] = np.einsum("ti,ti->t", lam[ok], phi[ok]) / total[ok]
+        return raw
+
+    @pytest.mark.parametrize("params", [
+        ImprovedSSTParams(),
+        ImprovedSSTParams(omega=5, eta=2),
+        ImprovedSSTParams(eta=1),
+        ImprovedSSTParams(omega=7, eta=4, future_directions="smallest"),
+    ])
+    @pytest.mark.parametrize("n_windows,draws",
+                             [(1, 60), (2, 60), (13, 10), (200, 2)])
+    def test_raw_block_equals_phi_batched_per_direction(self, params,
+                                                        n_windows, draws):
+        # Many draws of the small blocks: a summation-order slip there
+        # (one window reshapes to a strided seed view) shows as a 1-ulp
+        # difference on only a fraction of inputs.
+        rng = np.random.default_rng(71 + n_windows)
+        ika = IkaSST(params)
+        shape = (n_windows, params.delta, params.omega)
+        for draw in range(draws):
+            fut, past = rng.normal(size=shape), rng.normal(size=shape)
+            if draw == 0:
+                fut[0] = 0.0              # a zero-energy future window
+            np.testing.assert_array_equal(
+                ika._raw_block(fut, past),
+                self._per_direction(ika, fut, past))
+
+    def test_one_window_block_scores_like_the_same_window_in_a_stack(self):
+        """The live tick's shape: one pending score per detector, so a
+        lone detector is a one-window block."""
+        ika = IkaSST()
+        for seed in range(40):
+            stack = _stack(seed=seed, n_series=2, length=34)
+            np.testing.assert_array_equal(ika.scores_batch(stack)[0],
+                                          ika.scores(stack[0]))
 
 
 class TestValidation:

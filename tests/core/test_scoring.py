@@ -1,13 +1,18 @@
 """Tests for change-score post-processing and declaration."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import scoring
+from repro.core.robust import median_and_mad
 from repro.core.scoring import (ChangeDeclarationPolicy, PERSISTENCE_MINUTES,
                                 candidate_mask, classify_change,
-                                declare_changes, estimate_change_start,
+                                confirm_candidate, declare_changes,
+                                estimate_change_start,
                                 robust_normalise, robust_normalise_batch)
 from repro.exceptions import InsufficientDataError, ParameterError
 
@@ -178,6 +183,140 @@ class TestDeclareChanges:
         # Confirmation needs at least `persistence` bins from its
         # candidate; candidates cannot precede the start by much.
         assert change.index >= change.start_index + 3
+
+
+def _reference_declare(x, s, policy, first_only=False, lookahead=0):
+    """The declaration scan with :func:`confirm_candidate` run per armed
+    index — the rule ``declare_changes`` reads off its gating table."""
+    changes, resume = [], 0
+    for t in np.flatnonzero(s > policy.score_threshold):
+        if t < resume:
+            continue
+        declared = confirm_candidate(x, s, int(t), policy, lookahead)
+        if declared is None:
+            continue
+        changes.append(declared)
+        if first_only:
+            break
+        resume = declared.index + 1
+    return changes
+
+
+class TestGatingTable:
+    @given(st.integers(0, 2 ** 31), st.integers(1, 5), st.integers(1, 9),
+           st.sampled_from([64, 1 << 16]))
+    @settings(max_examples=40, deadline=None)
+    def test_every_row_equals_the_per_candidate_statistics(
+            self, seed, n_series, persistence, block_cells):
+        """Bitwise, over ragged lengths, repeated rows, ``c = 0``,
+        windows that do not fit and across table block boundaries."""
+        rng = np.random.default_rng(seed)
+        series = [rng.normal(size=rng.integers(persistence, 60)).round(1)
+                  for _ in range(n_series)]           # rounding makes ties
+        candidates = [np.sort(rng.integers(0, x.size,
+                                           size=rng.integers(0, 12)))
+                      for x in series]                # repeats allowed
+        candidates[0] = np.append(0, candidates[0])
+        policy = ChangeDeclarationPolicy(persistence=persistence)
+        with mock.patch.object(scoring, "_TABLE_BLOCK_CELLS", block_cells):
+            meds, scales, window_meds, finite = scoring._gating_table(
+                series, candidates, policy)
+        assert finite.all()
+        pairs = [(x, c) for x, row in zip(series, candidates) for c in row]
+        assert len(pairs) == meds.size == scales.size == window_meds.size
+        for j, (x, c) in enumerate(pairs):
+            assert (meds[j], scales[j]) == median_and_mad(x[:max(1, c)])
+            if c + persistence <= x.size:
+                assert window_meds[j] == np.median(x[c:c + persistence])
+            else:
+                assert np.isnan(window_meds[j])
+
+    def test_one_row_table_is_its_slice_of_a_stacked_table(self, rng):
+        x, other = rng.normal(size=80), rng.normal(size=30)
+        candidates = np.array([0, 3, 40, 77])
+        policy = ChangeDeclarationPolicy()
+        for single, stacked in zip(
+                scoring._gating_table([x], [candidates], policy)[:3],
+                scoring._gating_table([other, x, other],
+                                      [np.array([5]), candidates,
+                                       np.empty(0, np.intp)], policy)):
+            np.testing.assert_array_equal(single, stacked[1:])
+
+    def test_non_finite_rows_are_flagged_not_tabled(self, rng):
+        """NaN padding cannot encode a NaN sample: the row is reported
+        and its directions withheld, the other rows are unaffected."""
+        clean, dirty = rng.normal(size=40), rng.normal(size=50)
+        dirty[45] = np.inf
+        candidates = [np.array([20, 30]), np.array([10])]
+        policy = ChangeDeclarationPolicy()
+        assert scoring._gating_table([clean, dirty], candidates,
+                                     policy)[3].tolist() == [True, False]
+        both = scoring._confirmed_directions([clean, dirty], candidates,
+                                             policy)
+        assert both[1] is None
+        assert both[0] == scoring._confirmed_directions(
+            [clean], candidates[:1], policy)[0]
+
+    def test_no_candidates(self):
+        table = scoring._gating_table([np.zeros(20)], [np.empty(0, np.intp)],
+                                      ChangeDeclarationPolicy())
+        assert [part.size for part in table] == [0, 0, 0, 1]
+        assert scoring._confirmed_directions(
+            [np.zeros(20)], [np.empty(0, np.intp)],
+            ChangeDeclarationPolicy()) == [[]]
+
+
+class TestDeclareFromTable:
+    """``declare_changes`` reads one gating table; ``confirm_candidate``
+    run candidate by candidate is the rule it must reproduce."""
+
+    @staticmethod
+    def _case(seed, length=260):
+        from repro.core.ika import IkaSST
+        rng = np.random.default_rng(seed)
+        x = 10.0 + 0.4 * rng.normal(size=length)
+        for at in rng.integers(60, length - 20, size=seed % 3):
+            x[at:] += rng.choice([-4.0, 3.0, 5.0])
+        if seed % 2:
+            at = rng.integers(60, length - 20)
+            x[at:at + 3] += 7.0                        # one-off spike
+        xs = robust_normalise(x, baseline=50)
+        return xs, IkaSST().scores(xs)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("first_only,lookahead",
+                             [(False, 0), (False, 16), (True, 16)])
+    def test_equals_per_candidate_scan(self, seed, first_only, lookahead):
+        xs, scores = self._case(seed)
+        policy = ChangeDeclarationPolicy()
+        assert declare_changes(xs, scores, policy, first_only, lookahead) \
+            == _reference_declare(xs, scores, policy, first_only, lookahead)
+
+    def test_stack_rows_equal_single_rows(self):
+        """One table for the stack — rows without any armed candidate in
+        between must not shift their neighbours' slices."""
+        cases = [self._case(seed) for seed in (2, 5)]
+        quiet = np.zeros(260)
+        stack = np.vstack([cases[0][0], quiet, cases[1][0], quiet])
+        scores = np.vstack([cases[0][1], quiet, cases[1][1], quiet])
+        declared = declare_changes(stack, scores, lookahead=16)
+        assert declared == [declare_changes(x, s, lookahead=16)
+                            for x, s in zip(stack, scores)]
+        assert declared[0] and declared[2]
+        assert declared[1] == declared[3] == []
+
+    def test_stack_rejects_bad_input(self, rng):
+        x = rng.normal(size=(2, 50))
+        with pytest.raises(ParameterError):
+            declare_changes(x, np.zeros((2, 40)))
+        with pytest.raises(ParameterError):
+            declare_changes(x, np.zeros(50))
+        with pytest.raises(ParameterError):
+            declare_changes(x[None], np.zeros((1, 2, 50)))
+        bad = x.copy()
+        bad[1, 7] = np.nan
+        with pytest.raises(ParameterError):
+            declare_changes(bad, np.zeros((2, 50)))
 
 
 class TestRobustNormaliseBatch:

@@ -244,7 +244,7 @@ class TestPooledScoringResume:
         clone = IncrementalDetector(60)
         clone.load_state(state)
         assert clone.deferred is True
-        assert clone.pending_segment() is not None
+        assert clone.pending_bounds() is not None
 
     def test_pre_pool_checkpoint_state_still_loads(self):
         """A checkpoint written before the pooled-scoring field existed

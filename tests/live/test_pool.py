@@ -1,9 +1,13 @@
 """Unit tests for the cross-detector scoring pool."""
 
 import numpy as np
+import pytest
 
+from repro.core.scoring import declare_changes
+from repro.exceptions import ParameterError
 from repro.live import DetectorPool, IncrementalDetector
-from repro.live.pool import POOLED_BATCHES_METRIC, POOLED_SERIES_METRIC
+from repro.live.pool import (GATED_CANDIDATES_METRIC, GATING_TABLES_METRIC,
+                             POOLED_BATCHES_METRIC, POOLED_SERIES_METRIC)
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -15,6 +19,120 @@ def _detector(seed, n=150, change_index=80, step=0.0):
     detector = IncrementalDetector(change_index, deferred_scoring=True)
     detector.extend(x)
     return detector, x
+
+
+def _series(seed, n, shifts):
+    rng = np.random.default_rng(seed)
+    x = 10.0 + rng.normal(0, 0.5, size=n)
+    for at, step in shifts:
+        x[at:] += step
+    return x
+
+
+def _counter(registry, name):
+    return sum(entry["value"] for entry in
+               registry.snapshot()["counters"][name]["values"])
+
+
+class TestOneTablePerPass:
+    """The pass gates every detector it scored from one table; what it
+    declares, and in which order, is pinned against standalone
+    (immediately scoring) detectors fed the same bins."""
+
+    #: (change_index, admitted at pass, backfilled bins, series)
+    SPECS = [
+        (80, 0, 150, _series(1, 170, [(80, 5.0)])),
+        (80, 0, 110, _series(2, 170, [(80, 5.0)])),
+        (80, 0, 150, _series(3, 170, [(80, -4.0)])),
+        (80, 0, 110, _series(4, 170, [(80, 6.0)])),
+        # Shifts before and after the change: the first confirmed
+        # change is pre-existing, hence not reportable.
+        (120, 0, 130, _series(5, 190, [(40, 6.0), (125, 6.0)])),
+        (80, 3, 100, _series(6, 170, [(90, 5.0)])),
+        (80, 5, 130, _series(7, 170, [])),
+    ]
+
+    def test_declares_what_standalone_detectors_declare_in_order(self):
+        pool = DetectorPool()
+        pooled, solo, fed = {}, {}, {}
+        passes = []
+        for tick in range(45):
+            fresh = []
+            for i, (change_index, admitted, backfill, x) in enumerate(
+                    self.SPECS):
+                if tick < admitted:
+                    continue
+                if i not in pooled:
+                    pooled[i] = IncrementalDetector(change_index,
+                                                    deferred_scoring=True)
+                    solo[i] = IncrementalDetector(change_index)
+                    fed[i] = 0
+                bins = x[fed[i]:fed[i] + (1 if fed[i] else backfill)]
+                fed[i] += bins.size
+                assert pooled[i].extend(bins) is None
+                if solo[i].extend(bins) is not None:
+                    fresh.append(i)
+            live = sorted(pooled)
+            declared = pool.score_pending([pooled[i] for i in live])
+            assert sorted(live[j] for j, _ in declared) == fresh
+            for j, declaration in declared:
+                assert declaration == solo[live[j]].declared
+            if declared:
+                passes.append((tick, [live[j] for j, _ in declared]))
+            for i in live:
+                if solo[i].declared is None:   # both still scoring
+                    assert pooled[i]._scan_t == solo[i]._scan_t
+                    np.testing.assert_array_equal(pooled[i].scores,
+                                                  solo[i].scores)
+        # Group by group (the 150-bin stack first: detector 0 opened
+        # it), input order inside a group; the staggered ones follow.
+        assert passes == [(0, [0, 2, 1, 3]), (7, [5]), (15, [4])]
+        assert solo[6].declared is None
+        # Detector 4 confirmed its pre-existing shift first.
+        first = declare_changes(pooled[4]._norm[:len(pooled[4])],
+                                pooled[4].scores, lookahead=16)[0]
+        assert first.start_index < 119 <= pooled[4].declared.start_index
+
+    def test_one_table_covers_every_width_group(self):
+        registry = MetricsRegistry()
+        pool = DetectorPool(registry)
+        detectors, candidates = [], 0
+        for change_index, _, backfill, x in self.SPECS[:5]:
+            detector = IncrementalDetector(change_index,
+                                           deferred_scoring=True)
+            detector.extend(x[:backfill])
+            detectors.append(detector)
+            solo = IncrementalDetector(change_index)
+            solo.extend(x[:backfill])
+            # Decidable: the declaration index (candidate + 16) exists.
+            candidates += int((solo.scores[:backfill - 16] > 0.3).sum())
+        pool.score_pending(detectors)
+        assert _counter(registry, POOLED_BATCHES_METRIC) == 3
+        assert _counter(registry, GATING_TABLES_METRIC) == 1
+        assert _counter(registry, GATED_CANDIDATES_METRIC) == candidates
+
+    def test_nan_carrying_row_is_left_out_of_the_table(self):
+        """A checkpoint whose normalised prefix carries a NaN: the
+        table's NaN-padded sorts would silently mis-rank it, so the row
+        is decided by the reference rule — which refuses the samples,
+        exactly as it does for the standalone detector."""
+        x = _series(8, 140, [(80, 5.0)])
+        donor = IncrementalDetector(80)
+        donor.extend(x[:90])
+        state = donor.state_dict()
+        state["norm"][3] = float("nan")
+        twin = IncrementalDetector(80)
+        twin.load_state(state)
+        with pytest.raises(ParameterError):
+            twin.extend(x[90:100])
+
+        dirty = IncrementalDetector(80, deferred_scoring=True)
+        dirty.load_state(dict(state, deferred=True))
+        dirty.extend(x[90:100])
+        clean = IncrementalDetector(80, deferred_scoring=True)
+        clean.extend(_series(9, 140, [(80, 5.0)])[:100])
+        with pytest.raises(ParameterError):
+            DetectorPool().score_pending([clean, dirty])
 
 
 class TestDetectorPool:
@@ -68,5 +186,5 @@ class TestDetectorPool:
         assert declared and detector.declared is not None
         # More data arrives; the detector is done declaring.
         detector.extend(np.full(10, 10.0))
-        assert detector.pending_segment() is None
+        assert detector.pending_bounds() is None
         assert pool.score_pending([detector]) == []

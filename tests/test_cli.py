@@ -234,6 +234,11 @@ class TestLiveReplay:
         paths = [tuple(p["path"]) for p in report["paths"]]
         assert ("live_replay",) in paths
         assert ("live_replay", "live_change") in paths
+        # One gating table per pool pass, many candidates per table.
+        batching = report["batching"]
+        assert 0 < batching["pooled_gating_tables"] <= \
+            batching["pooled_scoring_batches"]
+        assert batching["pooled_gating_candidates_per_table"] > 1.0
 
     def test_overload_surfaces_shed_counters(self, capsys):
         assert main(_LIVE_ARGS + ["--queue-capacity", "2",

@@ -33,19 +33,19 @@ Two code paths compute the same transform:
   paper's per-window cost profile without changing a single arithmetic
   step.  The test suite pins the two paths to each other.
 
-``scores_batch`` adds a leading *series* axis on top: the windows of a
-stack of same-length series are flattened into one ``n_series * T`` axis
-and scored in blocks of at most ``_BLOCK_PAIRS`` (window, future
-direction) pairs — one ``(block, omega, omega)`` eigh and one vectorised
-Lanczos recursion covering all ``eta`` directions per block, so memory
-is bounded by the block, not by the stack height.
-``scores(x)`` is literally ``scores_batch(x[None])[0]``, so per-series
-vs. batched parity holds by construction; the remaining invariant — a
-row scores identically no matter which stack (or block) it is part of —
-follows from materialising each block contiguously before the einsum
-products (fixed inner strides for any batch size) and from every
-downstream primitive (stacked ``eigh``, per-row norms and medians)
-operating element-independently per window.
+The unit of ``scores_batch`` is the **window pair**: a score is a
+function of two ``span = 2*omega - 1`` sample slices, the one starting at
+its position (future) and the one ending just before it (past).  The
+stack is ravelled, the pairs of every row — whatever the row lengths —
+join one flat list, and the list is scored in blocks of at most
+``_BLOCK_PAIRS`` (window, future direction) pairs: one
+``(block, omega, omega)`` eigh and one Lanczos recursion covering all
+``eta`` directions per block, so memory is bounded by the block, not by
+the stack height.  ``scores(x)`` is literally ``scores_batch(x[None])[0]``;
+that a row scores identically whichever stack or block it is part of
+follows from each block gathering its slices into one contiguous array
+(fixed strides for any batch) and from nothing else being read: stacked
+``eigh``, per-window norms and per-slice medians are element-independent.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..exceptions import InsufficientDataError, ParameterError
 from ..types import as_float_array
@@ -171,7 +170,6 @@ class IkaSST:
         and cross-series paths are the same arithmetic by construction.
         """
         x = as_float_array(series)
-        self._score_range(x.size)
         return self.scores_batch(x[None, :], lengths=(x.size,))[0]
 
     def scores_batch(self, stacked: Sequence[Sequence[float]],
@@ -179,25 +177,20 @@ class IkaSST:
         """Gated scores for a ``(n_series, T)`` stack of series at once.
 
         Every row is scored exactly as :meth:`scores` would score it in
-        isolation — bitwise, not merely numerically: rows are always
-        materialised as one contiguous stack before the sliding-window
-        einsum products, so the inner iteration strides (and therefore
-        every floating-point operation order) are independent of the
-        batch size, and the stacked ``eigh`` / per-row reductions
-        downstream are element-independent per series.
+        isolation — bitwise, not merely numerically (see the module
+        docstring).
 
-        Ragged stacks are supported through NaN padding: trailing NaNs
-        mark a row as shorter, rows are grouped by effective length and
-        each group is scored on its un-padded prefix.  Alternatively
-        pass explicit per-row ``lengths`` (this also disables the NaN
-        interpretation — rows are scored verbatim up to their length).
+        Ragged stacks: trailing NaNs mark a row as shorter, or pass
+        explicit per-row ``lengths`` (which also disables the NaN
+        interpretation — rows are scored verbatim up to their length,
+        and whatever pads them beyond it is never read).
 
         Returns:
             ``(n_series, T)`` array; for each row the entries beyond its
             effective length, and the edge indices whose embedding does
             not fit, hold ``0.0``.
         """
-        stack = np.asarray(stacked, dtype=np.float64)
+        stack = np.ascontiguousarray(stacked, dtype=np.float64)
         if stack.ndim != 2:
             raise ParameterError(
                 "scores_batch needs a 2-D (n_series, T) stack, got ndim=%d"
@@ -213,20 +206,37 @@ class IkaSST:
                 raise ParameterError(
                     "lengths must have one entry per row (%d), got %r"
                     % (n_series, row_lengths.shape))
-            if row_lengths.size and (row_lengths.min() < 0
-                                     or row_lengths.max() > width):
-                raise ParameterError(
-                    "row lengths must be in [0, %d]" % width)
 
-        out = np.zeros((n_series, width), dtype=np.float64)
-        for length in np.unique(row_lengths):
-            rows = np.flatnonzero(row_lengths == length)
-            lo, hi = self._score_range(int(length))
-            sub = np.ascontiguousarray(stack[rows, :length])
-            raw = self._raw_scores_batched(sub, lo, hi)
-            if self.params.gated:
-                raw *= self._gates_batched(sub, lo, hi)
-            out[rows[:, None], np.arange(lo, hi)[None, :]] = raw
+        out = np.zeros(stack.shape, dtype=np.float64)
+        if not n_series:
+            return out
+        shortest = int(row_lengths.min())
+        if shortest < 0 or row_lengths.max() > width:
+            raise ParameterError("row lengths must be in [0, %d]" % width)
+        self._score_range(shortest)
+        # One pair per (row, t).  Over the ravelled stack its future
+        # slice starts at row * width + t — also where its score lands —
+        # and its past slice ``span`` samples earlier; slice starts that
+        # straddle two rows or reach into padding belong to no pair.
+        p, span = self.params, self.params.lead
+        counts = row_lengths - (2 * span - 1)
+        ends = np.cumsum(counts)
+        first = np.arange(span, span + n_series * width, width)
+        future = np.repeat(first - (ends - counts), counts)
+        future += np.arange(ends[-1])
+        # slices[s] = flat[s : s + span]; windows[s] is the same slice in
+        # its Hankel layout, windows[s, j] = flat[s + j : s + j + omega].
+        # The bare constructor bounds-checks like ``sliding_window_view``,
+        # at a thirtieth of the call cost.
+        item, n_slices = stack.itemsize, stack.size - span + 1
+        slices = np.ndarray((n_slices, span), np.float64, stack,
+                            strides=(item, item))
+        windows = np.ndarray((n_slices, p.delta, p.omega), np.float64, stack,
+                             strides=(item, item, item))
+        scores = self._raw_scores(windows, future)
+        if p.gated:
+            scores *= self._gates(slices, future)
+        out.reshape(-1)[future] = scores
         return out
 
     def _score_range(self, size: int) -> Tuple[int, int]:
@@ -239,41 +249,20 @@ class IkaSST:
             )
         return lo, hi
 
-    def _raw_scores_batched(self, sub: np.ndarray, lo: int,
-                            hi: int) -> np.ndarray:
-        """Raw blended scores for a contiguous ``(R, L)`` stack.
-
-        Returns ``(R, hi - lo)``.  ``sub`` must be C-contiguous so the
-        window views below have batch-size-independent strides.
-        """
-        omega = self.params.omega
-        span = 2 * omega - 1          # samples per Hankel slice
-        n_rows = sub.shape[0]
-
-        # slices[r, s] = sub[r, s : s + span];
-        # windows[r, s, j] = sub[r, s + j : s + j + omega]
-        slices = sliding_window_view(sub, span, axis=1)
-        windows = sliding_window_view(slices, omega, axis=2)
-
-        # Flatten (series, t) into one leading window axis and walk it in
-        # blocks: every einsum, the stacked eigh and the Lanczos recursion
-        # cover a whole block in single calls, while the materialised
-        # stacks stay a couple of MB however tall the input is.  Each
-        # window's arithmetic is independent of its neighbours, so the
-        # block boundaries cannot change a bit of the result.
-        n_t = hi - lo
-        raw = np.empty(n_rows * n_t, dtype=np.float64)
+    def _raw_scores(self, windows: np.ndarray,
+                    future: np.ndarray) -> np.ndarray:
+        """Raw blended score of every pair, ``future`` holding the flat
+        start of each pair's future slice."""
+        # Integer-array indexing copies: each block is C-contiguous with
+        # the same strides whatever rows it was gathered from, and each
+        # window's arithmetic is independent of its neighbours.
         step = max(1, _BLOCK_PAIRS // self.params.eta)
+        raw = np.empty(future.size, dtype=np.float64)
         for start in range(0, raw.size, step):
-            row, t = np.divmod(
-                np.arange(start, min(start + step, raw.size)), n_t)
-            t += lo
-            # Future trajectory at t uses the slice starting at t; the
-            # past one the slice ending at t - 1, i.e. start t - span.
-            # Integer-array indexing copies, so both are C-contiguous.
+            block = future[start:start + step]
             raw[start:start + step] = self._raw_block(
-                windows[row, t], windows[row, t - span])
-        return raw.reshape(n_rows, n_t)
+                windows[block], windows[block - self.params.lead])
+        return raw
 
     def _raw_block(self, fut: np.ndarray, past: np.ndarray) -> np.ndarray:
         """Raw blended scores of one ``(B, delta, omega)`` window block."""
@@ -284,7 +273,7 @@ class IkaSST:
         # Eigen-pairs of A A^T via the omega x omega Gram matrices.
         gram = np.einsum("tjw,tjv->twv", fut, fut)
         lam_all, vec_all = np.linalg.eigh(gram)    # ascending per window
-        lam_all = np.clip(lam_all, 0.0, None)
+        lam_all = np.maximum(lam_all, 0.0)
         if p.future_directions == "largest":
             lam = lam_all[:, :-(eta + 1):-1]       # (B, eta) descending
             betas = vec_all[:, :, :-(eta + 1):-1]  # (B, omega, eta)
@@ -297,7 +286,7 @@ class IkaSST:
         # Copied contiguous first: a one-window block would reshape to a
         # strided view, whose norm sums in another order.
         seeds = np.ascontiguousarray(betas.transpose(2, 0, 1))
-        phi = self._phi_batched(np.tile(past, (eta, 1, 1)),
+        phi = self._phi_batched(np.concatenate([past] * eta),
                                 seeds.reshape(-1, p.omega), k,
                                 eta).reshape(eta, -1).T
 
@@ -323,7 +312,9 @@ class IkaSST:
         alpha = np.zeros((n_t, k), dtype=np.float64)
         off = np.zeros((n_t, max(k - 1, 1)), dtype=np.float64)
 
-        q = seeds / np.linalg.norm(seeds, axis=1, keepdims=True)
+        # np.linalg.norm's own row 2-norm, less its argument handling.
+        q = seeds / np.sqrt(np.add.reduce(seeds * seeds, axis=1,
+                                          keepdims=True))
         basis[:, :, 0] = q
         prev = np.zeros_like(q)
         prev_beta = np.zeros(n_t, dtype=np.float64)
@@ -340,14 +331,17 @@ class IkaSST:
             # Full reorthogonalisation against the basis so far.
             coeffs = np.einsum("twj,tw->tj", basis[:, :, :j + 1], w)
             w = w - np.einsum("twj,tj->tw", basis[:, :, :j + 1], coeffs)
-            b = np.linalg.norm(w, axis=1)
+            b = np.sqrt(np.add.reduce(w * w, axis=1))
             alive = b > 1e-12
-            off[:, j] = np.where(alive, b, 0.0)
+            if alive.all():
+                off[:, j] = b
+            else:                     # breakdown: zero the dead rows
+                w = np.where(alive[:, None], w, 0.0)
+                off[:, j] = np.where(alive, b, 0.0)
+                b = np.where(alive, b, 1.0)
             prev = qj
             prev_beta = off[:, j]
-            safe = np.where(alive, b, 1.0)
-            basis[:, :, j + 1] = np.where(alive[:, None], w / safe[:, None],
-                                          0.0)
+            basis[:, :, j + 1] = w / b[:, None]
 
         # Stack the tridiagonals and diagonalise them together.
         tk = np.zeros((n_t, k, k), dtype=np.float64)
@@ -362,15 +356,26 @@ class IkaSST:
         phi = 1.0 - np.sum(top ** 2, axis=1)
         return np.clip(phi, 0.0, 1.0)
 
-    def _gates_batched(self, sub: np.ndarray, lo: int,
-                       hi: int) -> np.ndarray:
-        """Eq. 11 gate factors for every scoreable index of every row."""
-        span = 2 * self.params.omega - 1
-        slices = sliding_window_view(sub, span, axis=1)
-        meds = np.median(slices, axis=2)
-        mads = np.median(np.abs(slices - meds[:, :, None]), axis=2)
-        # before-window of t starts at t - span; after-window starts at t.
-        before = slice(lo - span, hi - span)
-        after = slice(lo, hi)
-        return np.sqrt(np.abs(meds[:, before] - meds[:, after])) + \
-            np.sqrt(np.abs(mads[:, before] - mads[:, after]))
+    @staticmethod
+    def _gates(slices: np.ndarray, future: np.ndarray) -> np.ndarray:
+        """Eq. 11 gate factor of every pair (see ``_raw_scores``).
+
+        Median and MAD are taken once per slice some pair reads — all
+        of them on a whole series, two per row on a one-window segment
+        — and, ``span`` being odd, each is one order statistic: the
+        middle of a partition, which is what ``np.median`` returns.
+        """
+        span, mid = slices.shape[1], slices.shape[1] // 2
+        past = future - span
+        read = np.zeros(slices.shape[0], dtype=bool)
+        read[future] = read[past] = True
+        row = np.cumsum(read) - 1             # slice start -> block row
+        block = slices[read]
+        block.partition(mid, axis=1)
+        meds = block[:, mid].copy()
+        np.abs(np.subtract(block, meds[:, None], out=block), out=block)
+        block.partition(mid, axis=1)
+        mads = block[:, mid]
+        before, after = row[past], row[future]
+        return np.sqrt(np.abs(meds[before] - meds[after])) + \
+            np.sqrt(np.abs(mads[before] - mads[after]))

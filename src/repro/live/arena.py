@@ -3,23 +3,18 @@
 At fleet scale a tick advances hundreds of
 :class:`~repro.live.detector.IncrementalDetector` instances by the same
 bin.  When each detector owns private ``values``/``norm``/``scores``
-arrays, every per-tick operation — the append, the normalisation, the
-pooled-scoring gather — crosses one Python frame *per detector* and
-copies each segment once on the way into the stacked scorer.
+arrays, the per-tick append and normalisation cross one Python frame
+*per detector*.
 
-:class:`DetectorArena` removes both costs: it owns one shared
+:class:`DetectorArena` removes that cost: it owns one shared
 ``(n_rows, capacity)`` float64 block per plane (values, norm, scores)
 and hands each detector a *row*.  The detector's array attributes become
 row views, so all of its arithmetic is unchanged — same floats, same
-operations, different backing storage — while the fused tick path can:
-
-* scatter-write one tick's samples for every tracker in a single fancy
-  assignment (:meth:`extend_batch`), and normalise them with one
-  broadcast ``(x - med[:, None]) / denom[:, None]`` that is elementwise
-  the scalar transform each detector would have applied;
-* gather every pending score segment for a stacked
-  :meth:`~repro.core.ika.IkaSST.scores_batch` call as one row-sliced
-  matrix (:meth:`gather_norm`) instead of ``n`` per-detector copies.
+operations, different backing storage — while the fused tick path can
+scatter-write one tick's samples for every tracker in a single fancy
+assignment (:meth:`extend_batch`), and normalise them with one
+broadcast ``(x - med[:, None]) / denom[:, None]`` that is elementwise
+the scalar transform each detector would have applied.
 
 Rows are recycled: :meth:`release` returns a row to the free list and a
 detector leaving a shared arena first *detaches* (copies its prefix into
@@ -162,13 +157,3 @@ class DetectorArena:
                 detector._n += width
             scattered += len(members)
         return scattered
-
-    def gather_norm(self, rows: Sequence[int], lo: int, hi: int
-                    ) -> np.ndarray:
-        """Stack ``norm[row, lo:hi]`` for every row — one contiguous copy.
-
-        Row-fancy indexing with a column slice materialises exactly the
-        ``np.stack([...])`` of per-detector segments the pool used to
-        build, without the per-member Python loop.
-        """
-        return self.norm[np.asarray(rows, dtype=np.intp), lo:hi]

@@ -7,7 +7,7 @@ and growing buffers for the peer-control series.  The
 :class:`LiveAssessor` consumes drained fragments: treated fragments
 are buffered by their tracker, the tick's pool stage
 (:meth:`LiveAssessor.pool_score`) scores every tracker's pending segment
-in stacked batches and, for each declaration that fires, the DiD
+in one stacked call and, for each declaration that fires, the DiD
 attribution of :meth:`repro.core.funnel.Funnel.attribute` runs on the
 buffered panels — peers for dark launches on machine-level KPIs, the
 history provider otherwise — and the verdict goes onto the bus.
@@ -171,8 +171,7 @@ class LiveAssessor:
         #: stacked cross-detector scorer the scheduler runs once per tick.
         self.pool = DetectorPool(self.metrics)
         #: shared state blocks every tracker's detector lives in — one
-        #: scatter-write + one broadcast normalise per fused tick, and
-        #: contiguous row-gathers for the pool's stacked scoring.
+        #: scatter-write + one broadcast normalise per fused tick.
         self.arena = DetectorArena()
 
     # -- fragment routing ------------------------------------------------------
@@ -331,7 +330,7 @@ class LiveAssessor:
     # -- pooled scoring --------------------------------------------------------
 
     def pool_score(self, sessions: List[ChangeSession], now: int) -> int:
-        """Score every open tracker's pending segment in stacked batches.
+        """Score every open tracker's pending segment in one stacked call.
 
         The scheduler calls this once per tick, after the drain and
         before deadline closes: trackers buffered their fragments
@@ -553,16 +552,19 @@ class LiveAssessor:
     def close_session(self, session: ChangeSession, now: int) -> None:
         """Deadline close: flush detectors, settle every open tracker.
 
-        Trackers that declare during the flush are attributed (with
-        whatever control rows exist — ``force=True`` falls back to
-        history / no-control when the peers never caught up); the rest
+        One pooled pass (``score_pending(flush=True)``) flushes every
+        unfinished tracker; those that declare in it are attributed
+        (with whatever control rows exist — ``force=True`` falls back to
+        history / no-control when the peers never caught up), the rest
         close as ``no_change``, with reason ``deadline`` or ``gap``.
         """
-        for tracker in session.open_trackers():
-            if not tracker.degraded and tracker.declaration is None:
-                declared = tracker.detector.flush()
-                if declared is not None:
-                    tracker.declaration = declared
+        trackers = session.open_trackers()
+        unfinished = [tracker for tracker in trackers
+                      if not tracker.degraded and tracker.declaration is None]
+        for index, declared in self.pool.score_pending(
+                [tracker.detector for tracker in unfinished], flush=True):
+            unfinished[index].declaration = declared
+        for tracker in trackers:
             if tracker.declaration is not None and not tracker.degraded:
                 self._attribute(session, tracker, now, force=True)
                 continue

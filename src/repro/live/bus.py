@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, TextIO, Tuple
 
 from ..exceptions import TelemetryError
@@ -70,9 +70,14 @@ class LiveVerdict:
                 self.verdict, self.declaration_bin)
 
     def as_dict(self) -> dict:
-        doc = asdict(self)
-        doc["notes"] = list(self.notes)
-        return doc
+        # In field order; ``dataclasses.asdict`` would deep-copy each.
+        return dict(
+            change_id=self.change_id, entity_type=self.entity_type,
+            entity=self.entity, metric=self.metric, verdict=self.verdict,
+            reason=self.reason, emitted_at=self.emitted_at,
+            declaration_bin=self.declaration_bin,
+            did_estimate=self.did_estimate, control=self.control,
+            direction=self.direction, notes=list(self.notes))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LiveVerdict":

@@ -20,9 +20,8 @@ class LiveConfig:
 
     There is one scoring path: trackers buffer the fragments a tick
     drains and the scheduler's pool stage scores every pending segment
-    in stacked cross-detector batches (one
-    :meth:`repro.core.ika.IkaSST.scores_batch` call per distinct segment
-    length) before any deadline close.
+    in one :meth:`repro.core.ika.IkaSST.scores_batch` call before any
+    deadline close, which flushes the same way.
 
     Attributes:
         funnel: the detection/attribution parameters (paper defaults).

@@ -44,7 +44,7 @@ pre-arena detector restore into an arena-backed one and vice versa.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from ..core.scoring import (_confirmed_directions, _declared_change,
 from ..types import DetectedChange
 from .arena import DetectorArena
 
-__all__ = ["IncrementalDetector"]
+__all__ = ["IncrementalDetector", "armed_candidates"]
 
 
 class IncrementalDetector:
@@ -80,10 +80,10 @@ class IncrementalDetector:
         #: buffers — a :class:`~repro.live.pool.DetectorPool` scores the
         #: pending segment in a stacked batch via :meth:`pending_bounds`
         #: / :meth:`apply_scores` and gates it from the pass's one table
-        #: via :meth:`armed` / :meth:`scan`.  :meth:`flush` bypasses
-        #: the deferral, so a deadline close never loses a declaration.
-        #: False is the standalone mode: :meth:`extend` scores at once,
-        #: which is also the oracle the pooled path is tested against.
+        #: via :func:`armed_candidates` / :meth:`scan`, deadline flush
+        #: included.  False is the standalone mode: :meth:`extend` and
+        #: :meth:`flush` score at once, which is also the oracle the
+        #: pooled path is tested against.
         self.deferred = bool(deferred_scoring)
         #: Samples each score consumes on either side of its position.
         self.span = self.config.sst.lead
@@ -259,20 +259,21 @@ class IncrementalDetector:
 
     # -- pooled scoring --------------------------------------------------------
 
-    def pending_bounds(self) -> Optional[tuple]:
+    def pending_bounds(self, flush: bool = False) -> Optional[tuple]:
         """The ``(t_lo, t_hi)`` score range a pooled pass would fill.
 
-        Exactly the gating of ``_score(flush=False)`` — same chunk
-        threshold — so a pooled detector scores the same ranges on the
-        same ticks a standalone one would, just in a shared batch.
-        The pool turns these bounds into arena row slices directly,
-        skipping a segment copy per detector.
+        Exactly the gating of ``_score`` — same chunk threshold, waived
+        by ``flush`` — so a pooled detector scores the same ranges on
+        the same ticks a standalone one would, just in a shared batch.
+        Like :meth:`flush`, a flushing pass scans even with nothing left
+        to score: the range is then empty (``t_hi < t_lo``), not ``None``.
         """
         if self._stats is None or self.declared is not None:
             return None
         t_hi = self._n - self.span
         t_lo = self._next_score_t
-        if t_hi < t_lo or t_hi - t_lo + 1 < self.score_chunk_bins:
+        if not flush and (t_hi < t_lo
+                          or t_hi - t_lo + 1 < self.score_chunk_bins):
             return None
         return t_lo, t_hi
 
@@ -286,43 +287,25 @@ class IncrementalDetector:
 
     # -- declaration scan ------------------------------------------------------
 
-    def armed(self) -> Tuple[np.ndarray, int]:
-        """Armed candidates from the scan cursor on, and how many of
-        them are decidable with the bins received so far.
-
-        A candidate is *attemptable* once its score exists, decidable
-        once its persistence window ends (candidate + persistence <= n)
-        and its declaration index fits (candidate + max(persistence-1,
-        lookahead) < n) — monotone in the candidate, hence a prefix.
-        """
-        policy = self.config.policy
-        n = self._n
-        limit = min(self._next_score_t, n - self.span + 1)
-        if self.declared is not None or limit <= self._scan_t:
-            return np.empty(0, dtype=np.intp), 0
-        armed = np.flatnonzero(
-            self._scores[self._scan_t:limit] > policy.score_threshold)
-        armed += self._scan_t
-        pad = max(policy.persistence,
-                  max(policy.persistence - 1, self.lookahead) + 1)
-        return armed, int(np.searchsorted(armed, n - pad, side="right"))
-
     def scan(self, armed: Optional[np.ndarray] = None, n_decidable: int = 0,
              directions: Optional[List[int]] = None
              ) -> Optional[DetectedChange]:
         """Decide the armed candidates, oldest first.
 
-        The pool passes :meth:`armed`'s result and this detector's slice
-        of the pass's gating table (``directions[j]`` for ``armed[j]``);
-        called bare, the detector builds its own one-row table.  Without
-        ``directions`` (the table refuses non-finite samples) every
-        candidate runs the reference ``confirm_candidate``.
+        The pool passes this detector's row of :func:`armed_candidates`
+        and of the pass's gating table (``directions[j]`` for
+        ``armed[j]``); called bare, the detector makes the one-row cut
+        and table itself.  Without ``directions`` (the table refuses
+        non-finite samples) ``confirm_candidate`` decides each candidate.
         """
         policy = self.config.policy
         x = self._norm[:self._n]
         s = self._scores[:self._n]
         if armed is None:
-            armed, n_decidable = self.armed()
+            hits = armed_candidates([self]) if self.declared is None else ()
+            if not hits:
+                return None
+            _, armed, n_decidable = hits[0]
             if n_decidable:
                 directions = _confirmed_directions(
                     [x], [armed[:n_decidable]], policy)[0]
@@ -349,3 +332,42 @@ class IncrementalDetector:
                 self.declared = declared
                 return declared
         return None
+
+
+def armed_candidates(detectors: Sequence[IncrementalDetector]
+                     ) -> List[Tuple[int, np.ndarray, int]]:
+    """``(position, armed, n_decidable)`` for every detector of the list
+    (undeclared, one shared config) that holds an armed candidate.
+
+    ``armed`` are the indices from the scan cursor on whose score
+    exceeds the threshold — one comparison over all the detectors — and
+    the first ``n_decidable`` of them are decidable with the bins
+    received so far.  A candidate is *attemptable* once its score
+    exists, decidable once its persistence window ends (candidate +
+    persistence <= n) and its declaration index fits (candidate +
+    max(persistence-1, lookahead) < n) — monotone, hence a prefix.
+    """
+    first = detectors[0]
+    policy, span = first.config.policy, first.span
+    pad = max(policy.persistence,
+              max(policy.persistence - 1, first.lookahead) + 1)
+    # Scan cursor to one past the last attemptable index, per detector.
+    stretches = [(d._scan_t, max(d._scan_t, min(d._next_score_t,
+                                                d._n - span + 1)))
+                 for d in detectors]
+    hot = np.flatnonzero(np.concatenate(
+        [d._scores[lo:hi] for d, (lo, hi) in zip(detectors, stretches)]
+    ) > policy.score_threshold)
+    if not hot.size:
+        return []
+    ends = np.cumsum([hi - lo for lo, hi in stretches])
+    owner = np.searchsorted(ends, hot, side="right")
+    runs = np.flatnonzero(np.diff(owner, prepend=-1)).tolist() + [hot.size]
+    hits = []
+    for i, position in enumerate(owner[runs[:-1]].tolist()):
+        # Offset in the concatenation -> index in the detector's series.
+        armed = hot[runs[i]:runs[i + 1]] + (
+            stretches[position][1] - int(ends[position]))
+        hits.append((position, armed, int(np.searchsorted(
+            armed, detectors[position]._n - pad, side="right"))))
+    return hits

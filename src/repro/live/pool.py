@@ -1,28 +1,26 @@
 """Cross-detector pooled scoring — the live service's one scoring path.
 
-Scoring each tracker on its own pays the full fixed cost of one
-:meth:`repro.core.ika.IkaSST.scores` call — Hankel views, einsum
-dispatch, a LAPACK ``eigh`` — per tracker per tick.  At fleet scale a
-tick advances hundreds of trackers by the same bin, so those calls are
-the same computation repeated with different data.  The
-:class:`DetectorPool` exploits that: it collects every
-:class:`~repro.live.detector.IncrementalDetector` with a pending score
-segment, groups the segments by length (trackers admitted at the same
-tick stay in lock-step, so typically one group dominates), stacks each
-group into a ``(n_detectors, segment)`` matrix and scores it with a
-single :meth:`~repro.core.ika.IkaSST.scores_batch` call.  The
-declaration scan is pooled the same way: one
-:func:`~repro.core.scoring._gating_table` per pass covers every
-decidable armed candidate of every detector scored, all groups together.
+One window is cheap; what a tracker scoring on its own pays per tick is
+the fixed cost of the :meth:`repro.core.ika.IkaSST.scores` call (strided
+views, einsum dispatch, two LAPACK ``eigh``).  The :class:`DetectorPool`
+therefore makes **one** :meth:`~repro.core.ika.IkaSST.scores_batch` call
+per pass: the pending segment of every
+:class:`~repro.live.detector.IncrementalDetector` — all sessions, all
+widths — goes into one zero-padded stack with explicit row lengths.  The
+declaration scan is pooled the same way: one threshold cut
+(:func:`~repro.live.detector.armed_candidates`) and one
+:func:`~repro.core.scoring._gating_table` per pass.  ``flush=True`` is
+the deadline form of the same pass.
 
-Parity: ``scores_batch`` is bitwise the per-series scorer (pinned in
-``tests/core/test_ika_batch.py``), each detector's write-back and scan
-are the very code a standalone, immediately scoring
-:class:`~repro.live.detector.IncrementalDetector` runs (the oracle the
-tests compare against; its gating table is the one-row case of the
-pass's), and the scheduler invokes the pool after the tick's drain and
-before any deadline close — so a replay declares what standalone
-detectors fed the same bins declare, and matches the offline engine.
+Parity: ``scores_batch`` is bitwise the per-series scorer whatever else
+rides in the stack (pinned in ``tests/core/test_ika_batch.py``), each
+detector's write-back and scan are the very code a standalone,
+immediately scoring :class:`~repro.live.detector.IncrementalDetector`
+runs (the oracle the tests compare against; its cut and gating table
+are the one-row case of the pass's), and the scheduler invokes the pool
+after the tick's drain and before any deadline close — so a replay
+declares what standalone detectors fed the same bins declare, and
+matches the offline engine.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import numpy as np
 from ..core.scoring import _confirmed_directions
 from ..obs.metrics import MetricsRegistry
 from ..types import DetectedChange
-from .detector import IncrementalDetector
+from .detector import IncrementalDetector, armed_candidates
 
 __all__ = ["DetectorPool", "POOLED_BATCHES_METRIC", "POOLED_SERIES_METRIC",
            "GATING_TABLES_METRIC", "GATED_CANDIDATES_METRIC"]
@@ -54,59 +52,66 @@ class DetectorPool:
         self.series = 0
 
     def score_pending(
-        self, detectors: Sequence[IncrementalDetector],
+        self, detectors: Sequence[IncrementalDetector], flush: bool = False,
     ) -> List[Tuple[int, DetectedChange]]:
-        """One stacked scoring pass over every pending segment.
+        """One scoring call and one gating table over every pending segment.
+
+        ``flush`` is the deadline form: the chunk threshold is waived
+        and every undeclared detector is scanned whether or not it had
+        anything left to score (:meth:`IncrementalDetector.flush`).
 
         Returns ``(index, declaration)`` pairs — indices into
-        ``detectors`` — for every detector whose freshly scored range
-        produced a declaration, group by group (first appearance) and in
-        input order within each length group.
+        ``detectors`` — for every declaration found, by segment width
+        (first appearance) and in input order within a width.
         """
-        groups: dict = {}
+        # One pass, one configuration (a service has one): a detector
+        # configured otherwise is a stray and flushes on its own.
+        pending, strays, config = [], [], None
+        groups: dict = {}    # segment width -> order of first appearance
         for index, detector in enumerate(detectors):
-            bounds = detector.pending_bounds()
-            if bounds is not None:
-                # Stackable = same scorer parameters AND same segment
-                # width; a service normally has one config, so one
-                # bucket per width.
-                t_lo, t_hi = bounds
-                key = (detector.config.sst, t_hi - t_lo + 2 * detector.span)
-                groups.setdefault(key, []).append((index, t_lo, t_hi))
-        plans: List[Tuple[int, IncrementalDetector, np.ndarray, int]] = []
-        for members in groups.values():
-            stack = self._stack(detectors, members)
-            scorer = detectors[members[0][0]].scorer
-            rows = scorer.scores_batch(
-                stack, lengths=[stack.shape[1]] * len(members))
+            bounds = detector.pending_bounds(flush)
+            if bounds is None:
+                continue
+            if config is None:
+                config, span = detector.config, detector.span
+            same = detector.config is config or (
+                detector.config.sst == config.sst
+                and detector.config.policy == config.policy)
+            (pending if same else strays).append((index, detector) + bounds)
+            groups.setdefault(bounds[1] - bounds[0], len(groups))
+        if not pending:
+            return []
+        scored = [entry for entry in pending if entry[3] >= entry[2]]
+        if scored:
+            widths = [t_hi - t_lo + 2 * span for _, _, t_lo, t_hi in scored]
+            stack = np.zeros((len(scored), max(widths)), dtype=np.float64)
+            for row, width, (_, detector, t_lo, _) in zip(stack, widths,
+                                                          scored):
+                row[:width] = detector._norm[t_lo - span:t_lo - span + width]
+            rows = pending[0][1].scorer.scores_batch(stack, lengths=widths)
             self.batches += 1
-            self.series += len(members)
+            self.series += len(scored)
             self.metrics.counter(
                 POOLED_BATCHES_METRIC,
                 help="Stacked scoring calls issued by the pool.").inc()
             self.metrics.counter(
                 POOLED_SERIES_METRIC,
                 help="Detector segments scored through the pool.",
-            ).inc(len(members))
-            for (index, t_lo, t_hi), row in zip(members, rows):
-                detector = detectors[index]
+            ).inc(len(scored))
+            for (_, detector, t_lo, t_hi), row in zip(scored, rows):
                 detector.apply_scores(row, t_lo, t_hi)
-                plans.append((index, detector) + detector.armed())
-        # Every group is written back: one gating table for the pass.
-        # A detector left out (nothing decidable, or another declaration
-        # policy than the pass — a service has one) or refused by the
-        # table (non-finite samples) scans by the reference rule.
-        policy = plans[0][1].config.policy if plans else None
-        tabled = [plan for plan in plans
-                  if plan[3] and plan[1].config.policy == policy]
+        # Every score is written back: one threshold cut and one gating
+        # table for the pass.  A detector the table refuses (non-finite
+        # samples) scans by the reference rule.
+        hits = armed_candidates([detector for _, detector, _, _ in pending])
+        tabled = [hit for hit in hits if hit[2]]
         directions: dict = {}
         if tabled:
-            candidates = [armed[:n] for _, _, armed, n in tabled]
+            candidates = [armed[:n] for _, armed, n in tabled]
+            series = [pending[k][1] for k, _, _ in tabled]
             slices = _confirmed_directions(
-                [plan[1]._norm[:len(plan[1])] for plan in tabled],
-                candidates, policy)
-            directions = {plan[0]: slice_
-                          for plan, slice_ in zip(tabled, slices)}
+                [d._norm[:len(d)] for d in series], candidates, config.policy)
+            directions = dict(zip((k for k, _, _ in tabled), slices))
             self.metrics.counter(
                 GATING_TABLES_METRIC,
                 help="Gating tables built by the pool (one per pass).").inc()
@@ -114,39 +119,14 @@ class DetectorPool:
                 GATED_CANDIDATES_METRIC,
                 help="Armed candidates a pool gating table covered.",
             ).inc(sum(row.size for row in candidates))
-        # Scan group by group, input order inside a group.
-        declared: List[Tuple[int, DetectedChange]] = []
-        for index, detector, armed, n_decidable in plans:
-            declaration = detector.scan(armed, n_decidable,
-                                        directions.get(index))
-            if declaration is not None:
-                declared.append((index, declaration))
-        return declared
-
-    @staticmethod
-    def _stack(detectors: Sequence[IncrementalDetector],
-               members: List[Tuple[int, int, int]]) -> np.ndarray:
-        """Materialise one group's ``(n, segment)`` score input.
-
-        Trackers admitted at the same tick share an arena and advance in
-        lock-step, so the common case is every member wanting the same
-        ``[lo:hi]`` column range of the same arena: one row-gather copies
-        the whole stack without a per-detector Python loop.  Mixed
-        groups (private arenas, staggered admission) fall back to the
-        original per-segment stack — the floats are identical either
-        way, the arena path just copies them once.
-        """
-        first = detectors[members[0][0]]
-        arena, span = first.arena, first.span
-        lo = members[0][1] - span
-        hi = members[0][2] + span
-        if all(d.arena is arena and t_lo - d.span == lo
-               and t_hi + d.span == hi
-               for i, t_lo, t_hi in members
-               for d in (detectors[i],)):
-            return arena.gather_norm(
-                [detectors[i]._row for i, _, _ in members], lo, hi)
-        return np.ascontiguousarray(np.stack(
-            [detectors[i]._norm[t_lo - detectors[i].span:
-                                t_hi + detectors[i].span]
-             for i, t_lo, t_hi in members]))
+        declared = []
+        for k, armed, n_decidable in hits:
+            index, detector, t_lo, t_hi = pending[k]
+            declared.append((groups[t_hi - t_lo], index, detector.scan(
+                armed, n_decidable, directions.get(k))))
+        declared += [(groups[t_hi - t_lo], index, detector.flush())
+                     for index, detector, t_lo, t_hi in strays]
+        # Width group by width group, input order inside each.
+        return [(index, declaration)
+                for _, index, declaration in sorted(declared)
+                if declaration is not None]

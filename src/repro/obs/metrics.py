@@ -37,6 +37,8 @@ BYTE_BUCKETS: Tuple[float, ...] = (
 
 
 def _label_key(labels: Dict[str, str]) -> LabelKey:
+    if not labels:         # the hot form: a label-free ``inc()``
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

@@ -4,15 +4,18 @@
 so the interesting invariant is not "batched matches single" (true by
 construction) but **batch-size invariance**: a row must score to the
 exact same bytes no matter which — or how large — a stack it is part of.
-These tests pin that, plus ragged NaN-padded stacks, explicit lengths,
-the kernel's block cap, the fused-direction Lanczos recursion and the
-input validation.
+These tests pin that, plus ragged stacks (NaN-padded or with explicit
+lengths; the kernel's unit is the window pair, so rows of any length
+share its blocks and padding is never read), the block cap, the
+fused-direction Lanczos recursion and the input validation.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ika import _BLOCK_PAIRS, IkaSST
 from repro.core.rsst import ImprovedSSTParams
@@ -105,6 +108,83 @@ class TestRaggedStacks:
         with pytest.raises(InsufficientDataError):
             ika.scores_batch(padded)
 
+    @given(st.integers(0, 2 ** 31), st.integers(3, 12),
+           st.sampled_from([ImprovedSSTParams(),
+                            ImprovedSSTParams(omega=5, eta=2)]))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_of_any_length_in_any_order_share_the_blocks(
+            self, seed, n_series, params):
+        """Every row equals ``scores(row)`` bitwise in both ragged forms,
+        and the kernel is entered once per ``_BLOCK_PAIRS // eta``
+        windows of the *whole* stack: blocks are filled across rows and
+        lengths, not per length group."""
+        rng = np.random.default_rng(seed)
+        ika = IkaSST(params)
+        lengths = rng.integers(params.window_length, 121, size=n_series)
+        rows = [rng.normal(size=n) for n in lengths]
+        for row in rows[::3]:
+            row[row.size // 2:] += 4.0
+        width = int(lengths.max())
+        nan_padded = np.full((n_series, width), np.nan)
+        zero_padded = np.zeros((n_series, width))
+        for i, row in enumerate(rows):
+            nan_padded[i, :row.size] = row
+            zero_padded[i, :row.size] = row
+        singles = [ika.scores(row) for row in rows]
+
+        entered = []
+        raw_block = ika._raw_block
+        ika._raw_block = lambda fut, past: (
+            entered.append(len(fut)), raw_block(fut, past))[1]
+        windows = int((lengths - params.window_length + 1).sum())
+        step = _BLOCK_PAIRS // params.eta
+        for stack, given_lengths in ((nan_padded, None),
+                                     (zero_padded, lengths)):
+            del entered[:]
+            batched = ika.scores_batch(stack, lengths=given_lengths)
+            assert len(entered) == -(-windows // step)
+            assert sum(entered) == windows
+            for i, single in enumerate(singles):
+                np.testing.assert_array_equal(batched[i, :single.size],
+                                              single)
+                assert not batched[i, single.size:].any()
+
+    def test_padding_is_never_read(self):
+        """With explicit lengths whatever lies beyond a row's length —
+        and every slice that would straddle two rows — takes no part:
+        a stack padded with 1e300 scores like one padded with zeros."""
+        lengths = (60, 34, 90, 35, 34)
+        rows = [_stack(seed=70 + i, n_series=1, length=n)[0]
+                for i, n in enumerate(lengths)]
+        zero_padded = np.zeros((len(rows), 90))
+        huge_padded = np.full((len(rows), 90), 1e300)
+        for i, row in enumerate(rows):
+            zero_padded[i, :row.size] = row
+            huge_padded[i, :row.size] = row
+        ika = IkaSST()
+        expected = ika.scores_batch(zero_padded, lengths=lengths)
+        np.testing.assert_array_equal(
+            ika.scores_batch(huge_padded, lengths=lengths), expected)
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(expected[i, :row.size],
+                                          ika.scores(row))
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 14, 41])
+    def test_one_window_rows_equal_the_windows_of_a_long_series(self,
+                                                                n_rows):
+        """The live tick's shape, an ``(R, 34)`` stack with one window a
+        row, against the same windows scored inside a 240-bin series."""
+        ika = IkaSST()
+        span = ika.params.lead
+        series = _stack(seed=83, n_series=1, length=240)[0]
+        full = ika.scores(series)
+        at = np.linspace(span, 240 - span, n_rows).astype(int)
+        stack = np.stack([series[t - span:t + span] for t in at])
+        assert stack.shape == (n_rows, 34)
+        batched = ika.scores_batch(stack, lengths=[34] * n_rows)
+        np.testing.assert_array_equal(batched[:, span], full[at])
+        assert np.count_nonzero(batched) == np.count_nonzero(full[at])
+
 
 class TestBlockCap:
     """The kernel walks the flattened (row, t) window axis in blocks of
@@ -143,9 +223,10 @@ class TestBlockCap:
         np.testing.assert_array_equal(ika.scores_batch(stack[::3]),
                                       full[::3])
 
-    def test_ragged_groups_are_blocked_independently(self):
-        """NaN-padded rows regroup by length; each group is its own
-        block walk (four blocks for the long group, one for the short)."""
+    def test_ragged_rows_share_blocks(self):
+        """NaN-padded rows of two lengths, interleaved: one block walk
+        covers them all, long and short windows side by side in a block
+        (the long rows alone need four blocks, the short ones one)."""
         long_rows = _stack(seed=41, n_series=9, length=self.LENGTH)
         short_rows = _stack(seed=43, n_series=4, length=70)
         assert self._windows(9) > self.BLOCK_WINDOWS > self._windows(4, 70)

@@ -124,19 +124,6 @@ class TestExtendBatch:
         assert arena.extend_batch([(d, np.empty(0))]) == 0
         assert d._n == 40
 
-    def test_gather_norm_equals_stacked_segments(self, rng):
-        config = FunnelConfig()
-        arena = DetectorArena()
-        detectors = [IncrementalDetector(30, config, arena=arena)
-                     for _ in range(3)]
-        for d in detectors:
-            d.extend(_stream(rng, n=60))
-        lo, hi = 5, 41
-        gathered = arena.gather_norm([d._row for d in detectors], lo, hi)
-        stacked = np.stack([d._norm[lo:hi] for d in detectors])
-        assert gathered.flags["C_CONTIGUOUS"]
-        assert gathered.tobytes() == stacked.tobytes()
-
 
 class TestDetach:
     def test_detach_keeps_state_and_frees_row(self, rng):

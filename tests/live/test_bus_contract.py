@@ -66,6 +66,24 @@ def test_as_dict_preserves_field_order_and_round_trips():
     assert LiveVerdict.from_dict(json.loads(json.dumps(doc))) == verdict
 
 
+@pytest.mark.parametrize("verdict", [
+    _verdict(),
+    _verdict(verdict="no_change", reason="deadline", declaration_bin=None,
+             did_estimate=None, control=None, direction=0, notes=()),
+    _verdict(verdict="no_change", reason="gap", declaration_bin=None,
+             did_estimate=None, control=None, direction=0, notes=()),
+], ids=["declared", "deadline", "gap"])
+def test_as_dict_equals_dataclasses_asdict(verdict):
+    """``as_dict`` spells the fields out (``asdict`` deep-copies); what
+    it returns must stay what ``asdict`` returned, key order included."""
+    reference = dataclasses.asdict(verdict)
+    reference["notes"] = list(verdict.notes)
+    doc = verdict.as_dict()
+    assert doc == reference
+    assert list(doc) == list(reference)
+    assert json.dumps(doc) == json.dumps(reference)
+
+
 def test_sink_line_format_is_sorted_compact_json(tmp_path):
     path = tmp_path / "v.jsonl"
     with JsonlVerdictSink(str(path)) as sink:

@@ -3,20 +3,25 @@
 import numpy as np
 import pytest
 
+from repro.core.funnel import FunnelConfig
+from repro.core.ika import IkaSST
+from repro.core.rsst import ImprovedSSTParams
 from repro.core.scoring import declare_changes
 from repro.exceptions import ParameterError
 from repro.live import DetectorPool, IncrementalDetector
+from repro.live.arena import DetectorArena
 from repro.live.pool import (GATED_CANDIDATES_METRIC, GATING_TABLES_METRIC,
                              POOLED_BATCHES_METRIC, POOLED_SERIES_METRIC)
 from repro.obs.metrics import MetricsRegistry
 
 
-def _detector(seed, n=150, change_index=80, step=0.0):
+def _detector(seed, n=150, change_index=80, step=0.0, arena=None):
     rng = np.random.default_rng(seed)
     x = 10.0 + rng.normal(0, 0.5, size=n)
     if step:
         x[change_index:] += step
-    detector = IncrementalDetector(change_index, deferred_scoring=True)
+    detector = IncrementalDetector(change_index, deferred_scoring=True,
+                                   arena=arena)
     detector.extend(x)
     return detector, x
 
@@ -107,7 +112,7 @@ class TestOneTablePerPass:
             # Decidable: the declaration index (candidate + 16) exists.
             candidates += int((solo.scores[:backfill - 16] > 0.3).sum())
         pool.score_pending(detectors)
-        assert _counter(registry, POOLED_BATCHES_METRIC) == 3
+        assert _counter(registry, POOLED_BATCHES_METRIC) == 1
         assert _counter(registry, GATING_TABLES_METRIC) == 1
         assert _counter(registry, GATED_CANDIDATES_METRIC) == candidates
 
@@ -137,37 +142,152 @@ class TestOneTablePerPass:
 
 class TestDetectorPool:
     def test_pooled_scores_match_per_detector(self):
-        pooled = [_detector(seed, step=5.0 * (seed % 2))
-                  for seed in range(5)]
-        pool = DetectorPool()
-        declared = pool.score_pending([d for d, _ in pooled])
-        for (detector, x), _ in zip(pooled, range(len(pooled))):
-            solo = IncrementalDetector(detector.change_index)
-            solo.extend(x)
-            np.testing.assert_array_equal(detector.scores, solo.scores)
-            assert detector.declared == solo.declared
-        declared_indices = {index for index, _ in declared}
-        for i, (detector, _) in enumerate(pooled):
-            assert (i in declared_indices) == \
-                (detector.declared is not None)
+        # The pool reads ``detector._norm`` whichever storage backs it:
+        # rows of one shared arena and private single-row arenas alike.
+        shared = DetectorArena()
+        for arena in (None, shared):
+            pooled = [_detector(seed, step=5.0 * (seed % 2), arena=arena)
+                      for seed in range(5)]
+            pool = DetectorPool()
+            declared = pool.score_pending([d for d, _ in pooled])
+            for detector, x in pooled:
+                solo = IncrementalDetector(detector.change_index)
+                solo.extend(x)
+                np.testing.assert_array_equal(detector.scores, solo.scores)
+                assert detector.declared == solo.declared
+            declared_indices = {index for index, _ in declared}
+            for i, (detector, _) in enumerate(pooled):
+                assert (i in declared_indices) == \
+                    (detector.declared is not None)
 
-    def test_mixed_lengths_score_in_separate_stacks(self):
+    def test_mixed_lengths_score_in_one_call(self):
         short, x_short = _detector(1, n=110, step=5.0)
         long, x_long = _detector(2, n=160, step=5.0)
         registry = MetricsRegistry()
         pool = DetectorPool(registry)
         pool.score_pending([short, long])
-        counters = registry.snapshot()["counters"]
-        batches = sum(e["value"]
-                      for e in counters[POOLED_BATCHES_METRIC]["values"])
-        series = sum(e["value"]
-                     for e in counters[POOLED_SERIES_METRIC]["values"])
-        assert batches == 2          # one stack per segment length
-        assert series == 2
+        assert _counter(registry, POOLED_BATCHES_METRIC) == 1
+        assert _counter(registry, POOLED_SERIES_METRIC) == 2
         for detector, x in ((short, x_short), (long, x_long)):
             solo = IncrementalDetector(detector.change_index)
             solo.extend(x)
             np.testing.assert_array_equal(detector.scores, solo.scores)
+
+    def test_two_sessions_three_widths_are_one_kernel_call(self, monkeypatch):
+        """Two sessions (one arena each, as two admissions leave them)
+        whose trackers wait with three segment widths: the pass stacks
+        them zero-padded into ONE ``scores_batch`` call, and every
+        detector ends where its standalone twin does."""
+        calls = []
+        original = IkaSST.scores_batch
+
+        def counted(self, stacked, lengths=None):
+            calls.append((np.shape(stacked), tuple(lengths)))
+            return original(self, stacked, lengths=lengths)
+
+        monkeypatch.setattr(IkaSST, "scores_batch", counted)
+        sessions = (DetectorArena(), DetectorArena())
+        #: (session, bins fed before the pass, step)
+        specs = [(0, 150, 5.0), (1, 110, 0.0), (0, 130, -4.0),
+                 (1, 150, 6.0), (0, 110, 5.0), (1, 130, 0.0)]
+        pooled, twins = [], []
+        for seed, (session, n, step) in enumerate(specs):
+            x = _series(20 + seed, 170, [(80, step)] if step else [])
+            detector = IncrementalDetector(80, deferred_scoring=True,
+                                           arena=sessions[session])
+            detector.extend(x[:n])
+            twin = IncrementalDetector(80)
+            twin.extend(x[:n])
+            pooled.append((detector, x, n))
+            twins.append(twin)
+        pool = DetectorPool()
+        del calls[:]                      # the twins scored on their own
+        declared = pool.score_pending([d for d, _, _ in pooled])
+        assert calls == [((6, 150), (150, 110, 130, 150, 110, 130))]
+        assert pool.batches == 1 and pool.series == 6
+        assert dict(declared) == {i: twin.declared
+                                  for i, twin in enumerate(twins)
+                                  if twin.declared is not None}
+        assert declared                   # the stepped ones did declare
+        # Width groups in order of first appearance (150, 110, 130).
+        assert [i for i, _ in declared] == \
+            [i for i in (0, 3, 1, 4, 2, 5) if twins[i].declared is not None]
+        # ... and the next tick's one-bin segments are again one call.
+        for (detector, x, n), twin in zip(pooled, twins):
+            detector.extend(x[n:n + 1])
+            twin.extend(x[n:n + 1])
+        del calls[:]
+        pool.score_pending([d for d, _, _ in pooled])
+        assert len(calls) == 1 and set(calls[0][1]) == {34}
+        for (detector, _, _), twin in zip(pooled, twins):
+            assert detector.declared == twin.declared
+            if twin.declared is None:
+                assert detector._scan_t == twin._scan_t
+                np.testing.assert_array_equal(detector.scores, twin.scores)
+
+    @pytest.mark.parametrize("remainder", range(5))
+    def test_flush_pass_equals_per_detector_flush(self, remainder):
+        """``flush=True`` is the deadline form: with chunk 5 and 0-4
+        unscored bins left, one pass leaves every detector where its
+        own ``flush()`` leaves its twin -- including the detectors with
+        nothing left to score, which are scanned all the same."""
+        chunk, n = 5, 100 + remainder
+        pool = DetectorPool()
+        pooled, twins = [], []
+        # Quiet; two late steps only the remainder's scores confirm; one
+        # too late to decide; one declared long before the deadline.
+        for seed, at in enumerate((0, n - 14, n - 16, n - 12, 70)):
+            x = _series(40 + seed, n, [(at, 5.0)] if at else [])
+            pair = []
+            for _ in range(2):
+                detector = IncrementalDetector(60, score_chunk_bins=chunk,
+                                               deferred_scoring=True)
+                detector.extend(x[:60])
+                pool.score_pending([detector])
+                for value in x[60:]:
+                    detector.extend([value])
+                    pool.score_pending([detector])
+                pair.append(detector)
+            pooled.append(pair[0])
+            twins.append(pair[1])
+        left = {len(d) - d.span - d._next_score_t + 1 for d in pooled
+                if d.declared is None}
+        assert left == {remainder}
+        batches = pool.batches
+        declared = pool.score_pending(pooled, flush=True)
+        assert pool.batches == batches + (1 if remainder else 0)
+        expected = {}
+        for i, twin in enumerate(twins):
+            before = twin.declared
+            flushed = twin.flush()
+            assert flushed is None or before is None
+            if flushed is not None:
+                expected[i] = flushed
+        assert dict(declared) == expected
+        assert [i for i, _ in declared] == sorted(expected)
+        assert len(expected) == {0: 0, 1: 1, 2: 1}.get(remainder, 2)
+        for detector, twin in zip(pooled, twins):
+            assert detector.state_dict() == twin.state_dict()
+
+    def test_stray_configuration_flushes_on_its_own(self):
+        """One pass scores one configuration; a detector configured
+        otherwise still gets its scores and its declaration."""
+        other = FunnelConfig(sst=ImprovedSSTParams(omega=7))
+        x = _series(51, 150, [(80, 5.0)])
+        pooled = [IncrementalDetector(80, config, deferred_scoring=True)
+                  for config in (None, other, None)]
+        for detector in pooled:
+            detector.extend(x)
+        pool = DetectorPool()
+        declared = pool.score_pending(pooled)
+        assert pool.series == 2
+        # Its shorter span makes it a width group of its own.
+        assert [i for i, _ in declared] == [0, 2, 1]
+        for detector in pooled:
+            solo = IncrementalDetector(80, detector.config)
+            solo.extend(x)
+            np.testing.assert_array_equal(detector.scores, solo.scores)
+            assert detector.declared == solo.declared
 
     def test_nothing_pending_is_a_noop(self):
         detector, _ = _detector(3)

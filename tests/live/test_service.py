@@ -1,13 +1,20 @@
 """End-to-end behaviour of the live service: replay, overload, caps."""
 
+import numpy as np
 import pytest
 
+from repro.changes.change import SoftwareChange
 from repro.engine.fleet import FleetScenarioSpec
-from repro.live import parity_live_config, replay_scenario
-from repro.live.assessor import GAP_BINS_METRIC
-from repro.live.queues import SHED_FRAGMENTS_METRIC
+from repro.live import (LiveConfig, VerdictBus, parity_live_config,
+                        replay_scenario)
+from repro.live.assessor import (GAP_BINS_METRIC, ChangeSession, KpiTracker,
+                                 LiveAssessor)
+from repro.live.queues import SHED_FRAGMENTS_METRIC, IngestQueues
 from repro.live.watcher import SHED_CHANGES_METRIC
 from repro.obs.context import ObsContext
+from repro.telemetry.kpi import KpiKey
+from repro.telemetry.timeseries import MINUTE, TimeSeries
+from repro.types import ChangeKind
 
 
 SMALL = FleetScenarioSpec(n_services=2, n_servers=8, n_changes=2,
@@ -125,3 +132,79 @@ class TestAdmissionControl:
         report = replay_scenario(self.OVERLAP, live_config=self._config())
         assert not report.service_report["shed_change_ids"]
         assert len(set(v.change_id for v in report.verdicts)) == 3
+
+
+class TestDeadlineClose:
+    """``close_session`` flushes every unfinished tracker in one pooled
+    pass, then settles the open trackers in session order.  The expected
+    documents were recorded at commit 0f4e488, where each tracker was
+    flushed by its own ``IncrementalDetector.flush()``."""
+
+    OFFSET, WINDOW, CHUNK = 60, 113, 7
+    START = 1000 * MINUTE
+    #: host -> (step at bin, step size); h4 loses a fragment instead.
+    STEPS = {"h1": (62, 6.0), "h2": (98, 6.0), "h3": (0, 0.0),
+             "h4": (70, 5.0), "h5": (97, -5.0)}
+    NO_CONTROL = ["no control group available; other factors were not "
+                  "excluded"]
+    #: (entity, reason, verdict, declaration_bin, emitted at bin, direction)
+    EXPECTED = [
+        ("h1", "declared", "caused_by_change", 75, 82, 1),
+        # -- everything below leaves in the deadline close --
+        ("h2", "declared", "caused_by_change", 111, 113, 1),
+        ("h3", "deadline", "no_change", None, 113, 0),
+        ("h4", "gap", "no_change", None, 113, 0),
+        ("h5", "declared", "caused_by_change", 110, 113, -1),
+    ]
+
+    def test_pooled_flush_settles_like_the_per_tracker_flush(self):
+        config = LiveConfig(
+            score_chunk_bins=self.CHUNK, history_days=0,
+            baseline_bins=self.OFFSET,
+            assessment_window_seconds=(self.WINDOW - self.OFFSET) * MINUTE)
+        bus = VerdictBus()
+        assessor = LiveAssessor(config, bus)
+        change = SoftwareChange(
+            "chg-close", ChangeKind.SOFTWARE_UPGRADE, "svc",
+            tuple(self.STEPS), at_time=self.START + self.OFFSET * MINUTE)
+        session = ChangeSession(change, None, 0.0,
+                                self.START + self.WINDOW * MINUTE,
+                                IngestQueues(config.queue_capacity))
+        rng = np.random.default_rng(17)
+        series = {}
+        for host, (at, step) in self.STEPS.items():
+            x = 20.0 + rng.normal(0, 0.4, size=self.WINDOW)
+            if step:
+                x[at:] += step
+            key = KpiKey("server", host, "cpu")
+            series[key] = x
+            session.trackers[key] = KpiTracker(
+                key, self.OFFSET, self.START, config, arena=assessor.arena)
+        for key, x in series.items():          # admission backfill
+            assessor.on_fragment(
+                session, key, TimeSeries(self.START, MINUTE, x[:self.OFFSET]),
+                change.at_time)
+        for bin_ in range(self.OFFSET, self.WINDOW):
+            now = self.START + (bin_ + 1) * MINUTE
+            for key, x in series.items():
+                if key.entity == "h4" and bin_ == 75:
+                    continue                   # shed: h4 degrades at 76
+                assessor.on_fragment(
+                    session, key,
+                    TimeSeries(self.START + bin_ * MINUTE, MINUTE,
+                               x[bin_:bin_ + 1]), now)
+            assessor.pool_score([session], now)
+        assert [v.entity for v in bus.verdicts] == ["h1"]
+        calls = assessor.pool.batches
+        assessor.close_session(session, now)
+        assert [v.as_dict() for v in bus.verdicts] == [
+            dict(change_id="chg-close", entity_type="server", entity=entity,
+                 metric="cpu", verdict=verdict, reason=reason,
+                 emitted_at=self.START + at * MINUTE, declaration_bin=index,
+                 did_estimate=None, control=None, direction=direction,
+                 notes=self.NO_CONTROL if reason == "declared" else [])
+            for entity, reason, verdict, index, at, direction
+            in self.EXPECTED]
+        assert not session.open_trackers() and session.pending == []
+        # h2, h3, h5 had 4 unscored bins each: one stacked call for all.
+        assert assessor.pool.batches == calls + 1

@@ -18,6 +18,21 @@ class TestCounterGauge:
         assert c.value(detector="none") == 0
         assert c.total() == 4
 
+    def test_label_free_and_labelled_series_share_one_counter(self):
+        """No labels is the hot form and takes a short cut to the empty
+        label key; snapshot and exposition must not tell."""
+        reg = MetricsRegistry()
+        c = reg.counter("ticks_total", help="Ticks.")
+        c.inc()
+        c.inc(2)
+        c.inc(stage="pool")
+        assert c.value() == 3 and c.value(stage="pool") == 1
+        assert list(c.values) == [(), (("stage", "pool"),)]
+        assert reg.snapshot()["counters"]["ticks_total"]["values"] == [
+            {"labels": {}, "value": 3},
+            {"labels": {"stage": "pool"}, "value": 1}]
+        assert "ticks_total 3\n" in reg.to_prometheus()
+
     def test_gauge_set_inc_dec(self):
         reg = MetricsRegistry()
         g = reg.gauge("depth")

@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""Online monitoring: metric-store pushes driving streaming FUNNEL.
+"""Online monitoring: metric-store pushes driving incremental FUNNEL.
 
 This is the deployment wiring of paper section 2.2: agents deliver
 1-minute measurements to the central store, the store *pushes* them to
-FUNNEL through a subscription, and the streaming assessor raises its
-verdict on the exact bin that completes the evidence — no batch job, no
-polling.
+FUNNEL through a subscription, and the verdict is raised on the exact
+bin that completes the evidence — no batch job, no polling.  It is the
+live service (:mod:`repro.live`) cut down to its two working parts: an
+:class:`~repro.live.IncrementalDetector` on the treated aggregate and
+:meth:`~repro.core.funnel.Funnel.attribute` on the buffered panels.
 
 Run:
     python examples/streaming_monitor.py
@@ -13,7 +15,8 @@ Run:
 
 import numpy as np
 
-from repro.core.streaming import StreamingAssessor
+from repro.core import Funnel
+from repro.live import IncrementalDetector
 from repro.telemetry.kpi import KpiKey
 from repro.telemetry.store import MetricStore
 from repro.telemetry.timeseries import TimeSeries
@@ -31,8 +34,10 @@ def main() -> None:
                     for i in range(n_control)]
 
     # FUNNEL subscribes: every append lands in a per-tick buffer; when a
-    # tick is complete the assessor consumes it.
-    assessor = StreamingAssessor(change_index=change_minute)
+    # tick is complete the detector consumes the treated aggregate.
+    funnel = Funnel()
+    detector = IncrementalDetector(change_minute, funnel.config)
+    rows = {key: [] for key in treated_keys + control_keys}
     tick_buffer = {}
     verdict_holder = {}
 
@@ -40,12 +45,16 @@ def main() -> None:
         tick_buffer[key] = float(fragment.values[-1])
         if len(tick_buffer) < n_treated + n_control:
             return                      # wait for the tick to complete
-        treated = [tick_buffer[k] for k in treated_keys]
-        control = [tick_buffer[k] for k in control_keys]
+        for k, value in tick_buffer.items():
+            rows[k].append(value)
         tick_buffer.clear()
-        outcome = assessor.push(treated, control)
-        if outcome is not None and "result" not in verdict_holder:
-            verdict_holder["result"] = (assessor.position - 1, outcome)
+        treated = [rows[k] for k in treated_keys]
+        declared = detector.extend([np.mean([row[-1] for row in treated])])
+        if declared is not None:        # fires once
+            outcome = funnel.attribute(
+                treated, declared, change_minute,
+                control=[rows[k] for k in control_keys])
+            verdict_holder["result"] = (len(detector) - 1, outcome)
 
     store.subscribe(treated_keys + control_keys, on_push)
 

@@ -268,11 +268,6 @@ def _add_live_runtime_options(live: argparse.ArgumentParser) -> None:
     live.add_argument("--score-chunk", type=int, default=6,
                       help="bins batched per streaming scoring call "
                            "(throughput knob; verdicts are unaffected)")
-    live.add_argument("--fused-ingest", action="store_true",
-                      help="run the whole ingest plane in fused batches "
-                           "(batched store appends, batch queue drains, "
-                           "one arena scatter-write + normalise per "
-                           "tick); verdicts byte-identical")
     live.add_argument("--queue-capacity", type=int, default=64,
                       help="per-KPI ingest queue bound, in fragments")
     live.add_argument("--drain-budget", type=int, default=0,
@@ -519,7 +514,6 @@ def _run_live_replay(args: argparse.Namespace, command: str,
     live_config = parity_live_config(
         spec, funnel_config=funnel_config,
         score_chunk_bins=args.score_chunk,
-        fused_ingest=args.fused_ingest,
         queue_capacity=args.queue_capacity,
         max_fragments_per_tick=args.drain_budget,
         max_active_changes=args.max_active_changes,
@@ -567,7 +561,6 @@ def _run_live_replay(args: argparse.Namespace, command: str,
                 "changes": args.changes,
                 "flush_bins": args.flush_bins,
                 "score_chunk": args.score_chunk,
-                "fused_ingest": args.fused_ingest,
                 "queue_capacity": args.queue_capacity,
                 "drain_budget": args.drain_budget,
                 "max_active_changes": args.max_active_changes,
@@ -648,7 +641,6 @@ def _cmd_cluster_replay(args: argparse.Namespace):
     live_config = parity_live_config(
         spec, funnel_config=funnel_config,
         score_chunk_bins=args.score_chunk,
-        fused_ingest=args.fused_ingest,
         queue_capacity=args.queue_capacity,
         max_fragments_per_tick=args.drain_budget,
         max_active_changes=args.max_active_changes,
@@ -686,7 +678,6 @@ def _cmd_cluster_replay(args: argparse.Namespace):
                 "shards": args.shards,
                 "replicas": args.replicas,
                 "flush_bins": args.flush_bins,
-                "fused_ingest": args.fused_ingest,
                 "fault_plan": args.fault_plan,
                 "omega": args.omega,
                 "did_threshold": args.did_threshold,
@@ -837,14 +828,9 @@ def _batching_summary(metrics: dict) -> dict:
 
 
 def _ingest_plane_summary(metrics: dict) -> dict:
-    """Per-stage ingest-plane timing and fused-batch health.
-
-    Stage seconds come from the scheduler's per-tick wall clocks (the
-    replay driver contributes ``stage=stream`` for its append side);
-    the fused counters split arena scatter-writes (``tensor``) from the
-    per-detector fallback the arena takes for private or warming rows.
+    """Per-stage tick timing, from the scheduler's per-tick wall clocks
+    (the replay driver contributes ``stage=stream`` for its append side).
     """
-    from .live.assessor import FUSED_BATCHES_METRIC, FUSED_ROWS_METRIC
     from .live.scheduler import TICK_STAGE_SECONDS_METRIC
 
     counters = (metrics or {}).get("counters") or {}
@@ -853,15 +839,6 @@ def _ingest_plane_summary(metrics: dict) -> dict:
     for entry in stage_doc.get("values") or ():
         stage = entry.get("labels", {}).get("stage", "unknown")
         out["stage_seconds_%s" % stage] = round(entry.get("value", 0), 4)
-    fused_doc = counters.get(FUSED_BATCHES_METRIC) or {}
-    batches = sum(entry.get("value", 0)
-                  for entry in fused_doc.get("values") or ())
-    if batches:
-        out["fused_batches"] = batches
-        rows_doc = counters.get(FUSED_ROWS_METRIC) or {}
-        for entry in rows_doc.get("values") or ():
-            path = entry.get("labels", {}).get("path", "unknown")
-            out["fused_rows_%s" % path] = entry.get("value", 0)
     return out
 
 

@@ -129,7 +129,6 @@ def run_shard(task: ShardTask, heartbeat=None) -> dict:
         "cpu_seconds": cpu_seconds,
         "killed": report.killed,
         "resumed": report.resumed,
-        "fused_ingest": task.live_config.fused_ingest,
         "checkpoints_written": report.checkpoints_written,
         "streamed_keys": len(plan.keys),
         "change_ids": list(plan.change_ids),

@@ -7,7 +7,6 @@ from .rsst import ImprovedSST, ImprovedSSTParams
 from .scoring import (ChangeDeclarationPolicy, PERSISTENCE_MINUTES,
                       declare_changes, robust_normalise)
 from .sst import SingularSpectrumTransform, SSTParams, sst_scores
-from .streaming import StreamingAssessor, StreamingDetector
 
 __all__ = [
     "DiDEstimator", "DiDPanel", "DiDResult", "did_estimate",
@@ -17,5 +16,4 @@ __all__ = [
     "ChangeDeclarationPolicy", "PERSISTENCE_MINUTES",
     "declare_changes", "robust_normalise",
     "SingularSpectrumTransform", "SSTParams", "sst_scores",
-    "StreamingAssessor", "StreamingDetector",
 ]

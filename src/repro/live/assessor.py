@@ -4,8 +4,10 @@ One :class:`ChangeSession` exists per admitted software change.  It owns
 the change's ingest queues, one :class:`KpiTracker` (an
 :class:`~repro.live.detector.IncrementalDetector`) per monitored KPI,
 and growing buffers for the peer-control series.  The
-:class:`LiveAssessor` consumes drained fragments: treated fragments
-are buffered by their tracker, the tick's pool stage
+:class:`LiveAssessor` consumes drained fragments — a tick's drain as
+one :meth:`LiveAssessor.on_fragment_batch`, a lone fragment through
+:meth:`LiveAssessor.on_fragment`, the same healing step either way:
+treated fragments are buffered by their tracker, the tick's pool stage
 (:meth:`LiveAssessor.pool_score`) scores every tracker's pending segment
 in one stacked call and, for each declaration that fires, the DiD
 attribution of :meth:`repro.core.funnel.Funnel.attribute` runs on the
@@ -37,7 +39,6 @@ from ..telemetry.kpi import KpiKey
 from ..telemetry.timeseries import TimeSeries
 from ..topology.impact import ImpactSet
 from ..types import DetectedChange
-from .arena import DetectorArena
 from .bus import LiveVerdict, VerdictBus
 from .config import LiveConfig
 from .detector import IncrementalDetector
@@ -46,8 +47,6 @@ from .queues import IngestQueues
 
 __all__ = ["KpiTracker", "ChangeSession", "LiveAssessor"]
 
-FUSED_BATCHES_METRIC = "repro_live_fused_batches_total"
-FUSED_ROWS_METRIC = "repro_live_fused_rows_total"
 GAP_BINS_METRIC = "repro_live_gap_bins_total"
 CONTROL_DROPPED_METRIC = "repro_live_control_rows_dropped_total"
 DUPLICATE_FRAGMENTS_METRIC = "repro_live_duplicate_fragments_total"
@@ -92,14 +91,13 @@ class KpiTracker:
     """One monitored (entity, KPI) of one change."""
 
     def __init__(self, key: KpiKey, change_index: int, start_time: int,
-                 config: LiveConfig,
-                 arena: Optional[DetectorArena] = None) -> None:
+                 config: LiveConfig) -> None:
         self.key = key
         self.start_time = start_time
         self.detector = IncrementalDetector(
             change_index, config.funnel,
             score_chunk_bins=config.score_chunk_bins,
-            deferred_scoring=True, arena=arena)
+            deferred_scoring=True)
         self.change_index = change_index
         self.degraded = False
         self.done = False
@@ -170,17 +168,29 @@ class LiveAssessor:
         self.sleep = sleep
         #: stacked cross-detector scorer the scheduler runs once per tick.
         self.pool = DetectorPool(self.metrics)
-        #: shared state blocks every tracker's detector lives in — one
-        #: scatter-write + one broadcast normalise per fused tick.
-        self.arena = DetectorArena()
 
     # -- fragment routing ------------------------------------------------------
 
     def on_fragment(self, session: ChangeSession, key: KpiKey,
-                    fragment: TimeSeries, now: int,
-                    stage: Optional[Dict[KpiKey, List[np.ndarray]]] = None
-                    ) -> None:
-        """Route one delivered fragment, healing a lossy push channel.
+                    fragment: TimeSeries, now: int) -> None:
+        """Route one delivered fragment (see :meth:`_heal`)."""
+        self._heal(session, key, fragment, now)
+
+    def on_fragment_batch(self, session: ChangeSession,
+                          batch: List[Tuple[KpiKey, TimeSeries]],
+                          now: int) -> None:
+        """Route one drained tick batch, fragment by fragment in order.
+
+        Deliberately not a loop over :meth:`on_fragment` (nor the other
+        way round): a caller that counts fragments by wrapping both
+        entries, as the benchmark's trace does, would count them twice.
+        """
+        for key, fragment in batch:
+            self._heal(session, key, fragment, now)
+
+    def _heal(self, session: ChangeSession, key: KpiKey,
+              fragment: TimeSeries, now: int) -> None:
+        """Deliver one fragment, healing a lossy push channel.
 
         The push stream is treated as at-least-once and possibly holey:
         an exact redelivery is dropped, an overlapping fragment is
@@ -191,11 +201,6 @@ class LiveAssessor:
         Deliveries are truncated at the session deadline: under a close
         grace (``close_grace_seconds``) late releases can carry bins
         beyond the assessment window, which must never reach a detector.
-
-        ``stage`` (fused ingest only) collects healed tracker samples
-        per key instead of extending each detector inline; the caller
-        scatter-writes the whole collection through the arena at the end
-        of the batch.
         """
         if fragment.start >= session.deadline:
             return
@@ -226,54 +231,8 @@ class LiveAssessor:
                         fragment.end)
                     session.expected_next[key] = fragment.end
                     return
-                self._deliver(session, key, patch, now, stage)
-        self._deliver(session, key, fragment, now, stage)
-
-    def on_fragment_batch(self, session: ChangeSession,
-                          batch: List[Tuple[KpiKey, TimeSeries]],
-                          now: int) -> None:
-        """Route one drained tick batch through the fused ingest plane.
-
-        Each fragment is healed exactly as :meth:`on_fragment` would;
-        eligible tracker deliveries (deferred detector, statistics
-        fixed, living in the shared arena) are *staged* instead of
-        extended one by one, then applied with one
-        :meth:`~repro.live.arena.DetectorArena.extend_batch` scatter at
-        the end.  Staging is invisible: deferred extends never declare
-        (scoring happens in the pool stage), per-key sample order is the
-        batch order, and attribution retries triggered by control
-        fragments only read series prefixes that were complete before
-        this batch — so the detector state after the batch is bitwise
-        the sequential path's.
-        """
-        stage: Dict[KpiKey, List[np.ndarray]] = {}
-        for key, fragment in batch:
-            self.on_fragment(session, key, fragment, now, stage=stage)
-        self._flush_stage(session, stage)
-
-    def _flush_stage(self, session: ChangeSession,
-                     stage: Dict[KpiKey, List[np.ndarray]]) -> None:
-        if not stage:
-            return
-        items = []
-        for key, chunks in stage.items():
-            # Sequential deferred extends only buffer, so one extend of
-            # the concatenation writes the identical values/norm prefix.
-            values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            items.append((session.trackers[key].detector, values))
-        scattered = self.arena.extend_batch(items)
-        self.metrics.counter(
-            FUSED_BATCHES_METRIC,
-            help="Fused arena scatter-writes (one per drained batch).",
-        ).inc()
-        rows = self.metrics.counter(
-            FUSED_ROWS_METRIC,
-            help="Detector rows appended through the fused ingest "
-                 "plane, by path.")
-        if scattered:
-            rows.inc(scattered, path="tensor")
-        if len(items) - scattered:
-            rows.inc(len(items) - scattered, path="fallback")
+                self._deliver(session, key, patch, now)
+        self._deliver(session, key, fragment, now)
 
     def _repair(self, key: KpiKey, lo: int, hi: int) -> Optional[TimeSeries]:
         """The missing ``[lo, hi)`` range read back from the store."""
@@ -295,30 +254,16 @@ class LiveAssessor:
         return patch
 
     def _deliver(self, session: ChangeSession, key: KpiKey,
-                 fragment: TimeSeries, now: int,
-                 stage: Optional[Dict[KpiKey, List[np.ndarray]]] = None
-                 ) -> None:
+                 fragment: TimeSeries, now: int) -> None:
         session.delivered_through[key] = max(
             session.delivered_through.get(key, fragment.end), fragment.end)
         session.expected_next[key] = fragment.end
 
         tracker = session.trackers.get(key)
         if tracker is not None:
-            if tracker.done or tracker.degraded:
-                return
-            detector = tracker.detector
-            if (stage is not None and detector.deferred
-                    and detector._stats is not None
-                    and detector.arena is self.arena):
-                stage.setdefault(key, []).append(
-                    np.asarray(fragment.values, dtype=np.float64).ravel())
-                return
-            declared = detector.extend(fragment.values)
-            if declared is not None:
-                # Only a tracker restored from a checkpoint that predates
-                # deferred scoring still scores inside ``extend``.
-                tracker.declaration = declared
-                self._attribute(session, tracker, now)
+            if not (tracker.done or tracker.degraded):
+                # Buffers only: the tick's pool stage scores and declares.
+                tracker.detector.extend(fragment.values)
             return
 
         buffer = session.control_buffers.get(key)

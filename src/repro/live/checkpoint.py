@@ -232,7 +232,7 @@ def _restore_session(service, record: dict) -> ChangeSession:
     for doc in record["trackers"]:
         key = _unkey3(doc["key"])
         tracker = KpiTracker(key, doc["change_index"], doc["start_time"],
-                             config, arena=service.assessor.arena)
+                             config)
         tracker.detector.load_state(doc["detector"])
         tracker.degraded = doc["degraded"]
         tracker.done = doc["done"]
@@ -245,11 +245,8 @@ def _restore_session(service, record: dict) -> ChangeSession:
                        for k in record["pending"]]
 
     session.subscription = service.store.subscribe(
-        session.subscribed_keys(),
-        lambda key, fragment, _q=session.queues: _q.offer(key, fragment),
-        batch_callback=(
-            (lambda items, _q=session.queues: _q.offer_batch(items))
-            if config.fused_ingest else None))
+        session.subscribed_keys(), queues.offer,
+        batch_callback=queues.offer_batch)
     service.watcher.sessions[session.change_id] = session
     return session
 

@@ -18,10 +18,11 @@ DROP_NEWEST = "drop_newest"
 class LiveConfig:
     """Knobs of the live pipeline (watcher, queues, scheduler, assessor).
 
-    There is one scoring path: trackers buffer the fragments a tick
-    drains and the scheduler's pool stage scores every pending segment
-    in one :meth:`repro.core.ika.IkaSST.scores_batch` call before any
-    deadline close, which flushes the same way.
+    There is one ingest path and one scoring path: a tick's block
+    reaches each session's queues as one batch, trackers buffer what
+    the tick drains, and the scheduler's pool stage scores every pending
+    segment in one :meth:`repro.core.ika.IkaSST.scores_batch` call
+    before any deadline close, which flushes the same way.
 
     Attributes:
         funnel: the detection/attribution parameters (paper defaults).
@@ -73,15 +74,6 @@ class LiveConfig:
             the assessor truncates every delivery at the session
             deadline — so a grace changes *when* verdicts emit, never
             what they say.
-        fused_ingest: run the tick's ingest plane in fused batches
-            ahead of the pool stage: the store fans a batched append out
-            as one push per subscription, the queues hand the scheduler
-            a materialised per-tick batch, and the shared
-            :class:`~repro.live.arena.DetectorArena` scatter-writes and
-            normalises every staged tracker in single vectorised
-            passes.  No arithmetic is reordered — the same floats land
-            in the same slots — so verdict JSONL is byte-identical to
-            the unfused path (CI pins it with ``cmp``).
         repair_from_store: when the push stream skips ahead of a
             session's expected next bin (a dropped or reordered push),
             read the missing range back from the durable metric store
@@ -106,7 +98,6 @@ class LiveConfig:
     fetch_backoff_seconds: float = 0.0
     fetch_timeout_seconds: float = 0.0
     close_grace_seconds: int = 0
-    fused_ingest: bool = False
     repair_from_store: bool = False
 
     def __post_init__(self) -> None:

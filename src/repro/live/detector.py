@@ -30,16 +30,11 @@ cost.  Declarations are still found at the same indices — at most
 change deadline) scores any remainder, so no declaration is ever lost
 to chunking.
 
-Storage lives in a :class:`~repro.live.arena.DetectorArena`: the
-detector owns one *row* of the arena's shared ``values``/``norm``/
-``scores`` blocks instead of three private arrays.  A detector built
-without an explicit arena gets a private single-row one, so nothing
-changes for standalone use; the live assessor hands every tracker the
-same shared arena so one tick can scatter-write and normalise the
-whole fleet in single vectorised passes (see
-:meth:`~repro.live.arena.DetectorArena.extend_batch`).  The wire format
-of :meth:`state_dict` is unchanged — checkpoints written by the
-pre-arena detector restore into an arena-backed one and vice versa.
+Storage is three private growable arrays (raw values, normalised
+values, scores) that double when full; :meth:`state_dict` carries only
+the live prefix, so a checkpoint does not depend on how they are held.
+The scoring mode (``deferred_scoring``) belongs to the constructor and
+is not part of the snapshot either.
 """
 
 from __future__ import annotations
@@ -53,8 +48,8 @@ from ..core.ika import IkaSST
 from ..core.robust import MAD_TO_SIGMA, median_and_mad
 from ..core.scoring import (_confirmed_directions, _declared_change,
                             confirm_candidate)
+from ..exceptions import CheckpointError
 from ..types import DetectedChange
-from .arena import DetectorArena
 
 __all__ = ["IncrementalDetector", "armed_candidates"]
 
@@ -70,8 +65,7 @@ class IncrementalDetector:
     def __init__(self, change_index: int,
                  config: Optional[FunnelConfig] = None,
                  score_chunk_bins: int = 1,
-                 deferred_scoring: bool = False,
-                 arena: Optional[DetectorArena] = None) -> None:
+                 deferred_scoring: bool = False) -> None:
         self.config = config or FunnelConfig()
         self.scorer = IkaSST(self.config.sst)
         self.change_index = change_index
@@ -89,9 +83,10 @@ class IncrementalDetector:
         self.span = self.config.sst.lead
         #: The wall-clock lag declare_changes charges the score with.
         self.lookahead = self.config.sst.lookahead - 1
-        self._shared = arena is not None
-        self.arena = arena if arena is not None else DetectorArena()
-        self._row = self.arena.acquire()
+        self._values = np.empty(128, dtype=np.float64)
+        self._norm = np.empty(128, dtype=np.float64)
+        #: Zero wherever no score was computed yet (see :meth:`_grow`).
+        self._scores = np.zeros(128, dtype=np.float64)
         self._n = 0
         self._stats: Optional[tuple] = None
         self._denominator = 0.0
@@ -104,23 +99,6 @@ class IncrementalDetector:
     def __len__(self) -> int:
         return self._n
 
-    # The storage attributes are row views into the arena, re-fetched on
-    # each access so they survive arena reallocation on growth.  All
-    # arithmetic below runs on the same floats it did when these were
-    # private arrays — only the backing memory moved.
-
-    @property
-    def _values(self) -> np.ndarray:
-        return self.arena.values[self._row]
-
-    @property
-    def _norm(self) -> np.ndarray:
-        return self.arena.norm[self._row]
-
-    @property
-    def _scores(self) -> np.ndarray:
-        return self.arena.scores[self._row]
-
     @property
     def series(self) -> np.ndarray:
         """The raw samples received so far (view; do not mutate)."""
@@ -131,27 +109,15 @@ class IncrementalDetector:
         """Scores computed so far (zeros where not yet computable)."""
         return self._scores[:self._n]
 
-    def detach(self) -> None:
-        """Move this detector's row out of a shared arena.
-
-        Copies the live prefix into a private single-row arena and
-        releases the shared row for reuse.  Called when a session
-        closes, so the detector's ``series``/``scores`` stay readable
-        after the arena recycles the row for a new tracker.  A no-op
-        for detectors that already own a private arena.
-        """
-        if not self._shared:
+    def _grow(self, needed: int) -> None:
+        """Make room for ``needed`` bins, at least doubling; new score
+        columns are zero-filled, which ``scores`` and the scan rely on."""
+        if needed <= self._values.size:
             return
-        shared, row, n = self.arena, self._row, self._n
-        private = DetectorArena(capacity=max(n, 1))
-        private_row = private.acquire()
-        private.values[private_row, :n] = shared.values[row, :n]
-        private.norm[private_row, :n] = shared.norm[row, :n]
-        private.scores[private_row, :n] = shared.scores[row, :n]
-        self.arena = private
-        self._row = private_row
-        self._shared = False
-        shared.release(row)
+        extra = np.zeros(max(self._values.size, needed - self._values.size))
+        self._values = np.concatenate([self._values, extra])
+        self._norm = np.concatenate([self._norm, extra])
+        self._scores = np.concatenate([self._scores, extra])
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -161,10 +127,7 @@ class IncrementalDetector:
         Every float survives the JSON round-trip exactly (``repr`` of a
         finite double is lossless), so a detector restored from this
         snapshot continues **bit-identically** to one that never
-        stopped — the property the kill-and-resume test pins.  The
-        format carries no arena geometry: a snapshot written by a
-        private-array detector restores into an arena-backed one and
-        vice versa.
+        stopped — the property the kill-and-resume test pins.
         """
         n = self._n
         return {
@@ -177,7 +140,6 @@ class IncrementalDetector:
             "denominator": self._denominator,
             "next_score_t": self._next_score_t,
             "scan_t": self._scan_t,
-            "deferred": self.deferred,
             "declared": (None if self.declared is None else {
                 "index": self.declared.index,
                 "start_index": self.declared.start_index,
@@ -188,32 +150,40 @@ class IncrementalDetector:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (inverse operation)."""
+        """Restore a :meth:`state_dict` snapshot (inverse operation).
+
+        The snapshot comes from a file: each array must hold exactly
+        ``n`` bins, or :class:`~repro.exceptions.CheckpointError` names
+        the field that does not.
+        """
         n = int(state["n"])
-        self.arena.ensure_capacity(max(n, 1))
+        self._grow(n)
+        for field, column in (("values", self._values), ("norm", self._norm),
+                              ("scores", self._scores)):
+            loaded = np.asarray(state[field], dtype=np.float64)
+            if loaded.shape != (n,):
+                raise CheckpointError(
+                    "detector state field %r has shape %s, expected %d bins"
+                    % (field, loaded.shape, n))
+            column[:n] = loaded
+        self._scores[n:] = 0.0
         self._n = n
-        self._values[:n] = state["values"]
-        self._norm[:n] = state["norm"]
-        self._scores[:n] = state["scores"]
         stats = state["stats"]
         self._stats = None if stats is None else tuple(stats)
         self._denominator = float(state["denominator"])
         self._next_score_t = int(state["next_score_t"])
         self._scan_t = int(state["scan_t"])
-        # Absent in pre-pool checkpoints: keep the constructor's choice.
-        self.deferred = bool(state.get("deferred", self.deferred))
         declared = state["declared"]
         self.declared = (None if declared is None
                          else DetectedChange(**declared))
 
     # -- ingest ---------------------------------------------------------------
 
-    def extend(self, values: np.ndarray,
-               flush: bool = False) -> Optional[DetectedChange]:
+    def extend(self, values: np.ndarray) -> Optional[DetectedChange]:
         """Append bins; returns the declaration the moment it fires."""
         values = np.asarray(values, dtype=np.float64).ravel()
         old_n = self._n
-        self.arena.ensure_capacity(old_n + values.size)
+        self._grow(old_n + values.size)
         self._values[old_n:old_n + values.size] = values
         self._n = old_n + values.size
 
@@ -231,11 +201,9 @@ class IncrementalDetector:
             self._norm[old_n:self._n] = (
                 self._values[old_n:self._n] - med) / self._denominator
 
-        if self._stats is None:
+        if self._stats is None or self.deferred:
             return None
-        if self.deferred and not flush:
-            return None
-        self._score(flush=flush)
+        self._score(flush=False)
         return self.scan()
 
     def flush(self) -> Optional[DetectedChange]:

@@ -3,8 +3,10 @@
 The metric store pushes fragments synchronously; the live service never
 processes them inline.  Each admitted change owns one
 :class:`IngestQueues` holding a bounded deque per subscribed KPI: the
-subscription callback *offers* fragments here and the event-time
-scheduler *drains* them under its per-tick budget.  When a queue is
+subscription *offers* fragments here — a tick's block append as one
+:meth:`IngestQueues.offer_batch`, a single-key append through
+:meth:`IngestQueues.offer` — and the event-time scheduler *drains* them
+under its per-tick budget.  When a queue is
 full the configured policy sheds a fragment — stale first by default —
 and a counter records every shed, so overload degrades the answers
 (gaps, late emissions) instead of growing memory without bound.
@@ -74,9 +76,9 @@ class IngestQueues:
     def offer_batch(self, items: List[Tuple[KpiKey, TimeSeries]]) -> int:
         """Enqueue one push batch; returns how many were accepted.
 
-        One counter bump for the whole batch, one ``_offer`` per item —
-        the fused ingest plane's producer side (semantically a loop of
-        :meth:`offer`).
+        A block append reaches a subscription as one call: one counter
+        bump for the whole batch, then the bound and shedding policy of
+        :meth:`offer` item by item.
         """
         if items:
             self.metrics.counter(
@@ -158,17 +160,6 @@ class IngestQueues:
                     break
             if not progressed:
                 break
-
-    def drain_batch(self, budget: int = 0
-                    ) -> List[Tuple[KpiKey, TimeSeries]]:
-        """:meth:`drain` materialised — same fragments, same order.
-
-        The fused ingest path wants the whole tick's batch at once (to
-        heal, stage and scatter it in bulk) rather than a generator it
-        would immediately exhaust; the rotation cursor advances exactly
-        as the generator's would.
-        """
-        return list(self.drain(budget=budget))
 
     def discard(self) -> int:
         """Drop everything still queued (change close); returns count."""

@@ -108,23 +108,13 @@ class EventTimeScheduler:
     def _drain(self, sessions: List[ChangeSession], now: int) -> None:
         budget = self.config.max_fragments_per_tick
         remaining = budget if budget > 0 else 0
-        fused = self.config.fused_ingest
         for session in sessions:
             if budget > 0 and remaining <= 0:
                 break
-            if fused:
-                # Same fragments in the same order — materialised so the
-                # assessor can heal, stage and scatter the whole batch.
-                batch = session.queues.drain_batch(budget=remaining)
-                self.assessor.on_fragment_batch(session, batch, now)
-                drained = len(batch)
-            else:
-                drained = 0
-                for key, fragment in session.queues.drain(budget=remaining):
-                    self.assessor.on_fragment(session, key, fragment, now)
-                    drained += 1
+            batch = list(session.queues.drain(budget=remaining))
+            self.assessor.on_fragment_batch(session, batch, now)
             if budget > 0:
-                remaining -= drained
+                remaining -= len(batch)
 
     # -- deadlines -------------------------------------------------------------
 

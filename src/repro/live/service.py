@@ -90,12 +90,8 @@ class LiveAssessmentService:
         """Force-close every session still open (end of stream)."""
         closed = []
         for session in list(self.watcher.sessions.values()):
-            if self.config.fused_ingest:
-                self.assessor.on_fragment_batch(
-                    session, session.queues.drain_batch(), now)
-            else:
-                for key, fragment in session.queues.drain():
-                    self.assessor.on_fragment(session, key, fragment, now)
+            self.assessor.on_fragment_batch(
+                session, list(session.queues.drain()), now)
             self.assessor.reconcile_session(session, now)
             self.assessor.close_session(session, now)
             self.watcher.finish(session)
@@ -124,13 +120,10 @@ class LiveAssessmentService:
     def report(self) -> dict:
         """Operator summary: activity, verdicts, shedding, gauges."""
         counters = self.metrics.snapshot()["counters"]
-        arena = self.assessor.arena
         doc = {
             "active_changes": len(self.watcher.sessions),
             "closed_changes": len(self.closed) + self.restored_closed,
             "verdicts": len(self.bus),
-            "arena": {"rows": arena.rows, "active_rows": arena.active_rows,
-                      "capacity_bins": arena.capacity},
             "shed_change_ids": list(self.watcher.shed_change_ids),
             "queue_depth": self.scheduler.queue_depth(),
             "peak_queue_depth": self.scheduler.peak_queue_depth,

@@ -197,18 +197,13 @@ class ChangeWatcher:
                     start = now
                     change_index = 0
                 session.trackers[key] = KpiTracker(
-                    key, change_index, start, self.config,
-                    arena=self.assessor.arena)
+                    key, change_index, start, self.config)
 
-        for key, fragment in backfills:
-            self.assessor.on_fragment(session, key, fragment, now)
+        self.assessor.on_fragment_batch(session, backfills, now)
 
         session.subscription = self.store.subscribe(
-            session.subscribed_keys(),
-            lambda key, fragment, _q=session.queues: _q.offer(key, fragment),
-            batch_callback=(
-                (lambda items, _q=session.queues: _q.offer_batch(items))
-                if self.config.fused_ingest else None))
+            session.subscribed_keys(), queues.offer,
+            batch_callback=queues.offer_batch)
         self.sessions[change.change_id] = session
         self.metrics.counter(
             ADMITTED_METRIC, help="Changes admitted to live assessment."
@@ -249,8 +244,4 @@ class ChangeWatcher:
             session.subscription.cancel()
             session.subscription = None
         session.queues.discard()
-        # Free the session's arena rows for future admissions; each
-        # detector keeps a private copy so post-close reads still work.
-        for tracker in session.trackers.values():
-            tracker.detector.detach()
         self.sessions.pop(session.change_id, None)

@@ -64,8 +64,8 @@ class Subscription:
 
     ``batch_callback``, when set, receives one call with the matched
     ``[(key, fragment), ...]`` sublist of a batched append instead of
-    one ``callback`` call per fragment — the fused ingest plane's
-    fan-out.  Per-fragment appends always use ``callback``.
+    one ``callback`` call per fragment — how a tick's block reaches a
+    live session's queues.  Per-fragment appends always use ``callback``.
     """
 
     keys: frozenset

@@ -182,9 +182,8 @@ class TestGuards:
 
 
 class TestPooledScoringResume:
-    """PR 5's kill-and-resume contract must survive pooled scoring: the
-    detector state dict carries the deferral flag, checkpoints written
-    without it (or by inline-scoring trackers) still load, and a replay
+    """PR 5's kill-and-resume contract must survive pooled scoring:
+    checkpoints written by any earlier build still load, and a replay
     resumed mid-stream publishes the uninterrupted run's verdict bytes."""
 
     def test_pooled_kill_and_resume_is_bit_identical(self, tmp_path):
@@ -205,11 +204,15 @@ class TestPooledScoringResume:
         assert verdict_bytes(resumed) == verdict_bytes(baseline)
         assert resumed.parity_ok is True
 
-    def test_inline_scoring_checkpoint_resumes_identically(self, tmp_path):
-        """Trackers checkpointed before deferral was the only mode carry
-        ``deferred: false``; restored, they score inside ``extend`` and
-        must still publish the same documents (they emit mid-drain, so
-        only intra-tick order may differ)."""
+    @pytest.mark.parametrize("deferred", [True, False, None])
+    def test_inline_scoring_checkpoint_resumes_identically(self, tmp_path,
+                                                           deferred):
+        """The scoring mode is not part of the wire format.  PRs 13-17
+        wrote ``"deferred": true`` into every detector record, PR <= 12
+        trackers (which scored inside ``extend``) ``false``, older files
+        and this build no key at all: each resumes as a deferred tracker
+        whose scan cursor and score frontier are where the pool picks
+        up, and publishes the uninterrupted run's bytes in order."""
         baseline = replay_scenario(SPEC)
         path = str(tmp_path / "inline.ckpt")
         killed = replay_scenario(SPEC, checkpoint_path=path,
@@ -218,38 +221,24 @@ class TestPooledScoringResume:
         assert killed.killed is True
         with open(path) as handle:
             records = [json.loads(line) for line in handle]
-        flipped = 0
+        rewritten = 0
         for record in records:
             for tracker in record.get("trackers", ()):
-                assert tracker["detector"]["deferred"] is True
-                tracker["detector"]["deferred"] = False
-                flipped += 1
-        assert flipped > 0
+                assert "deferred" not in tracker["detector"]
+                if deferred is not None:
+                    tracker["detector"]["deferred"] = deferred
+                rewritten += 1
+        assert rewritten > 0
         write_checkpoint(path, records)
         reset_shared_cache()
         resumed = replay_scenario(SPEC, resume_from=path, check_offline=True)
-        assert sorted(verdict_bytes(resumed)) == \
-            sorted(verdict_bytes(baseline))
+        assert verdict_bytes(resumed) == verdict_bytes(baseline)
         assert resumed.parity_ok is True
 
-    def test_state_dict_round_trips_deferred_flag(self):
-        import numpy as np
-        from repro.live import IncrementalDetector
-        rng = np.random.default_rng(3)
-        x = 10.0 + rng.normal(0, 0.5, size=90)
-        deferred = IncrementalDetector(60, deferred_scoring=True)
-        deferred.extend(x)
-        state = deferred.state_dict()
-        assert state["deferred"] is True
-        clone = IncrementalDetector(60)
-        clone.load_state(state)
-        assert clone.deferred is True
-        assert clone.pending_bounds() is not None
-
     def test_pre_pool_checkpoint_state_still_loads(self):
-        """A checkpoint written before the pooled-scoring field existed
-        has no "deferred" key — loading keeps the constructor's mode and
-        the restored detector continues bit-identically."""
+        """The mode is the constructor's: a state with the ``deferred``
+        key PRs 13-17 wrote loads, the key is ignored, and the restored
+        detector continues bit-identically."""
         import numpy as np
         from repro.live import IncrementalDetector
         rng = np.random.default_rng(9)
@@ -258,7 +247,8 @@ class TestPooledScoringResume:
         original = IncrementalDetector(120)
         original.extend(x[:150])
         state = original.state_dict()
-        state.pop("deferred")          # simulate the old format
+        assert "deferred" not in state
+        state["deferred"] = True       # as a PR 13-17 file carries it
         restored = IncrementalDetector(120)
         restored.load_state(state)
         assert restored.deferred is False
@@ -266,76 +256,3 @@ class TestPooledScoringResume:
         b = restored.extend(x[150:])
         assert a == b
         np.testing.assert_array_equal(original.scores, restored.scores)
-
-
-class TestFusedIngestResume:
-    """Checkpoints carry no arena geometry and no ingest-plane mode, so
-    a run checkpointed under either ingest plane must resume under
-    either — bit-identically, both directions."""
-
-    def _config(self, fused):
-        return parity_live_config(SPEC, fused_ingest=fused)
-
-    def test_fused_kill_and_resume_is_bit_identical(self, tmp_path):
-        config = self._config(fused=True)
-        baseline = replay_scenario(SPEC, live_config=config)
-        path = str(tmp_path / "fused.ckpt")
-        killed = replay_scenario(SPEC, live_config=config,
-                                 checkpoint_path=path, checkpoint_every=10,
-                                 kill_after_ticks=KILL_AT)
-        assert killed.killed is True
-        reset_shared_cache()
-        resumed = replay_scenario(SPEC, live_config=config,
-                                  resume_from=path, check_offline=True)
-        assert resumed.resumed is True
-        assert verdict_bytes(resumed) == verdict_bytes(baseline)
-        assert resumed.parity_ok is True
-
-    @pytest.mark.parametrize("kill_fused,resume_fused", [
-        (False, True),   # pre-arena-plane checkpoint, fused restore
-        (True, False),   # fused checkpoint, per-fragment restore
-    ])
-    def test_resume_crosses_ingest_planes(self, tmp_path, kill_fused,
-                                          resume_fused):
-        baseline = replay_scenario(SPEC,
-                                   live_config=self._config(fused=False))
-        path = str(tmp_path / "cross.ckpt")
-        killed = replay_scenario(SPEC,
-                                 live_config=self._config(kill_fused),
-                                 checkpoint_path=path, checkpoint_every=10,
-                                 kill_after_ticks=KILL_AT)
-        assert killed.killed is True
-        reset_shared_cache()
-        resumed = replay_scenario(SPEC,
-                                  live_config=self._config(resume_fused),
-                                  resume_from=path, check_offline=True)
-        assert resumed.resumed is True
-        assert verdict_bytes(resumed) == verdict_bytes(baseline)
-        assert resumed.parity_ok is True
-
-    def test_pre_arena_detector_state_restores_into_shared_arena(self):
-        """A snapshot from a private (pre-arena layout) detector loads
-        into a shared-arena detector and continues bit-identically —
-        and the other way around."""
-        import numpy as np
-        from repro.live import IncrementalDetector
-        from repro.live.arena import DetectorArena
-        rng = np.random.default_rng(13)
-        x = 10.0 + rng.normal(0, 0.5, size=200)
-        x[120:] += 5.0
-        private = IncrementalDetector(120)
-        private.extend(x[:150])
-
-        arena = DetectorArena()
-        shared = IncrementalDetector(120, arena=arena)
-        shared.load_state(private.state_dict())
-        assert shared.state_dict() == private.state_dict()
-
-        back = IncrementalDetector(120)
-        back.load_state(shared.state_dict())
-        a = private.extend(x[150:])
-        b = shared.extend(x[150:])
-        c = back.extend(x[150:])
-        assert a == b == c
-        np.testing.assert_array_equal(private.scores, shared.scores)
-        np.testing.assert_array_equal(private.scores, back.scores)

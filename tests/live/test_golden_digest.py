@@ -1,7 +1,7 @@
 """Cross-commit pin: the verdict documents of one small fixed scenario.
 
 Every other parity test in this directory compares two paths *inside one
-commit* (live vs offline, fused vs default, resumed vs uninterrupted), so
+commit* (live vs offline, pooled vs standalone, resumed vs uninterrupted), so
 a refactor that moves both sides together passes them all.  The digests
 below were recorded at commit 788f7f7 (PR 13), **before** the columnar
 ingest rewrite touched any source file, by running this scenario there;
@@ -65,12 +65,9 @@ def _fresh_baseline_cache():
 
 
 class TestGoldenVerdictDigest:
-    @pytest.mark.parametrize("fused", [False, True])
     @pytest.mark.parametrize("flush_bins", sorted(CLEAN_SHA))
-    def test_clean_replay(self, fused, flush_bins):
-        config = parity_live_config(SPEC, fused_ingest=fused)
-        report = replay_scenario(SPEC, live_config=config,
-                                 flush_bins=flush_bins)
+    def test_clean_replay(self, flush_bins):
+        report = replay_scenario(SPEC, flush_bins=flush_bins)
         assert len(report.verdicts) == 24
         assert report.ticks == 360 // flush_bins
         assert report.fragments_streamed == report.ticks * STREAMS

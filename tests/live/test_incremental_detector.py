@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.funnel import Funnel, FunnelConfig
+from repro.core.scoring import robust_normalise
+from repro.exceptions import CheckpointError
 from repro.live.detector import IncrementalDetector
 
 
@@ -100,7 +102,6 @@ class TestDeclarationParity:
 
 class TestScores:
     def test_scores_bitwise_equal_to_offline(self, rng):
-        from repro.core.scoring import robust_normalise
         x = 50.0 + rng.normal(0, 1.0, size=240)
         x[80:] += 7.0
         config = FunnelConfig()
@@ -157,3 +158,50 @@ class TestFlush:
                 declarations.append(result)
         assert len(declarations) == 1
         assert detector.flush() is None
+
+
+class TestStorage:
+    def test_growth_keeps_unscored_zero_and_offline_parity(self, rng):
+        """Across two doublings of the private arrays the score column
+        stays zero wherever nothing was scored (chunk 50 leaves an
+        unscored stretch on both sides of each boundary) and the end
+        state is the offline detector's."""
+        x = 50.0 + rng.normal(0, 1.0, size=400)
+        x[300:] += 7.0
+        detector = IncrementalDetector(80, score_chunk_bins=50)
+        declared, unscored = None, []
+        for n, capacity in ((100, 128), (130, 256), (250, 256), (260, 512),
+                            (400, 512)):
+            result = detector.extend(x[len(detector):n])
+            declared = declared or result
+            assert detector._scores.size == capacity
+            assert not detector._scores[detector._next_score_t:].any()
+            unscored.append(n - detector.span + 1 - detector._next_score_t)
+            np.testing.assert_array_equal(detector.series, x[:n])
+        assert unscored == [0, 30, 0, 10, 0]
+        offline = Funnel()
+        np.testing.assert_array_equal(
+            detector.scores,
+            offline.scorer.scores(robust_normalise(x, baseline=80)))
+        first = offline_first_declaration(x, 80)
+        assert first is not None
+        assert (declared.index, declared.start_index, declared.direction) == \
+            (first.index, first.start_index, first.direction)
+
+    @pytest.mark.parametrize("field,values,shape", [
+        # one element used to broadcast silently over all 90 bins
+        ("norm", [0.0], "(1,)"),
+        # a truncated file used to raise a bare ValueError
+        ("values", [1.0] * 89, "(89,)"),
+        ("scores", [[0.0] * 90], "(1, 90)"),
+    ], ids=["one-element", "truncated", "nested"])
+    def test_load_state_rejects_arrays_that_disagree_with_n(
+            self, rng, field, values, shape):
+        donor = IncrementalDetector(60)
+        donor.extend(10.0 + rng.normal(0, 0.5, size=90))
+        state = donor.state_dict()
+        state[field] = values
+        with pytest.raises(CheckpointError) as raised:
+            IncrementalDetector(60).load_state(state)
+        assert repr(field) in str(raised.value)
+        assert shape in str(raised.value)

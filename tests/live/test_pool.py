@@ -9,19 +9,17 @@ from repro.core.rsst import ImprovedSSTParams
 from repro.core.scoring import declare_changes
 from repro.exceptions import ParameterError
 from repro.live import DetectorPool, IncrementalDetector
-from repro.live.arena import DetectorArena
 from repro.live.pool import (GATED_CANDIDATES_METRIC, GATING_TABLES_METRIC,
                              POOLED_BATCHES_METRIC, POOLED_SERIES_METRIC)
 from repro.obs.metrics import MetricsRegistry
 
 
-def _detector(seed, n=150, change_index=80, step=0.0, arena=None):
+def _detector(seed, n=150, change_index=80, step=0.0):
     rng = np.random.default_rng(seed)
     x = 10.0 + rng.normal(0, 0.5, size=n)
     if step:
         x[change_index:] += step
-    detector = IncrementalDetector(change_index, deferred_scoring=True,
-                                   arena=arena)
+    detector = IncrementalDetector(change_index, deferred_scoring=True)
     detector.extend(x)
     return detector, x
 
@@ -132,7 +130,7 @@ class TestOneTablePerPass:
             twin.extend(x[90:100])
 
         dirty = IncrementalDetector(80, deferred_scoring=True)
-        dirty.load_state(dict(state, deferred=True))
+        dirty.load_state(state)
         dirty.extend(x[90:100])
         clean = IncrementalDetector(80, deferred_scoring=True)
         clean.extend(_series(9, 140, [(80, 5.0)])[:100])
@@ -142,23 +140,19 @@ class TestOneTablePerPass:
 
 class TestDetectorPool:
     def test_pooled_scores_match_per_detector(self):
-        # The pool reads ``detector._norm`` whichever storage backs it:
-        # rows of one shared arena and private single-row arenas alike.
-        shared = DetectorArena()
-        for arena in (None, shared):
-            pooled = [_detector(seed, step=5.0 * (seed % 2), arena=arena)
-                      for seed in range(5)]
-            pool = DetectorPool()
-            declared = pool.score_pending([d for d, _ in pooled])
-            for detector, x in pooled:
-                solo = IncrementalDetector(detector.change_index)
-                solo.extend(x)
-                np.testing.assert_array_equal(detector.scores, solo.scores)
-                assert detector.declared == solo.declared
-            declared_indices = {index for index, _ in declared}
-            for i, (detector, _) in enumerate(pooled):
-                assert (i in declared_indices) == \
-                    (detector.declared is not None)
+        pooled = [_detector(seed, step=5.0 * (seed % 2))
+                  for seed in range(5)]
+        pool = DetectorPool()
+        declared = pool.score_pending([d for d, _ in pooled])
+        for detector, x in pooled:
+            solo = IncrementalDetector(detector.change_index)
+            solo.extend(x)
+            np.testing.assert_array_equal(detector.scores, solo.scores)
+            assert detector.declared == solo.declared
+        declared_indices = {index for index, _ in declared}
+        for i, (detector, _) in enumerate(pooled):
+            assert (i in declared_indices) == \
+                (detector.declared is not None)
 
     def test_mixed_lengths_score_in_one_call(self):
         short, x_short = _detector(1, n=110, step=5.0)
@@ -174,10 +168,9 @@ class TestDetectorPool:
             np.testing.assert_array_equal(detector.scores, solo.scores)
 
     def test_two_sessions_three_widths_are_one_kernel_call(self, monkeypatch):
-        """Two sessions (one arena each, as two admissions leave them)
-        whose trackers wait with three segment widths: the pass stacks
-        them zero-padded into ONE ``scores_batch`` call, and every
-        detector ends where its standalone twin does."""
+        """Two sessions whose trackers wait with three segment widths:
+        the pass stacks them zero-padded into ONE ``scores_batch`` call,
+        and every detector ends where its standalone twin does."""
         calls = []
         original = IkaSST.scores_batch
 
@@ -186,15 +179,13 @@ class TestDetectorPool:
             return original(self, stacked, lengths=lengths)
 
         monkeypatch.setattr(IkaSST, "scores_batch", counted)
-        sessions = (DetectorArena(), DetectorArena())
         #: (session, bins fed before the pass, step)
         specs = [(0, 150, 5.0), (1, 110, 0.0), (0, 130, -4.0),
                  (1, 150, 6.0), (0, 110, 5.0), (1, 130, 0.0)]
         pooled, twins = [], []
         for seed, (session, n, step) in enumerate(specs):
             x = _series(20 + seed, 170, [(80, step)] if step else [])
-            detector = IncrementalDetector(80, deferred_scoring=True,
-                                           arena=sessions[session])
+            detector = IncrementalDetector(80, deferred_scoring=True)
             detector.extend(x[:n])
             twin = IncrementalDetector(80)
             twin.extend(x[:n])

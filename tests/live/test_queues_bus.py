@@ -18,6 +18,10 @@ def frag(start, *values):
     return TimeSeries(start, 60, list(values))
 
 
+def cpu_key(name):
+    return KpiKey("server", name, "cpu")
+
+
 @pytest.fixture
 def key():
     return KpiKey("server", "web-1", "memory_utilization")
@@ -118,6 +122,58 @@ class TestIngestQueues:
         queues.offer(key, frag(0, 1.0))
         queues.offer(key, frag(60, 1.0))
         assert metrics.counter(FRAGMENTS_METRIC).total() == 2
+
+    def test_offer_batch_counts_once_and_sheds_like_offer(self, key):
+        metrics = MetricsRegistry()
+        queues = IngestQueues(2, metrics=metrics)
+        accepted = queues.offer_batch(
+            [(key, frag(i * 60, 1.0)) for i in range(4)])
+        # drop_oldest keeps accepting (evicting the stalest), so all 4
+        # offers are accepted and 2 fragments were shed.
+        assert accepted == 4
+        assert queues.depth == 2
+        assert queues.shed == 2
+        assert metrics.counter(FRAGMENTS_METRIC).total() == 4
+
+    def test_key_cache_rebuilt_on_churn(self):
+        """New keys between drains must enter the rotation — the cached
+        sort cannot go stale (the regression the size check guards)."""
+        queues = IngestQueues(8)
+        queues.offer(cpu_key("s1"), frag(0, 1.0))
+        assert [str(k) for k, _ in queues.drain()] == ["server:s1:cpu"]
+        cached = queues._sorted_keys
+        queues.offer(cpu_key("s0"), frag(0, 1.0))
+        assert [str(k) for k, _ in queues.drain()] == ["server:s0:cpu"]
+        assert queues._sorted_keys is not cached
+
+    def test_key_cache_reused_when_keyset_stable(self):
+        queues = IngestQueues(8)
+        for name in ("s1", "s2"):
+            queues.offer(cpu_key(name), frag(0, 1.0))
+        list(queues.drain())
+        cached = queues._sorted_keys
+        for name in ("s1", "s2"):
+            queues.offer(cpu_key(name), frag(60, 1.0))
+        list(queues.drain())
+        assert queues._sorted_keys is cached
+
+    def test_budgeted_fairness_survives_churn(self):
+        """Round-robin under budget stays fair while keys churn: the
+        rotation resumes after the last-served key even when the key
+        set grew since the previous drain."""
+        queues = IngestQueues(8)
+        for name in ("s1", "s3"):
+            for i in range(2):
+                queues.offer(cpu_key(name), frag(i * 60, 1.0))
+        first = [str(k) for k, _ in queues.drain(budget=2)]
+        assert first == ["server:s1:cpu", "server:s3:cpu"]
+        # A new key lands between drains, sorted between the existing
+        # two; the cursor (after s3) wraps to the front of the order.
+        for i in range(2):
+            queues.offer(cpu_key("s2"), frag(i * 60, 1.0))
+        second = [str(k) for k, _ in queues.drain(budget=3)]
+        assert second == ["server:s1:cpu", "server:s2:cpu",
+                          "server:s3:cpu"]
 
 
 def verdict(change="chg-1", entity="web-1", verdict_value="no_change",

@@ -5,14 +5,17 @@ import pytest
 
 from repro.changes.change import SoftwareChange
 from repro.engine.fleet import FleetScenarioSpec
+from repro.faults import preset_plan
 from repro.live import (LiveConfig, VerdictBus, parity_live_config,
                         replay_scenario)
-from repro.live.assessor import (GAP_BINS_METRIC, ChangeSession, KpiTracker,
-                                 LiveAssessor)
-from repro.live.queues import SHED_FRAGMENTS_METRIC, IngestQueues
+from repro.live.assessor import (DUPLICATE_FRAGMENTS_METRIC, GAP_BINS_METRIC,
+                                 ChangeSession, KpiTracker, LiveAssessor)
+from repro.live.queues import (FRAGMENTS_METRIC, SHED_FRAGMENTS_METRIC,
+                               IngestQueues)
 from repro.live.watcher import SHED_CHANGES_METRIC
 from repro.obs.context import ObsContext
 from repro.telemetry.kpi import KpiKey
+from repro.telemetry.store import MetricStore
 from repro.telemetry.timeseries import MINUTE, TimeSeries
 from repro.types import ChangeKind
 
@@ -179,7 +182,7 @@ class TestDeadlineClose:
             key = KpiKey("server", host, "cpu")
             series[key] = x
             session.trackers[key] = KpiTracker(
-                key, self.OFFSET, self.START, config, arena=assessor.arena)
+                key, self.OFFSET, self.START, config)
         for key, x in series.items():          # admission backfill
             assessor.on_fragment(
                 session, key, TimeSeries(self.START, MINUTE, x[:self.OFFSET]),
@@ -208,3 +211,107 @@ class TestDeadlineClose:
         assert not session.open_trackers() and session.pending == []
         # h2, h3, h5 had 4 unscored bins each: one stacked call for all.
         assert assessor.pool.batches == calls + 1
+
+
+class TestIngestPath:
+    """One ingest path: a tick's block reaches a session's queues as one
+    batch, and both assessor entries run the same healing step."""
+
+    def _counted(self, monkeypatch, **replay_kwargs):
+        """Replay SMALL; ``(offer calls, offer_batch calls, [(subscriptions,
+        queues that got an offer_batch)] per block append, fragments
+        counter)``."""
+        offers, batches, per_append = [], [], []
+        offer, offer_batch = IngestQueues.offer, IngestQueues.offer_batch
+        append_batch = MetricStore.append_batch
+
+        def counted_offer(self, key, fragment):
+            offers.append(self)
+            return offer(self, key, fragment)
+
+        def counted_offer_batch(self, items):
+            batches.append(self)
+            return offer_batch(self, items)
+
+        def counted_append_batch(self, keys, start_time, block):
+            subscriptions, before = self.subscription_count(), len(batches)
+            append_batch(self, keys, start_time, block)
+            per_append.append((subscriptions, batches[before:]))
+
+        monkeypatch.setattr(IngestQueues, "offer", counted_offer)
+        monkeypatch.setattr(IngestQueues, "offer_batch", counted_offer_batch)
+        monkeypatch.setattr(MetricStore, "append_batch", counted_append_batch)
+        report = replay_scenario(SMALL, **replay_kwargs)
+        return (len(offers), len(batches), per_append,
+                report.service_report["counters"][FRAGMENTS_METRIC])
+
+    def test_block_is_one_offer_batch_per_subscription_per_tick(
+            self, monkeypatch):
+        offers, batches, per_append, fragments = self._counted(monkeypatch)
+        assert offers == 0 and batches > 0
+        assert len(per_append) == SMALL.n_changes * SMALL.window_bins
+        for subscriptions, served in per_append:
+            assert len(served) == subscriptions
+            assert len(set(map(id, served))) == subscriptions
+        # A fault-wrapped store delivers per fragment on purpose (every
+        # push rolls its own fault) — same fragments, no batch calls.
+        offers, batches, _, faulty_fragments = self._counted(
+            monkeypatch, fault_plan=preset_plan("none"))
+        assert batches == 0
+        assert offers == faulty_fragments == fragments
+
+    START, DEADLINE = 1000 * MINUTE, 1100 * MINUTE
+
+    def _session(self):
+        config = LiveConfig(history_days=0, baseline_bins=60,
+                            assessment_window_seconds=40 * MINUTE)
+        assessor = LiveAssessor(config, VerdictBus())
+        change = SoftwareChange("chg-heal", ChangeKind.SOFTWARE_UPGRADE,
+                                "svc", ("a", "b", "c"),
+                                at_time=self.START + 60 * MINUTE)
+        session = ChangeSession(change, None, 0.0, self.DEADLINE,
+                                IngestQueues(config.queue_capacity))
+        for host in ("a", "b", "c"):
+            key = KpiKey("server", host, "cpu")
+            session.trackers[key] = KpiTracker(key, 60, self.START, config)
+        return assessor, session
+
+    def test_batch_entry_equals_fragment_by_fragment(self):
+        rng = np.random.default_rng(29)
+        x = 20.0 + rng.normal(0, 0.4, size=(3, 110))
+        a, b, c = (KpiKey("server", host, "cpu") for host in "abc")
+
+        def piece(row, lo, hi):
+            return TimeSeries(self.START + lo * MINUTE, MINUTE, x[row, lo:hi])
+
+        fragments = [(a, piece(0, 0, 60)), (b, piece(1, 0, 60)),
+                     (c, piece(2, 0, 60)),
+                     (a, piece(0, 60, 70)),
+                     (a, piece(0, 60, 70)),       # exact redelivery
+                     (a, piece(0, 68, 75)),       # overlaps 68-69
+                     (b, piece(1, 60, 64)),
+                     (b, piece(1, 66, 70)),       # bins 64-65 never came
+                     (b, piece(1, 70, 72)),       # degraded: not extended
+                     (c, piece(2, 60, 98)),
+                     (c, piece(2, 98, 105)),      # straddles the deadline
+                     (c, piece(2, 100, 104))]     # wholly past it
+        batched, batched_session = self._session()
+        batched.on_fragment_batch(batched_session, fragments, self.DEADLINE)
+        single, single_session = self._session()
+        for key, fragment in fragments:
+            single.on_fragment(single_session, key, fragment, self.DEADLINE)
+
+        assert [len(t.detector) for t in
+                batched_session.trackers.values()] == [75, 64, 100]
+        assert batched_session.trackers[b].degraded is True
+        for key, tracker in batched_session.trackers.items():
+            twin = single_session.trackers[key]
+            assert tracker.detector.state_dict() == twin.detector.state_dict()
+            assert (tracker.degraded, tracker.done) == \
+                (twin.degraded, twin.done)
+        assert batched_session.expected_next == single_session.expected_next
+        assert batched_session.delivered_through == \
+            single_session.delivered_through
+        counters = batched.metrics.snapshot()["counters"]
+        assert counters == single.metrics.snapshot()["counters"]
+        assert set(counters) == {DUPLICATE_FRAGMENTS_METRIC, GAP_BINS_METRIC}

@@ -10,7 +10,7 @@ from repro.telemetry.aggregation import (ServiceAggregator, aggregate_series,
 from repro.telemetry.kpi import (KpiCatalog, KpiKey, KpiSpec,
                                  standard_server_kpis)
 from repro.telemetry.store import MetricStore
-from repro.telemetry.timeseries import TimeSeries
+from repro.telemetry.timeseries import MINUTE, TimeSeries
 from repro.types import KpiCharacter
 
 
@@ -139,6 +139,84 @@ class TestMetricStore:
     def test_empty_subscription_raises(self, store):
         with pytest.raises(TelemetryError):
             store.subscribe([], lambda k, f: None)
+
+
+class TestStoreBatchAppend:
+    def _store(self):
+        return MetricStore(bin_seconds=MINUTE)
+
+    def _fragment(self, start=0, values=(1.0, 2.0)):
+        return TimeSeries(start, MINUTE,
+                          np.asarray(values, dtype=np.float64))
+
+    def test_append_batch_ingests_like_sequential_appends(self):
+        key_a = KpiKey("server", "a", "cpu")
+        key_b = KpiKey("server", "b", "cpu")
+        batched, sequential = self._store(), self._store()
+        blocks = [((key_a, key_b), 0, [[1.0, 2.0], [5.0, 6.0]]),
+                  ((key_a,), 2 * MINUTE, [[3.0, 4.0]])]
+        for keys, start, block in blocks:
+            batched.append_batch(keys, start, np.array(block))
+            for key, row in zip(keys, block):
+                sequential.append(key, self._fragment(start, row))
+        for key in (key_a, key_b):
+            assert batched.series(key).values.tolist() == \
+                sequential.series(key).values.tolist()
+            assert batched.series(key).start == sequential.series(key).start
+        assert batched.appended_fragments == \
+            sequential.appended_fragments == 3
+        assert batched.appended_bins == sequential.appended_bins == 6
+
+    def test_batch_callback_gets_matched_sublist(self):
+        store = self._store()
+        key_a = KpiKey("server", "a", "cpu")
+        key_b = KpiKey("server", "b", "cpu")
+        key_c = KpiKey("server", "c", "cpu")
+        seen = []
+        store.subscribe([key_a, key_b],
+                        callback=lambda *a: seen.append(("item", a)),
+                        batch_callback=lambda items: seen.append(
+                            ("batch", list(items))))
+        store.append_batch((key_a, key_c, key_b), 0,
+                           np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        # One batch delivery with only the subscribed keys, in block
+        # order; the per-item callback is not used when a batch
+        # callback exists.
+        assert len(seen) == 1
+        kind, delivered = seen[0]
+        assert kind == "batch"
+        assert [k for k, _ in delivered] == [key_a, key_b]
+        assert [f.values.tolist() for _, f in delivered] == \
+            [[1.0, 2.0], [5.0, 6.0]]
+        assert {(f.start, f.bin_seconds) for _, f in delivered} == \
+            {(0, MINUTE)}
+
+    def test_batch_append_without_batch_callback_falls_back(self):
+        store = self._store()
+        key_a = KpiKey("server", "a", "cpu")
+        key_b = KpiKey("server", "b", "cpu")
+        seen = []
+        store.subscribe([key_a, key_b],
+                        callback=lambda k, f: seen.append((k, f.start)))
+        keys = (key_a, key_b)
+        store.append_batch(keys, 0, np.ones((2, 2)))
+        store.append_batch(keys, 2 * MINUTE, np.ones((2, 2)))
+        assert seen == [(key_a, 0), (key_b, 0),
+                        (key_a, 2 * MINUTE), (key_b, 2 * MINUTE)]
+
+    def test_batch_ingest_precedes_every_push(self):
+        """All rows are durable before the first push fires, so a
+        subscriber reading back the store sees the whole batch."""
+        store = self._store()
+        key_a = KpiKey("server", "a", "cpu")
+        key_b = KpiKey("server", "b", "cpu")
+        lengths = []
+        store.subscribe(
+            [key_a], callback=None,
+            batch_callback=lambda items: lengths.append(
+                store.series(key_b).values.size))
+        store.append_batch((key_a, key_b), 0, np.ones((2, 2)))
+        assert lengths == [2]
 
 
 class TestAgent:

@@ -13,7 +13,6 @@ import repro.core.funnel
 import repro.core.ika
 import repro.core.scoring
 import repro.core.sst
-import repro.core.streaming
 import repro.engine.instrument
 import repro.simulation.clock
 import repro.simulation.scenario
@@ -28,7 +27,6 @@ MODULES = [
     repro.core.ika,
     repro.core.scoring,
     repro.core.sst,
-    repro.core.streaming,
     repro.engine.instrument,
     repro.simulation.clock,
     repro.simulation.scenario,

@@ -784,14 +784,17 @@ def _batching_summary(metrics: dict) -> dict:
 
     Fill ratio is jobs scored per slot of planned batch capacity (1.0 =
     every batch full); the packed dedup ratio is rows referenced per row
-    actually pickled across the pool boundary (1.0 = nothing repeated).
+    actually pickled across the pool boundary (1.0 = nothing repeated);
+    gating "candidates" are the positions a pool table decided, and
+    windows per position the share of them the kernel had to score.
     """
     from .engine.batching import (BATCHED_BATCHES_METRIC,
                                   BATCHED_CAPACITY_METRIC,
                                   BATCHED_JOBS_METRIC, PACKED_ROWS_METRIC,
                                   PACKED_UNIQUE_ROWS_METRIC)
     from .live.pool import (GATED_CANDIDATES_METRIC, GATING_TABLES_METRIC,
-                            POOLED_BATCHES_METRIC, POOLED_SERIES_METRIC)
+                            POOLED_BATCHES_METRIC, POOLED_SERIES_METRIC,
+                            SCORED_WINDOWS_METRIC)
 
     counters = (metrics or {}).get("counters") or {}
     totals = {name: sum(entry.get("value", 0)
@@ -821,9 +824,12 @@ def _batching_summary(metrics: dict) -> dict:
         out["pooled_scoring_mean_size"] = round(series / pooled, 2)
     tables = totals.get(GATING_TABLES_METRIC, 0)
     if tables:
+        decided = totals.get(GATED_CANDIDATES_METRIC, 0)
         out["pooled_gating_tables"] = tables
-        out["pooled_gating_candidates_per_table"] = round(
-            totals.get(GATED_CANDIDATES_METRIC, 0) / tables, 2)
+        out["pooled_gating_candidates_per_table"] = round(decided / tables, 2)
+        if decided:
+            out["pooled_windows_per_position"] = round(
+                totals.get(SCORED_WINDOWS_METRIC, 0) / decided, 4)
     return out
 
 

@@ -4,10 +4,12 @@ For one item (software change, entity, KPI) the pipeline:
 
 1. aggregates the treated units' series and robustly normalises it
    against its pre-change baseline;
-2. scores it with the improved SST
-   (:class:`~repro.core.ika.IkaSST` — the IKA fast path) and applies the
-   7-minute persistence rule to declare behaviour changes
-   (:func:`~repro.core.scoring.declare_changes`);
+2. declares behaviour changes
+   (:func:`~repro.core.scoring.declare_changes`): the 7-minute
+   persistence rule is tabled at every position and the improved SST
+   (:class:`~repro.core.ika.IkaSST` — the IKA fast path) scores the
+   positions where it confirms — the paper's conjunction, cheap half
+   first;
 3. if a change is declared at/after the software change, attributes it:
 
    * with a **peer control group** (cservers/cinstances, available when
@@ -31,12 +33,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..types import Assessment, DetectedChange, Verdict
+from ..types import Assessment, DetectedChange, Verdict, as_float_array
 from .did import DiDEstimator, DiDPanel, DiDResult
 from .ika import IkaSST
 from .rsst import ImprovedSSTParams
 from .scoring import (ChangeDeclarationPolicy, declare_changes,
-                      robust_normalise, robust_normalise_batch)
+                      robust_normalise_batch)
 
 __all__ = ["FunnelConfig", "Funnel"]
 
@@ -107,25 +109,10 @@ class Funnel:
         ``baseline_stats`` optionally carries the precomputed
         ``(median, MAD)`` of the pre-change baseline (the engine's
         per-entity cache) so repeated windows skip the recomputation.
+        The one-row case of :meth:`detect_batch`.
         """
-        x = np.asarray(series, dtype=np.float64)
-        if not 0 <= change_index < x.size:
-            raise ParameterError(
-                "change_index %d outside series of length %d"
-                % (change_index, x.size)
-            )
-        normalised = robust_normalise(x, baseline=max(change_index, 1),
-                                      stats=baseline_stats)
-        scores = self.scorer.scores(normalised)
-        # The score at position t consumes samples through t + 2w - 2,
-        # so in deployment it is computable that many bins later — the
-        # declaration index must reflect that wall-clock reality or the
-        # section 4.4 delay comparison would favour FUNNEL unfairly.
-        declared = declare_changes(normalised, scores, self.config.policy,
-                                   lookahead=self.config.sst.lookahead - 1)
-        # Pre-existing changes are by definition not caused by this
-        # software change; a 1-bin slack absorbs start-estimation jitter.
-        return [c for c in declared if c.start_index >= change_index - 1]
+        return self.detect_batch(as_float_array(series)[None, :],
+                                 [change_index], [baseline_stats])[0]
 
     def detect_batch(
         self, stacked, change_indices: Sequence[int],
@@ -134,12 +121,13 @@ class Funnel:
     ) -> List[List[DetectedChange]]:
         """:meth:`detect` for a stack of same-length series at once.
 
-        One batched normalisation, one :meth:`IkaSST.scores_batch` call
-        and one :func:`~repro.core.scoring.declare_changes` (one gating
-        table for the stack) cover every row, each the stacked form of
-        what the per-series path calls — so the declared changes are
-        identical to
-        ``[self.detect(row, ci, stats) for row, ci, stats in ...]``.
+        One batched normalisation and one
+        :func:`~repro.core.scoring.declare_changes` cover every row:
+        its gating table decides persistence at every position of the
+        stack, and :meth:`IkaSST.scores_batch` is asked — through its
+        ``where=`` mask — only for the positions that confirm, so a
+        quiet row costs no kernel time.  Each row's declared changes are
+        what the row alone would give.
 
         Args:
             stacked: ``(n_series, T)`` treated aggregates.
@@ -162,11 +150,18 @@ class Funnel:
         normalised = robust_normalise_batch(
             stack, baselines=[max(ci, 1) for ci in indices],
             stats=baseline_stats)
-        scores = self.scorer.scores_batch(
-            normalised, lengths=[width] * n_series)
+        lengths = [width] * n_series
+        # The score at position t consumes samples through t + 2w - 2,
+        # so in deployment it is computable that many bins later — the
+        # declaration index must reflect that wall-clock reality or the
+        # section 4.4 delay comparison would favour FUNNEL unfairly.
         declared = declare_changes(
-            normalised, scores, self.config.policy,
-            lookahead=self.config.sst.lookahead - 1)
+            normalised,
+            lambda where: self.scorer.scores_batch(normalised, lengths,
+                                                   where=where),
+            self.config.policy, lookahead=self.config.sst.lookahead - 1)
+        # Pre-existing changes are by definition not caused by this
+        # software change; a 1-bin slack absorbs start-estimation jitter.
         return [[c for c in changes if c.start_index >= ci - 1]
                 for changes, ci in zip(declared, indices)]
 

@@ -41,7 +41,11 @@ join one flat list, and the list is scored in blocks of at most
 ``_BLOCK_PAIRS`` (window, future direction) pairs: one
 ``(block, omega, omega)`` eigh and one Lanczos recursion covering all
 ``eta`` directions per block, so memory is bounded by the block, not by
-the stack height.  ``scores(x)`` is literally ``scores_batch(x[None])[0]``;
+the stack height.  The list is also where work is *skipped*: a ``where=``
+mask keeps only the pairs of the positions it sets, and the declaration
+rule (:func:`repro.core.scoring.declare_changes`) sets those whose
+persistence already confirmed — a few percent of a quiet stack.
+``scores(x)`` is literally ``scores_batch(x[None])[0]``;
 that a row scores identically whichever stack or block it is part of
 follows from each block gathering its slices into one contiguous array
 (fixed strides for any batch) and from nothing else being read: stacked
@@ -173,7 +177,8 @@ class IkaSST:
         return self.scores_batch(x[None, :], lengths=(x.size,))[0]
 
     def scores_batch(self, stacked: Sequence[Sequence[float]],
-                     lengths: Optional[Sequence[int]] = None) -> np.ndarray:
+                     lengths: Optional[Sequence[int]] = None,
+                     where=None) -> np.ndarray:
         """Gated scores for a ``(n_series, T)`` stack of series at once.
 
         Every row is scored exactly as :meth:`scores` would score it in
@@ -184,6 +189,12 @@ class IkaSST:
         explicit per-row ``lengths`` (which also disables the NaN
         interpretation — rows are scored verbatim up to their length,
         and whatever pads them beyond it is never read).
+
+        ``where``, a boolean mask of the stack's shape, restricts the
+        kernel to the positions it sets: those hold bitwise the score
+        the unrestricted call gives them, every other entry ``0.0``.
+        The stack is validated either way; an empty selection returns
+        zeros without touching the kernel.
 
         Returns:
             ``(n_series, T)`` array; for each row the entries beyond its
@@ -206,6 +217,12 @@ class IkaSST:
                 raise ParameterError(
                     "lengths must have one entry per row (%d), got %r"
                     % (n_series, row_lengths.shape))
+        if where is not None:
+            where = np.asarray(where, dtype=bool)
+            if where.shape != stack.shape:
+                raise ParameterError(
+                    "where must have the stack's shape %r, got %r"
+                    % (stack.shape, where.shape))
 
         out = np.zeros(stack.shape, dtype=np.float64)
         if not n_series:
@@ -224,6 +241,10 @@ class IkaSST:
         first = np.arange(span, span + n_series * width, width)
         future = np.repeat(first - (ends - counts), counts)
         future += np.arange(ends[-1])
+        if where is not None:
+            future = future[where.reshape(-1)[future]]
+            if not future.size:
+                return out
         # slices[s] = flat[s : s + span]; windows[s] is the same slice in
         # its Hankel layout, windows[s, j] = flat[s + j : s + j + omega].
         # The bare constructor bounds-checks like ``sliding_window_view``,

@@ -8,6 +8,12 @@ least :data:`PERSISTENCE_MINUTES` time-bins (section 4.1: "we set a
 threshold of 7 minutes in FUNNEL to declare a change in a time series as
 a level-shift or ramp-up/down rather than a one-off event").
 
+The paper's rule is a conjunction — score above threshold *and*
+persistent — and says nothing about the order of evaluation; ours is
+cheap half first (:func:`declare_changes`: *table, kernel, scan*): the
+persistence half never reads a score and costs a seventh of one, so it
+decides which positions the SST kernel is asked to score at all.
+
 It also provides the robust normalisation that makes gated scores
 comparable across KPIs of wildly different magnitudes, the estimation of
 a change's *start* index (used for detection-delay evaluation, section
@@ -260,10 +266,12 @@ class ChangeDeclarationPolicy:
             raise ParameterError("deviation_sigmas must be positive")
 
 
-#: Padded prefix cells sorted per gating-table block: like the kernel's
-#: block cap, the table walks its (row, candidate) pairs in blocks so the
-#: two sort buffers stay ~0.5 MB however many candidates a stack arms.
-_TABLE_BLOCK_CELLS = 1 << 16
+#: Padded prefix cells sorted per gating-table block: the table walks
+#: its (row, position) pairs in blocks, so the two sort buffers stay
+#: ~128 kB however many positions a stack holds.  The table is the hot
+#: loop of a declaration and the cap was swept (ROADMAP item 3): 2^12 ..
+#: 2^16 read 605 / 655 / 683-711 / 555 / 533-563 ``engine_fleet`` work/s.
+_TABLE_BLOCK_CELLS = 1 << 14
 
 
 def _prefix_median_mad(stack: np.ndarray, rows: np.ndarray,
@@ -300,17 +308,17 @@ def _gating_table(series: Sequence[np.ndarray],
                   candidates: Sequence[np.ndarray],
                   policy: ChangeDeclarationPolicy) -> Tuple[
                       np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-candidate confirmation statistics for a ragged stack, in bulk.
+    """Per-position confirmation statistics for a ragged stack, in bulk.
 
-    ``candidates[i]`` holds the candidates armed on the 1-D series
-    ``series[i]``.  For each one the persistence rule consumes the
-    baseline ``median_and_mad(x[:max(1, c)])`` and the persistence
-    window's ``median(x[c:c+persistence])`` — one ``np.median`` call at
-    a time, the dominant cost of a declaration scan.  The table computes
-    them all (every row of a stack, every detector of a pool pass; one
-    series is the one-row case) with two NaN-padded sorts per block of
-    candidates and one axis-median, bitwise equal to the per-candidate
-    calls (pinned in ``tests/core/test_scoring.py``).
+    ``candidates[i]`` holds the positions to decide on the 1-D series
+    ``series[i]`` — every one a declaration could come from.  For each
+    the persistence rule consumes the baseline
+    ``median_and_mad(x[:max(1, c)])`` and the persistence window's
+    ``median(x[c:c+persistence])``.  The table computes them all (every
+    row of a stack, every detector of a pool pass; one series is the
+    one-row case) with two NaN-padded sorts per block of positions and
+    one axis-median, bitwise equal to the per-candidate calls (pinned in
+    ``tests/core/test_scoring.py``).
 
     Returns ``(meds, scales, window_medians, finite)``: the statistics
     aligned with the concatenated candidates — a window median is NaN
@@ -350,7 +358,7 @@ def _gating_table(series: Sequence[np.ndarray],
 def _confirmed_directions(series: Sequence[np.ndarray],
                           candidates: Sequence[np.ndarray],
                           policy: ChangeDeclarationPolicy
-                          ) -> List[Optional[List[int]]]:
+                          ) -> List[Optional[np.ndarray]]:
     """The persistence rule over one :func:`_gating_table`.
 
     Entry ``[i][j]`` is ``0`` where :func:`confirm_candidate` rejects
@@ -365,12 +373,44 @@ def _confirmed_directions(series: Sequence[np.ndarray],
     deviations = window_meds - meds
     bands = policy.deviation_sigmas * (MAD_TO_SIGMA * scales + 1e-9)
     flat = np.where(np.abs(deviations) > bands, np.sign(deviations),
-                    0.0).astype(np.intp).tolist()
+                    0.0).astype(np.intp)
     out, start = [], 0
     for row, ok in zip(candidates, finite.tolist()):
         out.append(flat[start:start + row.size] if ok else None)
         start += row.size
     return out
+
+
+def _score_and_scan(where: np.ndarray, ask, policy: ChangeDeclarationPolicy,
+                    horizon: int, first_only: bool = False
+                    ) -> Tuple[List[List[int]], np.ndarray]:
+    """*Kernel, scan* for a stack whose gating table is done.
+
+    ``where`` marks the confirmed positions and ``ask(mask)`` returns
+    the scores of the positions a mask of that shape sets, ``0.0``
+    elsewhere.  Asks for the confirmed positions, walks each row's armed
+    ones oldest first — a declaration covers ``[t, t + horizon]`` and
+    scanning resumes after it — then asks once more for what is left of
+    the declared stretches, whose peak score a declaration reports.
+    Returns each row's declaring positions and the scores.
+    """
+    scores = ask(where)
+    chains = []
+    fill = np.zeros_like(where)
+    for armed, stretches in zip(where & candidate_mask(scores, policy), fill):
+        chain, resume = [], 0
+        for t in np.flatnonzero(armed).tolist():
+            if t >= resume:
+                chain.append(t)
+                resume = t + horizon + 1
+                stretches[t:resume] = True
+                if first_only:
+                    break
+        chains.append(chain)
+    fill &= ~where
+    if fill.any():
+        scores = np.where(fill, ask(fill), scores)
+    return chains, scores
 
 
 def _declared_change(x: np.ndarray, scores: np.ndarray, candidate: int,
@@ -397,29 +437,40 @@ def _declared_change(x: np.ndarray, scores: np.ndarray, candidate: int,
     )
 
 
-def declare_changes(series: Sequence[float], scores: Sequence[float],
+def declare_changes(series: Sequence[float], scores,
                     policy: Optional[ChangeDeclarationPolicy] = None,
                     first_only: bool = False,
                     lookahead: int = 0):
-    """Apply the persistence rule to a scored series.
+    """Apply the declaration rule: score above threshold *and* persistent.
 
-    A candidate is armed at each index whose score exceeds the
-    threshold.  The candidate becomes a declared change when the *median*
-    of the ``persistence`` bins starting at it deviates from the
-    pre-candidate baseline median by more than ``deviation_sigmas``
-    robust sigmas — a median over the persistence window is what "lasting
-    more than 7 minutes" means for a noisy series: a one-off spike or a
-    sub-threshold wobble cannot move it, while a genuine level shift or
-    ramp does even when individual bins dip back into the noise band.
-    An unconfirmed candidate is simply skipped and scanning resumes.
-    The rule is :func:`confirm_candidate`'s, read off one gating table.
+    A position declares a change when its score exceeds the threshold
+    and the *median* of the ``persistence`` bins starting at it deviates
+    from the pre-position baseline median by more than
+    ``deviation_sigmas`` robust sigmas — a median over the persistence
+    window is what "lasting more than 7 minutes" means for a noisy
+    series: a one-off spike or a sub-threshold wobble cannot move it,
+    while a genuine level shift or ramp does even when individual bins
+    dip back into the noise band.  A position that fails either half is
+    simply skipped and scanning resumes.
+
+    The conjunction is evaluated cheap half first — *table, kernel,
+    scan*: one gating table decides persistence at every position of the
+    stack (it never reads a score), the scores are asked for only where
+    it confirms, and the scan walks the armed survivors oldest first.
+    The result is what scoring everything and confirming the armed
+    positions one by one (:func:`confirm_candidate`) gives.
 
     Args:
         series: the (normalised or raw) KPI samples — or a
-            ``(n_series, T)`` stack of them, ``scores`` then having the
-            same shape: one gating table covers every row, and a series
-            is just the one-row case.
-        scores: per-sample change scores, same length as ``series``.
+            ``(n_series, T)`` stack of them: one gating table covers
+            every row, and a series is just the one-row case.
+        scores: the per-sample change scores, same shape as ``series``
+            — or a callable that computes them on demand: handed a
+            boolean mask of the 2-D stack's shape, it returns a finite
+            array of that shape holding the score wherever the mask is
+            set (:meth:`repro.core.ika.IkaSST.scores_batch` with
+            ``where=``).  It is called for the confirmed positions and,
+            when something declares, for the rest of each stretch.
         policy: declaration thresholds; defaults are the paper's.
         first_only: stop after the first declared change (the online
             deployment mode — one alert per item is enough).
@@ -435,40 +486,42 @@ def declare_changes(series: Sequence[float], scores: Sequence[float],
         stack, one such list per row.
     """
     x = np.asarray(series, dtype=np.float64)
-    s = np.asarray(scores, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape != s.shape:
+    shape = x.shape if callable(scores) else np.shape(scores)
+    if x.ndim not in (1, 2) or shape != x.shape:
         raise ParameterError(
             "series %r and scores %r must be equal-length series or "
-            "equal-shape stacks" % (x.shape, s.shape))
-    if not (np.isfinite(x).all() and np.isfinite(s).all()):
+            "equal-shape stacks" % (x.shape, shape))
+    if not np.isfinite(x).all():
         raise ParameterError("series or scores contain NaN or infinite values")
+    stack = np.atleast_2d(x)
+    if not callable(scores):               # every score already in hand
+        every = np.asarray(scores, dtype=np.float64).reshape(stack.shape)
+        scores = lambda where: every
     policy = policy or ChangeDeclarationPolicy()
     if lookahead < 0:
         raise ParameterError("lookahead must be >= 0")
-    stack, score_stack = np.atleast_2d(x), np.atleast_2d(s)
-    # Candidate masking: only armed indices enter the table and the
-    # (Python-level) scan — equivalent to scanning every index, since
-    # sub-threshold scores would be skipped anyway.
-    candidates = [np.flatnonzero(row)
-                  for row in candidate_mask(score_stack, policy)]
-    directions = _confirmed_directions(stack, candidates, policy)
-    out: List[List[DetectedChange]] = []
-    for row, armed in enumerate(candidates):
-        changes: List[DetectedChange] = []
-        resume = 0
-        for t, direction in zip(armed.tolist(), directions[row]):
-            if t < resume or not direction:
-                continue
-            declared = _declared_change(stack[row], score_stack[row], t,
-                                        direction, policy, lookahead)
-            if declared is None:
-                continue
-            changes.append(declared)
-            if first_only:
-                break
-            # Resume scanning after the confirmed persistence window.
-            resume = declared.index + 1
-        out.append(changes)
+
+    def ask(where: np.ndarray) -> np.ndarray:
+        got = np.asarray(scores(where), dtype=np.float64)
+        if got.shape != where.shape or not np.isfinite(got).all():
+            raise ParameterError(
+                "scores must be a finite stack of shape %r, got %r"
+                % (where.shape, got.shape))
+        return np.where(where, got, 0.0)
+
+    # A declaration needs its index inside the series: later positions
+    # cannot declare whatever their window and score say.
+    horizon = max(policy.persistence - 1, lookahead)
+    positions = np.arange(max(0, stack.shape[1] - horizon))
+    directions = _confirmed_directions(stack, [positions] * len(stack),
+                                       policy)
+    where = np.zeros(stack.shape, dtype=bool)
+    for row, found in enumerate(directions):
+        where[row, :positions.size] = found != 0
+    chains, s = _score_and_scan(where, ask, policy, horizon, first_only)
+    out = [[_declared_change(stack[row], s[row], t, int(directions[row][t]),
+                             policy, lookahead) for t in chain]
+           for row, chain in enumerate(chains)]
     return out if x.ndim == 2 else out[0]
 
 

@@ -20,8 +20,8 @@ class LiveConfig:
 
     There is one ingest path and one scoring path: a tick's block
     reaches each session's queues as one batch, trackers buffer what
-    the tick drains, and the scheduler's pool stage scores every pending
-    segment in one :meth:`repro.core.ika.IkaSST.scores_batch` call
+    the tick drains, and the scheduler's pool stage decides every
+    pending tracker in one :func:`repro.live.detector.score_pass`
     before any deadline close, which flushes the same way.
 
     Attributes:

@@ -4,41 +4,46 @@
 :meth:`repro.core.funnel.Funnel.detect` as a streaming computation over
 a growing prefix, exploiting two structural facts:
 
-* the score at position ``t`` is a pure function of the normalised
-  samples ``x[t - span : t + span]`` (``span = 2*omega - 1``), so each
-  arriving bin makes exactly one more score computable and a batched
-  call over the newly eligible range returns values **bitwise equal**
-  to the offline full-array call;
+* persistence at position ``t`` is a pure function of the normalised
+  prefix ``x[:t + persistence]`` and the score at ``t`` of
+  ``x[t - span : t + span]`` (``span = 2*omega - 1``), so each arriving
+  bin makes exactly one more position decidable, from the **bitwise**
+  table row and score of the offline full-array calls;
 * :func:`repro.core.scoring.declare_changes` is prefix-stable: scanning
   a prefix finds exactly the full-scan declarations visible in it, so
-  deciding the armed candidates as their scores appear — the same rule,
-  read off the same gating table (:meth:`IncrementalDetector.scan`) —
-  yields the same first reportable declaration (same ``index``,
+  deciding the positions as they become decidable — the same rule in
+  the same order, *table, kernel, scan* (:func:`score_pass`) — yields
+  the same first reportable declaration (same ``index``,
   ``start_index`` and ``direction``) the offline engine attributes.
 
-The declared change's ``score`` and ``kind`` fields are the exception:
-offline computes them with samples *after* the declaration bin (the
-zero-filled score tail and the classifier's forward context), which a
-live detector by definition does not have yet.  Both are reported from
-the data available at declaration time and are excluded from the
-live-vs-offline parity contract (see ``docs/live.md``).
+A pass tables the positions from each detector's scan cursor on, asks
+the kernel only for those whose persistence window confirms (and for
+the stretch of one that declares, whose peak the declaration's ``score``
+reports), and moves the cursor past every position it decided.  No
+score outlives the pass that computed it.
 
-``score_chunk_bins`` batches scoring calls: with chunk ``c`` the
-detector scores once every ``c`` bins, amortising the fixed per-call
-cost.  Declarations are still found at the same indices — at most
-``c - 1`` bins later in arrival time — and :meth:`flush` (called at the
-change deadline) scores any remainder, so no declaration is ever lost
-to chunking.
+The declared change's ``score`` and ``kind`` are the exception to the
+parity: offline computes them with samples *after* the declaration bin
+(the score tail, the classifier's forward context), which a live
+detector does not have yet.  Both are reported from the data available
+at declaration time and are excluded from the live-vs-offline parity
+contract (see ``docs/live.md``).
 
-Storage is three private growable arrays (raw values, normalised
-values, scores) that double when full; :meth:`state_dict` carries only
-the live prefix, so a checkpoint does not depend on how they are held.
-The scoring mode (``deferred_scoring``) belongs to the constructor and
-is not part of the snapshot either.
+``score_chunk_bins`` batches passes: with chunk ``c`` a detector takes
+part once every ``c`` bins, amortising the fixed per-pass cost.
+Declarations are still found at the same indices — at most ``c - 1``
+bins later in arrival time — and :meth:`IncrementalDetector.flush` (the
+change deadline) decides any remainder, so chunking loses none.
+
+Storage is two private growable arrays (raw and normalised values) that
+double when full; a checkpoint carries only the live prefix, and neither
+how they are held nor the scoring mode (``deferred_scoring``, the
+constructor's) is part of it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,11 +52,12 @@ from ..core.funnel import FunnelConfig
 from ..core.ika import IkaSST
 from ..core.robust import MAD_TO_SIGMA, median_and_mad
 from ..core.scoring import (_confirmed_directions, _declared_change,
+                            _score_and_scan, candidate_mask,
                             confirm_candidate)
 from ..exceptions import CheckpointError
 from ..types import DetectedChange
 
-__all__ = ["IncrementalDetector", "armed_candidates"]
+__all__ = ["IncrementalDetector"]
 
 
 class IncrementalDetector:
@@ -71,26 +77,26 @@ class IncrementalDetector:
         self.change_index = change_index
         self.score_chunk_bins = max(1, score_chunk_bins)
         #: When True (every live-service tracker), :meth:`extend` only
-        #: buffers — a :class:`~repro.live.pool.DetectorPool` scores the
-        #: pending segment in a stacked batch via :meth:`pending_bounds`
-        #: / :meth:`apply_scores` and gates it from the pass's one table
-        #: via :func:`armed_candidates` / :meth:`scan`, deadline flush
-        #: included.  False is the standalone mode: :meth:`extend` and
-        #: :meth:`flush` score at once, which is also the oracle the
-        #: pooled path is tested against.
+        #: buffers — a :class:`~repro.live.pool.DetectorPool` runs one
+        #: :func:`score_pass` over every detector :meth:`pending_bounds`
+        #: names, deadline flush included.  False is the standalone
+        #: mode: :meth:`extend` and :meth:`flush` run that very pass on
+        #: this detector alone.
         self.deferred = bool(deferred_scoring)
         #: Samples each score consumes on either side of its position.
         self.span = self.config.sst.lead
         #: The wall-clock lag declare_changes charges the score with.
         self.lookahead = self.config.sst.lookahead - 1
+        #: Bins from a declaring position to its declaration index.
+        self.horizon = max(self.config.policy.persistence - 1, self.lookahead)
         self._values = np.empty(128, dtype=np.float64)
         self._norm = np.empty(128, dtype=np.float64)
-        #: Zero wherever no score was computed yet (see :meth:`_grow`).
-        self._scores = np.zeros(128, dtype=np.float64)
         self._n = 0
         self._stats: Optional[tuple] = None
         self._denominator = 0.0
+        #: One past the last position a pass could score (chunk gate).
         self._next_score_t = self.span
+        #: The scan cursor: every position before it is decided.
         self._scan_t = 0
         self.declared: Optional[DetectedChange] = None
 
@@ -104,20 +110,13 @@ class IncrementalDetector:
         """The raw samples received so far (view; do not mutate)."""
         return self._values[:self._n]
 
-    @property
-    def scores(self) -> np.ndarray:
-        """Scores computed so far (zeros where not yet computable)."""
-        return self._scores[:self._n]
-
     def _grow(self, needed: int) -> None:
-        """Make room for ``needed`` bins, at least doubling; new score
-        columns are zero-filled, which ``scores`` and the scan rely on."""
+        """Make room for ``needed`` bins, at least doubling."""
         if needed <= self._values.size:
             return
-        extra = np.zeros(max(self._values.size, needed - self._values.size))
+        extra = np.empty(max(self._values.size, needed - self._values.size))
         self._values = np.concatenate([self._values, extra])
         self._norm = np.concatenate([self._norm, extra])
-        self._scores = np.concatenate([self._scores, extra])
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -134,19 +133,13 @@ class IncrementalDetector:
             "n": n,
             "values": self._values[:n].tolist(),
             "norm": self._norm[:n].tolist(),
-            "scores": self._scores[:n].tolist(),
             "stats": (list(self._stats) if self._stats is not None
                       else None),
             "denominator": self._denominator,
             "next_score_t": self._next_score_t,
             "scan_t": self._scan_t,
-            "declared": (None if self.declared is None else {
-                "index": self.declared.index,
-                "start_index": self.declared.start_index,
-                "score": self.declared.score,
-                "kind": self.declared.kind,
-                "direction": self.declared.direction,
-            }),
+            "declared": (None if self.declared is None
+                         else dataclasses.asdict(self.declared)),
         }
 
     def load_state(self, state: dict) -> None:
@@ -154,19 +147,20 @@ class IncrementalDetector:
 
         The snapshot comes from a file: each array must hold exactly
         ``n`` bins, or :class:`~repro.exceptions.CheckpointError` names
-        the field that does not.
+        the field that does not.  Files written before scores stopped
+        being stored carry a ``"scores"`` list, which is ignored: their
+        scan cursor trails the positions they had decided, so the first
+        pass after the resume re-decides those, to the same effect.
         """
         n = int(state["n"])
         self._grow(n)
-        for field, column in (("values", self._values), ("norm", self._norm),
-                              ("scores", self._scores)):
+        for field, column in (("values", self._values), ("norm", self._norm)):
             loaded = np.asarray(state[field], dtype=np.float64)
             if loaded.shape != (n,):
                 raise CheckpointError(
                     "detector state field %r has shape %s, expected %d bins"
                     % (field, loaded.shape, n))
             column[:n] = loaded
-        self._scores[n:] = 0.0
         self._n = n
         stats = state["stats"]
         self._stats = None if stats is None else tuple(stats)
@@ -200,41 +194,28 @@ class IncrementalDetector:
             med = self._stats[0]
             self._norm[old_n:self._n] = (
                 self._values[old_n:self._n] - med) / self._denominator
-
-        if self._stats is None or self.deferred:
-            return None
-        self._score(flush=False)
-        return self.scan()
+        return None if self.deferred else self._pass(flush=False)
 
     def flush(self) -> Optional[DetectedChange]:
-        """Score and scan everything computable (deadline close)."""
-        if self._stats is None or self.declared is not None:
+        """Decide everything decidable (deadline close)."""
+        return self._pass(flush=True)
+
+    def _pass(self, flush: bool) -> Optional[DetectedChange]:
+        if self.pending_bounds(flush) is None:
             return None
-        self._score(flush=True)
-        return self.scan()
+        score_pass([self])
+        return self.declared
 
-    # -- scoring --------------------------------------------------------------
-
-    def _score(self, flush: bool) -> None:
-        t_hi = self._n - self.span
-        t_lo = self._next_score_t
-        if t_hi < t_lo:
-            return
-        if not flush and t_hi - t_lo + 1 < self.score_chunk_bins:
-            return
-        segment = self._norm[t_lo - self.span:t_hi + self.span]
-        self.apply_scores(self.scorer.scores(segment), t_lo, t_hi)
-
-    # -- pooled scoring --------------------------------------------------------
+    # -- the scoring pass ------------------------------------------------------
 
     def pending_bounds(self, flush: bool = False) -> Optional[tuple]:
-        """The ``(t_lo, t_hi)`` score range a pooled pass would fill.
+        """The ``(t_lo, t_hi)`` score range a pass would newly cover,
+        ``None`` when the detector sits this pass out.
 
-        Exactly the gating of ``_score`` — same chunk threshold, waived
-        by ``flush`` — so a pooled detector scores the same ranges on
-        the same ticks a standalone one would, just in a shared batch.
-        Like :meth:`flush`, a flushing pass scans even with nothing left
-        to score: the range is then empty (``t_hi < t_lo``), not ``None``.
+        A detector takes part once ``score_chunk_bins`` new positions
+        are scoreable — ``flush`` waives the threshold, and a flushing
+        pass scans even with nothing new to cover: the range is then
+        empty (``t_hi < t_lo``), not ``None``.
         """
         if self._stats is None or self.declared is not None:
             return None
@@ -245,97 +226,97 @@ class IncrementalDetector:
             return None
         return t_lo, t_hi
 
-    def apply_scores(self, segment_scores: np.ndarray, t_lo: int,
-                     t_hi: int) -> None:
-        """Write back the scores of ``_norm[t_lo - span:t_hi + span]``
-        (one pooled pass over :meth:`pending_bounds`, or ``_score``)."""
-        self._scores[t_lo:t_hi + 1] = \
-            segment_scores[self.span:self.span + (t_hi - t_lo + 1)]
-        self._next_score_t = t_hi + 1
-
-    # -- declaration scan ------------------------------------------------------
-
-    def scan(self, armed: Optional[np.ndarray] = None, n_decidable: int = 0,
-             directions: Optional[List[int]] = None
-             ) -> Optional[DetectedChange]:
-        """Decide the armed candidates, oldest first.
-
-        The pool passes this detector's row of :func:`armed_candidates`
-        and of the pass's gating table (``directions[j]`` for
-        ``armed[j]``); called bare, the detector makes the one-row cut
-        and table itself.  Without ``directions`` (the table refuses
-        non-finite samples) ``confirm_candidate`` decides each candidate.
+    def scan(self) -> np.ndarray:
+        """The positions this pass decides: from the scan cursor to the
+        last one whose persistence window and declaration index fit the
+        bins received.  Moves the cursor (and the chunk gate) past them.
         """
-        policy = self.config.policy
-        x = self._norm[:self._n]
-        s = self._scores[:self._n]
-        if armed is None:
-            hits = armed_candidates([self]) if self.declared is None else ()
-            if not hits:
-                return None
-            _, armed, n_decidable = hits[0]
-            if n_decidable:
-                directions = _confirmed_directions(
-                    [x], [armed[:n_decidable]], policy)[0]
-        for j, candidate in enumerate(armed.tolist()):
-            if candidate < self._scan_t:
-                continue  # skipped by an earlier confirmed window
-            if j >= n_decidable:
-                # Not decidable yet — retry from here on the next push.
-                self._scan_t = candidate
-                return None
-            if directions is None:
-                declared = confirm_candidate(
-                    x, s, candidate, policy, lookahead=self.lookahead)
-            elif directions[j]:
-                declared = _declared_change(
-                    x, s, candidate, directions[j], policy, self.lookahead)
-            else:
-                declared = None
-            if declared is None:
-                self._scan_t = candidate + 1
-                continue
-            self._scan_t = declared.index + 1
-            if declared.start_index >= self.change_index - 1:
-                self.declared = declared
-                return declared
+        self._next_score_t = max(self._next_score_t, self._n - self.span + 1)
+        positions = np.arange(max(self._scan_t, self.span),
+                              self._n - self.horizon)
+        if positions.size:
+            self._scan_t = int(positions[-1]) + 1
+        return positions
+
+    def apply_scores(self, scores: np.ndarray, chain: Sequence[int],
+                     directions: Optional[np.ndarray] = None
+                     ) -> Optional[DetectedChange]:
+        """Declare from this pass's score row (indexed like the series;
+        it is gone after the pass): ``chain`` holds the positions that
+        declare, oldest first, ``directions[t]`` their sign.  The first
+        reportable change is the one kept.
+
+        Without ``directions`` — the table refuses a row with non-finite
+        samples — ``chain`` is every armed position and
+        :func:`confirm_candidate`, the rule as written, decides each.
+        """
+        x, policy, resume = self._norm[:self._n], self.config.policy, 0
+        for t in chain:
+            if t < resume:
+                continue                 # inside an earlier stretch
+            declared = (
+                confirm_candidate(x, scores, t, policy, self.lookahead)
+                if directions is None else _declared_change(
+                    x, scores, t, int(directions[t]), policy, self.lookahead))
+            if declared is not None:
+                resume = declared.index + 1
+                self._scan_t = max(self._scan_t, resume)
+                if declared.start_index >= self.change_index - 1:
+                    self.declared = declared
+                    return declared
         return None
 
 
-def armed_candidates(detectors: Sequence[IncrementalDetector]
-                     ) -> List[Tuple[int, np.ndarray, int]]:
-    """``(position, armed, n_decidable)`` for every detector of the list
-    (undeclared, one shared config) that holds an armed candidate.
+def score_pass(detectors: Sequence[IncrementalDetector]
+               ) -> Tuple[int, List[np.ndarray]]:
+    """One *table, kernel, scan* pass over detectors of one configuration
+    whose :meth:`~IncrementalDetector.pending_bounds` named them.
 
-    ``armed`` are the indices from the scan cursor on whose score
-    exceeds the threshold — one comparison over all the detectors — and
-    the first ``n_decidable`` of them are decidable with the bins
-    received so far.  A candidate is *attemptable* once its score
-    exists, decidable once its persistence window ends (candidate +
-    persistence <= n) and its declaration index fits (candidate +
-    max(persistence-1, lookahead) < n) — monotone, hence a prefix.
+    Builds one gating table over the positions each detector can now
+    decide, makes one kernel call for the positions that confirm — none,
+    on most ticks — and one more for the rest of each declaring stretch,
+    as far as it is scoreable by now, and leaves each declaration in its
+    detector's ``declared``.
+
+    Returns the number of positions decided and the ``where`` mask of
+    each kernel call made (one row per detector in the call).
     """
     first = detectors[0]
-    policy, span = first.config.policy, first.span
-    pad = max(policy.persistence,
-              max(policy.persistence - 1, first.lookahead) + 1)
-    # Scan cursor to one past the last attemptable index, per detector.
-    stretches = [(d._scan_t, max(d._scan_t, min(d._next_score_t,
-                                                d._n - span + 1)))
-                 for d in detectors]
-    hot = np.flatnonzero(np.concatenate(
-        [d._scores[lo:hi] for d, (lo, hi) in zip(detectors, stretches)]
-    ) > policy.score_threshold)
-    if not hot.size:
-        return []
-    ends = np.cumsum([hi - lo for lo, hi in stretches])
-    owner = np.searchsorted(ends, hot, side="right")
-    runs = np.flatnonzero(np.diff(owner, prepend=-1)).tolist() + [hot.size]
-    hits = []
-    for i, position in enumerate(owner[runs[:-1]].tolist()):
-        # Offset in the concatenation -> index in the detector's series.
-        armed = hot[runs[i]:runs[i + 1]] + (
-            stretches[position][1] - int(ends[position]))
-        hits.append((position, armed, int(np.searchsorted(
-            armed, detectors[position]._n - pad, side="right"))))
-    return hits
+    policy, span, scorer = first.config.policy, first.span, first.scorer
+    tabled = [(detector, positions) for detector, positions in
+              ((detector, detector.scan()) for detector in detectors)
+              if positions.size]
+    decided = sum(positions.size for _, positions in tabled)
+    found = _confirmed_directions([d._norm[:d._n] for d, _ in tabled],
+                                  [p for _, p in tabled], policy)
+    rows = []
+    for (detector, positions), directions in zip(tabled, found):
+        if directions is None:       # score all that is left, then ask
+            start, n = int(positions[0]) - span, detector._n
+            scores = np.zeros(n, dtype=np.float64)
+            scores[start:] = scorer.scores(detector._norm[start:n])
+            detector.apply_scores(scores, positions[candidate_mask(
+                scores[positions], policy)].tolist())
+        elif directions.any():
+            rows.append((detector, positions, directions))
+    if not rows:
+        return decided, []
+    lengths = np.array([detector._n for detector, _, _ in rows])
+    stack = np.zeros((len(rows), lengths.max()), dtype=np.float64)
+    signs = np.zeros(stack.shape, dtype=np.intp)
+    for row, (detector, positions, directions) in enumerate(rows):
+        stack[row, :lengths[row]] = detector._norm[:lengths[row]]
+        signs[row, positions] = directions
+    scoreable = np.arange(stack.shape[1]) <= (lengths - span)[:, None]
+    masks: List[np.ndarray] = []
+
+    def ask(mask: np.ndarray) -> np.ndarray:
+        masks.append(mask & scoreable)
+        return scorer.scores_batch(stack, lengths, where=masks[-1])
+
+    chains, scores = _score_and_scan(signs != 0, ask, policy, first.horizon)
+    for (detector, _, _), chain, row, sign in zip(rows, chains, scores, signs):
+        if chain:
+            detector.apply_scores(row, chain, sign)
+    # A stretch that ends in the future selects nothing: not a kernel call.
+    return decided, [mask for mask in masks if mask.any()]

@@ -346,3 +346,97 @@ class TestValidation:
             ika.scores_batch(np.zeros((2, 10)))
         with pytest.raises(InsufficientDataError):
             ika.scores(np.zeros(10))
+
+
+class TestWhereMask:
+    """``scores_batch(where=m)`` hands the kernel only the window pairs
+    ``m`` selects: bitwise the full call there, ``0.0`` everywhere else,
+    and every validation of the unmasked call kept."""
+
+    LENGTHS = (240, 70, 151, 34, 240, 99)
+
+    @classmethod
+    def _ragged(cls):
+        stack = _stack(31, len(cls.LENGTHS), 240)
+        for row, length in enumerate(cls.LENGTHS):
+            stack[row, length:] = 0.0
+        return stack
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Windows per ``_raw_block`` call (one ``eigh`` each)."""
+        blocks = []
+        original = IkaSST._raw_block
+
+        def counted(self, fut, past):
+            blocks.append(fut.shape[0])
+            return original(self, fut, past)
+
+        monkeypatch.setattr(IkaSST, "_raw_block", counted)
+        return blocks
+
+    @pytest.mark.parametrize("density", [0.5, 0.03])
+    def test_masked_call_is_the_full_call_where_set(self, density,
+                                                    monkeypatch):
+        ika, stack = IkaSST(), self._ragged()
+        full = ika.scores_batch(stack, lengths=self.LENGTHS)
+        mask = np.random.default_rng(5).random(stack.shape) < density
+        blocks = self._counted(monkeypatch)
+        masked = ika.scores_batch(stack, lengths=self.LENGTHS, where=mask)
+        np.testing.assert_array_equal(masked, np.where(mask, full, 0.0))
+        # The mask reaches past every row's scoreable range; only the
+        # scoreable positions it sets are window pairs.
+        scoreable = np.zeros(stack.shape, dtype=bool)
+        for row, length in enumerate(self.LENGTHS):
+            scoreable[row, 17:length - 16] = True
+        assert sum(blocks) == int((mask & scoreable).sum())
+        if density == 0.5:                # spans several kernel blocks
+            assert sum(blocks) * ika.params.eta > _BLOCK_PAIRS
+            assert len(blocks) == 2
+
+    def test_nan_padded_ragged_form(self):
+        ika, stack = IkaSST(), self._ragged()
+        for row, length in enumerate(self.LENGTHS):
+            stack[row, length:] = np.nan
+        mask = np.random.default_rng(6).random(stack.shape) < 0.2
+        np.testing.assert_array_equal(
+            ika.scores_batch(stack, where=mask),
+            np.where(mask, ika.scores_batch(stack), 0.0))
+
+    def test_single_position(self, monkeypatch):
+        ika, stack = IkaSST(), self._ragged()
+        mask = np.zeros(stack.shape, dtype=bool)
+        mask[2, 120] = True
+        blocks = self._counted(monkeypatch)
+        masked = ika.scores_batch(stack, lengths=self.LENGTHS, where=mask)
+        assert blocks == [1]
+        assert masked[2, 120] == ika.scores(stack[2, :151])[120] > 0.0
+        assert np.count_nonzero(masked) == 1
+
+    @pytest.mark.parametrize("edges_only", [False, True])
+    def test_empty_selection_never_reaches_the_kernel(self, edges_only,
+                                                      monkeypatch):
+        """All ``False``, or ``True`` only where no window pair exists
+        (the ``span`` leading / trailing positions and the padding)."""
+        ika, stack = IkaSST(), self._ragged()
+        mask = np.zeros(stack.shape, dtype=bool)
+        if edges_only:
+            for row, length in enumerate(self.LENGTHS):
+                mask[row, :17] = mask[row, length - 16:] = True
+        blocks = self._counted(monkeypatch)
+        masked = ika.scores_batch(stack, lengths=self.LENGTHS, where=mask)
+        assert blocks == [] and not masked.any()
+        assert masked.shape == stack.shape
+
+    def test_validation_is_kept(self):
+        ika, stack = IkaSST(), self._ragged()
+        for bad in (np.ones(240, dtype=bool), np.ones((6, 239), dtype=bool),
+                    np.ones((5, 240), dtype=bool)):
+            with pytest.raises(ParameterError):
+                ika.scores_batch(stack, lengths=self.LENGTHS, where=bad)
+        nothing = np.zeros(stack.shape, dtype=bool)
+        with pytest.raises(ParameterError):
+            ika.scores_batch(stack, lengths=(240,) * 5, where=nothing)
+        with pytest.raises(InsufficientDataError):
+            ika.scores_batch(np.zeros((2, 33)),
+                             where=np.zeros((2, 33), dtype=bool))

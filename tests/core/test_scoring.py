@@ -254,16 +254,16 @@ class TestGatingTable:
         both = scoring._confirmed_directions([clean, dirty], candidates,
                                              policy)
         assert both[1] is None
-        assert both[0] == scoring._confirmed_directions(
-            [clean], candidates[:1], policy)[0]
+        np.testing.assert_array_equal(both[0], scoring._confirmed_directions(
+            [clean], candidates[:1], policy)[0])
 
     def test_no_candidates(self):
         table = scoring._gating_table([np.zeros(20)], [np.empty(0, np.intp)],
                                       ChangeDeclarationPolicy())
         assert [part.size for part in table] == [0, 0, 0, 1]
-        assert scoring._confirmed_directions(
+        assert [row.tolist() for row in scoring._confirmed_directions(
             [np.zeros(20)], [np.empty(0, np.intp)],
-            ChangeDeclarationPolicy()) == [[]]
+            ChangeDeclarationPolicy())] == [[]]
 
 
 class TestDeclareFromTable:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.funnel import Funnel, FunnelConfig
+from repro.core.ika import IkaSST
 from repro.core.scoring import robust_normalise
 from repro.exceptions import CheckpointError
 from repro.live.detector import IncrementalDetector
@@ -101,18 +102,40 @@ class TestDeclarationParity:
 
 
 class TestScores:
-    def test_scores_bitwise_equal_to_offline(self, rng):
+    def test_scores_bitwise_equal_to_offline(self, rng, monkeypatch):
+        """No score is stored; every one a pass computes — the confirmed
+        positions and the declared stretch, through ``where=`` — is the
+        byte the offline full-array call holds at that position, and
+        nothing else is computed."""
         x = 50.0 + rng.normal(0, 1.0, size=240)
         x[80:] += 7.0
         config = FunnelConfig()
         normalised = robust_normalise(x, baseline=80)
         offline_scores = Funnel(config).scorer.scores(normalised)
-        detector, _ = stream(x, 80, constant_chunks(240, 1), config)
-        live_scores = detector.scores
-        # Everything computable live must equal the offline array; the
-        # offline tail past the last computable position is zero-filled
-        # on both sides.
-        assert np.array_equal(live_scores, offline_scores)
+        asked = []
+        original = IkaSST.scores_batch
+
+        def recorded(self, stacked, lengths=None, where=None):
+            out = original(self, stacked, lengths, where=where)
+            asked.append((int(lengths[0]), where[0], out[0]))
+            return out
+
+        monkeypatch.setattr(IkaSST, "scores_batch", recorded)
+        detector, declared = stream(x, 80, constant_chunks(240, 1), config)
+        assert declared is not None and len(asked) >= 2
+        for n, where, scores in asked:
+            # Offline scored the whole series: the live tail past the
+            # last computable position is zero instead.
+            expected = np.where(np.arange(n) <= n - detector.span,
+                                offline_scores[:n], 0.0)
+            assert np.array_equal(scores, np.where(where, expected, 0.0))
+        scored = sum(int(where.sum()) for _, where, _ in asked)
+        assert scored < 0.25 * len(detector)
+        # The declaration reports the peak of its stretch, as far as it
+        # was scoreable on the declaring call.
+        candidate, n = declared.index - detector.lookahead, asked[-1][0]
+        assert declared.score == \
+            offline_scores[candidate:n - detector.span + 1].max()
 
     @pytest.mark.parametrize("chunk", [4, 9])
     def test_chunking_changes_nothing(self, rng, chunk):
@@ -162,10 +185,9 @@ class TestFlush:
 
 class TestStorage:
     def test_growth_keeps_unscored_zero_and_offline_parity(self, rng):
-        """Across two doublings of the private arrays the score column
-        stays zero wherever nothing was scored (chunk 50 leaves an
-        unscored stretch on both sides of each boundary) and the end
-        state is the offline detector's."""
+        """Across two doublings of the private arrays (chunk 50 leaves
+        an uncovered stretch on both sides of each boundary) the samples
+        survive and the end state is the offline detector's."""
         x = 50.0 + rng.normal(0, 1.0, size=400)
         x[300:] += 7.0
         detector = IncrementalDetector(80, score_chunk_bins=50)
@@ -174,15 +196,12 @@ class TestStorage:
                             (400, 512)):
             result = detector.extend(x[len(detector):n])
             declared = declared or result
-            assert detector._scores.size == capacity
-            assert not detector._scores[detector._next_score_t:].any()
+            assert detector._values.size == detector._norm.size == capacity
             unscored.append(n - detector.span + 1 - detector._next_score_t)
             np.testing.assert_array_equal(detector.series, x[:n])
         assert unscored == [0, 30, 0, 10, 0]
-        offline = Funnel()
-        np.testing.assert_array_equal(
-            detector.scores,
-            offline.scorer.scores(robust_normalise(x, baseline=80)))
+        np.testing.assert_array_equal(detector._norm[:400],
+                                      robust_normalise(x, baseline=80))
         first = offline_first_declaration(x, 80)
         assert first is not None
         assert (declared.index, declared.start_index, declared.direction) == \
@@ -193,7 +212,7 @@ class TestStorage:
         ("norm", [0.0], "(1,)"),
         # a truncated file used to raise a bare ValueError
         ("values", [1.0] * 89, "(89,)"),
-        ("scores", [[0.0] * 90], "(1, 90)"),
+        ("norm", [[0.0] * 90], "(1, 90)"),
     ], ids=["one-element", "truncated", "nested"])
     def test_load_state_rejects_arrays_that_disagree_with_n(
             self, rng, field, values, shape):
@@ -205,3 +224,20 @@ class TestStorage:
             IncrementalDetector(60).load_state(state)
         assert repr(field) in str(raised.value)
         assert shape in str(raised.value)
+
+    @pytest.mark.parametrize("scores", [[0.0] * 90, [0.0], [[1.0]], None])
+    def test_load_state_ignores_stored_scores(self, rng, scores):
+        """Scores left the wire format: a file written when they were
+        stored loads whatever its ``scores`` list holds, and the
+        restored detector continues like the donor."""
+        x = 10.0 + rng.normal(0, 0.5, size=150)
+        x[100:] += 5.0
+        donor = IncrementalDetector(100)
+        donor.extend(x[:110])
+        state = donor.state_dict()
+        assert "scores" not in state
+        state["scores"] = scores
+        restored = IncrementalDetector(100)
+        restored.load_state(state)
+        assert restored.extend(x[110:]) == donor.extend(x[110:]) is not None
+        assert restored.state_dict() == donor.state_dict()

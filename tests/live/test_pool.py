@@ -10,7 +10,8 @@ from repro.core.scoring import declare_changes
 from repro.exceptions import ParameterError
 from repro.live import DetectorPool, IncrementalDetector
 from repro.live.pool import (GATED_CANDIDATES_METRIC, GATING_TABLES_METRIC,
-                             POOLED_BATCHES_METRIC, POOLED_SERIES_METRIC)
+                             POOLED_BATCHES_METRIC, POOLED_SERIES_METRIC,
+                             SCORED_WINDOWS_METRIC)
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -37,10 +38,25 @@ def _counter(registry, name):
                registry.snapshot()["counters"][name]["values"])
 
 
+def _kernel_calls(monkeypatch):
+    """``(stack shape, lengths, windows asked for)`` per kernel call."""
+    calls = []
+    original = IkaSST.scores_batch
+
+    def counted(self, stacked, lengths=None, where=None):
+        calls.append((np.shape(stacked), tuple(lengths), int(where.sum())))
+        return original(self, stacked, lengths, where=where)
+
+    monkeypatch.setattr(IkaSST, "scores_batch", counted)
+    return calls
+
+
 class TestOneTablePerPass:
-    """The pass gates every detector it scored from one table; what it
-    declares, and in which order, is pinned against standalone
-    (immediately scoring) detectors fed the same bins."""
+    """The pass decides every pending detector from one table; what it
+    declares, in which order, and where it leaves each detector is
+    pinned against standalone detectors — the same pass, one detector at
+    a time — fed the same bins.  (That the pass itself is right is the
+    eager reference's business: ``test_lazy_eager.py``.)"""
 
     #: (change_index, admitted at pass, backfilled bins, series)
     SPECS = [
@@ -83,36 +99,37 @@ class TestOneTablePerPass:
             if declared:
                 passes.append((tick, [live[j] for j, _ in declared]))
             for i in live:
-                if solo[i].declared is None:   # both still scoring
-                    assert pooled[i]._scan_t == solo[i]._scan_t
-                    np.testing.assert_array_equal(pooled[i].scores,
-                                                  solo[i].scores)
+                assert pooled[i].state_dict() == solo[i].state_dict()
         # Group by group (the 150-bin stack first: detector 0 opened
         # it), input order inside a group; the staggered ones follow.
         assert passes == [(0, [0, 2, 1, 3]), (7, [5]), (15, [4])]
         assert solo[6].declared is None
         # Detector 4 confirmed its pre-existing shift first.
-        first = declare_changes(pooled[4]._norm[:len(pooled[4])],
-                                pooled[4].scores, lookahead=16)[0]
+        norm = pooled[4]._norm[:len(pooled[4])]
+        first = declare_changes(norm, IkaSST().scores(norm), lookahead=16)[0]
         assert first.start_index < 119 <= pooled[4].declared.start_index
 
-    def test_one_table_covers_every_width_group(self):
+    def test_one_table_covers_every_width_group(self, monkeypatch):
+        calls = _kernel_calls(monkeypatch)
         registry = MetricsRegistry()
         pool = DetectorPool(registry)
-        detectors, candidates = [], 0
+        detectors, positions = [], 0
         for change_index, _, backfill, x in self.SPECS[:5]:
             detector = IncrementalDetector(change_index,
                                            deferred_scoring=True)
             detector.extend(x[:backfill])
             detectors.append(detector)
-            solo = IncrementalDetector(change_index)
-            solo.extend(x[:backfill])
-            # Decidable: the declaration index (candidate + 16) exists.
-            candidates += int((solo.scores[:backfill - 16] > 0.3).sum())
-        pool.score_pending(detectors)
-        assert _counter(registry, POOLED_BATCHES_METRIC) == 1
+            # Decidable: scoreable (from bin 17) and the declaration
+            # index (position + 16) exists.
+            positions += backfill - 16 - 17
+        assert len(pool.score_pending(detectors)) == 4
         assert _counter(registry, GATING_TABLES_METRIC) == 1
-        assert _counter(registry, GATED_CANDIDATES_METRIC) == candidates
+        assert _counter(registry, GATED_CANDIDATES_METRIC) == positions
+        # Two kernel calls: what confirms, then the declared stretches.
+        assert _counter(registry, POOLED_BATCHES_METRIC) == len(calls) == 2
+        windows = sum(asked for _, _, asked in calls)
+        assert _counter(registry, SCORED_WINDOWS_METRIC) == windows
+        assert 0 < windows < positions / 2
 
     def test_nan_carrying_row_is_left_out_of_the_table(self):
         """A checkpoint whose normalised prefix carries a NaN: the
@@ -136,6 +153,17 @@ class TestOneTablePerPass:
         clean.extend(_series(9, 140, [(80, 5.0)])[:100])
         with pytest.raises(ParameterError):
             DetectorPool().score_pending([clean, dirty])
+        # While nothing arms on it, the refused row rides along quietly
+        # and the rows beside it declare as they would without it.
+        quiet = IncrementalDetector(80, deferred_scoring=True)
+        state = dict(donor.state_dict(), norm=[float("nan")] + [0.0] * 89)
+        quiet.load_state(state)
+        quiet.extend(np.full(10, donor._stats[0]))       # normalises to 0.0
+        clean = IncrementalDetector(80, deferred_scoring=True)
+        clean.extend(_series(9, 140, [(80, 5.0)])[:100])
+        assert [i for i, _ in DetectorPool().score_pending(
+            [quiet, clean])] == [1]
+        assert quiet.declared is None and quiet._scan_t == 100 - 16
 
 
 class TestDetectorPool:
@@ -147,38 +175,35 @@ class TestDetectorPool:
         for detector, x in pooled:
             solo = IncrementalDetector(detector.change_index)
             solo.extend(x)
-            np.testing.assert_array_equal(detector.scores, solo.scores)
-            assert detector.declared == solo.declared
-        declared_indices = {index for index, _ in declared}
-        for i, (detector, _) in enumerate(pooled):
-            assert (i in declared_indices) == \
-                (detector.declared is not None)
+            assert detector.state_dict() == solo.state_dict()
+        assert {i: declaration for i, declaration in declared} == \
+            {i: detector.declared for i, (detector, _) in enumerate(pooled)
+             if detector.declared is not None}
+        assert len(declared) == 2
 
-    def test_mixed_lengths_score_in_one_call(self):
+    def test_mixed_lengths_score_in_one_call(self, monkeypatch):
         short, x_short = _detector(1, n=110, step=5.0)
         long, x_long = _detector(2, n=160, step=5.0)
+        calls = _kernel_calls(monkeypatch)
         registry = MetricsRegistry()
         pool = DetectorPool(registry)
-        pool.score_pending([short, long])
+        assert len(pool.score_pending([short, long])) == 2
+        # A clean step confirms at every position of its stretch: the
+        # one call is all, there is nothing left to fill.
+        assert [(shape, lengths) for shape, lengths, _ in calls] == \
+            [((2, 160), (110, 160))]
         assert _counter(registry, POOLED_BATCHES_METRIC) == 1
         assert _counter(registry, POOLED_SERIES_METRIC) == 2
         for detector, x in ((short, x_short), (long, x_long)):
             solo = IncrementalDetector(detector.change_index)
             solo.extend(x)
-            np.testing.assert_array_equal(detector.scores, solo.scores)
+            assert detector.state_dict() == solo.state_dict()
 
     def test_two_sessions_three_widths_are_one_kernel_call(self, monkeypatch):
-        """Two sessions whose trackers wait with three segment widths:
-        the pass stacks them zero-padded into ONE ``scores_batch`` call,
-        and every detector ends where its standalone twin does."""
-        calls = []
-        original = IkaSST.scores_batch
-
-        def counted(self, stacked, lengths=None):
-            calls.append((np.shape(stacked), tuple(lengths)))
-            return original(self, stacked, lengths=lengths)
-
-        monkeypatch.setattr(IkaSST, "scores_batch", counted)
+        """Two sessions whose trackers wait with three prefix lengths:
+        the pass stacks whatever of them confirms, zero-padded, into ONE
+        ``scores_batch`` call, and every detector ends where its
+        standalone twin does."""
         #: (session, bins fed before the pass, step)
         specs = [(0, 150, 5.0), (1, 110, 0.0), (0, 130, -4.0),
                  (1, 150, 6.0), (0, 110, 5.0), (1, 130, 0.0)]
@@ -192,29 +217,27 @@ class TestDetectorPool:
             pooled.append((detector, x, n))
             twins.append(twin)
         pool = DetectorPool()
-        del calls[:]                      # the twins scored on their own
+        calls = _kernel_calls(monkeypatch)   # the twins scored on their own
         declared = pool.score_pending([d for d, _, _ in pooled])
-        assert calls == [((6, 150), (150, 110, 130, 150, 110, 130))]
-        assert pool.batches == 1 and pool.series == 6
+        # The quiet rows confirm nowhere and are not in the stack.
+        assert [(shape, lengths) for shape, lengths, _ in calls] == \
+            [((4, 150), (150, 130, 150, 110))]
+        assert pool.batches == 1 and pool.series == 4
         assert dict(declared) == {i: twin.declared
                                   for i, twin in enumerate(twins)
                                   if twin.declared is not None}
-        assert declared                   # the stepped ones did declare
         # Width groups in order of first appearance (150, 110, 130).
-        assert [i for i, _ in declared] == \
-            [i for i in (0, 3, 1, 4, 2, 5) if twins[i].declared is not None]
-        # ... and the next tick's one-bin segments are again one call.
+        assert [i for i, _ in declared] == [0, 3, 4, 2]
+        # ... and the next tick decides one position a detector from the
+        # table alone: nothing confirms, the kernel is not called.
         for (detector, x, n), twin in zip(pooled, twins):
             detector.extend(x[n:n + 1])
             twin.extend(x[n:n + 1])
         del calls[:]
-        pool.score_pending([d for d, _, _ in pooled])
-        assert len(calls) == 1 and set(calls[0][1]) == {34}
+        assert pool.score_pending([d for d, _, _ in pooled]) == []
+        assert calls == []
         for (detector, _, _), twin in zip(pooled, twins):
-            assert detector.declared == twin.declared
-            if twin.declared is None:
-                assert detector._scan_t == twin._scan_t
-                np.testing.assert_array_equal(detector.scores, twin.scores)
+            assert detector.state_dict() == twin.state_dict()
 
     @pytest.mark.parametrize("remainder", range(5))
     def test_flush_pass_equals_per_detector_flush(self, remainder):
@@ -246,6 +269,7 @@ class TestDetectorPool:
         assert left == {remainder}
         batches = pool.batches
         declared = pool.score_pending(pooled, flush=True)
+        # Only the remainder's positions can confirm anything new.
         assert pool.batches == batches + (1 if remainder else 0)
         expected = {}
         for i, twin in enumerate(twins):
@@ -277,8 +301,8 @@ class TestDetectorPool:
         for detector in pooled:
             solo = IncrementalDetector(80, detector.config)
             solo.extend(x)
-            np.testing.assert_array_equal(detector.scores, solo.scores)
-            assert detector.declared == solo.declared
+            assert detector.state_dict() == solo.state_dict()
+            assert detector.declared == solo.declared is not None
 
     def test_nothing_pending_is_a_noop(self):
         detector, _ = _detector(3)

@@ -234,11 +234,13 @@ class TestLiveReplay:
         paths = [tuple(p["path"]) for p in report["paths"]]
         assert ("live_replay",) in paths
         assert ("live_replay", "live_change") in paths
-        # One gating table per pool pass, many candidates per table.
+        # One gating table per pool pass, many positions per table —
+        # and the kernel called on few passes, for few of the positions.
         batching = report["batching"]
-        assert 0 < batching["pooled_gating_tables"] <= \
-            batching["pooled_scoring_batches"]
+        assert 0 < batching["pooled_scoring_batches"] <= \
+            batching["pooled_gating_tables"]
         assert batching["pooled_gating_candidates_per_table"] > 1.0
+        assert 0 < batching["pooled_windows_per_position"] < 1.0
 
     def test_overload_surfaces_shed_counters(self, capsys):
         assert main(_LIVE_ARGS + ["--queue-capacity", "2",

@@ -6,10 +6,11 @@ For one item (software change, entity, KPI) the pipeline:
    against its pre-change baseline;
 2. declares behaviour changes
    (:func:`~repro.core.scoring.declare_changes`): the 7-minute
-   persistence rule is tabled at every position and the improved SST
+   persistence rule is tabled stretch by stretch and the improved SST
    (:class:`~repro.core.ika.IkaSST` — the IKA fast path) scores the
    positions where it confirms — the paper's conjunction, cheap half
-   first;
+   first, stopping at the first change when that is all the caller
+   reads;
 3. if a change is declared at/after the software change, attributes it:
 
    * with a **peer control group** (cservers/cinstances, available when
@@ -37,7 +38,7 @@ from ..types import Assessment, DetectedChange, Verdict, as_float_array
 from .did import DiDEstimator, DiDPanel, DiDResult
 from .ika import IkaSST
 from .rsst import ImprovedSSTParams
-from .scoring import (ChangeDeclarationPolicy, declare_changes,
+from .scoring import (ChangeDeclarationPolicy, _per_row, declare_changes,
                       robust_normalise_batch)
 
 __all__ = ["FunnelConfig", "Funnel"]
@@ -102,8 +103,8 @@ class Funnel:
     # -- detection ------------------------------------------------------------
 
     def detect(self, series: Sequence[float], change_index: int,
-               baseline_stats: Optional[Tuple[float, float]] = None
-               ) -> List[DetectedChange]:
+               baseline_stats: Optional[Tuple[float, float]] = None,
+               first_only: bool = False) -> List[DetectedChange]:
         """Declared behaviour changes starting at/after ``change_index``.
 
         ``baseline_stats`` optionally carries the precomputed
@@ -112,58 +113,54 @@ class Funnel:
         The one-row case of :meth:`detect_batch`.
         """
         return self.detect_batch(as_float_array(series)[None, :],
-                                 [change_index], [baseline_stats])[0]
+                                 [change_index], [baseline_stats],
+                                 first_only)[0]
 
     def detect_batch(
         self, stacked, change_indices: Sequence[int],
         baseline_stats: Optional[
             Sequence[Optional[Tuple[float, float]]]] = None,
+        first_only: bool = False,
     ) -> List[List[DetectedChange]]:
         """:meth:`detect` for a stack of same-length series at once.
 
         One batched normalisation and one
         :func:`~repro.core.scoring.declare_changes` cover every row:
-        its gating table decides persistence at every position of the
-        stack, and :meth:`IkaSST.scores_batch` is asked — through its
-        ``where=`` mask — only for the positions that confirm, so a
-        quiet row costs no kernel time.  Each row's declared changes are
-        what the row alone would give.
+        its gating tables decide persistence stretch by stretch, and
+        :meth:`IkaSST.scores_batch` is asked — through its ``where=``
+        mask — only for the positions that confirm, so a quiet row costs
+        no kernel time, and under ``first_only`` a row that has declared
+        costs nothing more.  Each row's declared changes are what the
+        row alone would give.
 
         Args:
             stacked: ``(n_series, T)`` treated aggregates.
-            change_indices: per-row software-change bin index.
+            change_indices: per-row software-change bin index; changes
+                that started before it are pre-existing, not reported.
             baseline_stats: optional per-row cached ``(median, MAD)``.
+            first_only: return each row's first change only — all a
+                verdict reads — and stop deciding the row there.
         """
         stack = np.ascontiguousarray(
             np.atleast_2d(np.asarray(stacked, dtype=np.float64)))
         n_series, width = stack.shape
-        indices = [int(ci) for ci in change_indices]
-        if len(indices) != n_series:
-            raise ParameterError(
-                "change_indices must have one entry per row (%d), got %d"
-                % (n_series, len(indices)))
-        for ci in indices:
-            if not 0 <= ci < width:
-                raise ParameterError(
-                    "change_index %d outside series of length %d"
-                    % (ci, width))
+        indices = _per_row("change_indices", change_indices, n_series,
+                           0, width - 1)
         normalised = robust_normalise_batch(
-            stack, baselines=[max(ci, 1) for ci in indices],
-            stats=baseline_stats)
+            stack, baselines=np.maximum(indices, 1), stats=baseline_stats)
         lengths = [width] * n_series
+        if n_series:        # too short to score: refused up front, since
+            self.scorer._score_range(width)     # a quiet stack never asks
         # The score at position t consumes samples through t + 2w - 2,
         # so in deployment it is computable that many bins later — the
         # declaration index must reflect that wall-clock reality or the
         # section 4.4 delay comparison would favour FUNNEL unfairly.
-        declared = declare_changes(
+        return declare_changes(
             normalised,
             lambda where: self.scorer.scores_batch(normalised, lengths,
                                                    where=where),
-            self.config.policy, lookahead=self.config.sst.lookahead - 1)
-        # Pre-existing changes are by definition not caused by this
-        # software change; a 1-bin slack absorbs start-estimation jitter.
-        return [[c for c in changes if c.start_index >= ci - 1]
-                for changes, ci in zip(declared, indices)]
+            self.config.policy, first_only, self.config.sst.lookahead - 1,
+            since=indices)
 
     # -- attribution ------------------------------------------------------------
 
@@ -242,7 +239,8 @@ class Funnel:
         treated = np.atleast_2d(np.asarray(treated, dtype=np.float64))
         aggregate = treated.mean(axis=0)
         changes = self.detect(aggregate, change_index,
-                              baseline_stats=baseline_stats)
+                              baseline_stats=baseline_stats,
+                              first_only=first_change_only)
         if not changes:
             return Assessment(verdict=Verdict.NO_CHANGE)
         change = changes[0] if first_change_only else changes[-1]

@@ -12,7 +12,10 @@ The paper's rule is a conjunction — score above threshold *and*
 persistent — and says nothing about the order of evaluation; ours is
 cheap half first (:func:`declare_changes`: *table, kernel, scan*): the
 persistence half never reads a score and costs a seventh of one, so it
-decides which positions the SST kernel is asked to score at all.
+decides which positions the SST kernel is asked to score at all — a
+quiet row costs no kernel time, and a row that has its answer (the
+first reportable change, when that is all the caller reads) costs
+nothing more.
 
 It also provides the robust normalisation that makes gated scores
 comparable across KPIs of wildly different magnitudes, the estimation of
@@ -68,21 +71,25 @@ def robust_normalise(series: Sequence[float], baseline: Optional[int] = None,
             :class:`repro.engine.cache.BaselineStatsCache`) to skip the
             recomputation; must equal what ``median_and_mad`` would
             return on the same prefix.
+
+    The one-row case of :func:`robust_normalise_batch`.
     """
-    x = as_float_array(series)
-    if x.size == 0:
-        raise InsufficientDataError("cannot normalise an empty series")
-    if baseline is None:
-        baseline = x.size
-    if not 1 <= baseline <= x.size:
+    return robust_normalise_batch(as_float_array(series)[None, :], baseline,
+                                  epsilon, [stats])[0]
+
+
+def _per_row(name: str, values, n_rows: int, lo: int, hi: int) -> np.ndarray:
+    """``values`` — one int shared by every row, or one per row — as a
+    per-row array, every entry in ``[lo, hi]``."""
+    rows = np.asarray(values, dtype=np.intp)
+    if rows.ndim == 0:
+        rows = np.full(n_rows, rows)
+    if rows.shape != (n_rows,) or (
+            n_rows and not lo <= rows.min() <= rows.max() <= hi):
         raise ParameterError(
-            "baseline must be in [1, %d], got %d" % (x.size, baseline)
-        )
-    if stats is None:
-        med, scale = median_and_mad(x[:baseline])
-    else:
-        med, scale = float(stats[0]), float(stats[1])
-    return (x - med) / (MAD_TO_SIGMA * scale + epsilon)
+            "%s must be in [%d, %d], one for every row or one per row "
+            "(%d), got %r" % (name, lo, hi, n_rows, rows.tolist()))
+    return rows
 
 
 def robust_normalise_batch(
@@ -93,9 +100,9 @@ def robust_normalise_batch(
 ) -> np.ndarray:
     """:func:`robust_normalise` for a ``(n_series, T)`` stack at once.
 
-    Row ``i`` of the result is bitwise what
-    ``robust_normalise(stacked[i], baselines[i], epsilon, stats[i])``
-    returns: the per-row medians/MADs are the same exact order
+    Row ``i`` of the result is bitwise what the row alone gives, and
+    what ``median_and_mad(stacked[i, :baselines[i]])`` would centre and
+    scale it to: the per-row medians/MADs are the same exact order
     statistics of the same prefix samples (:func:`_prefix_median_mad`)
     and the centre/scale transform broadcasts elementwise.
 
@@ -114,21 +121,8 @@ def robust_normalise_batch(
     n_series, width = x.shape
     if width == 0:
         raise InsufficientDataError("cannot normalise empty series")
-    if baselines is None:
-        row_baselines = np.full(n_series, width, dtype=np.intp)
-    else:
-        row_baselines = np.asarray(baselines, dtype=np.intp)
-        if row_baselines.ndim == 0:
-            row_baselines = np.full(n_series, int(row_baselines),
-                                    dtype=np.intp)
-        elif row_baselines.shape != (n_series,):
-            raise ParameterError(
-                "baselines must be a scalar or one entry per row (%d), "
-                "got shape %r" % (n_series, row_baselines.shape))
-    if n_series and (row_baselines.min() < 1 or row_baselines.max() > width):
-        raise ParameterError(
-            "baselines must be in [1, %d], got %r"
-            % (width, row_baselines.tolist()))
+    row_baselines = _per_row("baselines", width if baselines is None
+                             else baselines, n_series, 1, width)
 
     meds = np.empty(n_series, dtype=np.float64)
     scales = np.empty(n_series, dtype=np.float64)
@@ -304,8 +298,7 @@ def _prefix_median_mad(stack: np.ndarray, rows: np.ndarray,
     return meds, scales
 
 
-def _gating_table(series: Sequence[np.ndarray],
-                  candidates: Sequence[np.ndarray],
+def _gating_table(series, candidates: Sequence[np.ndarray],
                   policy: ChangeDeclarationPolicy) -> Tuple[
                       np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-position confirmation statistics for a ragged stack, in bulk.
@@ -318,7 +311,9 @@ def _gating_table(series: Sequence[np.ndarray],
     row of a stack, every detector of a pool pass; one series is the
     one-row case) with two NaN-padded sorts per block of positions and
     one axis-median, bitwise equal to the per-candidate calls (pinned in
-    ``tests/core/test_scoring.py``).
+    ``tests/core/test_scoring.py``).  A caller that tables the same
+    rows stretch after stretch passes ``series`` as the ``(stack,
+    lengths, finite)`` it would be padded to here, built once.
 
     Returns ``(meds, scales, window_medians, finite)``: the statistics
     aligned with the concatenated candidates — a window median is NaN
@@ -327,11 +322,14 @@ def _gating_table(series: Sequence[np.ndarray],
     finite; the NaN padding cannot encode a series that is not, so its
     statistics are meaningless.
     """
-    lengths = np.array([len(x) for x in series], dtype=np.intp)
-    stack = np.full((lengths.size, int(lengths.max(initial=0))), np.nan)
-    for row, x in enumerate(series):
-        stack[row, :lengths[row]] = x
-    finite = np.isfinite(stack).sum(axis=1) == lengths
+    if isinstance(series, tuple):
+        stack, lengths, finite = series
+    else:
+        lengths = np.array([len(x) for x in series], dtype=np.intp)
+        stack = np.full((lengths.size, int(lengths.max(initial=0))), np.nan)
+        for row, x in enumerate(series):
+            stack[row, :lengths[row]] = x
+        finite = np.isfinite(stack).sum(axis=1) == lengths
     sizes = [c.size for c in candidates]
     meds = np.empty(sum(sizes), dtype=np.float64)
     scales = np.empty(meds.size, dtype=np.float64)
@@ -350,13 +348,18 @@ def _gating_table(series: Sequence[np.ndarray],
 
     fits = flat + policy.persistence <= lengths[rows]
     if fits.any():
+        # The sorted middles again: ``np.median``'s value at a tenth of
+        # its per-call cost, which a round of a few positions would feel.
         cols = flat[fits, None] + np.arange(policy.persistence)
-        window_meds[fits] = np.median(stack[rows[fits, None], cols], axis=1)
+        windows = stack[rows[fits, None], cols]
+        windows.sort(axis=1)
+        lo, hi = (policy.persistence - 1) // 2, policy.persistence // 2
+        window_meds[fits] = (windows[:, lo] if lo == hi else
+                             (windows[:, lo] + windows[:, hi]) / 2.0)
     return meds, scales, window_meds, finite
 
 
-def _confirmed_directions(series: Sequence[np.ndarray],
-                          candidates: Sequence[np.ndarray],
+def _confirmed_directions(series, candidates: Sequence[np.ndarray],
                           policy: ChangeDeclarationPolicy
                           ) -> List[Optional[np.ndarray]]:
     """The persistence rule over one :func:`_gating_table`.
@@ -382,8 +385,7 @@ def _confirmed_directions(series: Sequence[np.ndarray],
 
 
 def _score_and_scan(where: np.ndarray, ask, policy: ChangeDeclarationPolicy,
-                    horizon: int, first_only: bool = False
-                    ) -> Tuple[List[List[int]], np.ndarray]:
+                    horizon: int) -> Tuple[List[List[int]], np.ndarray]:
     """*Kernel, scan* for a stack whose gating table is done.
 
     ``where`` marks the confirmed positions and ``ask(mask)`` returns
@@ -404,8 +406,6 @@ def _score_and_scan(where: np.ndarray, ask, policy: ChangeDeclarationPolicy,
                 chain.append(t)
                 resume = t + horizon + 1
                 stretches[t:resume] = True
-                if first_only:
-                    break
         chains.append(chain)
     fill &= ~where
     if fill.any():
@@ -437,10 +437,17 @@ def _declared_change(x: np.ndarray, scores: np.ndarray, candidate: int,
     )
 
 
+def _reportable(change: DetectedChange, since: int) -> bool:
+    """Could the software change at bin ``since`` have caused ``change``?
+    A change that started before it is by definition pre-existing; a
+    1-bin slack absorbs start-estimation jitter."""
+    return change.start_index >= since - 1
+
+
 def declare_changes(series: Sequence[float], scores,
                     policy: Optional[ChangeDeclarationPolicy] = None,
                     first_only: bool = False,
-                    lookahead: int = 0):
+                    lookahead: int = 0, since=None):
     """Apply the declaration rule: score above threshold *and* persistent.
 
     A position declares a change when its score exceeds the threshold
@@ -454,52 +461,71 @@ def declare_changes(series: Sequence[float], scores,
     simply skipped and scanning resumes.
 
     The conjunction is evaluated cheap half first — *table, kernel,
-    scan*: one gating table decides persistence at every position of the
-    stack (it never reads a score), the scores are asked for only where
-    it confirms, and the scan walks the armed survivors oldest first.
-    The result is what scoring everything and confirming the armed
-    positions one by one (:func:`confirm_candidate`) gives.
+    scan* — in rounds over stretches of positions in time order: a
+    gating table decides persistence over the pending rows' next stretch
+    (it never reads a score), the scores are asked for only where it
+    confirms, and the scan walks the armed survivors oldest first.  A
+    position declares iff it is confirmed, armed and outside every
+    earlier declaration's ``[t, t + horizon]`` — nothing to its right
+    matters — so the rounds give the one-pass chain: what scoring
+    everything and confirming the armed positions one by one
+    (:func:`confirm_candidate`) gives.  A row leaves when it has no
+    positions left or, under ``first_only``, its answer; where the
+    stretches end (without ``first_only``: one, the whole row) is
+    derived in ``docs/algorithms.md`` section 5.
 
     Args:
         series: the (normalised or raw) KPI samples — or a
-            ``(n_series, T)`` stack of them: one gating table covers
-            every row, and a series is just the one-row case.
+            ``(n_series, T)`` stack of them: one gating table a round
+            covers every row, and a series is just the one-row case.
         scores: the per-sample change scores, same shape as ``series``
             — or a callable that computes them on demand: handed a
             boolean mask of the 2-D stack's shape, it returns a finite
             array of that shape holding the score wherever the mask is
             set (:meth:`repro.core.ika.IkaSST.scores_batch` with
-            ``where=``).  It is called for the confirmed positions and,
-            when something declares, for the rest of each stretch.
+            ``where=``).  It is called for a round's confirmed positions
+            — not at all when none confirms — and, when something
+            declares, for the rest of each stretch.
         policy: declaration thresholds; defaults are the paper's.
-        first_only: stop after the first declared change (the online
-            deployment mode — one alert per item is enough).
+        first_only: return only each row's first reportable change (the
+            engine and the online deployment mode — one alert per item
+            is enough) and stop deciding the row there.
         lookahead: extra future samples the *score* at an index consumed
             (``2*omega - 2`` for the SST family).  In deployment the
             score at position ``t`` is only computable once those
             samples have arrived, so the declaration index — and hence
             the detection delay of section 4.4 — must account for them.
+        since: the software change's bin index — one for every row, or
+            one per row.  Only changes starting at/after it (1-bin
+            slack) are reportable and returned; an earlier one still
+            blocks its ``[t, t + horizon]``.  ``None``: every declared
+            change is reportable.
 
     Returns:
-        Declared changes ordered by detection index, each carrying the
+        Reportable changes ordered by detection index, each carrying the
         estimated start index, classification and direction; for a
         stack, one such list per row.
     """
     x = np.asarray(series, dtype=np.float64)
-    shape = x.shape if callable(scores) else np.shape(scores)
+    every = None if callable(scores) else np.asarray(scores, dtype=np.float64)
+    shape = x.shape if every is None else every.shape
     if x.ndim not in (1, 2) or shape != x.shape:
         raise ParameterError(
             "series %r and scores %r must be equal-length series or "
             "equal-shape stacks" % (x.shape, shape))
-    if not np.isfinite(x).all():
+    # Checked here, not in ``ask``: a quiet stack never asks.
+    if not (np.isfinite(x).all()
+            and (every is None or np.isfinite(every).all())):
         raise ParameterError("series or scores contain NaN or infinite values")
     stack = np.atleast_2d(x)
-    if not callable(scores):               # every score already in hand
-        every = np.asarray(scores, dtype=np.float64).reshape(stack.shape)
+    n_rows, width = stack.shape
+    if every is not None:                  # every score already in hand
+        every = every.reshape(stack.shape)
         scores = lambda where: every
     policy = policy or ChangeDeclarationPolicy()
     if lookahead < 0:
         raise ParameterError("lookahead must be >= 0")
+    since = _per_row("since", 0 if since is None else since, n_rows, 0, width)
 
     def ask(where: np.ndarray) -> np.ndarray:
         got = np.asarray(scores(where), dtype=np.float64)
@@ -512,16 +538,44 @@ def declare_changes(series: Sequence[float], scores,
     # A declaration needs its index inside the series: later positions
     # cannot declare whatever their window and score say.
     horizon = max(policy.persistence - 1, lookahead)
-    positions = np.arange(max(0, stack.shape[1] - horizon))
-    directions = _confirmed_directions(stack, [positions] * len(stack),
-                                       policy)
-    where = np.zeros(stack.shape, dtype=bool)
-    for row, found in enumerate(directions):
-        where[row, :positions.size] = found != 0
-    chains, s = _score_and_scan(where, ask, policy, horizon, first_only)
-    out = [[_declared_change(stack[row], s[row], t, int(directions[row][t]),
-                             policy, lookahead) for t in chain]
-           for row, chain in enumerate(chains)]
+    last = max(0, width - horizon)
+    # The padding and its finite check are per call, not per round.
+    padded = (stack, np.full(n_rows, width), np.ones(n_rows, dtype=bool))
+    out: List[List[DetectedChange]] = [[] for _ in range(n_rows)]
+    # Per row, the stretch ``[cursor, end)`` its next round decides: the
+    # cursor is past every position tabled and every declared stretch.
+    cursor = [0] * n_rows
+    ends = (np.clip(since - policy.persistence, 0, last).tolist()
+            if first_only else [last] * n_rows)
+    step = policy.persistence
+    pending = list(range(n_rows)) if last else []
+    while pending:
+        candidates = [np.arange(0)] * n_rows
+        for row in pending:
+            candidates[row] = np.arange(cursor[row], ends[row])
+        found = _confirmed_directions(padded, candidates, policy)
+        where = np.zeros(stack.shape, dtype=bool)
+        for row in pending:
+            where[row, cursor[row]:ends[row]] = found[row] != 0
+        if where.any():
+            chains, got = _score_and_scan(where, ask, policy, horizon)
+            for row in pending:
+                for t in chains[row]:
+                    change = _declared_change(
+                        stack[row], got[row], t,
+                        int(found[row][t - cursor[row]]), policy, lookahead)
+                    if _reportable(change, since[row]):
+                        out[row].append(change)
+                        if first_only:
+                            break
+                if chains[row]:         # decided too: nothing in it declares
+                    ends[row] = max(ends[row], chains[row][-1] + horizon + 1)
+        for row in pending:
+            cursor[row] = ends[row]
+            ends[row] = min(last, cursor[row] + step)
+        step *= 2
+        pending = [row for row in pending if cursor[row] < last
+                   and not (first_only and out[row])]
     return out if x.ndim == 2 else out[0]
 
 

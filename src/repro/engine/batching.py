@@ -145,7 +145,7 @@ def run_detect_batch(batch: DetectBatch) -> List[DetectionRecord]:
                                      max(change_index, 1)))
     started = time.perf_counter()
     declared = funnel.detect_batch(batch.stack, batch.change_indices,
-                                   baseline_stats=stats)
+                                   baseline_stats=stats, first_only=True)
     share = (time.perf_counter() - started) / max(batch.size, 1)
     return [DetectionRecord(position=position, changes=tuple(changes),
                             detect_seconds=share)

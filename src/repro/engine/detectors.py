@@ -31,6 +31,7 @@ from ..baselines.cusum import CusumDetector, CusumParams
 from ..baselines.mrls import MrlsDetector, MrlsParams
 from ..baselines.wow import WeekOverWeekDetector, WowParams
 from ..core.funnel import Funnel, FunnelConfig
+from ..core.scoring import _reportable
 from ..exceptions import EngineError, InsufficientDataError
 from .cache import shared_cache
 from .jobs import AssessmentJob, Detector, DetectorSpec, ItemOutcome, JobResult
@@ -121,7 +122,7 @@ class FunnelEngineDetector:
         stats = _baseline_stats_for(job)
         started = time.perf_counter()
         changes = self.funnel.detect(job.treated_aggregate, job.change_index,
-                                     baseline_stats=stats)
+                                     baseline_stats=stats, first_only=True)
         detect_seconds = time.perf_counter() - started
         if not changes:
             return JobResult(
@@ -159,7 +160,7 @@ class SstOnlyEngineDetector:
         stats = _baseline_stats_for(job)
         started = time.perf_counter()
         changes = self.funnel.detect(job.treated_aggregate, job.change_index,
-                                     baseline_stats=stats)
+                                     baseline_stats=stats, first_only=True)
         detect_seconds = time.perf_counter() - started
         outcome = (ItemOutcome(positive=True,
                                detection_index=changes[0].index)
@@ -190,8 +191,7 @@ class SeriesEngineDetector:
                                             first_only=False)
         except InsufficientDataError:
             changes = []
-        relevant = [c for c in changes
-                    if c.start_index >= job.change_index - 1]
+        relevant = [c for c in changes if _reportable(c, job.change_index)]
         detect_seconds = time.perf_counter() - started
         outcome = (ItemOutcome(positive=True,
                                detection_index=relevant[0].index)

@@ -52,7 +52,7 @@ from ..core.funnel import FunnelConfig
 from ..core.ika import IkaSST
 from ..core.robust import MAD_TO_SIGMA, median_and_mad
 from ..core.scoring import (_confirmed_directions, _declared_change,
-                            _score_and_scan, candidate_mask,
+                            _reportable, _score_and_scan, candidate_mask,
                             confirm_candidate)
 from ..exceptions import CheckpointError
 from ..types import DetectedChange
@@ -64,8 +64,8 @@ class IncrementalDetector:
     """Streaming change detection for one KPI around one software change.
 
     Feed bins with :meth:`extend`; the first reportable declaration
-    (``start_index >= change_index - 1``, mirroring the offline filter)
-    is returned once and stored as :attr:`declared`.
+    (one starting at/after the change — the offline rule's own
+    predicate) is returned once and stored as :attr:`declared`.
     """
 
     def __init__(self, change_index: int,
@@ -261,7 +261,7 @@ class IncrementalDetector:
             if declared is not None:
                 resume = declared.index + 1
                 self._scan_t = max(self._scan_t, resume)
-                if declared.start_index >= self.change_index - 1:
+                if _reportable(declared, self.change_index):
                     self.declared = declared
                     return declared
         return None

@@ -10,7 +10,7 @@ Commands:
 * ``cost``     — measure the Table 2 per-window costs on this machine.
 * ``assess-fleet`` — run the batched assessment engine over a synthetic
   fleet scenario (changes x impact sets x KPIs) and print the report,
-  including per-stage instrumentation and precision/recall against the
+  including per-stage calls and seconds and precision/recall against the
   scenario's ground truth.  With ``--obs-dir <d>`` the run also records
   structured observability artifacts (``events.jsonl`` + ``run.json``).
 * ``live-replay`` — stream the same synthetic fleet scenario through
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -110,16 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser("assess-fleet", help="assess a synthetic fleet "
                            "scenario through the batched engine")
-    fleet.add_argument("--services", type=int, default=6,
-                       help="services in the generated fleet")
-    fleet.add_argument("--servers", type=int, default=48,
-                       help="servers in the generated fleet")
-    fleet.add_argument("--changes", type=int, default=8,
-                       help="software changes to assess")
-    fleet.add_argument("--impact-fraction", type=float, default=0.5,
-                       help="fraction of changes with genuine impact")
-    fleet.add_argument("--history-days", type=int, default=2,
-                       help="days of lead telemetry (historical control)")
+    _add_scenario_options(fleet)
     fleet.add_argument("--detectors", default="funnel",
                        help="comma-separated methods "
                             "(funnel,improved_sst,cusum,mrls,wow)")
@@ -127,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process-pool size (0 = serial)")
     fleet.add_argument("--batch-size", type=int, default=16,
                        help="jobs per executor batch")
-    fleet.add_argument("--seed", type=int, default=7)
     fleet.add_argument("--obs-dir",
                        help="directory to write run artifacts "
                             "(events.jsonl + run.json) into")
@@ -249,20 +240,25 @@ def _chaos_plan_names() -> tuple:
     return PRESET_NAMES
 
 
-def _add_scenario_options(live: argparse.ArgumentParser) -> None:
-    live.add_argument("--services", type=int, default=6)
-    live.add_argument("--servers", type=int, default=48)
-    live.add_argument("--changes", type=int, default=8)
-    live.add_argument("--impact-fraction", type=float, default=0.5)
-    live.add_argument("--history-days", type=int, default=2)
+def _add_scenario_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--services", type=int, default=6,
+                     help="services in the generated fleet")
+    sub.add_argument("--servers", type=int, default=48,
+                     help="servers in the generated fleet")
+    sub.add_argument("--changes", type=int, default=8,
+                     help="software changes to assess")
+    sub.add_argument("--impact-fraction", type=float, default=0.5,
+                     help="fraction of changes with genuine impact")
+    sub.add_argument("--history-days", type=int, default=2,
+                     help="days of lead telemetry (historical control)")
+    sub.add_argument("--seed", type=int, default=7)
+
+
+def _add_live_runtime_options(live: argparse.ArgumentParser) -> None:
     live.add_argument("--window-bins", type=int, default=240,
                       help="bins per change window")
     live.add_argument("--change-offset", type=int, default=80,
                       help="change bin inside its window")
-    live.add_argument("--seed", type=int, default=7)
-
-
-def _add_live_runtime_options(live: argparse.ArgumentParser) -> None:
     live.add_argument("--flush-bins", type=int, default=1,
                       help="bins per streamed fragment")
     live.add_argument("--score-chunk", type=int, default=6,
@@ -311,18 +307,69 @@ def _add_funnel_options(sub: argparse.ArgumentParser) -> None:
                      help="normalised DiD attribution threshold")
 
 
-def _funnel_from(args: argparse.Namespace) -> Funnel:
-    config = FunnelConfig(
-        sst=ImprovedSSTParams(omega=args.omega),
-        did_threshold=args.did_threshold,
+def _funnel_config(args: argparse.Namespace) -> FunnelConfig:
+    return FunnelConfig(sst=ImprovedSSTParams(omega=args.omega),
+                        did_threshold=args.did_threshold)
+
+
+def _scenario_spec(args: argparse.Namespace, **windows: int):
+    """The fleet scenario of the shared flags; the live commands add
+    their ``window_bins`` / ``change_offset``."""
+    from .engine import FleetScenarioSpec
+    return FleetScenarioSpec(
+        n_services=args.services,
+        n_servers=args.servers,
+        n_changes=args.changes,
+        impact_fraction=args.impact_fraction,
+        history_days=args.history_days,
+        seed=args.seed,
+        **windows,
     )
-    return Funnel(config)
+
+
+def _live_setup(args: argparse.Namespace, overrides: Optional[dict] = None):
+    """Scenario spec and parity :class:`LiveConfig` of a live/cluster run."""
+    from .live import parity_live_config
+    spec = _scenario_spec(args, window_bins=args.window_bins,
+                          change_offset=args.change_offset)
+    return spec, parity_live_config(
+        spec, funnel_config=_funnel_config(args),
+        score_chunk_bins=args.score_chunk,
+        queue_capacity=args.queue_capacity,
+        max_fragments_per_tick=args.drain_budget,
+        max_active_changes=args.max_active_changes,
+        **(overrides or {}),
+    )
+
+
+def _fault_plan(args: argparse.Namespace, name: str, offset_bins: int = 0):
+    """A named fault plan and the live-config overrides it needs."""
+    from .faults import DELAY, preset_plan
+    from .telemetry.timeseries import MINUTE
+
+    plan = preset_plan(name, seed=args.fault_seed,
+                       lead_time=args.history_days * 24 * 60 * MINUTE,
+                       bin_seconds=MINUTE, offset_bins=offset_bins)
+    # The close grace must cover the worst injected delivery delay so
+    # late releases still drain before the session settles.
+    grace = max((rule.delay_bins for rule in plan.rules
+                 if rule.kind == DELAY), default=0) * MINUTE
+    return plan, {"repair_from_store": True, "close_grace_seconds": grace}
+
+
+def _summarise_lags(out: dict) -> None:
+    """Fold the raw per-verdict lag lists (for the JSONL/bench consumers)
+    into one mean: the CLI summary keeps the document small."""
+    lags = out.pop("detection_lag_bins")
+    out["mean_detection_lag_bins"] = (
+        round(float(np.mean(lags)), 2) if lags else None)
+    out.pop("emission_lag_seconds")
 
 
 def _cmd_detect(args: argparse.Namespace) -> dict:
     from .io.csvio import read_series
     series = read_series(args.series)
-    funnel = _funnel_from(args)
+    funnel = Funnel(_funnel_config(args))
     changes = funnel.detect(series.values, change_index=args.change_minute)
     return {
         "series_bins": len(series),
@@ -347,7 +394,7 @@ def _cmd_assess(args: argparse.Namespace) -> dict:
         control, _, _, _ = read_matrix(args.control)
     if args.history:
         history, _, _, _ = read_matrix(args.history)
-    funnel = _funnel_from(args)
+    funnel = Funnel(_funnel_config(args))
     result = funnel.assess(treated, args.change_minute, control=control,
                            history=history)
     out = {
@@ -413,59 +460,44 @@ def _cmd_cost(args: argparse.Namespace) -> dict:
     }
 
 
+def _write_fleet_verdicts(fh, jobs, results) -> None:
+    for job, result in zip(jobs, results):
+        fh.write(json.dumps({
+            "change_id": job.change_id,
+            "entity_type": job.entity_type,
+            "entity": job.entity,
+            "metric": job.metric,
+            "detector": result.detector,
+            "verdict": (result.verdict.value if result.verdict is not None
+                        else "no_change"),
+            "declaration_bin": result.outcome.detection_index,
+            "did_estimate": result.did_estimate,
+        }, sort_keys=True) + "\n")
+
+
 def _cmd_assess_fleet(args: argparse.Namespace) -> dict:
-    from .engine import (AssessmentEngine, EngineConfig, FleetScenarioSpec,
-                         SyntheticFleetSource)
+    from .engine import AssessmentEngine, EngineConfig, SyntheticFleetSource
     from .obs import ObsContext, write_run_artifacts
 
-    config = FunnelConfig(
-        sst=ImprovedSSTParams(omega=args.omega),
-        did_threshold=args.did_threshold,
-    )
-    scenario = {
-        "services": args.services,
-        "servers": args.servers,
-        "changes": args.changes,
-        "impact_fraction": args.impact_fraction,
-        "history_days": args.history_days,
-        "workers": args.workers,
-        "batch_size": args.batch_size,
-    }
-    source = SyntheticFleetSource(FleetScenarioSpec(
-        n_services=args.services,
-        n_servers=args.servers,
-        n_changes=args.changes,
-        impact_fraction=args.impact_fraction,
-        history_days=args.history_days,
-        seed=args.seed,
-    ))
+    source = SyntheticFleetSource(_scenario_spec(args))
     obs = ObsContext() if args.obs_dir else None
     engine = AssessmentEngine(
         detectors=tuple(name.strip()
                         for name in args.detectors.split(",") if name.strip()),
         config=EngineConfig(workers=args.workers,
                             batch_size=args.batch_size),
-        funnel_config=config,
+        funnel_config=_funnel_config(args),
         obs=obs,
     )
     if args.verdicts:
-        report, jobs, results = engine.assess_fleet_detailed(source)
+        # Opened before the run: a bad path costs milliseconds, not jobs.
+        os.makedirs(os.path.dirname(args.verdicts) or ".", exist_ok=True)
         with open(args.verdicts, "w", encoding="utf-8") as fh:
-            for job, result in zip(jobs, results):
-                fh.write(json.dumps({
-                    "change_id": job.change_id,
-                    "entity_type": job.entity_type,
-                    "entity": job.entity,
-                    "metric": job.metric,
-                    "detector": result.detector,
-                    "verdict": (result.verdict.value
-                                if result.verdict is not None
-                                else "no_change"),
-                    "declaration_bin": result.outcome.detection_index,
-                    "did_estimate": result.did_estimate,
-                }, sort_keys=True) + "\n")
+            report, jobs, results = engine.assess_fleet_detailed(source)
+            _write_fleet_verdicts(fh, jobs, results)
     else:
         report = engine.assess_fleet(source)
+    detectors = sorted(spec.name for spec in engine.specs)
     out = report.as_dict()
     if args.verdicts:
         out["verdicts_path"] = args.verdicts
@@ -473,18 +505,26 @@ def _cmd_assess_fleet(args: argparse.Namespace) -> dict:
         "services": args.services,
         "servers": args.servers,
         "changes": args.changes,
-        "detectors": sorted(spec.name for spec in engine.specs),
+        "detectors": detectors,
         "workers": args.workers,
     }
     if obs is not None:
         written = write_run_artifacts(
             args.obs_dir, obs,
-            config=dict(scenario,
-                        detectors=sorted(s.name for s in engine.specs),
-                        omega=args.omega,
-                        did_threshold=args.did_threshold),
+            config={
+                "services": args.services,
+                "servers": args.servers,
+                "changes": args.changes,
+                "impact_fraction": args.impact_fraction,
+                "history_days": args.history_days,
+                "workers": args.workers,
+                "batch_size": args.batch_size,
+                "detectors": detectors,
+                "omega": args.omega,
+                "did_threshold": args.did_threshold,
+            },
             seeds={"scenario": args.seed},
-            stages=report.instrumentation.get("stages", {}),
+            stages=report.stages,
         )
         out["obs"] = dict(out.get("obs", {}), **written)
     return out
@@ -493,32 +533,10 @@ def _cmd_assess_fleet(args: argparse.Namespace) -> dict:
 def _run_live_replay(args: argparse.Namespace, command: str,
                      fault_plan=None, check_offline: bool = False,
                      config_overrides: Optional[dict] = None) -> dict:
-    from .engine import FleetScenarioSpec
-    from .live import JsonlVerdictSink, parity_live_config, replay_scenario
+    from .live import JsonlVerdictSink, replay_scenario
     from .obs import ObsContext, write_run_artifacts
 
-    spec = FleetScenarioSpec(
-        n_services=args.services,
-        n_servers=args.servers,
-        n_changes=args.changes,
-        impact_fraction=args.impact_fraction,
-        history_days=args.history_days,
-        window_bins=args.window_bins,
-        change_offset=args.change_offset,
-        seed=args.seed,
-    )
-    funnel_config = FunnelConfig(
-        sst=ImprovedSSTParams(omega=args.omega),
-        did_threshold=args.did_threshold,
-    )
-    live_config = parity_live_config(
-        spec, funnel_config=funnel_config,
-        score_chunk_bins=args.score_chunk,
-        queue_capacity=args.queue_capacity,
-        max_fragments_per_tick=args.drain_budget,
-        max_active_changes=args.max_active_changes,
-        **(config_overrides or {}),
-    )
+    spec, live_config = _live_setup(args, config_overrides)
     obs = ObsContext() if args.obs_dir else None
     sink = JsonlVerdictSink(args.verdicts) if args.verdicts else None
     health = None
@@ -539,12 +557,7 @@ def _run_live_replay(args: argparse.Namespace, command: str,
         if sink is not None:
             sink.close()
     out = report.as_dict()
-    # The raw per-verdict lag lists are for the JSONL/bench consumers;
-    # the CLI summary keeps the document small.
-    lags = out.pop("detection_lag_bins")
-    out["mean_detection_lag_bins"] = (
-        round(float(np.mean(lags)), 2) if lags else None)
-    out.pop("emission_lag_seconds")
+    _summarise_lags(out)
     if args.verdicts:
         out["verdicts_path"] = args.verdicts
     if health is not None:
@@ -579,21 +592,9 @@ def _cmd_live_replay(args: argparse.Namespace) -> dict:
 
 
 def _cmd_chaos_replay(args: argparse.Namespace):
-    from .faults import DELAY, preset_plan
-    from .telemetry.timeseries import MINUTE
-
-    lead_time = args.history_days * 24 * 60 * MINUTE
-    plan = preset_plan(args.plan, seed=args.fault_seed,
-                       lead_time=lead_time, bin_seconds=MINUTE,
-                       offset_bins=args.fault_offset_bins)
-    # The close grace must cover the worst injected delivery delay so
-    # late releases still drain before the session settles.
-    grace = max((rule.delay_bins for rule in plan.rules
-                 if rule.kind == DELAY), default=0) * MINUTE
-    out = _run_live_replay(
-        args, "chaos-replay", fault_plan=plan, check_offline=True,
-        config_overrides={"repair_from_store": True,
-                          "close_grace_seconds": grace})
+    plan, overrides = _fault_plan(args, args.plan, args.fault_offset_bins)
+    out = _run_live_replay(args, "chaos-replay", fault_plan=plan,
+                           check_offline=True, config_overrides=overrides)
     parity = out.get("parity")
     parity_ok = None if parity is None else parity["ok"]
     out["chaos"] = {
@@ -608,44 +609,12 @@ def _cmd_chaos_replay(args: argparse.Namespace):
 
 def _cmd_cluster_replay(args: argparse.Namespace):
     from .cluster import cluster_replay_scenario
-    from .engine import FleetScenarioSpec
-    from .live import ClusterConfig, parity_live_config
+    from .live import ClusterConfig
     from .obs import ObsContext, write_run_artifacts
 
-    spec = FleetScenarioSpec(
-        n_services=args.services,
-        n_servers=args.servers,
-        n_changes=args.changes,
-        impact_fraction=args.impact_fraction,
-        history_days=args.history_days,
-        window_bins=args.window_bins,
-        change_offset=args.change_offset,
-        seed=args.seed,
-    )
-    funnel_config = FunnelConfig(
-        sst=ImprovedSSTParams(omega=args.omega),
-        did_threshold=args.did_threshold,
-    )
-    fault_plan = None
-    overrides = {}
-    if args.fault_plan:
-        from .faults import DELAY, preset_plan
-        from .telemetry.timeseries import MINUTE
-        lead_time = args.history_days * 24 * 60 * MINUTE
-        fault_plan = preset_plan(args.fault_plan, seed=args.fault_seed,
-                                 lead_time=lead_time, bin_seconds=MINUTE)
-        grace = max((rule.delay_bins for rule in fault_plan.rules
-                     if rule.kind == DELAY), default=0) * MINUTE
-        overrides = {"repair_from_store": True,
-                     "close_grace_seconds": grace}
-    live_config = parity_live_config(
-        spec, funnel_config=funnel_config,
-        score_chunk_bins=args.score_chunk,
-        queue_capacity=args.queue_capacity,
-        max_fragments_per_tick=args.drain_budget,
-        max_active_changes=args.max_active_changes,
-        **overrides,
-    )
+    fault_plan, overrides = (_fault_plan(args, args.fault_plan)
+                             if args.fault_plan else (None, None))
+    spec, live_config = _live_setup(args, overrides)
     cluster = ClusterConfig(
         n_shards=args.shards,
         replicas=args.replicas,
@@ -663,10 +632,7 @@ def _cmd_cluster_replay(args: argparse.Namespace):
         hang_shard=args.hang_shard, hang_at_tick=args.at_tick,
         check_offline=args.check_offline)
     out = report.as_dict()
-    lags = out.pop("detection_lag_bins")
-    out["mean_detection_lag_bins"] = (
-        round(float(np.mean(lags)), 2) if lags else None)
-    out.pop("emission_lag_seconds")
+    _summarise_lags(out)
     if obs is not None:
         written = write_run_artifacts(
             args.obs_dir, obs,
@@ -726,142 +692,24 @@ def _cmd_obs_health_report(args: argparse.Namespace):
 
 
 def _cmd_obs_report(args: argparse.Namespace):
-    from .obs import build_profile, folded_stacks, load_run, render_table
+    from .obs import (build_profile, folded_stacks, load_run, render_report,
+                      report_document)
 
     run = load_run(args.obs_dir)
     profile = build_profile(run.spans, top_jobs=args.top)
-    counters = _counter_rows(run.metrics)
-    batching = _batching_summary(run.metrics)
-    ingest_plane = _ingest_plane_summary(run.metrics)
     if args.folded:
         lines = folded_stacks(profile)
         with open(args.folded, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
     if args.json:
-        doc = {
-            "run_id": run.run_id,
-            "span_count": profile.span_count,
-            "paths": [stats.as_dict() for stats in profile.paths],
-            "detectors": profile.detectors,
-            "slowest_jobs": profile.slowest_jobs,
-            "counters": [{"name": name, "labels": labels, "value": value}
-                         for name, labels, value in counters],
-        }
-        if batching:
-            doc["batching"] = batching
-        if ingest_plane:
-            doc["ingest_plane"] = ingest_plane
+        doc = report_document(run, profile)
         if args.folded:
             doc["folded"] = args.folded
         return doc
-    header = "Run %s" % run.run_id
-    rev = run.manifest.get("git_rev")
-    if rev:
-        header += " (git %s)" % str(rev)[:12]
-    text = header + "\n\n" + render_table(profile)
-    if counters:
-        text += "\nCounters\n"
-        for name, labels, value in counters:
-            tag = ("{%s}" % ",".join("%s=%s" % kv
-                                     for kv in sorted(labels.items()))
-                   if labels else "")
-            text += "  %-46s %12g\n" % (name + tag, value)
-    if batching:
-        text += "\nBatching\n"
-        for label, value in sorted(batching.items()):
-            text += "  %-46s %12g\n" % (label, value)
-    if ingest_plane:
-        text += "\nIngest plane\n"
-        for label, value in sorted(ingest_plane.items()):
-            text += "  %-46s %12g\n" % (label, value)
+    text = render_report(run, profile)
     if args.folded:
         text += "\nFolded stacks written to %s\n" % args.folded
     return text
-
-
-def _batching_summary(metrics: dict) -> dict:
-    """Batched-detect and pooled-scoring health, from run counters.
-
-    Fill ratio is jobs scored per slot of planned batch capacity (1.0 =
-    every batch full); the packed dedup ratio is rows referenced per row
-    actually pickled across the pool boundary (1.0 = nothing repeated);
-    gating "candidates" are the positions a pool table decided, and
-    windows per position the share of them the kernel had to score.
-    """
-    from .engine.batching import (BATCHED_BATCHES_METRIC,
-                                  BATCHED_CAPACITY_METRIC,
-                                  BATCHED_JOBS_METRIC, PACKED_ROWS_METRIC,
-                                  PACKED_UNIQUE_ROWS_METRIC)
-    from .live.pool import (GATED_CANDIDATES_METRIC, GATING_TABLES_METRIC,
-                            POOLED_BATCHES_METRIC, POOLED_SERIES_METRIC,
-                            SCORED_WINDOWS_METRIC)
-
-    counters = (metrics or {}).get("counters") or {}
-    totals = {name: sum(entry.get("value", 0)
-                        for entry in doc.get("values") or ())
-              for name, doc in counters.items()}
-    out = {}
-    batches = totals.get(BATCHED_BATCHES_METRIC, 0)
-    if batches:
-        jobs = totals.get(BATCHED_JOBS_METRIC, 0)
-        out["batched_detect_batches"] = batches
-        out["batched_detect_jobs"] = jobs
-        out["batched_detect_mean_size"] = round(jobs / batches, 2)
-        capacity = totals.get(BATCHED_CAPACITY_METRIC, 0)
-        if capacity:
-            out["batched_detect_fill_ratio"] = round(jobs / capacity, 3)
-    pickled = totals.get(PACKED_UNIQUE_ROWS_METRIC, 0)
-    if pickled:
-        out["packed_rows_referenced"] = totals.get(PACKED_ROWS_METRIC, 0)
-        out["packed_rows_pickled"] = pickled
-        out["packed_dedup_ratio"] = round(
-            totals.get(PACKED_ROWS_METRIC, 0) / pickled, 3)
-    pooled = totals.get(POOLED_BATCHES_METRIC, 0)
-    if pooled:
-        series = totals.get(POOLED_SERIES_METRIC, 0)
-        out["pooled_scoring_batches"] = pooled
-        out["pooled_scoring_series"] = series
-        out["pooled_scoring_mean_size"] = round(series / pooled, 2)
-    tables = totals.get(GATING_TABLES_METRIC, 0)
-    if tables:
-        decided = totals.get(GATED_CANDIDATES_METRIC, 0)
-        out["pooled_gating_tables"] = tables
-        out["pooled_gating_candidates_per_table"] = round(decided / tables, 2)
-        if decided:
-            out["pooled_windows_per_position"] = round(
-                totals.get(SCORED_WINDOWS_METRIC, 0) / decided, 4)
-    return out
-
-
-def _ingest_plane_summary(metrics: dict) -> dict:
-    """Per-stage tick timing, from the scheduler's per-tick wall clocks
-    (the replay driver contributes ``stage=stream`` for its append side).
-    """
-    from .live.scheduler import TICK_STAGE_SECONDS_METRIC
-
-    counters = (metrics or {}).get("counters") or {}
-    out = {}
-    stage_doc = counters.get(TICK_STAGE_SECONDS_METRIC) or {}
-    for entry in stage_doc.get("values") or ():
-        stage = entry.get("labels", {}).get("stage", "unknown")
-        out["stage_seconds_%s" % stage] = round(entry.get("value", 0), 4)
-    return out
-
-
-def _counter_rows(metrics: dict) -> list:
-    """Flatten a metrics snapshot's counters to (name, labels, value).
-
-    Tolerates the degenerate shapes an empty or truncated run leaves
-    behind: a ``None`` snapshot, a missing ``counters`` section, or
-    ``null`` value lists.
-    """
-    rows = []
-    counters = (metrics or {}).get("counters") or {}
-    for name, doc in sorted(counters.items()):
-        for entry in doc.get("values") or ():
-            rows.append((name, entry.get("labels", {}),
-                         entry.get("value", 0)))
-    return rows
 
 
 _COMMANDS = {
@@ -882,10 +730,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         result = _COMMANDS[args.command](args)
-    except ReproError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ReproError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     code = 0

@@ -178,9 +178,8 @@ def cluster_replay_scenario(spec: Optional[FleetScenarioSpec] = None,
         workdir = tempfile.mkdtemp(prefix="repro-cluster-")
     os.makedirs(workdir, exist_ok=True)
 
-    observed = obs is not None and obs.enabled
     root = (obs.tracer.span(CLUSTER_SPAN, shards=cluster.n_shards)
-            if observed else nullcontext())
+            if obs is not None else nullcontext())
 
     report = ClusterReplayReport(n_shards=cluster.n_shards)
     report.workdir = workdir
@@ -191,7 +190,7 @@ def cluster_replay_scenario(spec: Optional[FleetScenarioSpec] = None,
 
     started = time.perf_counter()
     with root:
-        remote = obs.remote_context() if observed else None
+        remote = obs.remote_context() if obs is not None else None
 
         def task_factory(shard_id: int, attempt: int,
                          resume_from: Optional[str]) -> ShardTask:
@@ -245,7 +244,7 @@ def cluster_replay_scenario(spec: Optional[FleetScenarioSpec] = None,
             report.fragments_streamed += payload["fragments_streamed"]
             report.shard_cpu_seconds[shard_id] = (payload["cpu_seconds"]
                                                   + state.lost_seconds)
-            if observed:
+            if obs is not None:
                 obs.absorb(WorkerTelemetry(
                     spans=tuple(SpanRecord.from_dict(doc)
                                 for doc in payload["spans"]),

@@ -17,12 +17,12 @@ deployment simulation), every assessment is
    :class:`~repro.engine.jobs.Detector` protocol — inline or across
    ``concurrent.futures`` process workers, with per-entity baseline
    statistics cached so repeated windows never recompute them; and
-3. **instrumented** — every stage (plan, fetch, detect, attribute)
-   emits counters and wall-clock timings through
-   :mod:`repro.engine.instrument` hooks, and — when an
-   :class:`~repro.obs.ObsContext` is attached — structured spans and
-   metrics through :mod:`repro.obs`, with worker-side telemetry
-   serialized back across the process-pool boundary.
+3. **observed** — a fleet report carries per-stage calls and seconds
+   (plan, detect, attribute, execute), and — when an
+   :class:`~repro.obs.ObsContext` is attached — every stage records
+   structured spans and metrics through :mod:`repro.obs`, with
+   worker-side telemetry serialized back across the process-pool
+   boundary.
 
 Results never depend on batching, worker count, or scheduling order:
 stacked scoring is bitwise the per-series pipeline, and a job's detector
@@ -41,7 +41,6 @@ from .detectors import (build_detector, detector_names, register_detector,
 from .engine import AssessmentEngine, FleetAssessmentReport
 from .executor import EngineConfig, execute_jobs, job_seed, run_job
 from .fleet import FleetScenarioSpec, SyntheticFleetSource
-from .instrument import Instrumentation, add_hook, clear_hooks, remove_hook
 from .jobs import AssessmentJob, Detector, DetectorSpec, ItemOutcome, JobResult
 from .planner import (ENTITY_METRICS, FetchedWindow, job_from_item,
                       jobs_from_items, plan_change_jobs)
@@ -52,12 +51,11 @@ __all__ = [
     "DetectBatch", "DetectionRecord",
     "Detector", "DetectorSpec", "EngineConfig", "ENTITY_METRICS",
     "FetchedWindow", "FleetAssessmentReport", "FleetScenarioSpec",
-    "Instrumentation", "ItemOutcome", "JobResult", "ObsContext",
+    "ItemOutcome", "JobResult", "ObsContext",
     "PackedJobs", "SyntheticFleetSource",
-    "add_hook", "build_detector", "clear_hooks", "detector_names",
-    "execute_jobs", "job_from_item", "job_seed", "jobs_from_items",
-    "pack_jobs", "plan_change_jobs", "plan_detect_batches",
-    "register_detector", "remove_hook", "reset_shared_cache",
+    "build_detector", "detector_names", "execute_jobs", "job_from_item",
+    "job_seed", "jobs_from_items", "pack_jobs", "plan_change_jobs",
+    "plan_detect_batches", "register_detector", "reset_shared_cache",
     "run_attribution_batch", "run_detect_batch", "run_job",
     "shared_cache", "spec_for_method", "unpack_jobs",
 ]

@@ -1,4 +1,4 @@
-"""The engine facade: detectors + executor + instrumentation in one call.
+"""The engine facade: detectors + executor + stage timings in one call.
 
 :class:`AssessmentEngine` is what the entry layers use — the CLI's
 ``assess-fleet``, the evaluation harness and the deployment simulation
@@ -10,15 +10,16 @@ a JSON-safe :class:`FleetAssessmentReport`.
 
 from __future__ import annotations
 
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from ..exceptions import EngineError
 from ..obs import ObsContext
 from .cache import shared_cache
 from .detectors import spec_for_method
 from .executor import EngineConfig, execute_jobs
-from .instrument import Instrumentation
 from .jobs import AssessmentJob, DetectorSpec, JobResult
 
 __all__ = ["AssessmentEngine", "FleetAssessmentReport"]
@@ -37,11 +38,14 @@ class FleetAssessmentReport:
 
     Per detector: job/positive counts, verdict distribution, and — for
     jobs carrying ground truth — confusion counts with precision/recall.
+    ``stages`` maps a stage to its ``calls`` and ``seconds``: the wall
+    clocks of ``plan`` (window fetches included) and ``execute``, and the
+    per-job ``detect`` / ``attribute`` timings summed over the results.
     """
 
     jobs: int = 0
     detectors: Dict[str, dict] = field(default_factory=dict)
-    instrumentation: dict = field(default_factory=dict)
+    stages: Dict[str, dict] = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
     throughput_jobs_per_second: Optional[float] = None
     obs: Optional[dict] = None
@@ -49,7 +53,9 @@ class FleetAssessmentReport:
     @classmethod
     def from_run(cls, jobs: Sequence[AssessmentJob],
                  results: Sequence[JobResult],
-                 instrumentation: Instrumentation) -> "FleetAssessmentReport":
+                 plan_seconds: float, execute_seconds: float,
+                 obs: Optional[ObsContext] = None
+                 ) -> "FleetAssessmentReport":
         per_detector: Dict[str, dict] = {}
         for job, result in zip(jobs, results):
             stats = per_detector.setdefault(result.detector, {
@@ -80,19 +86,23 @@ class FleetAssessmentReport:
                 stats["true_positives"],
                 stats["true_positives"] + stats["false_negatives"])
 
-        snapshot = instrumentation.snapshot()
-        execute = snapshot["stages"].get("execute", {})
-        seconds = execute.get("seconds", 0.0)
+        totals = {"plan": (1, plan_seconds), "execute": (1, execute_seconds)}
+        for result in results:
+            for stage, seconds in result.timings:
+                calls, total = totals.get(stage, (0, 0.0))
+                totals[stage] = (calls + 1, total + seconds)
+        stages = {stage: {"calls": calls, "seconds": round(total, 6)}
+                  for stage, (calls, total) in sorted(totals.items())}
+        seconds = stages["execute"]["seconds"]
         throughput = (len(results) / seconds) if seconds > 0 else None
         obs_summary = None
-        if instrumentation.obs is not None and instrumentation.obs.enabled:
-            ctx = instrumentation.obs
-            obs_summary = {"trace_id": ctx.tracer.trace_id,
-                           "span_count": ctx.span_count}
+        if obs is not None:
+            obs_summary = {"trace_id": obs.tracer.trace_id,
+                           "span_count": obs.span_count}
         return cls(
             jobs=len(results),
             detectors=per_detector,
-            instrumentation=snapshot,
+            stages=stages,
             cache=shared_cache().info(),
             throughput_jobs_per_second=throughput,
             obs=obs_summary,
@@ -103,7 +113,7 @@ class FleetAssessmentReport:
         doc = {
             "jobs": self.jobs,
             "detectors": self.detectors,
-            "instrumentation": self.instrumentation,
+            "stages": self.stages,
             "cache": self.cache,
             "throughput_jobs_per_second": self.throughput_jobs_per_second,
         }
@@ -125,7 +135,6 @@ class AssessmentEngine:
                  config: Optional[EngineConfig] = None,
                  funnel_config=None, cusum_params=None, mrls_params=None,
                  wow_params=None,
-                 instrumentation: Optional[Instrumentation] = None,
                  obs: Optional[ObsContext] = None) -> None:
         self.specs: Tuple[DetectorSpec, ...] = tuple(
             spec if isinstance(spec, DetectorSpec) else spec_for_method(
@@ -133,23 +142,20 @@ class AssessmentEngine:
                 mrls_params=mrls_params, wow_params=wow_params)
             for spec in detectors
         )
+        if not self.specs:
+            raise EngineError("at least one detector")
         self.config = config or EngineConfig()
-        self.instrumentation = instrumentation or Instrumentation(obs=obs)
-        if obs is not None and self.instrumentation.obs is None:
-            self.instrumentation.obs = obs
-        self.obs = self.instrumentation.obs
+        self.obs = obs
 
     def run(self, jobs: Iterable[AssessmentJob]) -> List[JobResult]:
         """Execute a prepared job stream (results in input order)."""
-        return execute_jobs(jobs, config=self.config,
-                            instrumentation=self.instrumentation,
-                            obs=self.obs)
+        return execute_jobs(jobs, config=self.config, obs=self.obs)
 
     def assess_fleet(self, source) -> FleetAssessmentReport:
         """Plan, execute and summarise a fleet source's full job set.
 
-        ``source`` is any object with ``plan_jobs(specs, instrumentation)
-        -> Iterable[AssessmentJob]`` — e.g.
+        ``source`` is any object with ``plan_jobs(specs, obs) ->
+        Iterable[AssessmentJob]`` — e.g.
         :class:`~repro.engine.fleet.SyntheticFleetSource`.
 
         With an observability context attached, the whole run lives
@@ -168,13 +174,15 @@ class AssessmentEngine:
         the zipped ``(jobs, results)``; the report alone folds that
         detail away.
         """
-        observed = self.obs is not None and self.obs.enabled
-        root = (self.obs.tracer.span("assess_fleet") if observed
+        root = (self.obs.tracer.span("assess_fleet") if self.obs is not None
                 else nullcontext())
         with root:
-            jobs = list(source.plan_jobs(
-                self.specs, instrumentation=self.instrumentation))
+            started = time.perf_counter()
+            jobs = list(source.plan_jobs(self.specs, obs=self.obs))
+            planned = time.perf_counter()
             results = self.run(jobs)
-        report = FleetAssessmentReport.from_run(jobs, results,
-                                                self.instrumentation)
+            finished = time.perf_counter()
+        report = FleetAssessmentReport.from_run(
+            jobs, results, plan_seconds=planned - started,
+            execute_seconds=finished - planned, obs=self.obs)
         return report, jobs, results

@@ -27,19 +27,17 @@ leak between jobs — regardless of batch size, worker count, or which
 worker ran what.  :func:`run_job` (one job, its detector's full
 ``assess``) is the oracle the tests hold the stacked route to.
 
-**Observability crosses the pool the same way results do.**  Module
-state (hooks, metric registries) is process-local, so a worker records
-spans and metrics into a throwaway context and returns a
+**Observability crosses the pool the same way results do.**  Metric
+registries are process-local, so a worker records spans and metrics
+into a throwaway context and returns a
 :class:`~repro.obs.WorkerTelemetry` alongside its results; the parent
-re-parents the spans under its ``execute`` span, merges the metric
-deltas, and re-emits hook events.  Serial execution uses the identical
-channel, so the two modes produce the same span tree shape, the same
-aggregate counters, and the same hook event counts.
+re-parents the spans under its ``execute`` span and merges the metric
+deltas.  Serial execution uses the identical channel, so the two modes
+produce the same span tree shape and the same aggregate counters.
 """
 
 from __future__ import annotations
 
-import time
 import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import nullcontext
@@ -58,7 +56,6 @@ from .batching import (BATCHED_BATCHES_METRIC, BATCHED_CAPACITY_METRIC,
                        run_detect_batch, unpack_jobs)
 from .cache import shared_cache
 from .detectors import build_detector
-from .instrument import Instrumentation, emit_spans
 from .jobs import AssessmentJob, JobResult
 
 __all__ = ["EngineConfig", "job_seed", "run_job", "execute_jobs"]
@@ -271,42 +268,8 @@ def _batches(jobs: Iterable[AssessmentJob],
         yield batch
 
 
-def _record(results: Sequence[JobResult],
-            instrumentation: Optional[Instrumentation]) -> None:
-    """Fold one batch's results into the compat Instrumentation.
-
-    Always local-only (``mirror=False``): when observability is on,
-    these numbers reach the obs registry through the worker channel,
-    and mirroring here too would double-count.
-    """
-    if instrumentation is None:
-        return
-    instrumentation.count("jobs", len(results), mirror=False)
-    instrumentation.count("positives",
-                          sum(1 for r in results if r.positive),
-                          mirror=False)
-    stage_totals: dict = {}
-    for result in results:
-        for stage, seconds in result.timings:
-            calls, total = stage_totals.get(stage, (0, 0.0))
-            stage_totals[stage] = (calls + 1, total + seconds)
-    for stage, (calls, total) in stage_totals.items():
-        instrumentation.add_time(stage, total, items=calls, calls=calls,
-                                 mirror=False)
-
-
-def _resolve_obs(instrumentation: Optional[Instrumentation],
-                 obs: Optional[ObsContext]) -> Optional[ObsContext]:
-    if obs is None and instrumentation is not None:
-        obs = instrumentation.obs
-    if obs is not None and not obs.enabled:
-        return None
-    return obs
-
-
 def execute_jobs(jobs: Iterable[AssessmentJob],
                  config: Optional[EngineConfig] = None,
-                 instrumentation: Optional[Instrumentation] = None,
                  obs: Optional[ObsContext] = None) -> List[JobResult]:
     """Run every job and return results in input order.
 
@@ -314,31 +277,16 @@ def execute_jobs(jobs: Iterable[AssessmentJob],
         jobs: the job stream (materialised: stacks are planned over
             the whole list).
         config: worker/batch sizing; defaults to inline execution.
-        instrumentation: optional sink for the run's ``execute`` wall
-            time, per-stage detector timings, and job/positive counters.
-        obs: optional observability context.  Defaults to
-            ``instrumentation.obs`` when one is attached; when enabled,
-            the run produces a full span tree and metric set that is
-            identical in shape and counts whether execution is serial
-            or pooled.
+        obs: optional observability context; with one, the run produces
+            a full span tree and metric set that is identical in shape
+            and counts whether execution is serial or pooled.
     """
     config = config or EngineConfig()
-    obs = _resolve_obs(instrumentation, obs)
-    started = time.perf_counter()
     root = (obs.tracer.span("execute", workers=config.workers,
                             batch_size=config.batch_size)
             if obs is not None else nullcontext())
     with root:
-        results = _execute_batched(jobs, config, instrumentation, obs)
-    if instrumentation is not None:
-        instrumentation.add_time("execute", time.perf_counter() - started,
-                                 items=len(results), mirror=False)
-    return results
-
-
-def _absorb(obs: ObsContext, telemetry: WorkerTelemetry) -> None:
-    obs.absorb(telemetry)
-    emit_spans(telemetry.spans)
+        return _execute_batched(jobs, config, obs)
 
 
 def _count_packing(obs: ObsContext, packed: PackedJobs) -> None:
@@ -369,7 +317,7 @@ def _run_stage(pool: Optional[ProcessPoolExecutor], max_inflight: int,
             if obs is not None:
                 outputs[position], telemetry = observed_fn(task, remote,
                                                            position)
-                _absorb(obs, telemetry)
+                obs.absorb(telemetry)
             else:
                 outputs[position] = plain_fn(task)
         return outputs
@@ -394,12 +342,11 @@ def _run_stage(pool: Optional[ProcessPoolExecutor], max_inflight: int,
         gauge.set(max(gauge.value(), float(inflight_peak)))
         for position, output in enumerate(outputs):
             outputs[position], telemetry = output
-            _absorb(obs, telemetry)
+            obs.absorb(telemetry)
     return outputs
 
 
 def _execute_batched(jobs: Iterable[AssessmentJob], config: EngineConfig,
-                     instrumentation: Optional[Instrumentation],
                      obs: Optional[ObsContext]) -> List[JobResult]:
     """Stacked detect, then DiD for the declared, then the baselines.
 
@@ -484,6 +431,4 @@ def _execute_batched(jobs: Iterable[AssessmentJob], config: EngineConfig,
     finally:
         if pool is not None:
             pool.shutdown()
-    ordered = [results[position] for position in range(len(job_list))]
-    _record(ordered, instrumentation)
-    return ordered
+    return [results[position] for position in range(len(job_list))]

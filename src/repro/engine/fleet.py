@@ -26,10 +26,10 @@ import numpy as np
 from ..changes.change import SoftwareChange
 from ..changes.rollout import RolloutPolicy, plan_rollout
 from ..exceptions import EngineError
+from ..obs import ObsContext
 from ..synthetic.fleetgen import FleetSpec, generate_fleet
 from ..topology.impact import ImpactSet, identify_impact_set
 from ..types import ChangeKind, LaunchMode
-from .instrument import Instrumentation
 from .jobs import AssessmentJob, DetectorSpec
 from .planner import FetchedWindow, plan_change_jobs
 
@@ -294,14 +294,13 @@ class SyntheticFleetSource:
     # -- planning --------------------------------------------------------------
 
     def plan_jobs(self, specs: Sequence[DetectorSpec],
-                  instrumentation: Optional[Instrumentation] = None
+                  obs: Optional[ObsContext] = None
                   ) -> Iterator[AssessmentJob]:
         """All jobs for the scenario: every change x entity x KPI x spec."""
         job_id = 0
         for change in self.changes:
             for spec in specs:
                 for job in plan_change_jobs(self.fleet, change, self, spec,
-                                            start_id=job_id,
-                                            instrumentation=instrumentation):
+                                            start_id=job_id, obs=obs):
                     job_id = job.job_id + 1
                     yield job

@@ -116,8 +116,8 @@ class JobResult:
     """A detector's full answer for one job.
 
     ``timings`` holds per-stage wall-clock seconds measured inside the
-    detector (``detect``, ``attribute``); the executor folds them into
-    the run's :class:`~repro.engine.instrument.Instrumentation`.
+    detector (``detect``, ``attribute``); a fleet report sums them into
+    :attr:`~repro.engine.engine.FleetAssessmentReport.stages`.
     """
 
     job_id: int

@@ -23,22 +23,42 @@ Optional[bool]`` supplying ground-truth labels for synthetic fleets.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..changes.change import SoftwareChange
-from ..obs.metrics import BYTE_BUCKETS
+from ..obs import ObsContext
+from ..obs.metrics import BYTE_BUCKETS, LATENCY_BUCKETS
 from ..topology.entities import Fleet
 from ..topology.impact import identify_impact_set
-from .instrument import Instrumentation
 from .jobs import AssessmentJob, DetectorSpec
 
 __all__ = ["ENTITY_METRICS", "FetchedWindow", "job_from_item",
            "jobs_from_items", "plan_change_jobs"]
 
 FETCH_BYTES_METRIC = "repro_engine_fetch_bytes"
+ENTITIES_METRIC = "repro_engine_entities_total"
+#: Histogram fed by every planner stage (``plan``, ``fetch``).
+STAGE_SECONDS_METRIC = "repro_engine_stage_seconds"
+
+
+@contextmanager
+def _stage(obs: ObsContext, stage: str) -> Iterator[None]:
+    """One planner stage: a live span plus a stage-seconds observation."""
+    started = time.perf_counter()
+    with obs.tracer.span(stage, items=1):
+        try:
+            yield
+        finally:
+            obs.metrics.histogram(
+                STAGE_SECONDS_METRIC,
+                help="Wall-clock seconds per engine stage invocation.",
+                buckets=LATENCY_BUCKETS).observe(
+                time.perf_counter() - started, stage=stage)
 
 
 def _window_nbytes(window: "FetchedWindow") -> int:
@@ -110,7 +130,7 @@ def jobs_from_items(items: Iterable, spec: DetectorSpec
 
 def plan_change_jobs(fleet: Fleet, change: SoftwareChange, provider,
                      spec: DetectorSpec, start_id: int = 0,
-                     instrumentation: Optional[Instrumentation] = None
+                     obs: Optional[ObsContext] = None
                      ) -> Iterator[AssessmentJob]:
     """Expand one software change into per-entity assessment jobs.
 
@@ -119,28 +139,34 @@ def plan_change_jobs(fleet: Fleet, change: SoftwareChange, provider,
     window from ``provider``.  Job ids are assigned sequentially from
     ``start_id``.
 
-    The impact-set identification is recorded under the ``plan`` stage
-    and every window materialisation under ``fetch``.
+    With an ``obs`` context the impact-set identification is a ``plan``
+    span and every window materialisation a ``fetch`` span (each also
+    observed in :data:`STAGE_SECONDS_METRIC`); without one nothing is
+    opened.
     """
-    inst = instrumentation or Instrumentation()
-    observed = inst.obs is not None and inst.obs.enabled
-    with inst.timed("plan", items=1):
+    with _stage(obs, "plan") if obs is not None else nullcontext():
         impact = identify_impact_set(fleet, change.service, change.hostnames)
         entities = impact.monitored_entities()
-    inst.count("entities", len(entities))
+    if obs is not None:
+        obs.metrics.counter(
+            ENTITIES_METRIC,
+            help="Engine counter 'entities'.").inc(len(entities))
 
     truth_of = getattr(provider, "truth", None)
     job_id = start_id
     for entity_type, entity in entities:
         for metric in ENTITY_METRICS.get(entity_type, ()):
-            with inst.timed("fetch", items=1):
+            if obs is None:
                 window = provider.fetch(change, entity_type, entity, metric)
-            if observed:
+            else:
+                with _stage(obs, "fetch"):
+                    window = provider.fetch(change, entity_type, entity,
+                                            metric)
                 n_bytes = _window_nbytes(window)
-                inst.obs.metrics.counter(
+                obs.metrics.counter(
                     FETCH_BYTES_METRIC + "_total",
                     help="Bytes materialised by window fetches.").inc(n_bytes)
-                inst.obs.metrics.histogram(
+                obs.metrics.histogram(
                     FETCH_BYTES_METRIC,
                     help="Bytes per fetched window.",
                     buckets=BYTE_BUCKETS).observe(n_bytes, metric=metric)

@@ -27,8 +27,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ..baselines.cusum import CusumParams
 from ..baselines.mrls import MrlsParams
 from ..core.funnel import FunnelConfig
-from ..engine import (EngineConfig, Instrumentation, ItemOutcome, ObsContext,
-                      execute_jobs, job_from_item, run_job, spec_for_method)
+from ..engine import (EngineConfig, ItemOutcome, ObsContext, execute_jobs,
+                      job_from_item, run_job, spec_for_method)
 from ..engine.jobs import AssessmentJob, DetectorSpec
 from ..exceptions import EngineError, EvaluationError
 from ..synthetic.dataset import EvaluationItem
@@ -146,7 +146,6 @@ def evaluate_corpus(items: Iterable[EvaluationItem],
                     mrls_stride: int = 1,
                     progress: Optional[Callable[[int], None]] = None,
                     workers: int = 0, batch_size: int = 16,
-                    instrumentation: Optional[Instrumentation] = None,
                     obs: Optional[ObsContext] = None) -> EvaluationResult:
     """Run every method over every item.
 
@@ -167,8 +166,7 @@ def evaluate_corpus(items: Iterable[EvaluationItem],
         progress: optional callback invoked with the item counter.
         workers: engine process-pool size; 0 = serial.
         batch_size: jobs per engine batch.
-        instrumentation: optional engine instrumentation sink.
-        obs: optional :class:`~repro.obs.ObsContext`; when enabled the
+        obs: optional :class:`~repro.obs.ObsContext`; with one the
             evaluation's engine runs record spans and metrics (worker
             telemetry included), and the caller can write them out with
             :func:`repro.obs.write_run_artifacts`.
@@ -180,8 +178,7 @@ def evaluate_corpus(items: Iterable[EvaluationItem],
     if engine_backed:
         result = _evaluate_with_engine(
             items, methods, mrls_stride, progress,
-            EngineConfig(workers=workers, batch_size=batch_size),
-            instrumentation, obs)
+            EngineConfig(workers=workers, batch_size=batch_size), obs)
     else:
         result = _evaluate_legacy(items, methods, mrls_stride, progress)
 
@@ -197,7 +194,6 @@ def _evaluate_with_engine(items: Iterable[EvaluationItem],
                           mrls_stride: int,
                           progress: Optional[Callable[[int], None]],
                           config: EngineConfig,
-                          instrumentation: Optional[Instrumentation],
                           obs: Optional[ObsContext] = None
                           ) -> EvaluationResult:
     """The engine path: chunked job planning + batched execution."""
@@ -214,8 +210,7 @@ def _evaluate_with_engine(items: Iterable[EvaluationItem],
                     continue
                 jobs.append(job_from_item(item, method.spec))
                 labels.append((name, item))
-        outcomes = execute_jobs(jobs, config=config,
-                                instrumentation=instrumentation, obs=obs)
+        outcomes = execute_jobs(jobs, config=config, obs=obs)
         for (name, item), job_result in zip(labels, outcomes):
             result.record(name, item, job_result.outcome)
         if progress is not None:

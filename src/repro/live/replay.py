@@ -333,8 +333,8 @@ def replay_scenario(spec: Optional[FleetScenarioSpec] = None,
     if sink is not None:
         service.bus.subscribe(sink)
 
-    observed = obs is not None and obs.enabled
-    root = obs.tracer.span(REPLAY_SPAN) if observed else nullcontext()
+    root = (obs.tracer.span(REPLAY_SPAN) if obs is not None
+            else nullcontext())
 
     started = time.perf_counter()
     stream_seconds = 0.0

@@ -48,10 +48,7 @@ class LiveAssessmentService:
         #: so merged operator views stay namespaced per shard instead of
         #: silently summing per-process gauges.
         self.shard_id = shard_id
-        if obs is not None and obs.enabled:
-            self.metrics = obs.metrics
-        else:
-            self.metrics = MetricsRegistry()
+        self.metrics = obs.metrics if obs is not None else MetricsRegistry()
         self.bus = VerdictBus(self.metrics)
         if history_provider is None:
             history_provider = StoreHistoryProvider(store, self.config)
@@ -103,7 +100,7 @@ class LiveAssessmentService:
         return closed
 
     def _record_change_span(self, session: ChangeSession) -> None:
-        if self.obs is None or not self.obs.enabled:
+        if self.obs is None:
             return
         self.obs.tracer.record(
             CHANGE_SPAN,

@@ -35,7 +35,7 @@ from .health import (DEFAULT_SELF_KPIS, DEFAULT_SLOS, VERDICT_LAG_BUCKETS,
 from .metrics import (BYTE_BUCKETS, LATENCY_BUCKETS, Counter, Gauge,
                       Histogram, MetricsRegistry)
 from .profile import (PathStats, StageProfile, build_profile, folded_stacks,
-                      render_table)
+                      render_report, render_table, report_document)
 from .tracing import (RemoteContext, Span, SpanRecord, Tracer, new_span_id,
                       new_trace_id)
 
@@ -48,6 +48,6 @@ __all__ = [
     "VERDICT_LAG_BUCKETS", "VERDICT_LAG_METRIC", "WorkerTelemetry",
     "build_health_report", "build_profile", "folded_stacks",
     "git_revision", "load_heartbeat", "load_run", "new_span_id",
-    "new_trace_id", "render_health_report", "render_table",
-    "write_run_artifacts",
+    "new_trace_id", "render_health_report", "render_report", "render_table",
+    "report_document", "write_run_artifacts",
 ]

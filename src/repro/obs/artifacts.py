@@ -69,9 +69,8 @@ def write_run_artifacts(obs_dir: str, obs: ObsContext,
         obs: the run's observability context (spans + metrics).
         config: the caller's JSON-safe run configuration.
         seeds: the random seeds the run derives from.
-        stages: wall-clock per stage, e.g. an
-            :class:`~repro.engine.instrument.Instrumentation`
-            snapshot's ``stages`` mapping.
+        stages: wall-clock per stage, e.g. a fleet report's
+            :attr:`~repro.engine.engine.FleetAssessmentReport.stages`.
         run_id: override the run id (defaults to the trace id).
         unix_time: override the manifest timestamp (test hook).
 

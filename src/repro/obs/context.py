@@ -1,12 +1,13 @@
 """The per-run observability context and the worker telemetry channel.
 
-An :class:`ObsContext` owns one run's tracer, metrics registry and
-event log.  The engine threads it explicitly — constructor argument,
-never a global — through planner, executor and reporters.
+An :class:`ObsContext` owns one run's tracer and metrics registry.  The
+engine threads it explicitly — an argument, never a global — through
+planner, executor and reporters; a run without observability passes
+``None``.
 
-Crossing the process pool: module-level state (hooks, registries) does
-not exist in pool workers, so telemetry recorded there must travel back
-with the results.  The executor ships a :class:`RemoteContext` out with
+Crossing the process pool: the parent's registries do not exist in
+pool workers, so telemetry recorded there must travel back with the
+results.  The executor ships a :class:`RemoteContext` out with
 each batch; the worker records into a throwaway context and returns a
 :class:`WorkerTelemetry` — pickled span records plus a metrics snapshot
 — which :meth:`ObsContext.absorb` re-parents and merges.  The serial
@@ -18,14 +19,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .metrics import MetricsRegistry
 from .tracing import RemoteContext, SpanRecord, Tracer
 
 __all__ = ["ObsContext", "WorkerTelemetry"]
-
-SpanObserver = Callable[[SpanRecord], None]
 
 
 @dataclass(frozen=True)
@@ -41,34 +40,12 @@ class WorkerTelemetry:
 
 
 class ObsContext:
-    """Tracer + metrics + span observers for one engine run.
+    """Tracer + metrics registry for one engine run."""
 
-    ``enabled=False`` builds an inert context: every recording surface
-    still exists (callers never branch), but the executor checks
-    :attr:`enabled` once per run and skips the telemetry channel, so a
-    disabled context costs nothing on the hot path.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
         self.started_unix = time.time()
-        self._observers: List[SpanObserver] = []
-
-    # -- observers -----------------------------------------------------------
-
-    def on_span(self, observer: SpanObserver) -> SpanObserver:
-        """Register ``observer`` to receive every adopted/finished span."""
-        self._observers.append(observer)
-        return observer
-
-    def _notify(self, records: Tuple[SpanRecord, ...]) -> None:
-        if not self._observers:
-            return
-        for record in records:
-            for observer in tuple(self._observers):
-                observer(record)
 
     # -- the worker channel --------------------------------------------------
 
@@ -82,7 +59,6 @@ class ObsContext:
             return
         self.tracer.adopt(telemetry.spans)
         self.metrics.merge(telemetry.metrics)
-        self._notify(telemetry.spans)
 
     # -- export --------------------------------------------------------------
 

@@ -12,6 +12,10 @@ Also derives the per-detector view (detect/attribute latency split by
 the ``detector`` span attribute), the top-N slowest job spans, and a
 ``folded`` flamegraph export — one ``path;leaf count`` line per stack,
 the format ``flamegraph.pl`` and speedscope ingest directly.
+
+:func:`render_report` / :func:`report_document` are the whole
+``repro obs report`` output: the profile plus the run's counters and the
+two summaries derived from them (Batching, Ingest plane).
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .artifacts import RunArtifacts
 from .tracing import SpanRecord
 
 __all__ = ["PathStats", "StageProfile", "build_profile", "render_table",
-           "folded_stacks"]
+           "folded_stacks", "render_report", "report_document"]
 
 
 @dataclass
@@ -222,3 +227,123 @@ def folded_stacks(profile: StageProfile,
         lines.append("%s %d" % (";".join(stats.path),
                                 int(round(stats.self_s * scale))))
     return lines
+
+
+# -- the ``repro obs report`` document ---------------------------------------
+
+def _counter_sections(metrics: dict) -> Tuple[list, dict, dict]:
+    """One walk over a metrics snapshot's counters.
+
+    Returns the flat ``(name, labels, value)`` rows, the batching
+    summary and the ingest-plane summary.  Tolerates the degenerate
+    shapes an empty or truncated run leaves behind: a ``None`` snapshot,
+    a missing ``counters`` section, or ``null`` value lists.
+
+    Batching: fill ratio is jobs scored per slot of planned batch
+    capacity (1.0 = every batch full); the packed dedup ratio is rows
+    referenced per row actually pickled across the pool boundary (1.0 =
+    nothing repeated); gating "candidates" are the positions a pool
+    table decided, and windows per position the share of them the kernel
+    had to score.  Ingest plane: per-stage tick timing from the
+    scheduler's per-tick wall clocks (the replay driver contributes
+    ``stage=stream`` for its append side).
+    """
+    from ..engine.batching import (BATCHED_BATCHES_METRIC,
+                                   BATCHED_CAPACITY_METRIC,
+                                   BATCHED_JOBS_METRIC, PACKED_ROWS_METRIC,
+                                   PACKED_UNIQUE_ROWS_METRIC)
+    from ..live.pool import (GATED_CANDIDATES_METRIC, GATING_TABLES_METRIC,
+                             POOLED_BATCHES_METRIC, POOLED_SERIES_METRIC,
+                             SCORED_WINDOWS_METRIC)
+    from ..live.scheduler import TICK_STAGE_SECONDS_METRIC
+
+    rows = []
+    totals: Dict[str, float] = {}
+    ingest = {}
+    counters = (metrics or {}).get("counters") or {}
+    for name, doc in sorted(counters.items()):
+        totals[name] = 0
+        for entry in doc.get("values") or ():
+            labels, value = entry.get("labels", {}), entry.get("value", 0)
+            rows.append((name, labels, value))
+            totals[name] += value
+            if name == TICK_STAGE_SECONDS_METRIC:
+                stage = labels.get("stage", "unknown")
+                ingest["stage_seconds_%s" % stage] = round(value, 4)
+
+    batching = {}
+    batches = totals.get(BATCHED_BATCHES_METRIC, 0)
+    if batches:
+        jobs = totals.get(BATCHED_JOBS_METRIC, 0)
+        batching["batched_detect_batches"] = batches
+        batching["batched_detect_jobs"] = jobs
+        batching["batched_detect_mean_size"] = round(jobs / batches, 2)
+        capacity = totals.get(BATCHED_CAPACITY_METRIC, 0)
+        if capacity:
+            batching["batched_detect_fill_ratio"] = round(jobs / capacity, 3)
+    pickled = totals.get(PACKED_UNIQUE_ROWS_METRIC, 0)
+    if pickled:
+        referenced = totals.get(PACKED_ROWS_METRIC, 0)
+        batching["packed_rows_referenced"] = referenced
+        batching["packed_rows_pickled"] = pickled
+        batching["packed_dedup_ratio"] = round(referenced / pickled, 3)
+    pooled = totals.get(POOLED_BATCHES_METRIC, 0)
+    if pooled:
+        series = totals.get(POOLED_SERIES_METRIC, 0)
+        batching["pooled_scoring_batches"] = pooled
+        batching["pooled_scoring_series"] = series
+        batching["pooled_scoring_mean_size"] = round(series / pooled, 2)
+    tables = totals.get(GATING_TABLES_METRIC, 0)
+    if tables:
+        decided = totals.get(GATED_CANDIDATES_METRIC, 0)
+        batching["pooled_gating_tables"] = tables
+        batching["pooled_gating_candidates_per_table"] = round(
+            decided / tables, 2)
+        if decided:
+            batching["pooled_windows_per_position"] = round(
+                totals.get(SCORED_WINDOWS_METRIC, 0) / decided, 4)
+    return rows, batching, ingest
+
+
+def report_document(run: RunArtifacts, profile: StageProfile) -> dict:
+    """The ``repro obs report --json`` document."""
+    counters, batching, ingest_plane = _counter_sections(run.metrics)
+    doc = {
+        "run_id": run.run_id,
+        "span_count": profile.span_count,
+        "paths": [stats.as_dict() for stats in profile.paths],
+        "detectors": profile.detectors,
+        "slowest_jobs": profile.slowest_jobs,
+        "counters": [{"name": name, "labels": labels, "value": value}
+                     for name, labels, value in counters],
+    }
+    if batching:
+        doc["batching"] = batching
+    if ingest_plane:
+        doc["ingest_plane"] = ingest_plane
+    return doc
+
+
+def _section(title: str, rows: Sequence[Tuple[str, float]]) -> str:
+    if not rows:
+        return ""
+    return "\n%s\n" % title + "".join(
+        "  %-46s %12g\n" % row for row in rows)
+
+
+def render_report(run: RunArtifacts, profile: StageProfile) -> str:
+    """The ``repro obs report`` text: header, breakdown, counter sections."""
+    counters, batching, ingest_plane = _counter_sections(run.metrics)
+    header = "Run %s" % run.run_id
+    rev = run.manifest.get("git_rev")
+    if rev:
+        header += " (git %s)" % str(rev)[:12]
+    labelled = [
+        (name + ("{%s}" % ",".join("%s=%s" % kv
+                                   for kv in sorted(labels.items()))
+                 if labels else ""), value)
+        for name, labels, value in counters]
+    return (header + "\n\n" + render_table(profile)
+            + _section("Counters", labelled)
+            + _section("Batching", sorted(batching.items()))
+            + _section("Ingest plane", sorted(ingest_plane.items())))

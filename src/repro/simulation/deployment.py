@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.funnel import FunnelConfig
-from ..engine import (EngineConfig, Instrumentation, ObsContext,
-                      execute_jobs, job_from_item, spec_for_method)
+from ..engine import (EngineConfig, ObsContext, execute_jobs, job_from_item,
+                      spec_for_method)
 from ..exceptions import ParameterError
 from ..synthetic.dataset import CorpusSpec, EvaluationCorpus
 
@@ -169,24 +169,21 @@ def _day_corpus(spec: DeploymentSpec, day: int) -> EvaluationCorpus:
 def simulate_week(spec: Optional[DeploymentSpec] = None,
                   funnel_config: Optional[FunnelConfig] = None,
                   progress=None, workers: int = 0, batch_size: int = 16,
-                  instrumentation: Optional[Instrumentation] = None,
                   obs: Optional[ObsContext] = None) -> DeploymentReport:
     """Run FUNNEL online over a simulated deployment week.
 
     Each day's KPI stream goes through the batched assessment engine;
     ``workers`` > 0 fans the day out over a process pool with counters
-    bit-identical to the serial default.  ``instrumentation`` receives
-    the engine's per-stage timings across the whole week; ``obs``
-    (an :class:`~repro.obs.ObsContext`) additionally collects the
-    week's spans and metrics — one ``day`` span per simulated day with
-    the engine's execute/batch/job tree underneath.
+    bit-identical to the serial default.  ``obs`` (an
+    :class:`~repro.obs.ObsContext`) collects the week's spans and
+    metrics — one ``day`` span per simulated day with the engine's
+    execute/batch/job tree underneath.
     """
     spec = spec or DeploymentSpec()
     detector = spec_for_method("funnel", funnel_config=funnel_config)
     config = EngineConfig(workers=workers, batch_size=batch_size)
     chunk_size = config.batch_size * max(config.workers, 1) * 4
     report = DeploymentReport()
-    observed = obs is not None and obs.enabled
 
     for day in range(spec.days):
         counters = DeploymentDay(day=day)
@@ -196,9 +193,7 @@ def simulate_week(spec: Optional[DeploymentSpec] = None,
 
         def flush(items) -> None:
             jobs = [job_from_item(item, detector) for item in items]
-            results = execute_jobs(jobs, config=config,
-                                   instrumentation=instrumentation,
-                                   obs=obs)
+            results = execute_jobs(jobs, config=config, obs=obs)
             for item, result in zip(items, results):
                 if result.positive:
                     counters.detections += 1
@@ -207,7 +202,7 @@ def simulate_week(spec: Optional[DeploymentSpec] = None,
                 elif item.truth.positive:
                     counters.missed_impacted_kpis += 1
 
-        day_span = (obs.tracer.span("day", day=day) if observed
+        day_span = (obs.tracer.span("day", day=day) if obs is not None
                     else nullcontext())
         with day_span:
             chunk = []

@@ -3,12 +3,10 @@
 from .agent import Agent
 from .aggregation import ServiceAggregator, aggregate_series
 from .kpi import KpiCatalog, KpiKey, KpiSpec, standard_server_kpis
-from .quality import QualityIssue, QualityReport, assess_quality
 from .store import MetricStore, Subscription
 from .timeseries import DAY, MINUTE, TimeSeries, bin_events
 
 __all__ = ["Agent", "ServiceAggregator", "aggregate_series",
            "KpiCatalog", "KpiKey", "KpiSpec", "standard_server_kpis",
            "MetricStore", "Subscription",
-           "QualityIssue", "QualityReport", "assess_quality",
            "DAY", "MINUTE", "TimeSeries", "bin_events"]

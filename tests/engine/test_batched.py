@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from repro.engine import (BATCHABLE_DETECTORS, EngineConfig,
-                          FleetScenarioSpec, Instrumentation,
-                          SyntheticFleetSource, execute_jobs, pack_jobs,
-                          plan_detect_batches, reset_shared_cache, run_job,
-                          spec_for_method, unpack_jobs)
+                          FleetScenarioSpec, SyntheticFleetSource,
+                          execute_jobs, pack_jobs, plan_detect_batches,
+                          reset_shared_cache, run_job, spec_for_method,
+                          unpack_jobs)
 from repro.engine.batching import (BATCHED_BATCHES_METRIC,
                                    BATCHED_CAPACITY_METRIC,
                                    BATCHED_JOBS_METRIC)
@@ -49,8 +49,7 @@ def _cold_cache():
 
 def _run(jobs, **config):
     reset_shared_cache()
-    return execute_jobs(jobs, config=EngineConfig(**config),
-                        instrumentation=Instrumentation())
+    return execute_jobs(jobs, config=EngineConfig(**config))
 
 
 def _oracle(jobs):
@@ -145,8 +144,7 @@ class TestBatchedCounters:
     def _observed(self, jobs, **config):
         reset_shared_cache()
         obs = ObsContext()
-        execute_jobs(jobs, config=EngineConfig(**config),
-                     instrumentation=Instrumentation(obs=obs))
+        execute_jobs(jobs, config=EngineConfig(**config), obs=obs)
         snap = obs.metrics.snapshot()["counters"]
         return {name: sum(entry["value"] for entry in doc["values"])
                 for name, doc in snap.items()}

@@ -10,8 +10,7 @@ import pytest
 
 from repro.engine import (AssessmentEngine, AssessmentJob, Detector,
                           DetectorSpec, EngineConfig, FleetScenarioSpec,
-                          Instrumentation, ItemOutcome, SyntheticFleetSource,
-                          add_hook, build_detector, clear_hooks,
+                          ItemOutcome, SyntheticFleetSource, build_detector,
                           detector_names, execute_jobs, job_from_item,
                           job_seed, jobs_from_items, reset_shared_cache,
                           run_job, shared_cache, spec_for_method)
@@ -35,10 +34,8 @@ def fleet_source():
 @pytest.fixture(autouse=True)
 def _clean_state():
     reset_shared_cache()
-    clear_hooks()
     yield
     reset_shared_cache()
-    clear_hooks()
 
 
 class TestRegistry:
@@ -58,6 +55,8 @@ class TestRegistry:
             build_detector(DetectorSpec.create("prophet"))
         with pytest.raises(EngineError):
             spec_for_method("prophet")
+        with pytest.raises(EngineError, match="at least one detector"):
+            AssessmentEngine(detectors=())
 
     def test_spec_drops_none_options(self):
         spec = DetectorSpec.create("funnel", funnel_config=None)
@@ -149,29 +148,26 @@ class TestBaselineCache:
         assert [r.outcome for r in cold] == [r.outcome for r in warm]
 
 
-class TestInstrumentation:
-    def test_stage_totals_recorded(self, tiny_corpus):
-        inst = Instrumentation()
-        jobs = list(jobs_from_items(tiny_corpus[:8],
-                                    spec_for_method("funnel")))
-        execute_jobs(jobs, instrumentation=inst)
-        snap = inst.snapshot()
-        assert snap["counters"]["jobs"] == len(jobs)
-        assert "execute" in snap["stages"]
-        assert "detect" in snap["stages"]
-        assert snap["stages"]["detect"]["items"] == len(jobs)
-        assert snap["stages"]["execute"]["seconds"] > 0
+class TestReportStages:
+    def test_stages_fold_job_timings_and_wall_clocks(self, fleet_source):
+        def run(**config):
+            reset_shared_cache()
+            return AssessmentEngine(
+                detectors=("funnel",),
+                config=EngineConfig(**config)).assess_fleet(fleet_source)
 
-    def test_hooks_receive_stage_events(self, tiny_corpus):
-        events = []
-        add_hook(events.append)
-        inst = Instrumentation()
-        execute_jobs(jobs_from_items(tiny_corpus[:4],
-                                     spec_for_method("improved_sst")),
-                     instrumentation=inst)
-        stages = {e["stage"] for e in events}
-        assert "execute" in stages
-        assert all(e["kind"] == "stage" for e in events)
+        report = run()
+        stages = report.stages
+        assert stages["plan"]["calls"] == stages["execute"]["calls"] == 1
+        assert stages["detect"]["calls"] == report.jobs
+        assert stages["attribute"]["calls"] == \
+            report.detectors["funnel"]["positives"] > 0
+        assert all(stage["seconds"] > 0 for stage in stages.values())
+        assert report.throughput_jobs_per_second == \
+            report.jobs / stages["execute"]["seconds"]
+        pooled = run(workers=2, batch_size=4).stages
+        assert {name: stage["calls"] for name, stage in pooled.items()} == \
+            {name: stage["calls"] for name, stage in stages.items()}
 
 
 class TestFleetPlanning:
@@ -185,14 +181,6 @@ class TestFleetPlanning:
             assert job.metric in ENTITY_METRICS[job.entity_type]
             assert job.truth_positive is not None
             assert job.baseline_key
-
-    def test_plan_and_fetch_instrumented(self, fleet_source):
-        inst = Instrumentation()
-        jobs = list(fleet_source.plan_jobs([spec_for_method("funnel")],
-                                           instrumentation=inst))
-        snap = inst.snapshot()
-        assert snap["stages"]["plan"]["calls"] == len(fleet_source.changes)
-        assert snap["stages"]["fetch"]["items"] == len(jobs)
 
     def test_assess_fleet_report(self, fleet_source):
         engine = AssessmentEngine(detectors=("funnel",))

@@ -1,11 +1,11 @@
 """Serial vs process-pool observability parity (the worker channel).
 
-Module-level hooks and metric registries are process-local, so a pooled
-run would historically drop every worker-side event.  The executor now
-routes worker telemetry (spans + metric snapshots) back with the batch
-results and re-emits it in the parent — these tests pin the contract:
-aggregate counters, histogram counts, span counts and hook event counts
-are identical whether the batches ran inline or across a pool.
+Metric registries are process-local, so a pooled run would historically
+drop every worker-side event.  The executor routes worker telemetry
+(spans + metric snapshots) back with the batch results and absorbs it
+in the parent — these tests pin the contract: aggregate counters,
+histogram counts and span counts are identical whether the batches ran
+inline or across a pool.
 
 The span tree is the stacked route's: one ``detect_batch`` span per
 stack and one ``attribute_batch`` span per batch of declared jobs under
@@ -15,7 +15,7 @@ the stack's; only passthrough baselines are traced job by job).
 Gauges and transport counters are deliberately excluded: the
 in-flight-batches gauge and the packed-payload row counters only exist
 for pooled runs (serial pickles nothing), so parity is defined over the
-remaining counters + histograms + spans + hook events.
+remaining counters + histograms + spans.
 """
 
 from collections import Counter as TallyCounter
@@ -23,9 +23,9 @@ from collections import Counter as TallyCounter
 import pytest
 
 from repro.engine import (AssessmentEngine, EngineConfig, FleetScenarioSpec,
-                          Instrumentation, SyntheticFleetSource, add_hook,
-                          clear_hooks, execute_jobs, plan_detect_batches,
-                          remove_hook, reset_shared_cache, spec_for_method)
+                          SyntheticFleetSource, execute_jobs,
+                          plan_detect_batches, reset_shared_cache,
+                          spec_for_method)
 from repro.engine.batching import (PACKED_ROWS_METRIC,
                                    PACKED_UNIQUE_ROWS_METRIC)
 from repro.engine.executor import INFLIGHT_GAUGE
@@ -41,33 +41,23 @@ def fleet_jobs():
     cache hit/miss counters are stable across worker counts."""
     source = SyntheticFleetSource(FleetScenarioSpec(
         n_services=4, n_servers=20, n_changes=3, history_days=1, seed=3))
-    return list(source.plan_jobs((spec_for_method("funnel"),),
-                                 instrumentation=Instrumentation()))
+    return list(source.plan_jobs((spec_for_method("funnel"),)))
 
 
 @pytest.fixture(autouse=True)
 def _clean_state():
     reset_shared_cache()
-    clear_hooks()
     yield
     reset_shared_cache()
-    clear_hooks()
 
 
 def _observed_run(jobs, workers):
-    """Run ``jobs`` with obs + hooks attached, from a cold cache."""
+    """Run ``jobs`` with obs attached, from a cold cache."""
     reset_shared_cache()
     obs = ObsContext()
-    instrumentation = Instrumentation(obs=obs)
-    events = []
-    hook = add_hook(events.append)
-    try:
-        results = execute_jobs(
-            jobs, config=EngineConfig(workers=workers, batch_size=4),
-            instrumentation=instrumentation)
-    finally:
-        remove_hook(hook)
-    return results, obs, events
+    results = execute_jobs(
+        jobs, config=EngineConfig(workers=workers, batch_size=4), obs=obs)
+    return results, obs
 
 
 def _counter_values(obs):
@@ -87,22 +77,10 @@ def _histogram_counts(obs):
             for name, doc in snap["histograms"].items()}
 
 
-def _event_counts(events):
-    keys = []
-    for event in events:
-        if event["kind"] == "stage":
-            keys.append(("stage", event["stage"]))
-        else:
-            keys.append((event["kind"], event.get("name")))
-    return TallyCounter(keys)
-
-
 class TestWorkerChannelParity:
     def test_metrics_spans_and_hook_events_match(self, fleet_jobs):
-        serial_results, serial_obs, serial_events = \
-            _observed_run(fleet_jobs, workers=0)
-        pooled_results, pooled_obs, pooled_events = \
-            _observed_run(fleet_jobs, workers=2)
+        serial_results, serial_obs = _observed_run(fleet_jobs, workers=0)
+        pooled_results, pooled_obs = _observed_run(fleet_jobs, workers=2)
 
         # Outcomes first: obs must not perturb the engine's parity.
         assert [r.outcome for r in serial_results] == \
@@ -130,13 +108,8 @@ class TestWorkerChannelParity:
         assert serial_names["execute"] == 1
         assert "job" not in serial_names
 
-        # The satellite fix itself: hooks see the same events either way.
-        assert _event_counts(serial_events) == _event_counts(pooled_events)
-        assert _event_counts(serial_events)[("span", "detect_batch")] == \
-            len(stacks)
-
     def test_worker_spans_reparent_under_execute(self, fleet_jobs):
-        _, obs, _ = _observed_run(fleet_jobs[:8], workers=2)
+        _, obs = _observed_run(fleet_jobs[:8], workers=2)
         spans = obs.spans()
         execute = [s for s in spans if s.name == "execute"]
         assert len(execute) == 1
@@ -148,14 +121,14 @@ class TestWorkerChannelParity:
         assert {s.trace_id for s in spans} == {obs.tracer.trace_id}
 
     def test_inflight_gauge_is_pooled_only(self, fleet_jobs):
-        _, serial_obs, _ = _observed_run(fleet_jobs[:8], workers=0)
-        _, pooled_obs, _ = _observed_run(fleet_jobs[:8], workers=2)
+        _, serial_obs = _observed_run(fleet_jobs[:8], workers=0)
+        _, pooled_obs = _observed_run(fleet_jobs[:8], workers=2)
         assert INFLIGHT_GAUGE not in serial_obs.metrics.snapshot()["gauges"]
         assert pooled_obs.metrics.gauge(INFLIGHT_GAUGE).value() >= 1
 
     def test_packed_counters_are_pooled_only(self, fleet_jobs):
-        _, serial_obs, _ = _observed_run(fleet_jobs[:8], workers=0)
-        _, pooled_obs, _ = _observed_run(fleet_jobs[:8], workers=2)
+        _, serial_obs = _observed_run(fleet_jobs[:8], workers=0)
+        _, pooled_obs = _observed_run(fleet_jobs[:8], workers=2)
         serial_names = serial_obs.metrics.snapshot()["counters"]
         for name in TRANSPORT_COUNTERS:
             assert name not in serial_names
@@ -172,7 +145,7 @@ class TestWorkerChannelParity:
         reset_shared_cache()
         plain = execute_jobs(fleet_jobs,
                              config=EngineConfig(workers=0, batch_size=4))
-        observed, _, _ = _observed_run(fleet_jobs, workers=0)
+        observed, _ = _observed_run(fleet_jobs, workers=0)
         for a, b in zip(plain, observed):
             assert a.outcome == b.outcome
             assert a.verdict == b.verdict

@@ -1,5 +1,6 @@
 """Run-artifact round-trips and the ``repro obs report`` golden output."""
 
+import hashlib
 import json
 import os
 
@@ -55,6 +56,58 @@ GOLDEN_FOLDED = [
     "execute;batch;job;attribute 50000",
     "execute;batch;job;detect 600000",
 ]
+
+
+#: Counters behind every ``obs report`` section; what 07e8626 (``cli.py``
+#: still rendered them) printed for them after the table, and the sha256
+#: of its ``--json`` output for the same run.
+GOLDEN_COUNTERS = [
+    ("repro_engine_batched_batches_total", {}, 2),
+    ("repro_engine_batched_capacity_total", {}, 32),
+    ("repro_engine_batched_jobs_total", {}, 12),
+    ("repro_engine_packed_rows_total", {}, 9),
+    ("repro_engine_packed_unique_rows_total", {}, 4),
+    ("repro_live_gated_candidates_total", {}, 40),
+    ("repro_live_gating_tables_total", {}, 3),
+    ("repro_live_pooled_batches_total", {}, 3),
+    ("repro_live_pooled_series_total", {}, 10),
+    ("repro_live_scored_windows_total", {}, 7),
+    ("repro_live_tick_stage_seconds_total", {"stage": "pool"}, 0.5),
+]
+
+GOLDEN_SECTIONS = """
+Counters
+  repro_engine_batched_batches_total                        2
+  repro_engine_batched_capacity_total                      32
+  repro_engine_batched_jobs_total                          12
+  repro_engine_packed_rows_total                            9
+  repro_engine_packed_unique_rows_total                     4
+  repro_live_gated_candidates_total                        40
+  repro_live_gating_tables_total                            3
+  repro_live_pooled_batches_total                           3
+  repro_live_pooled_series_total                           10
+  repro_live_scored_windows_total                           7
+  repro_live_tick_stage_seconds_total{stage=pool}          0.5
+
+Batching
+  batched_detect_batches                                    2
+  batched_detect_fill_ratio                             0.375
+  batched_detect_jobs                                      12
+  batched_detect_mean_size                                  6
+  packed_dedup_ratio                                     2.25
+  packed_rows_pickled                                       4
+  packed_rows_referenced                                    9
+  pooled_gating_candidates_per_table                    13.33
+  pooled_gating_tables                                      3
+  pooled_scoring_batches                                    3
+  pooled_scoring_mean_size                               3.33
+  pooled_scoring_series                                    10
+  pooled_windows_per_position                           0.175
+
+Ingest plane
+  stage_seconds_pool                                      0.5
+"""
+GOLDEN_JSON_SHA = "0cbc3e0aa1ab1dd127262af196ada99d9ce0a72555d48d76802c7b3f7f3823ed"
 
 
 def _observed_context():
@@ -172,13 +225,24 @@ class TestProfile:
 
 class TestObsReportCli:
     @staticmethod
-    def _write_fixture_run(tmp_path, monkeypatch):
+    def _write_fixture_run(tmp_path, monkeypatch, counters=()):
         monkeypatch.setattr("repro.obs.artifacts.git_revision",
                             lambda cwd=None: None)
         obs = ObsContext()
         obs.tracer.adopt(FIXTURE_SPANS)
+        for name, labels, value in counters:
+            obs.metrics.counter(name).inc(value, **labels)
         write_run_artifacts(str(tmp_path), obs, run_id="golden-run",
                             unix_time=1000.0)
+
+    def test_counter_sections_golden(self, tmp_path, monkeypatch, capsys):
+        self._write_fixture_run(tmp_path, monkeypatch, GOLDEN_COUNTERS)
+        assert main(["obs", "report", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "Run golden-run\n\n" + GOLDEN_TABLE + GOLDEN_SECTIONS)
+        assert main(["obs", "report", str(tmp_path), "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode(
+            "utf-8")).hexdigest() == GOLDEN_JSON_SHA
 
     def test_report_golden_output(self, tmp_path, monkeypatch, capsys):
         self._write_fixture_run(tmp_path, monkeypatch)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -22,7 +23,56 @@ def treated_control_csvs(tmp_path, rng):
     return str(t_path), str(c_path)
 
 
+#: ``{command: {dest: default}}`` over every subparser as 07e8626 had it:
+#: an option-builder refactor cannot move a default or lose a flag silently.
+_FUNNEL = {"omega": 9, "did_threshold": 0.5}
+_SCENARIO = {"services": 6, "servers": 48, "changes": 8,
+             "impact_fraction": 0.5, "history_days": 2, "seed": 7}
+_LIVE = dict(_SCENARIO, window_bins=240, change_offset=80, flush_bins=1,
+             score_chunk=6, queue_capacity=64, drain_budget=0,
+             max_active_changes=0, verdicts=None, obs_dir=None, **_FUNNEL)
+_REPLAY = dict(_LIVE, checkpoint=None, checkpoint_every=25,
+               resume_from=None, kill_after_ticks=0, health=None)
+CLI_SURFACE = {
+    "detect": dict(_FUNNEL, series=None, change_minute=0),
+    "assess": dict(_FUNNEL, treated=None, control=None, history=None,
+                   change_minute=None),
+    "generate": {"out_treated": None, "out_control": None,
+                 "character": "stationary", "effect_sigmas": 6.0,
+                 "minutes": 240, "change_minute": 120, "seed": 0},
+    "cost": {"seconds": 0.5},
+    "assess-fleet": dict(_SCENARIO, **_FUNNEL, detectors="funnel", workers=0,
+                         batch_size=16, obs_dir=None, verdicts=None),
+    "live-replay": dict(_REPLAY, check_offline=False),
+    "chaos-replay": dict(_REPLAY, plan="drop-delay-dup", fault_seed=0,
+                         fault_offset_bins=0),
+    "cluster-replay": dict(
+        _LIVE, shards=4, replicas=64, workdir=None, checkpoint_every=10,
+        heartbeat_timeout=30.0, max_restarts=2, kill_shard=None,
+        hang_shard=None, at_tick=None, health=False, fault_plan=None,
+        fault_seed=0, check_offline=False),
+    "obs report": {"obs_dir": None, "top": 10, "folded": None, "json": False},
+    "obs health-report": dict(heartbeat=None, json=False, out=None,
+                              min_self_detections=None,
+                              max_self_detections=None),
+}
+
+
+def _surface(parser, prefix=""):
+    table = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                table.update(_surface(sub, (prefix + " " + name).strip()))
+        elif prefix and action.dest != "help":
+            table.setdefault(prefix, {})[action.dest] = action.default
+    return table
+
+
 class TestParser:
+    def test_surface_table(self):
+        assert _surface(build_parser()) == CLI_SURFACE
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -123,8 +173,10 @@ _FLEET_ARGS = ["assess-fleet", "--services", "4", "--servers", "20",
 
 
 class TestAssessFleet:
-    def test_report_structure(self, capsys):
-        assert main(_FLEET_ARGS + ["--detectors", "funnel,improved_sst"]) == 0
+    def test_report_structure(self, tmp_path, capsys):
+        obs_dir = tmp_path / "obs"
+        assert main(_FLEET_ARGS + ["--detectors", "funnel,improved_sst",
+                                   "--obs-dir", str(obs_dir)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["jobs"] > 0
         assert set(payload["detectors"]) == {"funnel", "improved_sst"}
@@ -132,10 +184,15 @@ class TestAssessFleet:
         assert funnel["jobs"] == funnel["labelled_jobs"]
         assert 0.0 <= funnel["precision"] <= 1.0
         assert 0.0 <= funnel["recall"] <= 1.0
-        stages = payload["instrumentation"]["stages"]
-        for stage in ("plan", "fetch", "detect", "execute"):
-            assert stage in stages
+        for stage in ("plan", "detect", "execute"):
+            assert payload["stages"][stage]["calls"] > 0
         assert payload["scenario"]["changes"] == 3
+        # Recorded spans: a ``plan`` per (change, detector), a ``fetch`` per job.
+        assert main(["obs", "report", str(obs_dir), "--json"]) == 0
+        calls = {tuple(p["path"]): p["calls"]
+                 for p in json.loads(capsys.readouterr().out)["paths"]}
+        assert calls[("assess_fleet", "plan")] == 3 * 2
+        assert calls[("assess_fleet", "fetch")] == payload["jobs"]
 
     def test_golden_json_round_trip(self, capsys):
         """Two runs (one parallel) print the same JSON, timings aside."""
@@ -153,8 +210,9 @@ class TestAssessFleet:
         assert json.loads(json.dumps(a, sort_keys=True)) == a
 
     def test_unknown_detector_errors(self, capsys):
-        assert main(_FLEET_ARGS + ["--detectors", "prophet"]) == 1
-        assert "error" in json.loads(capsys.readouterr().err)
+        for detectors in ("prophet", ","):      # unknown name; none at all
+            assert main(_FLEET_ARGS + ["--detectors", detectors]) == 1
+            assert "error" in json.loads(capsys.readouterr().err)
 
 
 class TestGoldenJson:
@@ -252,13 +310,23 @@ class TestLiveReplay:
 
 class TestAssessFleetVerdicts:
     def test_verdicts_jsonl_written(self, tmp_path, capsys):
-        path = tmp_path / "offline.jsonl"
+        path = tmp_path / "new" / "offline.jsonl"   # parent is created
         assert main(_FLEET_ARGS + ["--verdicts", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdicts_path"] == str(path)
         lines = path.read_text().strip().splitlines()
-        assert lines
+        assert len(lines) == payload["jobs"] > 0
         doc = json.loads(lines[0])
         for field in ("change_id", "entity_type", "entity", "metric",
                       "detector", "verdict"):
             assert field in doc
+
+    def test_unwritable_target_fails_before_planning(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # Planning a job would now be a TypeError, not an exit code.
+        monkeypatch.setattr("repro.engine.SyntheticFleetSource.plan_jobs",
+                            None)
+        (tmp_path / "file").write_text("")
+        target = tmp_path / "file" / "offline.jsonl"    # parent is a file
+        assert main(_FLEET_ARGS + ["--verdicts", str(target)]) == 1
+        assert "error" in json.loads(capsys.readouterr().err)

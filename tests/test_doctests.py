@@ -13,7 +13,6 @@ import repro.core.funnel
 import repro.core.ika
 import repro.core.scoring
 import repro.core.sst
-import repro.engine.instrument
 import repro.simulation.clock
 import repro.simulation.scenario
 import repro.telemetry.agent
@@ -27,7 +26,6 @@ MODULES = [
     repro.core.ika,
     repro.core.scoring,
     repro.core.sst,
-    repro.engine.instrument,
     repro.simulation.clock,
     repro.simulation.scenario,
     repro.telemetry.agent,

@@ -13,9 +13,9 @@ persistent — and says nothing about the order of evaluation; ours is
 cheap half first (:func:`declare_changes`: *table, kernel, scan*): the
 persistence half never reads a score and costs a seventh of one, so it
 decides which positions the SST kernel is asked to score at all — a
-quiet row costs no kernel time, and a row that has its answer (the
-first reportable change, when that is all the caller reads) costs
-nothing more.
+quiet row costs no kernel time, a declaration asks for no score but the
+one that armed it, and a row read for its first reportable change costs
+nothing before that change can start nor after it has its answer.
 
 It also provides the robust normalisation that makes gated scores
 comparable across KPIs of wildly different magnitudes, the estimation of
@@ -389,27 +389,20 @@ def _score_and_scan(where: np.ndarray, ask, policy: ChangeDeclarationPolicy,
     """*Kernel, scan* for a stack whose gating table is done.
 
     ``where`` marks the confirmed positions and ``ask(mask)`` returns
-    the scores of the positions a mask of that shape sets, ``0.0``
-    elsewhere.  Asks for the confirmed positions, walks each row's armed
-    ones oldest first — a declaration covers ``[t, t + horizon]`` and
-    scanning resumes after it — then asks once more for what is left of
-    the declared stretches, whose peak score a declaration reports.
-    Returns each row's declaring positions and the scores.
+    a stack holding the scores of the positions a mask of that shape
+    sets.  Asks once, walks each row's armed positions oldest first — a
+    declaration covers ``[t, t + horizon]`` and scanning resumes after
+    it — and returns each row's declaring positions and the scores.
     """
     scores = ask(where)
     chains = []
-    fill = np.zeros_like(where)
-    for armed, stretches in zip(where & candidate_mask(scores, policy), fill):
+    for armed in where & candidate_mask(scores, policy):
         chain, resume = [], 0
         for t in np.flatnonzero(armed).tolist():
             if t >= resume:
                 chain.append(t)
                 resume = t + horizon + 1
-                stretches[t:resume] = True
         chains.append(chain)
-    fill &= ~where
-    if fill.any():
-        scores = np.where(fill, ask(fill), scores)
     return chains, scores
 
 
@@ -431,7 +424,7 @@ def _declared_change(x: np.ndarray, scores: np.ndarray, candidate: int,
     return DetectedChange(
         index=detected_at,
         start_index=start,
-        score=float(scores[candidate:detected_at + 1].max()),
+        score=float(scores[candidate]),
         kind=classify_change(x, start, detected_at),
         direction=direction,
     )
@@ -471,8 +464,8 @@ def declare_changes(series: Sequence[float], scores,
     everything and confirming the armed positions one by one
     (:func:`confirm_candidate`) gives.  A row leaves when it has no
     positions left or, under ``first_only``, its answer; where the
-    stretches end (without ``first_only``: one, the whole row) is
-    derived in ``docs/algorithms.md`` section 5.
+    stretches end and the first starts (without ``first_only``: one,
+    the whole row) is derived in ``docs/algorithms.md`` section 5.
 
     Args:
         series: the (normalised or raw) KPI samples — or a
@@ -483,9 +476,8 @@ def declare_changes(series: Sequence[float], scores,
             boolean mask of the 2-D stack's shape, it returns a finite
             array of that shape holding the score wherever the mask is
             set (:meth:`repro.core.ika.IkaSST.scores_batch` with
-            ``where=``).  It is called for a round's confirmed positions
-            — not at all when none confirms — and, when something
-            declares, for the rest of each stretch.
+            ``where=``).  It is called once a round, for the confirmed
+            positions — not at all when none confirms.
         policy: declaration thresholds; defaults are the paper's.
         first_only: return only each row's first reportable change (the
             engine and the online deployment mode — one alert per item
@@ -503,8 +495,8 @@ def declare_changes(series: Sequence[float], scores,
 
     Returns:
         Reportable changes ordered by detection index, each carrying the
-        estimated start index, classification and direction; for a
-        stack, one such list per row.
+        declaring position's score, the estimated start index,
+        classification and direction; for a stack, one such list per row.
     """
     x = np.asarray(series, dtype=np.float64)
     every = None if callable(scores) else np.asarray(scores, dtype=np.float64)
@@ -533,7 +525,7 @@ def declare_changes(series: Sequence[float], scores,
             raise ParameterError(
                 "scores must be a finite stack of shape %r, got %r"
                 % (where.shape, got.shape))
-        return np.where(where, got, 0.0)
+        return got
 
     # A declaration needs its index inside the series: later positions
     # cannot declare whatever their window and score say.
@@ -544,9 +536,13 @@ def declare_changes(series: Sequence[float], scores,
     out: List[List[DetectedChange]] = [[] for _ in range(n_rows)]
     # Per row, the stretch ``[cursor, end)`` its next round decides: the
     # cursor is past every position tabled and every declared stretch.
-    cursor = [0] * n_rows
+    # Under ``first_only`` a row starts ``horizon`` positions before its
+    # first end — nothing earlier is reportable or reaches past that end —
+    # and over, from bin 0, if one declares: something earlier may block it.
     ends = (np.clip(since - policy.persistence, 0, last).tolist()
             if first_only else [last] * n_rows)
+    cursor = [max(0, end - horizon) if first_only else 0 for end in ends]
+    lead_in = True
     step = policy.persistence
     pending = list(range(n_rows)) if last else []
     while pending:
@@ -557,22 +553,25 @@ def declare_changes(series: Sequence[float], scores,
         where = np.zeros(stack.shape, dtype=bool)
         for row in pending:
             where[row, cursor[row]:ends[row]] = found[row] != 0
-        if where.any():
-            chains, got = _score_and_scan(where, ask, policy, horizon)
-            for row in pending:
-                for t in chains[row]:
-                    change = _declared_change(
-                        stack[row], got[row], t,
-                        int(found[row][t - cursor[row]]), policy, lookahead)
-                    if _reportable(change, since[row]):
-                        out[row].append(change)
-                        if first_only:
-                            break
-                if chains[row]:         # decided too: nothing in it declares
-                    ends[row] = max(ends[row], chains[row][-1] + horizon + 1)
+        chains, got = (_score_and_scan(where, ask, policy, horizon)
+                       if where.any() else ([[]] * n_rows, None))
         for row in pending:
+            if lead_in and cursor[row] and chains[row]:
+                cursor[row] = 0
+                continue
+            for t in chains[row]:
+                change = _declared_change(
+                    stack[row], got[row], t,
+                    int(found[row][t - cursor[row]]), policy, lookahead)
+                if _reportable(change, since[row]):
+                    out[row].append(change)
+                    if first_only:
+                        break
+            if chains[row]:             # decided too: nothing in it declares
+                ends[row] = max(ends[row], chains[row][-1] + horizon + 1)
             cursor[row] = ends[row]
             ends[row] = min(last, cursor[row] + step)
+        lead_in = False
         step *= 2
         pending = [row for row in pending if cursor[row] < last
                    and not (first_only and out[row])]

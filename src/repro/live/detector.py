@@ -13,21 +13,18 @@ a growing prefix, exploiting two structural facts:
   a prefix finds exactly the full-scan declarations visible in it, so
   deciding the positions as they become decidable — the same rule in
   the same order, *table, kernel, scan* (:func:`score_pass`) — yields
-  the same first reportable declaration (same ``index``,
-  ``start_index`` and ``direction``) the offline engine attributes.
+  the first reportable declaration the offline engine attributes.
 
 A pass tables the positions from each detector's scan cursor on, asks
-the kernel only for those whose persistence window confirms (and for
-the stretch of one that declares, whose peak the declaration's ``score``
-reports), and moves the cursor past every position it decided.  No
-score outlives the pass that computed it.
+the kernel — once — only for those whose persistence window confirms,
+and moves the cursor past every position it decided.  No score outlives
+the pass that computed it; a declaration's ``score`` is the declaring
+position's, bitwise the offline value whatever ``score_chunk_bins``.
 
-The declared change's ``score`` and ``kind`` are the exception to the
-parity: offline computes them with samples *after* the declaration bin
-(the score tail, the classifier's forward context), which a live
-detector does not have yet.  Both are reported from the data available
-at declaration time and are excluded from the live-vs-offline parity
-contract (see ``docs/live.md``).
+The declared change's ``kind`` is the exception to the parity: offline
+classifies with samples *after* the declaration bin, which a live
+detector does not have yet.  It is reported from the data available at
+declaration time and excluded from the contract (see ``docs/live.md``).
 
 ``score_chunk_bins`` batches passes: with chunk ``c`` a detector takes
 part once every ``c`` bins, amortising the fixed per-pass cost.
@@ -274,12 +271,11 @@ def score_pass(detectors: Sequence[IncrementalDetector]
 
     Builds one gating table over the positions each detector can now
     decide, makes one kernel call for the positions that confirm — none,
-    on most ticks — and one more for the rest of each declaring stretch,
-    as far as it is scoreable by now, and leaves each declaration in its
-    detector's ``declared``.
+    on most ticks — and leaves each declaration in its detector's
+    ``declared``.
 
     Returns the number of positions decided and the ``where`` mask of
-    each kernel call made (one row per detector in the call).
+    the kernel call, if one was made (one row per detector in it).
     """
     first = detectors[0]
     policy, span, scorer = first.config.policy, first.span, first.scorer
@@ -307,16 +303,11 @@ def score_pass(detectors: Sequence[IncrementalDetector]
     for row, (detector, positions, directions) in enumerate(rows):
         stack[row, :lengths[row]] = detector._norm[:lengths[row]]
         signs[row, positions] = directions
-    scoreable = np.arange(stack.shape[1]) <= (lengths - span)[:, None]
-    masks: List[np.ndarray] = []
-
-    def ask(mask: np.ndarray) -> np.ndarray:
-        masks.append(mask & scoreable)
-        return scorer.scores_batch(stack, lengths, where=masks[-1])
-
-    chains, scores = _score_and_scan(signs != 0, ask, policy, first.horizon)
+    where = signs != 0             # decidable, hence scoreable by now
+    chains, scores = _score_and_scan(
+        where, lambda mask: scorer.scores_batch(stack, lengths, where=mask),
+        policy, first.horizon)
     for (detector, _, _), chain, row, sign in zip(rows, chains, scores, signs):
         if chain:
             detector.apply_scores(row, chain, sign)
-    # A stretch that ends in the future selects nothing: not a kernel call.
-    return decided, [mask for mask in masks if mask.any()]
+    return decided, [where]

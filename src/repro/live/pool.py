@@ -8,9 +8,8 @@ the fixed cost of its own gating table and kernel call.  The
 whatever their lengths: one gating table over the positions they can now
 decide, one :meth:`~repro.core.ika.IkaSST.scores_batch` call for the
 positions whose persistence window confirms — none on most ticks, the
-cheap half of the declaration rule having rejected them — and one more
-for the stretch of whatever declares.  ``flush=True`` is the deadline
-form of the same pass.
+cheap half of the declaration rule having rejected them.  ``flush=True``
+is the deadline form of the same pass.
 
 Parity: the table is bitwise the per-candidate rule and ``scores_batch``
 bitwise the per-series scorer, whatever else rides in the stack (pinned
@@ -94,8 +93,8 @@ class DetectorPool:
                 (POOLED_SERIES_METRIC,
                  "Detector rows scored through the pool.", rows),
                 (SCORED_WINDOWS_METRIC,
-                 "Window pairs the pool handed to the kernel, fills "
-                 "included.", sum(int(mask.sum()) for mask in masks))):
+                 "Window pairs the pool handed to the kernel.",
+                 sum(int(mask.sum()) for mask in masks))):
             if amount:
                 self.metrics.counter(name, help=help_text).inc(amount)
         for _, _, detector in strays:

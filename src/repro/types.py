@@ -84,7 +84,8 @@ class DetectedChange:
     Attributes:
         index: sample index (time-bin) at which the change was *declared*.
         start_index: estimated sample index at which the change *started*.
-        score: the detector's change score at declaration time.
+        score: the detector's change score at the declaring position —
+            the value its threshold compared, the same live and offline.
         kind: ``"level_shift"`` or ``"ramp"`` (paper Fig. 2), or
             ``"unclassified"`` when the detector does not classify.
         direction: +1 for an increase, -1 for a decrease, 0 if unknown.

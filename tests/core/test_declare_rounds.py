@@ -3,9 +3,10 @@
 
 Under ``first_only`` a row leaves the declaration pass at its first
 *reportable* change — one starting at/after the row's ``since`` — and the
-pass runs in rounds over stretches of positions (first end
-``since - persistence``, then widths ``persistence``, 2x, 4x ...).  What
-must come out is defined without any of that: score every position,
+pass runs in rounds over stretches of positions (the first is the
+``horizon`` positions before ``since - persistence`` — the lead-in; a
+declaration inside it sends the row back to bin 0 — then widths
+``persistence``, 2x, 4x ...).  What must come out is defined without any of that: score every position,
 confirm each armed candidate oldest first (``tests/live/oracle.py``),
 keep the reportable ones, take the first.  Compared as whole
 :class:`~repro.types.DetectedChange` s, ``score`` and ``kind`` included.
@@ -27,8 +28,8 @@ from repro.core import scoring
 from repro.core.funnel import Funnel, FunnelConfig
 from repro.core.ika import IkaSST
 from repro.core.rsst import ImprovedSSTParams
-from repro.core.scoring import (ChangeDeclarationPolicy, declare_changes,
-                                robust_normalise)
+from repro.core.scoring import (ChangeDeclarationPolicy, _reportable,
+                                declare_changes, robust_normalise)
 from repro.exceptions import InsufficientDataError, ParameterError
 
 from ..live.oracle import _confirmed, eager_changes
@@ -65,6 +66,33 @@ def _blocked():
     return x, SINCE
 
 
+def _early_bump():
+    """The bump's ``[t, t + horizon]`` ends before the lead-in starts:
+    the row never looks at it."""
+    x = _noise(8)
+    x[25:33] += 7.0
+    x[82:] -= 6.0
+    return x, SINCE
+
+
+def _lead_in():
+    """The bump declares inside the lead-in: the row starts over."""
+    x = _noise(9)
+    x[62:70] += 7.0
+    x[82:] -= 6.0
+    return x, SINCE
+
+
+def _chained():
+    """A bump before the lead-in blocks a dip inside it, which would
+    otherwise block the real shift's first candidate."""
+    x = _noise(10)
+    x[51:59] += 7.0
+    x[64:68] -= 7.0
+    x[79:] -= 6.0
+    return x, SINCE
+
+
 def _straddle():
     """Declares at 93, inside the stretch [80, 94): its own
     ``[t, t + horizon]`` reaches 109."""
@@ -94,7 +122,9 @@ def _quiet():
 
 
 FIXTURES = {"blocked": _blocked, "straddle": _straddle,
-            "late-ramp": _late_ramp, "two": _two, "quiet": _quiet}
+            "late-ramp": _late_ramp, "two": _two, "quiet": _quiet,
+            "early-bump": _early_bump, "lead-in": _lead_in,
+            "chained": _chained}
 
 
 def _scored(x, since, config=CONFIG):
@@ -146,10 +176,64 @@ class TestFixtures:
         (at, change), = _chain(x, since)
         end = next(e for e in stretch_ends(since, x.size) if e > at)
         assert at < end <= at + HORIZON
-        # The row leaves in that round: what its ``score`` reads past
-        # the stretch end, only the fill can have scored.
-        _, scores = _scored(x, since)
-        assert change.score == scores[at:at + HORIZON + 1].max()
+        # The row leaves in that round, and its ``score`` is the one
+        # cell the threshold compared: nothing past what confirms is
+        # asked, inside the declared stretch or beyond the round's end.
+        xs, scores = _scored(x, since)
+        assert change.score == scores[at]
+        asked = np.zeros(x.size, dtype=bool)
+
+        def ask(where):
+            asked[:] |= where[0]
+            return IkaSST().scores_batch(xs[None, :], where=where)
+
+        assert declare_changes(xs[None, :], ask, CONFIG.policy, True, HORIZON,
+                               since=since) == [[change]]
+        confirmed = scoring._confirmed_directions(
+            [xs], [np.arange(end)], CONFIG.policy)[0] != 0
+        assert asked[at] and not asked[end:].any()
+        assert not (asked[:end] & ~confirmed).any()
+
+    @staticmethod
+    def _tabled(x, since):
+        """The row's positions per table call, and what came out."""
+        xs, scores = _scored(x, since)
+        with mock.patch.object(scoring, "_gating_table",
+                               wraps=scoring._gating_table) as table:
+            declared = declare_changes(xs, scores, CONFIG.policy, True,
+                                       HORIZON, since=since)
+        return [call.args[1][0].tolist()
+                for call in table.call_args_list], declared
+
+    def test_early_bump_is_never_tabled(self):
+        x, since = _early_bump()
+        p0 = since - CONFIG.policy.persistence
+        (bump_at, bump), (at, change) = _chain(x, since)
+        assert bump_at + HORIZON < p0 - HORIZON and at >= p0
+        tabled, declared = self._tabled(x, since)
+        assert tabled[0] == list(range(p0 - HORIZON, p0))
+        assert tabled[1][0] == p0                  # no fallback
+        assert declared == [change] == eager_changes(x, since)[:1]
+
+    @pytest.mark.parametrize("name", ["lead-in", "chained", "blocked"])
+    def test_a_declaration_in_the_lead_in_restarts_the_row(self, name):
+        x, since = FIXTURES[name]()
+        p0 = since - CONFIG.policy.persistence
+        tabled, declared = self._tabled(x, since)
+        assert tabled[0] == list(range(p0 - HORIZON, p0))
+        assert tabled[1] == list(range(p0))        # the fallback
+        assert declared == eager_changes(x, since)[:1] != []
+
+    def test_chained_fixture_chains(self):
+        """Starting the scan at the lead-in, without the fallback, lets
+        the dip declare and block the position that reports."""
+        x, since = _chained()
+        start = since - CONFIG.policy.persistence - HORIZON
+        (bump_at, bump), (at, change) = _chain(x, since)
+        assert bump_at < start and _reportable(change, since)
+        (dip_at, dip), (late, _) = _chain(x, since, cursor=start)
+        assert start <= dip_at <= bump_at + HORIZON < at <= dip_at + HORIZON
+        assert late > at and not _reportable(dip, since)
 
     def test_late_ramp_declares_in_the_last_round(self):
         x, since = _late_ramp()
@@ -227,6 +311,13 @@ def test_first_only_equals_head_of_the_eager_scan(case):
     assert declare_changes(
         normalised, scores, config.policy, True, config.sst.lookahead - 1,
         since=indices) == [changes[:1] for changes in expected]
+    # The premise of the first stretch, its end and its start: nothing
+    # declared from before ``since - persistence`` is reportable.
+    horizon = max(config.policy.persistence, config.sst.lookahead) - 1
+    for x, row, since in zip(normalised, scores, indices):
+        for _, change in _confirmed(x, row, config):
+            if change.index - horizon < since - config.policy.persistence:
+                assert not _reportable(change, since)
 
 
 class TestValidatesFirst:
@@ -312,6 +403,26 @@ def test_an_empty_first_stretch_starts_the_row_at_the_next(since):
     assert tabled[1].tolist() == list(range(CONFIG.policy.persistence))
 
 
+def test_mixed_since_in_one_stack_starts_each_row_where_it_can():
+    """``since < persistence + horizon``: no room for a lead-in, the row
+    starts at bin 0; its neighbours start at theirs."""
+    stack = np.vstack([_noise(seed) for seed in (11, 12, 13, 14)])
+    stack[:, 100:] += 4.0
+    indices = [SINCE, 15, 22, 24]
+    normalised = np.vstack([robust_normalise(row, baseline=since)
+                            for row, since in zip(stack, indices)])
+    scores = IkaSST().scores_batch(normalised)
+    with mock.patch.object(scoring, "_gating_table",
+                           wraps=scoring._gating_table) as table:
+        assert declare_changes(
+            normalised, scores, CONFIG.policy, True, HORIZON,
+            since=indices) == [eager_changes(row, since)[:1]
+                               for row, since in zip(stack, indices)]
+    assert [c.tolist() for c in table.call_args_list[0].args[1]] == [
+        list(range(57, 73)), list(range(8)), list(range(15)),
+        list(range(1, 17))]
+
+
 class TestWorkBound:
     """A 12 x 240 stack with an 8-sigma shift at bin 80."""
 
@@ -355,22 +466,26 @@ class TestWorkBound:
             (self.WIDTH - HORIZON) * self.ROWS
         del windows[:], tabled[:]
         assert Funnel().detect_batch(stack, since, first_only=True) == every
-        assert sum(windows) <= 40 * self.ROWS
-        assert sum(c.size for call in tabled for c in call) <= 110 * self.ROWS
-        # Rounds follow the schedule, and nothing is tabled twice.
+        # With it: the lead-in, then the schedule until the answer, and
+        # a kernel call holds the positions that confirmed, no more.
+        assert sum(windows) <= 6 * self.ROWS
+        assert sum(c.size for call in tabled for c in call) <= 30 * self.ROWS
+        assert sum(c.size for c in tabled[0]) == HORIZON * self.ROWS
         ends = stretch_ends(SINCE, self.WIDTH)
         assert len(tabled) <= len(ends)
-        for row in range(self.ROWS):
+        for row in range(self.ROWS):         # nothing is tabled twice
             positions = np.concatenate([call[row] for call in tabled])
-            assert positions.tolist() == list(range(positions.size))
-            assert positions.size in ends
+            assert positions.tolist() == list(range(
+                ends[0] - HORIZON, ends[0] - HORIZON + positions.size))
+            assert positions[-1] + 1 in ends
 
     def test_without_first_only_it_is_one_stretch(self, monkeypatch):
         """One table over every declarable position, one ask for what
-        confirms, one for the rest of the declared stretches — the calls
-        the single-pass rule made, in its order."""
+        confirms — the calls the single-pass rule made, in its order;
+        a declared stretch that holds unconfirmed positions (row 0 ends
+        inside its own) is not asked about again."""
         stack, since = self._stack(), [SINCE] * self.ROWS
-        stack[0, SINCE + 8:] -= 4.0       # ends inside its stretch: a fill
+        stack[0, SINCE + 8:] -= 4.0
         normalised = np.vstack([robust_normalise(row, baseline=SINCE)
                                 for row in stack])
         scorer, calls = IkaSST(), []
@@ -384,26 +499,27 @@ class TestWorkBound:
                                    since=since)
         assert [[p.tolist() for p in call] for call in tabled] == \
             [[list(range(self.WIDTH - HORIZON))] * self.ROWS]
-        (confirmed, after_a), (fill, after_b) = calls
-        assert after_a == after_b == 1            # table first, once
+        (confirmed, after), = calls
+        assert after == 1                         # table first, once
         found = scoring._confirmed_directions(list(normalised), tabled[0],
                                               ChangeDeclarationPolicy())
         assert confirmed[:, :self.WIDTH - HORIZON].tolist() == \
             [(row != 0).tolist() for row in found]
         assert not confirmed[:, self.WIDTH - HORIZON:].any()
-        stretches = np.zeros_like(fill)
-        for row, changes in enumerate(declared):
-            for change in changes:
-                stretches[row, change.index - HORIZON:change.index + 1] = True
-        assert (fill == (stretches & ~confirmed)).all() and fill.any()
+        at = declared[0][0].index - HORIZON
+        assert not confirmed[0, at:at + HORIZON + 1].all()
 
     def test_a_quiet_stack_is_tabled_once_and_never_scored(self, monkeypatch):
+        """Once from the lead-in on: the bins before it are not tabled
+        at all."""
         stack = np.round(self._stack(shift=0.0), 1)           # ties
         windows, tabled = self._counted(monkeypatch)
         assert Funnel().detect_batch(stack, [SINCE] * self.ROWS,
                                      first_only=True) == [[]] * self.ROWS
         assert windows == []
-        assert len(tabled) == len(stretch_ends(SINCE, self.WIDTH))
+        ends = stretch_ends(SINCE, self.WIDTH)
+        assert len(tabled) == len(ends)
         for row in range(self.ROWS):
             positions = np.concatenate([call[row] for call in tabled])
-            assert positions.tolist() == list(range(self.WIDTH - HORIZON))
+            assert positions.tolist() == list(range(ends[0] - HORIZON,
+                                                    self.WIDTH - HORIZON))

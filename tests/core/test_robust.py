@@ -75,6 +75,39 @@ class TestMedianAndMad:
         assert mad1 == pytest.approx(scale * mad0, rel=1e-9, abs=1e-6)
 
 
+class TestSortedMiddles:
+    """``median`` / ``mad`` / ``median_and_mad`` pick the sorted middles
+    themselves; what they must return is ``np.median``'s value."""
+
+    SIZES = list(range(1, 61)) + [79, 80, 81, 239, 240, 241, 1440]
+
+    @staticmethod
+    def _reference(x):
+        med = float(np.median(x))
+        return med, float(np.median(np.abs(x - med)))
+
+    @pytest.mark.parametrize("magnitude", [10.0 ** k for k in range(-4, 5)])
+    def test_byte_equal_to_np_median(self, magnitude):
+        rng = np.random.default_rng(int(np.log10(magnitude)) + 4)
+        for n in self.SIZES:
+            for draw in range(23):
+                x = rng.normal(0.0, magnitude, size=n)
+                if draw % 3 == 0:
+                    x = np.round(x, 1)              # ties
+                if draw % 11 == 0:
+                    x[:] = x[0]                     # zero MAD
+                got, expected = median_and_mad(x), self._reference(x)
+                assert got == expected
+                assert (median(x), mad(x), mad(x, 0.5)) == (
+                    expected[0], expected[1],
+                    float(np.median(np.abs(x - 0.5))))
+                # With both zeros in the input the sign of a zero
+                # median is the sort's (or the partition's) to choose.
+                if not (x == 0.0).any():
+                    assert np.array(got).tobytes() == \
+                        np.array(expected).tobytes()
+
+
 class TestRobustZscores:
     def test_centering(self, rng):
         x = rng.normal(10.0, 2.0, size=1001)

@@ -38,9 +38,11 @@ JOBS = 48
 POSITIVES = 12
 
 #: ``Funnel().detect`` on :func:`two_shift_series`: every declared change
-#: (``score`` as its ``repr``), not only the first
+#: (``score`` as its ``repr``: the declaring position's — positions 117
+#: and 317 of the eager score array — re-recorded when it stopped being
+#: the stretch peak, 2.689473708311063 for the first), not only the first
 TWO_SHIFT_CHANGES = [
-    (133, 120, "2.689473708311063", "level_shift", 1),
+    (133, 120, "2.6822248967544446", "level_shift", 1),
     (333, 320, "0.7407457652199485", "level_shift", -1),
 ]
 

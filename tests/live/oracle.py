@@ -7,7 +7,9 @@ defined here without any of that, and without sharing a line of it:
 score **every** position of the received prefix with
 :meth:`repro.core.ika.IkaSST.scores`, then run
 :func:`repro.core.scoring.confirm_candidate` on each armed candidate,
-oldest first.  :func:`eager_changes` is the offline form,
+oldest first — whole :class:`~repro.types.DetectedChange` s, ``score``
+(the armed candidate's own) included; live only ``kind`` may differ from
+offline.  :func:`eager_changes` is the offline form,
 :class:`EagerDetector` the live one (a pass on the ticks the service
 makes one: same chunk threshold, same deadline flush), and
 :func:`standalone_verdict_documents` the verdict documents a fault-free

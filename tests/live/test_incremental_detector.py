@@ -1,11 +1,13 @@
 """The streaming detector must match the offline FUNNEL bit for bit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.funnel import Funnel, FunnelConfig
 from repro.core.ika import IkaSST
-from repro.core.scoring import robust_normalise
+from repro.core.scoring import _confirmed_directions, robust_normalise
 from repro.exceptions import CheckpointError
 from repro.live.detector import IncrementalDetector
 
@@ -35,6 +37,12 @@ def stream(series, change_index, chunk_schedule, config=None,
     return detector, declared
 
 
+def but_kind(change):
+    """The parity contract: everything except ``kind``, which reads the
+    bins that have arrived *after* the declaration index."""
+    return dataclasses.replace(change, kind="")
+
+
 def constant_chunks(total, size):
     out = []
     remaining = total
@@ -53,8 +61,7 @@ class TestDeclarationParity:
         assert offline is not None
         _, live = stream(x, 80, constant_chunks(240, push_size))
         assert live is not None
-        assert (live.index, live.start_index, live.direction) == \
-            (offline.index, offline.start_index, offline.direction)
+        assert but_kind(live) == but_kind(offline)
 
     @pytest.mark.parametrize("push_size", [1, 7])
     def test_quiet_series_declares_nothing(self, rng, push_size):
@@ -93,10 +100,7 @@ class TestDeclarationParity:
             _, live = stream(x, 70, [int(s) for s in sizes])
             if (offline is None) != (live is None):
                 mismatches += 1
-            elif offline is not None and (
-                    (live.index, live.start_index, live.direction)
-                    != (offline.index, offline.start_index,
-                        offline.direction)):
+            elif offline is not None and but_kind(live) != but_kind(offline):
                 mismatches += 1
         assert mismatches == 0
 
@@ -104,14 +108,16 @@ class TestDeclarationParity:
 class TestScores:
     def test_scores_bitwise_equal_to_offline(self, rng, monkeypatch):
         """No score is stored; every one a pass computes — the confirmed
-        positions and the declared stretch, through ``where=`` — is the
-        byte the offline full-array call holds at that position, and
-        nothing else is computed."""
+        positions, through ``where=`` — is the byte the offline
+        full-array call holds at that position, and nothing else is
+        computed: a pass asks once or not at all."""
         x = 50.0 + rng.normal(0, 1.0, size=240)
         x[80:] += 7.0
         config = FunnelConfig()
         normalised = robust_normalise(x, baseline=80)
         offline_scores = Funnel(config).scorer.scores(normalised)
+        confirmed = _confirmed_directions(
+            [normalised], [np.arange(x.size - 16)], config.policy)[0] != 0
         asked = []
         original = IkaSST.scores_batch
 
@@ -122,20 +128,33 @@ class TestScores:
 
         monkeypatch.setattr(IkaSST, "scores_batch", recorded)
         detector, declared = stream(x, 80, constant_chunks(240, 1), config)
-        assert declared is not None and len(asked) >= 2
+        assert declared is not None and asked
+        assert len({n for n, _, _ in asked}) == len(asked)
         for n, where, scores in asked:
-            # Offline scored the whole series: the live tail past the
-            # last computable position is zero instead.
-            expected = np.where(np.arange(n) <= n - detector.span,
-                                offline_scores[:n], 0.0)
-            assert np.array_equal(scores, np.where(where, expected, 0.0))
+            assert where.any() and not (where & ~confirmed[:n]).any()
+            assert np.array_equal(scores,
+                                  np.where(where, offline_scores[:n], 0.0))
         scored = sum(int(where.sum()) for _, where, _ in asked)
-        assert scored < 0.25 * len(detector)
-        # The declaration reports the peak of its stretch, as far as it
-        # was scoreable on the declaring call.
-        candidate, n = declared.index - detector.lookahead, asked[-1][0]
-        assert declared.score == \
-            offline_scores[candidate:n - detector.span + 1].max()
+        assert scored < 0.1 * len(detector)
+        # The declaration reports the score that armed it.
+        candidate = declared.index - detector.lookahead
+        assert declared.score == offline_scores[candidate]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_the_score_is_a_fact_about_the_kpi(self, seed):
+        """On a ramp the declaring position's stretch is still filling
+        when it declares: its peak depended on how many bins the pass
+        had, the declaring score does not."""
+        x = 50.0 + np.random.default_rng(seed).normal(0, 1.0, size=240)
+        x[80:95] += np.linspace(0, 5, 15)
+        x[95:] += 5.0
+        offline = Funnel().detect(x, 80, first_only=True)
+        for chunk in (1, 4, 9, 12, 64):
+            _, live = stream(x, 80, constant_chunks(240, 1),
+                             score_chunk_bins=chunk)
+            # ``==`` on a score above the threshold is byte equality.
+            assert [but_kind(c) for c in offline] == \
+                ([] if live is None else [but_kind(live)])
 
     @pytest.mark.parametrize("chunk", [4, 9])
     def test_chunking_changes_nothing(self, rng, chunk):
@@ -145,8 +164,7 @@ class TestScores:
         _, chunked = stream(x, 80, constant_chunks(240, 1),
                             score_chunk_bins=chunk)
         assert plain is not None and chunked is not None
-        assert (plain.index, plain.start_index) == \
-            (chunked.index, chunked.start_index)
+        assert but_kind(plain) == but_kind(chunked)
 
 
 class TestFlush:
@@ -204,8 +222,7 @@ class TestStorage:
                                       robust_normalise(x, baseline=80))
         first = offline_first_declaration(x, 80)
         assert first is not None
-        assert (declared.index, declared.start_index, declared.direction) == \
-            (first.index, first.start_index, first.direction)
+        assert but_kind(declared) == but_kind(first)
 
     @pytest.mark.parametrize("field,values,shape", [
         # one element used to broadcast silently over all 90 bins

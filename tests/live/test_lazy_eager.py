@@ -7,7 +7,7 @@ received prefix and confirms each armed candidate on its own.  They must
 agree on whole :class:`~repro.types.DetectedChange` s — ``index``,
 ``start_index``, ``direction``, ``score``, ``kind`` — offline on stacks
 and live on every call, and the work the lazy program hands the kernel
-must be exactly the confirmed positions plus the declared stretches.
+must be exactly the confirmed positions.
 """
 
 import numpy as np
@@ -146,14 +146,15 @@ def test_lazy_equals_eager(case):
 
 
 class TestKernelWork:
-    """Windows handed to the kernel == confirmed positions + whatever
-    else of each declared stretch is scoreable — counted at
-    ``IkaSST._raw_scores`` against a brute-force count of the rule."""
+    """Windows handed to the kernel == confirmed positions, and none
+    for the rest of a declared stretch (a declaration's ``score`` is the
+    declaring position's) — counted at ``IkaSST._raw_scores`` against a
+    brute-force count of the rule."""
 
     CHANGE = 80
     #: ``persistence - 1 <`` and ``>`` the scoring lookahead: in the
     #: second a live declaration always finds scoreable bins of its
-    #: stretch that no pass has decided yet.
+    #: stretch that no pass has decided yet — and leaves them unscored.
     CONFIGS = [FunnelConfig(), FunnelConfig(
         sst=ImprovedSSTParams(omega=5),
         policy=ChangeDeclarationPolicy(persistence=12))]
@@ -186,9 +187,11 @@ class TestKernelWork:
 
     @staticmethod
     def _expected(config, x, n, cursor=0):
-        """``(decidable, confirmed, filled)`` positions of one pass over
-        ``x[:n]`` from ``cursor`` on.  Confirmed: the persistence window
-        confirms and the declaration index fits — scores play no part."""
+        """``(decidable, confirmed, unconfirmed)`` positions of one pass
+        over ``x[:n]`` from ``cursor`` on.  Confirmed: the persistence
+        window confirms and the declaration index fits — scores play no
+        part.  Unconfirmed: the scoreable rest of the declared stretches,
+        which nothing may score."""
         span, policy = config.sst.lead, config.policy
         horizon = max(policy.persistence - 1, span - 1)
         scoreable = set(range(span, n - span + 1))
@@ -196,16 +199,19 @@ class TestKernelWork:
         ignored = np.zeros(n)
         confirmed = {t for t in decidable if confirm_candidate(
             x[:n], ignored, t, policy, horizon) is not None}
-        filled = set()
+        stretches = set()
         for _, change in _confirmed(x[:n], IkaSST(config.sst).scores(x[:n]),
                                     config, cursor, n - horizon - 1):
-            filled |= set(range(change.index - horizon, change.index + 1))
+            stretches |= set(range(change.index - horizon, change.index + 1))
         return (len(decidable), len(confirmed),
-                len((filled & scoreable) - confirmed))
+                len((stretches & scoreable) - confirmed))
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["w9-p7", "w5-p12"])
     def test_detect_batch_scores_confirmed_positions_and_stretches(
             self, config, monkeypatch):
+        """One kernel call holding the confirmed positions; the rest of
+        the declared stretches (the name's "and_stretches", scored until
+        ``score`` stopped being their peak) is not asked for."""
         stack = self._stack()
         normalised = np.vstack([robust_normalise(row, baseline=self.CHANGE)
                                 for row in stack])
@@ -216,17 +222,19 @@ class TestKernelWork:
         assert Funnel(config).detect_batch(stack, [self.CHANGE] * 4) == eager
         assert eager[0] == eager[3] == [] and len(eager[1]) == 1
         confirmed = sum(c for _, c, _ in expected)
-        filled = sum(f for _, _, f in expected)
-        assert counted == ([confirmed, filled] if filled else [confirmed])
+        assert counted == [confirmed] and confirmed > 0
         # The excursion ends inside its stretch: offline that leaves
         # scoreable bins of it unconfirmed under the default config.
-        assert confirmed > 0 and (filled > 0) == (config is self.CONFIGS[0])
+        unconfirmed = sum(u for _, _, u in expected)
+        assert (unconfirmed > 0) == (config is self.CONFIGS[0])
         # The quiet and the spiked row cost (next to) nothing.
-        assert expected[0][1:] == (0, 0) and sum(expected[3][1:]) < 5
+        assert expected[0][1] == 0 and expected[3][1] < 5
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["w9-p7", "w5-p12"])
     def test_pooled_replay_scores_confirmed_positions_and_stretches(
             self, config, monkeypatch):
+        """Live: the same count, pass by pass; the undecided bins of a
+        declaring stretch are left unscored."""
         stack = self._stack()
         normalised = np.vstack([robust_normalise(row, baseline=self.CHANGE)
                                 for row in stack])
@@ -237,17 +245,17 @@ class TestKernelWork:
                      for _ in stack]
         references = [EagerDetector(self.CHANGE, config) for _ in stack]
         decided_to = [0] * len(stack)
-        positions = confirmed = filled = 0
+        positions = confirmed = unconfirmed = 0
         counted = self._windows(monkeypatch)
         for n in range(self.CHANGE, stack.shape[1] + 1, 3):
             counted.on = False            # the reference scores too
             for i, reference in enumerate(references):
                 if reference.declared is None:
-                    d, c, f = self._expected(
+                    d, c, u = self._expected(
                         config, normalised[i], n,
                         max(decided_to[i], reference._cursor))
                     positions, confirmed = positions + d, confirmed + c
-                    filled += f
+                    unconfirmed += u
                     decided_to[i] = n - max(config.policy.persistence,
                                             config.sst.lead) + 1
                     reference.extend(stack[i, len(reference.series):n])
@@ -261,11 +269,11 @@ class TestKernelWork:
             [r.declared for r in references]
         assert [d.declared is not None for d in detectors][:2] == \
             [False, True]
-        assert sum(counted) == confirmed + filled
-        assert (filled > 0) == (config is not self.CONFIGS[0])
+        assert sum(counted) == confirmed
+        assert (unconfirmed > 0) == (config is not self.CONFIGS[0])
         counters = registry.snapshot()["counters"]
         assert counters[SCORED_WINDOWS_METRIC]["values"][0]["value"] == \
-            confirmed + filled
+            confirmed
         assert counters[GATED_CANDIDATES_METRIC]["values"][0]["value"] == \
             positions
 

@@ -2,8 +2,10 @@
 
 Live and offline must agree on the full record set
 ``(change_id, entity_type, entity, metric, verdict, declaration_bin)``
-for the same scenario.  ``score`` and ``kind`` are excluded by contract:
-offline computes them from samples after the declaration bin.
+for the same scenario.  Of the declared change behind a record only
+``kind`` is outside the contract — offline classifies with samples after
+the declaration bin; ``score`` is the declaring position's on both sides
+(``test_incremental_detector.py``).
 """
 
 import pytest

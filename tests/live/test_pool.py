@@ -125,8 +125,8 @@ class TestOneTablePerPass:
         assert len(pool.score_pending(detectors)) == 4
         assert _counter(registry, GATING_TABLES_METRIC) == 1
         assert _counter(registry, GATED_CANDIDATES_METRIC) == positions
-        # Two kernel calls: what confirms, then the declared stretches.
-        assert _counter(registry, POOLED_BATCHES_METRIC) == len(calls) == 2
+        # One kernel call: what confirms.
+        assert _counter(registry, POOLED_BATCHES_METRIC) == len(calls) == 1
         windows = sum(asked for _, _, asked in calls)
         assert _counter(registry, SCORED_WINDOWS_METRIC) == windows
         assert 0 < windows < positions / 2

@@ -23,14 +23,6 @@ Commands:
   (``repro.faults``): delayed/dropped/duplicated/reordered pushes,
   transient history errors, agent silence.  Asserts the live verdicts
   still match the offline engine; exits 1 on a parity failure.
-* ``cluster-replay`` — the sharded twin of ``live-replay``
-  (``repro.cluster``): partition the fleet across ``--shards`` worker
-  processes by consistent hashing, supervise them (heartbeats, crash
-  and hang recovery from per-shard checkpoints), and fan the verdict
-  streams back into one deterministic merged JSONL, byte-identical to
-  the single-process run.  ``--kill-shard K --at-tick T`` crashes a
-  shard mid-run to prove recovery; ``--fault-plan`` layers chaos on
-  top; ``--health`` writes one heartbeat stream per shard.
 * ``obs report`` — profile a recorded ``--obs-dir`` run: per-stage /
   per-detector time breakdown (self vs. child time, slowest jobs) as an
   ASCII table plus the run's counters (including the live pipeline's
@@ -153,56 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "outage instead of a cold-start one")
     _add_funnel_options(chaos)
 
-    cluster = sub.add_parser(
-        "cluster-replay",
-        help="shard the live replay across worker processes and merge "
-             "the verdict streams back into one deterministic file")
-    _add_scenario_options(cluster)
-    _add_live_runtime_options(cluster)
-    cluster.add_argument("--shards", type=int, default=4,
-                         help="worker processes the fleet is "
-                              "partitioned across")
-    cluster.add_argument("--replicas", type=int, default=64,
-                         help="virtual nodes per shard on the hash ring")
-    cluster.add_argument("--workdir",
-                         help="directory for per-shard verdicts, results "
-                              "and checkpoints (default: a temp dir)")
-    cluster.add_argument("--verdicts",
-                         help="write the merged verdict JSONL here "
-                              "(byte-identical to live-replay's)")
-    cluster.add_argument("--checkpoint-every", type=int, default=10,
-                         help="ticks between per-shard checkpoints")
-    cluster.add_argument("--heartbeat-timeout", type=float, default=30.0,
-                         help="seconds of worker silence before it "
-                              "counts as hung and is restarted")
-    cluster.add_argument("--max-restarts", type=int, default=2,
-                         help="restarts allowed per shard before "
-                              "giving up")
-    cluster.add_argument("--kill-shard", type=int, default=None,
-                         help="crash this shard mid-run (with --at-tick) "
-                              "to exercise supervised recovery")
-    cluster.add_argument("--hang-shard", type=int, default=None,
-                         help="hang this shard mid-run (with --at-tick) "
-                              "to exercise the heartbeat timeout")
-    cluster.add_argument("--at-tick", type=int, default=None,
-                         help="tick at which --kill-shard/--hang-shard "
-                              "strikes")
-    cluster.add_argument("--health", action="store_true",
-                         help="write one heartbeat stream per shard "
-                              "(shard-N/heartbeat.jsonl in --workdir)")
-    cluster.add_argument("--fault-plan", default=None,
-                         help="also inject a named fault plan in every "
-                              "shard: %s" % ", ".join(_chaos_plan_names()))
-    cluster.add_argument("--fault-seed", type=int, default=0,
-                         help="seed of the fault plan's coin")
-    cluster.add_argument("--obs-dir",
-                         help="directory to write merged run artifacts "
-                              "into (worker spans and metrics absorbed)")
-    cluster.add_argument("--check-offline", action="store_true",
-                         help="verify the merged verdicts against the "
-                              "offline engine; exit 1 on mismatch")
-    _add_funnel_options(cluster)
-
     obs = sub.add_parser("obs", help="observability tooling")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     report = obs_sub.add_parser(
@@ -254,7 +196,8 @@ def _add_scenario_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=7)
 
 
-def _add_live_runtime_options(live: argparse.ArgumentParser) -> None:
+def _add_live_replay_options(live: argparse.ArgumentParser) -> None:
+    _add_scenario_options(live)
     live.add_argument("--window-bins", type=int, default=240,
                       help="bins per change window")
     live.add_argument("--change-offset", type=int, default=80,
@@ -272,11 +215,6 @@ def _add_live_runtime_options(live: argparse.ArgumentParser) -> None:
     live.add_argument("--max-active-changes", type=int, default=0,
                       help="cap on concurrently assessed changes "
                            "(0 = unlimited)")
-
-
-def _add_live_replay_options(live: argparse.ArgumentParser) -> None:
-    _add_scenario_options(live)
-    _add_live_runtime_options(live)
     live.add_argument("--checkpoint",
                       help="write a session checkpoint (JSONL) here "
                            "periodically")
@@ -328,7 +266,7 @@ def _scenario_spec(args: argparse.Namespace, **windows: int):
 
 
 def _live_setup(args: argparse.Namespace, overrides: Optional[dict] = None):
-    """Scenario spec and parity :class:`LiveConfig` of a live/cluster run."""
+    """Scenario spec and parity :class:`LiveConfig` of a live run."""
     from .live import parity_live_config
     spec = _scenario_spec(args, window_bins=args.window_bins,
                           change_offset=args.change_offset)
@@ -342,14 +280,14 @@ def _live_setup(args: argparse.Namespace, overrides: Optional[dict] = None):
     )
 
 
-def _fault_plan(args: argparse.Namespace, name: str, offset_bins: int = 0):
-    """A named fault plan and the live-config overrides it needs."""
+def _fault_plan(args: argparse.Namespace):
+    """The ``--plan`` fault plan and the live-config overrides it needs."""
     from .faults import DELAY, preset_plan
     from .telemetry.timeseries import MINUTE
 
-    plan = preset_plan(name, seed=args.fault_seed,
+    plan = preset_plan(args.plan, seed=args.fault_seed,
                        lead_time=args.history_days * 24 * 60 * MINUTE,
-                       bin_seconds=MINUTE, offset_bins=offset_bins)
+                       bin_seconds=MINUTE, offset_bins=args.fault_offset_bins)
     # The close grace must cover the worst injected delivery delay so
     # late releases still drain before the session settles.
     grace = max((rule.delay_bins for rule in plan.rules
@@ -540,7 +478,7 @@ def _run_live_replay(args: argparse.Namespace, command: str,
     obs = ObsContext() if args.obs_dir else None
     sink = JsonlVerdictSink(args.verdicts) if args.verdicts else None
     health = None
-    if getattr(args, "health", None):
+    if args.health:
         from .obs import HealthConfig, HealthMonitor
         health = HealthMonitor(HealthConfig(heartbeat_path=args.health))
     try:
@@ -592,7 +530,7 @@ def _cmd_live_replay(args: argparse.Namespace) -> dict:
 
 
 def _cmd_chaos_replay(args: argparse.Namespace):
-    plan, overrides = _fault_plan(args, args.plan, args.fault_offset_bins)
+    plan, overrides = _fault_plan(args)
     out = _run_live_replay(args, "chaos-replay", fault_plan=plan,
                            check_offline=True, config_overrides=overrides)
     parity = out.get("parity")
@@ -605,54 +543,6 @@ def _cmd_chaos_replay(args: argparse.Namespace):
     # A killed run has no parity verdict to enforce; anything else must
     # match the offline engine exactly.
     return out, (0 if parity_ok or out.get("killed") else 1)
-
-
-def _cmd_cluster_replay(args: argparse.Namespace):
-    from .cluster import cluster_replay_scenario
-    from .live import ClusterConfig
-    from .obs import ObsContext, write_run_artifacts
-
-    fault_plan, overrides = (_fault_plan(args, args.fault_plan)
-                             if args.fault_plan else (None, None))
-    spec, live_config = _live_setup(args, overrides)
-    cluster = ClusterConfig(
-        n_shards=args.shards,
-        replicas=args.replicas,
-        heartbeat_timeout_seconds=args.heartbeat_timeout,
-        max_restarts=args.max_restarts,
-        checkpoint_every_ticks=args.checkpoint_every,
-    )
-    obs = ObsContext() if args.obs_dir else None
-    report = cluster_replay_scenario(
-        spec=spec, live_config=live_config, flush_bins=args.flush_bins,
-        cluster=cluster, workdir=args.workdir,
-        verdicts_path=args.verdicts, obs=obs, fault_plan=fault_plan,
-        health=args.health,
-        kill_shard=args.kill_shard, kill_at_tick=args.at_tick,
-        hang_shard=args.hang_shard, hang_at_tick=args.at_tick,
-        check_offline=args.check_offline)
-    out = report.as_dict()
-    _summarise_lags(out)
-    if obs is not None:
-        written = write_run_artifacts(
-            args.obs_dir, obs,
-            config={
-                "command": "cluster-replay",
-                "services": args.services,
-                "servers": args.servers,
-                "changes": args.changes,
-                "shards": args.shards,
-                "replicas": args.replicas,
-                "flush_bins": args.flush_bins,
-                "fault_plan": args.fault_plan,
-                "omega": args.omega,
-                "did_threshold": args.did_threshold,
-            },
-            seeds={"scenario": args.seed, "faults": args.fault_seed},
-        )
-        out["obs"] = written
-    code = 0 if report.parity_ok is not False else 1
-    return out, code
 
 
 def _cmd_obs(args: argparse.Namespace):
@@ -720,7 +610,6 @@ _COMMANDS = {
     "assess-fleet": _cmd_assess_fleet,
     "live-replay": _cmd_live_replay,
     "chaos-replay": _cmd_chaos_replay,
-    "cluster-replay": _cmd_cluster_replay,
     "obs": _cmd_obs,
 }
 

@@ -122,6 +122,19 @@ def _run_batch(jobs: Sequence[AssessmentJob]) -> List[JobResult]:
     return [run_job(job) for job in jobs]
 
 
+def _count_cache_delta(metrics: MetricsRegistry, cache, hits_before: int,
+                       misses_before: int) -> None:
+    """Count the baseline-cache hits and misses since ``*_before``."""
+    if cache.hits > hits_before:
+        metrics.counter(CACHE_HITS_METRIC,
+                        help="Baseline-stats cache hits.").inc(
+            cache.hits - hits_before)
+    if cache.misses > misses_before:
+        metrics.counter(CACHE_MISSES_METRIC,
+                        help="Baseline-stats cache misses.").inc(
+            cache.misses - misses_before)
+
+
 def _run_batch_observed(jobs: Sequence[AssessmentJob],
                         remote: RemoteContext, position: int
                         ) -> Tuple[List[JobResult], WorkerTelemetry]:
@@ -162,14 +175,7 @@ def _run_batch_observed(jobs: Sequence[AssessmentJob],
                 positives.inc(detector=detector)
             results.append(result)
 
-    if cache.hits > hits_before:
-        metrics.counter(CACHE_HITS_METRIC,
-                        help="Baseline-stats cache hits.").inc(
-            cache.hits - hits_before)
-    if cache.misses > misses_before:
-        metrics.counter(CACHE_MISSES_METRIC,
-                        help="Baseline-stats cache misses.").inc(
-            cache.misses - misses_before)
+    _count_cache_delta(metrics, cache, hits_before, misses_before)
     return results, WorkerTelemetry(spans=tracer.export(),
                                     metrics=metrics.snapshot())
 
@@ -220,14 +226,7 @@ def _run_detect_batch_observed(batch: DetectBatch, remote: RemoteContext,
     metrics.counter(BATCHED_JOBS_METRIC,
                     help="Jobs scored through stacked batches.").inc(
         batch.size)
-    if cache.hits > hits_before:
-        metrics.counter(CACHE_HITS_METRIC,
-                        help="Baseline-stats cache hits.").inc(
-            cache.hits - hits_before)
-    if cache.misses > misses_before:
-        metrics.counter(CACHE_MISSES_METRIC,
-                        help="Baseline-stats cache misses.").inc(
-            cache.misses - misses_before)
+    _count_cache_delta(metrics, cache, hits_before, misses_before)
     return records, WorkerTelemetry(spans=tracer.export(),
                                     metrics=metrics.snapshot())
 

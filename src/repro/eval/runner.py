@@ -36,7 +36,7 @@ from ..types import KpiCharacter
 from .confusion import ConfusionMatrix
 from .delay import DelayDistribution
 
-__all__ = ["ItemOutcome", "MethodAdapter", "EngineMethod", "make_method",
+__all__ = ["ItemOutcome", "EngineMethod", "make_method",
            "EvaluationResult", "evaluate_corpus", "CLEAN_SCALE_FACTOR",
            "METHOD_NAMES"]
 
@@ -44,8 +44,6 @@ __all__ = ["ItemOutcome", "MethodAdapter", "EngineMethod", "make_method",
 CLEAN_SCALE_FACTOR = 86.0
 
 METHOD_NAMES = ("funnel", "improved_sst", "cusum", "mrls")
-
-MethodAdapter = Callable[[EvaluationItem], ItemOutcome]
 
 
 class EngineMethod:
@@ -142,23 +140,23 @@ class EvaluationResult:
 
 
 def evaluate_corpus(items: Iterable[EvaluationItem],
-                    methods: Dict[str, MethodAdapter],
+                    methods: Dict[str, EngineMethod],
                     mrls_stride: int = 1,
                     progress: Optional[Callable[[int], None]] = None,
                     workers: int = 0, batch_size: int = 16,
                     obs: Optional[ObsContext] = None) -> EvaluationResult:
     """Run every method over every item.
 
-    Engine-backed methods (anything :func:`make_method` returns) are
-    planned into assessment jobs and run through
+    Every method (an adapter :func:`make_method` returns) is planned
+    into assessment jobs and run through
     :func:`repro.engine.execute_jobs` in chunks — set ``workers`` to
     fan the corpus out over a process pool, with results bit-identical
-    to the serial default.  Plain callables still work and take the
-    legacy per-item loop.
+    to the serial default.
 
     Args:
         items: the evaluation corpus (streamed).
-        methods: name -> adapter; build with :func:`make_method`.
+        methods: name -> adapter; build with :func:`make_method` (any
+            other callable raises :class:`EvaluationError`).
         mrls_stride: evaluate ``mrls`` only on every n-th item (its
             iterated-SVD cost makes the full corpus impractical; the
             sampled counts are scaled back up by ``mrls_stride`` so the
@@ -173,14 +171,14 @@ def evaluate_corpus(items: Iterable[EvaluationItem],
     """
     if mrls_stride < 1:
         raise EvaluationError("mrls_stride must be >= 1")
-    engine_backed = methods and all(
-        isinstance(adapter, EngineMethod) for adapter in methods.values())
-    if engine_backed:
-        result = _evaluate_with_engine(
-            items, methods, mrls_stride, progress,
-            EngineConfig(workers=workers, batch_size=batch_size), obs)
-    else:
-        result = _evaluate_legacy(items, methods, mrls_stride, progress)
+    for name, adapter in methods.items():
+        if not isinstance(adapter, EngineMethod):
+            raise EvaluationError(
+                "method %r is not an engine adapter; build it with "
+                "make_method" % name)
+    result = _evaluate_with_engine(
+        items, methods, mrls_stride, progress,
+        EngineConfig(workers=workers, batch_size=batch_size), obs)
 
     if "mrls" in methods and mrls_stride > 1:
         for key in list(result.strata):
@@ -225,23 +223,4 @@ def _evaluate_with_engine(items: Iterable[EvaluationItem],
             chunk = []
     if chunk:
         flush()
-    return result
-
-
-def _evaluate_legacy(items: Iterable[EvaluationItem],
-                     methods: Dict[str, MethodAdapter],
-                     mrls_stride: int,
-                     progress: Optional[Callable[[int], None]]
-                     ) -> EvaluationResult:
-    """Per-item loop for plain-callable adapters."""
-    result = EvaluationResult()
-    for counter, item in enumerate(items):
-        result.items_evaluated += 1
-        for name, adapter in methods.items():
-            if name == "mrls" and counter % mrls_stride:
-                continue
-            outcome = adapter(item)
-            result.record(name, item, outcome)
-        if progress is not None:
-            progress(counter)
     return result

@@ -64,15 +64,6 @@ class CheckpointError(ReproError, ValueError):
     """
 
 
-class ClusterError(ReproError, RuntimeError):
-    """The sharded multi-process runtime failed.
-
-    Raised when a worker shard keeps crashing past its restart budget,
-    dies without leaving a result, or the fan-in cannot reconcile the
-    shard outputs it was handed.
-    """
-
-
 class EngineError(ReproError, ValueError):
     """An assessment-engine request is invalid.
 

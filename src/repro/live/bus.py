@@ -8,11 +8,12 @@ sink is the durable tap the CLI and CI artifacts use.
 
 The serialized form is a *contract*: ``LiveVerdict.as_dict`` field
 names/types and the sink's ``json.dumps(..., sort_keys=True)`` line
-format are what the cluster fan-in (:mod:`repro.cluster`) byte-compares
-across process boundaries, so both are pinned by golden tests.  The
-sink is line-buffered and fsyncs on close, so a killed shard leaves a
-readable verdict file truncated by at most one torn final line — which
-:func:`read_verdicts` tolerates.
+format are pinned by golden tests.  A consumer of a killed-and-resumed
+run byte-compares lines to drop re-emissions (``docs/live.md``), and
+the golden digests hash verdicts in the bus's canonical order
+(:func:`verdict_sort_key`).  The sink is line-buffered and fsyncs on
+close, so a killed process leaves a readable verdict file truncated by
+at most one torn final line — which :func:`read_verdicts` tolerates.
 """
 
 from __future__ import annotations
@@ -81,18 +82,19 @@ class LiveVerdict:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LiveVerdict":
-        """Inverse of :meth:`as_dict` (checkpoints, shard verdict files)."""
+        """Inverse of :meth:`as_dict` (checkpoints, verdict files)."""
         doc = dict(doc)
         doc["notes"] = tuple(doc.get("notes", ()))
         return cls(**doc)
 
 
 def verdict_sort_key(verdict: LiveVerdict) -> tuple:
-    """The deterministic global order the cluster fan-in re-establishes.
+    """The bus's canonical order: a deterministic total order on verdicts.
 
     Virtual emission time first, then the verdict key.  Keys are unique
-    (the bus is at-most-once), so this is a total order: sorting any
-    partition of the same verdict set yields the same sequence.
+    (the bus is at-most-once), so this is a total order: sorting the same
+    verdict set yields the same sequence however it was emitted inside a
+    tick, which is what the golden digests hash.
     """
     return (verdict.emitted_at, verdict.change_id, verdict.entity_type,
             verdict.entity, verdict.metric)

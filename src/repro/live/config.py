@@ -1,4 +1,4 @@
-"""Configuration of the live assessment service and its sharded runtime."""
+"""Configuration of the live assessment service."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from ..core.funnel import FunnelConfig
 from ..exceptions import ParameterError
 
-__all__ = ["LiveConfig", "ClusterConfig", "DROP_OLDEST", "DROP_NEWEST"]
+__all__ = ["LiveConfig", "DROP_OLDEST", "DROP_NEWEST"]
 
 #: Load-shedding policies for a full per-KPI ingest queue.
 DROP_OLDEST = "drop_oldest"
@@ -129,51 +129,3 @@ class LiveConfig:
             raise ParameterError("fetch_timeout_seconds must be >= 0")
         if self.close_grace_seconds < 0:
             raise ParameterError("close_grace_seconds must be >= 0")
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Knobs of the sharded multi-process runtime (:mod:`repro.cluster`).
-
-    Attributes:
-        n_shards: worker processes the fleet is partitioned across.
-        replicas: virtual nodes per shard on the consistent-hash ring;
-            more replicas spread entities more evenly and shrink how
-            much moves when a shard is added or removed.
-        heartbeat_timeout_seconds: wall-clock silence after which a
-            live worker counts as hung and is terminated + restarted.
-        max_restarts: restarts allowed per shard (crash or hang) before
-            the supervisor gives up with a ``ClusterError``.
-        checkpoint_every_ticks: shard-local checkpoint cadence; a
-            restarted shard resumes from its latest checkpoint and
-            replays only its own backlog.
-        start_method: ``"fork"``, ``"spawn"`` or ``"auto"`` (fork when
-            the platform offers it — cheap on Linux — else spawn).
-        poll_interval_seconds: supervisor heartbeat-queue poll period.
-    """
-
-    n_shards: int = 4
-    replicas: int = 64
-    heartbeat_timeout_seconds: float = 30.0
-    max_restarts: int = 2
-    checkpoint_every_ticks: int = 10
-    start_method: str = "auto"
-    poll_interval_seconds: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.n_shards < 1:
-            raise ParameterError("n_shards must be >= 1")
-        if self.replicas < 1:
-            raise ParameterError("replicas must be >= 1")
-        if self.heartbeat_timeout_seconds <= 0:
-            raise ParameterError("heartbeat_timeout_seconds must be positive")
-        if self.max_restarts < 0:
-            raise ParameterError("max_restarts must be >= 0")
-        if self.checkpoint_every_ticks < 1:
-            raise ParameterError("checkpoint_every_ticks must be >= 1")
-        if self.start_method not in ("auto", "fork", "spawn"):
-            raise ParameterError(
-                "start_method must be 'auto', 'fork' or 'spawn', got %r"
-                % (self.start_method,))
-        if self.poll_interval_seconds <= 0:
-            raise ParameterError("poll_interval_seconds must be positive")

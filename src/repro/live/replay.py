@@ -185,12 +185,7 @@ def replay_scenario(spec: Optional[FleetScenarioSpec] = None,
                     resume_from: Optional[str] = None,
                     kill_after_ticks: Optional[int] = None,
                     health=None,
-                    keys: Optional[List[KpiKey]] = None,
-                    change_ids=None,
-                    tracker_filter=None,
-                    tick_callback=None,
-                    checkpoint_extra: Optional[dict] = None,
-                    shard_id: Optional[int] = None) -> LiveReplayReport:
+                    tick_callback=None) -> LiveReplayReport:
     """Stream ``spec`` through the live pipeline in virtual time.
 
     Args:
@@ -226,19 +221,8 @@ def replay_scenario(spec: Optional[FleetScenarioSpec] = None,
         health: optional :class:`~repro.obs.health.HealthMonitor` — one
             heartbeat per tick, finalized at shutdown (a killed run
             leaves the heartbeat stream truncated, like a real crash).
-        keys: stream only these KPIs instead of the whole fleet's — a
-            cluster shard streams its hash-ring slice plus the control
-            keys its changes need.  The tick cadence is unchanged, so
-            shard replays stay tick-aligned with the full one.
-        change_ids: record only these changes into the change log (a
-            shard assesses the changes whose impact set it owns).
-        tracker_filter: optional ``(entity_type, entity) -> bool`` gate
-            on tracker creation, forwarded to the watcher.
         tick_callback: called as ``tick_callback(tick, now)`` after
-            every completed tick — the shard worker's heartbeat hook.
-        checkpoint_extra: extra identity fields stamped into (and
-            validated against) the checkpoint meta, e.g. the shard id.
-        shard_id: stamps the service's reports/heartbeats (cluster).
+            every completed tick (e.g. to time each tick from outside).
     """
     if flush_bins < 1:
         raise ValueError("flush_bins must be >= 1")
@@ -247,10 +231,7 @@ def replay_scenario(spec: Optional[FleetScenarioSpec] = None,
     config = live_config or parity_live_config(spec)
 
     log = ChangeLog()
-    routed = None if change_ids is None else set(change_ids)
     for change in source.changes:
-        if routed is not None and change.change_id not in routed:
-            continue
         log.record(change)
 
     faulty = fault_plan is not None
@@ -264,7 +245,7 @@ def replay_scenario(spec: Optional[FleetScenarioSpec] = None,
     # One immutable key tuple and one (keys, bins) matrix of the streamed
     # span: a tick is a column slice, and the store resolves the tuple's
     # rows and subscribers once instead of per tick.
-    keys = tuple(keys if keys is not None else fleet_kpi_keys(source))
+    keys = tuple(fleet_kpi_keys(source))
     stream_bins = spec.n_changes * spec.window_bins
     streamed = slice(spec.lead_bins, spec.lead_bins + stream_bins)
     matrix = np.empty((len(keys), stream_bins), dtype=np.float64)
@@ -276,8 +257,6 @@ def replay_scenario(spec: Optional[FleetScenarioSpec] = None,
     plan_doc = fault_plan.describe() if faulty else None
     static_extra = {"spec": asdict(spec), "flush_bins": flush_bins,
                     "fault_plan": plan_doc}
-    if checkpoint_extra:
-        static_extra.update(checkpoint_extra)
 
     report = LiveReplayReport()
     report.fault_plan = plan_doc
@@ -322,8 +301,7 @@ def replay_scenario(spec: Optional[FleetScenarioSpec] = None,
     service = LiveAssessmentService(
         store, log, source.fleet, config=config, obs=obs,
         history_provider=history, priority=priority,
-        checkpointer=checkpointer, health=health,
-        shard_id=shard_id, tracker_filter=tracker_filter)
+        checkpointer=checkpointer, health=health)
     if faulty:
         store.bind_metrics(service.metrics)
         if isinstance(history, FaultyHistoryProvider):

@@ -37,17 +37,10 @@ class LiveAssessmentService:
                  config: Optional[LiveConfig] = None,
                  obs: Optional[ObsContext] = None,
                  history_provider=None, priority=None,
-                 checkpointer=None, health=None,
-                 shard_id: Optional[int] = None,
-                 tracker_filter=None) -> None:
+                 checkpointer=None, health=None) -> None:
         self.config = config or LiveConfig()
         self.obs = obs
         self.store = store
-        #: set when this service is one shard of a :mod:`repro.cluster`
-        #: run — stamped into :meth:`report` and every health heartbeat
-        #: so merged operator views stay namespaced per shard instead of
-        #: silently summing per-process gauges.
-        self.shard_id = shard_id
         self.metrics = obs.metrics if obs is not None else MetricsRegistry()
         self.bus = VerdictBus(self.metrics)
         if history_provider is None:
@@ -57,8 +50,7 @@ class LiveAssessmentService:
                                      store=store)
         self.watcher = ChangeWatcher(log, fleet, store, self.assessor,
                                      self.config, self.metrics,
-                                     priority=priority,
-                                     tracker_filter=tracker_filter)
+                                     priority=priority)
         self.scheduler = EventTimeScheduler(self.watcher, self.assessor,
                                             store, self.config, self.metrics)
         self.closed: List[ChangeSession] = []
@@ -128,8 +120,6 @@ class LiveAssessmentService:
                                    for entry in entries["values"])
                          for name, entries in counters.items()},
         }
-        if self.shard_id is not None:
-            doc["shard_id"] = self.shard_id
         if self.health is not None:
             doc["health"] = self.health.summary()
         return doc

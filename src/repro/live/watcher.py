@@ -98,9 +98,7 @@ class ChangeWatcher:
     def __init__(self, log: ChangeLog, fleet: Fleet, store: MetricStore,
                  assessor: LiveAssessor, config: LiveConfig,
                  metrics: Optional[MetricsRegistry] = None,
-                 priority: Optional[PriorityFn] = None,
-                 tracker_filter: Optional[
-                     Callable[[str, str], bool]] = None) -> None:
+                 priority: Optional[PriorityFn] = None) -> None:
         self.log = log
         self.fleet = fleet
         self.store = store
@@ -108,12 +106,6 @@ class ChangeWatcher:
         self.config = config
         self.metrics = metrics or MetricsRegistry()
         self.priority = priority or default_priority
-        #: optional ``(entity_type, entity) -> bool`` ownership gate.  A
-        #: cluster shard assesses a change but builds trackers only for
-        #: the monitored entities it owns (every other owning shard
-        #: builds the rest); control buffers always stay complete so
-        #: each shard's DiD panels match the single-process ones.
-        self.tracker_filter = tracker_filter
         self.sessions: "dict[str, ChangeSession]" = {}
         self.shed_change_ids: List[str] = []
         self._seen: Set[str] = set()
@@ -182,9 +174,6 @@ class ChangeWatcher:
                             backfills.append((key, fragment))
 
         for entity_type, entity in impact.monitored_entities():
-            if self.tracker_filter is not None and \
-                    not self.tracker_filter(entity_type, entity):
-                continue
             for metric in ENTITY_METRICS.get(entity_type, ()):
                 key = KpiKey(entity_type, entity, metric)
                 fragment = self._backfill(key, window_start, now)

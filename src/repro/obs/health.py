@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -552,10 +552,6 @@ class HealthMonitor:
             "verdict_lag": lag,
             "verdict_lag_p99_bins": lag["p99_bins"],
         }
-        if getattr(service, "shard_id", None) is not None:
-            # Cluster shard: namespace the stream so merged views never
-            # mistake one shard's gauges for the whole fleet's.
-            record["shard"] = service.shard_id
 
         events = self.slo_tracker.update(tick, record)
         self.alerts.extend(events)
@@ -593,9 +589,7 @@ class HealthMonitor:
         """Operator summary, embedded in the service ``report()``."""
         detections = (list(self.self_assessor.detections)
                       if self.self_assessor is not None else [])
-        shard = getattr(self.service, "shard_id", None)
         return {
-            **({"shard": shard} if shard is not None else {}),
             "ticks": self.ticks,
             "slos": self.slo_tracker.attainment(),
             "alerts_fired": sum(1 for a in self.alerts

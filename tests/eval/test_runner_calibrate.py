@@ -95,6 +95,20 @@ class TestEvaluateCorpus:
         with pytest.raises(EvaluationError):
             evaluate_corpus(tiny_corpus, {}, mrls_stride=0)
 
+    def test_no_methods_still_counts_items(self, tiny_corpus):
+        seen = []
+        result = evaluate_corpus(tiny_corpus[:4], {}, progress=seen.append)
+        assert result.items_evaluated == 4
+        assert seen == [0, 1, 2, 3]
+        assert not result.strata
+
+    def test_plain_callable_is_refused_by_name(self, tiny_corpus):
+        funnel = make_method("funnel")
+        with pytest.raises(EvaluationError, match="'homemade'"):
+            evaluate_corpus(tiny_corpus[:2], {
+                "funnel": funnel,
+                "homemade": lambda item: funnel(item)})
+
     def test_progress_callback(self, tiny_corpus):
         seen = []
         evaluate_corpus(tiny_corpus[:3],

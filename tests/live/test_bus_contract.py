@@ -1,7 +1,7 @@
 """The verdict serialization contract and the durable sink's semantics.
 
 ``LiveVerdict.as_dict`` field order/types and the sink's line format
-are what the cluster fan-in byte-compares across processes; this module
+are what a consumer byte-compares across a kill and resume; this module
 is the golden pin.  A failing test here means every previously written
 verdict file, checkpoint, and CI ``cmp`` baseline just changed meaning
 — don't "fix" the test, version the format.
@@ -116,7 +116,7 @@ def test_close_is_idempotent_and_exit_after_close_is_a_noop(tmp_path):
 
 def test_sink_is_line_buffered_before_close(tmp_path):
     # Each complete line reaches the OS immediately — what makes a
-    # killed shard's partial file readable.
+    # killed process's partial file readable.
     path = tmp_path / "v.jsonl"
     sink = JsonlVerdictSink(str(path))
     sink(_verdict())

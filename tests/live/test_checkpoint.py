@@ -21,6 +21,10 @@ from repro.live.checkpoint import (CHECKPOINT_VERSION, Checkpointer,
                                    write_checkpoint)
 from repro.telemetry.timeseries import MINUTE
 
+from .test_golden_digest import CLEAN_SHA
+from .test_golden_digest import SPEC as GOLDEN_SPEC
+from .test_golden_digest import verdicts_sha
+
 SPEC = FleetScenarioSpec(n_services=2, n_servers=8, n_changes=2,
                          window_bins=120, change_offset=60,
                          history_days=1, seed=5)
@@ -86,6 +90,89 @@ class TestKillAndResume:
         assert killed.killed is True
         assert killed.parity is None      # a dead run asserts nothing
         assert killed.service_report["active_changes"] > 0
+
+
+def _chaos_options():
+    plan = preset_plan("drop-delay-dup", seed=11)
+    grace = max(rule.delay_bins for rule in plan.rules
+                if rule.kind == DELAY) * MINUTE
+    return dict(fault_plan=plan, live_config=parity_live_config(
+        GOLDEN_SPEC, repair_from_store=True, close_grace_seconds=grace))
+
+
+class TestKillPointSweep:
+    """Kill the golden scenario at *every* tick and resume.
+
+    At ``flush_bins=5`` the scenario is 72 ticks; each run is killed
+    after tick 1 … 71 and resumed from its last checkpoint, or cold when
+    the kill came before the first one.  Per kill point:
+
+    (a) the resumed report's verdict bytes are the uninterrupted run's
+        (and, clean, its digest is the golden ``CLEAN_SHA[5]``);
+    (b) the killed run's sink lines are a prefix of the uninterrupted
+        sink stream;
+    (c) killed + resumed sink lines, later repeats of a line dropped, are
+        the uninterrupted stream in order — and the repeats are exactly
+        the lines the killed run emitted after its last checkpoint;
+    (d) so at cadence 1 nothing is emitted twice.
+    """
+
+    FLUSH_BINS = 5
+    TICKS = 72
+
+    @pytest.mark.parametrize("cadence, chaos", [(1, False), (7, False),
+                                                (7, True)],
+                             ids=["clean-every-1", "clean-every-7",
+                                  "chaos-every-7"])
+    def test_every_kill_point_resumes_identically(self, tmp_path, cadence,
+                                                  chaos):
+        options = _chaos_options() if chaos else {}
+        baseline, stream, _ = self._run(options)
+        assert baseline.ticks == self.TICKS
+        if not chaos:
+            assert verdicts_sha(baseline) == CLEAN_SHA[self.FLUSH_BINS]
+        expected = verdict_bytes(baseline)
+
+        failures = []
+        for kill in range(1, self.TICKS):
+            path = str(tmp_path / ("kill-%d.ckpt" % kill))
+            killed, killed_lines, emitted = self._run(
+                options, checkpoint_path=path, checkpoint_every=cadence,
+                kill_after_ticks=kill)
+            last_checkpoint = kill - kill % cadence      # 0: none written
+            reset_shared_cache()
+            resumed, resumed_lines, _ = self._run(
+                options, resume_from=path if last_checkpoint else None)
+
+            merged = list(dict.fromkeys(killed_lines + resumed_lines))
+            repeated = len(killed_lines) + len(resumed_lines) - len(merged)
+            checks = {
+                "killed": killed.killed,
+                "a": verdict_bytes(resumed) == expected,
+                "a-golden": chaos or (verdicts_sha(resumed)
+                                      == CLEAN_SHA[self.FLUSH_BINS]),
+                "b": killed_lines == stream[:len(killed_lines)],
+                "c": merged == stream,
+                "c-window": repeated == (len(killed_lines)
+                                         - emitted.get(last_checkpoint, 0)),
+                "d": cadence > 1 or repeated == 0,
+            }
+            failed = sorted(name for name, ok in checks.items() if not ok)
+            if failed:
+                failures.append((kill, failed))
+        assert not failures
+
+    def _run(self, options, **kwargs):
+        """One replay; its sink lines and the line count after each tick."""
+        lines, emitted = [], {}
+        report = replay_scenario(
+            GOLDEN_SPEC, flush_bins=self.FLUSH_BINS,
+            sink=lambda v: lines.append(json.dumps(v.as_dict(),
+                                                   sort_keys=True)),
+            tick_callback=lambda tick, now: emitted.__setitem__(
+                tick, len(lines)),
+            **options, **kwargs)
+        return report, lines, emitted
 
 
 class TestCheckpointFile:

@@ -49,8 +49,9 @@ CHAOS = {
 
 
 def verdicts_sha(report) -> str:
-    """sha256 over the verdict documents in the cluster fan-in's total
-    order (intra-tick bus order is the one thing ingest may permute)."""
+    """sha256 over the verdict documents in the bus's canonical order,
+    :func:`verdict_sort_key` (intra-tick bus order is the one thing
+    ingest may permute)."""
     documents = [v.as_dict()
                  for v in sorted(report.verdicts, key=verdict_sort_key)]
     blob = json.dumps(documents, sort_keys=True, separators=(",", ":"))

@@ -28,11 +28,11 @@ def treated_control_csvs(tmp_path, rng):
 _FUNNEL = {"omega": 9, "did_threshold": 0.5}
 _SCENARIO = {"services": 6, "servers": 48, "changes": 8,
              "impact_fraction": 0.5, "history_days": 2, "seed": 7}
-_LIVE = dict(_SCENARIO, window_bins=240, change_offset=80, flush_bins=1,
-             score_chunk=6, queue_capacity=64, drain_budget=0,
-             max_active_changes=0, verdicts=None, obs_dir=None, **_FUNNEL)
-_REPLAY = dict(_LIVE, checkpoint=None, checkpoint_every=25,
-               resume_from=None, kill_after_ticks=0, health=None)
+_REPLAY = dict(_SCENARIO, window_bins=240, change_offset=80, flush_bins=1,
+               score_chunk=6, queue_capacity=64, drain_budget=0,
+               max_active_changes=0, verdicts=None, obs_dir=None,
+               checkpoint=None, checkpoint_every=25, resume_from=None,
+               kill_after_ticks=0, health=None, **_FUNNEL)
 CLI_SURFACE = {
     "detect": dict(_FUNNEL, series=None, change_minute=0),
     "assess": dict(_FUNNEL, treated=None, control=None, history=None,
@@ -46,11 +46,6 @@ CLI_SURFACE = {
     "live-replay": dict(_REPLAY, check_offline=False),
     "chaos-replay": dict(_REPLAY, plan="drop-delay-dup", fault_seed=0,
                          fault_offset_bins=0),
-    "cluster-replay": dict(
-        _LIVE, shards=4, replicas=64, workdir=None, checkpoint_every=10,
-        heartbeat_timeout=30.0, max_restarts=2, kill_shard=None,
-        hang_shard=None, at_tick=None, health=False, fault_plan=None,
-        fault_seed=0, check_offline=False),
     "obs report": {"obs_dir": None, "top": 10, "folded": None, "json": False},
     "obs health-report": dict(heartbeat=None, json=False, out=None,
                               min_self_detections=None,

@@ -20,8 +20,7 @@ Quickstart::
                           control=control).verdict)
 """
 
-from .core import (Funnel, FunnelConfig, IkaSST, ImprovedSST,
-                   ImprovedSSTParams, SingularSpectrumTransform, SSTParams)
+from .core import Funnel, FunnelConfig, IkaSST, ImprovedSST, ImprovedSSTParams
 from .types import (Assessment, ChangeKind, DetectedChange, KpiCharacter,
                     LaunchMode, Verdict)
 
@@ -29,7 +28,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Funnel", "FunnelConfig", "IkaSST", "ImprovedSST", "ImprovedSSTParams",
-    "SingularSpectrumTransform", "SSTParams",
     "Assessment", "ChangeKind", "DetectedChange", "KpiCharacter",
     "LaunchMode", "Verdict",
     "__version__",

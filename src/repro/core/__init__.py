@@ -6,7 +6,6 @@ from .ika import IkaSST
 from .rsst import ImprovedSST, ImprovedSSTParams
 from .scoring import (ChangeDeclarationPolicy, PERSISTENCE_MINUTES,
                       declare_changes, robust_normalise)
-from .sst import SingularSpectrumTransform, SSTParams, sst_scores
 
 __all__ = [
     "DiDEstimator", "DiDPanel", "DiDResult", "did_estimate",
@@ -15,5 +14,4 @@ __all__ = [
     "ImprovedSST", "ImprovedSSTParams",
     "ChangeDeclarationPolicy", "PERSISTENCE_MINUTES",
     "declare_changes", "robust_normalise",
-    "SingularSpectrumTransform", "SSTParams", "sst_scores",
 ]

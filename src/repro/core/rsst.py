@@ -1,6 +1,16 @@
 """Improved (robust) SST — paper section 3.2.2, Eq. 8-12.
 
-Two robustness fixes over the classic transform in :mod:`repro.core.sst`:
+Classic SST (section 3.2.1) scores a point ``t`` by the discordance
+between the ``eta``-dimensional dominant subspace ``U_eta`` of the past
+Hankel matrix ``B(t)`` (Eq. 1-2) and the single direction ``beta(t)`` of
+maximum energy in the future Hankel matrix ``A(t)`` (Eq. 3-5):
+``x_s(t) = 1 - ||U_eta^T beta||`` (Eq. 6-7).  Unchanged dynamics keep
+``beta`` (almost) inside ``U_eta`` and the score near zero; a behaviour
+change rotates it out and the score approaches one.  It has five free
+parameters, and on white noise the dominant future direction is random,
+so its raw scores are large everywhere.
+
+Two robustness fixes over that classic transform:
 
 1. **Multi-eigenvector future subspace.**  Instead of scoring only the
    single dominant future direction, the improved SST extracts ``eta``

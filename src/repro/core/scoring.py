@@ -26,6 +26,7 @@ a change's *start* index (used for detection-delay evaluation, section
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -182,20 +183,14 @@ def estimate_change_start(series: Sequence[float], detected_at: int,
 
 def _step_fit_sse(segment: np.ndarray) -> float:
     """Best single-step (level-shift) fit SSE over ``segment``."""
-    n = segment.size
     best = float(np.sum((segment - segment.mean()) ** 2))
     cumsum = np.cumsum(segment)
-    total = cumsum[-1]
-    sq_total = float(np.sum(segment ** 2))
-    for split in range(1, n):
-        left_sum = cumsum[split - 1]
-        right_sum = total - left_sum
-        sse = (sq_total
-               - left_sum ** 2 / split
-               - right_sum ** 2 / (n - split))
-        if sse < best:
-            best = sse
-    return max(best, 0.0)
+    split = np.arange(1, segment.size)
+    left = cumsum[:-1]
+    sse = (float(np.sum(segment ** 2)) - left ** 2 / split
+           - (cumsum[-1] - left) ** 2 / (segment.size - split))
+    below = sse[sse < best]          # NaN splits never win, as in a scan
+    return max(float(below.min()) if below.size else best, 0.0)
 
 
 def _ramp_fit_sse(segment: np.ndarray) -> float:
@@ -298,6 +293,18 @@ def _prefix_median_mad(stack: np.ndarray, rows: np.ndarray,
     return meds, scales
 
 
+def _padded(series) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``series`` as the NaN-padded ``(stack, lengths, finite)`` triple
+    :func:`_gating_table` reads (a triple passes through)."""
+    if isinstance(series, tuple):
+        return series
+    lengths = np.array([len(x) for x in series], dtype=np.intp)
+    stack = np.full((lengths.size, int(lengths.max(initial=0))), np.nan)
+    for row, x in enumerate(series):
+        stack[row, :lengths[row]] = x
+    return stack, lengths, np.isfinite(stack).sum(axis=1) == lengths
+
+
 def _gating_table(series, candidates: Sequence[np.ndarray],
                   policy: ChangeDeclarationPolicy) -> Tuple[
                       np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -322,14 +329,7 @@ def _gating_table(series, candidates: Sequence[np.ndarray],
     finite; the NaN padding cannot encode a series that is not, so its
     statistics are meaningless.
     """
-    if isinstance(series, tuple):
-        stack, lengths, finite = series
-    else:
-        lengths = np.array([len(x) for x in series], dtype=np.intp)
-        stack = np.full((lengths.size, int(lengths.max(initial=0))), np.nan)
-        for row, x in enumerate(series):
-            stack[row, :lengths[row]] = x
-        finite = np.isfinite(stack).sum(axis=1) == lengths
+    stack, lengths, finite = _padded(series)
     sizes = [c.size for c in candidates]
     meds = np.empty(sum(sizes), dtype=np.float64)
     scales = np.empty(meds.size, dtype=np.float64)
@@ -359,10 +359,88 @@ def _gating_table(series, candidates: Sequence[np.ndarray],
     return meds, scales, window_meds, finite
 
 
+def _screened(padded, candidates: Sequence[np.ndarray], sizes: Sequence[int],
+              policy: ChangeDeclarationPolicy) -> Optional[np.ndarray]:
+    """Which of the concatenated ``candidates`` (``sizes[i]`` of them on
+    row ``i``) no order-statistic bound rejects: what
+    :func:`_gating_table` still has to decide (``None``: every one).
+
+    A row's positions go in chunks of ``p = persistence``, anchored at
+    the multiples ``a`` of ``p``, and one sort of an anchor's prefix,
+    ``S = sort(x[:a])``, bounds every position ``b = a + d`` of its
+    chunk: the median of ``x[:b]`` lies in ``[S[(b - 1)//2 - d],
+    S[b//2]]``, and its MAD is at least half the shortest span of ``k =
+    (a + p - 2)//2 + 2 - p`` consecutive samples of ``S``.  A position
+    whose window median stays within the band that MAD floor allows of
+    both ends of the bracket cannot confirm, nor can one whose window
+    does not fit.  Exact, not approximate: each comparison is monotone
+    in the bounded quantity (derivation, floats included:
+    ``docs/algorithms.md`` section 5).  Only rows of ``2 p`` candidates
+    or more are screened (below that the screen's own passes cost more
+    than the sorts it saves; the sweep is in the same section), and only
+    if four times each sample is still finite, so no sum or difference
+    of two of them can overflow.
+    """
+    stack, lengths, _ = padded
+    p = policy.persistence
+    if max(sizes, default=0) < 2 * p:
+        return None
+    sizes = np.asarray(sizes, dtype=np.intp)
+    screen = sizes >= 2 * p
+    with np.errstate(over="ignore"):
+        screen[screen] = (np.isfinite(4.0 * stack[screen]).sum(axis=1)
+                          == lengths[screen])
+    flat = np.concatenate(candidates)
+    rows = np.repeat(np.arange(sizes.size), sizes)
+    keep = ~screen[rows] | (flat + p <= lengths[rows])
+    anchors = flat - flat % p
+    tested = np.flatnonzero(screen[rows] & keep & (anchors >= p))
+    if not tested.size:
+        return keep
+    rows, pos, anchors = rows[tested], flat[tested], anchors[tested]
+    windows = stack[rows[:, None], pos[:, None] + np.arange(p)]
+    windows.sort(axis=1)
+    lo, hi = (p - 1) // 2, p // 2
+    window_meds = (windows[:, lo] if lo == hi else
+                   (windows[:, lo] + windows[:, hi]) / 2.0)
+
+    first = np.ones(pos.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (anchors[1:] != anchors[:-1])
+    chunk = np.cumsum(first) - 1
+    chunk_rows, chunk_anchors = rows[first], anchors[first]
+    reject = np.empty(pos.size, dtype=bool)
+    step = max(1, _TABLE_BLOCK_CELLS // int(chunk_anchors.max()))
+    for start in range(0, chunk_rows.size, step):
+        a = chunk_anchors[start:start + step, None]
+        width = int(a.max())
+        srt = np.where(np.arange(width) < a, stack[
+            chunk_rows[start:start + step], :width], np.nan)
+        srt.sort(axis=1)
+        # Span of S[j : j + k]; k grows with a, so the widest chunk's
+        # last start bounds every chunk's, and a start past a chunk's
+        # own last one reads its NaN padding, which fmin skips.
+        k = (a + p - 2) // 2 + 2 - p
+        starts = np.arange(width - int(k.max()) + 1)
+        spans = np.take(srt, (np.arange(0, srt.size, width)[:, None] + k - 1)
+                        + starts) - srt[:, :starts.size]
+        # Half the span needs no margin: fl(u + v) <= 2 max(fl u, fl v).
+        floors = np.fmin.reduce(spans, axis=1) * 0.5
+        begin, end = np.searchsorted(chunk, [start, start + step])
+        at, b = chunk[begin:end] - start, pos[begin:end]
+        d = b - anchors[begin:end]
+        band = policy.deviation_sigmas * (MAD_TO_SIGMA * floors[at] + 1e-9)
+        w = window_meds[begin:end]
+        reject[begin:end] = ((w - srt[at, (b - 1) // 2 - d] <= band)
+                             & (srt[at, b // 2] - w <= band))
+    keep[tested[reject]] = False
+    return keep
+
+
 def _confirmed_directions(series, candidates: Sequence[np.ndarray],
                           policy: ChangeDeclarationPolicy
                           ) -> List[Optional[np.ndarray]]:
-    """The persistence rule over one :func:`_gating_table`.
+    """The persistence rule: :func:`_screened`, then one
+    :func:`_gating_table` over what the screen could not reject.
 
     Entry ``[i][j]`` is ``0`` where :func:`confirm_candidate` rejects
     ``candidates[i][j]`` (window median inside the deviation band, or no
@@ -371,17 +449,23 @@ def _confirmed_directions(series, candidates: Sequence[np.ndarray],
     Entry ``[i]`` is ``None`` for a series with non-finite samples: the
     caller runs :func:`confirm_candidate` on it instead.
     """
-    meds, scales, window_meds, finite = _gating_table(series, candidates,
-                                                      policy)
+    padded = _padded(series)
+    sizes = [c.size for c in candidates]
+    keep = _screened(padded, candidates, sizes, policy)
+    bounds = list(accumulate(sizes, initial=0))
+    spans = list(zip(bounds, bounds[1:]))
+    meds, scales, window_meds, finite = _gating_table(
+        padded, candidates if keep is None else
+        [c[keep[s:e]] for c, (s, e) in zip(candidates, spans)], policy)
     deviations = window_meds - meds
     bands = policy.deviation_sigmas * (MAD_TO_SIGMA * scales + 1e-9)
-    flat = np.where(np.abs(deviations) > bands, np.sign(deviations),
-                    0.0).astype(np.intp)
-    out, start = [], 0
-    for row, ok in zip(candidates, finite.tolist()):
-        out.append(flat[start:start + row.size] if ok else None)
-        start += row.size
-    return out
+    directions = np.where(np.abs(deviations) > bands, np.sign(deviations),
+                          0.0).astype(np.intp)
+    if keep is not None:
+        decided, directions = directions, np.zeros(keep.size, np.intp)
+        directions[keep] = decided
+    return [directions[s:e] if ok else None
+            for (s, e), ok in zip(spans, finite.tolist())]
 
 
 def _score_and_scan(where: np.ndarray, ask, policy: ChangeDeclarationPolicy,
@@ -612,7 +696,7 @@ def confirm_candidate(x: np.ndarray, scores: np.ndarray, candidate: int,
 
     window_median = float(np.median(x[candidate:end]))
     deviation = window_median - med
-    if abs(deviation) <= band:
+    if not abs(deviation) > band:        # a NaN deviation never confirms
         return None
     return _declared_change(x, scores, candidate,
                             1 if deviation > 0 else -1, policy, lookahead)

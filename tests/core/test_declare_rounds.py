@@ -13,8 +13,9 @@ keep the reportable ones, take the first.  Compared as whole
 
 Also here: every input check fires before the first round, whatever the
 rounds would have asked for, and the work a stack costs is bounded where
-the rule says it is — counted at ``IkaSST._raw_scores`` and
-``_gating_table``.
+the rule says it is — counted at ``IkaSST._raw_scores`` and at
+``_confirmed_directions``, where a position is decided (screened out or
+tabled).
 """
 
 from unittest import mock
@@ -198,8 +199,8 @@ class TestFixtures:
     def _tabled(x, since):
         """The row's positions per table call, and what came out."""
         xs, scores = _scored(x, since)
-        with mock.patch.object(scoring, "_gating_table",
-                               wraps=scoring._gating_table) as table:
+        with mock.patch.object(scoring, "_confirmed_directions",
+                               wraps=scoring._confirmed_directions) as table:
             declared = declare_changes(xs, scores, CONFIG.policy, True,
                                        HORIZON, since=since)
         return [call.args[1][0].tolist()
@@ -329,8 +330,8 @@ class TestValidatesFirst:
     @pytest.fixture(autouse=True)
     def _no_work(self):
         """Nothing is tabled or scored on the way to the error."""
-        with mock.patch.object(scoring, "_gating_table",
-                               side_effect=AssertionError("tabled")):
+        with mock.patch.object(scoring, "_confirmed_directions",
+                               side_effect=AssertionError("decided")):
             yield
 
     @staticmethod
@@ -394,8 +395,8 @@ def test_an_empty_first_stretch_starts_the_row_at_the_next(since):
     xs, scores = _scored(x, 30)
     expected = [change for _, change in _confirmed(xs, scores, CONFIG)]
     assert expected[0].start_index == 40
-    with mock.patch.object(scoring, "_gating_table",
-                           wraps=scoring._gating_table) as table:
+    with mock.patch.object(scoring, "_confirmed_directions",
+                           wraps=scoring._confirmed_directions) as table:
         assert declare_changes(xs, scores, CONFIG.policy, True, HORIZON,
                                since=since) == expected[:1]
     tabled = [call.args[1][0] for call in table.call_args_list]
@@ -412,8 +413,8 @@ def test_mixed_since_in_one_stack_starts_each_row_where_it_can():
     normalised = np.vstack([robust_normalise(row, baseline=since)
                             for row, since in zip(stack, indices)])
     scores = IkaSST().scores_batch(normalised)
-    with mock.patch.object(scoring, "_gating_table",
-                           wraps=scoring._gating_table) as table:
+    with mock.patch.object(scoring, "_confirmed_directions",
+                           wraps=scoring._confirmed_directions) as table:
         assert declare_changes(
             normalised, scores, CONFIG.policy, True, HORIZON,
             since=indices) == [eager_changes(row, since)[:1]
@@ -437,20 +438,20 @@ class TestWorkBound:
 
     @staticmethod
     def _counted(monkeypatch):
-        """``(windows per kernel call, candidates per table call)``."""
+        """``(windows per kernel call, positions decided per table)``."""
         windows, tabled = [], []
-        raw, table = IkaSST._raw_scores, scoring._gating_table
+        raw, decide = IkaSST._raw_scores, scoring._confirmed_directions
 
         def counting_raw(self, pairs, future):
             windows.append(future.size)
             return raw(self, pairs, future)
 
-        def counting_table(series, candidates, policy):
+        def counting_decide(series, candidates, policy):
             tabled.append([c.copy() for c in candidates])
-            return table(series, candidates, policy)
+            return decide(series, candidates, policy)
 
         monkeypatch.setattr(IkaSST, "_raw_scores", counting_raw)
-        monkeypatch.setattr(scoring, "_gating_table", counting_table)
+        monkeypatch.setattr(scoring, "_confirmed_directions", counting_decide)
         return windows, tabled
 
     def test_a_declared_row_costs_nothing_more(self, monkeypatch):

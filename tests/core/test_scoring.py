@@ -266,6 +266,120 @@ class TestGatingTable:
             ChangeDeclarationPolicy())] == [[]]
 
 
+#: what the screen must be exact on: tails, ties, no spread at all,
+#: trends, and magnitudes where the float arithmetic itself is at stake
+SCREEN_SHAPES = ("gauss", "cauchy", "t2", "ties", "integers", "constant",
+                 "zero-mad", "step", "ramp", "1e300", "float-max",
+                 "subnormal", "offset")
+
+
+def _screen_series(rng, n, shape):
+    x = rng.normal(size=n)
+    if shape == "cauchy":
+        x = rng.standard_cauchy(size=n)
+    elif shape == "t2":
+        x = rng.standard_t(2, size=n)
+    elif shape == "ties":
+        x = rng.integers(-3, 4, size=n) * 0.5
+    elif shape == "integers":
+        x = rng.integers(0, 12, size=n).astype(float)
+    elif shape == "constant":
+        x = np.full(n, 2.5)
+    elif shape == "zero-mad":                # over half the samples equal
+        x[rng.random(n) < 0.6] = 1.0
+    elif shape == "step":
+        x[int(rng.integers(n)):] += float(rng.choice([-6.0, 4.0, 9.0]))
+    elif shape == "ramp":
+        x += np.linspace(0.0, float(rng.uniform(-30.0, 30.0)), n)
+    elif shape == "1e300":
+        x *= 1e300
+    elif shape == "float-max":               # even-size medians overflow
+        x = 1.5e308 + 1e307 * np.clip(x, -2.5, 2.5)
+    elif shape == "subnormal":
+        x = 5e-324 * rng.integers(-20, 21, size=n)
+    elif shape == "offset":
+        x = 1e12 + 1e-3 * x
+    return x
+
+
+@st.composite
+def screened_rows(draw):
+    """Rows with contiguous candidate ranges of at least ``2 p``
+    positions, some running past the last window that fits."""
+    persistence = draw(st.sampled_from([3, 7, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    rows, candidates = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        n = int(rng.integers(3 * persistence, 160))
+        rows.append(_screen_series(rng, n, draw(st.sampled_from(
+            SCREEN_SHAPES))))
+        start = int(rng.integers(0, n - 2 * persistence + 1))
+        candidates.append(np.arange(
+            start, int(rng.integers(start + 2 * persistence, n + 1))))
+    return ChangeDeclarationPolicy(persistence=persistence), rows, candidates
+
+
+class TestScreen:
+    """The order-statistic screen in front of the gating table rejects
+    only positions the rule rejects."""
+
+    @given(screened_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_directions_equal_the_rule_position_by_position(self, case):
+        policy, rows, candidates = case
+        with np.errstate(all="ignore"):
+            found = scoring._confirmed_directions(rows, candidates, policy)
+            for x, positions, directions in zip(rows, candidates, found):
+                expected = []
+                for c in positions.tolist():
+                    change = confirm_candidate(x, np.ones(x.size), c, policy)
+                    expected.append(0 if change is None else change.direction)
+                assert directions.tolist() == expected
+
+    @pytest.mark.parametrize("row", [
+        [2, 6, 2, 0, 2, 6, 4, 8, 5, 8],
+        [7, 5, 10, 5, 5, 9, 7, 6, 8, 2, 10, 7, 1, 0, 6, 10],
+    ], ids=["rank-slack", "chunk-k"])
+    def test_the_bounds_are_tight(self, row):
+        """Position 5 confirms on each row, and each row leaves one
+        bound no room: drop the ``- d`` rank slack from the median
+        bracket, or put one sample more into the span of ``k``, and the
+        screen rejects it."""
+        x = np.array(row, dtype=float)
+        policy = ChangeDeclarationPolicy(persistence=3)
+        positions = np.arange(x.size - 2)
+        expected = [0 if change is None else change.direction for change in
+                    (confirm_candidate(x, np.ones(x.size), c, policy)
+                     for c in positions.tolist())]
+        assert expected[5] != 0
+        assert scoring._confirmed_directions(
+            [x], [positions], policy)[0].tolist() == expected
+
+    def test_a_quiet_row_is_mostly_screened(self, rng):
+        """And what is screened out never reaches the table."""
+        x = rng.normal(size=240)
+        with mock.patch.object(scoring, "_gating_table",
+                               wraps=scoring._gating_table) as table:
+            found = scoring._confirmed_directions(
+                [x], [np.arange(224)], ChangeDeclarationPolicy())
+        tabled, = table.call_args.args[1]
+        assert tabled.size < 224 // 5
+        assert not found[0][np.setdiff1d(np.arange(224), tabled)].any()
+
+    @pytest.mark.parametrize("size", [1, 13])
+    def test_fewer_than_two_windows_of_positions_go_to_the_table(self, size):
+        """Below ``2 * persistence`` positions a row the screen costs more
+        than it saves (the cutoff sweep is in ``docs/algorithms.md``
+        section 5): the table gets every position."""
+        x = np.random.default_rng(3).normal(size=60)
+        positions = np.arange(20, 20 + size)
+        with mock.patch.object(scoring, "_gating_table",
+                               wraps=scoring._gating_table) as table:
+            scoring._confirmed_directions([x], [positions],
+                                          ChangeDeclarationPolicy())
+        np.testing.assert_array_equal(table.call_args.args[1][0], positions)
+
+
 class TestDeclareFromTable:
     """``declare_changes`` reads one gating table; ``confirm_candidate``
     run candidate by candidate is the rule it must reproduce."""
@@ -291,6 +405,19 @@ class TestDeclareFromTable:
         policy = ChangeDeclarationPolicy()
         assert declare_changes(xs, scores, policy, first_only, lookahead) \
             == _reference_declare(xs, scores, policy, first_only, lookahead)
+
+    def test_a_nan_deviation_never_confirms(self):
+        """Even-size medians of finite samples near the float maximum
+        overflow to ``inf`` on both sides: ``inf - inf`` is no
+        deviation, for the reference rule as for the table."""
+        x = 1.5e308 + 1e307 * np.random.default_rng(0).uniform(-1, 1, 40)
+        policy = ChangeDeclarationPolicy(persistence=8)
+        positions = np.arange(2, 30, 2)
+        with np.errstate(all="ignore"):
+            assert [confirm_candidate(x, np.ones(40), c, policy)
+                    for c in positions] == [None] * positions.size
+            assert not scoring._confirmed_directions(
+                [x], [positions], policy)[0].any()
 
     def test_stack_rows_equal_single_rows(self):
         """One table for the stack — rows without any armed candidate in

@@ -12,7 +12,6 @@ import repro.core.did
 import repro.core.funnel
 import repro.core.ika
 import repro.core.scoring
-import repro.core.sst
 import repro.simulation.clock
 import repro.simulation.scenario
 import repro.telemetry.agent
@@ -25,7 +24,6 @@ MODULES = [
     repro.core.funnel,
     repro.core.ika,
     repro.core.scoring,
-    repro.core.sst,
     repro.simulation.clock,
     repro.simulation.scenario,
     repro.telemetry.agent,

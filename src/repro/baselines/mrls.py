@@ -136,7 +136,7 @@ class MrlsDetector:
             # Map both components back to the time domain.  The l1
             # criterion treats a *young* level shift as sparse outliers:
             # only once the new level occupies enough of the window does
-            # the nuclear norm find it cheaper to absorb it into the
+            # the nuclear norm find it cheaper to fold it into the
             # local subspace — at which point the low-rank reconstruction
             # shows the shift.  This absorption lag is what gives MRLS
             # its multi-minute detection delay on genuine changes

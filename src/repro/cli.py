@@ -107,8 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--detectors", default="funnel",
                        help="comma-separated methods "
                             "(funnel,improved_sst,cusum,mrls,wow)")
-    fleet.add_argument("--workers", type=int, default=0,
-                       help="process-pool size (0 = serial)")
     fleet.add_argument("--batch-size", type=int, default=16,
                        help="jobs per executor batch")
     fleet.add_argument("--obs-dir",
@@ -422,8 +420,7 @@ def _cmd_assess_fleet(args: argparse.Namespace) -> dict:
     engine = AssessmentEngine(
         detectors=tuple(name.strip()
                         for name in args.detectors.split(",") if name.strip()),
-        config=EngineConfig(workers=args.workers,
-                            batch_size=args.batch_size),
+        config=EngineConfig(batch_size=args.batch_size),
         funnel_config=_funnel_config(args),
         obs=obs,
     )
@@ -439,28 +436,19 @@ def _cmd_assess_fleet(args: argparse.Namespace) -> dict:
     out = report.as_dict()
     if args.verdicts:
         out["verdicts_path"] = args.verdicts
-    out["scenario"] = {
+    out["scenario"] = scenario = {
         "services": args.services,
         "servers": args.servers,
         "changes": args.changes,
         "detectors": detectors,
-        "workers": args.workers,
     }
     if obs is not None:
         written = write_run_artifacts(
             args.obs_dir, obs,
-            config={
-                "services": args.services,
-                "servers": args.servers,
-                "changes": args.changes,
-                "impact_fraction": args.impact_fraction,
-                "history_days": args.history_days,
-                "workers": args.workers,
-                "batch_size": args.batch_size,
-                "detectors": detectors,
-                "omega": args.omega,
-                "did_threshold": args.did_threshold,
-            },
+            config=dict(scenario, impact_fraction=args.impact_fraction,
+                        history_days=args.history_days,
+                        batch_size=args.batch_size, omega=args.omega,
+                        did_threshold=args.did_threshold),
             seeds={"scenario": args.seed},
             stages=report.stages,
         )

@@ -17,7 +17,7 @@ The estimator follows the linear model of Eq. 15::
 
     Y(i, t) = theta(t) + alpha * D(i, t) + xi(i) + upsilon(i, t)
 
-whose unit fixed effects ``xi(i)`` are absorbed by first-differencing each
+whose unit fixed effects ``xi(i)`` are removed by first-differencing each
 unit across the two periods, leaving the cross-sectional regression
 ``diff_i = dtheta + alpha * treated_i + noise`` — the OLS slope of which
 is exactly the double difference of Eq. 16, and which additionally yields

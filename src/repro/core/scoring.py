@@ -517,7 +517,7 @@ def _declared_change(x: np.ndarray, scores: np.ndarray, candidate: int,
 def _reportable(change: DetectedChange, since: int) -> bool:
     """Could the software change at bin ``since`` have caused ``change``?
     A change that started before it is by definition pre-existing; a
-    1-bin slack absorbs start-estimation jitter."""
+    1-bin slack tolerates start-estimation jitter."""
     return change.start_index >= since - 1
 
 

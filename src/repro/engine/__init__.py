@@ -14,27 +14,24 @@ deployment simulation), every assessment is
 2. **executed** — funnel-family jobs of equal series length are stacked
    and scored in one pass per batch, with only the declared ones
    proceeding to DiD attribution; baselines run one by one through the
-   :class:`~repro.engine.jobs.Detector` protocol — inline or across
-   ``concurrent.futures`` process workers, with per-entity baseline
-   statistics cached so repeated windows never recompute them; and
+   :class:`~repro.engine.jobs.Detector` protocol — all in one process,
+   with per-entity baseline statistics cached so repeated windows never
+   recompute them; and
 3. **observed** — a fleet report carries per-stage calls and seconds
    (plan, detect, attribute, execute), and — when an
    :class:`~repro.obs.ObsContext` is attached — every stage records
-   structured spans and metrics through :mod:`repro.obs`, with
-   worker-side telemetry serialized back across the process-pool
-   boundary.
+   structured spans and metrics through :mod:`repro.obs`.
 
-Results never depend on batching, worker count, or scheduling order:
-stacked scoring is bitwise the per-series pipeline, and a job's detector
-is built from its :class:`~repro.engine.jobs.DetectorSpec` with a seed
-derived from the job identity alone.
+Results never depend on batching or batch order: stacked scoring is
+bitwise the per-series pipeline, and a job's detector is built from its
+:class:`~repro.engine.jobs.DetectorSpec` with a seed derived from the
+job identity alone.
 """
 
 from ..obs import ObsContext
 from .batching import (BATCHABLE_DETECTORS, AttributionBatch, DetectBatch,
-                       DetectionRecord, PackedJobs, pack_jobs,
-                       plan_detect_batches, run_attribution_batch,
-                       run_detect_batch, unpack_jobs)
+                       DetectionRecord, plan_detect_batches,
+                       run_attribution_batch, run_detect_batch)
 from .cache import BaselineStatsCache, reset_shared_cache, shared_cache
 from .detectors import (build_detector, detector_names, register_detector,
                         spec_for_method)
@@ -51,11 +48,10 @@ __all__ = [
     "DetectBatch", "DetectionRecord",
     "Detector", "DetectorSpec", "EngineConfig", "ENTITY_METRICS",
     "FetchedWindow", "FleetAssessmentReport", "FleetScenarioSpec",
-    "ItemOutcome", "JobResult", "ObsContext",
-    "PackedJobs", "SyntheticFleetSource",
+    "ItemOutcome", "JobResult", "ObsContext", "SyntheticFleetSource",
     "build_detector", "detector_names", "execute_jobs", "job_from_item",
-    "job_seed", "jobs_from_items", "pack_jobs", "plan_change_jobs",
+    "job_seed", "jobs_from_items", "plan_change_jobs",
     "plan_detect_batches", "register_detector", "reset_shared_cache",
     "run_attribution_batch", "run_detect_batch", "run_job",
-    "shared_cache", "spec_for_method", "unpack_jobs",
+    "shared_cache", "spec_for_method",
 ]

@@ -9,9 +9,7 @@ memoises them per ``baseline_key`` so repeated windows never recompute.
 
 The cache is an *optimisation only*: a hit returns exactly what the
 recomputation would (same inputs, same ``median_and_mad`` call), so
-results are bit-identical whether or not a worker process happens to
-have the entry.  That property is what lets each process-pool worker
-keep its own instance without any cross-process coordination.
+results are bit-identical whether or not the entry is present.
 """
 
 from __future__ import annotations
@@ -69,10 +67,8 @@ class BaselineStatsCache:
 
     def counters(self) -> Tuple[int, int]:
         """Current ``(hits, misses)`` — snapshot before a batch, diff
-        after, and you have the batch's cache traffic.  This is how the
-        executor's worker-telemetry channel reports cache metrics from
-        pool workers, whose process-local caches the parent can never
-        inspect directly."""
+        after, and you have the batch's cache traffic (the executor's
+        cache counters)."""
         return self.hits, self.misses
 
     def info(self) -> dict:

@@ -2,9 +2,8 @@
 
 An :class:`AssessmentJob` is the unit of work: one (software change,
 entity, KPI) item plus the :class:`DetectorSpec` naming the method that
-must assess it.  Jobs are frozen and picklable — numpy payloads plus
-parameter dataclasses — so the executor can ship them to process
-workers unchanged.
+must assess it.  Jobs are frozen value objects — numpy payloads plus
+parameter dataclasses — so a job means the same thing in any batch.
 
 A :class:`Detector` (the protocol every method implements) turns a job
 into a :class:`JobResult`.  :class:`ItemOutcome` is the method-agnostic

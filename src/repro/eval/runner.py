@@ -5,8 +5,8 @@ Every method is evaluated through the assessment engine
 :class:`EngineMethod` — a callable adapter wrapping a
 :class:`~repro.engine.jobs.DetectorSpec` — and :func:`evaluate_corpus`
 plans one :class:`~repro.engine.jobs.AssessmentJob` per (item, method)
-and runs them through the batched executor, serially or across process
-workers.  The engine preserves what each method is *allowed to see*:
+and runs them through the batched executor.  The engine preserves what
+each method is *allowed to see*:
 
 * **funnel** — treated + control/history, full Fig. 3 flow;
 * **improved_sst** — the same detector, no DiD (any post-change
@@ -143,15 +143,14 @@ def evaluate_corpus(items: Iterable[EvaluationItem],
                     methods: Dict[str, EngineMethod],
                     mrls_stride: int = 1,
                     progress: Optional[Callable[[int], None]] = None,
-                    workers: int = 0, batch_size: int = 16,
+                    batch_size: int = 16,
                     obs: Optional[ObsContext] = None) -> EvaluationResult:
     """Run every method over every item.
 
     Every method (an adapter :func:`make_method` returns) is planned
     into assessment jobs and run through
-    :func:`repro.engine.execute_jobs` in chunks — set ``workers`` to
-    fan the corpus out over a process pool, with results bit-identical
-    to the serial default.
+    :func:`repro.engine.execute_jobs` in chunks of ``batch_size * 4``
+    items; results do not depend on the chunking.
 
     Args:
         items: the evaluation corpus (streamed).
@@ -162,11 +161,10 @@ def evaluate_corpus(items: Iterable[EvaluationItem],
             sampled counts are scaled back up by ``mrls_stride`` so the
             synthesized rates stay unbiased).  1 = no sampling.
         progress: optional callback invoked with the item counter.
-        workers: engine process-pool size; 0 = serial.
         batch_size: jobs per engine batch.
         obs: optional :class:`~repro.obs.ObsContext`; with one the
-            evaluation's engine runs record spans and metrics (worker
-            telemetry included), and the caller can write them out with
+            evaluation's engine runs record spans and metrics, and the
+            caller can write them out with
             :func:`repro.obs.write_run_artifacts`.
     """
     if mrls_stride < 1:
@@ -178,7 +176,7 @@ def evaluate_corpus(items: Iterable[EvaluationItem],
                 "make_method" % name)
     result = _evaluate_with_engine(
         items, methods, mrls_stride, progress,
-        EngineConfig(workers=workers, batch_size=batch_size), obs)
+        EngineConfig(batch_size=batch_size), obs)
 
     if "mrls" in methods and mrls_stride > 1:
         for key in list(result.strata):
@@ -196,7 +194,7 @@ def _evaluate_with_engine(items: Iterable[EvaluationItem],
                           ) -> EvaluationResult:
     """The engine path: chunked job planning + batched execution."""
     result = EvaluationResult()
-    chunk_size = config.batch_size * max(config.workers, 1) * 4
+    chunk_size = config.batch_size * 4
     chunk: List[Tuple[int, EvaluationItem]] = []
 
     def flush() -> None:

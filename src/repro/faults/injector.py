@@ -14,7 +14,7 @@ Faults live at the layer they would occur in production:
   overlap trimming and (with ``repair_from_store``) read-repair.
 * **history faults** wrap the history provider with leading transient
   :class:`~repro.exceptions.TelemetryError` failures per
-  ``(change, KPI)`` item, which the assessor's retry budget absorbs.
+  ``(change, KPI)`` item, which the assessor's retry budget rides out.
 
 All decisions come from the stateless :class:`~repro.faults.plan.
 FaultPlan`, so a wrapped replay is reproducible from its seed alone.

@@ -4,7 +4,7 @@ The offline engine answers "what did this change do?" after the fact;
 this package answers it *while the assessment window is still open*.
 A :class:`~repro.live.watcher.ChangeWatcher` tails the change log and
 opens metric-store subscriptions over each change's impact set; bounded
-ingest queues absorb the push stream (shedding, not growing, under
+ingest queues buffer the push stream (shedding, not growing, under
 overload); an event-time scheduler drains them and enforces per-change
 deadlines; the :class:`~repro.live.assessor.LiveAssessor` advances one
 streaming FUNNEL detector per (entity, KPI) and attributes declarations

@@ -42,7 +42,7 @@ class LiveConfig:
             detects); :data:`DROP_NEWEST` sheds the arriving fragment.
         max_fragments_per_tick: the scheduler's drain budget per tick
             across all changes (0 = unlimited).  Setting it below the
-            ingest rate is how overload is simulated/absorbed: queues
+            ingest rate is how overload is simulated/handled: queues
             fill, the policy sheds, memory stays bounded.
         max_active_changes: cap on concurrently assessed changes
             (0 = unlimited).  At capacity an arriving change is admitted

@@ -5,15 +5,13 @@ detector, per-stage latency histograms, fetched bytes, baseline-cache
 hits — with two export surfaces:
 
 * :meth:`MetricsRegistry.snapshot` — a JSON-safe dict, written into run
-  artifacts and merged across process-pool workers
-  (:meth:`MetricsRegistry.merge` adds counter values and histogram
-  buckets, so per-worker registries fold losslessly into the parent's);
+  artifacts;
 * :meth:`MetricsRegistry.to_prometheus` — Prometheus text exposition
   (``text/plain; version=0.0.4``): deterministic ordering, cumulative
   ``le`` buckets, ``_sum``/``_count`` series.
 
 Everything is plain dicts keyed by sorted label tuples; there is no
-locking because each process (and each engine run) owns its registry.
+locking because each engine run owns its registry.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (queue depth, in-flight batches)."""
+    """A point-in-time value (e.g. a queue depth)."""
 
     kind = "gauge"
 
@@ -114,9 +112,8 @@ class Histogram:
 
     ``buckets`` are upper bounds, strictly increasing; an implicit
     ``+Inf`` bucket always exists.  Internally counts are stored
-    per-bucket (non-cumulative) so merging worker snapshots is a plain
-    element-wise add; exposition cumulates on the way out, as the
-    Prometheus format requires.
+    per-bucket (non-cumulative); exposition cumulates on the way out, as
+    the Prometheus format requires.
     """
 
     kind = "histogram"
@@ -186,7 +183,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named metrics for one run (or one worker's share of one run)."""
+    """Named metrics for one run."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
@@ -247,37 +244,6 @@ class MetricsRegistry:
                                for key in sorted(metric.counts)],
                 }
         return out
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a pool worker) into this
-        registry: counters and histogram buckets add, gauges keep the
-        maximum observed value."""
-        for name, doc in snapshot.get("counters", {}).items():
-            counter = self.counter(name, help=doc.get("help", ""))
-            for entry in doc["values"]:
-                counter.inc(entry["value"], **entry["labels"])
-        for name, doc in snapshot.get("gauges", {}).items():
-            gauge = self.gauge(name, help=doc.get("help", ""))
-            for entry in doc["values"]:
-                key = _label_key(entry["labels"])
-                gauge.values[key] = max(gauge.values.get(key,
-                                                         float("-inf")),
-                                        entry["value"])
-        for name, doc in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name, help=doc.get("help", ""),
-                                  buckets=doc["buckets"])
-            if list(hist.buckets) != [float(b) for b in doc["buckets"]]:
-                raise ValueError(
-                    "histogram %r bucket mismatch on merge" % name)
-            for entry in doc["values"]:
-                key = _label_key(entry["labels"])
-                row = hist.counts.get(key)
-                if row is None:
-                    row = [0] * (len(hist.buckets) + 1)
-                    hist.counts[key] = row
-                for i, n in enumerate(entry["counts"]):
-                    row[i] += n
-                hist.sums[key] = hist.sums.get(key, 0.0) + entry["sum"]
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition of every metric, sorted by name."""

@@ -231,6 +231,12 @@ def folded_stacks(profile: StageProfile,
 
 # -- the ``repro obs report`` document ---------------------------------------
 
+#: Counters of the engine's former process pool, still summarised when a
+#: recorded run carries them.
+_PACKED_ROWS_METRIC = "repro_engine_packed_rows_total"
+_PACKED_UNIQUE_ROWS_METRIC = "repro_engine_packed_unique_rows_total"
+
+
 def _counter_sections(metrics: dict) -> Tuple[list, dict, dict]:
     """One walk over a metrics snapshot's counters.
 
@@ -240,18 +246,17 @@ def _counter_sections(metrics: dict) -> Tuple[list, dict, dict]:
     a missing ``counters`` section, or ``null`` value lists.
 
     Batching: fill ratio is jobs scored per slot of planned batch
-    capacity (1.0 = every batch full); the packed dedup ratio is rows
-    referenced per row actually pickled across the pool boundary (1.0 =
-    nothing repeated); gating "candidates" are the positions a pool
-    table decided, and windows per position the share of them the kernel
-    had to score.  Ingest plane: per-stage tick timing from the
+    capacity (1.0 = every batch full); the packed dedup ratio (only in
+    runs recorded before the engine lost its process pool) is rows
+    referenced per row pickled; gating "candidates" are the positions a
+    pool table decided, and windows per position the share of them the
+    kernel had to score.  Ingest plane: per-stage tick timing from the
     scheduler's per-tick wall clocks (the replay driver contributes
     ``stage=stream`` for its append side).
     """
     from ..engine.batching import (BATCHED_BATCHES_METRIC,
                                    BATCHED_CAPACITY_METRIC,
-                                   BATCHED_JOBS_METRIC, PACKED_ROWS_METRIC,
-                                   PACKED_UNIQUE_ROWS_METRIC)
+                                   BATCHED_JOBS_METRIC)
     from ..live.pool import (GATED_CANDIDATES_METRIC, GATING_TABLES_METRIC,
                              POOLED_BATCHES_METRIC, POOLED_SERIES_METRIC,
                              SCORED_WINDOWS_METRIC)
@@ -281,9 +286,9 @@ def _counter_sections(metrics: dict) -> Tuple[list, dict, dict]:
         capacity = totals.get(BATCHED_CAPACITY_METRIC, 0)
         if capacity:
             batching["batched_detect_fill_ratio"] = round(jobs / capacity, 3)
-    pickled = totals.get(PACKED_UNIQUE_ROWS_METRIC, 0)
+    pickled = totals.get(_PACKED_UNIQUE_ROWS_METRIC, 0)
     if pickled:
-        referenced = totals.get(PACKED_ROWS_METRIC, 0)
+        referenced = totals.get(_PACKED_ROWS_METRIC, 0)
         batching["packed_rows_referenced"] = referenced
         batching["packed_rows_pickled"] = pickled
         batching["packed_dedup_ratio"] = round(referenced / pickled, 3)

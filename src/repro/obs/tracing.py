@@ -2,17 +2,11 @@
 
 A :class:`Span` covers one timed operation (an engine stage, one batch,
 one job).  Spans form a tree through parent ids; the tree for one run
-shares a ``trace_id``.  Finished spans are frozen into picklable
-:class:`SpanRecord` rows, which is how telemetry crosses the process
-pool boundary: a worker builds its own :class:`Tracer` around a
-:class:`RemoteContext` (the parent span's identity, shipped with the
-batch), records spans locally, and the parent process *adopts* the
-serialized records — they arrive already parented under the submitting
-span, so the assembled tree looks exactly as if the work had run inline.
+shares a ``trace_id``.  Finished spans are frozen into JSON-safe
+:class:`SpanRecord` rows, which is what run artifacts store.
 
 Durations come from ``time.perf_counter`` (monotonic); the wall-clock
-``start_unix`` is carried only so artifact logs can be ordered across
-processes.
+``start_unix`` is carried only so artifact logs can be ordered.
 """
 
 from __future__ import annotations
@@ -22,10 +16,9 @@ import struct
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["SpanRecord", "Span", "RemoteContext", "Tracer",
-           "new_trace_id", "new_span_id"]
+__all__ = ["SpanRecord", "Span", "Tracer", "new_trace_id", "new_span_id"]
 
 _ID_COUNTER = [0]
 
@@ -40,10 +33,9 @@ def new_trace_id() -> str:
 
 
 def new_span_id() -> str:
-    """A fresh 12-hex-digit span id, unique across processes.
+    """A fresh 16-hex-digit span id.
 
-    Combines the pid (so two pool workers can never collide) with a
-    process-local counter and two random bytes.
+    Combines the pid with a process-local counter and two random bytes.
     """
     _ID_COUNTER[0] += 1
     return struct.pack(">HI", os.getpid() & 0xFFFF,
@@ -96,19 +88,6 @@ class SpanRecord:
         )
 
 
-@dataclass(frozen=True)
-class RemoteContext:
-    """A parent span's identity, shipped across the process boundary.
-
-    A worker-side tracer built from a remote context parents its
-    top-level spans under ``parent_id`` within ``trace_id``, so the
-    records it exports slot straight into the parent process's tree.
-    """
-
-    trace_id: str
-    parent_id: Optional[str] = None
-
-
 @dataclass
 class Span:
     """A live (not yet finished) span.  Use via :meth:`Tracer.span`."""
@@ -137,23 +116,15 @@ class Span:
 
 
 class Tracer:
-    """Builds one process's portion of a run's span tree.
+    """Builds one run's span tree.
 
     The tracer keeps an explicit stack of active spans — no thread
     locals, no globals — so context propagation is always visible in
-    the code that does it.  ``remote`` supplies the cross-process
-    parent; :meth:`export` hands the finished records to whoever owns
-    the root tracer, and :meth:`adopt` merges records exported
-    elsewhere.
+    the code that does it.
     """
 
-    def __init__(self, remote: Optional[RemoteContext] = None) -> None:
-        if remote is not None:
-            self.trace_id = remote.trace_id
-            self._remote_parent = remote.parent_id
-        else:
-            self.trace_id = new_trace_id()
-            self._remote_parent = None
+    def __init__(self) -> None:
+        self.trace_id = new_trace_id()
         self._stack: List[Span] = []
         self.finished: List[SpanRecord] = []
 
@@ -163,7 +134,7 @@ class Tracer:
     def current_span_id(self) -> Optional[str]:
         if self._stack:
             return self._stack[-1].span_id
-        return self._remote_parent
+        return None
 
     @contextmanager
     def span(self, name: str, **attrs: object) -> Iterator[Span]:
@@ -200,33 +171,3 @@ class Tracer:
         )
         self.finished.append(rec)
         return rec
-
-    # -- cross-process assembly ----------------------------------------------
-
-    def export(self) -> Tuple[SpanRecord, ...]:
-        """The finished records, for shipping back to the root tracer."""
-        return tuple(self.finished)
-
-    def adopt(self, records: Iterable[SpanRecord]) -> int:
-        """Merge records exported by another (worker) tracer.
-
-        Records parented via a :class:`RemoteContext` already point at
-        this tracer's spans; foreign trace ids are rewritten so the
-        assembled tree stays one trace.  Returns the number adopted.
-        """
-        count = 0
-        for rec in records:
-            if rec.trace_id != self.trace_id:
-                rec = SpanRecord(
-                    trace_id=self.trace_id, span_id=rec.span_id,
-                    parent_id=rec.parent_id, name=rec.name,
-                    start_unix=rec.start_unix, duration_s=rec.duration_s,
-                    attrs=rec.attrs)
-            self.finished.append(rec)
-            count += 1
-        return count
-
-    def remote_context(self) -> RemoteContext:
-        """The context a worker needs to parent its spans under us."""
-        return RemoteContext(trace_id=self.trace_id,
-                             parent_id=self.current_span_id)

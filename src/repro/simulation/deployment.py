@@ -16,8 +16,7 @@ rates (precision, detections per KPI) are scale-free.
 
 Assessment runs through the batched engine (:mod:`repro.engine`): each
 day's KPI stream is planned into assessment jobs and executed in
-chunks, serially by default or across process workers — the counters
-are bit-identical either way.
+chunks.
 """
 
 from __future__ import annotations
@@ -168,21 +167,20 @@ def _day_corpus(spec: DeploymentSpec, day: int) -> EvaluationCorpus:
 
 def simulate_week(spec: Optional[DeploymentSpec] = None,
                   funnel_config: Optional[FunnelConfig] = None,
-                  progress=None, workers: int = 0, batch_size: int = 16,
+                  progress=None, batch_size: int = 16,
                   obs: Optional[ObsContext] = None) -> DeploymentReport:
     """Run FUNNEL online over a simulated deployment week.
 
-    Each day's KPI stream goes through the batched assessment engine;
-    ``workers`` > 0 fans the day out over a process pool with counters
-    bit-identical to the serial default.  ``obs`` (an
+    Each day's KPI stream goes through the batched assessment engine in
+    chunks of ``batch_size * 4`` items.  ``obs`` (an
     :class:`~repro.obs.ObsContext`) collects the week's spans and
     metrics — one ``day`` span per simulated day with the engine's
     execute/batch/job tree underneath.
     """
     spec = spec or DeploymentSpec()
     detector = spec_for_method("funnel", funnel_config=funnel_config)
-    config = EngineConfig(workers=workers, batch_size=batch_size)
-    chunk_size = config.batch_size * max(config.workers, 1) * 4
+    config = EngineConfig(batch_size=batch_size)
+    chunk_size = config.batch_size * 4
     report = DeploymentReport()
 
     for day in range(spec.days):

@@ -1,9 +1,8 @@
 """Tests for the fleet-scale assessment engine.
 
-The load-bearing property is serial/parallel parity: the executor must
-return bit-identical outcomes whatever the worker count or batch size,
-because every detector is rebuilt per job with a seed derived from the
-job's identity alone.
+The load-bearing property is parity: the executor must return
+bit-identical outcomes whatever the batch size, because every detector
+is rebuilt per job with a seed derived from the job's identity alone.
 """
 
 import pytest
@@ -79,7 +78,7 @@ class TestJobSeed:
 
 
 class TestParity:
-    """Parallel execution must be bit-identical to serial."""
+    """Results must not depend on how the jobs are batched."""
 
     def _jobs(self, items, methods=("funnel", "cusum")):
         jobs = []
@@ -87,32 +86,20 @@ class TestParity:
             jobs.extend(jobs_from_items(items, spec_for_method(name)))
         return jobs
 
-    def test_parallel_identical_to_serial(self, tiny_corpus):
-        jobs = self._jobs(tiny_corpus[:24])
-        serial = execute_jobs(jobs, EngineConfig(workers=0, batch_size=7))
-        parallel = execute_jobs(jobs, EngineConfig(workers=2, batch_size=5))
-        assert len(serial) == len(parallel) == len(jobs)
-        for a, b in zip(serial, parallel):
-            assert a.job_id == b.job_id
-            assert a.detector == b.detector
-            assert a.outcome == b.outcome
-            assert a.verdict == b.verdict
-            assert a.did_estimate == b.did_estimate
-
     def test_batch_size_does_not_matter(self, tiny_corpus):
         jobs = self._jobs(tiny_corpus[:12], methods=("funnel",))
-        small = execute_jobs(jobs, EngineConfig(workers=0, batch_size=1))
-        large = execute_jobs(jobs, EngineConfig(workers=0, batch_size=64))
+        small = execute_jobs(jobs, EngineConfig(batch_size=1))
+        large = execute_jobs(jobs, EngineConfig(batch_size=64))
         assert [r.outcome for r in small] == [r.outcome for r in large]
 
-    def test_evaluate_corpus_parallel_parity(self, tiny_corpus):
+    def test_evaluate_corpus_chunking_parity(self, tiny_corpus):
+        """One chunk of 24 items against six chunks of 4 (batch size 1)."""
         methods = {"funnel": make_method("funnel")}
-        serial = evaluate_corpus(tiny_corpus[:24], methods)
-        parallel = evaluate_corpus(tiny_corpus[:24], methods, workers=2,
-                                   batch_size=4)
-        assert serial.strata.keys() == parallel.strata.keys()
-        for key, matrix in serial.strata.items():
-            other = parallel.strata[key]
+        whole = evaluate_corpus(tiny_corpus[:24], methods)
+        chunked = evaluate_corpus(tiny_corpus[:24], methods, batch_size=1)
+        assert whole.strata.keys() == chunked.strata.keys()
+        for key, matrix in whole.strata.items():
+            other = chunked.strata[key]
             assert (matrix.tp, matrix.tn, matrix.fp, matrix.fn) == \
                 (other.tp, other.tn, other.fp, other.fn)
 
@@ -125,9 +112,9 @@ class TestParity:
 
     def test_invalid_config(self):
         with pytest.raises(EngineError):
-            EngineConfig(workers=-1)
-        with pytest.raises(EngineError):
             EngineConfig(batch_size=0)
+        with pytest.raises(TypeError):
+            EngineConfig(workers=2)     # the engine runs in one process
 
 
 class TestBaselineCache:
@@ -165,8 +152,8 @@ class TestReportStages:
         assert all(stage["seconds"] > 0 for stage in stages.values())
         assert report.throughput_jobs_per_second == \
             report.jobs / stages["execute"]["seconds"]
-        pooled = run(workers=2, batch_size=4).stages
-        assert {name: stage["calls"] for name, stage in pooled.items()} == \
+        small = run(batch_size=4).stages
+        assert {name: stage["calls"] for name, stage in small.items()} == \
             {name: stage["calls"] for name, stage in stages.items()}
 
 

@@ -1,9 +1,9 @@
 """Cross-commit pin: the engine's results on one small fixed scenario.
 
 The engine's other parity tests compare two routes *inside one commit*
-(``execute_jobs`` against ``run_job`` per job, inline against pooled), so
-a change to the declaration rule that moves both sides together passes
-them all.  ``tests/live/test_golden_digest.py`` pins the live plane, but
+(``execute_jobs`` against ``run_job`` per job, small against large
+stacks), so a change to the declaration rule that moves both sides
+together passes them all.  ``tests/live/test_golden_digest.py`` pins the live plane, but
 its replay never runs the engine.  The values below were recorded at
 commit 83747e2 (PR 19), **before** the declaration pass learned to stop
 at a row's first reportable change, by running this module there; engine
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.funnel import Funnel
-from repro.engine import (AssessmentEngine, EngineConfig, FleetScenarioSpec,
+from repro.engine import (AssessmentEngine, FleetScenarioSpec,
                           SyntheticFleetSource, reset_shared_cache)
 
 #: the live golden test's fleet, assessed offline
@@ -73,10 +73,8 @@ def _fresh_baseline_cache():
 
 
 class TestGoldenEngineDigest:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_fleet_results(self, workers):
-        engine = AssessmentEngine(detectors=DETECTORS,
-                                  config=EngineConfig(workers=workers))
+    def test_fleet_results(self):
+        engine = AssessmentEngine(detectors=DETECTORS)
         jobs = SyntheticFleetSource(SPEC).plan_jobs(engine.specs)
         results = engine.run(jobs)
         assert len(results) == JOBS

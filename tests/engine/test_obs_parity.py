@@ -1,23 +1,14 @@
-"""Serial vs process-pool observability parity (the worker channel).
-
-Metric registries are process-local, so a pooled run would historically
-drop every worker-side event.  The executor routes worker telemetry
-(spans + metric snapshots) back with the batch results and absorbs it
-in the parent — these tests pin the contract: aggregate counters,
-histogram counts and span counts are identical whether the batches ran
-inline or across a pool.
+"""The executor's span tree and metrics, recorded in one process.
 
 The span tree is the stacked route's: one ``detect_batch`` span per
-stack and one ``attribute_batch`` span per batch of declared jobs under
-the ``execute`` root (funnel jobs get no per-job span — their cost is
-the stack's; only passthrough baselines are traced job by job).
-
-Gauges and transport counters are deliberately excluded: the
-in-flight-batches gauge and the packed-payload row counters only exist
-for pooled runs (serial pickles nothing), so parity is defined over the
-remaining counters + histograms + spans.
+stack and one ``attribute_batch`` span per batch of declared jobs, all
+parented under the one ``execute`` span (funnel jobs get no per-job
+span — their cost is the stack's; only passthrough baselines are traced
+job by job).  Counters and histogram observation counts follow from the
+job list, and attaching obs never changes an outcome.
 """
 
+import math
 from collections import Counter as TallyCounter
 
 import pytest
@@ -26,19 +17,13 @@ from repro.engine import (AssessmentEngine, EngineConfig, FleetScenarioSpec,
                           SyntheticFleetSource, execute_jobs,
                           plan_detect_batches, reset_shared_cache,
                           spec_for_method)
-from repro.engine.batching import (PACKED_ROWS_METRIC,
-                                   PACKED_UNIQUE_ROWS_METRIC)
-from repro.engine.executor import INFLIGHT_GAUGE
 from repro.obs import ObsContext
-
-#: Pool-transport bookkeeping: present only when batches are pickled.
-TRANSPORT_COUNTERS = (PACKED_ROWS_METRIC, PACKED_UNIQUE_ROWS_METRIC)
 
 
 @pytest.fixture(scope="module")
 def fleet_jobs():
     """One funnel job per fleet KPI — baseline keys unique per job, so
-    cache hit/miss counters are stable across worker counts."""
+    every job misses the cold cache once."""
     source = SyntheticFleetSource(FleetScenarioSpec(
         n_services=4, n_servers=20, n_changes=3, history_days=1, seed=3))
     return list(source.plan_jobs((spec_for_method("funnel"),)))
@@ -51,12 +36,11 @@ def _clean_state():
     reset_shared_cache()
 
 
-def _observed_run(jobs, workers):
+def _observed_run(jobs):
     """Run ``jobs`` with obs attached, from a cold cache."""
     reset_shared_cache()
     obs = ObsContext()
-    results = execute_jobs(
-        jobs, config=EngineConfig(workers=workers, batch_size=4), obs=obs)
+    results = execute_jobs(jobs, config=EngineConfig(batch_size=4), obs=obs)
     return results, obs
 
 
@@ -64,55 +48,54 @@ def _counter_values(obs):
     snap = obs.metrics.snapshot()
     return {name: {tuple(sorted(entry["labels"].items())): entry["value"]
                    for entry in doc["values"]}
-            for name, doc in snap["counters"].items()
-            if name not in TRANSPORT_COUNTERS}
+            for name, doc in snap["counters"].items()}
 
 
 def _histogram_counts(obs):
     """Observation counts per metric/label-set (durations vary run to
-    run, so bucket placement and sums are not parity material)."""
+    run, so bucket placement and sums are not test material)."""
     snap = obs.metrics.snapshot()
     return {name: {tuple(sorted(entry["labels"].items())): entry["count"]
                    for entry in doc["values"]}
             for name, doc in snap["histograms"].items()}
 
 
-class TestWorkerChannelParity:
-    def test_metrics_spans_and_hook_events_match(self, fleet_jobs):
-        serial_results, serial_obs = _observed_run(fleet_jobs, workers=0)
-        pooled_results, pooled_obs = _observed_run(fleet_jobs, workers=2)
+class TestSerialSpanTree:
+    def test_counters_histograms_and_spans(self, fleet_jobs):
+        results, obs = _observed_run(fleet_jobs)
+        positives = sum(r.positive for r in results)
+        assert positives >= 1
+        funnel = (("detector", "funnel"),)
 
-        # Outcomes first: obs must not perturb the engine's parity.
-        assert [r.outcome for r in serial_results] == \
-            [r.outcome for r in pooled_results]
+        counters = _counter_values(obs)
+        assert counters["repro_engine_jobs_total"] == {
+            funnel: len(fleet_jobs)}
+        assert counters["repro_engine_positives_total"] == {
+            funnel: positives}
+        assert counters["repro_engine_baseline_cache_misses_total"] == {
+            (): len(fleet_jobs)}
+        assert "repro_engine_baseline_cache_hits_total" not in counters
+        assert "repro_engine_inflight_batches" not in \
+            obs.metrics.snapshot()["gauges"]
 
-        # Aggregate counters — jobs, positives, cache hits/misses.
-        assert _counter_values(serial_obs) == _counter_values(pooled_obs)
-        jobs_total = _counter_values(serial_obs)[
-            "repro_engine_jobs_total"]
-        assert sum(jobs_total.values()) == len(fleet_jobs)
+        # Detect-stage latency per job; attribution per declared job.
+        assert _histogram_counts(obs) == {"repro_engine_detect_seconds": {
+            funnel + (("stage", "attribute"),): positives,
+            funnel + (("stage", "detect"),): len(fleet_jobs)}}
 
-        # Histogram observation counts (detect-stage latency per job).
-        assert _histogram_counts(serial_obs) == \
-            _histogram_counts(pooled_obs)
-
-        # Same span tree size and composition.
-        assert serial_obs.span_count == pooled_obs.span_count
-        serial_names = TallyCounter(s.name for s in serial_obs.spans())
-        pooled_names = TallyCounter(s.name for s in pooled_obs.spans())
-        assert serial_names == pooled_names
+        names = TallyCounter(s.name for s in obs.spans())
         stacks, passthrough = plan_detect_batches(fleet_jobs, batch_size=4)
         assert not passthrough
-        assert serial_names["detect_batch"] == len(stacks)
-        assert serial_names["attribute_batch"] >= 1
-        assert serial_names["execute"] == 1
-        assert "job" not in serial_names
+        assert names == {"execute": 1, "detect_batch": len(stacks),
+                         "attribute_batch": math.ceil(positives / 4)}
+        assert obs.span_count == sum(names.values())
 
-    def test_worker_spans_reparent_under_execute(self, fleet_jobs):
-        _, obs = _observed_run(fleet_jobs[:8], workers=2)
+    def test_batch_spans_parent_under_execute(self, fleet_jobs):
+        _, obs = _observed_run(fleet_jobs[:8])
         spans = obs.spans()
         execute = [s for s in spans if s.name == "execute"]
         assert len(execute) == 1
+        assert execute[0].attrs == (("batch_size", 4),)
         batches = [s for s in spans
                    if s.name in ("detect_batch", "attribute_batch")]
         assert {s.name for s in batches} == {"detect_batch",
@@ -120,32 +103,10 @@ class TestWorkerChannelParity:
         assert {s.parent_id for s in batches} == {execute[0].span_id}
         assert {s.trace_id for s in spans} == {obs.tracer.trace_id}
 
-    def test_inflight_gauge_is_pooled_only(self, fleet_jobs):
-        _, serial_obs = _observed_run(fleet_jobs[:8], workers=0)
-        _, pooled_obs = _observed_run(fleet_jobs[:8], workers=2)
-        assert INFLIGHT_GAUGE not in serial_obs.metrics.snapshot()["gauges"]
-        assert pooled_obs.metrics.gauge(INFLIGHT_GAUGE).value() >= 1
-
-    def test_packed_counters_are_pooled_only(self, fleet_jobs):
-        _, serial_obs = _observed_run(fleet_jobs[:8], workers=0)
-        _, pooled_obs = _observed_run(fleet_jobs[:8], workers=2)
-        serial_names = serial_obs.metrics.snapshot()["counters"]
-        for name in TRANSPORT_COUNTERS:
-            assert name not in serial_names
-        referenced = pooled_obs.metrics.counter(PACKED_ROWS_METRIC).value()
-        pickled = pooled_obs.metrics.counter(
-            PACKED_UNIQUE_ROWS_METRIC).value()
-        # This scenario treats one server per change, so nothing repeats
-        # within a batch — but packing must never pickle more than the
-        # jobs reference.  (The dedup win itself is pinned on a
-        # multi-treated-server scenario in test_batched.py.)
-        assert 0 < pickled <= referenced
-
     def test_outcomes_identical_with_obs_off(self, fleet_jobs):
         reset_shared_cache()
-        plain = execute_jobs(fleet_jobs,
-                             config=EngineConfig(workers=0, batch_size=4))
-        observed, _ = _observed_run(fleet_jobs, workers=0)
+        plain = execute_jobs(fleet_jobs, config=EngineConfig(batch_size=4))
+        observed, _ = _observed_run(fleet_jobs)
         for a, b in zip(plain, observed):
             assert a.outcome == b.outcome
             assert a.verdict == b.verdict

@@ -112,7 +112,7 @@ GOLDEN_JSON_SHA = "0cbc3e0aa1ab1dd127262af196ada99d9ce0a72555d48d76802c7b3f7f382
 
 def _observed_context():
     obs = ObsContext()
-    with obs.tracer.span("execute", workers=2):
+    with obs.tracer.span("execute", batch_size=16):
         with obs.tracer.span("batch", batch=0):
             obs.tracer.record("job", 0.25, detector="funnel", job_id=0)
     obs.metrics.counter("repro_engine_jobs_total",
@@ -129,7 +129,7 @@ class TestArtifactsRoundTrip:
                             lambda cwd=None: "abc123")
         obs = _observed_context()
         written = write_run_artifacts(
-            str(tmp_path), obs, config={"workers": 2},
+            str(tmp_path), obs, config={"batch_size": 16},
             seeds={"scenario": 7}, stages={"execute": {"seconds": 0.3}},
             run_id="rt-run", unix_time=1000.0)
 
@@ -140,7 +140,7 @@ class TestArtifactsRoundTrip:
         run = load_run(str(tmp_path))
         assert run.run_id == "rt-run"
         assert run.manifest["git_rev"] == "abc123"
-        assert run.manifest["config"] == {"workers": 2}
+        assert run.manifest["config"] == {"batch_size": 16}
         assert run.manifest["seeds"] == {"scenario": 7}
         assert run.manifest["unix_time"] == 1000.0
         assert ([s.as_dict() for s in run.spans]
@@ -229,7 +229,7 @@ class TestObsReportCli:
         monkeypatch.setattr("repro.obs.artifacts.git_revision",
                             lambda cwd=None: None)
         obs = ObsContext()
-        obs.tracer.adopt(FIXTURE_SPANS)
+        obs.tracer.finished.extend(FIXTURE_SPANS)
         for name, labels, value in counters:
             obs.metrics.counter(name).inc(value, **labels)
         write_run_artifacts(str(tmp_path), obs, run_id="golden-run",
@@ -272,6 +272,54 @@ class TestObsReportCli:
         assert main(["obs", "report", str(tmp_path / "nope")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "events.jsonl" in err["error"]
+
+
+class TestPooledRunArtifacts:
+    """`obs report` on a run recorded while the engine still had a process
+    pool (``fixtures/pooled_run``: ``assess-fleet --detectors
+    funnel,cusum --workers 2``).  Its ``repro_engine_packed_*`` counters,
+    ``repro_engine_inflight_batches`` gauge and ``workers=2`` attribute
+    on ``execute`` are no longer produced, but the run still renders
+    every section."""
+
+    RUN_DIR = os.path.join(os.path.dirname(__file__), "fixtures",
+                           "pooled_run")
+    PACKED = ("repro_engine_packed_rows_total",
+              "repro_engine_packed_unique_rows_total")
+
+    def test_recorded_shape(self):
+        run = load_run(self.RUN_DIR)
+        assert run.corrupt_lines == 0
+        execute = [s for s in run.spans if s.name == "execute"]
+        assert [s.attr("workers") for s in execute] == [2]
+        assert set(self.PACKED) <= set(run.metrics["counters"])
+        assert "repro_engine_inflight_batches" in run.metrics["gauges"]
+
+    def test_text_report_keeps_every_section(self, capsys):
+        assert main(["obs", "report", self.RUN_DIR]) == 0
+        out = capsys.readouterr().out
+        for heading in ("Stage breakdown (71 spans)", "\nPer-detector\n",
+                        "\nSlowest jobs\n", "\nCounters\n",
+                        "\nBatching\n"):
+            assert heading in out
+        for line in ("      job ", "    detect_batch ",
+                     "    attribute_batch ", "  packed_dedup_ratio "):
+            assert line in out
+        for name in self.PACKED:
+            assert "\n  %s " % name in out
+
+    def test_json_report_keeps_every_section(self, capsys):
+        assert main(["obs", "report", self.RUN_DIR, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["span_count"] == 71
+        paths = {tuple(p["path"]) for p in doc["paths"]}
+        assert ("assess_fleet", "execute", "batch", "job", "detect") in paths
+        assert ("assess_fleet", "execute", "detect_batch") in paths
+        assert sorted(doc["detectors"]) == ["cusum", "funnel"]
+        assert doc["slowest_jobs"]
+        assert set(self.PACKED) <= {row["name"] for row in doc["counters"]}
+        assert doc["batching"]["packed_dedup_ratio"] == 1
+        assert doc["batching"]["batched_detect_jobs"] == 14
 
 
 class TestDegradedRunArtifacts:

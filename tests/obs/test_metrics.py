@@ -1,4 +1,4 @@
-"""Tests for counters, gauges, histograms, snapshot/merge, exposition."""
+"""Tests for counters, gauges, histograms, snapshots, exposition."""
 
 import pytest
 
@@ -76,49 +76,16 @@ class TestHistogram:
         assert LATENCY_BUCKETS[0] == 0.0001 and LATENCY_BUCKETS[-1] == 10.0
 
 
-class TestSnapshotMerge:
-    @staticmethod
-    def _worker_registry():
+class TestSnapshot:
+    def test_snapshot_is_json_safe(self):
+        import json
         reg = MetricsRegistry()
         reg.counter("jobs_total", help="Jobs.").inc(4, detector="funnel")
-        reg.gauge("inflight").set(3)
+        reg.gauge("depth").set(3)
         h = reg.histogram("lat", help="Latency.", buckets=(0.1, 1.0))
         h.observe(0.05)
         h.observe(5.0)
-        return reg
-
-    def test_merge_adds_counters_and_buckets_keeps_gauge_max(self):
-        parent = MetricsRegistry()
-        parent.counter("jobs_total", help="Jobs.").inc(1, detector="funnel")
-        parent.gauge("inflight").set(7)
-        parent.histogram("lat", help="Latency.",
-                         buckets=(0.1, 1.0)).observe(0.5)
-
-        parent.merge(self._worker_registry().snapshot())
-
-        assert parent.counter("jobs_total").value(detector="funnel") == 5
-        assert parent.gauge("inflight").value() == 7
-        hist = parent.histogram("lat", buckets=(0.1, 1.0))
-        assert hist.counts[()] == [1, 1, 1]
-        assert hist.sums[()] == pytest.approx(0.05 + 5.0 + 0.5)
-
-    def test_merge_into_empty_registry_reproduces_snapshot(self):
-        worker = self._worker_registry()
-        parent = MetricsRegistry()
-        parent.merge(worker.snapshot())
-        assert parent.snapshot() == worker.snapshot()
-
-    def test_merge_bucket_mismatch_raises(self):
-        parent = MetricsRegistry()
-        parent.histogram("lat", buckets=(0.1, 1.0)).observe(0.5)
-        bad = MetricsRegistry()
-        bad.histogram("lat", buckets=(0.2, 2.0)).observe(0.5)
-        with pytest.raises(ValueError, match="bucket mismatch"):
-            parent.merge(bad.snapshot())
-
-    def test_snapshot_is_json_safe(self):
-        import json
-        snap = self._worker_registry().snapshot()
+        snap = reg.snapshot()
         assert json.loads(json.dumps(snap)) == snap
 
 
@@ -161,13 +128,8 @@ class TestPrometheusExposition:
 
 
 class TestLabeledHistogramRoundTrip:
-    """A *labeled* histogram through the worker-snapshot boundary.
-
-    The engine's pool workers ship their registries home as snapshots;
-    labeled histogram rows must fold into the parent losslessly and the
-    merged registry must expose the exact Prometheus text a single
-    process would have produced.
-    """
+    """A *labeled* histogram: one row per label set, exposed in label
+    order, with percentiles read per label set."""
 
     GOLDEN = (
         '# HELP stage_lat Stage latency.\n'
@@ -192,32 +154,17 @@ class TestLabeledHistogramRoundTrip:
             for value in values:
                 hist.observe(value, stage=stage)
 
-    def _merged(self):
-        worker_a = MetricsRegistry()
-        self._observe(worker_a, {"detect": (0.05, 0.5, 2.0),
-                                 "fetch": (0.05,)})
-        worker_b = MetricsRegistry()
-        self._observe(worker_b, {"detect": (0.06, 0.5, 0.5),
-                                 "fetch": (2.0,)})
-        parent = MetricsRegistry()
-        parent.merge(worker_a.snapshot())
-        parent.merge(worker_b.snapshot())
-        return parent
-
-    def test_merged_exposition_matches_single_process(self):
-        single = MetricsRegistry()
-        self._observe(single, {"detect": (0.05, 0.5, 2.0, 0.06, 0.5, 0.5),
-                               "fetch": (0.05, 2.0)})
-        merged = self._merged()
-        assert merged.to_prometheus() == single.to_prometheus()
-        assert merged.snapshot() == single.snapshot()
+    def _registry(self):
+        reg = MetricsRegistry()
+        self._observe(reg, {"detect": (0.05, 0.5, 2.0, 0.06, 0.5, 0.5),
+                            "fetch": (0.05, 2.0)})
+        return reg
 
     def test_golden_exposition_text(self):
-        assert self._merged().to_prometheus() == self.GOLDEN
+        assert self._registry().to_prometheus() == self.GOLDEN
 
-    def test_percentiles_survive_the_merge(self):
-        merged = self._merged()
-        hist = merged.histogram("stage_lat", buckets=(0.1, 1.0))
+    def test_percentiles_per_label_set(self):
+        hist = self._registry().histogram("stage_lat", buckets=(0.1, 1.0))
         # 6 detect samples: 2 in (<=0.1], 3 in (0.1, 1], 1 overflow.
         assert hist.percentile(10, stage="detect") <= 0.1
         assert 0.1 < hist.percentile(60, stage="detect") <= 1.0

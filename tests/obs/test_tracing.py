@@ -1,10 +1,8 @@
-"""Tests for the span/tracer layer, including cross-process re-parenting."""
-
-import pickle
+"""Tests for the span/tracer layer."""
 
 import pytest
 
-from repro.obs import RemoteContext, SpanRecord, Tracer, new_span_id
+from repro.obs import SpanRecord, Tracer, new_span_id
 
 
 class TestIds:
@@ -55,41 +53,6 @@ class TestSpans:
         assert clone.as_dict() == rec.as_dict()
         assert clone.name == "stage"
         assert clone.attr("items") == 2
-
-
-class TestReparenting:
-    """Worker spans must survive pickling and slot into the parent tree."""
-
-    def test_remote_context_parents_worker_spans(self):
-        parent = Tracer()
-        with parent.span("execute") as execute:
-            remote = parent.remote_context()
-            assert remote == RemoteContext(trace_id=parent.trace_id,
-                                           parent_id=execute.span_id)
-            worker = Tracer(remote=remote)
-            with worker.span("batch") as batch:
-                with worker.span("job"):
-                    pass
-            payload = pickle.dumps(worker.export())
-        records = pickle.loads(payload)
-        parent.adopt(records)
-
-        by_name = {r.name: r for r in parent.finished}
-        assert by_name["batch"].parent_id == execute.span_id
-        assert by_name["job"].parent_id == batch.span_id
-        assert {r.trace_id for r in parent.finished} == {parent.trace_id}
-
-    def test_adopt_rewrites_foreign_trace_ids(self):
-        parent, stray = Tracer(), Tracer()
-        with stray.span("orphan"):
-            pass
-        assert parent.adopt(stray.export()) == 1
-        assert parent.finished[0].trace_id == parent.trace_id
-        assert parent.finished[0].name == "orphan"
-
-    def test_remote_context_itself_pickles(self):
-        remote = RemoteContext(trace_id="t", parent_id="p")
-        assert pickle.loads(pickle.dumps(remote)) == remote
 
 
 class TestRecordImmutability:

@@ -41,7 +41,7 @@ CLI_SURFACE = {
                  "character": "stationary", "effect_sigmas": 6.0,
                  "minutes": 240, "change_minute": 120, "seed": 0},
     "cost": {"seconds": 0.5},
-    "assess-fleet": dict(_SCENARIO, **_FUNNEL, detectors="funnel", workers=0,
+    "assess-fleet": dict(_SCENARIO, **_FUNNEL, detectors="funnel",
                          batch_size=16, obs_dir=None, verdicts=None),
     "live-replay": dict(_REPLAY, check_offline=False),
     "chaos-replay": dict(_REPLAY, plan="drop-delay-dup", fault_seed=0,
@@ -76,6 +76,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--version"])
         assert "repro" in capsys.readouterr().out
+
+    def test_workers_flag_is_gone(self, capsys):
+        """The engine runs in one process: ``--workers`` is a usage error."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(_FLEET_ARGS + ["--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestDetect:
@@ -190,15 +197,15 @@ class TestAssessFleet:
         assert calls[("assess_fleet", "fetch")] == payload["jobs"]
 
     def test_golden_json_round_trip(self, capsys):
-        """Two runs (one parallel) print the same JSON, timings aside."""
+        """Two runs (small and default stacks) print the same JSON,
+        timings aside."""
         assert main(list(_FLEET_ARGS)) == 0
         first = capsys.readouterr().out
-        assert main(_FLEET_ARGS + ["--workers", "2", "--batch-size", "4"]) == 0
+        assert main(_FLEET_ARGS + ["--batch-size", "4"]) == 0
         second = capsys.readouterr().out
         a, b = json.loads(first), json.loads(second)
-        a["scenario"].pop("workers"), b["scenario"].pop("workers")
-        # Cache counters differ between serial/parallel processes
-        # (workers warm their own caches); everything else must match.
+        # The second run hits the baseline cache the first one warmed;
+        # everything else must match.
         a.pop("cache"), b.pop("cache")
         assert _strip_timings(a) == _strip_timings(b)
         # Round-trip: parse -> dump -> parse is lossless.

@@ -83,9 +83,6 @@ class _SeriesBuffer:
         self.values[self.length:needed] = values
         self.length = needed
 
-    def view(self, n: int) -> np.ndarray:
-        return self.values[:n]
-
 
 class KpiTracker:
     """One monitored (entity, KPI) of one change."""
@@ -193,46 +190,40 @@ class LiveAssessor:
         """Deliver one fragment, healing a lossy push channel.
 
         The push stream is treated as at-least-once and possibly holey:
-        an exact redelivery is dropped, an overlapping fragment is
-        trimmed to its unseen suffix, and a fragment that skips ahead is
-        either repaired from the durable store (``repair_from_store``)
-        or degrades the item to a ``gap`` verdict as before.
-
+        past the in-order case, an exact redelivery is dropped, an
+        overlapping fragment trimmed to its unseen suffix, and one that
+        skips ahead either repaired from the durable store
+        (``repair_from_store``) or degrades the item to a ``gap`` verdict.
         Deliveries are truncated at the session deadline: under a close
         grace (``close_grace_seconds``) late releases can carry bins
         beyond the assessment window, which must never reach a detector.
         """
-        if fragment.start >= session.deadline:
+        start, end = fragment.start, fragment.end
+        if start >= session.deadline:
             return
-        if fragment.end > session.deadline:
-            fragment = fragment.slice_time(fragment.start, session.deadline)
+        if end > session.deadline:
+            end = session.deadline
+            fragment = fragment.slice_time(start, end)
         expected = session.expected_next.get(key)
-        if expected is not None:
-            if fragment.end <= expected:
-                # Full duplicate: every bin was already processed.
-                self.metrics.counter(
-                    DUPLICATE_FRAGMENTS_METRIC,
-                    help="Redelivered fragments dropped or trimmed.",
-                ).inc(kind="duplicate")
+        if expected is None or start == expected < end:
+            pass    # in order: the common case, tested first
+        elif start < expected or end <= expected:
+            # Redelivered: drop a duplicate, trim an overlap's seen bins.
+            duplicate = end <= expected
+            self.metrics.counter(
+                DUPLICATE_FRAGMENTS_METRIC,
+                help="Redelivered fragments dropped or trimmed.",
+            ).inc(kind="duplicate" if duplicate else "overlap")
+            if duplicate:
                 return
-            if fragment.start < expected:
-                # Overlap: keep only the unseen suffix.
-                self.metrics.counter(
-                    DUPLICATE_FRAGMENTS_METRIC,
-                    help="Redelivered fragments dropped or trimmed.",
-                ).inc(kind="overlap")
-                fragment = fragment.slice_time(expected, fragment.end)
-            elif fragment.start > expected:
-                patch = self._repair(key, expected, fragment.start)
-                if patch is None:
-                    self._mark_gap(session, key, fragment, expected)
-                    session.delivered_through[key] = max(
-                        session.delivered_through.get(key, fragment.end),
-                        fragment.end)
-                    session.expected_next[key] = fragment.end
-                    return
-                self._deliver(session, key, patch, now)
-        self._deliver(session, key, fragment, now)
+            fragment = fragment.slice_time(expected, end)
+        else:
+            patch = self._repair(key, expected, start)
+            if patch is None:       # degraded: only the watermarks move
+                self._mark_gap(session, key, fragment, expected)
+            else:
+                self._deliver(session, key, patch, patch.end, now)
+        self._deliver(session, key, fragment, end, now)
 
     def _repair(self, key: KpiKey, lo: int, hi: int) -> Optional[TimeSeries]:
         """The missing ``[lo, hi)`` range read back from the store."""
@@ -254,11 +245,10 @@ class LiveAssessor:
         return patch
 
     def _deliver(self, session: ChangeSession, key: KpiKey,
-                 fragment: TimeSeries, now: int) -> None:
-        session.delivered_through[key] = max(
-            session.delivered_through.get(key, fragment.end), fragment.end)
-        session.expected_next[key] = fragment.end
-
+                 fragment: TimeSeries, end: int, now: int) -> None:
+        if session.delivered_through.get(key, end) <= end:   # never back
+            session.delivered_through[key] = end
+        session.expected_next[key] = end
         tracker = session.trackers.get(key)
         if tracker is not None:
             if not (tracker.done or tracker.degraded):
@@ -431,7 +421,7 @@ class LiveAssessor:
         length = min(buffer.length for buffer in rows)
         if length < need:
             return None, True
-        return np.vstack([buffer.view(length) for buffer in rows]), False
+        return np.vstack([buffer.values[:length] for buffer in rows]), False
 
     def _attribute(self, session: ChangeSession, tracker: KpiTracker,
                    now: int, force: bool = False) -> bool:

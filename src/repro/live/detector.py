@@ -171,26 +171,24 @@ class IncrementalDetector:
     # -- ingest ---------------------------------------------------------------
 
     def extend(self, values: np.ndarray) -> Optional[DetectedChange]:
-        """Append bins; returns the declaration the moment it fires."""
-        values = np.asarray(values, dtype=np.float64).ravel()
-        old_n = self._n
-        self._grow(old_n + values.size)
-        self._values[old_n:old_n + values.size] = values
-        self._n = old_n + values.size
+        """Append bins (a 1-D ndarray as is); returns the declaration."""
+        if type(values) is not np.ndarray or values.ndim != 1:
+            values = np.asarray(values, dtype=np.float64).ravel()
+        old_n, n = self._n, self._n + values.size
+        self._grow(n)
+        self._values[old_n:n] = values
+        self._n = n
 
         baseline = max(self.change_index, 1)
-        if self._stats is None and self._n >= baseline:
-            med, scale = median_and_mad(self._values[:baseline])
-            self._stats = (med, scale)
+        if self._stats is None and n >= baseline:
+            self._stats = median_and_mad(self._values[:baseline])
             # Same expression as robust_normalise, so the normalised
             # prefix is bitwise identical to the offline transform.
-            self._denominator = MAD_TO_SIGMA * scale + 1e-9
-            self._norm[:self._n] = (
-                self._values[:self._n] - med) / self._denominator
-        elif self._stats is not None:
-            med = self._stats[0]
-            self._norm[old_n:self._n] = (
-                self._values[old_n:self._n] - med) / self._denominator
+            self._denominator = MAD_TO_SIGMA * self._stats[1] + 1e-9
+            old_n = 0                       # normalise the whole prefix
+        if self._stats is not None:
+            self._norm[old_n:n] = (
+                self._values[old_n:n] - self._stats[0]) / self._denominator
         return None if self.deferred else self._pass(flush=False)
 
     def flush(self) -> Optional[DetectedChange]:

@@ -64,7 +64,7 @@ class Agent:
 
     def _register(self, key: KpiKey, collector: Collector) -> KpiKey:
         if key in self._collectors:
-            raise TelemetryError("collector already registered for %s" % key)
+            raise TelemetryError("collector already registered for %s" % (key,))
         self._collectors[key] = collector
         return key
 
@@ -91,7 +91,7 @@ class Agent:
             value = float(collector(at_time))
             if not np.isfinite(value):
                 raise TelemetryError(
-                    "collector for %s returned a non-finite value" % key
+                    "collector for %s returned a non-finite value" % (key,)
                 )
             fragment = TimeSeries(at_time, self.bin_seconds, [value])
             self.store.append(key, fragment)

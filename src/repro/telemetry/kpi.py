@@ -17,7 +17,7 @@ synthetic generators and the per-type accuracy breakdown of Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from ..exceptions import TelemetryError
 from ..types import KpiCharacter
@@ -55,27 +55,27 @@ class KpiSpec:
             )
 
 
-@dataclass(frozen=True)
-class KpiKey:
+class KpiKey(NamedTuple("_KpiKeyFields", [
+        ("entity_type", str), ("entity", str), ("metric", str)])):
     """Addresses one concrete KPI series: (entity type, entity name, metric).
 
     ``entity_type`` is ``"server"``, ``"instance"`` or ``"service"``;
     ``entity`` a hostname, ``service@host`` instance name, or service
-    name; ``metric`` a :class:`KpiSpec` name.
+    name; ``metric`` a :class:`KpiSpec` name.  A validated tuple: it
+    hashes in C, equals the 3-tuple of its fields and orders like one.
     """
 
-    entity_type: str
-    entity: str
-    metric: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.entity_type not in ("server", "instance", "service"):
-            raise TelemetryError("invalid entity type %r" % self.entity_type)
-        if not self.entity or not self.metric:
+    def __new__(cls, entity_type: str, entity: str, metric: str) -> "KpiKey":
+        if entity_type not in ("server", "instance", "service"):
+            raise TelemetryError("invalid entity type %r" % (entity_type,))
+        if not entity or not metric:
             raise TelemetryError("entity and metric must be non-empty")
+        return tuple.__new__(cls, (entity_type, entity, metric))
 
     def __str__(self) -> str:
-        return "%s:%s:%s" % (self.entity_type, self.entity, self.metric)
+        return "%s:%s:%s" % self
 
 
 class KpiCatalog:

@@ -30,7 +30,9 @@ online pipeline registers one subscription per impact set).  On the
 block path a ``TimeSeries`` fragment is built only for the keys some
 active subscription matched — the store pushes the subscribed
 measurements, it does not materialise the rest — and each subscription
-resolves its matching positions once per key tuple, not per tick.
+resolves its matching positions once per key tuple, not per tick.  A
+pushed fragment is its row of the block validated whole, not re-checked,
+and a :class:`~repro.telemetry.kpi.KpiKey` tuple hashes in C.
 """
 
 from __future__ import annotations
@@ -72,14 +74,11 @@ class Subscription:
     callback: Callback
     active: bool = True
     batch_callback: Optional[BatchCallback] = None
-    _store: Optional["MetricStore"] = field(default=None, repr=False,
-                                            compare=False)
+    _store: Optional["MetricStore"] = field(default=None, repr=False)
     #: the last block key tuple seen and this subscription's matching
     #: positions in it — a replay streams the same tuple every tick.
-    _block_keys: Optional[tuple] = field(default=None, repr=False,
-                                         compare=False)
-    _block_positions: Tuple[int, ...] = field(default=(), repr=False,
-                                              compare=False)
+    _block_keys: Optional[tuple] = field(default=None, repr=False)
+    _block_positions: Tuple[int, ...] = field(default=(), repr=False)
 
     def cancel(self) -> None:
         """Deactivate and unregister: a cancelled subscription costs the
@@ -112,6 +111,8 @@ class MetricStore:
     """
 
     def __init__(self, bin_seconds: int = MINUTE) -> None:
+        if bin_seconds <= 0:
+            raise ParameterError("bin_seconds must be > 0, got %d" % bin_seconds)
         self.bin_seconds = bin_seconds
         #: key -> row of the table; rows are never moved or freed.
         self._rows: Dict[KpiKey, int] = {}
@@ -183,9 +184,9 @@ class MetricStore:
         subscription is visited **once** with its matched
         ``[(key, fragment), ...]`` sublist in key order, whole for a
         ``batch_callback``, item by item through ``callback`` otherwise.
-        Fragments are built for matched keys only.  Pass the same tuple
-        object every tick and the key -> row and key -> subscriber
-        resolutions are done once, not per tick.
+        A fragment, built for matched keys only, is its block row as is.
+        Pass the same tuple object every tick and the key -> row and
+        key -> subscriber resolutions are done once, not per tick.
         """
         keys, rows = self._resolve(keys)
         block = np.asarray(block, dtype=np.float64)
@@ -220,6 +221,8 @@ class MetricStore:
         self.appended_bins += len(keys) * bins
         self._views.clear()
 
+        if bins > 1 and block.strides[1] != block.itemsize:
+            block = np.ascontiguousarray(block)   # rows become contiguous
         fragments: Dict[int, TimeSeries] = {}
         for sub in tuple(self._subscriptions):
             if not sub.active:
@@ -228,7 +231,7 @@ class MetricStore:
             for i in sub.positions_in(keys):
                 fragment = fragments.get(i)
                 if fragment is None:
-                    fragment = fragments[i] = TimeSeries(
+                    fragment = fragments[i] = TimeSeries._of_row(
                         start_time, self.bin_seconds, block[i])
                 matched.append((keys[i], fragment))
             if not matched:
@@ -290,7 +293,7 @@ class MetricStore:
     def _row_of(self, key: KpiKey) -> int:
         row = self._rows.get(key)
         if row is None:
-            raise TelemetryError("no measurements stored for %s" % key)
+            raise TelemetryError("no measurements stored for %s" % (key,))
         return row
 
     def series(self, key: KpiKey) -> TimeSeries:

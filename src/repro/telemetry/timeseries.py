@@ -52,6 +52,15 @@ class TimeSeries:
             )
         object.__setattr__(self, "values", as_float_array(self.values))
 
+    @classmethod
+    def _of_row(cls, start: int, bin_seconds: int,
+                values: np.ndarray) -> "TimeSeries":
+        """Wrap a row of a block already validated whole, unchecked."""
+        series = object.__new__(cls)
+        series.__dict__.update(start=start, bin_seconds=bin_seconds,
+                               values=values)
+        return series
+
     # -- basic geometry ------------------------------------------------------
 
     def __len__(self) -> int:

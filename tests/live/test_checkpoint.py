@@ -7,6 +7,7 @@ emission instants — with or without a fault plan active.
 """
 
 import json
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -173,6 +174,50 @@ class TestKillPointSweep:
                 tick, len(lines)),
             **options, **kwargs)
         return report, lines, emitted
+
+
+class TestCheckpointFromParentCommit:
+    """A checkpoint another commit wrote still resumes here.
+
+    ``fixtures/golden_flush3_budget12_tick30.ckpt`` was written by commit
+    d688bff, before KPI keys became tuples and pushed fragments became
+    block rows: the golden scenario at ``flush_bins=3`` with a drain
+    budget of 12 fragments a tick (so queues carry fragments across
+    ticks), checkpointed every 10 ticks and killed at tick 35, inside the
+    first change's window.  Its queues hold per-key ``[key3, start,
+    values]`` entries and its watermarks the ``expected_next`` /
+    ``delivered_through`` lists.  ``UNINTERRUPTED_SHA`` is that commit's
+    digest of the same run left uninterrupted.
+    """
+
+    FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                           "golden_flush3_budget12_tick30.ckpt")
+    UNINTERRUPTED_SHA = (
+        "47052b49a0d3b13ab0fd396ac412326d220e64227fc5ebc18672ac952f741037")
+
+    def _config(self):
+        return parity_live_config(GOLDEN_SPEC, max_fragments_per_tick=12)
+
+    def test_fixture_is_mid_window_with_queued_fragments(self):
+        doc = load_checkpoint(self.FIXTURE)
+        assert doc["meta"]["tick"] == 30
+        (session,) = doc["sessions"]
+        assert session["queues"]["fragments"]
+        assert all(len(entry) == 3 and len(entry[0]) == 3
+                   for entry in session["queues"]["fragments"])
+        assert session["expected_next"] and session["delivered_through"]
+
+    def test_resume_reaches_the_uninterrupted_digest(self):
+        uninterrupted = replay_scenario(GOLDEN_SPEC, flush_bins=3,
+                                        live_config=self._config())
+        assert verdicts_sha(uninterrupted) == self.UNINTERRUPTED_SHA
+        reset_shared_cache()
+        resumed = replay_scenario(GOLDEN_SPEC, flush_bins=3,
+                                  live_config=self._config(),
+                                  resume_from=self.FIXTURE)
+        assert resumed.resumed is True
+        assert verdicts_sha(resumed) == self.UNINTERRUPTED_SHA
+        assert verdict_bytes(resumed) == verdict_bytes(uninterrupted)
 
 
 class TestCheckpointFile:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.changes.change import SoftwareChange
 from repro.engine.fleet import FleetScenarioSpec
+from repro.exceptions import ParameterError
 from repro.faults import preset_plan
 from repro.live import (LiveConfig, VerdictBus, parity_live_config,
                         replay_scenario)
@@ -315,3 +316,113 @@ class TestIngestPath:
         counters = batched.metrics.snapshot()["counters"]
         assert counters == single.metrics.snapshot()["counters"]
         assert set(counters) == {DUPLICATE_FRAGMENTS_METRIC, GAP_BINS_METRIC}
+
+    def test_empty_fragment_at_the_watermark_is_a_duplicate(self):
+        """The in-order case is tested first; an empty fragment that
+        starts at the watermark still falls through to the duplicate
+        branch, as it always did."""
+        assessor, session = self._session()
+        key = KpiKey("server", "a", "cpu")
+        assessor.on_fragment(session, key, TimeSeries(
+            self.START, MINUTE, np.full(60, 20.0)), self.DEADLINE)
+        before = session.trackers[key].detector.state_dict()
+        assessor.on_fragment(session, key, TimeSeries(
+            self.START + 60 * MINUTE, MINUTE, []), self.DEADLINE)
+        assert session.trackers[key].detector.state_dict() == before
+        assert session.expected_next[key] == self.START + 60 * MINUTE
+        counters = assessor.metrics.snapshot()["counters"]
+        assert counters[DUPLICATE_FRAGMENTS_METRIC]["values"] == [
+            {"labels": {"kind": "duplicate"}, "value": 1}]
+
+
+class TestPushPathShape:
+    """A pushed fragment is a row of the block the store validated whole,
+    not a second validated copy of it."""
+
+    KEYS = tuple(KpiKey("server", host, "cpu") for host in "abc")
+
+    def _pushed(self, block):
+        store = MetricStore()
+        pushed = []
+        store.subscribe(self.KEYS[:2], callback=None,
+                        batch_callback=pushed.extend)
+        store.subscribe(self.KEYS[1:],
+                        callback=lambda key, f: pushed.append((key, f)))
+        store.append_batch(self.KEYS, 5 * MINUTE, block)
+        return pushed
+
+    @pytest.mark.parametrize("layout", ["c", "column_slice", "fortran",
+                                        "float32", "one_bin", "list"])
+    def test_fragment_is_a_validated_row(self, layout):
+        wide = np.arange(30.0).reshape(3, 10) / 7.0
+        block = {"c": wide[:, :4].copy(),
+                 "column_slice": wide[:, 3:7],
+                 "fortran": np.asfortranarray(wide[:, :4]),
+                 "float32": wide[:, :4].astype(np.float32),
+                 "one_bin": wide[:, 2:3],
+                 "list": wide[:, :4].tolist()}[layout]
+        rows = np.asarray(block, dtype=np.float64)
+        pushed = self._pushed(block)
+        assert [key for key, _ in pushed] == [
+            self.KEYS[0], self.KEYS[1], self.KEYS[1], self.KEYS[2]]
+        for key, fragment in pushed:
+            values = fragment.values
+            assert (fragment.start, fragment.bin_seconds) == \
+                (5 * MINUTE, MINUTE)
+            assert type(values) is np.ndarray and values.ndim == 1
+            assert values.dtype == np.float64
+            assert values.flags.c_contiguous
+            assert np.isfinite(values).all()
+            np.testing.assert_array_equal(
+                values, rows[self.KEYS.index(key)])
+        # both subscriptions share one fragment per key
+        assert pushed[1][1] is pushed[2][1]
+
+    def test_nan_block_raises_before_any_push_and_changes_nothing(self):
+        store = MetricStore()
+        seen = []
+        store.subscribe(self.KEYS, callback=seen.append,
+                        batch_callback=seen.append)
+        store.append_batch(self.KEYS[:2], 0, np.ones((2, 3)))
+        seen.clear()
+        before = (store.appended_fragments, store.appended_bins,
+                  [store.series(k).values.tolist() for k in self.KEYS[:2]])
+        block = np.ones((3, 2))
+        block[2, 1] = np.nan
+        with pytest.raises(ParameterError):
+            store.append_batch(self.KEYS, 3 * MINUTE, block)
+        assert seen == []
+        assert self.KEYS[2] not in store
+        assert (store.appended_fragments, store.appended_bins,
+                [store.series(k).values.tolist()
+                 for k in self.KEYS[:2]]) == before
+
+    def test_replay_builds_no_validated_series_per_pushed_row(
+            self, monkeypatch):
+        validated, pushed, in_append = [0], [0], [False]
+        post_init = TimeSeries.__post_init__
+        append_batch, offer_batch = (MetricStore.append_batch,
+                                     IngestQueues.offer_batch)
+
+        def counted_post_init(self):
+            validated[0] += in_append[0]
+            post_init(self)
+
+        def counted_append_batch(self, keys, start_time, block):
+            in_append[0] = True
+            try:
+                append_batch(self, keys, start_time, block)
+            finally:
+                in_append[0] = False
+
+        def counted_offer_batch(self, items):
+            pushed[0] += len(items)
+            return offer_batch(self, items)
+
+        monkeypatch.setattr(TimeSeries, "__post_init__", counted_post_init)
+        monkeypatch.setattr(MetricStore, "append_batch",
+                            counted_append_batch)
+        monkeypatch.setattr(IngestQueues, "offer_batch", counted_offer_batch)
+        replay_scenario(SMALL)
+        assert pushed[0] > 0
+        assert validated[0] == 0

@@ -1,9 +1,12 @@
 """Tests for the metric store, subscriptions, agents and aggregation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.exceptions import TelemetryError
+from repro.live.checkpoint import _key3, _unkey3
 from repro.telemetry.agent import Agent
 from repro.telemetry.aggregation import (ServiceAggregator, aggregate_series,
                                          aggregate_service_kpi)
@@ -24,9 +27,22 @@ def key():
     return KpiKey("server", "web-1", "memory_utilization")
 
 
+#: how ``key`` names itself in every error message
+NAME = "server:web-1:memory_utilization"
+
+
 class TestKpiKey:
+    """A validated 3-tuple: every live dict and set keyed by a KPI relies
+    on equal keys built apart being one entry."""
+
+    FIELDS = ("server", "web-1", "memory_utilization")
+
     def test_str(self, key):
-        assert str(key) == "server:web-1:memory_utilization"
+        assert str(key) == NAME
+
+    def test_repr(self, key):
+        assert repr(key) == ("KpiKey(entity_type='server', "
+                             "entity='web-1', metric='memory_utilization')")
 
     def test_invalid_entity_type(self):
         with pytest.raises(TelemetryError):
@@ -35,6 +51,37 @@ class TestKpiKey:
     def test_empty_fields(self):
         with pytest.raises(TelemetryError):
             KpiKey("server", "", "m")
+        with pytest.raises(TelemetryError):
+            KpiKey("server", "r1", "")
+
+    def test_equal_keys_are_one_entry(self, key):
+        table = {key: 1}
+        table[KpiKey(*self.FIELDS)] = 2
+        assert table == {key: 2}
+        assert len(frozenset([key, KpiKey(*self.FIELDS)])) == 1
+        assert len({key, KpiKey("server", "web-2", key.metric)}) == 2
+
+    def test_equals_and_orders_like_its_field_tuple(self, key):
+        assert key == self.FIELDS and {self.FIELDS: 1}[key] == 1
+        keys = [KpiKey("service", "a", "m"), KpiKey("instance", "b", "m"),
+                KpiKey("server", "a", "n"), KpiKey("server", "a", "m")]
+        assert [tuple(k) for k in sorted(keys)] == sorted(map(tuple, keys))
+
+    @pytest.mark.parametrize("field", ["entity_type", "entity", "metric"])
+    def test_immutable(self, key, field):
+        with pytest.raises(AttributeError):
+            setattr(key, field, "x")
+        assert key == KpiKey(*self.FIELDS)
+
+    def test_pickle_round_trip(self, key):
+        loaded = pickle.loads(pickle.dumps(key))
+        assert type(loaded) is KpiKey and loaded == key
+        assert str(loaded) == NAME
+
+    def test_checkpoint_round_trip(self, key):
+        assert _key3(key) == list(self.FIELDS)
+        restored = _unkey3(_key3(key))
+        assert type(restored) is KpiKey and restored == key
 
 
 class TestKpiCatalog:
@@ -97,7 +144,7 @@ class TestMetricStore:
         np.testing.assert_array_equal(fragment.values, [2.0, 3.0, 4.0])
 
     def test_unknown_key_raises(self, store, key):
-        with pytest.raises(TelemetryError):
+        with pytest.raises(TelemetryError, match="stored for %s$" % NAME):
             store.series(key)
         assert store.maybe_series(key) is None
 
@@ -240,16 +287,16 @@ class TestAgent:
         with pytest.raises(TelemetryError):
             agent.collect(0)
 
-    def test_duplicate_collector_rejected(self, store):
+    def test_duplicate_collector_rejected(self, store, key):
         agent = Agent("web-1", store)
-        agent.add_server_collector("m", lambda t: 1.0)
-        with pytest.raises(TelemetryError):
-            agent.add_server_collector("m", lambda t: 2.0)
+        agent.add_server_collector(key.metric, lambda t: 1.0)
+        with pytest.raises(TelemetryError, match="for %s$" % NAME):
+            agent.add_server_collector(key.metric, lambda t: 2.0)
 
-    def test_nonfinite_value_rejected(self, store):
+    def test_nonfinite_value_rejected(self, store, key):
         agent = Agent("web-1", store)
-        agent.add_server_collector("m", lambda t: float("nan"))
-        with pytest.raises(TelemetryError):
+        agent.add_server_collector(key.metric, lambda t: float("nan"))
+        with pytest.raises(TelemetryError, match="for %s returned" % NAME):
             agent.collect(0)
 
     def test_collect_range(self, store):

@@ -6,13 +6,15 @@ admissions, per-session ingest queues, incremental-detector state,
 event-time watermarks (``expected_next`` / ``delivered_through``),
 control buffers, parked attributions and the verdicts already published.
 
-The format is chosen for **bit-identical resume**: every float crosses
-JSON as ``repr`` of a finite double, which round-trips exactly, and the
-:class:`~repro.live.detector.IncrementalDetector` serialises its full
-streaming state (normalised prefix, score prefix, robust stats, scan
-cursor).  A service restored with :func:`restore_service` therefore
+The format is chosen for **bit-identical resume**: float arrays cross as
+base64 of their little-endian float64 bytes (``"<f8"``), scalar floats
+as JSON ``repr``, both exact, and each
+:class:`~repro.live.detector.IncrementalDetector` writes its raw prefix,
+robust stats and scan cursor (not the normalised prefix, rebuilt on
+load).  A service restored with :func:`restore_service` therefore
 continues producing the very verdict bytes an uninterrupted run would —
-the property ``tests/live/test_checkpoint.py`` pins.
+the property ``tests/live/test_checkpoint.py`` pins.  Format-1 files
+(arrays as JSON lists) still load.
 
 Checkpoints are written atomically (temp file + ``os.replace``), so a
 crash mid-write leaves the previous checkpoint intact.
@@ -20,6 +22,7 @@ crash mid-write leaves the previous checkpoint intact.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 from collections import deque
@@ -31,7 +34,6 @@ from ..exceptions import CheckpointError
 from ..telemetry.kpi import KpiKey
 from ..telemetry.timeseries import TimeSeries
 from ..topology.impact import identify_impact_set
-from ..types import DetectedChange
 from .assessor import ChangeSession, KpiTracker, _SeriesBuffer
 from .bus import LiveVerdict
 from .queues import IngestQueues
@@ -40,7 +42,7 @@ __all__ = ["CHECKPOINT_VERSION", "CHECKPOINTS_METRIC", "Checkpointer",
            "snapshot_service", "write_checkpoint", "load_checkpoint",
            "restore_service"]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 CHECKPOINTS_METRIC = "repro_live_checkpoints_total"
 
 
@@ -61,11 +63,9 @@ def _snapshot_session(session: ChangeSession) -> dict:
     # order and break bit-identical resume.  Insertion order is itself
     # deterministic (derived from the impact set), so the file is too.
     queues = session.queues
-    fragments = []
-    for key, queue in queues._queues.items():
-        for fragment in queue:
-            fragments.append([_key3(key), fragment.start,
-                              fragment.values.tolist()])
+    fragments = [[_key3(key), fragment.start, fragment.values]
+                 for key, queue in queues._queues.items()
+                 for fragment in queue]
     return {
         "record": "session",
         "change_id": session.change_id,
@@ -90,7 +90,7 @@ def _snapshot_session(session: ChangeSession) -> dict:
             "key": _key3(key),
             "start": buffer.start,
             "degraded": buffer.degraded,
-            "values": buffer.values[:buffer.length].tolist(),
+            "values": buffer.values[:buffer.length],
         } for key, buffer in session.control_buffers.items()],
         "trackers": [{
             "key": _key3(key),
@@ -98,13 +98,6 @@ def _snapshot_session(session: ChangeSession) -> dict:
             "start_time": tracker.start_time,
             "degraded": tracker.degraded,
             "done": tracker.done,
-            "declaration": (None if tracker.declaration is None else {
-                "index": tracker.declaration.index,
-                "start_index": tracker.declaration.start_index,
-                "score": tracker.declaration.score,
-                "kind": tracker.declaration.kind,
-                "direction": tracker.declaration.direction,
-            }),
             "detector": tracker.detector.state_dict(),
         } for key, tracker in session.trackers.items()],
         "pending": [_key3(t.key) for t in session.pending],
@@ -144,6 +137,29 @@ def snapshot_service(service, now: int, tick: int,
     return records
 
 
+def _encode_floats(obj):
+    """``json.dumps`` hook: an ndarray crosses as base64 ``<f8`` bytes."""
+    if not isinstance(obj, np.ndarray):
+        raise TypeError("%s is not JSON serialisable" % type(obj).__name__)
+    return base64.b64encode(obj.astype("<f8", copy=False).tobytes()).decode()
+
+
+def decode_floats(doc, field: str, n: Optional[int] = None) -> np.ndarray:
+    """A float64 copy of one array field: a list (format 1), a base64
+    string (format 2) or an ndarray, of ``n`` bins unless ``n`` is None."""
+    try:
+        values = np.array(np.frombuffer(base64.b64decode(
+            doc, validate=True), "<f8") if isinstance(doc, str) else doc,
+            dtype=np.float64)
+        if values.shape != (values.size if n is None else n,):
+            raise ValueError("shape %s, expected (%s,)" % (
+                values.shape, "n" if n is None else n))
+    except (TypeError, ValueError) as exc:      # binascii.Error included
+        raise CheckpointError("checkpoint field %r is malformed: %s"
+                              % (field, exc))
+    return values
+
+
 def write_checkpoint(path: str, records: List[dict]) -> None:
     """Write the records as JSONL, atomically replacing ``path``."""
     parent = os.path.dirname(path)
@@ -152,7 +168,8 @@ def write_checkpoint(path: str, records: List[dict]) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(json.dumps(record, sort_keys=True,
+                                default=_encode_floats) + "\n")
     os.replace(tmp, path)
 
 
@@ -181,9 +198,9 @@ def load_checkpoint(path: str) -> dict:
     meta = doc.get("meta")
     if meta is None:
         raise CheckpointError("checkpoint %s has no meta record" % path)
-    if meta.get("version") != CHECKPOINT_VERSION:
+    if meta.get("version") not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(
-            "checkpoint %s has version %r, this build reads %d"
+            "checkpoint %s has version %r, this build reads 1 and %d"
             % (path, meta.get("version"), CHECKPOINT_VERSION))
     return doc
 
@@ -202,11 +219,9 @@ def _restore_session(service, record: dict) -> ChangeSession:
                           service.metrics)
     qdoc = record["queues"]
     for key3, start, values in qdoc["fragments"]:
-        key = _unkey3(key3)
-        fragment = TimeSeries(start, service.store.bin_seconds,
-                              np.asarray(values, dtype=np.float64))
-        queue = queues._queues.setdefault(key, deque())
-        queue.append(fragment)
+        queues._queues.setdefault(_unkey3(key3), deque()).append(TimeSeries(
+            start, service.store.bin_seconds,
+            decode_floats(values, "queues.fragments")))
         queues.depth += 1
     queues.shed = qdoc["shed"]
     queues._last_served = (None if qdoc["last_served"] is None
@@ -224,9 +239,7 @@ def _restore_session(service, record: dict) -> ChangeSession:
                                                    for k in group]
     for doc in record["control_buffers"]:
         buffer = _SeriesBuffer(doc["start"])
-        values = np.asarray(doc["values"], dtype=np.float64)
-        if values.size:
-            buffer.extend(values)
+        buffer.extend(decode_floats(doc["values"], "control_buffers.values"))
         buffer.degraded = doc["degraded"]
         session.control_buffers[_unkey3(doc["key"])] = buffer
     for doc in record["trackers"]:
@@ -237,9 +250,6 @@ def _restore_session(service, record: dict) -> ChangeSession:
         tracker.degraded = doc["degraded"]
         tracker.done = doc["done"]
         tracker.declaration = tracker.detector.declared
-        if doc["declaration"] is not None and tracker.declaration is None:
-            # Declared but not yet stored on the detector (defensive).
-            tracker.declaration = DetectedChange(**doc["declaration"])
         session.trackers[key] = tracker
     session.pending = [session.trackers[_unkey3(k)]
                        for k in record["pending"]]

@@ -33,9 +33,9 @@ bins later in arrival time — and :meth:`IncrementalDetector.flush` (the
 change deadline) decides any remainder, so chunking loses none.
 
 Storage is two private growable arrays (raw and normalised values) that
-double when full; a checkpoint carries only the live prefix, and neither
-how they are held nor the scoring mode (``deferred_scoring``, the
-constructor's) is part of it.
+double when full; a checkpoint carries only the raw live prefix (the
+normalised one is recomputed on load), and neither how they are held nor
+the scoring mode (``deferred_scoring``, the constructor's) is part of it.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from ..core.robust import MAD_TO_SIGMA, median_and_mad
 from ..core.scoring import (_confirmed_directions, _declared_change,
                             _reportable, _score_and_scan, candidate_mask,
                             confirm_candidate)
-from ..exceptions import CheckpointError
 from ..types import DetectedChange
 
 __all__ = ["IncrementalDetector"]
@@ -118,18 +117,13 @@ class IncrementalDetector:
     # -- checkpointing ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """JSON-safe snapshot of the full streaming state.
-
-        Every float survives the JSON round-trip exactly (``repr`` of a
-        finite double is lossless), so a detector restored from this
-        snapshot continues **bit-identically** to one that never
-        stopped — the property the kill-and-resume test pins.
-        """
+        """Snapshot of the full streaming state, ``values`` an ndarray
+        copy; :meth:`load_state` rebuilds the normalised prefix, so a
+        restored detector continues bit-identically."""
         n = self._n
         return {
             "n": n,
-            "values": self._values[:n].tolist(),
-            "norm": self._norm[:n].tolist(),
+            "values": self._values[:n].copy(),
             "stats": (list(self._stats) if self._stats is not None
                       else None),
             "denominator": self._denominator,
@@ -142,26 +136,22 @@ class IncrementalDetector:
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (inverse operation).
 
-        The snapshot comes from a file: each array must hold exactly
-        ``n`` bins, or :class:`~repro.exceptions.CheckpointError` names
-        the field that does not.  Files written before scores stopped
-        being stored carry a ``"scores"`` list, which is ignored: their
-        scan cursor trails the positions they had decided, so the first
-        pass after the resume re-decides those, to the same effect.
+        ``values``: an array, list or base64 column of ``n`` bins (else
+        :class:`~repro.exceptions.CheckpointError`).  A format-1 ``norm``
+        is ignored (rebuilt bitwise by :meth:`extend`'s expression), as
+        are older ``scores`` (the first pass re-decides their positions).
         """
+        from .checkpoint import decode_floats  # cyclic at import time
         n = int(state["n"])
         self._grow(n)
-        for field, column in (("values", self._values), ("norm", self._norm)):
-            loaded = np.asarray(state[field], dtype=np.float64)
-            if loaded.shape != (n,):
-                raise CheckpointError(
-                    "detector state field %r has shape %s, expected %d bins"
-                    % (field, loaded.shape, n))
-            column[:n] = loaded
+        self._values[:n] = decode_floats(state["values"], "values", n)
         self._n = n
         stats = state["stats"]
         self._stats = None if stats is None else tuple(stats)
         self._denominator = float(state["denominator"])
+        if self._stats is not None:
+            self._norm[:n] = (
+                self._values[:n] - self._stats[0]) / self._denominator
         self._next_score_t = int(state["next_score_t"])
         self._scan_t = int(state["scan_t"])
         declared = state["declared"]

@@ -96,6 +96,13 @@ class EagerDetector:
         return None
 
 
+def detector_state(detector):
+    """``detector.state_dict()`` with its ``values`` array as bytes, so
+    two snapshots compare with ``==``, bit for bit."""
+    state = detector.state_dict()
+    return dict(state, values=state["values"].tobytes())
+
+
 def verdict_doc_key(doc):
     """A total order on verdict documents (intra-tick bus order is free)."""
     return sorted((k, repr(v)) for k, v in doc.items())

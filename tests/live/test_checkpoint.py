@@ -6,22 +6,31 @@ would — same verdict values, same declaration bins, same notes, same
 emission instants — with or without a fault plan active.
 """
 
+import base64
 import json
 import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.changes.change import SoftwareChange
 from repro.engine import reset_shared_cache
 from repro.engine.fleet import FleetScenarioSpec
 from repro.exceptions import CheckpointError
 from repro.faults import DELAY, preset_plan
-from repro.live import parity_live_config, replay_scenario
+from repro.live import LiveConfig, parity_live_config, replay_scenario
+from repro.live import detector as detector_module
+from repro.live.assessor import ChangeSession, KpiTracker
 from repro.live.checkpoint import (CHECKPOINT_VERSION, Checkpointer,
-                                   load_checkpoint, restore_service,
-                                   write_checkpoint)
+                                   _snapshot_session, load_checkpoint,
+                                   restore_service, write_checkpoint)
+from repro.live.queues import IngestQueues
+from repro.telemetry.kpi import KpiKey
 from repro.telemetry.timeseries import MINUTE
+from repro.types import ChangeKind
 
+from .oracle import detector_state
 from .test_golden_digest import CLEAN_SHA
 from .test_golden_digest import SPEC as GOLDEN_SPEC
 from .test_golden_digest import verdicts_sha
@@ -220,6 +229,130 @@ class TestCheckpointFromParentCommit:
         assert verdict_bytes(resumed) == verdict_bytes(uninterrupted)
 
 
+class TestCheckpointFormat2:
+    """This tree's format: float arrays as base64 ``<f8`` strings.
+
+    ``fixtures/golden_flush3_budget12_tick30_v2.ckpt`` is the run
+    :class:`TestCheckpointFromParentCommit`'s fixture froze, written in
+    format 2: the same records, each array the same float64 bytes, and
+    no detector ``norm``.
+    """
+
+    FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                           "golden_flush3_budget12_tick30_v2.ckpt")
+
+    def test_fixture_is_version_2_with_string_arrays(self):
+        doc = load_checkpoint(self.FIXTURE)
+        assert doc["meta"]["version"] == CHECKPOINT_VERSION == 2
+        assert doc["meta"]["tick"] == 30
+        (session,) = doc["sessions"]
+        arrays = ([values for _, _, values in session["queues"]["fragments"]]
+                  + [b["values"] for b in session["control_buffers"]]
+                  + [t["detector"]["values"] for t in session["trackers"]])
+        assert session["queues"]["fragments"] and session["trackers"]
+        assert all(isinstance(values, str) for values in arrays)
+        assert all("norm" not in t["detector"] for t in session["trackers"])
+
+    def test_resume_reaches_the_uninterrupted_digest(self):
+        resumed = replay_scenario(
+            GOLDEN_SPEC, flush_bins=3, resume_from=self.FIXTURE,
+            live_config=parity_live_config(GOLDEN_SPEC,
+                                           max_fragments_per_tick=12))
+        assert resumed.resumed is True
+        assert verdicts_sha(resumed) == \
+            TestCheckpointFromParentCommit.UNINTERRUPTED_SHA
+
+    def test_this_tree_writes_the_fixture_bytes(self, tmp_path):
+        path = str(tmp_path / "live.ckpt")
+        replay_scenario(GOLDEN_SPEC, flush_bins=3, checkpoint_path=path,
+                        checkpoint_every=10, kill_after_ticks=35,
+                        live_config=parity_live_config(
+                            GOLDEN_SPEC, max_fragments_per_tick=12))
+        with open(path, "rb") as written, open(self.FIXTURE, "rb") as fixed:
+            assert written.read() == fixed.read()
+
+
+def _b64(n_bytes):
+    return base64.b64encode(bytes(n_bytes)).decode("ascii")
+
+
+class TestMalformedArrays:
+    """Every array site of a format-2 file rejects a damaged column
+    with a :class:`CheckpointError` naming the field — never a bare
+    ``binascii.Error`` or ``ValueError`` from inside numpy.  Only the
+    detector stores a bin count ``n`` to hold its column to; a control
+    buffer or queued fragment column must be 1-D."""
+
+    SITES = {
+        "detector": (lambda session: session["trackers"][0]["detector"],
+                     "values", "'values'"),
+        "control-buffer": (lambda session: session["control_buffers"][0],
+                           "values", "'control_buffers.values'"),
+        "fragment": (lambda session: session["queues"]["fragments"][0], 2,
+                     "'queues.fragments'"),
+    }
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    @pytest.mark.parametrize("damage", ["invalid-base64", "ragged-bytes",
+                                        "wrong-shape"])
+    def test_damaged_column_raises_checkpoint_error(self, tmp_path, site,
+                                                    damage):
+        records = [json.loads(line) for line in
+                   open(TestCheckpointFormat2.FIXTURE, encoding="utf-8")]
+        owner, field, name = self.SITES[site]
+        holder = owner(records[-1])
+        if damage == "invalid-base64":
+            bad = "not base64!"
+        elif damage == "ragged-bytes":
+            bad = _b64(8 * 3 + 4)
+        elif site == "detector":
+            bad = _b64(8 * (holder["n"] + 1))
+        else:
+            bad = [[1.0, 2.0]]          # no n to hold it to: not 1-D
+        holder[field] = bad
+        path = str(tmp_path / "damaged.ckpt")
+        write_checkpoint(path, records)
+        with pytest.raises(CheckpointError) as raised:
+            replay_scenario(GOLDEN_SPEC, flush_bins=3, resume_from=path,
+                            live_config=parity_live_config(
+                                GOLDEN_SPEC, max_fragments_per_tick=12))
+        assert name in str(raised.value)
+
+
+class TestPreBaselineSnapshot:
+    def test_identical_sessions_write_identical_bytes(self, tmp_path,
+                                                      monkeypatch):
+        """A tracker whose backfill has not reached the change yet has
+        no robust stats, so no normalised prefix: what its snapshot
+        carries must not depend on uninitialised memory.  The detector's
+        allocations are NaN-filled so that reading them would show."""
+        empty = np.empty
+
+        def nan_empty(shape, dtype=np.float64):
+            out = empty(shape, dtype)
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(detector_module, "np", SimpleNamespace(
+            **dict(vars(np), empty=nan_empty)))
+        config = LiveConfig(history_days=0, baseline_bins=60)
+        change = SoftwareChange("chg-lag", ChangeKind.SOFTWARE_UPGRADE,
+                                "svc", ("a",), at_time=60 * MINUTE)
+        key = KpiKey("server", "a", "cpu")
+        written = []
+        for name in ("first", "second"):
+            session = ChangeSession(change, None, 0.0, 120 * MINUTE,
+                                    IngestQueues(config.queue_capacity))
+            tracker = session.trackers[key] = KpiTracker(key, 60, 0, config)
+            tracker.detector.extend(np.arange(30.0))    # half a baseline
+            assert tracker.detector._stats is None
+            path = tmp_path / (name + ".ckpt")
+            write_checkpoint(str(path), [_snapshot_session(session)])
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+        assert b"NaN" not in written[0]
+
+
 class TestCheckpointFile:
     def test_checkpoint_is_versioned_jsonl(self, tmp_path):
         path = str(tmp_path / "live.ckpt")
@@ -387,4 +520,4 @@ class TestPooledScoringResume:
         a = original.extend(x[150:])
         b = restored.extend(x[150:])
         assert a == b
-        assert original.state_dict() == restored.state_dict()
+        assert detector_state(original) == detector_state(restored)

@@ -1,5 +1,6 @@
 """The streaming detector must match the offline FUNNEL bit for bit."""
 
+import base64
 import dataclasses
 
 import numpy as np
@@ -10,6 +11,8 @@ from repro.core.ika import IkaSST
 from repro.core.scoring import _confirmed_directions, robust_normalise
 from repro.exceptions import CheckpointError
 from repro.live.detector import IncrementalDetector
+
+from .oracle import detector_state
 
 
 def offline_first_declaration(series, change_index, config=None):
@@ -226,11 +229,13 @@ class TestStorage:
 
     @pytest.mark.parametrize("field,values,shape", [
         # one element used to broadcast silently over all 90 bins
-        ("norm", [0.0], "(1,)"),
+        ("values", [0.0], "(1,)"),
         # a truncated file used to raise a bare ValueError
         ("values", [1.0] * 89, "(89,)"),
-        ("norm", [[0.0] * 90], "(1, 90)"),
-    ], ids=["one-element", "truncated", "nested"])
+        ("values", [[0.0] * 90], "(1, 90)"),
+        # format 2: whole float64s, but 89 of them
+        ("values", base64.b64encode(bytes(89 * 8)).decode(), "(89,)"),
+    ], ids=["one-element", "truncated", "nested", "v2-byte-count"])
     def test_load_state_rejects_arrays_that_disagree_with_n(
             self, rng, field, values, shape):
         donor = IncrementalDetector(60)
@@ -252,9 +257,14 @@ class TestStorage:
         donor = IncrementalDetector(100)
         donor.extend(x[:110])
         state = donor.state_dict()
-        assert "scores" not in state
+        assert "scores" not in state and "norm" not in state
         state["scores"] = scores
+        # A format-1 file's normalised prefix is ignored too, whatever
+        # it holds: the restored one is rebuilt from the raw prefix.
+        state["norm"] = [float("nan")] * 3
         restored = IncrementalDetector(100)
         restored.load_state(state)
+        assert (restored._norm[:110].tobytes()
+                == donor._norm[:110].tobytes())
         assert restored.extend(x[110:]) == donor.extend(x[110:]) is not None
-        assert restored.state_dict() == donor.state_dict()
+        assert detector_state(restored) == detector_state(donor)

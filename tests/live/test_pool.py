@@ -14,6 +14,8 @@ from repro.live.pool import (GATED_CANDIDATES_METRIC, GATING_TABLES_METRIC,
                              SCORED_WINDOWS_METRIC)
 from repro.obs.metrics import MetricsRegistry
 
+from .oracle import detector_state
+
 
 def _detector(seed, n=150, change_index=80, step=0.0):
     rng = np.random.default_rng(seed)
@@ -99,7 +101,7 @@ class TestOneTablePerPass:
             if declared:
                 passes.append((tick, [live[j] for j, _ in declared]))
             for i in live:
-                assert pooled[i].state_dict() == solo[i].state_dict()
+                assert detector_state(pooled[i]) == detector_state(solo[i])
         # Group by group (the 150-bin stack first: detector 0 opened
         # it), input order inside a group; the staggered ones follow.
         assert passes == [(0, [0, 2, 1, 3]), (7, [5]), (15, [4])]
@@ -132,15 +134,16 @@ class TestOneTablePerPass:
         assert 0 < windows < positions / 2
 
     def test_nan_carrying_row_is_left_out_of_the_table(self):
-        """A checkpoint whose normalised prefix carries a NaN: the
-        table's NaN-padded sorts would silently mis-rank it, so the row
-        is decided by the reference rule — which refuses the samples,
-        exactly as it does for the standalone detector."""
+        """A checkpoint whose prefix carries a NaN (so its normalised
+        prefix does too): the table's NaN-padded sorts would silently
+        mis-rank it, so the row is decided by the reference rule — which
+        refuses the samples, exactly as it does for the standalone
+        detector."""
         x = _series(8, 140, [(80, 5.0)])
         donor = IncrementalDetector(80)
         donor.extend(x[:90])
         state = donor.state_dict()
-        state["norm"][3] = float("nan")
+        state["values"][3] = float("nan")
         twin = IncrementalDetector(80)
         twin.load_state(state)
         with pytest.raises(ParameterError):
@@ -156,8 +159,13 @@ class TestOneTablePerPass:
         # While nothing arms on it, the refused row rides along quietly
         # and the rows beside it declare as they would without it.
         quiet = IncrementalDetector(80, deferred_scoring=True)
-        state = dict(donor.state_dict(), norm=[float("nan")] + [0.0] * 89)
+        # The baseline median everywhere but one NaN normalises to
+        # [nan, 0.0, 0.0, ...].
+        state = dict(donor.state_dict(),
+                     values=[float("nan")] + [donor._stats[0]] * 89)
         quiet.load_state(state)
+        np.testing.assert_array_equal(quiet._norm[:90],
+                                      [float("nan")] + [0.0] * 89)
         quiet.extend(np.full(10, donor._stats[0]))       # normalises to 0.0
         clean = IncrementalDetector(80, deferred_scoring=True)
         clean.extend(_series(9, 140, [(80, 5.0)])[:100])
@@ -175,7 +183,7 @@ class TestDetectorPool:
         for detector, x in pooled:
             solo = IncrementalDetector(detector.change_index)
             solo.extend(x)
-            assert detector.state_dict() == solo.state_dict()
+            assert detector_state(detector) == detector_state(solo)
         assert {i: declaration for i, declaration in declared} == \
             {i: detector.declared for i, (detector, _) in enumerate(pooled)
              if detector.declared is not None}
@@ -197,7 +205,7 @@ class TestDetectorPool:
         for detector, x in ((short, x_short), (long, x_long)):
             solo = IncrementalDetector(detector.change_index)
             solo.extend(x)
-            assert detector.state_dict() == solo.state_dict()
+            assert detector_state(detector) == detector_state(solo)
 
     def test_two_sessions_three_widths_are_one_kernel_call(self, monkeypatch):
         """Two sessions whose trackers wait with three prefix lengths:
@@ -237,7 +245,7 @@ class TestDetectorPool:
         assert pool.score_pending([d for d, _, _ in pooled]) == []
         assert calls == []
         for (detector, _, _), twin in zip(pooled, twins):
-            assert detector.state_dict() == twin.state_dict()
+            assert detector_state(detector) == detector_state(twin)
 
     @pytest.mark.parametrize("remainder", range(5))
     def test_flush_pass_equals_per_detector_flush(self, remainder):
@@ -282,7 +290,7 @@ class TestDetectorPool:
         assert [i for i, _ in declared] == sorted(expected)
         assert len(expected) == {0: 0, 1: 1, 2: 1}.get(remainder, 2)
         for detector, twin in zip(pooled, twins):
-            assert detector.state_dict() == twin.state_dict()
+            assert detector_state(detector) == detector_state(twin)
 
     def test_stray_configuration_flushes_on_its_own(self):
         """One pass scores one configuration; a detector configured
@@ -301,7 +309,7 @@ class TestDetectorPool:
         for detector in pooled:
             solo = IncrementalDetector(80, detector.config)
             solo.extend(x)
-            assert detector.state_dict() == solo.state_dict()
+            assert detector_state(detector) == detector_state(solo)
             assert detector.declared == solo.declared is not None
 
     def test_nothing_pending_is_a_noop(self):

@@ -20,6 +20,8 @@ from repro.telemetry.store import MetricStore
 from repro.telemetry.timeseries import MINUTE, TimeSeries
 from repro.types import ChangeKind
 
+from .oracle import detector_state
+
 
 SMALL = FleetScenarioSpec(n_services=2, n_servers=8, n_changes=2,
                           window_bins=120, change_offset=60,
@@ -307,7 +309,8 @@ class TestIngestPath:
         assert batched_session.trackers[b].degraded is True
         for key, tracker in batched_session.trackers.items():
             twin = single_session.trackers[key]
-            assert tracker.detector.state_dict() == twin.detector.state_dict()
+            assert (detector_state(tracker.detector)
+                    == detector_state(twin.detector))
             assert (tracker.degraded, tracker.done) == \
                 (twin.degraded, twin.done)
         assert batched_session.expected_next == single_session.expected_next
@@ -325,10 +328,10 @@ class TestIngestPath:
         key = KpiKey("server", "a", "cpu")
         assessor.on_fragment(session, key, TimeSeries(
             self.START, MINUTE, np.full(60, 20.0)), self.DEADLINE)
-        before = session.trackers[key].detector.state_dict()
+        before = detector_state(session.trackers[key].detector)
         assessor.on_fragment(session, key, TimeSeries(
             self.START + 60 * MINUTE, MINUTE, []), self.DEADLINE)
-        assert session.trackers[key].detector.state_dict() == before
+        assert detector_state(session.trackers[key].detector) == before
         assert session.expected_next[key] == self.START + 60 * MINUTE
         counters = assessor.metrics.snapshot()["counters"]
         assert counters[DUPLICATE_FRAGMENTS_METRIC]["values"] == [

@@ -30,7 +30,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..exceptions import CheckpointError
+from ..exceptions import ChangeLogError, CheckpointError
 from ..telemetry.kpi import KpiKey
 from ..telemetry.timeseries import TimeSeries
 from ..topology.impact import identify_impact_set
@@ -206,12 +206,12 @@ def load_checkpoint(path: str) -> dict:
 
 
 def _restore_session(service, record: dict) -> ChangeSession:
-    changes = {c.change_id: c for c in service.watcher.log}
-    change = changes.get(record["change_id"])
-    if change is None:
+    try:
+        change = service.watcher.log.get(record["change_id"])
+    except ChangeLogError:
         raise CheckpointError(
             "checkpoint session %r is not in the change log"
-            % record["change_id"])
+            % record["change_id"]) from None
     impact = identify_impact_set(service.watcher.fleet, change.service,
                                  change.hostnames)
     config = service.config

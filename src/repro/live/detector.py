@@ -33,9 +33,11 @@ bins later in arrival time — and :meth:`IncrementalDetector.flush` (the
 change deadline) decides any remainder, so chunking loses none.
 
 Storage is two private growable arrays (raw and normalised values) that
-double when full; a checkpoint carries only the raw live prefix (the
-normalised one is recomputed on load), and neither how they are held nor
-the scoring mode (``deferred_scoring``, the constructor's) is part of it.
+double when full.  :meth:`~IncrementalDetector.extend` only buffers raw
+bins; :meth:`~IncrementalDetector.scan`, a pass's first reader, and
+:meth:`~IncrementalDetector.load_state` normalise what arrived.  A
+checkpoint carries only the raw live prefix, and neither how the arrays
+are held nor the scoring mode (``deferred_scoring``) is part of it.
 """
 
 from __future__ import annotations
@@ -88,6 +90,8 @@ class IncrementalDetector:
         self._values = np.empty(128, dtype=np.float64)
         self._norm = np.empty(128, dtype=np.float64)
         self._n = 0
+        #: ``_norm[:_normed]`` is up to date (:meth:`_normalise`).
+        self._normed = 0
         self._stats: Optional[tuple] = None
         self._denominator = 0.0
         #: One past the last position a pass could score (chunk gate).
@@ -138,8 +142,8 @@ class IncrementalDetector:
 
         ``values``: an array, list or base64 column of ``n`` bins (else
         :class:`~repro.exceptions.CheckpointError`).  A format-1 ``norm``
-        is ignored (rebuilt bitwise by :meth:`extend`'s expression), as
-        are older ``scores`` (the first pass re-decides their positions).
+        is ignored (rebuilt bitwise by :meth:`_normalise`), as are
+        older ``scores`` (the first pass re-decides their positions).
         """
         from .checkpoint import decode_floats  # cyclic at import time
         n = int(state["n"])
@@ -149,9 +153,8 @@ class IncrementalDetector:
         stats = state["stats"]
         self._stats = None if stats is None else tuple(stats)
         self._denominator = float(state["denominator"])
-        if self._stats is not None:
-            self._norm[:n] = (
-                self._values[:n] - self._stats[0]) / self._denominator
+        self._normed = 0
+        self._normalise()
         self._next_score_t = int(state["next_score_t"])
         self._scan_t = int(state["scan_t"])
         declared = state["declared"]
@@ -161,25 +164,28 @@ class IncrementalDetector:
     # -- ingest ---------------------------------------------------------------
 
     def extend(self, values: np.ndarray) -> Optional[DetectedChange]:
-        """Append bins (a 1-D ndarray as is); returns the declaration."""
+        """Buffer bins (a 1-D ndarray as is); returns the declaration."""
         if type(values) is not np.ndarray or values.ndim != 1:
             values = np.asarray(values, dtype=np.float64).ravel()
-        old_n, n = self._n, self._n + values.size
+        n = self._n + values.size
         self._grow(n)
-        self._values[old_n:n] = values
+        self._values[self._n:n] = values
         self._n = n
-
         baseline = max(self.change_index, 1)
         if self._stats is None and n >= baseline:
             self._stats = median_and_mad(self._values[:baseline])
             # Same expression as robust_normalise, so the normalised
             # prefix is bitwise identical to the offline transform.
             self._denominator = MAD_TO_SIGMA * self._stats[1] + 1e-9
-            old_n = 0                       # normalise the whole prefix
-        if self._stats is not None:
-            self._norm[old_n:n] = (
-                self._values[old_n:n] - self._stats[0]) / self._denominator
         return None if self.deferred else self._pass(flush=False)
+
+    def _normalise(self) -> None:
+        """Normalise new bins elementwise: bitwise the offline transform."""
+        lo, n = self._normed, self._n
+        if self._stats is not None and lo < n:
+            self._norm[lo:n] = (
+                self._values[lo:n] - self._stats[0]) / self._denominator
+            self._normed = n
 
     def flush(self) -> Optional[DetectedChange]:
         """Decide everything decidable (deadline close)."""
@@ -214,8 +220,10 @@ class IncrementalDetector:
     def scan(self) -> np.ndarray:
         """The positions this pass decides: from the scan cursor to the
         last one whose persistence window and declaration index fit the
-        bins received.  Moves the cursor (and the chunk gate) past them.
+        bins received.  Moves the cursor (and the chunk gate) past them,
+        and brings the normalised prefix the pass reads up to date.
         """
+        self._normalise()
         self._next_score_t = max(self._next_score_t, self._n - self.span + 1)
         positions = np.arange(max(self._scan_t, self.span),
                               self._n - self.horizon)

@@ -15,7 +15,9 @@ Draining is round-robin over the sorted key order.  The sort (and the
 string projection the rotation cursor bisects) is cached and only
 recomputed when the key set changes — at fleet scale the same few
 hundred keys are drained every tick, and re-sorting plus re-stringifying
-them each drain was a measurable slice of the tick.
+them each drain was a measurable slice of the tick.  The rotated order
+is cached as well, and rebuilt only when the key set or the last-served
+key changes.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ class IngestQueues:
         #: or cleared wholesale, so a size check detects every change).
         self._sorted_keys: List[KpiKey] = []
         self._sorted_strs: List[str] = []
+        #: ``(last-served key, rotated order)`` of the previous drain.
+        self._rotated: Optional[Tuple[Optional[KpiKey], List[KpiKey]]] = None
         self.depth = 0
         self.peak_depth = 0
         self.shed = 0
@@ -121,14 +125,13 @@ class IngestQueues:
         if len(self._sorted_keys) != len(self._queues):
             self._sorted_keys = sorted(self._queues, key=str)
             self._sorted_strs = [str(k) for k in self._sorted_keys]
-        keys = self._sorted_keys
-        if not keys:
-            return keys
-        start = 0
-        if self._last_served is not None:
-            start = bisect_right(self._sorted_strs,
-                                 str(self._last_served)) % len(keys)
-        return keys[start:] + keys[:start]
+            self._rotated = None
+        last, keys = self._last_served, self._sorted_keys
+        if self._rotated is None or self._rotated[0] is not last:
+            start = (bisect_right(self._sorted_strs, str(last)) % len(keys)
+                     if last is not None and keys else 0)
+            self._rotated = (last, keys[start:] + keys[:start])
+        return self._rotated[1]
 
     def drain(self, budget: int = 0
               ) -> Iterator[Tuple[KpiKey, TimeSeries]]:

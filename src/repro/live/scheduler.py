@@ -22,7 +22,8 @@ computed once per tick, after the poll admitted the tick's arrivals.
 Between steps the scheduler maintains the pipeline's event-time health
 gauges: per-change *watermarks* (the oldest event time any subscribed
 KPI is processed through), total and peak queue depth, active changes
-and store subscriptions.
+and store subscriptions; then a due checkpoint and the heartbeat are
+written.
 """
 
 from __future__ import annotations
@@ -38,16 +39,21 @@ from .watcher import ChangeWatcher
 
 __all__ = ["EventTimeScheduler", "TICK_STAGE_SECONDS_METRIC"]
 
-#: Wall seconds per tick stage (labels: stage=poll|drain|pool|close; the
-#: replay driver adds stage=stream for its append side).  ``repro obs
+#: Wall seconds per tick stage: stage=poll|drain|pool|close|gauges (the
+#: heartbeat included), stage=checkpoint with a checkpointer, and
+#: stage=stream from the replay driver's append side.  ``repro obs
 #: report`` renders these as the ingest-plane timing breakdown.
 TICK_STAGE_SECONDS_METRIC = "repro_live_tick_stage_seconds_total"
 
-QUEUE_DEPTH_GAUGE = "repro_live_queue_depth"
-PEAK_QUEUE_DEPTH_GAUGE = "repro_live_peak_queue_depth"
-WATERMARK_LAG_GAUGE = "repro_live_watermark_lag_seconds"
-ACTIVE_CHANGES_GAUGE = "repro_live_active_changes"
-ACTIVE_SUBSCRIPTIONS_GAUGE = "repro_live_active_subscriptions"
+#: ``(name, help)`` of the health gauges, in the order a tick sets them.
+_GAUGES = (
+    ("repro_live_queue_depth", "Fragments queued across sessions."),
+    ("repro_live_peak_queue_depth", "Peak total queue depth."),
+    ("repro_live_watermark_lag_seconds", "Worst per-change event-time lag."),
+    ("repro_live_active_changes", "Changes currently under assessment."),
+    ("repro_live_active_subscriptions",
+     "Live subscriptions on the metric store."),
+)
 
 
 class EventTimeScheduler:
@@ -70,11 +76,12 @@ class EventTimeScheduler:
         #: optional :class:`~repro.obs.health.HealthMonitor`; when
         #: attached, one heartbeat record is emitted per tick.
         self.health = None
+        #: the stage counter and the gauges, resolved at the first tick.
+        self._handles: Optional[tuple] = None
 
     def tick(self, now: int) -> List[ChangeSession]:
         """Run one control-loop pass; returns the sessions closed."""
         clock = time.perf_counter
-        started = clock() if self.health is not None else 0.0
         t_0 = clock()
         self.watcher.poll(now)
         t_poll = clock()
@@ -87,20 +94,34 @@ class EventTimeScheduler:
         t_pool = clock()
         closed = self._close_due(sessions, now)
         t_close = clock()
-        stage_seconds = self.metrics.counter(
-            TICK_STAGE_SECONDS_METRIC,
-            help="Wall seconds spent per tick stage.")
+        if self._handles is None:
+            self._handles = (self.metrics.counter(
+                TICK_STAGE_SECONDS_METRIC,
+                help="Wall seconds spent per tick stage."),
+                [self.metrics.gauge(name, help=text)
+                 for name, text in _GAUGES])
+        stage_seconds, gauges = self._handles
+        for gauge, value in zip(gauges, (
+                self._note_depth(), self.peak_queue_depth,
+                self.watermark_lag(now), len(self.watcher.sessions),
+                self.store.subscription_count())):
+            gauge.set(value)
+        self.tick_count += 1
+        t_gauges = t_checkpoint = clock()
+        if self.checkpointer is not None:
+            self.checkpointer.on_tick(now, self.tick_count)
+            t_checkpoint = clock()
+        if self.health is not None:
+            self.health.on_tick(now, self.tick_count, t_checkpoint - t_0)
+        t_health = clock()
         stage_seconds.inc(t_poll - t_0, stage="poll")
         stage_seconds.inc(t_drain - t_poll, stage="drain")
         stage_seconds.inc(t_pool - t_drain, stage="pool")
         stage_seconds.inc(t_close - t_pool, stage="close")
-        self._update_gauges(now)
-        self.tick_count += 1
+        stage_seconds.inc(t_gauges - t_close + t_health - t_checkpoint,
+                          stage="gauges")
         if self.checkpointer is not None:
-            self.checkpointer.on_tick(now, self.tick_count)
-        if self.health is not None:
-            self.health.on_tick(now, self.tick_count,
-                                time.perf_counter() - started)
+            stage_seconds.inc(t_checkpoint - t_gauges, stage="checkpoint")
         return closed
 
     # -- draining --------------------------------------------------------------
@@ -146,26 +167,7 @@ class EventTimeScheduler:
                 lag = max(lag, now - watermark)
         return lag
 
-    def _note_depth(self) -> None:
-        self.peak_queue_depth = max(self.peak_queue_depth,
-                                    self.queue_depth())
-
-    def _update_gauges(self, now: int) -> None:
-        self._note_depth()
-        self.metrics.gauge(
-            QUEUE_DEPTH_GAUGE, help="Fragments queued across sessions."
-        ).set(self.queue_depth())
-        self.metrics.gauge(
-            PEAK_QUEUE_DEPTH_GAUGE, help="Peak total queue depth."
-        ).set(self.peak_queue_depth)
-        self.metrics.gauge(
-            WATERMARK_LAG_GAUGE,
-            help="Worst per-change event-time lag.").set(
-            self.watermark_lag(now))
-        self.metrics.gauge(
-            ACTIVE_CHANGES_GAUGE, help="Changes currently under assessment."
-        ).set(len(self.watcher.sessions))
-        self.metrics.gauge(
-            ACTIVE_SUBSCRIPTIONS_GAUGE,
-            help="Live subscriptions on the metric store.").set(
-            self.store.subscription_count())
+    def _note_depth(self) -> int:
+        depth = self.queue_depth()
+        self.peak_queue_depth = max(self.peak_queue_depth, depth)
+        return depth

@@ -109,15 +109,23 @@ class ChangeWatcher:
         self.sessions: "dict[str, ChangeSession]" = {}
         self.shed_change_ids: List[str] = []
         self._seen: Set[str] = set()
+        #: the log in ``at_time`` order; every change before the cursor
+        #: has been seen.
+        self._order: List[SoftwareChange] = []
+        self._cursor = 0
 
     # -- polling ---------------------------------------------------------------
 
     def poll(self, now: int) -> List[ChangeSession]:
-        """Admit every unseen change whose deployment time has passed."""
+        """Admit every unseen change whose deployment time has passed, from
+        a cursor; a grown log is re-sorted and walked from the start."""
+        if len(self._order) != len(self.log):
+            self._order, self._cursor = list(self.log), 0
         admitted = []
-        for change in self.log:
+        for change in self._order[self._cursor:]:
             if change.at_time > now:
-                break  # the log iterates in at_time order
+                break
+            self._cursor += 1
             if change.change_id in self._seen:
                 continue
             self._seen.add(change.change_id)

@@ -22,8 +22,9 @@ There are two write calls and they share every check:
   simulation, the fault injector's release path);
 * :meth:`MetricStore.append_batch` takes a whole tick as one
   ``(len(keys), bins)`` block.  The block is validated **whole** before
-  any row is written (a rejected call changes nothing), written with one
-  scatter, and only then delivered: ingest-all-then-deliver.
+  any row is written (a rejected call changes nothing), written as one
+  column range if a repeated key tuple's rows are one run with one start
+  (else with one scatter), and only then delivered: ingest-all-then-deliver.
 
 The subscription tool pushes appended data to subscribers (FUNNEL's
 online pipeline registers one subscription per impact set).  On the
@@ -124,9 +125,11 @@ class MetricStore:
         #: frozen copies handed out by :meth:`series`, dropped by the
         #: next append.
         self._views: Dict[KpiKey, TimeSeries] = {}
-        #: the last block key tuple and its row indices.
+        #: the last block key tuple, its rows, and their row slice if
+        #: they are one run with one start.
         self._block_keys: Optional[tuple] = None
         self._block_rows = np.zeros(0, dtype=np.int64)
+        self._block_run: Optional[slice] = None
         self._subscriptions: List[Subscription] = []
         #: lifetime ingest totals (health telemetry reads the deltas)
         self.appended_fragments = 0
@@ -185,8 +188,8 @@ class MetricStore:
         ``[(key, fragment), ...]`` sublist in key order, whole for a
         ``batch_callback``, item by item through ``callback`` otherwise.
         A fragment, built for matched keys only, is its block row as is.
-        Pass the same tuple object every tick and the key -> row and
-        key -> subscriber resolutions are done once, not per tick.
+        Pass the same tuple object every tick and the key -> row, row
+        layout and key -> subscriber resolutions are done once.
         """
         keys, rows = self._resolve(keys)
         block = np.asarray(block, dtype=np.float64)
@@ -196,27 +199,42 @@ class MetricStore:
                 % (len(keys), block.shape))
         if not np.isfinite(block).all():
             raise ParameterError("block contains NaN or infinite values")
-        known = np.flatnonzero(rows >= 0)
-        ends = self._start[rows[known]] \
-            + self._length[rows[known]] * self.bin_seconds
-        gaps = np.flatnonzero(ends != start_time)
-        if gaps.size:
-            raise TelemetryError(
-                "fragment for %s starts at %d, expected %d"
-                % (keys[known[gaps[0]]], start_time, ends[gaps[0]]))
         if not keys:
             return
-
-        if known.size < len(keys):
+        bins = block.shape[1]
+        run = self._block_run if keys is self._block_keys else None
+        if run is not None:     # one run with one start: check row lo
+            length = int(self._length[run.start])
+            if (int(self._start[run.start]) + length * self.bin_seconds
+                    != start_time or (self._length[run] != length).any()):
+                run = None      # a row is off: the per-row check names it
+        if run is not None:
+            self._reserve(len(self._rows), length + bins)
+            self._table[run, length:length + bins] = block
+            self._length[run] += bins
+        else:
+            known = np.flatnonzero(rows >= 0)
+            ends = self._start[rows[known]] \
+                + self._length[rows[known]] * self.bin_seconds
+            gaps = np.flatnonzero(ends != start_time)
+            if gaps.size:
+                raise TelemetryError(
+                    "fragment for %s starts at %d, expected %d"
+                    % (keys[known[gaps[0]]], start_time, ends[gaps[0]]))
             for i in np.flatnonzero(rows < 0):
                 rows[i] = self._add_row(keys[i], start_time)
-        self._block_keys, self._block_rows = keys, rows
-        bins = block.shape[1]
-        lengths = self._length[rows]
-        self._reserve(len(self._rows), int(lengths.max()) + bins)
-        # One scatter, whether or not the rows sit at the same length.
-        self._table[rows[:, None], lengths[:, None] + np.arange(bins)] = block
-        self._length[rows] = lengths + bins
+            if keys is not self._block_keys:
+                lo, hi = int(rows[0]), int(rows[0]) + rows.size
+                self._block_keys, self._block_rows = keys, rows
+                self._block_run = slice(lo, hi) if (
+                    (rows == np.arange(lo, hi)).all()
+                    and (self._start[rows] == self._start[lo]).all()) else None
+            lengths = self._length[rows]
+            self._reserve(len(self._rows), int(lengths.max()) + bins)
+            # One scatter, whether or not the rows sit at the same length.
+            self._table[rows[:, None], lengths[:, None] + np.arange(bins)] \
+                = block
+            self._length[rows] = lengths + bins
         self.appended_fragments += len(keys)
         self.appended_bins += len(keys) * bins
         self._views.clear()

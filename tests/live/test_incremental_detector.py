@@ -40,6 +40,19 @@ def stream(series, change_index, chunk_schedule, config=None,
     return detector, declared
 
 
+def pass_reads(monkeypatch):
+    """Record the bytes of every normalised prefix a pass tables."""
+    import repro.live.detector as module
+    reads, table = [], module._confirmed_directions
+
+    def recorded(series, candidates, policy):
+        reads.extend(row.tobytes() for row in series)
+        return table(series, candidates, policy)
+
+    monkeypatch.setattr(module, "_confirmed_directions", recorded)
+    return reads
+
+
 def but_kind(change):
     """The parity contract: everything except ``kind``, which reads the
     bins that have arrived *after* the declaration index."""
@@ -205,10 +218,12 @@ class TestFlush:
 
 
 class TestStorage:
-    def test_growth_keeps_unscored_zero_and_offline_parity(self, rng):
+    def test_growth_keeps_unscored_zero_and_offline_parity(
+            self, rng, monkeypatch):
         """Across two doublings of the private arrays (chunk 50 leaves
         an uncovered stretch on both sides of each boundary) the samples
         survive and the end state is the offline detector's."""
+        reads = pass_reads(monkeypatch)
         x = 50.0 + rng.normal(0, 1.0, size=400)
         x[300:] += 7.0
         detector = IncrementalDetector(80, score_chunk_bins=50)
@@ -221,8 +236,8 @@ class TestStorage:
             unscored.append(n - detector.span + 1 - detector._next_score_t)
             np.testing.assert_array_equal(detector.series, x[:n])
         assert unscored == [0, 30, 0, 10, 0]
-        np.testing.assert_array_equal(detector._norm[:400],
-                                      robust_normalise(x, baseline=80))
+        # The pass at 400 bins read the whole offline transform.
+        assert reads[-1] == robust_normalise(x, baseline=80).tobytes()
         first = offline_first_declaration(x, 80)
         assert first is not None
         assert but_kind(declared) == but_kind(first)
@@ -248,12 +263,14 @@ class TestStorage:
         assert shape in str(raised.value)
 
     @pytest.mark.parametrize("scores", [[0.0] * 90, [0.0], [[1.0]], None])
-    def test_load_state_ignores_stored_scores(self, rng, scores):
+    def test_load_state_ignores_stored_scores(self, rng, monkeypatch,
+                                              scores):
         """Scores left the wire format: a file written when they were
         stored loads whatever its ``scores`` list holds, and the
         restored detector continues like the donor."""
         x = 10.0 + rng.normal(0, 0.5, size=150)
         x[100:] += 5.0
+        reads = pass_reads(monkeypatch)
         donor = IncrementalDetector(100)
         donor.extend(x[:110])
         state = donor.state_dict()
@@ -264,7 +281,59 @@ class TestStorage:
         state["norm"] = [float("nan")] * 3
         restored = IncrementalDetector(100)
         restored.load_state(state)
-        assert (restored._norm[:110].tobytes()
-                == donor._norm[:110].tobytes())
+        assert restored._norm[:110].tobytes() == reads[-1]
         assert restored.extend(x[110:]) == donor.extend(x[110:]) is not None
         assert detector_state(restored) == detector_state(donor)
+
+
+class TestLazyNormalisation:
+    """``extend`` only buffers raw bins; the pass's first reader
+    (``scan``) and ``load_state`` normalise, with one elementwise
+    expression, so how the bins arrived cannot show in what a pass
+    reads."""
+
+    def test_extend_leaves_the_normalised_prefix_untouched(self, rng):
+        x = 10.0 + rng.normal(0, 0.5, size=120)   # inside one allocation
+        detector = IncrementalDetector(60, score_chunk_bins=12,
+                                       deferred_scoring=True)
+        detector.extend(x[:100])
+        detector._norm[:] = np.nan        # poisoned: any write shows
+        for value in x[100:]:
+            assert detector.extend(np.array([value])) is None
+        assert np.isnan(detector._norm).all()
+        detector.scan()
+        assert (detector._norm[:120].tobytes()
+                == robust_normalise(x, baseline=60).tobytes())
+
+    @pytest.mark.parametrize("chunk", [1, 12])
+    def test_pass_reads_are_bytes_of_the_offline_transform(
+            self, rng, monkeypatch, chunk):
+        """Bin by bin, one block, ragged chunks, and a checkpoint
+        round trip taken mid-chunk: every prefix a pass tables is a
+        prefix of the one offline transform, and after the flush the
+        whole prefix is."""
+        reads = pass_reads(monkeypatch)
+        x = 10.0 + rng.normal(0, 0.5, size=220)
+        offline = robust_normalise(x, baseline=100).tobytes()
+
+        def fed(schedule, restore_at=None):
+            del reads[:]
+            detector = IncrementalDetector(100, score_chunk_bins=chunk)
+            for size in schedule:
+                if len(detector) == restore_at:
+                    restored = IncrementalDetector(100,
+                                                   score_chunk_bins=chunk)
+                    restored.load_state(detector.state_dict())
+                    detector = restored
+                detector.extend(x[len(detector):len(detector) + size])
+            detector.flush()
+            assert len(detector) == x.size and detector.declared is None
+            assert reads and all(offline.startswith(r) for r in reads)
+            return detector._norm[:x.size].tobytes()
+
+        ragged = [100, 3, 7, 1, 12, 30, 5, 62]
+        assert fed([1] * 220) == offline
+        assert fed([220]) == offline
+        assert fed(ragged) == offline
+        assert fed(ragged, restore_at=111) == offline  # 11 bins into a chunk
+        assert fed(constant_chunks(220, 5), restore_at=115) == offline

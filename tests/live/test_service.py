@@ -1,10 +1,13 @@
 """End-to-end behaviour of the live service: replay, overload, caps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.changes.change import SoftwareChange
-from repro.engine.fleet import FleetScenarioSpec
+from repro.changes.log import ChangeLog
+from repro.engine.fleet import FleetScenarioSpec, SyntheticFleetSource
 from repro.exceptions import ParameterError
 from repro.faults import preset_plan
 from repro.live import (LiveConfig, VerdictBus, parity_live_config,
@@ -13,6 +16,8 @@ from repro.live.assessor import (DUPLICATE_FRAGMENTS_METRIC, GAP_BINS_METRIC,
                                  ChangeSession, KpiTracker, LiveAssessor)
 from repro.live.queues import (FRAGMENTS_METRIC, SHED_FRAGMENTS_METRIC,
                                IngestQueues)
+from repro.live.scheduler import TICK_STAGE_SECONDS_METRIC
+from repro.live.service import LiveAssessmentService
 from repro.live.watcher import SHED_CHANGES_METRIC
 from repro.obs.context import ObsContext
 from repro.telemetry.kpi import KpiKey
@@ -429,3 +434,63 @@ class TestPushPathShape:
         replay_scenario(SMALL)
         assert pushed[0] > 0
         assert validated[0] == 0
+
+
+class TestTickStages:
+    """Every part of a tick is charged to a stage, so the stage sum
+    explains the tick; ``checkpoint`` only exists with a checkpointer."""
+
+    @staticmethod
+    def _stages(**replay_kwargs):
+        obs = ObsContext()
+        replay_scenario(SMALL, obs=obs, **replay_kwargs)
+        counter = obs.metrics.get(TICK_STAGE_SECONDS_METRIC)
+        return {dict(labels)["stage"]: value
+                for labels, value in counter.values.items()}
+
+    def test_gauges_stage_without_a_checkpointer(self):
+        stages = self._stages()
+        assert set(stages) == {"stream", "poll", "drain", "pool", "close",
+                               "gauges"}
+        assert all(seconds > 0 for seconds in stages.values())
+
+    def test_checkpoint_stage_with_a_checkpointer(self, tmp_path):
+        stages = self._stages(checkpoint_path=str(tmp_path / "live.ckpt"),
+                              checkpoint_every=10)
+        assert set(stages) == {"stream", "poll", "drain", "pool", "close",
+                               "gauges", "checkpoint"}
+        assert stages["checkpoint"] > 0
+
+
+class TestWatcherCursor:
+    """``poll`` walks the log from a cursor and rescans it from the start
+    when the log grows, so a change recorded late is not skipped."""
+
+    def test_late_recorded_due_change_is_admitted_at_the_next_poll(self):
+        source = SyntheticFleetSource(SMALL)
+        template = source.changes[0]
+        log = ChangeLog(concurrency_guard_seconds=0)
+        service = LiveAssessmentService(MetricStore(MINUTE), log,
+                                        source.fleet,
+                                        config=parity_live_config(SMALL))
+        watcher, now = service.watcher, template.at_time
+
+        def record(name, at_time):
+            return log.record(dataclasses.replace(
+                template, change_id=name, at_time=at_time))
+
+        def poll(at):
+            return [s.change_id for s in watcher.poll(at)]
+
+        assert poll(now) == []
+        record("due", now - MINUTE)
+        record("future", now + 10 * MINUTE)
+        assert poll(now + MINUTE) == ["due"]
+        assert poll(now + 2 * MINUTE) == []
+        # Recorded after polling began, due before the changes already
+        # walked past: the growth rescan admits it, and only it.
+        record("late", now - 2 * MINUTE)
+        assert poll(now + 2 * MINUTE) == ["late"]
+        assert poll(now + 10 * MINUTE) == ["future"]
+        assert poll(now + 20 * MINUTE) == []
+        assert sorted(watcher.sessions) == ["due", "future", "late"]

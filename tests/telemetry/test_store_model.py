@@ -4,8 +4,9 @@
 over-allocated table and takes whole ticks as blocks; the model below
 keeps a Python list per key and knows nothing about tables, rows or
 caches.  A hypothesis state machine drives random interleavings of
-``append`` and ``append_batch`` through both — keys first seen
-mid-stream, rows at different lengths after per-key appends, blocks that
+``append`` and ``append_batch`` through both — key tuples new or
+repeated (the store caches a repeated tuple's row layout), keys first
+seen mid-stream, rows at different lengths after per-key appends, blocks that
 must be rejected **whole** (misaligned, NaN/inf, duplicate key, wrong
 shape), growth in both table dimensions, subscribers that subscribe or
 cancel from inside a delivery — and after every step compares what can
@@ -306,7 +307,20 @@ class StoreMachine(RuleBasedStateMachine):
             block.append(self.h.fresh(bins))
         elif fault == "flat":
             block = self.h.fresh(len(picks))
+        self.last_keys = keys
         self.h.append_batch(keys, start, block)
+
+    @rule(bins=bins_st, shift=shift_st, nan=st.booleans())
+    def repeat_batch(self, bins, shift, nan):
+        """The previous block's key tuple object again, as a replay
+        streams it: the store's cached layout for it is what writes."""
+        keys = getattr(self, "last_keys", ())
+        if not keys or len(set(keys)) != len(keys):
+            return
+        block = [self.h.fresh(bins) for _ in keys]
+        if nan and bins:
+            block[0][0] = float("nan")
+        self.h.append_batch(keys, self._end(keys, 0) + shift, block)
 
     @rule(picks=st.lists(key_st, min_size=1, max_size=6, unique=True),
           wants_batch=st.booleans(),
@@ -429,3 +443,116 @@ class TestScriptedInterleavings:
         h.append_batch(keys, 4 * BIN, [h.fresh(1) for _ in keys])
         assert [event[0] for event in h.real_events] == \
             [0, 0, 1, 1, 1, 1]
+
+
+class TestBlockWritePaths:
+    """A repeated key tuple whose rows are one contiguous run with one
+    start is written as one column range; any other layout by one
+    scatter.  Both paths against the per-key reference, after every
+    call (``Harness.append_batch`` checks series, counters and pushes)."""
+
+    @staticmethod
+    def _ticks(h, keys, now, ticks):
+        for _ in range(ticks):
+            h.append_batch(keys, now, [h.fresh(1) for _ in keys])
+            now += BIN
+        return now
+
+    @staticmethod
+    def _harness():
+        h = Harness()
+        h.subscribe(KEYS[2:5], wants_batch=True)
+        h.subscribe(KEYS[3:4] + KEYS[9:10], wants_batch=False)
+        return h
+
+    def test_contiguous_run_at_one_length_is_one_column_range(self):
+        h = self._harness()
+        keys = tuple(KEYS[:8])
+        now = self._ticks(h, keys, 0, 70)     # outgrows 64 bins once
+        assert h.store._block_run == slice(0, 8)
+        h.append_batch(keys, now, [h.fresh(3) for _ in keys])
+        h.check_window(keys, 10 * BIN, 73 * BIN)
+
+    def test_permuted_tuple_scatters(self):
+        h = self._harness()
+        keys = tuple(KEYS[:8])
+        now = self._ticks(h, keys, 0, 3)
+        permuted = keys[4:] + keys[:4]
+        now = self._ticks(h, permuted, now, 3)
+        assert h.store._block_run is None
+        h.append_batch(permuted, now, [h.fresh(2) for _ in keys])
+        h.check_window(keys[::-1], BIN, 8 * BIN)
+
+    def test_new_keys_mixed_with_known_ones(self):
+        h = self._harness()
+        now = self._ticks(h, tuple(KEYS[:4]), 0, 3)
+        # rows 0-5 are one run, but 4 and 5 start three bins later
+        grown = tuple(KEYS[:6])
+        now = self._ticks(h, grown, now, 3)
+        assert h.store._block_run is None
+        interleaved = (KEYS[10], KEYS[0], KEYS[11], KEYS[5])
+        now = self._ticks(h, interleaved, now, 3)
+        assert h.store._block_run is None
+        # a tuple of only new keys, first seen together, is a run again
+        fresh = tuple(KEYS[12:16])
+        now = self._ticks(h, fresh, now, 3)
+        assert h.store._block_run == slice(8, 12)
+        h.check_window(KEYS[:6], 3 * BIN, 6 * BIN)
+        h.check_window(fresh, now - 3 * BIN, now)
+
+    def test_rows_from_append_at_different_starts_and_lengths(self):
+        h = self._harness()
+        h.append(KEYS[0], 0, BIN, h.fresh(5))
+        h.append(KEYS[1], 2 * BIN, BIN, h.fresh(3))
+        h.append(KEYS[2], 0, BIN, h.fresh(5))
+        h.append(KEYS[3], 0, BIN, h.fresh(5))
+        staggered, level = (KEYS[0], KEYS[1]), (KEYS[2], KEYS[3])
+        self._ticks(h, staggered, 5 * BIN, 2)
+        assert h.store._block_run is None         # two starts
+        now = self._ticks(h, level, 5 * BIN, 2)
+        assert h.store._block_run == slice(2, 4)
+        # one row runs ahead: the cached run is refused whole, naming it
+        h.append(KEYS[3], now, BIN, h.fresh(1))
+        with pytest.raises(TelemetryError, match="h03:m starts at %d, "
+                           "expected %d" % (now, now + BIN)):
+            h.store.append_batch(level, now, np.zeros((2, 1)))
+        h.check()
+        h.append(KEYS[2], now, BIN, h.fresh(1))
+        now = self._ticks(h, level, now + BIN, 2)
+        h.check_window(KEYS[:4], 2 * BIN, now)
+
+    @pytest.mark.parametrize("layout", ["run", "scatter"])
+    @pytest.mark.parametrize("fault", ["gap", "nan", "duplicate"])
+    def test_rejected_block_changes_nothing_on_either_path(self, layout,
+                                                           fault):
+        h = self._harness()
+        keys = tuple(KEYS[:6]) if layout == "run" \
+            else (KEYS[3], KEYS[1], KEYS[4], KEYS[0], KEYS[5], KEYS[2])
+        now = self._ticks(h, tuple(KEYS[:6]), 0, 2)
+        now = self._ticks(h, keys, now, 2)
+        assert (h.store._block_run is None) == (layout == "scatter")
+        table, events = h.store._table.copy(), len(h.real_events)
+        block = [h.fresh(2) for _ in keys]
+        bad_keys = keys
+        if fault == "gap":
+            h.append(KEYS[4], now, BIN, h.fresh(1))
+            events = len(h.real_events)
+            table = h.store._table.copy()
+        elif fault == "nan":
+            block[2][1] = float("nan")
+        else:
+            bad_keys = keys + (keys[1],)
+            block.append(h.fresh(2))
+        h.append_batch(bad_keys, now, block)      # the model rejects too
+        assert len(h.real_events) == events
+        assert h.store._table.tobytes() == table.tobytes()
+        # the cached tuple still writes, through the same path
+        run = h.store._block_run
+        if fault == "gap":              # bring the other rows level
+            for key in keys:
+                if key != KEYS[4]:
+                    h.append(key, now, BIN, h.fresh(1))
+            now += BIN
+        now = self._ticks(h, keys, now, 2)
+        assert h.store._block_run == run
+        h.check_window(keys, 0, now)

@@ -9,7 +9,7 @@ changes in one service at the same time."
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from ..exceptions import ChangeLogError
 from .change import SoftwareChange
@@ -63,21 +63,3 @@ class ChangeLog:
             return self._by_id[change_id]
         except KeyError:
             raise ChangeLogError("unknown change id %r" % change_id) from None
-
-    def for_service(self, service: str) -> List[SoftwareChange]:
-        return list(self._by_service.get(service, ()))
-
-    def in_window(self, from_time: int, to_time: int) -> List[SoftwareChange]:
-        """Changes with ``from_time <= at_time < to_time``, time-ordered."""
-        return [c for c in self if from_time <= c.at_time < to_time]
-
-    def latest_before(self, service: str,
-                      at_time: int) -> Optional[SoftwareChange]:
-        """The most recent change to ``service`` strictly before ``at_time``.
-
-        Used to assess baseline contamination: a recent prior change may
-        still pollute the 30-day historical control.
-        """
-        candidates = [c for c in self._by_service.get(service, ())
-                      if c.at_time < at_time]
-        return candidates[-1] if candidates else None

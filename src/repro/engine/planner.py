@@ -102,9 +102,10 @@ def job_from_item(item, spec: DetectorSpec,
     """Wrap one corpus item as an assessment job for ``spec``.
 
     ``item`` is duck-typed against
-    :class:`~repro.synthetic.dataset.EvaluationItem`.  The baseline key
-    is derived from the item id alone: the same item assessed by several
-    detectors shares its cached pre-change statistics.
+    :class:`~repro.synthetic.dataset.EvaluationItem`.  The job carries no
+    baseline key: item ids restart at 0 in every corpus, so they do not
+    identify a baseline's content, and each job's pre-change statistics
+    are computed from its own window.
     """
     return AssessmentJob(
         job_id=item.item_id if job_id is None else job_id,
@@ -116,7 +117,6 @@ def job_from_item(item, spec: DetectorSpec,
         change_id=str(item.change_id),
         entity_type=item.entity_type,
         metric=item.metric,
-        baseline_key="item:%s" % item.item_id,
         truth_positive=item.truth.positive,
     )
 

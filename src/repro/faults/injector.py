@@ -33,7 +33,7 @@ from ..obs.metrics import MetricsRegistry
 from ..telemetry.kpi import KpiKey
 from ..telemetry.store import MetricStore, Subscription
 from ..telemetry.timeseries import TimeSeries
-from .plan import DELIVER, DROP, DUPLICATE, REORDER, FaultPlan
+from .plan import DROP, DUPLICATE, REORDER, FaultPlan
 
 __all__ = ["FAULTS_INJECTED_METRIC", "FaultyMetricStore",
            "FaultyHistoryProvider"]
@@ -126,9 +126,6 @@ class FaultyMetricStore:
                 FAULTS_INJECTED_METRIC,
                 help="Faults injected into the live pipeline, by kind.",
             ).inc(kind=kind)
-
-    def pending_fragments(self) -> int:
-        return sum(len(q) for q in self._pending.values())
 
     # -- writes (ingest faults) ------------------------------------------------
 

@@ -204,9 +204,6 @@ class FaultPlan:
     def has_history_faults(self) -> bool:
         return any(rule.kind == HISTORY_ERROR for rule in self.rules)
 
-    def has_ingest_faults(self) -> bool:
-        return any(rule.kind in _INGEST_KINDS for rule in self.rules)
-
     # -- (de)serialisation --------------------------------------------------
 
     def describe(self) -> dict:

@@ -100,9 +100,6 @@ class Gauge:
         key = _label_key(labels)
         self.values[key] = self.values.get(key, 0) + n
 
-    def dec(self, n: float = 1, **labels: str) -> None:
-        self.inc(-n, **labels)
-
     def value(self, **labels: str) -> float:
         return self.values.get(_label_key(labels), 0)
 
@@ -150,9 +147,6 @@ class Histogram:
     def count(self, **labels: str) -> int:
         row = self.counts.get(_label_key(labels))
         return sum(row) if row else 0
-
-    def total_count(self) -> int:
-        return sum(sum(row) for row in self.counts.values())
 
     def percentile(self, q: float, **labels: str) -> Optional[float]:
         """Estimate the ``q``-th percentile from the bucket counts.

@@ -231,11 +231,6 @@ def folded_stacks(profile: StageProfile,
 
 # -- the ``repro obs report`` document ---------------------------------------
 
-#: Counters of the engine's former process pool, still summarised when a
-#: recorded run carries them.
-_PACKED_ROWS_METRIC = "repro_engine_packed_rows_total"
-_PACKED_UNIQUE_ROWS_METRIC = "repro_engine_packed_unique_rows_total"
-
 
 def _counter_sections(metrics: dict) -> Tuple[list, dict, dict]:
     """One walk over a metrics snapshot's counters.
@@ -246,13 +241,11 @@ def _counter_sections(metrics: dict) -> Tuple[list, dict, dict]:
     a missing ``counters`` section, or ``null`` value lists.
 
     Batching: fill ratio is jobs scored per slot of planned batch
-    capacity (1.0 = every batch full); the packed dedup ratio (only in
-    runs recorded before the engine lost its process pool) is rows
-    referenced per row pickled; gating "candidates" are the positions a
-    pool table decided, and windows per position the share of them the
-    kernel had to score.  Ingest plane: per-stage tick timing from the
-    scheduler's per-tick wall clocks (the replay driver contributes
-    ``stage=stream`` for its append side).
+    capacity (1.0 = every batch full); gating "candidates" are the
+    positions a pool table decided, and windows per position the share
+    of them the kernel had to score.  Ingest plane: per-stage tick
+    timing from the scheduler's per-tick wall clocks (the replay driver
+    contributes ``stage=stream`` for its append side).
     """
     from ..engine.batching import (BATCHED_BATCHES_METRIC,
                                    BATCHED_CAPACITY_METRIC,
@@ -286,12 +279,6 @@ def _counter_sections(metrics: dict) -> Tuple[list, dict, dict]:
         capacity = totals.get(BATCHED_CAPACITY_METRIC, 0)
         if capacity:
             batching["batched_detect_fill_ratio"] = round(jobs / capacity, 3)
-    pickled = totals.get(_PACKED_UNIQUE_ROWS_METRIC, 0)
-    if pickled:
-        referenced = totals.get(_PACKED_ROWS_METRIC, 0)
-        batching["packed_rows_referenced"] = referenced
-        batching["packed_rows_pickled"] = pickled
-        batching["packed_dedup_ratio"] = round(referenced / pickled, 3)
     pooled = totals.get(POOLED_BATCHES_METRIC, 0)
     if pooled:
         series = totals.get(POOLED_SERIES_METRIC, 0)

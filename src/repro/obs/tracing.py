@@ -100,9 +100,6 @@ class Span:
     _started: float = field(default=0.0)
     _attrs: Dict[str, object] = field(default_factory=dict)
 
-    def set_attr(self, key: str, value: object) -> None:
-        self._attrs[key] = value
-
     def _finish(self) -> SpanRecord:
         return SpanRecord(
             trace_id=self.tracer.trace_id,

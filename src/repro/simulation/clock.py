@@ -9,7 +9,7 @@ boundaries the agents and the deployment simulation synchronise on.
 from __future__ import annotations
 
 from ..exceptions import ParameterError
-from ..telemetry.timeseries import DAY, MINUTE
+from ..telemetry.timeseries import MINUTE
 
 __all__ = ["SimulationClock"]
 
@@ -42,11 +42,6 @@ class SimulationClock:
     def now(self) -> int:
         return self._now
 
-    @property
-    def day_second(self) -> int:
-        """Seconds since local midnight (drives seasonal phase)."""
-        return self._now % DAY
-
     def tick(self) -> int:
         """Advance one collection bin; returns the new time."""
         self._now += self.bin_seconds
@@ -56,18 +51,4 @@ class SimulationClock:
         if minutes < 0:
             raise ParameterError("cannot advance a negative duration")
         self._now += minutes * MINUTE
-        return self._now
-
-    def advance_to(self, timestamp: int) -> int:
-        """Jump forward to a bin-aligned timestamp."""
-        if timestamp < self._now:
-            raise ParameterError(
-                "cannot move the clock backwards (%d < %d)"
-                % (timestamp, self._now)
-            )
-        if (timestamp - self._now) % self.bin_seconds:
-            raise ParameterError(
-                "target %d is not bin-aligned from %d" % (timestamp, self._now)
-            )
-        self._now = timestamp
         return self._now

@@ -91,10 +91,6 @@ class EvaluationItem:
     def treated_aggregate(self) -> np.ndarray:
         return self.treated.mean(axis=0)
 
-    @property
-    def uses_history_control(self) -> bool:
-        return self.control is None
-
 
 # Derived per-type counts (see module docstring and DESIGN.md).
 _INDUCING_COUNTS = {

@@ -216,9 +216,6 @@ class VariablePattern(Pattern):
         # MAD-based scale of the log-normal body.
         return self.level * self.lognormal_sigma
 
-    def character_name(self) -> str:
-        return self.character.value
-
 
 def pattern_for_character(character: KpiCharacter, scale: float = 1.0,
                           **overrides) -> Pattern:

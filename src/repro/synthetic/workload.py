@@ -85,16 +85,6 @@ class GroupTraces:
     shared: np.ndarray
     timestamps: np.ndarray
 
-    @property
-    def treated_mean(self) -> np.ndarray:
-        return self.treated.mean(axis=0)
-
-    @property
-    def control_mean(self) -> np.ndarray:
-        if self.control.shape[0] == 0:
-            raise ParameterError("no control units were generated")
-        return self.control.mean(axis=0)
-
 
 def generate_group(config: GroupTraceConfig,
                    rng: np.random.Generator) -> GroupTraces:

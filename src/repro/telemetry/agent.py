@@ -57,11 +57,6 @@ class Agent:
         key = KpiKey("server", self.hostname, metric)
         return self._register(key, collector)
 
-    def add_instance_collector(self, service: str, metric: str,
-                               collector: Collector) -> KpiKey:
-        key = KpiKey("instance", "%s@%s" % (service, self.hostname), metric)
-        return self._register(key, collector)
-
     def _register(self, key: KpiKey, collector: Collector) -> KpiKey:
         if key in self._collectors:
             raise TelemetryError("collector already registered for %s" % (key,))
@@ -96,8 +91,3 @@ class Agent:
             fragment = TimeSeries(at_time, self.bin_seconds, [value])
             self.store.append(key, fragment)
             self._next_time[key] = at_time + self.bin_seconds
-
-    def collect_range(self, from_time: int, rounds: int) -> None:
-        """Run ``rounds`` consecutive collection rounds from ``from_time``."""
-        for i in range(rounds):
-            self.collect(from_time + i * self.bin_seconds)

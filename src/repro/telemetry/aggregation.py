@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from ..exceptions import TelemetryError
 from .kpi import KpiCatalog, KpiKey
 from .store import MetricStore
@@ -72,11 +70,3 @@ class ServiceAggregator:
         key = KpiKey("service", service, metric)
         self.store.append(key, aggregated)
         return key
-
-    def mean_of(self, keys: Sequence[KpiKey], from_time: int,
-                to_time: int) -> np.ndarray:
-        """Mean series across KPI keys (the control-group average of
-        section 3.2.4: "we use the average of all of the KPIs in the
-        control group")."""
-        matrix = self.store.window_matrix(keys, from_time, to_time)
-        return matrix.mean(axis=0)

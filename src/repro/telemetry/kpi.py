@@ -17,7 +17,7 @@ synthetic generators and the per-type accuracy breakdown of Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional
 
 from ..exceptions import TelemetryError
 from ..types import KpiCharacter
@@ -104,20 +104,11 @@ class KpiCatalog:
         except KeyError:
             raise TelemetryError("unknown KPI %r" % name) from None
 
-    def maybe_get(self, name: str) -> Optional[KpiSpec]:
-        return self._specs.get(name)
-
     def __contains__(self, name: str) -> bool:
         return name in self._specs
 
     def __len__(self) -> int:
         return len(self._specs)
-
-    def by_level(self, level: str) -> List[KpiSpec]:
-        return sorted(
-            (s for s in self._specs.values() if s.level == level),
-            key=lambda s: s.name,
-        )
 
 
 def standard_server_kpis(catalog: Optional[KpiCatalog] = None) -> KpiCatalog:

@@ -111,13 +111,6 @@ class TimeSeries:
             values=self.values[lo:hi].copy(),
         )
 
-    def slice_around(self, timestamp: int, before: int,
-                     after: int) -> "TimeSeries":
-        """``before`` bins before ``timestamp``'s bin plus ``after`` from it."""
-        pivot = self.start + self.index_of(timestamp) * self.bin_seconds
-        return self.slice_time(pivot - before * self.bin_seconds,
-                               pivot + after * self.bin_seconds)
-
     def resample(self, factor: int) -> "TimeSeries":
         """Aggregate ``factor`` consecutive bins into one by averaging.
 

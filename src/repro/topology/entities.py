@@ -134,10 +134,6 @@ class Fleet:
     def service_names(self) -> List[str]:
         return sorted(self._services)
 
-    @property
-    def server_names(self) -> List[str]:
-        return sorted(self._servers)
-
     def service(self, name: str) -> Service:
         try:
             return self._services[name]
@@ -152,9 +148,6 @@ class Fleet:
 
     def instances_of(self, service_name: str) -> List[Instance]:
         return self.service(service_name).instances
-
-    def servers_of(self, service_name: str) -> List[Server]:
-        return [self._servers[h] for h in self.service(service_name).hostnames]
 
     def __contains__(self, service_name: str) -> bool:
         return service_name in self._services

@@ -12,7 +12,7 @@ treat the graph as undirected unless asked otherwise.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..exceptions import TopologyError
 
@@ -46,12 +46,6 @@ class ServiceGraph:
         self._successors[source].add(target)
         self._predecessors[target].add(source)
 
-    def remove_edge(self, source: str, target: str) -> None:
-        if not self.has_edge(source, target):
-            raise TopologyError("no edge %r -> %r" % (source, target))
-        self._successors[source].discard(target)
-        self._predecessors[target].discard(source)
-
     # -- queries -------------------------------------------------------------
 
     def __contains__(self, node: str) -> bool:
@@ -77,22 +71,6 @@ class ServiceGraph:
 
     def has_edge(self, source: str, target: str) -> bool:
         return target in self._successors.get(source, ())
-
-    def successors(self, node: str) -> Set[str]:
-        self._require(node)
-        return set(self._successors[node])
-
-    def predecessors(self, node: str) -> Set[str]:
-        self._require(node)
-        return set(self._predecessors[node])
-
-    def neighbors(self, node: str) -> Set[str]:
-        """Nodes related to ``node`` in either direction."""
-        self._require(node)
-        return self._successors[node] | self._predecessors[node]
-
-    def degree(self, node: str) -> int:
-        return len(self.neighbors(node))
 
     # -- traversals ------------------------------------------------------------
 
@@ -126,17 +104,6 @@ class ServiceGraph:
                     frontier.append((nxt, hops + 1))
         return result
 
-    def connected_component(self, start: str) -> Set[str]:
-        """The undirected component containing ``start`` (inclusive)."""
-        return self.reachable(start, directed=False) | {start}
-
     def _require(self, node: str) -> None:
         if node not in self._successors:
             raise TopologyError("unknown service %r" % node)
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[Tuple[str, str]]) -> "ServiceGraph":
-        graph = cls()
-        for source, target in edges:
-            graph.add_edge(source, target)
-        return graph

@@ -86,21 +86,6 @@ class TestChangeLog:
         log.record(make_change("early", at=5))
         assert [c.change_id for c in log] == ["early", "late"]
 
-    def test_in_window(self):
-        log = ChangeLog(concurrency_guard_seconds=0)
-        for i, at in enumerate((0, 100, 200)):
-            log.record(make_change("c%d" % i, at=at))
-        window = log.in_window(50, 200)
-        assert [c.change_id for c in window] == ["c1"]
-
-    def test_latest_before(self):
-        log = ChangeLog()
-        log.record(make_change("c1", at=0))
-        log.record(make_change("c2", at=7200))
-        latest = log.latest_before("svc.a", 7000)
-        assert latest.change_id == "c1"
-        assert log.latest_before("svc.a", 0) is None
-
     def test_unknown_id_raises(self):
         with pytest.raises(ChangeLogError):
             ChangeLog().get("zzz")

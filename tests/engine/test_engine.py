@@ -7,6 +7,7 @@ is rebuilt per job with a seed derived from the job's identity alone.
 
 import pytest
 
+from repro.core import Funnel
 from repro.engine import (AssessmentEngine, AssessmentJob, Detector,
                           DetectorSpec, EngineConfig, FleetScenarioSpec,
                           ItemOutcome, SyntheticFleetSource, build_detector,
@@ -118,20 +119,51 @@ class TestParity:
 
 
 class TestBaselineCache:
-    def test_second_spec_hits_cache(self, tiny_corpus):
-        items = tiny_corpus[:6]
-        execute_jobs(jobs_from_items(items, spec_for_method("funnel")))
-        assert shared_cache().hits == 0
-        assert shared_cache().misses == len(items)
-        execute_jobs(jobs_from_items(items, spec_for_method("improved_sst")))
-        assert shared_cache().hits == len(items)
+    """The shared cache serves fleet jobs, whose keys name a change,
+    entity and KPI; corpus items carry no key (their ids restart at 0 in
+    every corpus), so whatever ran before, each item gets the verdict
+    per-item ``Funnel.assess`` gives it."""
 
-    def test_cache_does_not_change_outcomes(self, tiny_corpus):
+    @staticmethod
+    def _funnel_outcomes(items):
+        funnel = Funnel()
+        outcomes = []
+        for item in items:
+            assessment = funnel.assess(item.treated, item.change_index,
+                                       control=item.control,
+                                       history=item.history)
+            index = assessment.change.index if assessment.change else None
+            outcomes.append(ItemOutcome(positive=assessment.positive,
+                                        detection_index=index))
+        return outcomes
+
+    @pytest.mark.parametrize("seeds", [(99, 7), (7, 99)])
+    def test_corpora_with_overlapping_ids_match_funnel(self, tiny_corpus,
+                                                       seeds):
+        corpora = {99: tiny_corpus,
+                   7: list(EvaluationCorpus(CorpusSpec(scale=0.012,
+                                                       seed=7)))}
         spec = spec_for_method("funnel")
-        items = tiny_corpus[:6]
-        cold = execute_jobs(jobs_from_items(items, spec))
-        warm = execute_jobs(jobs_from_items(items, spec))
-        assert shared_cache().hits > 0
+        for seed in seeds:
+            items = corpora[seed]
+            results = execute_jobs(jobs_from_items(items, spec))
+            assert [r.outcome for r in results] == \
+                self._funnel_outcomes(items)
+
+    def test_second_spec_hits_cache(self, fleet_source):
+        fleet_jobs = list(fleet_source.plan_jobs([spec_for_method("funnel")]))
+        execute_jobs(fleet_jobs)
+        assert shared_cache().hits == 0
+        assert shared_cache().misses == len(fleet_jobs)
+        execute_jobs(fleet_source.plan_jobs(
+            [spec_for_method("improved_sst")]))
+        assert shared_cache().hits == len(fleet_jobs)
+
+    def test_cache_does_not_change_outcomes(self, fleet_source):
+        fleet_jobs = list(fleet_source.plan_jobs([spec_for_method("funnel")]))
+        cold = execute_jobs(fleet_jobs)
+        warm = execute_jobs(fleet_jobs)
+        assert shared_cache().hits == len(fleet_jobs)
         assert [r.outcome for r in cold] == [r.outcome for r in warm]
 
 

@@ -30,12 +30,13 @@ class TestIngestFaults:
         store = faulty(FaultRule(DELAY, delay_bins=2))
         store.append(KEY, frag(0, 1.0))
         assert KEY not in store
-        assert store.pending_fragments() == 1
+        assert store.appended_fragments == 0
         store.advance(120)
         assert KEY not in store          # releases at 60 + 2*60 = 180
         store.advance(180)
         assert store.series(KEY).values.tolist() == [1.0]
-        assert store.pending_fragments() == 0
+        store.advance(10 ** 6)           # released once, nothing left held
+        assert store.appended_fragments == 1
 
     def test_unfaulted_fragment_cannot_overtake_held_head(self):
         # Only the first fragment (end == 60) is delayed; the second has
@@ -62,7 +63,9 @@ class TestIngestFaults:
         store.append(KEY, frag(0, 1.0))
         store.flush_all()
         assert store.series(KEY).values.tolist() == [1.0]
-        assert store.pending_fragments() == 0
+        store.flush_all()
+        store.advance(10 ** 6)
+        assert store.appended_fragments == 1
 
     def test_reads_pass_through_to_the_inner_store(self):
         store = faulty()

@@ -134,8 +134,6 @@ class TestFaultPlanDecisions:
         assert plan.history_failures("chg-1", "server:web-1:cpu") == 0
 
     def test_kind_helpers(self):
-        assert FaultPlan(rules=(FaultRule(DELAY),)).has_ingest_faults()
-        assert not FaultPlan(rules=(FaultRule(DROP),)).has_ingest_faults()
         assert FaultPlan(
             rules=(FaultRule(HISTORY_ERROR),)).has_history_faults()
         assert not FaultPlan().has_history_faults()

@@ -38,7 +38,7 @@ class TestCounterGauge:
         g = reg.gauge("depth")
         g.set(5)
         g.inc(2)
-        g.dec()
+        g.inc(-1)                       # a gauge decrements through inc
         assert g.value() == 6
 
     def test_get_or_create_returns_same_object(self):

@@ -30,8 +30,8 @@ class TestSpans:
 
     def test_attrs_and_sorted_tuple(self):
         tracer = Tracer()
-        with tracer.span("s", zebra=1, alpha=2) as live:
-            live.set_attr("mid", 3)
+        with tracer.span("s", zebra=1, mid=3, alpha=2):
+            pass
         rec = tracer.finished[0]
         assert rec.attrs == (("alpha", 2), ("mid", 3), ("zebra", 1))
         assert rec.attr("zebra") == 1

@@ -56,8 +56,6 @@ class TestGenerateGroup:
     def test_no_control_units(self, rng):
         traces = generate_group(self._config(n_control=0), rng)
         assert traces.control.shape == (0, 120)
-        with pytest.raises(ParameterError):
-            traces.control_mean
 
     def test_hotspots_inflate_some_units(self, rng):
         config = self._config(hotspot_fraction=0.5, n_treated=20,

@@ -42,11 +42,6 @@ class TestTimeSeries:
         with pytest.raises(TelemetryError):
             ts.slice_time(30, 120)
 
-    def test_slice_around(self):
-        ts = TimeSeries(0, 60, np.arange(10.0))
-        sub = ts.slice_around(300, before=2, after=3)
-        np.testing.assert_array_equal(sub.values, [3.0, 4.0, 5.0, 6.0, 7.0])
-
     def test_resample(self):
         ts = TimeSeries(0, 60, np.arange(7.0))
         coarse = ts.resample(3)

@@ -428,10 +428,10 @@ def _cmd_assess_fleet(args: argparse.Namespace) -> dict:
         # Opened before the run: a bad path costs milliseconds, not jobs.
         os.makedirs(os.path.dirname(args.verdicts) or ".", exist_ok=True)
         with open(args.verdicts, "w", encoding="utf-8") as fh:
-            report, jobs, results = engine.assess_fleet_detailed(source)
+            report, jobs, results = engine.assess_fleet(source)
             _write_fleet_verdicts(fh, jobs, results)
     else:
-        report = engine.assess_fleet(source)
+        report, _, _ = engine.assess_fleet(source)
     detectors = sorted(spec.name for spec in engine.specs)
     out = report.as_dict()
     if args.verdicts:

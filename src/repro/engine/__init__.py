@@ -13,9 +13,9 @@ deployment simulation), every assessment is
    (entity, KPI, detector);
 2. **executed** — funnel-family jobs of equal series length are stacked
    and scored in one pass per batch, with only the declared ones
-   proceeding to DiD attribution; baselines run one by one through the
-   :class:`~repro.engine.jobs.Detector` protocol — all in one process,
-   with per-entity baseline statistics cached so repeated windows never
+   proceeding to DiD attribution; baselines run one by one through
+   :func:`~repro.engine.executor.run_job` — all in one process, with
+   per-entity baseline statistics cached so repeated windows never
    recompute them; and
 3. **observed** — a fleet report carries per-stage calls and seconds
    (plan, detect, attribute, execute), and — when an
@@ -23,9 +23,9 @@ deployment simulation), every assessment is
    structured spans and metrics through :mod:`repro.obs`.
 
 Results never depend on batching or batch order: stacked scoring is
-bitwise the per-series pipeline, and a job's detector is built from its
-:class:`~repro.engine.jobs.DetectorSpec` with a seed derived from the
-job identity alone.
+bitwise the per-series pipeline, and a baseline job's detector is built
+from its :class:`~repro.engine.jobs.DetectorSpec` with a seed derived
+from the job identity alone.
 """
 
 from ..obs import ObsContext
@@ -33,12 +33,11 @@ from .batching import (BATCHABLE_DETECTORS, AttributionBatch, DetectBatch,
                        DetectionRecord, plan_detect_batches,
                        run_attribution_batch, run_detect_batch)
 from .cache import BaselineStatsCache, reset_shared_cache, shared_cache
-from .detectors import (build_detector, detector_names, register_detector,
-                        spec_for_method)
+from .detectors import spec_for_method
 from .engine import AssessmentEngine, FleetAssessmentReport
 from .executor import EngineConfig, execute_jobs, job_seed, run_job
 from .fleet import FleetScenarioSpec, SyntheticFleetSource
-from .jobs import AssessmentJob, Detector, DetectorSpec, ItemOutcome, JobResult
+from .jobs import AssessmentJob, DetectorSpec, ItemOutcome, JobResult
 from .planner import (ENTITY_METRICS, FetchedWindow, job_from_item,
                       jobs_from_items, plan_change_jobs)
 
@@ -46,12 +45,12 @@ __all__ = [
     "AssessmentEngine", "AssessmentJob", "AttributionBatch",
     "BATCHABLE_DETECTORS", "BaselineStatsCache",
     "DetectBatch", "DetectionRecord",
-    "Detector", "DetectorSpec", "EngineConfig", "ENTITY_METRICS",
+    "DetectorSpec", "EngineConfig", "ENTITY_METRICS",
     "FetchedWindow", "FleetAssessmentReport", "FleetScenarioSpec",
     "ItemOutcome", "JobResult", "ObsContext", "SyntheticFleetSource",
-    "build_detector", "detector_names", "execute_jobs", "job_from_item",
+    "execute_jobs", "job_from_item",
     "job_seed", "jobs_from_items", "plan_change_jobs",
-    "plan_detect_batches", "register_detector", "reset_shared_cache",
+    "plan_detect_batches", "reset_shared_cache",
     "run_attribution_batch", "run_detect_batch", "run_job",
     "shared_cache", "spec_for_method",
 ]

@@ -1,4 +1,4 @@
-"""Cross-series batched detection: the two stages of the executor's route.
+"""Cross-series batched detection: the FUNNEL-family stages of the executor.
 
 * **Batched detect stage** (:func:`plan_detect_batches` /
   :func:`run_detect_batch`): funnel-family jobs whose treated aggregates
@@ -8,12 +8,15 @@
   of one full pipeline invocation per job.
 * **Attribution stage** (:class:`AttributionBatch` /
   :func:`run_attribution_batch`): only jobs that *declared* a change
-  proceed to the per-item DiD attribution; the baselines
-  (CUSUM/MRLS/WoW) pass through ``run_job`` per item.
+  proceed to the per-item DiD attribution.  The baselines
+  (CUSUM/MRLS/WoW) are not planned here: they run through
+  :func:`repro.engine.executor.run_job` one job at a time.
 
 Because ``Funnel.detect_batch`` is bitwise the per-series pipeline (see
-:meth:`repro.core.ika.IkaSST.scores_batch`), results equal what
-``run_job`` returns for each job on its own.
+:meth:`repro.core.ika.IkaSST.scores_batch`), a ``funnel`` job's result
+equals what :meth:`~repro.core.funnel.Funnel.assess` gives its item on
+its own, and an ``improved_sst`` job's what
+``Funnel.detect(first_only=True)`` does.
 """
 
 from __future__ import annotations
@@ -113,9 +116,9 @@ def plan_detect_batches(
 def run_detect_batch(batch: DetectBatch) -> List[DetectionRecord]:
     """Score one stacked batch.
 
-    Baseline statistics come from the process-wide shared cache exactly
-    as the per-item detectors' ``_baseline_stats_for`` fetches them, so
-    cached and uncached jobs normalise bitwise identically.
+    A row whose job carries a ``baseline_key`` takes its pre-change
+    (median, MAD) from the process-wide shared cache; cache hits are
+    bitwise what the stacked normalisation computes itself.
     """
     funnel = Funnel(batch.spec.option("funnel_config"))
     cache = shared_cache()
@@ -141,7 +144,7 @@ def detect_only_result(job: AssessmentJob, spec_name: str,
     """The final result for a job whose batched answer needs no DiD.
 
     Covers improved_sst (positive iff anything declared) and funnel
-    negatives — mirroring the per-item detectors' outcome construction.
+    negatives.
     """
     changes = record.changes
     if spec_name == "improved_sst" and changes:
@@ -170,12 +173,9 @@ class AttributionBatch:
 
 def run_attribution_batch(
         batch: AttributionBatch) -> List[Tuple[int, JobResult]]:
-    """Attribute each declared change.
-
-    Mirrors the second half of
-    :class:`~repro.engine.detectors.FunnelEngineDetector.assess` —
-    identical inputs, identical :class:`~repro.types.Assessment`.
-    """
+    """Attribute each declared change with
+    :meth:`~repro.core.funnel.Funnel.attribute` — the second half of
+    :meth:`~repro.core.funnel.Funnel.assess`."""
     funnels: Dict[DetectorSpec, Funnel] = {}
     out: List[Tuple[int, JobResult]] = []
     for job, position, change, detect_seconds in zip(

@@ -1,4 +1,4 @@
-"""The engine facade: detectors + executor + stage timings in one call.
+"""The engine facade: detector specs + executor + stage timings in one call.
 
 :class:`AssessmentEngine` is what the entry layers use — the CLI's
 ``assess-fleet``, the evaluation harness and the deployment simulation
@@ -126,20 +126,19 @@ class AssessmentEngine:
     """One configured engine: detector specs + executor sizing.
 
     ``detectors`` accepts method names (resolved through
-    :func:`~repro.engine.detectors.spec_for_method` with the given
-    parameter sets) or ready-made :class:`DetectorSpec` objects.
+    :func:`~repro.engine.detectors.spec_for_method`, the FUNNEL-family
+    ones with ``funnel_config``) or ready-made :class:`DetectorSpec`
+    objects — a tuned baseline goes in as its spec.
     """
 
     def __init__(self,
                  detectors: Iterable[Union[str, DetectorSpec]] = ("funnel",),
                  config: Optional[EngineConfig] = None,
-                 funnel_config=None, cusum_params=None, mrls_params=None,
-                 wow_params=None,
+                 funnel_config=None,
                  obs: Optional[ObsContext] = None) -> None:
         self.specs: Tuple[DetectorSpec, ...] = tuple(
-            spec if isinstance(spec, DetectorSpec) else spec_for_method(
-                spec, funnel_config=funnel_config, cusum_params=cusum_params,
-                mrls_params=mrls_params, wow_params=wow_params)
+            spec if isinstance(spec, DetectorSpec)
+            else spec_for_method(spec, funnel_config=funnel_config)
             for spec in detectors
         )
         if not self.specs:
@@ -151,28 +150,20 @@ class AssessmentEngine:
         """Execute a prepared job stream (results in input order)."""
         return execute_jobs(jobs, config=self.config, obs=self.obs)
 
-    def assess_fleet(self, source) -> FleetAssessmentReport:
+    def assess_fleet(
+            self, source
+    ) -> Tuple[FleetAssessmentReport, List[AssessmentJob], List[JobResult]]:
         """Plan, execute and summarise a fleet source's full job set.
 
         ``source`` is any object with ``plan_jobs(specs, obs) ->
         Iterable[AssessmentJob]`` — e.g.
-        :class:`~repro.engine.fleet.SyntheticFleetSource`.
+        :class:`~repro.engine.fleet.SyntheticFleetSource`.  Returns
+        ``(report, jobs, results)``: the report, plus the planned jobs
+        and their results in plan order, which the report folds away.
 
         With an observability context attached, the whole run lives
         under one ``assess_fleet`` root span: planning and fetching
         spans from the planner, then the executor's span tree.
-        """
-        report, _, _ = self.assess_fleet_detailed(source)
-        return report
-
-    def assess_fleet_detailed(
-            self, source
-    ) -> Tuple[FleetAssessmentReport, List[AssessmentJob], List[JobResult]]:
-        """:meth:`assess_fleet`, additionally returning the per-job data.
-
-        The live replay driver compares its streamed verdicts against
-        the zipped ``(jobs, results)``; the report alone folds that
-        detail away.
         """
         root = (self.obs.tracer.span("assess_fleet") if self.obs is not None
                 else nullcontext())

@@ -5,37 +5,40 @@ and returns one :class:`~repro.engine.jobs.JobResult` per job, in input
 order.  There is one execution route (:func:`execute_jobs`), run inline
 in the calling process:
 
-1. funnel-family jobs are grouped by detector spec and series length
-   into stacks of at most :attr:`EngineConfig.batch_size` rows and each
-   stack is scored with one :meth:`~repro.core.funnel.Funnel.detect_batch`
-   call (see :mod:`repro.engine.batching`);
+1. FUNNEL-family jobs (``funnel``, ``improved_sst``) are grouped by
+   detector spec and series length into stacks of at most
+   :attr:`EngineConfig.batch_size` rows and each stack is scored with
+   one :meth:`~repro.core.funnel.Funnel.detect_batch` call (see
+   :mod:`repro.engine.batching`);
 2. only the funnel jobs that declared a change proceed to DiD
    attribution, in batches of the same size;
 3. the baselines (CUSUM / MRLS / WoW), which have no stacked detect
-   stage, pass through :func:`run_job` one by one.
+   stage, run one by one through :func:`run_job`.
 
 **Results are a pure function of the job list.**  ``detect_batch`` is
-bitwise the per-series pipeline, and a passthrough job builds its own
-detector whose seed derives only from the job's identity
+bitwise the per-series pipeline (the tests hold the stacked route to
+:meth:`~repro.core.funnel.Funnel.assess` per job), and a baseline job
+builds its own detector whose seed derives only from the job's identity
 (:func:`job_seed` — a CRC of the detector name, job id and job seed).
 No detector state, RNG position, cache content or batch order can leak
-between jobs, whatever the batch size.  :func:`run_job` (one job, its
-detector's full ``assess``) is the oracle the tests hold the stacked
-route to.
+between jobs, whatever the batch size.
 
 With an :class:`~repro.obs.ObsContext` attached, every stage records its
-spans under the one ``execute`` span and its metrics into the context's
-registry as it runs.
+spans under the one ``execute`` span — a ``detect_batch`` per stack, an
+``attribute_batch`` per batch of declared jobs, a ``job`` per baseline
+job — and its metrics into the context's registry as it runs.
 """
 
 from __future__ import annotations
 
+import time
 import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-from ..exceptions import EngineError
+from ..core.scoring import _reportable
+from ..exceptions import EngineError, InsufficientDataError
 from ..obs import ObsContext
 from ..obs.metrics import LATENCY_BUCKETS
 from .batching import (BATCHED_BATCHES_METRIC, BATCHED_CAPACITY_METRIC,
@@ -44,8 +47,8 @@ from .batching import (BATCHED_BATCHES_METRIC, BATCHED_CAPACITY_METRIC,
                        plan_detect_batches, run_attribution_batch,
                        run_detect_batch)
 from .cache import shared_cache
-from .detectors import build_detector
-from .jobs import AssessmentJob, JobResult
+from .detectors import baseline_detector
+from .jobs import AssessmentJob, ItemOutcome, JobResult
 
 __all__ = ["EngineConfig", "job_seed", "run_job", "execute_jobs"]
 
@@ -62,9 +65,8 @@ class EngineConfig:
     """Executor knobs.
 
     Attributes:
-        batch_size: jobs per executor task — rows per detect stack, jobs
-            per attribution or passthrough batch.  Larger batches
-            amortise per-call cost.
+        batch_size: rows per detect stack and jobs per attribution
+            batch.  Larger batches amortise per-call cost.
     """
 
     batch_size: int = 16
@@ -87,18 +89,26 @@ def job_seed(job: AssessmentJob) -> int:
 
 
 def run_job(job: AssessmentJob) -> JobResult:
-    """Assess one job with a freshly built, deterministically seeded detector.
+    """Assess one baseline (CUSUM / MRLS / WoW) job on its treated aggregate.
 
-    The passthrough route of the baselines, and the per-job oracle for
-    the stacked funnel route.
+    The detector is built fresh from the spec, seeded with
+    :func:`job_seed`.  Detections starting before the software change
+    (1-bin slack for start estimation jitter) are by definition not
+    caused by it and are dropped; a series too short for the method
+    counts as a negative.
     """
-    detector = build_detector(job.detector, seed=job_seed(job))
-    return detector.assess(job)
-
-
-def _run_batch(jobs: Sequence[AssessmentJob]) -> List[JobResult]:
-    """One passthrough batch."""
-    return [run_job(job) for job in jobs]
+    detector = baseline_detector(job.detector, job_seed(job))
+    started = time.perf_counter()
+    try:
+        changes = detector.detect(job.treated_aggregate, first_only=False)
+    except InsufficientDataError:
+        changes = []
+    relevant = [c for c in changes if _reportable(c, job.change_index)]
+    detect_seconds = time.perf_counter() - started
+    outcome = (ItemOutcome(positive=True, detection_index=relevant[0].index)
+               if relevant else ItemOutcome(positive=False))
+    return JobResult(job_id=job.job_id, detector=job.detector.name,
+                     outcome=outcome, timings=(("detect", detect_seconds),))
 
 
 def _latency(obs: ObsContext):
@@ -121,36 +131,33 @@ def _count_cache_delta(obs: ObsContext, hits_before: int,
             cache.misses - misses_before)
 
 
-def _run_batch_observed(jobs: Sequence[AssessmentJob], obs: ObsContext,
-                        position: int) -> List[JobResult]:
-    """One passthrough batch with spans for the batch, each job and each
-    detector stage, plus its counters and the cache traffic it caused."""
+def _run_baselines(jobs: Sequence[AssessmentJob],
+                   obs: Optional[ObsContext]) -> List[JobResult]:
+    """The baseline jobs through :func:`run_job`; with ``obs``, one
+    ``job`` span each, a span per detector stage, and the counters."""
+    if obs is None:
+        return [run_job(job) for job in jobs]
     tracer = obs.tracer
     jobs_total = obs.metrics.counter(JOBS_METRIC, help="Jobs assessed.")
     positives = obs.metrics.counter(POSITIVES_METRIC,
                                     help="Jobs assessed positive.")
     latency = _latency(obs)
-    hits_before, misses_before = shared_cache().counters()
-
     results: List[JobResult] = []
-    with tracer.span("batch", batch=position, jobs=len(jobs)):
-        for job in jobs:
-            detector = job.detector.name
-            with tracer.span("job", detector=detector, job_id=job.job_id,
-                             entity=job.entity, metric=job.metric) as span:
-                result = run_job(job)
-            stage_start = span.start_unix
-            for stage, seconds in result.timings:
-                tracer.record(stage, seconds, parent_id=span.span_id,
-                              start_unix=stage_start, detector=detector)
-                latency.observe(seconds, detector=detector, stage=stage)
-                stage_start += seconds
-            jobs_total.inc(detector=detector)
-            if result.positive:
-                positives.inc(detector=detector)
-            results.append(result)
-
-    _count_cache_delta(obs, hits_before, misses_before)
+    for job in jobs:
+        detector = job.detector.name
+        with tracer.span("job", detector=detector, job_id=job.job_id,
+                         entity=job.entity, metric=job.metric) as span:
+            result = run_job(job)
+        stage_start = span.start_unix
+        for stage, seconds in result.timings:
+            tracer.record(stage, seconds, parent_id=span.span_id,
+                          start_unix=stage_start, detector=detector)
+            latency.observe(seconds, detector=detector, stage=stage)
+            stage_start += seconds
+        jobs_total.inc(detector=detector)
+        if result.positive:
+            positives.inc(detector=detector)
+        results.append(result)
     return results
 
 
@@ -236,9 +243,8 @@ def _execute_batched(jobs: Iterable[AssessmentJob], config: EngineConfig,
 
     Funnel-family jobs are grouped by series length into stacked
     batches.  Only jobs whose batched detect declared a change go on to
-    the attribution stage; baseline detectors pass through
-    :func:`run_job` in batches.  Results are bitwise what
-    :func:`run_job` returns per job, in input order.
+    the attribution stage; the baselines run through :func:`run_job`.
+    Results come back in input order.
     """
     job_list = list(jobs)
     size = config.batch_size
@@ -274,12 +280,7 @@ def _execute_batched(jobs: Iterable[AssessmentJob], config: EngineConfig,
         for position, result in output:
             results[position] = result
 
-    passthrough_batches = [
-        [job_list[p] for p in passthrough[start:start + size]]
-        for start in range(0, len(passthrough), size)]
-    outputs = _run_stage(passthrough_batches, _run_batch_observed,
-                         _run_batch, obs)
-    for position, result in zip(passthrough,
-                                (r for output in outputs for r in output)):
+    baselines = _run_baselines([job_list[p] for p in passthrough], obs)
+    for position, result in zip(passthrough, baselines):
         results[position] = result
     return [results[position] for position in range(len(job_list))]

@@ -5,24 +5,23 @@ entity, KPI) item plus the :class:`DetectorSpec` naming the method that
 must assess it.  Jobs are frozen value objects — numpy payloads plus
 parameter dataclasses — so a job means the same thing in any batch.
 
-A :class:`Detector` (the protocol every method implements) turns a job
-into a :class:`JobResult`.  :class:`ItemOutcome` is the method-agnostic
-detection answer the evaluation harness consumes; it used to live in
-:mod:`repro.eval.runner` and is re-exported from there for
-compatibility.
+The executor (:func:`repro.engine.executor.execute_jobs`) turns each
+job into a :class:`JobResult`.  :class:`ItemOutcome` is the
+method-agnostic detection answer the evaluation harness consumes; it
+used to live in :mod:`repro.eval.runner` and is re-exported from there
+for compatibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, Tuple, runtime_checkable
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..types import Verdict
 
-__all__ = ["ItemOutcome", "DetectorSpec", "AssessmentJob", "JobResult",
-           "Detector"]
+__all__ = ["ItemOutcome", "DetectorSpec", "AssessmentJob", "JobResult"]
 
 
 @dataclass(frozen=True)
@@ -40,13 +39,13 @@ class ItemOutcome:
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """A serialisable recipe for building a registered detector.
+    """A hashable recipe for one method's detector.
 
     ``options`` is a sorted tuple of ``(key, value)`` pairs (parameter
-    dataclasses, thresholds, ...) forwarded to the detector factory.
-    Specs — not detector instances — travel with jobs, so every worker
-    (and every job, see :func:`repro.engine.executor.execute_jobs`)
-    builds its own detector deterministically.
+    dataclasses, thresholds, ...) the detector is built with.  Specs —
+    not detector instances — travel with jobs: the executor stacks the
+    FUNNEL-family jobs of one spec, and builds each baseline job its
+    own detector (:func:`repro.engine.executor.run_job`).
     """
 
     name: str
@@ -72,8 +71,8 @@ class AssessmentJob:
 
     Attributes:
         job_id: caller-assigned identity; with ``seed`` and the detector
-            name it determines the detector's random seed, which is what
-            makes parallel execution bit-identical to serial.
+            name it determines the detector's random seed, so a job's
+            result does not depend on the batch it runs in.
         detector: the method that must assess this job.
         change_index: bin index of the software change in ``treated``.
         treated: treated measurements, ``(units, bins)`` or one series.
@@ -114,8 +113,9 @@ class AssessmentJob:
 class JobResult:
     """A detector's full answer for one job.
 
-    ``timings`` holds per-stage wall-clock seconds measured inside the
-    detector (``detect``, ``attribute``); a fleet report sums them into
+    ``timings`` holds per-stage wall-clock seconds (``detect``,
+    ``attribute``; a stacked detect's time is shared evenly by its
+    rows); a fleet report sums them into
     :attr:`~repro.engine.engine.FleetAssessmentReport.stages`.
     """
 
@@ -129,20 +129,3 @@ class JobResult:
     @property
     def positive(self) -> bool:
         return self.outcome.positive
-
-
-@runtime_checkable
-class Detector(Protocol):
-    """The one contract every assessment method implements.
-
-    Implementations must be stateless across :meth:`assess` calls (or
-    derive all randomness from construction-time seeds): the engine
-    builds one instance per job so that results are independent of
-    batching and scheduling.
-    """
-
-    name: str
-
-    def assess(self, job: AssessmentJob) -> JobResult:
-        """Assess one job and return the full result."""
-        ...

@@ -28,7 +28,7 @@ from ..baselines.cusum import CusumParams
 from ..baselines.mrls import MrlsParams
 from ..core.funnel import FunnelConfig
 from ..engine import (EngineConfig, ItemOutcome, ObsContext, execute_jobs,
-                      job_from_item, run_job, spec_for_method)
+                      job_from_item, spec_for_method)
 from ..engine.jobs import AssessmentJob, DetectorSpec
 from ..exceptions import EngineError, EvaluationError
 from ..synthetic.dataset import EvaluationItem
@@ -49,9 +49,9 @@ METHOD_NAMES = ("funnel", "improved_sst", "cusum", "mrls")
 class EngineMethod:
     """A method adapter backed by an engine detector spec.
 
-    Calling it assesses one item exactly as the batched executor would
-    (same per-job detector construction, same seed), so the one-item
-    convenience path and :func:`evaluate_corpus` cannot diverge.
+    Calling it runs one item through :func:`~repro.engine.execute_jobs`,
+    the route :func:`evaluate_corpus` takes, so the one-item
+    convenience path and the corpus run cannot diverge.
     """
 
     def __init__(self, spec: DetectorSpec) -> None:
@@ -59,7 +59,7 @@ class EngineMethod:
         self.name = spec.name
 
     def __call__(self, item: EvaluationItem) -> ItemOutcome:
-        return run_job(job_from_item(item, self.spec)).outcome
+        return execute_jobs([job_from_item(item, self.spec)])[0].outcome
 
 
 def make_method(name: str, funnel_config: Optional[FunnelConfig] = None,

@@ -92,7 +92,7 @@ def offline_verdict_records(source: SyntheticFleetSource,
     """The offline engine's answers, shaped for the parity comparison."""
     engine = AssessmentEngine(detectors=("funnel",),
                               funnel_config=funnel_config)
-    _, jobs, results = engine.assess_fleet_detailed(source)
+    _, jobs, results = engine.assess_fleet(source)
     records = []
     for job, result in zip(jobs, results):
         verdict = (result.verdict.value if result.verdict is not None

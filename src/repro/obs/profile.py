@@ -3,7 +3,7 @@
 Consumes :class:`~repro.obs.tracing.SpanRecord` rows — live from an
 :class:`~repro.obs.context.ObsContext` or loaded back from run
 artifacts — and aggregates them by *path* (the chain of span names from
-the root, e.g. ``execute > batch > job > detect``).  Per path it
+the root, e.g. ``execute > job > detect``).  Per path it
 reports calls, total wall-clock, and **self** time (total minus the
 time covered by child spans), which is what separates "the executor is
 slow" from "the detectors it runs are slow".

@@ -46,6 +46,9 @@ class DeploymentSpec:
 
     ``scale`` multiplies the paper's daily volumes; the default keeps a
     single day at ~a hundred changes so the whole week runs in minutes.
+    A day's KPIs come from one evaluation corpus, which holds at most
+    9,982 items, so the monitored KPIs (and Table 3's counts) stop
+    growing above ``scale`` ≈ 0.0044 (9,982 / 2,256,390).
     """
 
     scale: float = 0.004
@@ -174,8 +177,9 @@ def simulate_week(spec: Optional[DeploymentSpec] = None,
     Each day's KPI stream goes through the batched assessment engine in
     chunks of ``batch_size * 4`` items.  ``obs`` (an
     :class:`~repro.obs.ObsContext`) collects the week's spans and
-    metrics — one ``day`` span per simulated day with the engine's
-    execute/batch/job tree underneath.
+    metrics — one ``day`` span per simulated day with one engine
+    ``execute`` tree (``detect_batch`` / ``attribute_batch``) per chunk
+    underneath.
     """
     spec = spec or DeploymentSpec()
     detector = spec_for_method("funnel", funnel_config=funnel_config)

@@ -3,9 +3,10 @@
 The executor's one route restructures execution — stacked detect, then
 per-item attribution for declared funnel jobs only — but the contract is
 that stacking changes throughput, never results.  These tests pin
-``execute_jobs`` == ``run_job`` per job (the retained oracle: one job,
-its detector's full ``assess``) bit-identically, the batch planner's
-grouping rules, and the batching counters.
+``execute_jobs`` bit-identically to the core pipeline on each job alone
+(``tests/engine/oracle.py``: ``Funnel.assess`` for ``funnel``,
+``Funnel.detect`` for ``improved_sst``, ``run_job`` for the baselines),
+the batch planner's grouping rules, and the batching counters.
 """
 
 import numpy as np
@@ -14,11 +15,13 @@ import pytest
 from repro.engine import (BATCHABLE_DETECTORS, EngineConfig,
                           FleetScenarioSpec, SyntheticFleetSource,
                           execute_jobs, plan_detect_batches,
-                          reset_shared_cache, run_job, spec_for_method)
+                          reset_shared_cache, spec_for_method)
 from repro.engine.batching import (BATCHED_BATCHES_METRIC,
                                    BATCHED_CAPACITY_METRIC,
                                    BATCHED_JOBS_METRIC)
 from repro.obs import ObsContext
+
+from .oracle import assert_identical, oracle_results
 
 #: Multi-treated scenario: every change dark-launches onto >= 2 servers,
 #: so per-entity series repeat across a change's jobs.
@@ -48,30 +51,20 @@ def _run(jobs, **config):
 
 
 def _oracle(jobs):
-    """Every job on its own through its detector's full pipeline."""
+    """Every job on its own through the core pipeline."""
     reset_shared_cache()
-    return [run_job(job) for job in jobs]
-
-
-def _assert_identical(a, b):
-    assert len(a) == len(b)
-    for left, right in zip(a, b):
-        assert left.job_id == right.job_id
-        assert left.detector == right.detector
-        assert left.outcome == right.outcome
-        assert left.verdict == right.verdict
-        assert left.did_estimate == right.did_estimate
+    return oracle_results(jobs)
 
 
 class TestBatchedParity:
     def test_serial_batched_equals_per_item(self, mixed_jobs):
         batched = _run(mixed_jobs, batch_size=8)
-        _assert_identical(_oracle(mixed_jobs), batched)
+        assert_identical(_oracle(mixed_jobs), batched)
 
     def test_batch_size_does_not_matter(self, mixed_jobs):
         small = _run(mixed_jobs, batch_size=2)
         large = _run(mixed_jobs, batch_size=64)
-        _assert_identical(small, large)
+        assert_identical(small, large)
 
 
 class TestBatchPlanning:

@@ -1,23 +1,28 @@
 """Tests for the fleet-scale assessment engine.
 
 The load-bearing property is parity: the executor must return
-bit-identical outcomes whatever the batch size, because every detector
-is rebuilt per job with a seed derived from the job's identity alone.
+bit-identical results whatever the batch size, and equal to the core
+pipeline on each job alone (``tests/engine/oracle.py``) — stacked
+scoring is bitwise the per-series pipeline, and a baseline job's
+detector is built with a seed derived from the job's identity alone.
 """
 
 import pytest
 
-from repro.core import Funnel
-from repro.engine import (AssessmentEngine, AssessmentJob, Detector,
-                          DetectorSpec, EngineConfig, FleetScenarioSpec,
-                          ItemOutcome, SyntheticFleetSource, build_detector,
-                          detector_names, execute_jobs, job_from_item,
+from repro.engine import (AssessmentEngine, AssessmentJob, DetectorSpec,
+                          EngineConfig, FleetScenarioSpec, ItemOutcome,
+                          SyntheticFleetSource, execute_jobs, job_from_item,
                           job_seed, jobs_from_items, reset_shared_cache,
-                          run_job, shared_cache, spec_for_method)
+                          shared_cache, spec_for_method)
 from repro.engine.planner import ENTITY_METRICS
 from repro.eval.runner import evaluate_corpus, make_method
 from repro.exceptions import EngineError
 from repro.synthetic.dataset import CorpusSpec, EvaluationCorpus
+
+from .oracle import assert_identical, oracle_results
+
+#: Every method name the engine runs.
+METHODS = ("funnel", "improved_sst", "cusum", "mrls", "wow")
 
 
 @pytest.fixture(scope="module")
@@ -39,20 +44,19 @@ def _clean_state():
 
 
 class TestRegistry:
-    def test_builtin_detectors_registered(self):
-        names = detector_names()
-        for expected in ("funnel", "improved_sst", "cusum", "mrls", "wow"):
-            assert expected in names
+    """Method names, their specs, and the executor's answer per name."""
 
-    def test_built_detectors_satisfy_protocol(self):
-        for name in detector_names():
-            detector = build_detector(spec_for_method(name), seed=1)
-            assert isinstance(detector, Detector)
-            assert detector.name == name
+    def test_every_method_runs_under_its_own_name(self, tiny_corpus):
+        jobs = [job_from_item(tiny_corpus[0], spec_for_method(name))
+                for name in METHODS]
+        results = execute_jobs(jobs)
+        assert [r.detector for r in results] == list(METHODS)
+        assert [r.job_id for r in results] == [j.job_id for j in jobs]
 
-    def test_unknown_name_raises(self):
+    def test_unknown_name_raises(self, tiny_corpus):
+        job = job_from_item(tiny_corpus[0], DetectorSpec.create("prophet"))
         with pytest.raises(EngineError):
-            build_detector(DetectorSpec.create("prophet"))
+            execute_jobs([job])
         with pytest.raises(EngineError):
             spec_for_method("prophet")
         with pytest.raises(EngineError, match="at least one detector"):
@@ -105,11 +109,17 @@ class TestParity:
                 (other.tp, other.tn, other.fp, other.fn)
 
     def test_single_item_path_matches_executor(self, tiny_corpus):
-        adapter = make_method("cusum")
-        item = tiny_corpus[0]
-        via_adapter = adapter(item)
-        via_engine = run_job(job_from_item(item, adapter.spec)).outcome
-        assert via_adapter == via_engine
+        """A one-item call answers what the core pipeline does, for a
+        positive item and a negative one, under every method name."""
+        items = [next(i for i in tiny_corpus if i.truth.positive),
+                 next(i for i in tiny_corpus if not i.truth.positive)]
+        for name in METHODS:
+            adapter = make_method(name)
+            for item in items:
+                job = job_from_item(item, adapter.spec)
+                via_engine = execute_jobs([job])
+                assert_identical(via_engine, oracle_results([job]))
+                assert adapter(item) == via_engine[0].outcome
 
     def test_invalid_config(self):
         with pytest.raises(EngineError):
@@ -121,21 +131,8 @@ class TestParity:
 class TestBaselineCache:
     """The shared cache serves fleet jobs, whose keys name a change,
     entity and KPI; corpus items carry no key (their ids restart at 0 in
-    every corpus), so whatever ran before, each item gets the verdict
+    every corpus), so whatever ran before, each item gets the answer
     per-item ``Funnel.assess`` gives it."""
-
-    @staticmethod
-    def _funnel_outcomes(items):
-        funnel = Funnel()
-        outcomes = []
-        for item in items:
-            assessment = funnel.assess(item.treated, item.change_index,
-                                       control=item.control,
-                                       history=item.history)
-            index = assessment.change.index if assessment.change else None
-            outcomes.append(ItemOutcome(positive=assessment.positive,
-                                        detection_index=index))
-        return outcomes
 
     @pytest.mark.parametrize("seeds", [(99, 7), (7, 99)])
     def test_corpora_with_overlapping_ids_match_funnel(self, tiny_corpus,
@@ -145,10 +142,8 @@ class TestBaselineCache:
                                                        seed=7)))}
         spec = spec_for_method("funnel")
         for seed in seeds:
-            items = corpora[seed]
-            results = execute_jobs(jobs_from_items(items, spec))
-            assert [r.outcome for r in results] == \
-                self._funnel_outcomes(items)
+            jobs = list(jobs_from_items(corpora[seed], spec))
+            assert_identical(execute_jobs(jobs), oracle_results(jobs))
 
     def test_second_spec_hits_cache(self, fleet_source):
         fleet_jobs = list(fleet_source.plan_jobs([spec_for_method("funnel")]))
@@ -164,7 +159,8 @@ class TestBaselineCache:
         cold = execute_jobs(fleet_jobs)
         warm = execute_jobs(fleet_jobs)
         assert shared_cache().hits == len(fleet_jobs)
-        assert [r.outcome for r in cold] == [r.outcome for r in warm]
+        assert_identical(cold, warm)
+        assert_identical(warm, oracle_results(fleet_jobs))
 
 
 class TestReportStages:
@@ -173,7 +169,7 @@ class TestReportStages:
             reset_shared_cache()
             return AssessmentEngine(
                 detectors=("funnel",),
-                config=EngineConfig(**config)).assess_fleet(fleet_source)
+                config=EngineConfig(**config)).assess_fleet(fleet_source)[0]
 
         report = run()
         stages = report.stages
@@ -203,7 +199,8 @@ class TestFleetPlanning:
 
     def test_assess_fleet_report(self, fleet_source):
         engine = AssessmentEngine(detectors=("funnel",))
-        report = engine.assess_fleet(fleet_source)
+        report, jobs, results = engine.assess_fleet(fleet_source)
+        assert [r.job_id for r in results] == [j.job_id for j in jobs]
         doc = report.as_dict()
         assert doc["jobs"] > 0
         stats = doc["detectors"]["funnel"]

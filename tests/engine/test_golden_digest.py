@@ -1,9 +1,9 @@
 """Cross-commit pin: the engine's results on one small fixed scenario.
 
 The engine's other parity tests compare two routes *inside one commit*
-(``execute_jobs`` against ``run_job`` per job, small against large
-stacks), so a change to the declaration rule that moves both sides
-together passes them all.  ``tests/live/test_golden_digest.py`` pins the live plane, but
+(``execute_jobs`` against the core pipeline per job in
+``tests/engine/oracle.py``, small against large stacks), so a change to
+the declaration rule that moves both sides together passes them all.  ``tests/live/test_golden_digest.py`` pins the live plane, but
 its replay never runs the engine.  The values below were recorded at
 commit 83747e2 (PR 19), **before** the declaration pass learned to stop
 at a row's first reportable change, by running this module there; engine

@@ -3,8 +3,8 @@
 The span tree is the stacked route's: one ``detect_batch`` span per
 stack and one ``attribute_batch`` span per batch of declared jobs, all
 parented under the one ``execute`` span (funnel jobs get no per-job
-span — their cost is the stack's; only passthrough baselines are traced
-job by job).  Counters and histogram observation counts follow from the
+span — their cost is the stack's).  The baselines are traced job by
+job: one ``job`` span each, also directly under ``execute``.  Counters and histogram observation counts follow from the
 job list, and attaching obs never changes an outcome.
 """
 
@@ -103,6 +103,26 @@ class TestSerialSpanTree:
         assert {s.parent_id for s in batches} == {execute[0].span_id}
         assert {s.trace_id for s in spans} == {obs.tracer.trace_id}
 
+    def test_mixed_run_traces_baseline_jobs_under_execute(self):
+        source = SyntheticFleetSource(FleetScenarioSpec(
+            n_services=2, n_servers=8, n_changes=2, history_days=1, seed=3))
+        jobs = list(source.plan_jobs((spec_for_method("funnel"),
+                                      spec_for_method("cusum"))))
+        _, obs = _observed_run(jobs)
+        spans = obs.spans()
+        execute = [s for s in spans if s.name == "execute"]
+        assert len(execute) == 1
+        baseline_jobs = [s for s in spans if s.name == "job"]
+        per_detector = TallyCounter(job.detector.name for job in jobs)
+        assert len(baseline_jobs) == per_detector["cusum"] > 0
+        assert {s.parent_id for s in baseline_jobs} == {execute[0].span_id}
+        assert {dict(s.attrs)["detector"] for s in baseline_jobs} == \
+            {"cusum"}
+        assert "batch" not in {s.name for s in spans}
+        assert _counter_values(obs)["repro_engine_jobs_total"] == {
+            (("detector", name),): count
+            for name, count in per_detector.items()}
+
     def test_outcomes_identical_with_obs_off(self, fleet_jobs):
         reset_shared_cache()
         plain = execute_jobs(fleet_jobs, config=EngineConfig(batch_size=4))
@@ -119,7 +139,7 @@ class TestEngineObsSummary:
             n_services=2, n_servers=8, n_changes=2, history_days=1, seed=3))
         obs = ObsContext()
         engine = AssessmentEngine(detectors=("funnel",), obs=obs)
-        report = engine.assess_fleet(source)
+        report, _, _ = engine.assess_fleet(source)
         doc = report.as_dict()
         assert doc["obs"]["trace_id"] == obs.tracer.trace_id
         assert doc["obs"]["span_count"] == obs.span_count > 0
@@ -128,5 +148,6 @@ class TestEngineObsSummary:
     def test_report_omits_obs_when_unobserved(self):
         source = SyntheticFleetSource(FleetScenarioSpec(
             n_services=2, n_servers=8, n_changes=2, history_days=1, seed=3))
-        report = AssessmentEngine(detectors=("funnel",)).assess_fleet(source)
+        report, _, _ = AssessmentEngine(
+            detectors=("funnel",)).assess_fleet(source)
         assert "obs" not in report.as_dict()

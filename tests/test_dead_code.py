@@ -1,4 +1,5 @@
-"""No ``src/`` function is reached only from its own tests, or from nothing.
+"""No ``src/`` function is reached only from its own tests, or from nothing,
+and no ``src/`` module imports a name it never uses.
 
 A function counts as called when its name appears as a whole word in
 ``src/``, ``benchmarks/`` or ``examples/`` more often than it is defined
@@ -31,3 +32,39 @@ def test_every_src_function_has_a_caller():
     dead = sorted(where for name, places in defined.items()
                   if words[name] <= len(places) for where in places)
     assert not dead, "defined but never called:\n" + "\n".join(dead)
+
+
+def _bound_names(node):
+    """The names a module-level import binds (``import a.b`` binds ``a``)."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [alias.asname or alias.name.split(".")[0]
+            for alias in node.names if alias.name != "*"]
+
+
+def test_no_src_module_imports_a_name_it_never_uses():
+    """Module-level imports outside ``__init__.py`` re-exports are used:
+    their name appears as a ``Name`` node or in a string constant (an
+    ``__all__`` entry, a quoted annotation)."""
+    unused = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names, strings = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                strings.append(node.value)
+        text = "\n".join(strings)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for name in _bound_names(node):
+                if name not in names and not re.search(
+                        r"\b%s\b" % re.escape(name), text):
+                    unused.append("%s:%d %s" % (path.relative_to(ROOT),
+                                                node.lineno, name))
+    assert not unused, "imported but never used:\n" + "\n".join(unused)

@@ -148,10 +148,9 @@ class FaultyMetricStore:
 
     def append_batch(self, keys: Sequence[KpiKey], start_time: int,
                      block: np.ndarray) -> None:
-        """Block append, taken apart on purpose: every row becomes its
-        own fragment, rolls its own ingest fault and pushes through its
-        own shim decision, so a replay under a plan sees the exact
-        per-fragment fault sequence per-key appends would."""
+        """Block append, taken apart on purpose: every row is its own
+        fragment with its own ingest fault and push decision, exactly
+        the fault sequence per-key appends would see."""
         if len(block) != len(keys):
             raise ParameterError("block has %d rows for %d keys"
                                  % (len(block), len(keys)))
@@ -211,9 +210,8 @@ class FaultyMetricStore:
 
     def subscribe(self, keys: Iterable[KpiKey], callback: Callback,
                   batch_callback=None) -> Subscription:
-        # ``batch_callback`` is accepted but deliberately unused: push
-        # faults (drop / duplicate / reorder) are rolled per fragment,
-        # so deliveries must stay per-fragment through the shim.
+        # ``batch_callback`` goes unused on purpose: push faults are
+        # rolled per fragment, so pushes stay per fragment (the shim).
         shim = _PushShim(self.plan, callback, self._count)
         sub = self.inner.subscribe(keys, shim)
         shim.subscription = sub

@@ -1,32 +1,27 @@
 """The live assessor: fragments in, attributed verdicts out.
 
-One :class:`ChangeSession` exists per admitted software change.  It owns
-the change's ingest queues, one :class:`KpiTracker` (an
-:class:`~repro.live.detector.IncrementalDetector`) per monitored KPI,
-and growing buffers for the peer-control series.  The
-:class:`LiveAssessor` consumes drained fragments — a tick's drain as
-one :meth:`LiveAssessor.on_fragment_batch`, a lone fragment through
-:meth:`LiveAssessor.on_fragment`, the same healing step either way:
-treated fragments are buffered by their tracker, the tick's pool stage
-(:meth:`LiveAssessor.pool_score`) scores every tracker's pending segment
-in one stacked call and, for each declaration that fires, the DiD
-attribution of :meth:`repro.core.funnel.Funnel.attribute` runs on the
-buffered panels — peers for dark launches on machine-level KPIs, the
-history provider otherwise — and the verdict goes onto the bus.
+One :class:`ChangeSession` per admitted change owns its ingest queues,
+one :class:`KpiTracker` (an :class:`~repro.live.detector.
+IncrementalDetector`) per monitored KPI and growing peer-control
+buffers.  :meth:`LiveAssessor.on_fragment_batch` takes a drained
+:class:`~repro.telemetry.store.Block` (checked once) or fragment pairs,
+:meth:`LiveAssessor.on_fragment` a lone fragment; trackers only buffer,
+the tick's pool stage (:meth:`LiveAssessor.pool_score`) scores every
+pending segment in one stacked call, and each declaration is attributed
+by :meth:`repro.core.funnel.Funnel.attribute` on the buffered panels —
+peers for dark launches on machine-level KPIs, history otherwise.
 
-Panel equivalence with the offline engine: the DiD panels only read
-samples up to the declaration index (``post_hi = index + 1``), so
-attributing at declaration time from buffers is bit-identical to the
-offline engine slicing the full window.  When the declaring treated
-series is momentarily ahead of a control buffer (its peers' fragments
-for the same bin are still queued), the attribution parks on the
-session's pending list and retries as control fragments land.
+The DiD panels only read samples up to the declaration index, so
+attributing from buffers at declaration time is bit-identical to the
+offline engine slicing the full window.  When peers' fragments for the
+declaring bin are still queued, the attribution parks on the session's
+pending list and retries as control fragments land.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +31,7 @@ from ..exceptions import TelemetryError
 from ..obs.health import VERDICT_LAG_BUCKETS, VERDICT_LAG_METRIC
 from ..obs.metrics import MetricsRegistry
 from ..telemetry.kpi import KpiKey
+from ..telemetry.store import Block
 from ..telemetry.timeseries import TimeSeries
 from ..topology.impact import ImpactSet
 from ..types import DetectedChange
@@ -133,7 +129,8 @@ class ChangeSession:
 
     @property
     def watermark(self) -> Optional[int]:
-        """The event time every subscribed KPI is processed through."""
+        """The event time every subscribed KPI is processed through
+        (admission seeds each KPI, so a silent one holds it back)."""
         if not self.delivered_through:
             return None
         return min(self.delivered_through.values())
@@ -174,14 +171,26 @@ class LiveAssessor:
         self._heal(session, key, fragment, now)
 
     def on_fragment_batch(self, session: ChangeSession,
-                          batch: List[Tuple[KpiKey, TimeSeries]],
+                          batch: Iterable[Tuple[KpiKey, TimeSeries]],
                           now: int) -> None:
-        """Route one drained tick batch, fragment by fragment in order.
+        """Route one drained :class:`Block`, or ``(key, fragment)`` pairs.
 
+        A block is checked once: with no attribution parked, every row
+        continuing its key's watermark and the block ending by the
+        deadline, each row is delivered as it stands.  Otherwise — and
+        for pairs — every row heals (:meth:`_heal`) in the batch's order.
         Deliberately not a loop over :meth:`on_fragment` (nor the other
         way round): a caller that counts fragments by wrapping both
         entries, as the benchmark's trace does, would count them twice.
         """
+        if type(batch) is Block and not session.pending:
+            start, end = batch.start, batch.end
+            expected = session.expected_next.get
+            if start < end <= session.deadline and all(
+                    expected(key) == start for key in batch.keys):
+                for key, values in zip(batch.keys, batch.rows):
+                    self._deliver(session, key, values, end, now)
+                return
         for key, fragment in batch:
             self._heal(session, key, fragment, now)
 
@@ -189,14 +198,12 @@ class LiveAssessor:
               fragment: TimeSeries, now: int) -> None:
         """Deliver one fragment, healing a lossy push channel.
 
-        The push stream is treated as at-least-once and possibly holey:
-        past the in-order case, an exact redelivery is dropped, an
-        overlapping fragment trimmed to its unseen suffix, and one that
-        skips ahead either repaired from the durable store
-        (``repair_from_store``) or degrades the item to a ``gap`` verdict.
-        Deliveries are truncated at the session deadline: under a close
-        grace (``close_grace_seconds``) late releases can carry bins
-        beyond the assessment window, which must never reach a detector.
+        The push stream is at-least-once and possibly holey: an exact
+        redelivery is dropped, an overlap trimmed to its unseen suffix,
+        and a skip ahead repaired from the store (``repair_from_store``)
+        or degraded to a ``gap`` verdict.  Deliveries are truncated at
+        the session deadline: late releases under a close grace must
+        never reach a detector.
         """
         start, end = fragment.start, fragment.end
         if start >= session.deadline:
@@ -222,8 +229,8 @@ class LiveAssessor:
             if patch is None:       # degraded: only the watermarks move
                 self._mark_gap(session, key, fragment, expected)
             else:
-                self._deliver(session, key, patch, patch.end, now)
-        self._deliver(session, key, fragment, end, now)
+                self._deliver(session, key, patch.values, patch.end, now)
+        self._deliver(session, key, fragment.values, end, now)
 
     def _repair(self, key: KpiKey, lo: int, hi: int) -> Optional[TimeSeries]:
         """The missing ``[lo, hi)`` range read back from the store."""
@@ -245,7 +252,7 @@ class LiveAssessor:
         return patch
 
     def _deliver(self, session: ChangeSession, key: KpiKey,
-                 fragment: TimeSeries, end: int, now: int) -> None:
+                 values: np.ndarray, end: int, now: int) -> None:
         if session.delivered_through.get(key, end) <= end:   # never back
             session.delivered_through[key] = end
         session.expected_next[key] = end
@@ -253,12 +260,12 @@ class LiveAssessor:
         if tracker is not None:
             if not (tracker.done or tracker.degraded):
                 # Buffers only: the tick's pool stage scores and declares.
-                tracker.detector.extend(fragment.values)
+                tracker.detector.extend(values)
             return
 
         buffer = session.control_buffers.get(key)
         if buffer is not None and not buffer.degraded:
-            buffer.extend(fragment.values)
+            buffer.extend(values)
             if session.pending:
                 self._retry_pending(session, now)
 
@@ -267,14 +274,10 @@ class LiveAssessor:
     def pool_score(self, sessions: List[ChangeSession], now: int) -> int:
         """Score every open tracker's pending segment in one stacked call.
 
-        The scheduler calls this once per tick, after the drain and
-        before deadline closes: trackers buffered their fragments
-        without scoring, so one
-        :meth:`~repro.live.pool.DetectorPool.score_pending` pass here
-        computes exactly the scores a standalone
-        :class:`~repro.live.detector.IncrementalDetector` would have —
-        bitwise — and every declaration is attributed in pool order.
-        Returns the number of declarations found.
+        Once per tick, after the drain and before deadline closes: one
+        :meth:`~repro.live.pool.DetectorPool.score_pending` pass computes
+        bitwise the scores standalone detectors would, and attributes
+        every declaration in pool order.  Returns how many declared.
         """
         work: List[Tuple[ChangeSession, KpiTracker]] = []
         for session in sessions:
@@ -313,12 +316,10 @@ class LiveAssessor:
     def reconcile_session(self, session: ChangeSession, now: int) -> int:
         """Pull any store data the push channel never delivered.
 
-        Called at session close (deadline or shutdown) when
-        ``repair_from_store`` is on: a dropped *final* push has no later
-        arrival to trigger inline repair, so the tail is read back from
-        the store directly, capped at the session deadline so the live
-        detector never sees past the assessment window.  Returns the
-        number of keys that needed a catch-up read.
+        At session close with ``repair_from_store`` on: a dropped *final*
+        push has no later arrival to trigger inline repair, so the tail
+        is read back from the store, capped at the deadline.  Returns
+        the number of keys that needed a catch-up read.
         """
         if not self.config.repair_from_store or self.store is None:
             return 0

@@ -7,17 +7,11 @@ event-time watermarks (``expected_next`` / ``delivered_through``),
 control buffers, parked attributions and the verdicts already published.
 
 The format is chosen for **bit-identical resume**: float arrays cross as
-base64 of their little-endian float64 bytes (``"<f8"``), scalar floats
-as JSON ``repr``, both exact, and each
-:class:`~repro.live.detector.IncrementalDetector` writes its raw prefix,
-robust stats and scan cursor (not the normalised prefix, rebuilt on
-load).  A service restored with :func:`restore_service` therefore
-continues producing the very verdict bytes an uninterrupted run would —
-the property ``tests/live/test_checkpoint.py`` pins.  Format-1 files
-(arrays as JSON lists) still load.
-
-Checkpoints are written atomically (temp file + ``os.replace``), so a
-crash mid-write leaves the previous checkpoint intact.
+base64 ``"<f8"`` bytes, scalar floats as JSON ``repr``, and a detector
+writes its raw prefix, stats and scan cursor, so a service restored with
+:func:`restore_service` publishes the uninterrupted run's verdict bytes
+(``tests/live/test_checkpoint.py``).  Format-1 files (arrays as JSON
+lists) still load.  Writes are atomic (temp file + ``os.replace``).
 """
 
 from __future__ import annotations
@@ -25,7 +19,6 @@ from __future__ import annotations
 import base64
 import json
 import os
-from collections import deque
 from typing import List, Optional
 
 import numpy as np
@@ -62,22 +55,13 @@ def _snapshot_session(session: ChangeSession) -> dict:
     # a re-sorted dict would publish the same verdicts in a different
     # order and break bit-identical resume.  Insertion order is itself
     # deterministic (derived from the impact set), so the file is too.
-    queues = session.queues
-    fragments = [[_key3(key), fragment.start, fragment.values]
-                 for key, queue in queues._queues.items()
-                 for fragment in queue]
     return {
         "record": "session",
         "change_id": session.change_id,
         "priority": session.priority,
         "deadline": session.deadline,
         "verdicts": session.verdicts,
-        "queues": {
-            "shed": queues.shed,
-            "last_served": (None if queues._last_served is None
-                            else _key3(queues._last_served)),
-            "fragments": fragments,
-        },
+        "queues": session.queues.snapshot(),
         "expected_next": [[_key3(k), v]
                           for k, v in session.expected_next.items()],
         "delivered_through": [[_key3(k), v]
@@ -218,14 +202,12 @@ def _restore_session(service, record: dict) -> ChangeSession:
     queues = IngestQueues(config.queue_capacity, config.drop_policy,
                           service.metrics)
     qdoc = record["queues"]
-    for key3, start, values in qdoc["fragments"]:
-        queues._queues.setdefault(_unkey3(key3), deque()).append(TimeSeries(
-            start, service.store.bin_seconds,
-            decode_floats(values, "queues.fragments")))
-        queues.depth += 1
-    queues.shed = qdoc["shed"]
-    queues._last_served = (None if qdoc["last_served"] is None
-                           else _unkey3(qdoc["last_served"]))
+    queues.restore(
+        qdoc["shed"],
+        None if qdoc["last_served"] is None else _unkey3(qdoc["last_served"]),
+        [(_unkey3(key3), TimeSeries(start, service.store.bin_seconds,
+                                    decode_floats(values, "queues.fragments")))
+         for key3, start, values in qdoc["fragments"]])
 
     session = ChangeSession(change, impact, record["priority"],
                             record["deadline"], queues)

@@ -13,16 +13,23 @@ __all__ = ["LiveConfig", "DROP_OLDEST", "DROP_NEWEST"]
 DROP_OLDEST = "drop_oldest"
 DROP_NEWEST = "drop_newest"
 
+#: ``(field, smallest valid value)`` of every numeric knob.
+_LOWER_BOUNDS = (
+    ("assessment_window_seconds", 1), ("baseline_bins", 1),
+    ("queue_capacity", 1), ("max_fragments_per_tick", 0),
+    ("max_active_changes", 0), ("max_control_units", 1),
+    ("history_days", 0), ("score_chunk_bins", 1), ("fetch_retries", 0),
+    ("fetch_backoff_seconds", 0), ("fetch_timeout_seconds", 0),
+    ("close_grace_seconds", 0))
+
 
 @dataclass(frozen=True)
 class LiveConfig:
     """Knobs of the live pipeline (watcher, queues, scheduler, assessor).
 
-    There is one ingest path and one scoring path: a tick's block
-    reaches each session's queues as one batch, trackers buffer what
-    the tick drains, and the scheduler's pool stage decides every
-    pending tracker in one :func:`repro.live.detector.score_pass`
-    before any deadline close, which flushes the same way.
+    A tick reaches each session as one block that trackers only buffer;
+    the scheduler's pool stage decides every pending tracker in one
+    :func:`repro.live.detector.score_pass`, deadline flushes included.
 
     Attributes:
         funnel: the detection/attribution parameters (paper defaults).
@@ -34,9 +41,9 @@ class LiveConfig:
             offline assess the same data.
         baseline_bins: pre-change bins backfilled from the store when a
             change is admitted — the robust-normalisation baseline.
-        queue_capacity: bound on each per-KPI ingest queue, in
-            fragments; an arriving fragment beyond it triggers
-            ``drop_policy``.
+        queue_capacity: bound on each KPI's queued fragments; one
+            beyond it triggers ``drop_policy``.  Blocks over the same
+            keys queue whole, so a full queue sheds a whole tick.
         drop_policy: :data:`DROP_OLDEST` sheds the stalest queued
             fragment (keeps the stream fresh, creates a gap the tracker
             detects); :data:`DROP_NEWEST` sheds the arriving fragment.
@@ -101,31 +108,11 @@ class LiveConfig:
     repair_from_store: bool = False
 
     def __post_init__(self) -> None:
-        if self.assessment_window_seconds <= 0:
-            raise ParameterError("assessment_window_seconds must be positive")
-        if self.baseline_bins < 1:
-            raise ParameterError("baseline_bins must be >= 1")
-        if self.queue_capacity < 1:
-            raise ParameterError("queue_capacity must be >= 1")
+        for name, low in _LOWER_BOUNDS:
+            if getattr(self, name) < low:
+                raise ParameterError("%s must be >= %s, got %r"
+                                     % (name, low, getattr(self, name)))
         if self.drop_policy not in (DROP_OLDEST, DROP_NEWEST):
             raise ParameterError(
                 "drop_policy must be %r or %r, got %r"
                 % (DROP_OLDEST, DROP_NEWEST, self.drop_policy))
-        if self.max_fragments_per_tick < 0:
-            raise ParameterError("max_fragments_per_tick must be >= 0")
-        if self.max_active_changes < 0:
-            raise ParameterError("max_active_changes must be >= 0")
-        if self.max_control_units < 1:
-            raise ParameterError("max_control_units must be >= 1")
-        if self.history_days < 0:
-            raise ParameterError("history_days must be >= 0")
-        if self.score_chunk_bins < 1:
-            raise ParameterError("score_chunk_bins must be >= 1")
-        if self.fetch_retries < 0:
-            raise ParameterError("fetch_retries must be >= 0")
-        if self.fetch_backoff_seconds < 0:
-            raise ParameterError("fetch_backoff_seconds must be >= 0")
-        if self.fetch_timeout_seconds < 0:
-            raise ParameterError("fetch_timeout_seconds must be >= 0")
-        if self.close_grace_seconds < 0:
-            raise ParameterError("close_grace_seconds must be >= 0")

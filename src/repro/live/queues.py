@@ -2,32 +2,34 @@
 
 The metric store pushes fragments synchronously; the live service never
 processes them inline.  Each admitted change owns one
-:class:`IngestQueues` holding a bounded deque per subscribed KPI: the
-subscription *offers* fragments here — a tick's block append as one
+:class:`IngestQueues` bounding each subscribed KPI to ``capacity``
+fragments: the subscription *offers* them — a tick's
+:class:`~repro.telemetry.store.Block` through
 :meth:`IngestQueues.offer_batch`, a single-key append through
 :meth:`IngestQueues.offer` — and the event-time scheduler *drains* them
-under its per-tick budget.  When a queue is
-full the configured policy sheds a fragment — stale first by default —
-and a counter records every shed, so overload degrades the answers
-(gaps, late emissions) instead of growing memory without bound.
+under its per-tick budget.  A full KPI queue sheds by the configured
+policy — stale first by default — and a counter records every shed, so
+overload degrades the answers (gaps, late emissions) instead of growing
+memory without bound.
 
-Draining is round-robin over the sorted key order.  The sort (and the
-string projection the rotation cursor bisects) is cached and only
-recomputed when the key set changes — at fleet scale the same few
-hundred keys are drained every tick, and re-sorting plus re-stringifying
-them each drain was a measurable slice of the tick.  The rotated order
-is cached as well, and rebuilt only when the key set or the last-served
-key changes.
+While every queued block covers the same keys, blocks queue **whole**:
+each key then holds one fragment per block, so all keys fill on the same
+offer and shedding one block is exactly the per-KPI shedding.  Anything
+irregular — a single-key offer, another key set, a budget ending inside
+a block — spills the blocks onto per-KPI deques until they drain empty.
+Draining is round-robin over the keys in string order, resuming after
+the key served last; a whole block is one round of it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from ..telemetry.kpi import KpiKey
+from ..telemetry.store import Block
 from ..telemetry.timeseries import TimeSeries
 from .config import DROP_NEWEST, DROP_OLDEST
 
@@ -45,19 +47,18 @@ class IngestQueues:
         self.capacity = capacity
         self.policy = policy
         self.metrics = metrics or MetricsRegistry()
+        #: whole blocks, oldest first, while every per-KPI deque is empty
+        self._blocks: Deque[Block] = deque()
+        #: ``(keys, indices in string order, strings)`` of the last tuple
+        self._sorted: tuple = ((), [], [])
+        #: per-KPI deques, in first-offer order (the checkpoint's).
         self._queues: Dict[KpiKey, Deque[TimeSeries]] = {}
+        self._known: Optional[tuple] = None   # last block keys in _queues
         #: The key the previous drain served last.  Fairness rotation
         #: resumes *after* this key; remembering the key (not its index)
         #: keeps the rotation correct when the key set changes between
         #: drains, which would silently re-aim a stored index.
         self._last_served: Optional[KpiKey] = None
-        #: Cached ``(sorted keys, their str projections)``; rebuilt when
-        #: the key count changes (keys are only ever added one at a time
-        #: or cleared wholesale, so a size check detects every change).
-        self._sorted_keys: List[KpiKey] = []
-        self._sorted_strs: List[str] = []
-        #: ``(last-served key, rotated order)`` of the previous drain.
-        self._rotated: Optional[Tuple[Optional[KpiKey], List[KpiKey]]] = None
         self.depth = 0
         self.peak_depth = 0
         self.shed = 0
@@ -75,39 +76,52 @@ class IngestQueues:
         self.metrics.counter(
             FRAGMENTS_METRIC, help="Fragments offered to ingest queues."
         ).inc()
-        return self._offer(key, fragment)
+        self._spill()
+        return self._push(self._queues.setdefault(key, deque()), fragment)
 
-    def offer_batch(self, items: List[Tuple[KpiKey, TimeSeries]]) -> int:
-        """Enqueue one push batch; returns how many were accepted.
-
-        A block append reaches a subscription as one call: one counter
-        bump for the whole batch, then the bound and shedding policy of
-        :meth:`offer` item by item.
-        """
-        if items:
-            self.metrics.counter(
-                FRAGMENTS_METRIC, help="Fragments offered to ingest queues."
-            ).inc(len(items))
+    def offer_batch(self, items: Iterable[Tuple[KpiKey, TimeSeries]]) -> int:
+        """Enqueue a :class:`Block` or ``(key, fragment)`` pairs under one
+        counter bump; returns how many fragments were accepted."""
+        if not items:
+            return 0
+        self.metrics.counter(
+            FRAGMENTS_METRIC, help="Fragments offered to ingest queues."
+        ).inc(len(items))
+        if type(items) is Block and (items.keys == self._blocks[0].keys
+                                     if self._blocks else not self.depth):
+            if items.keys is not self._known:
+                for key in items.keys:
+                    self._queues.setdefault(key, deque())
+                self._known = items.keys
+            return len(items) if self._push(self._blocks, items,
+                                            len(items)) else 0
+        self._spill()
         return sum(1 for key, fragment in items
-                   if self._offer(key, fragment))
+                   if self._push(self._queues.setdefault(key, deque()),
+                                 fragment))
 
-    def _offer(self, key: KpiKey, fragment: TimeSeries) -> bool:
-        queue = self._queues.get(key)
-        if queue is None:
-            queue = deque()
-            self._queues[key] = queue
+    def _push(self, queue: deque, item, n: int = 1) -> bool:
+        """Append ``item`` (``n`` fragments) to ``queue`` under the bound."""
         if len(queue) >= self.capacity:
+            self._count_shed(self.policy, n)
             if self.policy == DROP_NEWEST:
-                self._count_shed(self.policy)
                 return False
             queue.popleft()
-            self.depth -= 1
-            self._count_shed(self.policy)
-        queue.append(fragment)
-        self.depth += 1
+            self.depth -= n
+        queue.append(item)
+        self.depth += n
         if self.depth > self.peak_depth:
             self.peak_depth = self.depth
         return True
+
+    def _spill(self) -> None:
+        """Move the queued blocks onto the per-KPI deques, row by row."""
+        if self._blocks:
+            queues = [self._queues[key] for key in self._blocks[0].keys]
+            for block in self._blocks:
+                for queue, (_, fragment) in zip(queues, block):
+                    queue.append(fragment)
+            self._blocks.clear()
 
     def _count_shed(self, policy: str, n: int = 1) -> None:
         self.shed += n
@@ -118,20 +132,32 @@ class IngestQueues:
 
     # -- consumer side --------------------------------------------------------
 
-    def _rotation(self) -> List[KpiKey]:
-        """The sorted key order, rotated to resume after the last-served
-        key (bisect also lands correctly when that key has since
-        disappeared or new keys shifted the order)."""
-        if len(self._sorted_keys) != len(self._queues):
-            self._sorted_keys = sorted(self._queues, key=str)
-            self._sorted_strs = [str(k) for k in self._sorted_keys]
-            self._rotated = None
-        last, keys = self._last_served, self._sorted_keys
-        if self._rotated is None or self._rotated[0] is not last:
-            start = (bisect_right(self._sorted_strs, str(last)) % len(keys)
-                     if last is not None and keys else 0)
-            self._rotated = (last, keys[start:] + keys[:start])
-        return self._rotated[1]
+    def _rotation(self, keys: tuple) -> List[int]:
+        """Indices of ``keys`` in drain order: by string, resuming after
+        the last-served key, wherever it sorts (sorted once per tuple)."""
+        if self._sorted[0] is not keys:
+            by_str = sorted(range(len(keys)), key=lambda i: str(keys[i]))
+            self._sorted = (keys, by_str, [str(keys[i]) for i in by_str])
+        _, by_str, strs = self._sorted
+        last = self._last_served
+        start = (bisect_right(strs, str(last)) % len(strs)
+                 if last is not None and strs else 0)
+        return by_str[start:] + by_str[:start]
+
+    def drain_batches(self, budget: int = 0) -> Iterator[Iterable]:
+        """Pop batches of at most ``budget`` fragments in all (0 = all
+        queued): whole blocks, in rotation order, while the budget covers
+        them, then :meth:`drain`'s ``(key, fragment)`` pairs as one list."""
+        remaining = budget if budget > 0 else self.depth
+        while self._blocks and len(self._blocks[0]) <= remaining:
+            block = self._blocks.popleft()
+            self.depth -= len(block)
+            remaining -= len(block)
+            block.order = self._rotation(block.keys)
+            self._last_served = block.keys[block.order[-1]]
+            yield block
+        if remaining > 0 and self.depth > 0:
+            yield list(self.drain(remaining))
 
     def drain(self, budget: int = 0
               ) -> Iterator[Tuple[KpiKey, TimeSeries]]:
@@ -144,10 +170,10 @@ class IngestQueues:
         a budget below the key count would starve the tail of the sorted
         key order forever.  Order is deterministic for a given history.
         """
+        self._spill()
         remaining = budget if budget > 0 else self.depth
-        order = self._rotation()
-        if not order:
-            return
+        keys = tuple(self._queues)
+        order = [keys[i] for i in self._rotation(keys)]
         while remaining > 0 and self.depth > 0:
             progressed = False
             for key in order:
@@ -169,6 +195,34 @@ class IngestQueues:
         dropped = self.depth
         if dropped:
             self._count_shed("close", dropped)
+        self._blocks.clear()
         self._queues.clear()
+        self._known = None
         self.depth = 0
         return dropped
+
+    # -- checkpoint ------------------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """The checkpoint's ``queues`` record: shed count, cursor key and
+        every queued ``[key, start, values]`` as per-KPI deques list it."""
+        row = ({key: i for i, key in enumerate(self._blocks[0].keys)}
+               if self._blocks else {})
+        last = self._last_served
+        return {"shed": self.shed,
+                "last_served": None if last is None else list(last),
+                "fragments": [[list(key), fragment.start, fragment.values]
+                              for key, queue in self._queues.items()
+                              for fragment in queue]
+                + [[list(key), block.start, block.rows[row[key]]]
+                   for key in self._queues if key in row
+                   for block in self._blocks]}
+
+    def restore(self, shed: int, last_served: Optional[KpiKey],
+                fragments: Iterable[Tuple[KpiKey, TimeSeries]]) -> None:
+        """Refill from a checkpoint's queued fragments (per-KPI deques)."""
+        for key, fragment in fragments:
+            self._queues.setdefault(key, deque()).append(fragment)
+            self.depth += 1
+        self.shed = shed
+        self._last_served = last_served

@@ -1,25 +1,18 @@
 """Replay a synthetic fleet scenario through the live pipeline.
 
-The replay driver is the zero-to-aha proof of the live subsystem: it
-takes the same :class:`~repro.engine.fleet.FleetScenarioSpec` the
-offline ``repro assess-fleet`` command assesses, streams every fleet
-KPI into a :class:`~repro.telemetry.store.MetricStore` bin by bin in
-accelerated virtual time (:class:`~repro.simulation.clock`), drives the
-:class:`~repro.live.service.LiveAssessmentService` one tick per flush,
-and — optionally — runs the offline engine on the identical scenario to
-verify the **parity contract**: live and offline must produce identical
-``(change, entity_type, entity, metric, verdict, declaration_bin)``
-sets.
-
-Two knobs make parity hold by construction and are therefore set here,
-not in :class:`~repro.live.config.LiveConfig` defaults:
-
-* ``assessment_window_seconds`` becomes the scenario's post-change
-  window length, so the live deadline closes exactly where the offline
-  window ends;
-* the history provider is the *source's* clean historical rows — the
-  store's own recent past contains the impacts earlier replayed changes
-  injected, which the offline engine never sees.
+The replay driver takes the same :class:`~repro.engine.fleet.
+FleetScenarioSpec` ``repro assess-fleet`` assesses, streams every fleet
+KPI into a :class:`~repro.telemetry.store.MetricStore` one block a tick
+in accelerated virtual time, drives the
+:class:`~repro.live.service.LiveAssessmentService` one tick per flush
+and can run the offline engine on the same scenario to verify the
+**parity contract**: identical ``(change, entity_type, entity, metric,
+verdict, declaration_bin)`` sets.  Two knobs make parity hold by
+construction and are set here, not in :class:`~repro.live.config.
+LiveConfig` defaults: the assessment window is the scenario's
+post-change window, and the history provider is the *source's* clean
+historical rows (the store's recent past holds the impacts earlier
+replayed changes injected, which the offline engine never sees).
 """
 
 from __future__ import annotations
@@ -191,38 +184,34 @@ def replay_scenario(spec: Optional[FleetScenarioSpec] = None,
     Args:
         spec: the scenario (defaults mirror ``repro assess-fleet``).
         live_config: pipeline knobs; defaults to
-            :func:`parity_live_config` — pass an explicit config (small
-            queues, drain budgets) to exercise overload behaviour.
-        flush_bins: bins per streamed fragment — agents flushing less
-            often than the collection interval.
+            :func:`parity_live_config` (pass small queues or a drain
+            budget to exercise overload).
+        flush_bins: bins per streamed fragment (agents flushing less
+            often than they collect).
         check_offline: also run the offline engine and fill ``parity``.
-        obs: observability context; the whole replay runs under one
-            ``live_replay`` span with one ``live_change`` span per
-            closed change, and all live counters/gauges land in the
-            context's registry.
+        obs: observability context: one ``live_replay`` span, one
+            ``live_change`` span per closed change, and every live
+            counter and gauge in its registry.
         sink: optional verdict-bus subscriber (e.g. a
             :class:`~repro.live.bus.JsonlVerdictSink`).
         priority: optional admission-priority override.
-        fault_plan: optional :class:`~repro.faults.FaultPlan` — the
-            store (and, with history faults, the history provider) is
-            wrapped in the fault injectors, and pending delayed
-            fragments are flushed before shutdown so bounded plans keep
-            the parity contract decidable.
+        fault_plan: optional :class:`~repro.faults.FaultPlan` wrapping
+            the store (and the history provider, for history faults);
+            delayed fragments are flushed before shutdown.
         checkpoint_path: write a session checkpoint here every
             ``checkpoint_every`` ticks (atomic JSONL).
-        resume_from: restore from this checkpoint instead of starting
-            cold: the pre-checkpoint stream is fast-forwarded through a
-            fresh store (no subscribers, so the stateless fault plan
-            reproduces the exact in-flight state) and the service state
-            is restored on top, then the replay continues.
+        resume_from: restore from this checkpoint: the pre-checkpoint
+            stream is fast-forwarded through a fresh store (no
+            subscribers, so a fault plan reproduces its in-flight
+            state), the service state restored on top, and the replay
+            continues.
         kill_after_ticks: stop mid-stream after this many ticks without
-            shutting the service down — the crash half of the
-            kill-and-resume test.
-        health: optional :class:`~repro.obs.health.HealthMonitor` — one
+            shutting down — the crash half of kill-and-resume.
+        health: optional :class:`~repro.obs.health.HealthMonitor`: one
             heartbeat per tick, finalized at shutdown (a killed run
-            leaves the heartbeat stream truncated, like a real crash).
+            leaves the stream truncated, like a real crash).
         tick_callback: called as ``tick_callback(tick, now)`` after
-            every completed tick (e.g. to time each tick from outside).
+            every completed tick.
     """
     if flush_bins < 1:
         raise ValueError("flush_bins must be >= 1")

@@ -1,29 +1,16 @@
 """The event-time scheduler: poll, drain, pool, close — on every tick.
 
 One :meth:`EventTimeScheduler.tick` runs the live pipeline's control
-loop for one virtual instant ``now``:
-
-1. **poll** — the watcher admits changes whose deployment time passed;
-2. **drain** — queued fragments flow into the assessor under the global
-   per-tick budget (``max_fragments_per_tick``), oldest change first so
-   the session nearest its deadline gets served before fresher ones;
-   trackers only buffer what they receive;
-3. **pool** — every tracker's pending score segment, across all
-   sessions, goes through one stacked
-   :class:`~repro.live.pool.DetectorPool` pass; declarations are
-   attributed and emitted here, in pool order;
-4. **close** — every session whose deadline passed is settled: its
-   detectors flush, open items emit ``no_change``, the subscription is
-   cancelled.
-
-Stages 2-4 walk the sessions oldest change first; the ordering is
-computed once per tick, after the poll admitted the tick's arrivals.
-
-Between steps the scheduler maintains the pipeline's event-time health
-gauges: per-change *watermarks* (the oldest event time any subscribed
-KPI is processed through), total and peak queue depth, active changes
-and store subscriptions; then a due checkpoint and the heartbeat are
-written.
+loop for one virtual instant ``now``: **poll** admits due changes;
+**drain** hands queued blocks to the assessor under the per-tick budget
+(``max_fragments_per_tick``), trackers only buffering them; **pool**
+scores every tracker's pending segment, across sessions, in one
+:class:`~repro.live.pool.DetectorPool` pass and attributes and emits
+declarations in pool order; **close** settles every session past its
+deadline.  Drain, pool and close walk the sessions oldest change first,
+so the session nearest its deadline is served first.  Then the health
+gauges — worst watermark lag, queue depth, active changes and store
+subscriptions — are set and a due checkpoint and the heartbeat written.
 """
 
 from __future__ import annotations
@@ -132,10 +119,12 @@ class EventTimeScheduler:
         for session in sessions:
             if budget > 0 and remaining <= 0:
                 break
-            batch = list(session.queues.drain(budget=remaining))
-            self.assessor.on_fragment_batch(session, batch, now)
+            queues = session.queues
+            depth = queues.depth
+            for batch in queues.drain_batches(budget=remaining):
+                self.assessor.on_fragment_batch(session, batch, now)
             if budget > 0:
-                remaining -= len(batch)
+                remaining -= depth - queues.depth
 
     # -- deadlines -------------------------------------------------------------
 

@@ -79,8 +79,8 @@ class LiveAssessmentService:
         """Force-close every session still open (end of stream)."""
         closed = []
         for session in list(self.watcher.sessions.values()):
-            self.assessor.on_fragment_batch(
-                session, list(session.queues.drain()), now)
+            for batch in session.queues.drain_batches():
+                self.assessor.on_fragment_batch(session, batch, now)
             self.assessor.reconcile_session(session, now)
             self.assessor.close_session(session, now)
             self.watcher.finish(session)

@@ -2,20 +2,17 @@
 
 :class:`ChangeWatcher` tails a :class:`~repro.changes.log.ChangeLog` in
 event time.  When a change's deployment timestamp passes, it resolves
-the impact set (:func:`~repro.topology.impact.identify_impact_set`),
-builds one :class:`~repro.live.assessor.ChangeSession` with a tracker
-per monitored (entity, KPI) — exactly the job set the offline planner
-emits — plus buffers for the peer-control series, backfills the
-pre-change baseline from the :class:`~repro.telemetry.store.MetricStore`
-and opens one push subscription routing every future fragment into the
-session's bounded queues.
+the impact set and builds one :class:`~repro.live.assessor.ChangeSession`
+— a tracker per monitored (entity, KPI), exactly the offline planner's
+job set, and peer-control buffers — seeds every KPI's watermark,
+backfills the pre-change baseline from the store and subscribes the
+session's bounded queues to every future push.
 
 Admission control caps concurrently assessed changes: at
 ``max_active_changes`` a new change is admitted only if its priority
-(by default, blast radius — the number of treated servers) beats the
-lowest-priority active change, which is then evicted; otherwise the new
-change is shed whole.  Either way a counter records it and the change id
-lands on :attr:`ChangeWatcher.shed_change_ids`.
+(by default, blast radius) beats the lowest-priority active change,
+which is evicted; otherwise the new change is shed whole.  Either way
+a counter records it and the id lands on ``shed_change_ids``.
 """
 
 from __future__ import annotations
@@ -54,13 +51,11 @@ def default_priority(change: SoftwareChange, impact: ImpactSet) -> float:
 class StoreHistoryProvider:
     """Historical-control rows read back from the metric store.
 
-    Mirrors the offline source's historical control: the same clock
-    window on each of the previous ``history_days`` days.  Returns
-    ``None`` when the store lacks full coverage (young deployments),
-    which routes the attribution to the no-control verdict — the
-    real-deployment default.  The replay driver swaps in a source-backed
-    provider instead, because the store's recent past contains the very
-    impacts earlier changes injected.
+    The offline source's historical control: the same clock window on
+    each of the previous ``history_days`` days, or ``None`` without full
+    coverage (young deployments), which routes the attribution to the
+    no-control verdict.  The replay driver uses a source-backed provider
+    instead: the store's recent past holds earlier changes' impacts.
     """
 
     def __init__(self, store: MetricStore, config: LiveConfig) -> None:
@@ -178,6 +173,7 @@ class ChangeWatcher:
                         start = (fragment.start if fragment is not None
                                  else now)
                         session.control_buffers[key] = _SeriesBuffer(start)
+                        session.delivered_through[key] = start
                         if fragment is not None and len(fragment):
                             backfills.append((key, fragment))
 
@@ -195,6 +191,7 @@ class ChangeWatcher:
                     change_index = 0
                 session.trackers[key] = KpiTracker(
                     key, change_index, start, self.config)
+                session.delivered_through[key] = start
 
         self.assessor.on_fragment_batch(session, backfills, now)
 

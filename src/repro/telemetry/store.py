@@ -9,37 +9,20 @@ receive the subscribed measurements."
 :class:`MetricStore` is the in-memory stand-in.  Storage is **one
 table**: a ``(rows, capacity)`` float64 array with one row per
 :class:`~repro.telemetry.kpi.KpiKey`, a ``key -> row`` index and per-row
-``start`` / ``length`` (rows may start at different times and sit at
-different lengths).  Both dimensions over-allocate geometrically, so a
-KPI receiving one bin per minute for a day costs one reallocation every
-doubling instead of a full-history copy per push, and reads slice (or,
-for :meth:`MetricStore.window_matrix`, gather) the rows directly.
-
-There are two write calls and they share every check:
-
-* :meth:`MetricStore.append` takes one key's
-  :class:`~repro.telemetry.timeseries.TimeSeries` fragment (agents, the
-  simulation, the fault injector's release path);
-* :meth:`MetricStore.append_batch` takes a whole tick as one
-  ``(len(keys), bins)`` block.  The block is validated **whole** before
-  any row is written (a rejected call changes nothing), written as one
-  column range if a repeated key tuple's rows are one run with one start
-  (else with one scatter), and only then delivered: ingest-all-then-deliver.
-
-The subscription tool pushes appended data to subscribers (FUNNEL's
-online pipeline registers one subscription per impact set).  On the
-block path a ``TimeSeries`` fragment is built only for the keys some
-active subscription matched — the store pushes the subscribed
-measurements, it does not materialise the rest — and each subscription
-resolves its matching positions once per key tuple, not per tick.  A
-pushed fragment is its row of the block validated whole, not re-checked,
-and a :class:`~repro.telemetry.kpi.KpiKey` tuple hashes in C.
+``start`` / ``length``; both dimensions grow geometrically, and reads
+slice (or, for :meth:`MetricStore.window_matrix`, gather) rows directly.
+:meth:`MetricStore.append` writes one key's fragment and pushes it to
+each subscriber; :meth:`MetricStore.append_batch` validates a whole
+tick's block before writing any row, then hands each subscription
+**one** :class:`Block` — the keys it matched and their rows, gathered
+with one ``take``; nothing is built per key, nor for unsubscribed keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -47,28 +30,57 @@ from ..exceptions import ParameterError, TelemetryError
 from .kpi import KpiKey
 from .timeseries import MINUTE, TimeSeries
 
-__all__ = ["MetricStore", "Subscription"]
+__all__ = ["Block", "MetricStore", "Subscription"]
 
 Callback = Callable[[KpiKey, TimeSeries], None]
-BatchCallback = Callable[[List], None]
+BatchCallback = Callable[["Block"], None]
 
 #: Smallest table allocation: rows (keys) x capacity (bins).
 _MIN_ROWS = 16
 _MIN_CAPACITY = 64
 
 
+class Block:
+    """One append's rows for one subscriber: ``rows[i]`` holds the bins
+    of ``keys[i]`` from ``start`` on, validated whole by the store.
+    ``len()`` is the row count; iterating yields ``(key, fragment)``
+    pairs (unvalidated :class:`TimeSeries` rows) in ``order`` if a
+    consumer set one (the ingest queue's drain rotation), else row order.
+    """
+
+    __slots__ = ("start", "bin_seconds", "keys", "rows", "order")
+
+    def __init__(self, start: int, bin_seconds: int, keys: tuple,
+                 rows: np.ndarray) -> None:
+        self.start = start
+        self.bin_seconds = bin_seconds
+        self.keys = keys
+        self.rows = rows
+        self.order: Optional[Sequence[int]] = None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @property
+    def end(self) -> int:
+        """One past the last covered timestamp of every row."""
+        return self.start + self.rows.shape[1] * self.bin_seconds
+
+    def __iter__(self) -> Iterator[Tuple[KpiKey, TimeSeries]]:
+        of_row = TimeSeries._of_row
+        for i in range(len(self.keys)) if self.order is None else self.order:
+            yield self.keys[i], of_row(self.start, self.bin_seconds,
+                                       self.rows[i])
+
+
 @dataclass(eq=False)
 class Subscription:
     """A standing request for pushes of appended measurements.
 
-    Identity semantics (``eq=False``): two subscriptions with the same
-    keys and callback are still distinct registrations, so cancelling
-    one can never prune the other from the store's push list.
-
-    ``batch_callback``, when set, receives one call with the matched
-    ``[(key, fragment), ...]`` sublist of a batched append instead of
-    one ``callback`` call per fragment — how a tick's block reaches a
-    live session's queues.  Per-fragment appends always use ``callback``.
+    Identity semantics (``eq=False``): cancelling one registration never
+    prunes an equal one.  ``batch_callback``, when set, receives one
+    :class:`Block` per batched append instead of one ``callback`` call
+    per row; per-fragment appends always use ``callback``.
     """
 
     keys: frozenset
@@ -76,27 +88,28 @@ class Subscription:
     active: bool = True
     batch_callback: Optional[BatchCallback] = None
     _store: Optional["MetricStore"] = field(default=None, repr=False)
-    #: the last block key tuple seen and this subscription's matching
-    #: positions in it — a replay streams the same tuple every tick.
+    #: the last block key tuple seen and ``(matched keys, indices)``
     _block_keys: Optional[tuple] = field(default=None, repr=False)
-    _block_positions: Tuple[int, ...] = field(default=(), repr=False)
+    _matched: Tuple[tuple, np.ndarray] = field(default=((), None),
+                                               repr=False)
 
     def cancel(self) -> None:
-        """Deactivate and unregister: a cancelled subscription costs the
-        store nothing — it is pruned from the push list immediately, not
-        merely skipped on every future append."""
+        """Deactivate and prune from the push list at once, so a
+        cancelled subscription costs later appends nothing."""
         self.active = False
         if self._store is not None:
             self._store._drop(self)
             self._store = None
 
-    def positions_in(self, keys: tuple) -> Tuple[int, ...]:
-        """Indices of ``keys`` this subscription watches, in order."""
+    def match(self, keys: tuple) -> Tuple[tuple, np.ndarray]:
+        """The keys of ``keys`` this subscription watches, in order, and
+        their indices; the same tuple object while ``keys`` repeats."""
         if keys is not self._block_keys:
-            self._block_positions = tuple(
-                i for i, key in enumerate(keys) if key in self.keys)
+            index = [i for i, key in enumerate(keys) if key in self.keys]
+            self._matched = (tuple(keys[i] for i in index),
+                             np.array(index, dtype=np.intp))
             self._block_keys = keys
-        return self._block_positions
+        return self._matched
 
 
 class MetricStore:
@@ -177,19 +190,14 @@ class MetricStore:
         """Append one tick: ``block[i]`` holds the bins of ``keys[i]``
         from ``start_time`` on, one store-width bin per column.
 
-        Storage-wise this is :meth:`append` per row — same contiguity
-        rule, same finiteness rule as a ``TimeSeries``, same counters
-        (one fragment per key) — except that the block is checked
-        **whole** first: a rejected call leaves the series, the counters
-        and every subscriber untouched.  A key may appear only once.
-
-        The push fan-out follows once every row is durable: each
-        subscription is visited **once** with its matched
-        ``[(key, fragment), ...]`` sublist in key order, whole for a
-        ``batch_callback``, item by item through ``callback`` otherwise.
-        A fragment, built for matched keys only, is its block row as is.
-        Pass the same tuple object every tick and the key -> row, row
-        layout and key -> subscriber resolutions are done once.
+        Storage-wise this is :meth:`append` per row (same contiguity and
+        finiteness rules, one fragment counted per key), but the block
+        is checked **whole** first: a rejected call changes nothing.  A
+        key may appear only once.  Once every row is durable, each
+        subscription gets one :class:`Block` of its matched rows in key
+        order — whole for a ``batch_callback``, row by row through
+        ``callback``.  Pass the same tuple object every tick and the
+        key -> row, layout and key -> subscriber resolutions are done once.
         """
         keys, rows = self._resolve(keys)
         block = np.asarray(block, dtype=np.float64)
@@ -239,25 +247,18 @@ class MetricStore:
         self.appended_bins += len(keys) * bins
         self._views.clear()
 
-        if bins > 1 and block.strides[1] != block.itemsize:
-            block = np.ascontiguousarray(block)   # rows become contiguous
-        fragments: Dict[int, TimeSeries] = {}
         for sub in tuple(self._subscriptions):
             if not sub.active:
                 continue
-            matched = []
-            for i in sub.positions_in(keys):
-                fragment = fragments.get(i)
-                if fragment is None:
-                    fragment = fragments[i] = TimeSeries._of_row(
-                        start_time, self.bin_seconds, block[i])
-                matched.append((keys[i], fragment))
+            matched, index = sub.match(keys)
             if not matched:
                 continue
+            pushed = Block(start_time, self.bin_seconds, matched,
+                           block.take(index, axis=0))
             if sub.batch_callback is not None:
-                sub.batch_callback(matched)
+                sub.batch_callback(pushed)
             else:
-                for key, fragment in matched:
+                for key, fragment in pushed:
                     sub.callback(key, fragment)
 
     def _resolve(self, keys: Sequence[KpiKey]) -> Tuple[tuple, np.ndarray]:
@@ -389,12 +390,8 @@ class MetricStore:
     def subscribe(self, keys: Iterable[KpiKey], callback: Callback,
                   batch_callback: Optional[BatchCallback] = None
                   ) -> Subscription:
-        """Register ``callback`` for every future append to ``keys``.
-
-        ``batch_callback`` opts the subscription into whole-sublist
-        delivery on :meth:`append_batch` (per-fragment appends still go
-        through ``callback``).
-        """
+        """Register ``callback`` for every future append to ``keys``
+        (``batch_callback``, if given, for every :meth:`append_batch`)."""
         sub = Subscription(keys=frozenset(keys), callback=callback,
                            batch_callback=batch_callback, _store=self)
         if not sub.keys:

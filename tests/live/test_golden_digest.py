@@ -25,6 +25,7 @@ from repro.engine.fleet import FleetScenarioSpec
 from repro.faults import DELAY, preset_plan
 from repro.faults.injector import FAULTS_INJECTED_METRIC
 from repro.live import parity_live_config, replay_scenario, verdict_sort_key
+from repro.live.queues import SHED_FRAGMENTS_METRIC
 from repro.telemetry.timeseries import MINUTE
 
 SPEC = FleetScenarioSpec(n_services=2, n_servers=8, n_changes=3,
@@ -45,6 +46,18 @@ CHAOS = {
     "drop-delay-dup": (
         "3b8ac4fcb18d33de2abf9b77e16d565a7c845b4b36291f8e3c18052c161aadf0",
         1580),
+}
+#: drop policy -> (digest, fragments shed) under ``OVERLOAD``; recorded
+#: at bef44d7, before the block queue touched any source file.  Both
+#: policies read 6 ``declared`` and 18 ``gap`` verdicts there.
+OVERLOAD = dict(queue_capacity=4, max_fragments_per_tick=12)
+OVERLOAD_SHA = {
+    "drop_newest": (
+        "54718fb1deb75d8222c43f8158685b402ab6461c955299868919a7d22a13f22c",
+        360),
+    "drop_oldest": (
+        "54718fb1deb75d8222c43f8158685b402ab6461c955299868919a7d22a13f22c",
+        360),
 }
 
 
@@ -87,4 +100,18 @@ class TestGoldenVerdictDigest:
         report = replay_scenario(SPEC, live_config=config, fault_plan=plan)
         counters = report.service_report["counters"]
         assert counters[FAULTS_INJECTED_METRIC] == injected
+        assert verdicts_sha(report) == digest
+
+    @pytest.mark.parametrize("policy", sorted(OVERLOAD_SHA))
+    def test_overload_replay(self, policy):
+        """A tight queue bound and drain budget: shedding, the budgeted
+        round-robin order and the rotation cursor all reach the verdicts,
+        so the digest and the shed count pin the overload semantics."""
+        digest, shed = OVERLOAD_SHA[policy]
+        config = parity_live_config(SPEC, drop_policy=policy, **OVERLOAD)
+        report = replay_scenario(SPEC, live_config=config)
+        assert report.service_report["counters"][SHED_FRAGMENTS_METRIC] \
+            == shed
+        assert sorted(v.reason for v in report.verdicts) == \
+            ["declared"] * 6 + ["gap"] * 18
         assert verdicts_sha(report) == digest

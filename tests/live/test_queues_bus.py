@@ -135,28 +135,6 @@ class TestIngestQueues:
         assert queues.shed == 2
         assert metrics.counter(FRAGMENTS_METRIC).total() == 4
 
-    def test_key_cache_rebuilt_on_churn(self):
-        """New keys between drains must enter the rotation — the cached
-        sort cannot go stale (the regression the size check guards)."""
-        queues = IngestQueues(8)
-        queues.offer(cpu_key("s1"), frag(0, 1.0))
-        assert [str(k) for k, _ in queues.drain()] == ["server:s1:cpu"]
-        cached = queues._sorted_keys
-        queues.offer(cpu_key("s0"), frag(0, 1.0))
-        assert [str(k) for k, _ in queues.drain()] == ["server:s0:cpu"]
-        assert queues._sorted_keys is not cached
-
-    def test_key_cache_reused_when_keyset_stable(self):
-        queues = IngestQueues(8)
-        for name in ("s1", "s2"):
-            queues.offer(cpu_key(name), frag(0, 1.0))
-        list(queues.drain())
-        cached = queues._sorted_keys
-        for name in ("s1", "s2"):
-            queues.offer(cpu_key(name), frag(60, 1.0))
-        list(queues.drain())
-        assert queues._sorted_keys is cached
-
     def test_budgeted_fairness_survives_churn(self):
         """Round-robin under budget stays fair while keys churn: the
         rotation resumes after the last-served key even when the key

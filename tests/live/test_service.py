@@ -8,10 +8,11 @@ import pytest
 from repro.changes.change import SoftwareChange
 from repro.changes.log import ChangeLog
 from repro.engine.fleet import FleetScenarioSpec, SyntheticFleetSource
+from repro.engine.planner import ENTITY_METRICS
 from repro.exceptions import ParameterError
 from repro.faults import preset_plan
-from repro.live import (LiveConfig, VerdictBus, parity_live_config,
-                        replay_scenario)
+from repro.live import (LiveConfig, VerdictBus, fleet_kpi_keys,
+                        parity_live_config, replay_scenario)
 from repro.live.assessor import (DUPLICATE_FRAGMENTS_METRIC, GAP_BINS_METRIC,
                                  ChangeSession, KpiTracker, LiveAssessor)
 from repro.live.queues import (FRAGMENTS_METRIC, SHED_FRAGMENTS_METRIC,
@@ -21,7 +22,7 @@ from repro.live.service import LiveAssessmentService
 from repro.live.watcher import SHED_CHANGES_METRIC
 from repro.obs.context import ObsContext
 from repro.telemetry.kpi import KpiKey
-from repro.telemetry.store import MetricStore
+from repro.telemetry.store import Block, MetricStore
 from repro.telemetry.timeseries import MINUTE, TimeSeries
 from repro.types import ChangeKind
 
@@ -226,7 +227,7 @@ class TestIngestPath:
     batch, and both assessor entries run the same healing step."""
 
     def _counted(self, monkeypatch, **replay_kwargs):
-        """Replay SMALL; ``(offer calls, offer_batch calls, [(subscriptions,
+        """Replay SMALL; ``(offer calls, offer_batch arguments, [(subscriptions,
         queues that got an offer_batch)] per block append, fragments
         counter)``."""
         offers, batches, per_append = [], [], []
@@ -238,7 +239,7 @@ class TestIngestPath:
             return offer(self, key, fragment)
 
         def counted_offer_batch(self, items):
-            batches.append(self)
+            batches.append((self, items))
             return offer_batch(self, items)
 
         def counted_append_batch(self, keys, start_time, block):
@@ -250,22 +251,29 @@ class TestIngestPath:
         monkeypatch.setattr(IngestQueues, "offer_batch", counted_offer_batch)
         monkeypatch.setattr(MetricStore, "append_batch", counted_append_batch)
         report = replay_scenario(SMALL, **replay_kwargs)
-        return (len(offers), len(batches), per_append,
+        return (len(offers), batches, per_append,
                 report.service_report["counters"][FRAGMENTS_METRIC])
 
     def test_block_is_one_offer_batch_per_subscription_per_tick(
             self, monkeypatch):
         offers, batches, per_append, fragments = self._counted(monkeypatch)
-        assert offers == 0 and batches > 0
+        assert offers == 0 and batches
         assert len(per_append) == SMALL.n_changes * SMALL.window_bins
         for subscriptions, served in per_append:
             assert len(served) == subscriptions
-            assert len(set(map(id, served))) == subscriptions
+            assert len({id(queues) for queues, _ in served}) == subscriptions
+        # each call carries one Block: the tick's rows of the session's
+        # subscribed keys, one key tuple per session for the whole run
+        keys_of = {}
+        for queues, block in batches:
+            assert type(block) is Block and block.rows.shape == (len(block), 1)
+            assert keys_of.setdefault(id(queues), block.keys) is block.keys
+        assert sum(len(block) for _, block in batches) == fragments
         # A fault-wrapped store delivers per fragment on purpose (every
         # push rolls its own fault) — same fragments, no batch calls.
         offers, batches, _, faulty_fragments = self._counted(
             monkeypatch, fault_plan=preset_plan("none"))
-        assert batches == 0
+        assert not batches
         assert offers == faulty_fragments == fragments
 
     START, DEADLINE = 1000 * MINUTE, 1100 * MINUTE
@@ -325,6 +333,65 @@ class TestIngestPath:
         assert counters == single.metrics.snapshot()["counters"]
         assert set(counters) == {DUPLICATE_FRAGMENTS_METRIC, GAP_BINS_METRIC}
 
+    def test_block_entry_equals_fragment_by_fragment(self):
+        """A block that continues every key's watermark is delivered as
+        it stands; any other block — a key never delivered, a skipped
+        bin, a redelivery, bins past the deadline, a parked attribution
+        — heals row by row; either way the state is the per-fragment
+        entry's."""
+        rng = np.random.default_rng(31)
+        x = 20.0 + rng.normal(0, 0.4, size=(3, 110))
+        keys = tuple(KpiKey("server", host, "cpu") for host in "abc")
+
+        def block(lo, hi, rows=(0, 1, 2)):
+            return Block(self.START + lo * MINUTE, MINUTE,
+                         tuple(keys[r] for r in rows), x[list(rows), lo:hi])
+
+        blocks = [block(0, 60),             # first delivery: heals
+                  block(60, 62),            # continues: as it stands
+                  block(62, 63, (0, 2)),    # b skips bin 62 ...
+                  block(63, 66),            # ... so this block heals
+                  block(64, 66, (0,)),      # a redelivered
+                  block(66, 98, (0, 2)),
+                  block(98, 105, (0, 2))]   # straddles the deadline
+        batched, batched_session = self._session()
+        single, single_session = self._session()
+        healed, heal = [], batched._heal
+
+        def counted_heal(session, key, fragment, now):
+            healed.append(key)
+            heal(session, key, fragment, now)
+
+        batched._heal = counted_heal
+        continued = []
+        for item in blocks:
+            before = len(healed)
+            batched.on_fragment_batch(batched_session, item, self.DEADLINE)
+            continued.append(len(healed) == before)
+            for key, fragment in item:
+                single.on_fragment(single_session, key, fragment,
+                                   self.DEADLINE)
+        assert continued == [False, True, True, False, False, True, False]
+        assert [len(t.detector) for t in
+                batched_session.trackers.values()] == [100, 62, 100]
+        for key, tracker in batched_session.trackers.items():
+            twin = single_session.trackers[key]
+            assert (detector_state(tracker.detector)
+                    == detector_state(twin.detector))
+            assert (tracker.degraded, tracker.done) == \
+                (twin.degraded, twin.done)
+        assert batched_session.expected_next == single_session.expected_next
+        assert batched_session.delivered_through == \
+            single_session.delivered_through
+        assert batched.metrics.snapshot()["counters"] == \
+            single.metrics.snapshot()["counters"]
+        # a parked attribution retries as rows land: heal in row order
+        batched_session.pending.append(batched_session.trackers[keys[0]])
+        del healed[:]
+        batched.on_fragment_batch(batched_session, block(105, 106, (0, 2)),
+                                  self.DEADLINE)
+        assert healed == [keys[0], keys[2]]
+
     def test_empty_fragment_at_the_watermark_is_a_duplicate(self):
         """The in-order case is tested first; an empty fragment that
         starts at the watermark still falls through to the duplicate
@@ -344,20 +411,21 @@ class TestIngestPath:
 
 
 class TestPushPathShape:
-    """A pushed fragment is a row of the block the store validated whole,
-    not a second validated copy of it."""
+    """A block append reaches a batch subscriber as one :class:`Block` of
+    the rows the store validated whole, and a per-row subscriber as one
+    fragment per row of it — never a second validated copy."""
 
     KEYS = tuple(KpiKey("server", host, "cpu") for host in "abc")
 
     def _pushed(self, block):
         store = MetricStore()
-        pushed = []
+        blocks, pushed = [], []
         store.subscribe(self.KEYS[:2], callback=None,
-                        batch_callback=pushed.extend)
+                        batch_callback=blocks.append)
         store.subscribe(self.KEYS[1:],
                         callback=lambda key, f: pushed.append((key, f)))
         store.append_batch(self.KEYS, 5 * MINUTE, block)
-        return pushed
+        return blocks, pushed
 
     @pytest.mark.parametrize("layout", ["c", "column_slice", "fortran",
                                         "float32", "one_bin", "list"])
@@ -370,10 +438,18 @@ class TestPushPathShape:
                  "one_bin": wide[:, 2:3],
                  "list": wide[:, :4].tolist()}[layout]
         rows = np.asarray(block, dtype=np.float64)
-        pushed = self._pushed(block)
-        assert [key for key, _ in pushed] == [
-            self.KEYS[0], self.KEYS[1], self.KEYS[1], self.KEYS[2]]
-        for key, fragment in pushed:
+        blocks, pushed = self._pushed(block)
+        (batch,) = blocks
+        assert type(batch) is Block and len(batch) == 2
+        assert batch.keys == self.KEYS[:2]
+        assert (batch.start, batch.bin_seconds, batch.end) == \
+            (5 * MINUTE, MINUTE, (5 + rows.shape[1]) * MINUTE)
+        assert type(batch.rows) is np.ndarray
+        assert batch.rows.dtype == np.float64
+        assert batch.rows.flags.c_contiguous
+        np.testing.assert_array_equal(batch.rows, rows[:2])
+        assert [key for key, _ in pushed] == list(self.KEYS[1:])
+        for key, fragment in list(batch) + pushed:
             values = fragment.values
             assert (fragment.start, fragment.bin_seconds) == \
                 (5 * MINUTE, MINUTE)
@@ -383,8 +459,6 @@ class TestPushPathShape:
             assert np.isfinite(values).all()
             np.testing.assert_array_equal(
                 values, rows[self.KEYS.index(key)])
-        # both subscriptions share one fragment per key
-        assert pushed[1][1] is pushed[2][1]
 
     def test_nan_block_raises_before_any_push_and_changes_nothing(self):
         store = MetricStore()
@@ -407,14 +481,21 @@ class TestPushPathShape:
 
     def test_replay_builds_no_validated_series_per_pushed_row(
             self, monkeypatch):
-        validated, pushed, in_append = [0], [0], [False]
-        post_init = TimeSeries.__post_init__
+        """On a clean replay every block reaches its session whole:
+        nothing validates a series inside the append, and no block is
+        ever walked row by row (store fan-out, queue or assessor)."""
+        validated, walked, pushed, in_append = [0], [0], [0], [False]
+        post_init, walk = TimeSeries.__post_init__, Block.__iter__
         append_batch, offer_batch = (MetricStore.append_batch,
                                      IngestQueues.offer_batch)
 
         def counted_post_init(self):
             validated[0] += in_append[0]
             post_init(self)
+
+        def counted_walk(self):
+            walked[0] += 1
+            return walk(self)
 
         def counted_append_batch(self, keys, start_time, block):
             in_append[0] = True
@@ -428,12 +509,41 @@ class TestPushPathShape:
             return offer_batch(self, items)
 
         monkeypatch.setattr(TimeSeries, "__post_init__", counted_post_init)
+        monkeypatch.setattr(Block, "__iter__", counted_walk)
         monkeypatch.setattr(MetricStore, "append_batch",
                             counted_append_batch)
         monkeypatch.setattr(IngestQueues, "offer_batch", counted_offer_batch)
         replay_scenario(SMALL)
         assert pushed[0] > 0
         assert validated[0] == 0
+        assert walked[0] == 0
+
+
+class TestSilentKeyWatermark:
+    def test_lag_grows_for_a_key_that_never_reports(self):
+        """A subscribed KPI that never reports still holds the session's
+        watermark back: admission seeds it, so the lag grows by one bin
+        a tick instead of reading 0."""
+        source = SyntheticFleetSource(SMALL)
+        change = source.changes[0]
+        silent = KpiKey("server", change.hostnames[0],
+                        ENTITY_METRICS["server"][0])
+        keys = tuple(key for key in fleet_kpi_keys(source) if key != silent)
+        rows = np.array([source.observed_series(*key) for key in keys])
+        log = ChangeLog()
+        log.record(change)
+        store = MetricStore(MINUTE)
+        service = LiveAssessmentService(
+            store, log, source.fleet, config=parity_live_config(SMALL),
+            history_provider=source.history)
+        lags = []
+        for b in range(SMALL.lead_bins, change.at_time // MINUTE + 5):
+            store.append_batch(keys, b * MINUTE, rows[:, b:b + 1])
+            service.on_tick((b + 1) * MINUTE)
+            if service.watcher.sessions:
+                lags.append(service.scheduler.watermark_lag((b + 1) * MINUTE))
+        assert silent in service.watcher.sessions[change.change_id].trackers
+        assert lags == [i * MINUTE for i in range(6)]
 
 
 class TestTickStages:

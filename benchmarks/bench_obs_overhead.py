@@ -33,7 +33,7 @@ from repro.engine import (EngineConfig, FleetScenarioSpec,
                           SyntheticFleetSource, execute_jobs,
                           reset_shared_cache, spec_for_method)
 from repro.live import parity_live_config, replay_scenario
-from repro.obs import HealthConfig, HealthMonitor, ObsContext
+from repro.obs import HealthMonitor, ObsContext
 
 OUT_PATH = pathlib.Path(__file__).parent / "BENCH_obs.json"
 
@@ -104,8 +104,8 @@ def _one_live_round(spec, with_health: bool, heartbeat_dir):
     config = parity_live_config(spec, score_chunk_bins=8)
     health = None
     if with_health:
-        health = HealthMonitor(HealthConfig(heartbeat_path=os.path.join(
-            heartbeat_dir, "heartbeat.jsonl")))
+        health = HealthMonitor(heartbeat_path=os.path.join(
+            heartbeat_dir, "heartbeat.jsonl"))
     report = replay_scenario(spec, live_config=config, flush_bins=4,
                              health=health)
     detections = (len(report.service_report["health"]["self_detections"])

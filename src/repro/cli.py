@@ -467,8 +467,8 @@ def _run_live_replay(args: argparse.Namespace, command: str,
     sink = JsonlVerdictSink(args.verdicts) if args.verdicts else None
     health = None
     if args.health:
-        from .obs import HealthConfig, HealthMonitor
-        health = HealthMonitor(HealthConfig(heartbeat_path=args.health))
+        from .obs import HealthMonitor
+        health = HealthMonitor(heartbeat_path=args.health)
     try:
         report = replay_scenario(
             spec, live_config=live_config, flush_bins=args.flush_bins,

@@ -21,7 +21,7 @@ from .bus import (JsonlVerdictSink, LiveVerdict, VerdictBus, read_verdicts,
                   verdict_sort_key)
 from .checkpoint import (Checkpointer, load_checkpoint, restore_service,
                          snapshot_service, write_checkpoint)
-from .config import DROP_NEWEST, DROP_OLDEST, LiveConfig
+from .config import LiveConfig
 from .detector import IncrementalDetector
 from .pool import DetectorPool
 from .queues import IngestQueues
@@ -38,7 +38,7 @@ __all__ = [
     "read_verdicts", "verdict_sort_key",
     "Checkpointer", "load_checkpoint", "restore_service",
     "snapshot_service", "write_checkpoint",
-    "DROP_NEWEST", "DROP_OLDEST", "LiveConfig",
+    "LiveConfig",
     "DetectorPool", "IncrementalDetector", "IngestQueues",
     "LiveReplayReport", "fleet_kpi_keys", "offline_verdict_records",
     "parity_live_config", "replay_scenario",

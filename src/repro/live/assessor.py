@@ -52,8 +52,8 @@ FETCH_ATTEMPTS_METRIC = "repro_live_fetch_attempts_total"
 FETCH_FAILURES_METRIC = "repro_live_fetch_failures_total"
 DEGRADED_VERDICTS_METRIC = "repro_live_degraded_verdicts_total"
 
-#: Sentinel for a history fetch attempt that failed (error or timeout).
-_FETCH_FAILED = object()
+#: History fetch attempts before the assessor degrades the verdict.
+FETCH_ATTEMPTS = 3
 
 ControlGroupKey = Tuple[str, str]  # (entity_type, metric)
 
@@ -144,8 +144,7 @@ class LiveAssessor:
 
     def __init__(self, config: LiveConfig, bus: VerdictBus,
                  metrics: Optional[MetricsRegistry] = None,
-                 history_provider=None, store=None,
-                 clock=time.perf_counter, sleep=time.sleep) -> None:
+                 history_provider=None, store=None) -> None:
         self.config = config
         self.bus = bus
         self.metrics = metrics or MetricsRegistry()
@@ -156,10 +155,6 @@ class LiveAssessor:
         self.history_provider = history_provider
         #: the durable metric store, for gap repair (``repair_from_store``).
         self.store = store
-        #: wall-clock source for fetch timeout budgets (injectable).
-        self.clock = clock
-        #: backoff sleeper between fetch retries (injectable).
-        self.sleep = sleep
         #: stacked cross-detector scorer the scheduler runs once per tick.
         self.pool = DetectorPool(self.metrics)
 
@@ -348,48 +343,31 @@ class LiveAssessor:
             self.on_fragment(session, key, fragment, now)
         return caught_up
 
-    # -- history fetch (retry / timeout budget) --------------------------------
+    # -- history fetch (retried) ----------------------------------------------
 
     def _fetch_history(self, session: ChangeSession,
                        tracker: KpiTracker) -> Tuple[Optional[np.ndarray],
                                                      bool]:
-        """Historical-control rows with retry-with-backoff.
+        """Historical-control rows, retried back to back on failure.
 
         Returns ``(rows, healthy)``: ``healthy`` is False only when the
-        provider kept failing (errors or timeout-budget overruns) past
-        ``fetch_retries`` — the caller then degrades the verdict
-        annotation instead of crashing the pipeline.
+        provider raised on all :data:`FETCH_ATTEMPTS` attempts — the
+        caller then degrades the verdict annotation instead of crashing
+        the pipeline.
         """
-        if self.history_provider is None:
-            return None, True
-        attempts = self.config.fetch_retries + 1
-        backoff = self.config.fetch_backoff_seconds
-        budget = self.config.fetch_timeout_seconds
-        for attempt in range(attempts):
+        for _ in range(FETCH_ATTEMPTS):
             self.metrics.counter(
                 FETCH_ATTEMPTS_METRIC,
                 help="History-provider fetch attempts.").inc()
-            started = self.clock()
             try:
-                rows = self.history_provider(
+                return self.history_provider(
                     session.change, tracker.key.entity_type,
-                    tracker.key.entity, tracker.key.metric)
+                    tracker.key.entity, tracker.key.metric), True
             except TelemetryError:
-                rows = _FETCH_FAILED
-                outcome = "error"
-            else:
-                if budget > 0 and self.clock() - started > budget:
-                    rows = _FETCH_FAILED
-                    outcome = "timeout"
-            if rows is not _FETCH_FAILED:
-                return rows, True
-            self.metrics.counter(
-                FETCH_FAILURES_METRIC,
-                help="Failed history fetch attempts, by outcome.",
-            ).inc(outcome=outcome)
-            if attempt + 1 < attempts and backoff > 0:
-                self.sleep(backoff)
-                backoff *= 2
+                self.metrics.counter(
+                    FETCH_FAILURES_METRIC,
+                    help="Failed history fetch attempts, by outcome.",
+                ).inc(outcome="error")
         return None, False
 
     # -- attribution -----------------------------------------------------------
@@ -439,7 +417,7 @@ class LiveAssessor:
             if not healthy:
                 degraded_notes = (
                     "degraded: history unavailable after %d attempts"
-                    % (self.config.fetch_retries + 1),)
+                    % FETCH_ATTEMPTS,)
                 self.metrics.counter(
                     DEGRADED_VERDICTS_METRIC,
                     help="Verdicts attributed without a healthy "

@@ -150,9 +150,8 @@ class JsonlVerdictSink:
     ``close()`` is a no-op, as is a write after close.
     """
 
-    def __init__(self, path: str, fsync_on_close: bool = True) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.fsync_on_close = fsync_on_close
         self.written = 0
         parent = os.path.dirname(path)
         if parent:
@@ -169,8 +168,7 @@ class JsonlVerdictSink:
     def close(self) -> None:
         if self._fh is not None:
             self._fh.flush()
-            if self.fsync_on_close:
-                os.fsync(self._fh.fileno())
+            os.fsync(self._fh.fileno())
             self._fh.close()
             self._fh = None
 
@@ -181,14 +179,12 @@ class JsonlVerdictSink:
         self.close()
 
 
-def read_verdicts(path: str,
-                  tolerate_torn_tail: bool = True) -> List[LiveVerdict]:
+def read_verdicts(path: str) -> List[LiveVerdict]:
     """Read a verdict JSONL file back into :class:`LiveVerdict` objects.
 
-    A killed writer leaves at most one unterminated final line; with
-    ``tolerate_torn_tail`` (the default) that tail is skipped rather
-    than fatal.  A corrupt line anywhere *else* raises — that is real
-    damage, not a crash artifact.
+    A killed writer leaves at most one unterminated final line; that
+    tail is skipped rather than fatal.  A corrupt line anywhere *else*
+    raises — that is real damage, not a crash artifact.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -200,7 +196,7 @@ def read_verdicts(path: str,
         try:
             doc = json.loads(line)
         except ValueError:
-            if tolerate_torn_tail and index == last:
+            if index == last:
                 break
             raise TelemetryError(
                 "verdict file %s is corrupt at line %d" % (path, index + 1))

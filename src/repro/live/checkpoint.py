@@ -199,8 +199,7 @@ def _restore_session(service, record: dict) -> ChangeSession:
     impact = identify_impact_set(service.watcher.fleet, change.service,
                                  change.hostnames)
     config = service.config
-    queues = IngestQueues(config.queue_capacity, config.drop_policy,
-                          service.metrics)
+    queues = IngestQueues(config.queue_capacity, service.metrics)
     qdoc = record["queues"]
     queues.restore(
         qdoc["shed"],

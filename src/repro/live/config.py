@@ -7,19 +7,14 @@ from dataclasses import dataclass, field
 from ..core.funnel import FunnelConfig
 from ..exceptions import ParameterError
 
-__all__ = ["LiveConfig", "DROP_OLDEST", "DROP_NEWEST"]
-
-#: Load-shedding policies for a full per-KPI ingest queue.
-DROP_OLDEST = "drop_oldest"
-DROP_NEWEST = "drop_newest"
+__all__ = ["LiveConfig"]
 
 #: ``(field, smallest valid value)`` of every numeric knob.
 _LOWER_BOUNDS = (
     ("assessment_window_seconds", 1), ("baseline_bins", 1),
     ("queue_capacity", 1), ("max_fragments_per_tick", 0),
     ("max_active_changes", 0), ("max_control_units", 1),
-    ("history_days", 0), ("score_chunk_bins", 1), ("fetch_retries", 0),
-    ("fetch_backoff_seconds", 0), ("fetch_timeout_seconds", 0),
+    ("history_days", 0), ("score_chunk_bins", 1),
     ("close_grace_seconds", 0))
 
 
@@ -42,15 +37,14 @@ class LiveConfig:
         baseline_bins: pre-change bins backfilled from the store when a
             change is admitted — the robust-normalisation baseline.
         queue_capacity: bound on each KPI's queued fragments; one
-            beyond it triggers ``drop_policy``.  Blocks over the same
-            keys queue whole, so a full queue sheds a whole tick.
-        drop_policy: :data:`DROP_OLDEST` sheds the stalest queued
-            fragment (keeps the stream fresh, creates a gap the tracker
-            detects); :data:`DROP_NEWEST` sheds the arriving fragment.
+            beyond it sheds the stalest queued fragment (keeps the
+            stream fresh, creates a gap the tracker detects).  Blocks
+            over the same keys queue whole, so a full queue sheds a
+            whole tick.
         max_fragments_per_tick: the scheduler's drain budget per tick
             across all changes (0 = unlimited).  Setting it below the
             ingest rate is how overload is simulated/handled: queues
-            fill, the policy sheds, memory stays bounded.
+            fill, the oldest fragments shed, memory stays bounded.
         max_active_changes: cap on concurrently assessed changes
             (0 = unlimited).  At capacity an arriving change is admitted
             only if its priority beats the lowest active one, which is
@@ -63,15 +57,6 @@ class LiveConfig:
             per-call cost (higher throughput) and delay *emission* by up
             to ``chunk - 1`` bins; declared indices and verdicts are
             unaffected, and any remainder is flushed at the deadline.
-        fetch_retries: additional attempts after a failed (or timed-out)
-            history-provider fetch before the assessor degrades the
-            verdict instead of crashing.
-        fetch_backoff_seconds: initial wall-clock backoff between fetch
-            retries (doubled per attempt); 0 retries immediately, which
-            is what the virtual-time replay wants.
-        fetch_timeout_seconds: per-call wall-clock budget for one
-            history fetch; a slower call counts as a failure and is
-            retried.  0 disables the budget.
         close_grace_seconds: how long past its deadline a session stays
             open before the scheduler settles it.  With delayed-delivery
             faults injected, fragments for in-window bins can reach the
@@ -95,15 +80,11 @@ class LiveConfig:
     assessment_window_seconds: int = 3600
     baseline_bins: int = 80
     queue_capacity: int = 64
-    drop_policy: str = DROP_OLDEST
     max_fragments_per_tick: int = 0
     max_active_changes: int = 0
     max_control_units: int = 8
     history_days: int = 2
     score_chunk_bins: int = 1
-    fetch_retries: int = 2
-    fetch_backoff_seconds: float = 0.0
-    fetch_timeout_seconds: float = 0.0
     close_grace_seconds: int = 0
     repair_from_store: bool = False
 
@@ -112,7 +93,3 @@ class LiveConfig:
             if getattr(self, name) < low:
                 raise ParameterError("%s must be >= %s, got %r"
                                      % (name, low, getattr(self, name)))
-        if self.drop_policy not in (DROP_OLDEST, DROP_NEWEST):
-            raise ParameterError(
-                "drop_policy must be %r or %r, got %r"
-                % (DROP_OLDEST, DROP_NEWEST, self.drop_policy))

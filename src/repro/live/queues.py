@@ -7,10 +7,9 @@ fragments: the subscription *offers* them — a tick's
 :class:`~repro.telemetry.store.Block` through
 :meth:`IngestQueues.offer_batch`, a single-key append through
 :meth:`IngestQueues.offer` — and the event-time scheduler *drains* them
-under its per-tick budget.  A full KPI queue sheds by the configured
-policy — stale first by default — and a counter records every shed, so
-overload degrades the answers (gaps, late emissions) instead of growing
-memory without bound.
+under its per-tick budget.  A full KPI queue sheds its oldest fragment
+and a counter records every shed, so overload degrades the answers
+(gaps, late emissions) instead of growing memory without bound.
 
 While every queued block covers the same keys, blocks queue **whole**:
 each key then holds one fragment per block, so all keys fill on the same
@@ -31,7 +30,6 @@ from ..obs.metrics import MetricsRegistry
 from ..telemetry.kpi import KpiKey
 from ..telemetry.store import Block
 from ..telemetry.timeseries import TimeSeries
-from .config import DROP_NEWEST, DROP_OLDEST
 
 __all__ = ["IngestQueues"]
 
@@ -42,10 +40,9 @@ SHED_FRAGMENTS_METRIC = "repro_live_shed_fragments_total"
 class IngestQueues:
     """Bounded fragment queues for one change's subscribed KPIs."""
 
-    def __init__(self, capacity: int, policy: str = DROP_OLDEST,
+    def __init__(self, capacity: int,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.capacity = capacity
-        self.policy = policy
         self.metrics = metrics or MetricsRegistry()
         #: whole blocks, oldest first, while every per-KPI deque is empty
         self._blocks: Deque[Block] = deque()
@@ -66,22 +63,23 @@ class IngestQueues:
     # -- producer side --------------------------------------------------------
 
     def offer(self, key: KpiKey, fragment: TimeSeries) -> bool:
-        """Enqueue ``fragment``; returns False when it was shed.
+        """Enqueue ``fragment``; returns True, since an arrival is never
+        the fragment shed.
 
-        A full queue sheds according to the policy: ``drop_oldest``
-        evicts the stalest queued fragment to make room (the arriving
-        fragment is kept — freshness wins, at the cost of a gap the
-        tracker will notice); ``drop_newest`` sheds the arrival.
+        A full queue evicts the stalest queued fragment to make room (the
+        arriving fragment is kept — freshness wins, at the cost of a gap
+        the tracker will notice).
         """
         self.metrics.counter(
             FRAGMENTS_METRIC, help="Fragments offered to ingest queues."
         ).inc()
         self._spill()
-        return self._push(self._queues.setdefault(key, deque()), fragment)
+        self._push(self._queues.setdefault(key, deque()), fragment)
+        return True
 
     def offer_batch(self, items: Iterable[Tuple[KpiKey, TimeSeries]]) -> int:
         """Enqueue a :class:`Block` or ``(key, fragment)`` pairs under one
-        counter bump; returns how many fragments were accepted."""
+        counter bump; returns how many fragments were accepted (all)."""
         if not items:
             return 0
         self.metrics.counter(
@@ -93,26 +91,24 @@ class IngestQueues:
                 for key in items.keys:
                     self._queues.setdefault(key, deque())
                 self._known = items.keys
-            return len(items) if self._push(self._blocks, items,
-                                            len(items)) else 0
+            self._push(self._blocks, items, len(items))
+            return len(items)
         self._spill()
-        return sum(1 for key, fragment in items
-                   if self._push(self._queues.setdefault(key, deque()),
-                                 fragment))
+        for key, fragment in items:
+            self._push(self._queues.setdefault(key, deque()), fragment)
+        return len(items)
 
-    def _push(self, queue: deque, item, n: int = 1) -> bool:
-        """Append ``item`` (``n`` fragments) to ``queue`` under the bound."""
+    def _push(self, queue: deque, item, n: int = 1) -> None:
+        """Append ``item`` (``n`` fragments) to ``queue`` under the bound,
+        shedding the oldest entry of a full one."""
         if len(queue) >= self.capacity:
-            self._count_shed(self.policy, n)
-            if self.policy == DROP_NEWEST:
-                return False
+            self._count_shed("drop_oldest", n)
             queue.popleft()
             self.depth -= n
         queue.append(item)
         self.depth += n
         if self.depth > self.peak_depth:
             self.peak_depth = self.depth
-        return True
 
     def _spill(self) -> None:
         """Move the queued blocks onto the per-KPI deques, row by row."""

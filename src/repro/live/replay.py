@@ -171,7 +171,7 @@ def replay_scenario(spec: Optional[FleetScenarioSpec] = None,
                     flush_bins: int = 1,
                     check_offline: bool = False,
                     obs: Optional[ObsContext] = None,
-                    sink=None, priority=None,
+                    sink=None,
                     fault_plan: Optional[FaultPlan] = None,
                     checkpoint_path: Optional[str] = None,
                     checkpoint_every: int = 25,
@@ -194,7 +194,6 @@ def replay_scenario(spec: Optional[FleetScenarioSpec] = None,
             counter and gauge in its registry.
         sink: optional verdict-bus subscriber (e.g. a
             :class:`~repro.live.bus.JsonlVerdictSink`).
-        priority: optional admission-priority override.
         fault_plan: optional :class:`~repro.faults.FaultPlan` wrapping
             the store (and the history provider, for history faults);
             delayed fragments are flushed before shutdown.
@@ -289,7 +288,7 @@ def replay_scenario(spec: Optional[FleetScenarioSpec] = None,
 
     service = LiveAssessmentService(
         store, log, source.fleet, config=config, obs=obs,
-        history_provider=history, priority=priority,
+        history_provider=history,
         checkpointer=checkpointer, health=health)
     if faulty:
         store.bind_metrics(service.metrics)

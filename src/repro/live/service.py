@@ -36,8 +36,8 @@ class LiveAssessmentService:
     def __init__(self, store: MetricStore, log: ChangeLog, fleet: Fleet,
                  config: Optional[LiveConfig] = None,
                  obs: Optional[ObsContext] = None,
-                 history_provider=None, priority=None,
-                 checkpointer=None, health=None) -> None:
+                 history_provider=None, checkpointer=None,
+                 health=None) -> None:
         self.config = config or LiveConfig()
         self.obs = obs
         self.store = store
@@ -49,8 +49,7 @@ class LiveAssessmentService:
                                      history_provider=history_provider,
                                      store=store)
         self.watcher = ChangeWatcher(log, fleet, store, self.assessor,
-                                     self.config, self.metrics,
-                                     priority=priority)
+                                     self.config, self.metrics)
         self.scheduler = EventTimeScheduler(self.watcher, self.assessor,
                                             store, self.config, self.metrics)
         self.closed: List[ChangeSession] = []
@@ -88,7 +87,7 @@ class LiveAssessmentService:
             closed.append(session)
         self.closed.extend(closed)
         if self.health is not None:
-            self.health.finalize(now)
+            self.health.finalize()
         return closed
 
     def _record_change_span(self, session: ChangeSession) -> None:

@@ -10,14 +10,15 @@ session's bounded queues to every future push.
 
 Admission control caps concurrently assessed changes: at
 ``max_active_changes`` a new change is admitted only if its priority
-(by default, blast radius) beats the lowest-priority active change,
-which is evicted; otherwise the new change is shed whole.  Either way
-a counter records it and the id lands on ``shed_change_ids``.
+(:func:`default_priority`, the blast radius) beats the lowest-priority
+active change, which is evicted; otherwise the new change is shed
+whole.  Either way a counter records it and the id lands on
+``shed_change_ids``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -39,9 +40,6 @@ __all__ = ["ChangeWatcher", "StoreHistoryProvider", "default_priority"]
 
 ADMITTED_METRIC = "repro_live_changes_admitted_total"
 SHED_CHANGES_METRIC = "repro_live_shed_changes_total"
-
-PriorityFn = Callable[[SoftwareChange, ImpactSet], float]
-
 
 def default_priority(change: SoftwareChange, impact: ImpactSet) -> float:
     """Blast radius: changes touching more servers matter more."""
@@ -92,15 +90,13 @@ class ChangeWatcher:
 
     def __init__(self, log: ChangeLog, fleet: Fleet, store: MetricStore,
                  assessor: LiveAssessor, config: LiveConfig,
-                 metrics: Optional[MetricsRegistry] = None,
-                 priority: Optional[PriorityFn] = None) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.log = log
         self.fleet = fleet
         self.store = store
         self.assessor = assessor
         self.config = config
         self.metrics = metrics or MetricsRegistry()
-        self.priority = priority or default_priority
         self.sessions: "dict[str, ChangeSession]" = {}
         self.shed_change_ids: List[str] = []
         self._seen: Set[str] = set()
@@ -135,7 +131,7 @@ class ChangeWatcher:
                now: int) -> Optional[ChangeSession]:
         impact = identify_impact_set(self.fleet, change.service,
                                      change.hostnames)
-        priority = self.priority(change, impact)
+        priority = default_priority(change, impact)
         if (self.config.max_active_changes
                 and len(self.sessions) >= self.config.max_active_changes):
             lowest = min(self.sessions.values(),
@@ -146,8 +142,7 @@ class ChangeWatcher:
                 return None
             self._evict(lowest)
 
-        queues = IngestQueues(self.config.queue_capacity,
-                              self.config.drop_policy, self.metrics)
+        queues = IngestQueues(self.config.queue_capacity, self.metrics)
         deadline = change.at_time + self.config.assessment_window_seconds
         session = ChangeSession(change, impact, priority, deadline, queues)
 

@@ -26,7 +26,7 @@ from .artifacts import (RunArtifacts, git_revision, load_run,
                         write_run_artifacts)
 from .context import ObsContext
 from .health import (DEFAULT_SELF_KPIS, DEFAULT_SLOS, VERDICT_LAG_BUCKETS,
-                     VERDICT_LAG_METRIC, HealthConfig, HealthMonitor,
+                     VERDICT_LAG_METRIC, HealthMonitor,
                      HeartbeatWriter, SelfAssessor, Slo, SloTracker,
                      build_health_report, load_heartbeat,
                      render_health_report)
@@ -38,7 +38,7 @@ from .tracing import Span, SpanRecord, Tracer, new_span_id, new_trace_id
 
 __all__ = [
     "BYTE_BUCKETS", "Counter", "DEFAULT_SELF_KPIS", "DEFAULT_SLOS",
-    "Gauge", "HealthConfig", "HealthMonitor", "HeartbeatWriter",
+    "Gauge", "HealthMonitor", "HeartbeatWriter",
     "Histogram", "LATENCY_BUCKETS", "MetricsRegistry", "ObsContext",
     "PathStats", "RunArtifacts", "SelfAssessor", "Slo",
     "SloTracker", "Span", "SpanRecord", "StageProfile", "Tracer",

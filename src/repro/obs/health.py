@@ -51,8 +51,7 @@ __all__ = [
     "HEARTBEAT_KIND", "ALERT_KIND", "DETECTION_KIND", "SUMMARY_KIND",
     "HEARTBEAT_DROPPED_METRIC", "VERDICT_LAG_METRIC", "VERDICT_LAG_BUCKETS",
     "DEFAULT_SLOS", "DEFAULT_SELF_KPIS",
-    "HeartbeatWriter", "Slo", "SloTracker", "SelfAssessor",
-    "HealthConfig", "HealthMonitor",
+    "HeartbeatWriter", "Slo", "SloTracker", "SelfAssessor", "HealthMonitor",
     "load_heartbeat", "build_health_report", "render_health_report",
 ]
 
@@ -79,25 +78,33 @@ class HeartbeatWriter:
     """Bounded, non-blocking JSONL writer for health records.
 
     :meth:`offer` never touches the filesystem: records accumulate in a
-    bounded in-memory ring and reach disk only on :meth:`flush` (the
-    monitor flushes every few ticks) or :meth:`close`.  When the ring is
-    full the *oldest* buffered record is dropped and counted — a stalled
-    disk degrades the telemetry, never the assessment loop.
+    bounded in-memory ring of ``CAPACITY`` records and reach disk
+    only on :meth:`flush` (the monitor flushes every few ticks) or
+    :meth:`close`.  When the ring is full the *oldest* buffered record is
+    dropped and counted — a stalled disk degrades the telemetry, never
+    the assessment loop.  :meth:`close` is idempotent, and a closed
+    writer ignores later offers: the stream on disk is final.
     """
 
-    def __init__(self, path: str, capacity: int = 512,
+    #: the ring bound, in records.
+    CAPACITY = 512
+
+    def __init__(self, path: str,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.path = path
-        self.capacity = max(1, capacity)
         self.metrics = metrics
         self.written = 0
         self.dropped = 0
+        self.closed = False
         self._buffer: Deque[dict] = deque()
         self._fh = None
 
     def offer(self, doc: dict) -> bool:
-        """Buffer one record; returns False when an old one was shed."""
-        shed = len(self._buffer) >= self.capacity
+        """Buffer one record; returns False when an old one was shed, or
+        when the writer is closed and ``doc`` was dropped."""
+        if self.closed:
+            return False
+        shed = len(self._buffer) >= self.CAPACITY
         if shed:
             self._buffer.popleft()
             self.dropped += 1
@@ -132,87 +139,79 @@ class HeartbeatWriter:
         return n
 
     def close(self) -> None:
-        """Flush and close; the file exists even for an empty stream."""
+        """Flush and close; the file exists even for an empty stream.
+        A second close is a no-op (reopening would truncate the file)."""
+        if self.closed:
+            return
         self._open()
         self.flush()
         self._fh.close()
         self._fh = None
+        self.closed = True
 
 
 # -- declarative SLOs ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class Slo:
-    """One objective over a heartbeat signal: ``signal op threshold``.
+    """One objective over a heartbeat signal: ``signal <= threshold``.
 
-    A tick is *good* when the signal satisfies the comparison (or is
+    A tick is *good* when the signal is at most the threshold (or is
     not measurable that tick — absence of data is not a violation).
     """
 
     name: str
     signal: str
-    op: str = "<="
-    threshold: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.op not in ("<=", ">="):
-            raise ValueError("Slo op must be '<=' or '>=', got %r"
-                             % (self.op,))
+    threshold: float
 
     def good(self, value) -> bool:
-        if value is None:
-            return True
-        value = float(value)
-        if self.op == "<=":
-            return value <= self.threshold
-        return value >= self.threshold
+        return value is None or float(value) <= self.threshold
 
     def describe(self) -> str:
-        return "%s %s %g" % (self.signal, self.op, self.threshold)
+        return "%s <= %g" % (self.signal, self.threshold)
 
 
-#: Objectives every live replay can be held to out of the box.
+#: The objectives every live replay is held to.
 DEFAULT_SLOS: Tuple[Slo, ...] = (
-    Slo("verdict-lag-p99", "verdict_lag_p99_bins", "<=", 180.0),
-    Slo("watermark-lag", "watermark_lag_bins", "<=", 30.0),
-    Slo("shed-ratio", "shed_ratio", "<=", 0.05),
-    Slo("queue-depth", "queue_depth", "<=", 4096.0),
+    Slo("verdict-lag-p99", "verdict_lag_p99_bins", 180.0),
+    Slo("watermark-lag", "watermark_lag_bins", 30.0),
+    Slo("shed-ratio", "shed_ratio", 0.05),
+    Slo("queue-depth", "queue_depth", 4096.0),
 )
 
 
 class SloTracker:
-    """Sliding-window SLO attainment with multi-window burn alerts.
+    """Sliding-window attainment of :data:`DEFAULT_SLOS` with
+    multi-window burn alerts.
 
     Each tick contributes one good/bad bit per objective to a fast and
-    a slow sliding window.  An alert *fires* when the fast window is
-    full and both windows' bad fractions exceed their burn thresholds
-    — the standard multi-window burn-rate rule: the fast window gives
-    low detection latency, the slow window keeps a single bad tick from
-    paging.  A ``resolved`` event is emitted when the condition clears.
+    a slow sliding window (``FAST_WINDOW``, ``SLOW_WINDOW`` ticks).  An
+    alert *fires* when the fast window is full and both windows' bad
+    fractions reach their burn thresholds (``FAST_BURN``,
+    ``SLOW_BURN``) — the standard multi-window burn-rate rule: the fast
+    window gives low detection latency, the slow window keeps a single
+    bad tick from paging.  A ``resolved`` event is emitted when the
+    condition clears.
     """
 
-    def __init__(self, slos: Tuple[Slo, ...] = DEFAULT_SLOS,
-                 fast_window: int = 12, slow_window: int = 60,
-                 fast_burn: float = 0.5, slow_burn: float = 0.2) -> None:
-        self.slos = tuple(slos)
-        self.fast_window = max(1, fast_window)
-        self.slow_window = max(self.fast_window, slow_window)
-        self.fast_burn = fast_burn
-        self.slow_burn = slow_burn
+    FAST_WINDOW, SLOW_WINDOW = 12, 60
+    FAST_BURN, SLOW_BURN = 0.5, 0.2
+
+    def __init__(self) -> None:
+        names = [slo.name for slo in DEFAULT_SLOS]
         self._fast: Dict[str, Deque[int]] = {
-            slo.name: deque(maxlen=self.fast_window) for slo in self.slos}
+            name: deque(maxlen=self.FAST_WINDOW) for name in names}
         self._slow: Dict[str, Deque[int]] = {
-            slo.name: deque(maxlen=self.slow_window) for slo in self.slos}
-        self._good: Dict[str, int] = {slo.name: 0 for slo in self.slos}
-        self._bad: Dict[str, int] = {slo.name: 0 for slo in self.slos}
-        self._firing: Dict[str, bool] = {slo.name: False
-                                         for slo in self.slos}
-        self._fired: Dict[str, int] = {slo.name: 0 for slo in self.slos}
+            name: deque(maxlen=self.SLOW_WINDOW) for name in names}
+        self._good: Dict[str, int] = dict.fromkeys(names, 0)
+        self._bad: Dict[str, int] = dict.fromkeys(names, 0)
+        self._firing: Dict[str, bool] = dict.fromkeys(names, False)
+        self._fired: Dict[str, int] = dict.fromkeys(names, 0)
 
     def update(self, tick: int, values: dict) -> List[dict]:
         """Score one tick's signals; returns alert state transitions."""
         events: List[dict] = []
-        for slo in self.slos:
+        for slo in DEFAULT_SLOS:
             value = values.get(slo.signal)
             bad = 0 if slo.good(value) else 1
             fast = self._fast[slo.name]
@@ -225,9 +224,9 @@ class SloTracker:
                 self._good[slo.name] += 1
             fast_frac = sum(fast) / len(fast)
             slow_frac = sum(slow) / len(slow)
-            firing = (len(fast) == self.fast_window
-                      and fast_frac >= self.fast_burn
-                      and slow_frac >= self.slow_burn)
+            firing = (len(fast) == self.FAST_WINDOW
+                      and fast_frac >= self.FAST_BURN
+                      and slow_frac >= self.SLOW_BURN)
             if firing != self._firing[slo.name]:
                 self._firing[slo.name] = firing
                 if firing:
@@ -247,7 +246,7 @@ class SloTracker:
     def attainment(self) -> dict:
         """Per-objective good/bad tick counts and attainment fraction."""
         out = {}
-        for slo in self.slos:
+        for slo in DEFAULT_SLOS:
             good = self._good[slo.name]
             bad = self._bad[slo.name]
             total = good + bad
@@ -279,30 +278,33 @@ DEFAULT_SELF_KPIS: Tuple[str, ...] = (
 class SelfAssessor:
     """The assessor's own KPIs pushed through incremental FUNNEL.
 
-    One :class:`~repro.live.detector.IncrementalDetector` per KPI, one
-    sample per scheduler tick.  ``baseline_ticks`` plays the role of
-    the change index: the first that many ticks form the robust
-    normalisation baseline, and only deviations starting after it are
-    reportable — exactly the offline declaration filter.  A smaller
-    ``omega`` than the KPI default keeps the detection lag short (the
-    scorer needs ``2*omega - 1`` ticks of forward context).
+    One :class:`~repro.live.detector.IncrementalDetector` per KPI of
+    :data:`DEFAULT_SELF_KPIS`, one sample per scheduler tick.
+    ``BASELINE_TICKS`` plays the role of the change index: the first
+    that many ticks form the robust normalisation baseline, and only
+    deviations starting after it are reportable — exactly the offline
+    declaration filter.  An ``OMEGA`` smaller than the KPI default
+    keeps the detection lag short (the scorer needs ``2*omega - 1``
+    ticks of forward context); ``SCORE_CHUNK`` ticks are batched
+    per scoring call.
     """
 
-    def __init__(self, kpis: Tuple[str, ...] = DEFAULT_SELF_KPIS,
-                 baseline_ticks: int = 60, omega: int = 5,
-                 score_chunk: int = 4) -> None:
+    BASELINE_TICKS = 60
+    OMEGA = 5
+    SCORE_CHUNK = 4
+
+    def __init__(self) -> None:
         # Imported here, not at module level: repro.live imports this
         # module for the verdict-lag metric constants.
         from ..core.funnel import FunnelConfig
         from ..core.rsst import ImprovedSSTParams
         from ..live.detector import IncrementalDetector
 
-        self.baseline_ticks = max(1, baseline_ticks)
-        config = FunnelConfig(sst=ImprovedSSTParams(omega=omega))
+        config = FunnelConfig(sst=ImprovedSSTParams(omega=self.OMEGA))
         self._detectors = {
-            kpi: IncrementalDetector(self.baseline_ticks, config,
-                                     score_chunk_bins=max(1, score_chunk))
-            for kpi in kpis}
+            kpi: IncrementalDetector(self.BASELINE_TICKS, config,
+                                     score_chunk_bins=self.SCORE_CHUNK)
+            for kpi in DEFAULT_SELF_KPIS}
         self.detections: List[dict] = []
 
     def _record(self, kpi: str, declared, tick: int) -> dict:
@@ -341,43 +343,6 @@ class SelfAssessor:
         return found
 
 
-# -- configuration ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HealthConfig:
-    """Knobs of the health telemetry loop (heartbeat, SLOs, self-scan).
-
-    Attributes:
-        heartbeat_path: JSONL file the heartbeat stream is written to;
-            ``None`` keeps every record in memory only (summary still
-            works — useful for tests and benches).
-        buffer_records: the :class:`HeartbeatWriter` ring bound.
-        flush_every_ticks: ticks between opportunistic writer flushes.
-        slos: the declarative objectives to track.
-        fast_window / slow_window: burn-rate window lengths, in ticks.
-        fast_burn / slow_burn: bad-fraction thresholds per window.
-        self_assess: run the FUNNEL-on-FUNNEL loop.
-        self_kpis: heartbeat fields fed to the self detectors.
-        self_baseline_ticks: normalisation baseline per self detector.
-        self_omega: SST window of the self detectors (small = fast).
-        self_score_chunk: ticks batched per self scoring call.
-    """
-
-    heartbeat_path: Optional[str] = None
-    buffer_records: int = 512
-    flush_every_ticks: int = 32
-    slos: Tuple[Slo, ...] = DEFAULT_SLOS
-    fast_window: int = 12
-    slow_window: int = 60
-    fast_burn: float = 0.5
-    slow_burn: float = 0.2
-    self_assess: bool = True
-    self_kpis: Tuple[str, ...] = DEFAULT_SELF_KPIS
-    self_baseline_ticks: int = 60
-    self_omega: int = 5
-    self_score_chunk: int = 4
-
-
 # -- the monitor --------------------------------------------------------------
 
 class HealthMonitor:
@@ -390,24 +355,21 @@ class HealthMonitor:
     state — counters, gauges, session watermarks — and writes only to
     its own heartbeat stream, which is what keeps verdict output
     byte-identical with health on or off.
+
+    ``heartbeat_path`` is the JSONL file the stream is written to,
+    flushed every ``FLUSH_EVERY_TICKS`` ticks; ``None`` keeps every
+    record in memory only (the summary still works).
     """
 
-    def __init__(self, config: Optional[HealthConfig] = None) -> None:
-        self.config = config or HealthConfig()
-        self.writer = (HeartbeatWriter(self.config.heartbeat_path,
-                                       self.config.buffer_records)
-                       if self.config.heartbeat_path else None)
-        self.slo_tracker = SloTracker(
-            self.config.slos, fast_window=self.config.fast_window,
-            slow_window=self.config.slow_window,
-            fast_burn=self.config.fast_burn,
-            slow_burn=self.config.slow_burn)
-        self.self_assessor = (SelfAssessor(
-            self.config.self_kpis,
-            baseline_ticks=self.config.self_baseline_ticks,
-            omega=self.config.self_omega,
-            score_chunk=self.config.self_score_chunk)
-            if self.config.self_assess else None)
+    #: ticks between opportunistic writer flushes.
+    FLUSH_EVERY_TICKS = 32
+
+    def __init__(self, heartbeat_path: Optional[str] = None) -> None:
+        self.heartbeat_path = heartbeat_path
+        self.writer = (HeartbeatWriter(heartbeat_path)
+                       if heartbeat_path else None)
+        self.slo_tracker = SloTracker()
+        self.self_assessor = SelfAssessor()
         self.service = None
         self.metrics: Optional[MetricsRegistry] = None
         self.ticks = 0
@@ -555,30 +517,28 @@ class HealthMonitor:
 
         events = self.slo_tracker.update(tick, record)
         self.alerts.extend(events)
-        detections = (self.self_assessor.observe(tick, record)
-                      if self.self_assessor is not None else [])
+        detections = self.self_assessor.observe(tick, record)
 
         self.heartbeats.append(record)
         if self.writer is not None:
             self.writer.offer(record)
             for doc in events + detections:
                 self.writer.offer(doc)
-            if self.ticks % max(1, self.config.flush_every_ticks) == 0:
+            if self.ticks % self.FLUSH_EVERY_TICKS == 0:
                 self.writer.flush()
         return record
 
     # -- shutdown -------------------------------------------------------------
 
-    def finalize(self, now: Optional[int] = None) -> dict:
+    def finalize(self) -> dict:
         """End of stream: flush self detectors, summarise, close file."""
         if self.finalized:
             return self.summary()
         self.finalized = True
-        if self.self_assessor is not None:
-            late = self.self_assessor.finalize(self.ticks)
-            if self.writer is not None:
-                for doc in late:
-                    self.writer.offer(doc)
+        late = self.self_assessor.finalize(self.ticks)
+        if self.writer is not None:
+            for doc in late:
+                self.writer.offer(doc)
         summary = self.summary()
         if self.writer is not None:
             self.writer.offer(dict(summary, kind=SUMMARY_KIND))
@@ -587,8 +547,7 @@ class HealthMonitor:
 
     def summary(self) -> dict:
         """Operator summary, embedded in the service ``report()``."""
-        detections = (list(self.self_assessor.detections)
-                      if self.self_assessor is not None else [])
+        detections = self.self_assessor.detections
         return {
             "ticks": self.ticks,
             "slos": self.slo_tracker.attainment(),
@@ -597,7 +556,7 @@ class HealthMonitor:
             "self_detections": [
                 {k: v for k, v in d.items() if k != "kind"}
                 for d in detections],
-            "heartbeat_path": self.config.heartbeat_path,
+            "heartbeat_path": self.heartbeat_path,
             "heartbeat_written": (self.writer.written
                                   if self.writer else 0),
             "heartbeat_dropped": (self.writer.dropped
@@ -650,7 +609,8 @@ def build_health_report(records: List[dict]) -> dict:
 
     Prefers the stream's own ``health_summary`` record (written at
     finalize); a stream from a killed run lacks one, so SLO attainment
-    is then recomputed from the heartbeats under the default objectives.
+    is then recomputed from the heartbeats (under :data:`DEFAULT_SLOS`,
+    the objectives the run tracked).
     """
     heartbeats = [r for r in records if r.get("kind") == HEARTBEAT_KIND]
     alerts = [r for r in records if r.get("kind") == ALERT_KIND]

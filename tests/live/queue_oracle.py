@@ -2,6 +2,8 @@
 queue as it stood before the block lane, kept verbatim (imports aside)
 so ``test_queue_machine.py`` can hold the block lane to its shedding,
 budget and rotation semantics.  Its docstrings describe that version.
+It keeps its own policy names: the queue under test always sheds the
+oldest fragment, so ``test_queue_machine.py`` samples ``DROP_OLDEST``.
 
 Bounded per-KPI ingest queues with explicit load shedding.
 
@@ -31,13 +33,16 @@ from bisect import bisect_right
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
-from repro.live.config import DROP_NEWEST, DROP_OLDEST
 from repro.live.queues import FRAGMENTS_METRIC, SHED_FRAGMENTS_METRIC
 from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.kpi import KpiKey
 from repro.telemetry.timeseries import TimeSeries
 
-__all__ = ["IngestQueues"]
+__all__ = ["IngestQueues", "DROP_OLDEST", "DROP_NEWEST"]
+
+#: Load-shedding policies for a full per-KPI ingest queue.
+DROP_OLDEST = "drop_oldest"
+DROP_NEWEST = "drop_newest"
 
 
 class IngestQueues:

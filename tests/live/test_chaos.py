@@ -80,8 +80,8 @@ class TestChaosParity:
         assert report.fault_plan == plan.describe()
 
     def test_flaky_history_recovers_within_retry_budget(self):
-        # error_attempts=2 leading failures < the default 3 attempts
-        # (fetch_retries=2), so every fetch heals and parity holds.
+        # error_attempts=2 leading failures < the 3 attempts
+        # (FETCH_ATTEMPTS), so every fetch heals and parity holds.
         plan = preset_plan("flaky-history", seed=11)
         report = run_chaos(FULL_SPEC, plan, check_offline=True)
         assert report.parity_ok is True
@@ -112,12 +112,12 @@ class TestSeededDeterminism:
 
 class TestRetryExhaustion:
     def test_exhausted_history_degrades_the_verdict(self):
-        # 5 leading failures against a single attempt (fetch_retries=0):
-        # every history fetch is exhausted, verdicts still emit but
-        # carry the degraded annotation.
+        # 5 leading failures against 3 attempts (FETCH_ATTEMPTS): every
+        # history fetch is exhausted, verdicts still emit but carry the
+        # degraded annotation.
         plan = FaultPlan(seed=3, rules=(
             FaultRule(HISTORY_ERROR, error_attempts=5),))
-        report = run_chaos(FULL_SPEC, plan, fetch_retries=0)
+        report = run_chaos(FULL_SPEC, plan)
         degraded = [v for v in report.verdicts
                     if any(note.startswith("degraded:")
                            for note in v.notes)]
@@ -129,14 +129,9 @@ class TestRetryExhaustion:
         assert report.service_report["active_changes"] == 0
 
 
-def run_chaos_fetch(config, provider, clock=None, sleep=None):
-    kwargs = {}
-    if clock is not None:
-        kwargs["clock"] = clock
-    if sleep is not None:
-        kwargs["sleep"] = sleep
-    assessor = LiveAssessor(config, VerdictBus(),
-                            history_provider=provider, **kwargs)
+def run_chaos_fetch(provider):
+    assessor = LiveAssessor(LiveConfig(), VerdictBus(),
+                            history_provider=provider)
     session = SimpleNamespace(change=SimpleNamespace(change_id="chg-1"))
     tracker = SimpleNamespace(key=KpiKey("service", "api", "latency"))
     return assessor._fetch_history(session, tracker)
@@ -150,10 +145,9 @@ class TestFetchRetryUnit:
             calls.append(args)
             raise TelemetryError("down")
 
-        rows, healthy = run_chaos_fetch(LiveConfig(fetch_retries=2),
-                                        provider)
+        rows, healthy = run_chaos_fetch(provider)
         assert rows is None and healthy is False
-        assert len(calls) == 3           # 1 try + 2 retries
+        assert len(calls) == 3           # FETCH_ATTEMPTS
 
     def test_transient_failure_recovers(self):
         attempts = []
@@ -164,26 +158,9 @@ class TestFetchRetryUnit:
                 raise TelemetryError("blip")
             return "rows"
 
-        rows, healthy = run_chaos_fetch(LiveConfig(fetch_retries=2),
-                                        provider)
+        rows, healthy = run_chaos_fetch(provider)
         assert rows == "rows" and healthy is True
         assert len(attempts) == 2
-
-    def test_timeout_budget_counts_as_failure(self):
-        ticks = iter(range(0, 1000, 10))   # every clock() call jumps 10s
-        rows, healthy = run_chaos_fetch(
-            LiveConfig(fetch_retries=1, fetch_timeout_seconds=1.0),
-            lambda *args: "rows", clock=lambda: next(ticks))
-        assert rows is None and healthy is False
-
-    def test_backoff_doubles_between_retries(self):
-        sleeps = []
-        rows, healthy = run_chaos_fetch(
-            LiveConfig(fetch_retries=2, fetch_backoff_seconds=0.5),
-            lambda *args: (_ for _ in ()).throw(TelemetryError("down")),
-            sleep=sleeps.append)
-        assert healthy is False
-        assert sleeps == [0.5, 1.0]
 
 
 class TestPooledChaosParity:

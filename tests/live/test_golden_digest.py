@@ -48,13 +48,11 @@ CHAOS = {
         1580),
 }
 #: drop policy -> (digest, fragments shed) under ``OVERLOAD``; recorded
-#: at bef44d7, before the block queue touched any source file.  Both
-#: policies read 6 ``declared`` and 18 ``gap`` verdicts there.
+#: at bef44d7, before the block queue touched any source file, with 6
+#: ``declared`` and 18 ``gap`` verdicts.  A full queue sheds its oldest
+#: fragment.
 OVERLOAD = dict(queue_capacity=4, max_fragments_per_tick=12)
 OVERLOAD_SHA = {
-    "drop_newest": (
-        "54718fb1deb75d8222c43f8158685b402ab6461c955299868919a7d22a13f22c",
-        360),
     "drop_oldest": (
         "54718fb1deb75d8222c43f8158685b402ab6461c955299868919a7d22a13f22c",
         360),
@@ -108,7 +106,7 @@ class TestGoldenVerdictDigest:
         round-robin order and the rotation cursor all reach the verdicts,
         so the digest and the shed count pin the overload semantics."""
         digest, shed = OVERLOAD_SHA[policy]
-        config = parity_live_config(SPEC, drop_policy=policy, **OVERLOAD)
+        config = parity_live_config(SPEC, **OVERLOAD)
         report = replay_scenario(SPEC, live_config=config)
         assert report.service_report["counters"][SHED_FRAGMENTS_METRIC] \
             == shed

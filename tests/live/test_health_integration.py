@@ -22,7 +22,7 @@ from repro.engine.fleet import FleetScenarioSpec
 from repro.faults import preset_plan
 from repro.live import JsonlVerdictSink, parity_live_config, replay_scenario
 from repro.obs.health import (DETECTION_KIND, HEARTBEAT_KIND, SUMMARY_KIND,
-                              HealthConfig, HealthMonitor, load_heartbeat)
+                              HealthMonitor, load_heartbeat)
 from repro.telemetry.timeseries import MINUTE
 
 SPEC = FleetScenarioSpec(n_services=2, n_servers=8, n_changes=2,
@@ -30,9 +30,8 @@ SPEC = FleetScenarioSpec(n_services=2, n_servers=8, n_changes=2,
                          history_days=1, seed=7)
 
 
-def _monitor(tmp_path, **overrides):
-    return HealthMonitor(HealthConfig(
-        heartbeat_path=str(tmp_path / "heartbeat.jsonl"), **overrides))
+def _monitor(tmp_path):
+    return HealthMonitor(heartbeat_path=str(tmp_path / "heartbeat.jsonl"))
 
 
 def _silence_plan(offset_bins=100, seed=11):
@@ -153,13 +152,23 @@ class TestChaosSelfDetection:
 
 class TestMonitorMechanics:
     def test_heartbeats_flush_incrementally(self, tmp_path):
-        health = _monitor(tmp_path, flush_every_ticks=8)
-        replay_scenario(SPEC, health=health)
+        health = _monitor(tmp_path)
+        written = {}
+        replay_scenario(SPEC, health=health,
+                        tick_callback=lambda tick, now: written.setdefault(
+                            tick, health.writer.written))
+        every = HealthMonitor.FLUSH_EVERY_TICKS
+        assert every == 32
+        assert written[every - 1] == 0
+        assert written[every] >= every
+        assert written[2 * every] >= 2 * every
         assert health.writer.written >= 240
         assert health.writer.dropped == 0
 
     def test_killed_run_leaves_truncated_stream(self, tmp_path):
-        health = _monitor(tmp_path, flush_every_ticks=8)
+        # Killed past the first 32-tick flush: those heartbeats are on
+        # disk, the rest died in the buffer.
+        health = _monitor(tmp_path)
         report = replay_scenario(SPEC, health=health,
                                  kill_after_ticks=40)
         assert report.killed
@@ -169,14 +178,8 @@ class TestMonitorMechanics:
         # No summary record — the run never shut down cleanly — but the
         # flushed heartbeats survive for post-mortem health-report.
         assert all(r["kind"] != SUMMARY_KIND for r in records)
-        assert any(r["kind"] == HEARTBEAT_KIND for r in records)
+        assert sum(r["kind"] == HEARTBEAT_KIND for r in records) == 32
         assert not health.finalized
-
-    def test_self_assessment_can_be_disabled(self, tmp_path):
-        health = _monitor(tmp_path, self_assess=False)
-        report = replay_scenario(SPEC, health=health)
-        assert report.service_report["health"]["self_detections"] == []
-        assert health.self_assessor is None
 
     def test_finalize_is_idempotent(self, tmp_path):
         health = _monitor(tmp_path)

@@ -5,7 +5,7 @@ deque per KPI, every block offered as its ``(key, fragment)`` pairs.  A
 hypothesis state machine drives it and :class:`repro.live.queues.
 IngestQueues` with the same steps — blocks over a fixed key tuple and
 over changed key sets, single-key offers, budgeted drains, discards —
-under both drop policies and capacities 1-4, and after every step
+with drop-oldest shedding and capacities 1-4, and after every step
 requires the same drained ``(key, start, values)`` sequence, depth,
 peak depth, shed count, counters and checkpoint record.
 """
@@ -16,7 +16,6 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 import numpy as np
 
-from repro.live.config import DROP_NEWEST, DROP_OLDEST
 from repro.live.queues import (FRAGMENTS_METRIC, SHED_FRAGMENTS_METRIC,
                                IngestQueues)
 from repro.obs.metrics import MetricsRegistry
@@ -46,13 +45,12 @@ def _reference_snapshot(queues):
 
 
 class QueueMachine(RuleBasedStateMachine):
-    @initialize(capacity=st.integers(1, 4),
-                policy=st.sampled_from([DROP_OLDEST, DROP_NEWEST]))
-    def build(self, capacity, policy):
+    @initialize(capacity=st.integers(1, 4))
+    def build(self, capacity):
         self.metrics = (MetricsRegistry(), MetricsRegistry())
-        self.queues = IngestQueues(capacity, policy, self.metrics[0])
-        self.oracle = queue_oracle.IngestQueues(capacity, policy,
-                                                self.metrics[1])
+        self.queues = IngestQueues(capacity, self.metrics[0])
+        self.oracle = queue_oracle.IngestQueues(
+            capacity, queue_oracle.DROP_OLDEST, self.metrics[1])
         self.tick = 0
         self.value = 0.0
         self.closed = False

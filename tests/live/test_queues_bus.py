@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import ParameterError
 from repro.live.bus import JsonlVerdictSink, LiveVerdict, VerdictBus
-from repro.live.config import DROP_NEWEST, DROP_OLDEST, LiveConfig
+from repro.live.config import LiveConfig
 from repro.live.queues import (FRAGMENTS_METRIC, SHED_FRAGMENTS_METRIC,
                                IngestQueues)
 from repro.obs.metrics import MetricsRegistry
@@ -42,21 +42,12 @@ class TestIngestQueues:
         assert queues.depth == 0
 
     def test_drop_oldest_evicts_stalest(self, key):
-        queues = IngestQueues(capacity=2, policy=DROP_OLDEST)
+        queues = IngestQueues(capacity=2)
         for i in range(4):
             queues.offer(key, frag(i * 60, float(i)))
         starts = [f.start for _, f in queues.drain()]
         assert starts == [120, 180]        # freshest survive
         assert queues.shed == 2
-
-    def test_drop_newest_sheds_arrival(self, key):
-        queues = IngestQueues(capacity=2, policy=DROP_NEWEST)
-        assert queues.offer(key, frag(0, 1.0))
-        assert queues.offer(key, frag(60, 2.0))
-        assert not queues.offer(key, frag(120, 3.0))
-        starts = [f.start for _, f in queues.drain()]
-        assert starts == [0, 60]
-        assert queues.shed == 1
 
     def test_budget_limits_a_drain(self, key, key2):
         queues = IngestQueues(capacity=8)
@@ -220,21 +211,16 @@ class TestLiveConfig:
     def test_defaults_valid(self):
         config = LiveConfig()
         assert config.assessment_window_seconds == 3600
-        assert config.drop_policy == DROP_OLDEST
 
     @pytest.mark.parametrize("kwargs", [
         {"assessment_window_seconds": 0},
         {"baseline_bins": 0},
         {"queue_capacity": 0},
-        {"drop_policy": "drop_random"},
         {"max_fragments_per_tick": -1},
         {"max_active_changes": -1},
         {"max_control_units": 0},
         {"history_days": -1},
         {"score_chunk_bins": 0},
-        {"fetch_retries": -1},
-        {"fetch_backoff_seconds": -0.5},
-        {"fetch_timeout_seconds": -0.5},
         {"close_grace_seconds": -1},
     ])
     def test_rejects_invalid(self, kwargs):

@@ -106,14 +106,6 @@ class TestOverload:
         assert any(v.reason == "gap" for v in report.verdicts)
         assert report.service_report["active_changes"] == 0
 
-    def test_drop_newest_policy_sheds_arrivals(self):
-        config = parity_live_config(SMALL, queue_capacity=1,
-                                    drop_policy="drop_newest",
-                                    max_fragments_per_tick=4)
-        report = replay_scenario(SMALL, live_config=config)
-        assert report.service_report["counters"].get(
-            SHED_FRAGMENTS_METRIC, 0) > 0
-
 
 class TestAdmissionControl:
     # Overlapping sessions need an assessment window reaching past the

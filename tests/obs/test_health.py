@@ -3,8 +3,6 @@
 import json
 import os
 
-import pytest
-
 from repro.cli import main
 from repro.obs.health import (DEFAULT_SLOS, HeartbeatWriter, SelfAssessor,
                               Slo, SloTracker, build_health_report,
@@ -17,13 +15,13 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 class TestHeartbeatWriter:
     def test_offer_never_touches_disk(self, tmp_path):
         path = str(tmp_path / "sub" / "hb.jsonl")
-        writer = HeartbeatWriter(path, capacity=4)
+        writer = HeartbeatWriter(path)
         writer.offer({"tick": 1})
         assert not os.path.exists(path)
 
     def test_flush_drains_in_order(self, tmp_path):
         path = str(tmp_path / "hb.jsonl")
-        writer = HeartbeatWriter(path, capacity=8)
+        writer = HeartbeatWriter(path)
         for tick in range(5):
             writer.offer({"tick": tick})
         assert writer.flush() == 5
@@ -34,15 +32,17 @@ class TestHeartbeatWriter:
     def test_full_ring_sheds_oldest_and_counts(self, tmp_path):
         metrics = MetricsRegistry()
         writer = HeartbeatWriter(str(tmp_path / "hb.jsonl"),
-                                 capacity=3, metrics=metrics)
-        kept = [writer.offer({"tick": tick}) for tick in range(5)]
-        assert kept == [True, True, True, False, False]
+                                 metrics=metrics)
+        capacity = HeartbeatWriter.CAPACITY
+        kept = [writer.offer({"tick": tick})
+                for tick in range(capacity + 2)]
+        assert kept == [True] * capacity + [False, False]
         assert writer.dropped == 2
         writer.flush()
         ticks = [json.loads(line)["tick"]
                  for line in open(writer.path)]
         # The two oldest records were shed, the freshest survived.
-        assert ticks == [2, 3, 4]
+        assert ticks == list(range(2, capacity + 2))
         dropped = metrics.get(
             "repro_health_heartbeat_dropped_total")
         assert dropped is not None and dropped.total() == 2
@@ -54,108 +54,136 @@ class TestHeartbeatWriter:
         assert os.path.exists(path)
         assert open(path).read() == ""
 
+    def test_second_close_keeps_the_stream(self, tmp_path):
+        path = str(tmp_path / "hb.jsonl")
+        writer = HeartbeatWriter(path)
+        writer.offer({"tick": 1})
+        writer.close()
+        written = open(path).read()
+        assert written == '{"tick": 1}\n'
+        writer.close()
+        assert open(path).read() == written
+
+    def test_offer_after_close_is_dropped(self, tmp_path):
+        path = str(tmp_path / "hb.jsonl")
+        writer = HeartbeatWriter(path)
+        writer.offer({"tick": 1})
+        writer.close()
+        assert writer.offer({"tick": 2}) is False
+        writer.close()
+        assert [json.loads(line)["tick"] for line in open(path)] == [1]
+        assert writer.written == 1
+
 
 # -- SLOs ---------------------------------------------------------------------
 
 class TestSlo:
     def test_direction_operators(self):
-        assert Slo("lag", "lag", "<=", 10.0).good(10.0)
-        assert not Slo("lag", "lag", "<=", 10.0).good(10.5)
-        assert Slo("avail", "avail", ">=", 0.99).good(1.0)
-        assert not Slo("avail", "avail", ">=", 0.99).good(0.5)
+        assert Slo("lag", "lag", 10.0).good(10.0)
+        assert not Slo("lag", "lag", 10.0).good(10.5)
+        assert Slo("lag", "lag", 10.0).describe() == "lag <= 10"
 
     def test_missing_signal_is_not_a_violation(self):
-        assert Slo("lag", "lag", "<=", 10.0).good(None)
+        assert Slo("lag", "lag", 10.0).good(None)
 
-    def test_bad_operator_rejected(self):
-        with pytest.raises(ValueError):
-            Slo("lag", "lag", "==", 1.0)
+
+#: The default objective the tracker tests drive: watermark lag <= 30.
+LAG = "watermark-lag"
+
+
+def _lag(value):
+    return {"watermark_lag_bins": value}
 
 
 class TestSloTracker:
-    def _tracker(self):
-        return SloTracker((Slo("lag", "lag", "<=", 10.0),),
-                          fast_window=3, slow_window=6,
-                          fast_burn=0.5, slow_burn=0.2)
+    """The default objectives under the fixed 12 / 60-tick windows and
+    0.5 / 0.2 burn thresholds; signals a tick omits count as good."""
 
     def test_steady_good_never_fires(self):
-        tracker = self._tracker()
-        for tick in range(20):
-            assert tracker.update(tick, {"lag": 1.0}) == []
-        attainment = tracker.attainment()["lag"]
+        tracker = SloTracker()
+        for tick in range(100):
+            assert tracker.update(tick, _lag(1.0)) == []
+        attainment = tracker.attainment()[LAG]
         assert attainment["attainment"] == 1.0
         assert attainment["alerts_fired"] == 0
+        assert set(tracker.attainment()) == {slo.name
+                                             for slo in DEFAULT_SLOS}
 
     def test_one_bad_tick_does_not_page(self):
-        tracker = self._tracker()
+        tracker = SloTracker()
         events = []
-        for tick in range(10):
-            lag = 99.0 if tick == 5 else 1.0
-            events += tracker.update(tick, {"lag": lag})
+        for tick in range(30):
+            lag = 99.0 if tick == 15 else 1.0
+            events += tracker.update(tick, _lag(lag))
         assert events == []
 
     def test_sustained_burn_fires_then_resolves(self):
-        tracker = self._tracker()
+        tracker = SloTracker()
         events = []
-        for tick in range(20):
-            lag = 99.0 if 5 <= tick < 12 else 1.0
-            events += tracker.update(tick, {"lag": lag})
+        for tick in range(80):
+            lag = 99.0 if 20 <= tick < 32 else 1.0
+            events += tracker.update(tick, _lag(lag))
         states = [(e["state"], e["slo"]) for e in events]
-        assert ("firing", "lag") in states
-        assert ("resolved", "lag") in states
-        # Exactly one firing/resolved pair for one sustained incident.
-        assert len(events) == 2
-        firing = events[0]
-        assert firing["fast_bad_fraction"] >= 0.5
+        assert states == [("firing", LAG), ("resolved", LAG)]
+        # Six bad ticks fill half the fast window: 6 of 26 in the slow.
+        firing, resolved = events
+        assert firing["tick"] == 25
+        assert firing["fast_bad_fraction"] == 0.5
         assert firing["slow_bad_fraction"] >= 0.2
-        assert tracker.attainment()["lag"]["alerts_fired"] == 1
-        assert not tracker.attainment()["lag"]["firing"]
+        assert resolved["tick"] == 38
+        assert tracker.attainment()[LAG]["alerts_fired"] == 1
+        assert not tracker.attainment()[LAG]["firing"]
 
     def test_fast_window_must_fill_before_firing(self):
-        tracker = self._tracker()
-        # Two bad ticks of a not-yet-full fast window: no page.
-        assert tracker.update(0, {"lag": 99.0}) == []
-        assert tracker.update(1, {"lag": 99.0}) == []
+        tracker = SloTracker()
+        # Eleven bad ticks of a not-yet-full fast window: no page.
+        for tick in range(11):
+            assert tracker.update(tick, _lag(99.0)) == []
+        assert [e["state"] for e in tracker.update(11, _lag(99.0))] == \
+            ["firing"]
 
 
 # -- self-assessment ----------------------------------------------------------
 
 class TestSelfAssessor:
+    """The default self KPIs after the fixed 60-tick baseline; a KPI a
+    tick omits reads as zero, so the others stay constant."""
+
     def test_constant_series_never_declares(self):
-        assessor = SelfAssessor(kpis=("kpi",), baseline_ticks=20, omega=5)
-        for tick in range(120):
-            assert assessor.observe(tick, {"kpi": 7.0}) == []
-        assert assessor.finalize(120) == []
+        assessor = SelfAssessor()
+        for tick in range(200):
+            assert assessor.observe(tick, {"queue_depth": 7.0}) == []
+        assert assessor.finalize(200) == []
         assert assessor.detections == []
 
     def test_step_after_baseline_is_declared(self):
-        assessor = SelfAssessor(kpis=("kpi",), baseline_ticks=20, omega=5)
+        assessor = SelfAssessor()
         found = []
-        for tick in range(120):
-            value = 7.0 if tick < 60 else 0.0
-            found += assessor.observe(tick, {"kpi": value})
-        found += assessor.finalize(120)
+        for tick in range(160):
+            value = 7.0 if tick < 100 else 0.0
+            found += assessor.observe(tick, {"queue_depth": value})
+        found += assessor.finalize(160)
         assert len(found) == 1
         record = found[0]
-        assert record["kpi"] == "kpi"
+        assert record["kpi"] == "queue_depth"
         assert record["direction"] == -1
-        assert 55 <= record["start_tick"] <= 62
+        assert 95 <= record["start_tick"] <= 102
         assert record["kind"] == "self_detection"
 
     def test_declares_at_most_once_per_kpi(self):
-        assessor = SelfAssessor(kpis=("kpi",), baseline_ticks=20, omega=5)
+        assessor = SelfAssessor()
         found = []
-        for tick in range(200):
-            value = 7.0 if tick < 60 or 120 <= tick else 0.0
-            found += assessor.observe(tick, {"kpi": value})
-        found += assessor.finalize(200)
+        for tick in range(260):
+            value = 7.0 if tick < 100 or 160 <= tick else 0.0
+            found += assessor.observe(tick, {"queue_depth": value})
+        found += assessor.finalize(260)
         assert len(found) == 1
 
     def test_missing_kpi_reads_as_zero(self):
-        assessor = SelfAssessor(kpis=("kpi",), baseline_ticks=10, omega=5)
-        for tick in range(40):
+        assessor = SelfAssessor()
+        for tick in range(80):
             assessor.observe(tick, {})
-        assert assessor.finalize(40) == []
+        assert assessor.finalize(80) == []
 
 
 # -- histogram percentiles ----------------------------------------------------

@@ -1,5 +1,6 @@
 """No ``src/`` function is reached only from its own tests, or from nothing,
-and no ``src/`` module imports a name it never uses.
+no ``src/`` module imports a name it never uses, and no field of a live,
+health or engine ``*Config`` dataclass is set only by tests.
 
 A function counts as called when its name appears as a whole word in
 ``src/``, ``benchmarks/`` or ``examples/`` more often than it is defined
@@ -68,3 +69,50 @@ def test_no_src_module_imports_a_name_it_never_uses():
                     unused.append("%s:%d %s" % (path.relative_to(ROOT),
                                                 node.lineno, name))
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+
+CONFIG_DIRS = ("live", "obs", "engine")
+
+
+def _is_config_dataclass(node):
+    return (isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+            and any("dataclass" in ast.unparse(d)
+                    for d in node.decorator_list))
+
+
+def test_every_config_field_has_a_caller():
+    """A config field is set somewhere outside ``tests/``: passed as a
+    keyword argument or named as a dict key in ``src/``, ``benchmarks/``
+    or ``examples/`` (the declaring dataclass does not count).  A field no
+    caller sets has one value in use and belongs in a constant."""
+    fields = []
+    for directory in CONFIG_DIRS:
+        for path in (ROOT / "src" / "repro" / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if _is_config_dataclass(node):
+                    fields += [(node.name, item.target.id)
+                               for item in node.body
+                               if isinstance(item, ast.AnnAssign)
+                               and isinstance(item.target, ast.Name)]
+    set_names = set()
+    for directory in CALLER_DIRS:
+        for path in (ROOT / directory).rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            inside = {id(inner) for node in ast.walk(tree)
+                      if _is_config_dataclass(node)
+                      for inner in ast.walk(node)}
+            for node in ast.walk(tree):
+                if id(node) in inside:
+                    continue
+                if isinstance(node, ast.keyword) and node.arg:
+                    set_names.add(node.arg)
+                elif isinstance(node, ast.Dict):
+                    set_names.update(
+                        key.value for key in node.keys
+                        if isinstance(key, ast.Constant)
+                        and isinstance(key.value, str))
+    unset = sorted("%s.%s" % field for field in fields
+                   if field[1] not in set_names)
+    assert not unset, ("config fields no caller outside tests sets:\n"
+                       + "\n".join(unset))

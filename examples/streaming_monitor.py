@@ -54,7 +54,7 @@ def main() -> None:
             outcome = funnel.attribute(
                 treated, declared, change_minute,
                 control=[rows[k] for k in control_keys])
-            verdict_holder["result"] = (len(detector) - 1, outcome)
+            verdict_holder["result"] = (detector.length() - 1, outcome)
 
     store.subscribe(treated_keys + control_keys, on_push)
 

@@ -1,9 +1,9 @@
 """The live assessor: fragments in, attributed verdicts out.
 
 One :class:`ChangeSession` per admitted change owns its ingest queues,
-one :class:`KpiTracker` (an :class:`~repro.live.detector.
-IncrementalDetector`) per monitored KPI and growing peer-control
-buffers.  :meth:`LiveAssessor.on_fragment_batch` takes a drained
+one :class:`KpiTracker` per monitored KPI — a row of the session's
+:class:`~repro.live.detector.IncrementalDetector` — and a growing
+peer-control matrix.  :meth:`LiveAssessor.on_fragment_batch` takes a drained
 :class:`~repro.telemetry.store.Block` (checked once) or fragment pairs,
 :meth:`LiveAssessor.on_fragment` a lone fragment; trackers only buffer,
 the tick's pool stage (:meth:`LiveAssessor.pool_score`) scores every
@@ -37,7 +37,7 @@ from ..topology.impact import ImpactSet
 from ..types import DetectedChange
 from .bus import LiveVerdict, VerdictBus
 from .config import LiveConfig
-from .detector import IncrementalDetector
+from .detector import IncrementalDetector, RowMatrix
 from .pool import DetectorPool
 from .queues import IngestQueues
 
@@ -57,40 +57,42 @@ FETCH_ATTEMPTS = 3
 
 ControlGroupKey = Tuple[str, str]  # (entity_type, metric)
 
+#: An event time not set yet.
+UNSET = np.iinfo(np.int64).min
 
-class _SeriesBuffer:
-    """A growable float column with its start time (control series)."""
 
-    __slots__ = ("start", "values", "length", "degraded")
+class _EventTimes:
+    """One event time per session slot (:data:`UNSET` until first set)
+    and the order slots were first set in, which a checkpoint lists."""
 
-    def __init__(self, start: int) -> None:
-        self.start = start
-        self.values = np.empty(128, dtype=np.float64)
-        self.length = 0
-        self.degraded = False
+    __slots__ = ("times", "order")
 
-    def extend(self, values: np.ndarray) -> None:
-        needed = self.length + values.size
-        if needed > self.values.size:
-            grown = np.empty(max(2 * self.values.size, needed),
-                             dtype=np.float64)
-            grown[:self.length] = self.values[:self.length]
-            self.values = grown
-        self.values[self.length:needed] = values
-        self.length = needed
+    def __init__(self) -> None:
+        self.times = np.zeros(0, dtype=np.int64)
+        self.order: List[int] = []
+
+    def get(self, slot: int) -> Optional[int]:
+        time_ = int(self.times[slot])
+        return None if time_ == UNSET else time_
+
+    def set(self, slot: int, time_: int) -> None:
+        if self.times[slot] == UNSET:
+            self.order.append(slot)
+        self.times[slot] = time_
+
+    def as_dict(self, keys: List[KpiKey]) -> Dict[KpiKey, int]:
+        return {keys[slot]: int(self.times[slot]) for slot in self.order}
 
 
 class KpiTracker:
-    """One monitored (entity, KPI) of one change."""
+    """One monitored (entity, KPI) of one change: row ``row`` of its
+    session's detector."""
 
-    def __init__(self, key: KpiKey, change_index: int, start_time: int,
-                 config: LiveConfig) -> None:
+    def __init__(self, key: KpiKey, row: int, change_index: int,
+                 start_time: int) -> None:
         self.key = key
+        self.row = row
         self.start_time = start_time
-        self.detector = IncrementalDetector(
-            change_index, config.funnel,
-            score_chunk_bins=config.score_chunk_bins,
-            deferred_scoring=True)
         self.change_index = change_index
         self.degraded = False
         self.done = False
@@ -98,24 +100,45 @@ class KpiTracker:
 
 
 class ChangeSession:
-    """Everything the pipeline holds for one in-flight change."""
+    """Everything the pipeline holds for one in-flight change.
+
+    Its trackers are the rows of one deferred
+    :class:`~repro.live.detector.IncrementalDetector`, its peer-control
+    series the rows of one :class:`~repro.live.detector.RowMatrix`, and
+    each subscribed KPI has a slot in the two watermark arrays, so a
+    drained block that continues every watermark lands as one write per
+    matrix (:meth:`deliver_block`).
+    """
 
     def __init__(self, change: SoftwareChange, impact: ImpactSet,
-                 priority: float, deadline: int,
-                 queues: IngestQueues) -> None:
+                 priority: float, deadline: int, queues: IngestQueues,
+                 config: LiveConfig) -> None:
         self.change = change
         self.impact = impact
         self.priority = priority
         self.deadline = deadline
         self.queues = queues
         self.trackers: Dict[KpiKey, KpiTracker] = {}
+        #: the tracker of each detector row.
+        self.by_row: List[KpiTracker] = []
+        self.detector = IncrementalDetector(
+            (), config.funnel, score_chunk_bins=config.score_chunk_bins,
+            deferred_scoring=True)
         #: peer keys per (entity_type, metric), in the offline fetch order.
         self.control_groups: Dict[ControlGroupKey, List[KpiKey]] = {}
-        self.control_buffers: Dict[KpiKey, _SeriesBuffer] = {}
-        #: attributions waiting for control buffers to catch up.
+        #: peer-control series: each key's row and each row's start time.
+        self.controls = RowMatrix()
+        self.control_rows: Dict[KpiKey, int] = {}
+        self.control_start: List[int] = []
+        #: attributions waiting for control rows to catch up.
         self.pending: List[KpiTracker] = []
-        self.expected_next: Dict[KpiKey, int] = {}
-        self.delivered_through: Dict[KpiKey, int] = {}
+        self._keys: List[KpiKey] = []
+        self._slots: Dict[KpiKey, int] = {}
+        self._expected = _EventTimes()
+        self._through = _EventTimes()
+        #: the last block key tuple and its :meth:`_routes`.
+        self._route_keys: Optional[tuple] = None
+        self._route: tuple = ()
         self.subscription = None
         self.started_perf = time.perf_counter()
         self.verdicts = 0
@@ -124,19 +147,139 @@ class ChangeSession:
     def change_id(self) -> str:
         return self.change.change_id
 
+    def _add_slots(self, keys: List[KpiKey]) -> None:
+        for key in keys:
+            if key not in self._slots:
+                self._slots[key] = len(self._keys)
+                self._keys.append(key)
+        for times in (self._expected, self._through):
+            times.times = np.concatenate((times.times, np.full(
+                len(self._keys) - times.times.size, UNSET)))
+
+    def add_trackers(self, entries) -> List[KpiTracker]:
+        """A tracker — a new detector row — per ``(key, change_index,
+        start_time)`` entry."""
+        rows = self.detector.add_rows([entry[1] for entry in entries])
+        trackers = [KpiTracker(key, row, change_index, start_time)
+                    for (key, change_index, start_time), row
+                    in zip(entries, rows)]
+        for tracker in trackers:
+            self.trackers[tracker.key] = tracker
+        self.by_row.extend(trackers)
+        self._add_slots([tracker.key for tracker in trackers])
+        return trackers
+
+    def add_controls(self, entries) -> range:
+        """A peer-control row per ``(key, start)`` entry."""
+        rows = self.controls.add_rows(len(entries))
+        for (key, start), row in zip(entries, rows):
+            self.control_rows[key] = row
+            self.control_start.append(start)
+        self._add_slots([key for key, _ in entries])
+        return rows
+
     def subscribed_keys(self) -> List[KpiKey]:
-        return list(self.trackers) + list(self.control_buffers)
+        return list(self.trackers) + list(self.control_rows)
+
+    def open_trackers(self) -> List[KpiTracker]:
+        return [t for t in self.trackers.values() if not t.done]
+
+    # -- watermarks -----------------------------------------------------------
+
+    @property
+    def expected_next(self) -> Dict[KpiKey, int]:
+        """Per KPI, the event time its next fragment starts at."""
+        return self._expected.as_dict(self._keys)
+
+    @property
+    def delivered_through(self) -> Dict[KpiKey, int]:
+        """Per KPI, the event time it is processed through."""
+        return self._through.as_dict(self._keys)
+
+    def next_expected(self, key: KpiKey) -> Optional[int]:
+        return self._expected.get(self._slots[key])
+
+    def seed(self, key: KpiKey, start: int) -> None:
+        """Admission: ``key`` counts as processed through ``start``."""
+        self._through.set(self._slots[key], start)
+
+    def restore_watermarks(self, expected, through) -> None:
+        """Set ``(key, time)`` pairs, each list in its first-set order."""
+        for times, pairs in ((self._expected, expected),
+                             (self._through, through)):
+            for key, time_ in pairs:
+                times.set(self._slots[key], time_)
+
+    def advance(self, key: KpiKey, end: int) -> None:
+        """``key`` delivered through ``end``; the processed-through time
+        never moves back."""
+        slot = self._slots[key]
+        through = self._through.get(slot)
+        if through is None or through <= end:
+            self._through.set(slot, end)
+        self._expected.set(slot, end)
 
     @property
     def watermark(self) -> Optional[int]:
         """The event time every subscribed KPI is processed through
         (admission seeds each KPI, so a silent one holds it back)."""
-        if not self.delivered_through:
+        seen = self._through
+        if not seen.order:
             return None
-        return min(self.delivered_through.values())
+        if len(seen.order) == seen.times.size:
+            return int(seen.times.min())
+        return int(seen.times[seen.order].min())
 
-    def open_trackers(self) -> List[KpiTracker]:
-        return [t for t in self.trackers.values() if not t.done]
+    # -- the block path -------------------------------------------------------
+
+    def deliver_block(self, block: Block) -> bool:
+        """Land ``block`` if it continues every key's watermark: one
+        vector watermark update and one write per matrix.  False, with
+        nothing written, otherwise."""
+        if block.keys is not self._route_keys:
+            self._route = self._routes(block.keys)
+            self._route_keys = block.keys
+        slots, tracked, rows, controlled, control_rows = self._route
+        expected, through = self._expected.times, self._through.times
+        if slots is None:           # the block names every subscribed KPI
+            if expected.tolist().count(block.start) != expected.size:
+                return False
+            end = block.end
+            expected.fill(end)
+            np.maximum(through, end, out=through)
+        else:
+            if expected[slots].tolist().count(block.start) != slots.size:
+                return False
+            end = block.end
+            expected[slots] = end
+            through[slots] = np.maximum(through[slots], end)
+        if rows.size:
+            self.detector.extend(
+                block.rows if tracked is None else block.rows[tracked], rows)
+        if control_rows.size:
+            self.controls.append(control_rows, block.rows[controlled])
+        return True
+
+    def _routes(self, keys: tuple) -> tuple:
+        """``(slots — None for every one — tracker positions — None for
+        all of them — tracker rows, control positions, control rows)`` of
+        a block's keys (distinct, as the store validates)."""
+        tracked, rows, controlled, control_rows = [], [], [], []
+        for position, key in enumerate(keys):
+            tracker = self.trackers.get(key)
+            if tracker is not None:
+                tracked.append(position)
+                rows.append(tracker.row)
+            elif key in self.control_rows:
+                controlled.append(position)
+                control_rows.append(self.control_rows[key])
+        slots = np.array([self._slots[key] for key in keys], dtype=np.intp)
+        return (None if slots.size == len(self._keys) else slots,
+                None if len(tracked) == len(keys) else
+                np.array(tracked, dtype=np.intp),
+                np.array(rows, dtype=np.intp),
+                np.array(controlled, dtype=np.intp),
+                np.array(control_rows, dtype=np.intp))
 
 
 class LiveAssessor:
@@ -172,20 +315,19 @@ class LiveAssessor:
 
         A block is checked once: with no attribution parked, every row
         continuing its key's watermark and the block ending by the
-        deadline, each row is delivered as it stands.  Otherwise — and
-        for pairs — every row heals (:meth:`_heal`) in the batch's order.
+        deadline, it lands as it stands
+        (:meth:`ChangeSession.deliver_block`: one detector
+        :meth:`~repro.live.detector.IncrementalDetector.extend` per
+        block).  Otherwise — and for pairs — every row heals
+        (:meth:`_heal`) in the batch's order.
         Deliberately not a loop over :meth:`on_fragment` (nor the other
         way round): a caller that counts fragments by wrapping both
         entries, as the benchmark's trace does, would count them twice.
         """
-        if type(batch) is Block and not session.pending:
-            start, end = batch.start, batch.end
-            expected = session.expected_next.get
-            if start < end <= session.deadline and all(
-                    expected(key) == start for key in batch.keys):
-                for key, values in zip(batch.keys, batch.rows):
-                    self._deliver(session, key, values, end, now)
-                return
+        if (type(batch) is Block and not session.pending
+                and batch.start < batch.end <= session.deadline
+                and session.deliver_block(batch)):
+            return
         for key, fragment in batch:
             self._heal(session, key, fragment, now)
 
@@ -206,7 +348,7 @@ class LiveAssessor:
         if end > session.deadline:
             end = session.deadline
             fragment = fragment.slice_time(start, end)
-        expected = session.expected_next.get(key)
+        expected = session.next_expected(key)
         if expected is None or start == expected < end:
             pass    # in order: the common case, tested first
         elif start < expected or end <= expected:
@@ -248,19 +390,17 @@ class LiveAssessor:
 
     def _deliver(self, session: ChangeSession, key: KpiKey,
                  values: np.ndarray, end: int, now: int) -> None:
-        if session.delivered_through.get(key, end) <= end:   # never back
-            session.delivered_through[key] = end
-        session.expected_next[key] = end
+        session.advance(key, end)
         tracker = session.trackers.get(key)
         if tracker is not None:
-            if not (tracker.done or tracker.degraded):
-                # Buffers only: the tick's pool stage scores and declares.
-                tracker.detector.extend(values)
+            # Buffers only (a done or degraded row keeps its length): the
+            # tick's pool stage scores and declares.
+            session.detector.extend(values, tracker.row)
             return
 
-        buffer = session.control_buffers.get(key)
-        if buffer is not None and not buffer.degraded:
-            buffer.extend(values)
+        row = session.control_rows.get(key)
+        if row is not None and not session.controls.frozen[row]:
+            session.controls.append(np.array([row]), values.reshape(1, -1))
             if session.pending:
                 self._retry_pending(session, now)
 
@@ -270,23 +410,19 @@ class LiveAssessor:
         """Score every open tracker's pending segment in one stacked call.
 
         Once per tick, after the drain and before deadline closes: one
-        :meth:`~repro.live.pool.DetectorPool.score_pending` pass computes
-        bitwise the scores standalone detectors would, and attributes
-        every declaration in pool order.  Returns how many declared.
+        :meth:`~repro.live.pool.DetectorPool.score_pending` pass over the
+        sessions' detectors (a done, degraded or declared row sits it
+        out) computes bitwise the scores standalone detectors would, and
+        attributes every declaration in pool order.  Returns how many
+        declared.
         """
-        work: List[Tuple[ChangeSession, KpiTracker]] = []
-        for session in sessions:
-            for tracker in session.trackers.values():
-                if (tracker.done or tracker.degraded
-                        or tracker.declaration is not None):
-                    continue
-                work.append((session, tracker))
-        if not work:
+        if not sessions:
             return 0
         declared = self.pool.score_pending(
-            [tracker.detector for _, tracker in work])
-        for index, declaration in declared:
-            session, tracker = work[index]
+            [session.detector for session in sessions])
+        for index, row, declaration in declared:
+            session = sessions[index]
+            tracker = session.by_row[row]
             tracker.declaration = declaration
             self._attribute(session, tracker, now)
         return len(declared)
@@ -302,9 +438,10 @@ class LiveAssessor:
         tracker = session.trackers.get(key)
         if tracker is not None:
             tracker.degraded = True
-        buffer = session.control_buffers.get(key)
-        if buffer is not None:
-            buffer.degraded = True
+            session.detector.freeze(tracker.row)
+        row = session.control_rows.get(key)
+        if row is not None:
+            session.controls.freeze(row)
 
     # -- degraded-telemetry recovery -------------------------------------------
 
@@ -320,7 +457,7 @@ class LiveAssessor:
             return 0
         caught_up = 0
         for key in session.subscribed_keys():
-            expected = session.expected_next.get(key)
+            expected = session.next_expected(key)
             if expected is None:
                 continue
             series = self.store.maybe_series(key)
@@ -384,23 +521,24 @@ class LiveAssessor:
             (tracker.key.entity_type, tracker.key.metric))
         if not group:
             return None, False
-        rows: List[_SeriesBuffer] = []
+        controls, rows = session.controls, []
         for peer_key in group:
-            buffer = session.control_buffers[peer_key]
-            if buffer.degraded or buffer.start != tracker.start_time:
+            row = session.control_rows[peer_key]
+            if (controls.frozen[row]
+                    or session.control_start[row] != tracker.start_time):
                 self.metrics.counter(
                     CONTROL_DROPPED_METRIC,
                     help="Peer-control rows unusable at attribution "
                          "time (gaps or misaligned backfill).").inc()
                 continue
-            rows.append(buffer)
+            rows.append(row)
         if not rows:
             return None, False
         need = tracker.declaration.index + 1
-        length = min(buffer.length for buffer in rows)
+        length = int(controls.length[rows].min())
         if length < need:
             return None, True
-        return np.vstack([buffer.values[:length] for buffer in rows]), False
+        return controls.planes[0][rows, :length], False
 
     def _attribute(self, session: ChangeSession, tracker: KpiTracker,
                    now: int, force: bool = False) -> bool:
@@ -423,7 +561,7 @@ class LiveAssessor:
                     help="Verdicts attributed without a healthy "
                          "history fetch.").inc()
         assessment = self.funnel.attribute(
-            tracker.detector.series, tracker.declaration,
+            session.detector.series(tracker.row), tracker.declaration,
             tracker.change_index, control=control, history=history)
         self._emit(session, tracker, now, LiveVerdict(
             change_id=session.change_id,
@@ -453,6 +591,7 @@ class LiveAssessor:
     def _emit(self, session: ChangeSession, tracker: KpiTracker, now: int,
               verdict: LiveVerdict) -> None:
         tracker.done = True
+        session.detector.freeze(tracker.row)
         session.verdicts += 1
         self.metrics.histogram(
             VERDICT_LAG_METRIC,
@@ -466,18 +605,17 @@ class LiveAssessor:
     def close_session(self, session: ChangeSession, now: int) -> None:
         """Deadline close: flush detectors, settle every open tracker.
 
-        One pooled pass (``score_pending(flush=True)``) flushes every
-        unfinished tracker; those that declare in it are attributed
+        One pooled pass (``score_pending(flush=True)`` over the session's
+        detector) flushes every unfinished tracker; those that declare in
+        it are attributed
         (with whatever control rows exist — ``force=True`` falls back to
         history / no-control when the peers never caught up), the rest
         close as ``no_change``, with reason ``deadline`` or ``gap``.
         """
         trackers = session.open_trackers()
-        unfinished = [tracker for tracker in trackers
-                      if not tracker.degraded and tracker.declaration is None]
-        for index, declared in self.pool.score_pending(
-                [tracker.detector for tracker in unfinished], flush=True):
-            unfinished[index].declaration = declared
+        for _, row, declared in self.pool.score_pending(
+                [session.detector], flush=True):
+            session.by_row[row].declaration = declared
         for tracker in trackers:
             if tracker.declaration is not None and not tracker.degraded:
                 self._attribute(session, tracker, now, force=True)

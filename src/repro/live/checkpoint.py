@@ -2,9 +2,10 @@
 
 A checkpoint is a JSONL file — one typed record per line — capturing
 everything the event-time pipeline holds between ticks: watcher
-admissions, per-session ingest queues, incremental-detector state,
-event-time watermarks (``expected_next`` / ``delivered_through``),
-control buffers, parked attributions and the verdicts already published.
+admissions, per-session ingest queues, incremental-detector state (one
+record per tracker: a row of the session's detector), event-time
+watermarks (``expected_next`` / ``delivered_through``), control series,
+parked attributions and the verdicts already published.
 
 The format is chosen for **bit-identical resume**: float arrays cross as
 base64 ``"<f8"`` bytes, scalar floats as JSON ``repr``, and a detector
@@ -27,7 +28,7 @@ from ..exceptions import ChangeLogError, CheckpointError
 from ..telemetry.kpi import KpiKey
 from ..telemetry.timeseries import TimeSeries
 from ..topology.impact import identify_impact_set
-from .assessor import ChangeSession, KpiTracker, _SeriesBuffer
+from .assessor import ChangeSession
 from .bus import LiveVerdict
 from .queues import IngestQueues
 
@@ -72,17 +73,17 @@ def _snapshot_session(session: ChangeSession) -> dict:
                            in session.control_groups.items()],
         "control_buffers": [{
             "key": _key3(key),
-            "start": buffer.start,
-            "degraded": buffer.degraded,
-            "values": buffer.values[:buffer.length],
-        } for key, buffer in session.control_buffers.items()],
+            "start": session.control_start[row],
+            "degraded": bool(session.controls.frozen[row]),
+            "values": session.controls.row(row),
+        } for key, row in session.control_rows.items()],
         "trackers": [{
             "key": _key3(key),
             "change_index": tracker.change_index,
             "start_time": tracker.start_time,
             "degraded": tracker.degraded,
             "done": tracker.done,
-            "detector": tracker.detector.state_dict(),
+            "detector": session.detector.state_dict(tracker.row),
         } for key, tracker in session.trackers.items()],
         "pending": [_key3(t.key) for t in session.pending],
     }
@@ -209,29 +210,33 @@ def _restore_session(service, record: dict) -> ChangeSession:
          for key3, start, values in qdoc["fragments"]])
 
     session = ChangeSession(change, impact, record["priority"],
-                            record["deadline"], queues)
+                            record["deadline"], queues, config)
     session.verdicts = record["verdicts"]
-    session.expected_next = {_unkey3(k): v
-                             for k, v in record["expected_next"]}
-    session.delivered_through = {_unkey3(k): v
-                                 for k, v in record["delivered_through"]}
     for etype, metric, group in record["control_groups"]:
         session.control_groups[(etype, metric)] = [_unkey3(k)
                                                    for k in group]
-    for doc in record["control_buffers"]:
-        buffer = _SeriesBuffer(doc["start"])
-        buffer.extend(decode_floats(doc["values"], "control_buffers.values"))
-        buffer.degraded = doc["degraded"]
-        session.control_buffers[_unkey3(doc["key"])] = buffer
-    for doc in record["trackers"]:
-        key = _unkey3(doc["key"])
-        tracker = KpiTracker(key, doc["change_index"], doc["start_time"],
-                             config)
-        tracker.detector.load_state(doc["detector"])
+    controls = record["control_buffers"]
+    rows = session.add_controls([(_unkey3(doc["key"]), doc["start"])
+                                 for doc in controls])
+    for row, doc in zip(rows, controls):
+        values = decode_floats(doc["values"], "control_buffers.values")
+        session.controls.append(np.array([row]), values[None, :])
+        if doc["degraded"]:
+            session.controls.freeze(row)
+    detector = session.detector
+    trackers = session.add_trackers([
+        (_unkey3(doc["key"]), doc["change_index"], doc["start_time"])
+        for doc in record["trackers"]])
+    for tracker, doc in zip(trackers, record["trackers"]):
+        detector.load_state(doc["detector"], tracker.row)
         tracker.degraded = doc["degraded"]
         tracker.done = doc["done"]
-        tracker.declaration = tracker.detector.declared
-        session.trackers[key] = tracker
+        if tracker.degraded or tracker.done:
+            detector.freeze(tracker.row)
+        tracker.declaration = detector.declarations[tracker.row]
+    session.restore_watermarks(
+        [(_unkey3(k), v) for k, v in record["expected_next"]],
+        [(_unkey3(k), v) for k, v in record["delivered_through"]])
     session.pending = [session.trackers[_unkey3(k)]
                        for k in record["pending"]]
 

@@ -2,7 +2,7 @@
 
 :class:`IncrementalDetector` re-implements
 :meth:`repro.core.funnel.Funnel.detect` as a streaming computation over
-a growing prefix, exploiting two structural facts:
+a growing prefix, one row per KPI, exploiting two structural facts:
 
 * persistence at position ``t`` is a pure function of the normalised
   prefix ``x[:t + persistence]`` and the score at ``t`` of
@@ -15,9 +15,9 @@ a growing prefix, exploiting two structural facts:
   the same order, *table, kernel, scan* (:func:`score_pass`) — yields
   the first reportable declaration the offline engine attributes.
 
-A pass tables the positions from each detector's scan cursor on, asks
-the kernel — once — only for those whose persistence window confirms,
-and moves the cursor past every position it decided.  No score outlives
+A pass tables the positions from each row's scan cursor on, asks the
+kernel — once — only for those whose persistence window confirms, and
+moves the cursors past every position it decided.  No score outlives
 the pass that computed it; a declaration's ``score`` is the declaring
 position's, bitwise the offline value whatever ``score_chunk_bins``.
 
@@ -26,17 +26,21 @@ classifies with samples *after* the declaration bin, which a live
 detector does not have yet.  It is reported from the data available at
 declaration time and excluded from the contract (see ``docs/live.md``).
 
-``score_chunk_bins`` batches passes: with chunk ``c`` a detector takes
-part once every ``c`` bins, amortising the fixed per-pass cost.
-Declarations are still found at the same indices — at most ``c - 1``
-bins later in arrival time — and :meth:`IncrementalDetector.flush` (the
-change deadline) decides any remainder, so chunking loses none.
+``score_chunk_bins`` batches passes: with chunk ``c`` a row takes part
+once every ``c`` bins, amortising the fixed per-pass cost.  Declarations
+are still found at the same indices — at most ``c - 1`` bins later in
+arrival time — and :meth:`IncrementalDetector.flush` (the change
+deadline) decides any remainder, so chunking loses none.
 
-Storage is two private growable arrays (raw and normalised values) that
-double when full.  :meth:`~IncrementalDetector.extend` only buffers raw
-bins; :meth:`~IncrementalDetector.scan`, a pass's first reader, and
+Storage is one :class:`RowMatrix` with a raw and a normalised plane whose
+capacity doubles when full; every per-row quantity (length, robust
+stats, chunk gate, scan cursor) is an array over rows, so a live
+session's block of bins is one column write.  Rows are independent: a
+row of a ``k``-row detector ends bitwise where a one-row detector fed
+the same bins ends.  :meth:`~IncrementalDetector.extend` only buffers
+raw bins; :meth:`~IncrementalDetector.scan`, a pass's first reader, and
 :meth:`~IncrementalDetector.load_state` normalise what arrived.  A
-checkpoint carries only the raw live prefix, and neither how the arrays
+checkpoint carries one row's raw live prefix, and neither how the rows
 are held nor the scoring mode (``deferred_scoring``) is part of it.
 """
 
@@ -55,28 +59,104 @@ from ..core.scoring import (_confirmed_directions, _declared_change,
                             confirm_candidate)
 from ..types import DetectedChange
 
-__all__ = ["IncrementalDetector"]
+__all__ = ["IncrementalDetector", "RowMatrix"]
+
+#: The chunk gate of a row that sits every pass out.
+NEVER = np.iinfo(np.int64).max
+
+#: ``(detector, rows)`` — the rows of one detector a pass decides.
+Work = Tuple["IncrementalDetector", np.ndarray]
+
+
+class RowMatrix:
+    """Float rows, each with its own length, in ``planes`` matrices of one
+    shape whose row and bin capacities double when full.
+
+    ``planes[0]`` holds the samples :meth:`append` writes; further planes
+    are the owner's to fill (the detector's normalised values).  A
+    frozen row takes no more bins and keeps its length.
+    """
+
+    __slots__ = ("planes", "length", "frozen", "any_frozen")
+
+    def __init__(self, planes: int = 1) -> None:
+        self.planes = [np.empty((4, 128), dtype=np.float64)
+                       for _ in range(planes)]
+        self.length = np.zeros(0, dtype=np.int64)
+        self.frozen = np.zeros(0, dtype=bool)
+        self.any_frozen = False
+
+    def add_rows(self, count: int) -> range:
+        first = self.length.size
+        self._reserve(first + count, 0)
+        self.length = np.concatenate(
+            (self.length, np.zeros(count, dtype=np.int64)))
+        self.frozen = np.concatenate(
+            (self.frozen, np.zeros(count, dtype=bool)))
+        return range(first, first + count)
+
+    def row(self, row: int) -> np.ndarray:
+        """The samples of ``row`` (a view; do not mutate)."""
+        return self.planes[0][row, :self.length[row]]
+
+    def freeze(self, row: int) -> None:
+        self.frozen[row] = self.any_frozen = True
+
+    def _reserve(self, rows: int, bins: int) -> None:
+        held, width = self.planes[0].shape
+        if rows <= held and bins <= width:
+            return
+        shape = (max(rows, 2 * held) if rows > held else held,
+                 max(bins, 2 * width) if bins > width else width)
+        used, filled = self.length.size, int(self.length.max(initial=0))
+        for index, plane in enumerate(self.planes):
+            grown = np.empty(shape, dtype=np.float64)
+            grown[:used, :filled] = plane[:used, :filled]
+            self.planes[index] = grown
+
+    def append(self, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """Write ``block[i]`` after the samples of ``rows[i]``, frozen rows
+        left out; returns the rows written."""
+        if self.any_frozen:
+            open_ = ~self.frozen[rows]
+            rows, block = rows[open_], block[open_]
+        if not rows.size:
+            return rows
+        # Scalar checks on a list: a few rows' numpy reductions cost more.
+        lengths, bins = self.length[rows].tolist(), block.shape[1]
+        lo = lengths[0]
+        if lengths.count(lo) == len(lengths):   # a session's rows move
+            self._reserve(self.length.size, lo + bins)          # together
+            self.planes[0][rows, lo:lo + bins] = block
+            self.length[rows] = lo + bins
+        else:
+            self._reserve(self.length.size, max(lengths) + bins)
+            lengths = np.array(lengths)
+            self.planes[0][rows[:, None],
+                           lengths[:, None] + np.arange(bins)] = block
+            self.length[rows] = lengths + bins
+        return rows
 
 
 class IncrementalDetector:
-    """Streaming change detection for one KPI around one software change.
+    """Streaming change detection for ``k`` KPIs around software changes.
 
-    Feed bins with :meth:`extend`; the first reportable declaration
-    (one starting at/after the change — the offline rule's own
-    predicate) is returned once and stored as :attr:`declared`.
+    One row per entry of ``change_index`` (an int is one row; more rows
+    join with :meth:`add_rows`).  Feed bins with :meth:`extend`; each
+    row's first reportable declaration (one starting at/after its change
+    — the offline rule's own predicate) is kept in :attr:`declarations`.
     """
 
-    def __init__(self, change_index: int,
+    def __init__(self, change_index=(),
                  config: Optional[FunnelConfig] = None,
                  score_chunk_bins: int = 1,
                  deferred_scoring: bool = False) -> None:
         self.config = config or FunnelConfig()
         self.scorer = IkaSST(self.config.sst)
-        self.change_index = change_index
         self.score_chunk_bins = max(1, score_chunk_bins)
-        #: When True (every live-service tracker), :meth:`extend` only
+        #: When True (a live session's detector), :meth:`extend` only
         #: buffers — a :class:`~repro.live.pool.DetectorPool` runs one
-        #: :func:`score_pass` over every detector :meth:`pending_bounds`
+        #: :func:`score_pass` over every row :meth:`pending_bounds`
         #: names, deadline flush included.  False is the standalone
         #: mode: :meth:`extend` and :meth:`flush` run that very pass on
         #: this detector alone.
@@ -87,58 +167,99 @@ class IncrementalDetector:
         self.lookahead = self.config.sst.lookahead - 1
         #: Bins from a declaring position to its declaration index.
         self.horizon = max(self.config.policy.persistence - 1, self.lookahead)
-        self._values = np.empty(128, dtype=np.float64)
-        self._norm = np.empty(128, dtype=np.float64)
-        self._n = 0
-        #: ``_norm[:_normed]`` is up to date (:meth:`_normalise`).
-        self._normed = 0
-        self._stats: Optional[tuple] = None
-        self._denominator = 0.0
+        self._rows = RowMatrix(planes=2)        # raw, normalised
+        self.change_index = np.zeros(0, dtype=np.int64)
+        #: ``planes[1][r, :_normed[r]]`` is up to date (:meth:`_normalise`).
+        self._normed = np.zeros(0, dtype=np.int64)
+        self._has_stats = np.zeros(0, dtype=bool)
+        self._median = np.zeros(0, dtype=np.float64)
+        self._mad = np.zeros(0, dtype=np.float64)
+        self._denominator = np.zeros(0, dtype=np.float64)
         #: One past the last position a pass could score (chunk gate).
-        self._next_score_t = self.span
+        self._next_score_t = np.zeros(0, dtype=np.int64)
         #: The scan cursor: every position before it is decided.
-        self._scan_t = 0
-        self.declared: Optional[DetectedChange] = None
+        self._scan_t = np.zeros(0, dtype=np.int64)
+        #: The length at which a row takes part in a pass (the chunk gate
+        #: in bins); :data:`NEVER` for a row without robust stats, a
+        #: declared row and a frozen one.
+        self._ready_at = np.zeros(0, dtype=np.int64)
+        #: How many rows still wait for their robust stats.
+        self._waiting = 0
+        self.declarations: List[Optional[DetectedChange]] = []
+        self.add_rows(change_index)
+
+    def add_rows(self, change_index) -> range:
+        """New empty rows, one per KPI whose change is at an entry of
+        ``change_index`` (an int is one)."""
+        change_index = np.atleast_1d(np.asarray(change_index, dtype=np.int64))
+        count = change_index.size
+        rows = self._rows.add_rows(count)
+        self.change_index = np.concatenate((self.change_index, change_index))
+        for name, value in (("_normed", 0), ("_has_stats", False),
+                            ("_median", 0.0), ("_mad", 0.0),
+                            ("_denominator", 0.0),
+                            ("_next_score_t", self.span), ("_scan_t", 0),
+                            ("_ready_at", NEVER)):
+            held = getattr(self, name)
+            setattr(self, name, np.concatenate(
+                (held, np.full(count, value, dtype=held.dtype))))
+        self.declarations.extend([None] * count)
+        self._waiting += count
+        return rows
+
+    def _gate(self, row: int) -> None:
+        """Recompute the chunk gate of ``row`` from its state."""
+        self._ready_at[row] = (
+            int(self._next_score_t[row]) + self.span
+            + self.score_chunk_bins - 1
+            if self._has_stats[row] and self.declarations[row] is None
+            and not self._rows.frozen[row] else NEVER)
 
     # -- state ----------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return self._n
+    @property
+    def rows(self) -> int:
+        return self.change_index.size
 
     @property
-    def series(self) -> np.ndarray:
-        """The raw samples received so far (view; do not mutate)."""
-        return self._values[:self._n]
+    def declared(self) -> Optional[DetectedChange]:
+        """Row 0's declaration: a one-row (standalone) detector's."""
+        return self.declarations[0]
 
-    def _grow(self, needed: int) -> None:
-        """Make room for ``needed`` bins, at least doubling."""
-        if needed <= self._values.size:
-            return
-        extra = np.empty(max(self._values.size, needed - self._values.size))
-        self._values = np.concatenate([self._values, extra])
-        self._norm = np.concatenate([self._norm, extra])
+    def length(self, row: int = 0) -> int:
+        """Bins received on ``row``."""
+        return int(self._rows.length[row])
+
+    def series(self, row: int = 0) -> np.ndarray:
+        """The raw samples ``row`` received so far (view; do not mutate)."""
+        return self._rows.row(row)
+
+    def freeze(self, row: int) -> None:
+        """``row`` takes no more bins (its KPI is done or degraded)."""
+        self._rows.freeze(row)
+        self._ready_at[row] = NEVER
 
     # -- checkpointing ---------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """Snapshot of the full streaming state, ``values`` an ndarray
-        copy; :meth:`load_state` rebuilds the normalised prefix, so a
-        restored detector continues bit-identically."""
-        n = self._n
+    def state_dict(self, row: int = 0) -> dict:
+        """Snapshot of one row's full streaming state, ``values`` an
+        ndarray copy; :meth:`load_state` rebuilds the normalised prefix,
+        so a restored row continues bit-identically."""
+        declared = self.declarations[row]
         return {
-            "n": n,
-            "values": self._values[:n].copy(),
-            "stats": (list(self._stats) if self._stats is not None
-                      else None),
-            "denominator": self._denominator,
-            "next_score_t": self._next_score_t,
-            "scan_t": self._scan_t,
-            "declared": (None if self.declared is None
-                         else dataclasses.asdict(self.declared)),
+            "n": self.length(row),
+            "values": self.series(row).copy(),
+            "stats": ([float(self._median[row]), float(self._mad[row])]
+                      if self._has_stats[row] else None),
+            "denominator": float(self._denominator[row]),
+            "next_score_t": int(self._next_score_t[row]),
+            "scan_t": int(self._scan_t[row]),
+            "declared": (None if declared is None
+                         else dataclasses.asdict(declared)),
         }
 
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (inverse operation).
+    def load_state(self, state: dict, row: int = 0) -> None:
+        """Restore a :meth:`state_dict` snapshot into ``row``.
 
         ``values``: an array, list or base64 column of ``n`` bins (else
         :class:`~repro.exceptions.CheckpointError`).  A format-1 ``norm``
@@ -147,103 +268,141 @@ class IncrementalDetector:
         """
         from .checkpoint import decode_floats  # cyclic at import time
         n = int(state["n"])
-        self._grow(n)
-        self._values[:n] = decode_floats(state["values"], "values", n)
-        self._n = n
+        values = decode_floats(state["values"], "values", n)
+        self._rows._reserve(self.rows, n)
+        self._rows.planes[0][row, :n] = values
+        self._rows.length[row] = n
         stats = state["stats"]
-        self._stats = None if stats is None else tuple(stats)
-        self._denominator = float(state["denominator"])
-        self._normed = 0
-        self._normalise()
-        self._next_score_t = int(state["next_score_t"])
-        self._scan_t = int(state["scan_t"])
+        self._waiting += int(self._has_stats[row]) - int(stats is not None)
+        self._has_stats[row] = stats is not None
+        if stats is not None:
+            self._median[row], self._mad[row] = stats
+        self._denominator[row] = float(state["denominator"])
+        self._normed[row] = 0
+        if stats is not None:
+            rows = np.array([row])
+            self._normalise(rows, self._rows.length[rows])
+        self._next_score_t[row] = int(state["next_score_t"])
+        self._scan_t[row] = int(state["scan_t"])
         declared = state["declared"]
-        self.declared = (None if declared is None
-                         else DetectedChange(**declared))
+        self.declarations[row] = (None if declared is None
+                                  else DetectedChange(**declared))
+        self._gate(row)
 
     # -- ingest ---------------------------------------------------------------
 
-    def extend(self, values: np.ndarray) -> Optional[DetectedChange]:
-        """Buffer bins (a 1-D ndarray as is); returns the declaration."""
-        if type(values) is not np.ndarray or values.ndim != 1:
-            values = np.asarray(values, dtype=np.float64).ravel()
-        n = self._n + values.size
-        self._grow(n)
-        self._values[self._n:n] = values
-        self._n = n
-        baseline = max(self.change_index, 1)
-        if self._stats is None and n >= baseline:
-            self._stats = median_and_mad(self._values[:baseline])
-            # Same expression as robust_normalise, so the normalised
-            # prefix is bitwise identical to the offline transform.
-            self._denominator = MAD_TO_SIGMA * self._stats[1] + 1e-9
+    def extend(self, values, rows=None) -> Optional[DetectedChange]:
+        """Buffer bins: ``values[i]`` after the samples of ``rows[i]``
+        (all rows by default; a 1-D ``values`` is one row's bins).
+        Frozen rows keep their length.
+
+        Standalone, returns a declaration this call's pass made (a
+        multi-row caller reads :attr:`declarations`); deferred, None.
+        """
+        if type(values) is not np.ndarray:
+            values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2:
+            values = values.reshape(1, -1)
+        rows = (np.arange(self.rows) if rows is None
+                else np.asarray(rows, dtype=np.intp).reshape(-1))
+        rows = self._rows.append(rows, values)
+        if self._waiting and rows.size:
+            self._baseline_stats(rows)
         return None if self.deferred else self._pass(flush=False)
 
-    def _normalise(self) -> None:
-        """Normalise new bins elementwise: bitwise the offline transform."""
-        lo, n = self._normed, self._n
-        if self._stats is not None and lo < n:
-            self._norm[lo:n] = (
-                self._values[lo:n] - self._stats[0]) / self._denominator
-            self._normed = n
+    def _baseline_stats(self, rows: np.ndarray) -> None:
+        """Robust stats for the ``rows`` whose baseline just completed."""
+        for row in rows.tolist():
+            baseline = max(int(self.change_index[row]), 1)
+            if self._has_stats[row] or self._rows.length[row] < baseline:
+                continue
+            mad = median_and_mad(self._rows.planes[0][row, :baseline])
+            self._has_stats[row] = True
+            self._waiting -= 1
+            self._median[row], self._mad[row] = mad
+            # Same expression as robust_normalise, so the normalised
+            # prefix is bitwise identical to the offline transform.
+            self._denominator[row] = MAD_TO_SIGMA * mad[1] + 1e-9
+            self._gate(row)
+
+    def _normalise(self, rows: np.ndarray, n: np.ndarray) -> None:
+        """Normalise the new bins of ``rows`` (which have robust stats;
+        ``n`` their lengths) elementwise: bitwise the offline transform."""
+        lo, hi = self._normed[rows].tolist(), n.tolist()
+        a, b = lo[0], hi[0]
+        raw, norm = self._rows.planes
+        median, scale = self._median, self._denominator
+        if lo.count(a) == len(lo) and hi.count(b) == len(hi):
+            if a < b:                   # rows in lockstep: one block
+                norm[rows, a:b] = ((raw[rows, a:b] - median[rows][:, None])
+                                   / scale[rows][:, None])
+        else:
+            for row, a, b in zip(rows.tolist(), lo, hi):
+                norm[row, a:b] = (raw[row, a:b] - median[row]) / scale[row]
+        self._normed[rows] = n
 
     def flush(self) -> Optional[DetectedChange]:
         """Decide everything decidable (deadline close)."""
         return self._pass(flush=True)
 
     def _pass(self, flush: bool) -> Optional[DetectedChange]:
-        if self.pending_bounds(flush) is None:
+        rows = self.pending_bounds(flush)[0]
+        if not rows.size:
             return None
-        score_pass([self])
-        return self.declared
+        found = score_pass([(self, rows)])[2]
+        return min(found, key=lambda entry: entry[1])[2] if found else None
 
     # -- the scoring pass ------------------------------------------------------
 
-    def pending_bounds(self, flush: bool = False) -> Optional[tuple]:
-        """The ``(t_lo, t_hi)`` score range a pass would newly cover,
-        ``None`` when the detector sits this pass out.
+    def pending_bounds(self, flush: bool = False
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, t_lo, t_hi)``: the rows a pass would take, and the
+        score range it would newly cover on each.
 
-        A detector takes part once ``score_chunk_bins`` new positions
-        are scoreable — ``flush`` waives the threshold, and a flushing
-        pass scans even with nothing new to cover: the range is then
-        empty (``t_hi < t_lo``), not ``None``.
+        A row takes part once ``score_chunk_bins`` new positions are
+        scoreable — ``flush`` waives the threshold, and a flushing pass
+        scans even with nothing new to cover: the range is then empty
+        (``t_hi < t_lo``).  Rows without robust stats, declared or
+        frozen sit every pass out.
         """
-        if self._stats is None or self.declared is not None:
-            return None
-        t_hi = self._n - self.span
-        t_lo = self._next_score_t
-        if not flush and (t_hi < t_lo
-                          or t_hi - t_lo + 1 < self.score_chunk_bins):
-            return None
-        return t_lo, t_hi
+        rows = np.flatnonzero(self._ready_at != NEVER if flush
+                              else self._rows.length >= self._ready_at)
+        if not rows.size:
+            return rows, rows, rows
+        return (rows, self._next_score_t[rows],
+                self._rows.length[rows] - self.span)
 
-    def scan(self) -> np.ndarray:
-        """The positions this pass decides: from the scan cursor to the
-        last one whose persistence window and declaration index fit the
-        bins received.  Moves the cursor (and the chunk gate) past them,
-        and brings the normalised prefix the pass reads up to date.
+    def scan(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The positions this pass decides on each of ``rows``: ``[lo,
+        hi)``, from the scan cursor to the last one whose persistence
+        window and declaration index fit the bins received.  Moves the
+        cursors (and the chunk gates) past them, and brings the
+        normalised prefixes the pass reads up to date.
         """
-        self._normalise()
-        self._next_score_t = max(self._next_score_t, self._n - self.span + 1)
-        positions = np.arange(max(self._scan_t, self.span),
-                              self._n - self.horizon)
-        if positions.size:
-            self._scan_t = int(positions[-1]) + 1
-        return positions
+        n = self._rows.length[rows]
+        self._normalise(rows, n)
+        gate = np.maximum(self._next_score_t[rows], n - (self.span - 1))
+        self._next_score_t[rows] = gate
+        self._ready_at[rows] = gate + (self.span + self.score_chunk_bins - 1)
+        cursor = self._scan_t[rows]
+        lo, hi = np.maximum(cursor, self.span), n - self.horizon
+        self._scan_t[rows] = np.where(hi > lo, hi, cursor)
+        return lo, hi
 
     def apply_scores(self, scores: np.ndarray, chain: Sequence[int],
-                     directions: Optional[np.ndarray] = None
+                     directions: Optional[np.ndarray] = None, row: int = 0
                      ) -> Optional[DetectedChange]:
-        """Declare from this pass's score row (indexed like the series;
-        it is gone after the pass): ``chain`` holds the positions that
-        declare, oldest first, ``directions[t]`` their sign.  The first
-        reportable change is the one kept.
+        """Declare on ``row`` from this pass's score row (indexed like the
+        series; it is gone after the pass): ``chain`` holds the positions
+        that declare, oldest first, ``directions[t]`` their sign.  The
+        first reportable change is the one kept.
 
         Without ``directions`` — the table refuses a row with non-finite
         samples — ``chain`` is every armed position and
         :func:`confirm_candidate`, the rule as written, decides each.
         """
-        x, policy, resume = self._norm[:self._n], self.config.policy, 0
+        x = self._rows.planes[1][row, :self._rows.length[row]]
+        policy, resume = self.config.policy, 0
         for t in chain:
             if t < resume:
                 continue                 # inside an earlier stretch
@@ -253,57 +412,96 @@ class IncrementalDetector:
                     x, scores, t, int(directions[t]), policy, self.lookahead))
             if declared is not None:
                 resume = declared.index + 1
-                self._scan_t = max(self._scan_t, resume)
-                if _reportable(declared, self.change_index):
-                    self.declared = declared
+                self._scan_t[row] = max(int(self._scan_t[row]), resume)
+                if _reportable(declared, int(self.change_index[row])):
+                    self.declarations[row] = declared
+                    self._ready_at[row] = NEVER
                     return declared
         return None
 
 
-def score_pass(detectors: Sequence[IncrementalDetector]
-               ) -> Tuple[int, List[np.ndarray]]:
-    """One *table, kernel, scan* pass over detectors of one configuration
-    whose :meth:`~IncrementalDetector.pending_bounds` named them.
+def score_pass(work: Sequence[Work]) -> Tuple[
+        int, List[np.ndarray], List[Tuple[int, int, DetectedChange]]]:
+    """One *table, kernel, scan* pass over the rows of detectors of one
+    configuration that :meth:`~IncrementalDetector.pending_bounds` named.
 
-    Builds one gating table over the positions each detector can now
-    decide, makes one kernel call for the positions that confirm — none,
-    on most ticks — and leaves each declaration in its detector's
-    ``declared``.
+    Builds one gating table over the positions each row can now decide —
+    its NaN-padded stack read from each detector's matrix, one copy per
+    detector — makes one kernel call for the positions that confirm —
+    none, on most ticks — and leaves each declaration in its detector's
+    :attr:`~IncrementalDetector.declarations`.
 
-    Returns the number of positions decided and the ``where`` mask of
-    the kernel call, if one was made (one row per detector in it).
+    Returns the number of positions decided, the ``where`` mask of the
+    kernel call if one was made (one row per scored row), and the
+    ``(work index, row, declaration)`` of every row that declared.
     """
-    first = detectors[0]
+    first = work[0][0]
     policy, span, scorer = first.config.policy, first.span, first.scorer
-    tabled = [(detector, positions) for detector, positions in
-              ((detector, detector.scan()) for detector in detectors)
-              if positions.size]
-    decided = sum(positions.size for _, positions in tabled)
-    found = _confirmed_directions([d._norm[:d._n] for d, _ in tabled],
-                                  [p for _, p in tabled], policy)
-    rows = []
-    for (detector, positions), directions in zip(tabled, found):
-        if directions is None:       # score all that is left, then ask
-            start, n = int(positions[0]) - span, detector._n
-            scores = np.zeros(n, dtype=np.float64)
-            scores[start:] = scorer.scores(detector._norm[start:n])
-            detector.apply_scores(scores, positions[candidate_mask(
-                scores[positions], policy)].tolist())
-        elif directions.any():
-            rows.append((detector, positions, directions))
-    if not rows:
-        return decided, []
-    lengths = np.array([detector._n for detector, _, _ in rows])
-    stack = np.zeros((len(rows), lengths.max()), dtype=np.float64)
-    signs = np.zeros(stack.shape, dtype=np.intp)
-    for row, (detector, positions, directions) in enumerate(rows):
-        stack[row, :lengths[row]] = detector._norm[:lengths[row]]
-        signs[row, positions] = directions
+    tabled = []          # (work index, detector, rows, lengths, positions)
+    for index, (detector, rows) in enumerate(work):
+        lo, hi = detector.scan(rows)
+        spans = [(row, a, b) for row, a, b in
+                 zip(rows.tolist(), lo.tolist(), hi.tolist()) if a < b]
+        if spans:
+            if len(spans) < rows.size:
+                rows = np.array([row for row, _, _ in spans])
+            tabled.append((index, detector, rows,
+                           detector._rows.length[rows].tolist(),
+                           [np.arange(a, b) for _, a, b in spans]))
+    if not tabled:
+        return 0, [], []
+    sizes = [n for entry in tabled for n in entry[3]]
+    lengths = np.array(sizes)
+    candidates = [c for entry in tabled for c in entry[4]]
+    decided = sum(c.size for c in candidates)
+    stack = np.full((lengths.size, max(sizes)), np.nan)
+    at = 0
+    for _, detector, rows, n, _ in tabled:
+        width = max(n)
+        block = detector._rows.planes[1][rows, :width]
+        if n.count(width) < len(n):     # NaN past each row's length
+            block[np.arange(width) >= np.array(n)[:, None]] = np.nan
+        stack[at:at + len(n), :width] = block
+        at += len(n)
+    finite = np.isfinite(stack).sum(axis=1) == lengths
+    found = _confirmed_directions((stack, lengths, finite), candidates,
+                                  policy)
+    # Python on short lists: a few rows' numpy reductions cost more.
+    if all(finite.tolist()) and not np.count_nonzero(np.concatenate(found)):
+        return decided, [], []      # nothing confirms: most passes
+    fallback = [i for i, directions in enumerate(found) if directions is None]
+    scored = [i for i, directions in enumerate(found)  # a position confirms
+              if directions is not None and np.count_nonzero(directions)]
+    flat = [(index, detector, row) for index, detector, rows, _, _ in tabled
+            for row in rows.tolist()]
+    declared = []
+    for i in fallback:               # score all that is left, then ask
+        index, detector, row = flat[i]
+        positions = candidates[i]
+        start, n = int(positions[0]) - span, int(lengths[i])
+        scores = np.zeros(n, dtype=np.float64)
+        scores[start:] = scorer.scores(detector._rows.planes[1][row, start:n])
+        change = detector.apply_scores(scores, positions[candidate_mask(
+            scores[positions], policy)].tolist(), row=row)
+        if change is not None:
+            declared.append((index, row, change))
+    if not scored:
+        return decided, [], declared
+    kernel_lengths = lengths[scored]
+    kernel_stack = stack[scored, :int(kernel_lengths.max())]
+    kernel_stack[np.isnan(kernel_stack)] = 0.0     # zero-padded, as ever
+    signs = np.zeros(kernel_stack.shape, dtype=np.intp)
+    for j, i in enumerate(scored):
+        signs[j, candidates[i]] = found[i]
     where = signs != 0             # decidable, hence scoreable by now
     chains, scores = _score_and_scan(
-        where, lambda mask: scorer.scores_batch(stack, lengths, where=mask),
+        where, lambda mask: scorer.scores_batch(kernel_stack, kernel_lengths,
+                                                where=mask),
         policy, first.horizon)
-    for (detector, _, _), chain, row, sign in zip(rows, chains, scores, signs):
+    for i, chain, row_scores, sign in zip(scored, chains, scores, signs):
         if chain:
-            detector.apply_scores(row, chain, sign)
-    return decided, [where]
+            index, detector, row = flat[i]
+            change = detector.apply_scores(row_scores, chain, sign, row=row)
+            if change is not None:
+                declared.append((index, row, change))
+    return decided, [where], declared

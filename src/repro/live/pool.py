@@ -3,10 +3,10 @@
 One window is cheap; what a tracker deciding on its own pays per tick is
 the fixed cost of its own gating table and kernel call.  The
 :class:`DetectorPool` therefore runs **one**
-:func:`~repro.live.detector.score_pass` per tick over the pending
-:class:`~repro.live.detector.IncrementalDetector` of every session,
-whatever their lengths: one gating table over the positions they can now
-decide, one :meth:`~repro.core.ika.IkaSST.scores_batch` call for the
+:func:`~repro.live.detector.score_pass` per tick over the pending rows
+of every session's :class:`~repro.live.detector.IncrementalDetector`
+(one row per tracked KPI), whatever their lengths: one gating table over
+the positions they can now decide, one :meth:`~repro.core.ika.IkaSST.scores_batch` call for the
 positions whose persistence window confirms — none on most ticks, the
 cheap half of the declaration rule having rejected them.  ``flush=True``
 is the deadline form of the same pass.
@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..obs.metrics import MetricsRegistry
 from ..types import DetectedChange
 from .detector import IncrementalDetector, score_pass
@@ -40,7 +42,7 @@ SCORED_WINDOWS_METRIC = "repro_live_scored_windows_total"
 
 
 class DetectorPool:
-    """Decides many incremental detectors' pending positions per pass."""
+    """Decides many incremental detectors' pending rows per pass."""
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics or MetricsRegistry()
@@ -49,36 +51,38 @@ class DetectorPool:
 
     def score_pending(
         self, detectors: Sequence[IncrementalDetector], flush: bool = False,
-    ) -> List[Tuple[int, DetectedChange]]:
-        """One table, kernel, scan pass over every pending detector.
+    ) -> List[Tuple[int, int, DetectedChange]]:
+        """One table, kernel, scan pass over every pending row.
 
         ``flush`` is the deadline form: the chunk threshold is waived
-        and every undeclared detector is scanned whether or not it had
-        anything new to score (:meth:`IncrementalDetector.flush`).
+        and every undeclared open row is scanned whether or not it had
+        anything new to score (:meth:`IncrementalDetector.flush`).  One
+        pass scores one configuration (a service has one): detectors
+        configured otherwise raise :class:`ValueError`.
 
-        Returns ``(index, declaration)`` pairs — indices into
+        Returns ``(index, row, declaration)`` — ``index`` into
         ``detectors`` — for every declaration found, by segment width
-        (first appearance) and in input order within a width.
+        (first appearance) and in input order (detector, then row)
+        within a width.
         """
-        # One pass, one configuration (a service has one): a detector
-        # configured otherwise is a stray and flushes on its own.
-        pending, strays, config = [], [], None
-        groups: dict = {}    # segment width -> order of first appearance
+        work, widths, config = [], [], None
         for index, detector in enumerate(detectors):
-            bounds = detector.pending_bounds(flush)
-            if bounds is None:
+            rows, t_lo, t_hi = detector.pending_bounds(flush)
+            if not rows.size:
                 continue
             if config is None:
                 config = detector.config
-            same = detector.config is config or (
-                detector.config.sst == config.sst
-                and detector.config.policy == config.policy)
-            (pending if same else strays).append(
-                (groups.setdefault(bounds[1] - bounds[0], len(groups)),
-                 index, detector))
-        if not pending:
+            elif not (detector.config is config or (
+                    detector.config.sst == config.sst
+                    and detector.config.policy == config.policy)):
+                raise ValueError("one pass scores one configuration: %r "
+                                 "differs from %r" % (detector.config, config))
+            work.append((index, detector, rows))
+            widths.append(t_hi - t_lo)
+        if not work:
             return []
-        decided, masks = score_pass([detector for _, _, detector in pending])
+        decided, masks, found = score_pass(
+            [(detector, rows) for _, detector, rows in work])
         rows = sum(int(mask.any(axis=1).sum()) for mask in masks)
         self.batches += len(masks)
         self.series += rows
@@ -97,10 +101,18 @@ class DetectorPool:
                  sum(int(mask.sum()) for mask in masks))):
             if amount:
                 self.metrics.counter(name, help=help_text).inc(amount)
-        for _, _, detector in strays:
-            detector.flush()
-        # Width group by width group, input order inside each.
-        return [(index, detector.declared)
-                for _, index, detector in sorted(
-                    pending + strays, key=lambda entry: entry[:2])
-                if detector.declared is not None]
+        if not found:
+            return []
+        # Width group by width group (numbered by first appearance over
+        # every pending row), input order — detector, then row — inside.
+        groups: dict = {}
+        for width in np.concatenate(widths).tolist():
+            groups.setdefault(width, len(groups))
+
+        def order(entry):
+            slot, row, _ = entry
+            position = int(np.searchsorted(work[slot][2], row))
+            return groups[int(widths[slot][position])], slot, position
+
+        return [(work[slot][0], row, declaration)
+                for slot, row, declaration in sorted(found, key=order)]

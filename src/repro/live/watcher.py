@@ -3,10 +3,10 @@
 :class:`ChangeWatcher` tails a :class:`~repro.changes.log.ChangeLog` in
 event time.  When a change's deployment timestamp passes, it resolves
 the impact set and builds one :class:`~repro.live.assessor.ChangeSession`
-— a tracker per monitored (entity, KPI), exactly the offline planner's
-job set, and peer-control buffers — seeds every KPI's watermark,
-backfills the pre-change baseline from the store and subscribes the
-session's bounded queues to every future push.
+— a tracker (a row of its detector) per monitored (entity, KPI),
+exactly the offline planner's job set, and peer-control rows — seeds
+every KPI's watermark, backfills the pre-change baseline from the store
+and subscribes the session's bounded queues to every future push.
 
 Admission control caps concurrently assessed changes: at
 ``max_active_changes`` a new change is admitted only if its priority
@@ -32,7 +32,7 @@ from ..telemetry.store import MetricStore
 from ..telemetry.timeseries import DAY, TimeSeries
 from ..topology.entities import Fleet
 from ..topology.impact import ImpactSet, identify_impact_set
-from .assessor import ChangeSession, KpiTracker, LiveAssessor, _SeriesBuffer
+from .assessor import ChangeSession, LiveAssessor
 from .config import LiveConfig
 from .queues import IngestQueues
 
@@ -144,13 +144,14 @@ class ChangeWatcher:
 
         queues = IngestQueues(self.config.queue_capacity, self.metrics)
         deadline = change.at_time + self.config.assessment_window_seconds
-        session = ChangeSession(change, impact, priority, deadline, queues)
+        session = ChangeSession(change, impact, priority, deadline, queues,
+                                self.config)
 
         binsec = self.store.bin_seconds
         window_start = change.at_time - self.config.baseline_bins * binsec
-        backfills = []
+        backfills, controls, trackers = [], [], []
 
-        # Control buffers first, so a backfilled treated series that
+        # Control rows first, so a backfilled treated series that
         # declares immediately finds its peer panel already populated.
         if impact.dark_launched:
             for entity_type, peers in (
@@ -167,8 +168,7 @@ class ChangeWatcher:
                         fragment = self._backfill(key, window_start, now)
                         start = (fragment.start if fragment is not None
                                  else now)
-                        session.control_buffers[key] = _SeriesBuffer(start)
-                        session.delivered_through[key] = start
+                        controls.append((key, start))
                         if fragment is not None and len(fragment):
                             backfills.append((key, fragment))
 
@@ -184,10 +184,13 @@ class ChangeWatcher:
                 else:
                     start = now
                     change_index = 0
-                session.trackers[key] = KpiTracker(
-                    key, change_index, start, self.config)
-                session.delivered_through[key] = start
+                trackers.append((key, change_index, start))
 
+        session.add_controls(controls)
+        session.add_trackers(trackers)
+        for key, start in controls + [(key, start)
+                                      for key, _, start in trackers]:
+            session.seed(key, start)
         self.assessor.on_fragment_batch(session, backfills, now)
 
         session.subscription = self.store.subscribe(

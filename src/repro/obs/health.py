@@ -21,13 +21,14 @@ verdict JSONL stays byte-identical to a health-off run):
   ``resolved`` record is emitted when the burn subsides.
 * **Self-assessment** — FUNNEL scoring its host: a
   :class:`SelfAssessor` feeds the assessor's own per-tick KPIs through
-  one :class:`~repro.live.detector.IncrementalDetector` per signal, so
-  a mid-run fault or config regression shows up as a detected change on
-  the service's *own* telemetry.  The default KPI set is restricted to
-  signals that are constant in a healthy replay (ingest rate, watermark
-  lag, queue depth, sheds); wall-clock tick duration is recorded on the
-  heartbeat but excluded from detection, because timer noise would
-  trigger false declarations on a fault-free run.
+  one :class:`~repro.live.detector.IncrementalDetector`, a row per
+  signal, so a mid-run fault or config regression shows up as a
+  detected change on the service's *own* telemetry.  The default KPI
+  set is restricted to signals that are constant in a healthy replay
+  (ingest rate, watermark lag, queue depth, sheds); wall-clock tick
+  duration is recorded on the heartbeat but excluded from detection,
+  because timer noise would trigger false declarations on a fault-free
+  run.
 
 ``repro obs health-report <heartbeat.jsonl>`` renders SLO attainment,
 burn alerts, lag percentiles over time and self-assessment verdicts
@@ -278,8 +279,8 @@ DEFAULT_SELF_KPIS: Tuple[str, ...] = (
 class SelfAssessor:
     """The assessor's own KPIs pushed through incremental FUNNEL.
 
-    One :class:`~repro.live.detector.IncrementalDetector` per KPI of
-    :data:`DEFAULT_SELF_KPIS`, one sample per scheduler tick.
+    One :class:`~repro.live.detector.IncrementalDetector` with a row per
+    KPI of :data:`DEFAULT_SELF_KPIS`, one column per scheduler tick.
     ``BASELINE_TICKS`` plays the role of the change index: the first
     that many ticks form the robust normalisation baseline, and only
     deviations starting after it are reportable — exactly the offline
@@ -301,10 +302,9 @@ class SelfAssessor:
         from ..live.detector import IncrementalDetector
 
         config = FunnelConfig(sst=ImprovedSSTParams(omega=self.OMEGA))
-        self._detectors = {
-            kpi: IncrementalDetector(self.BASELINE_TICKS, config,
-                                     score_chunk_bins=self.SCORE_CHUNK)
-            for kpi in DEFAULT_SELF_KPIS}
+        self._detector = IncrementalDetector(
+            [self.BASELINE_TICKS] * len(DEFAULT_SELF_KPIS), config,
+            score_chunk_bins=self.SCORE_CHUNK)
         self.detections: List[dict] = []
 
     def _record(self, kpi: str, declared, tick: int) -> dict:
@@ -318,29 +318,32 @@ class SelfAssessor:
             "score": round(float(declared.score), 4),
         }
 
-    def observe(self, tick: int, values: dict) -> List[dict]:
-        """Feed one tick's KPI values; returns any fresh detections."""
-        found: List[dict] = []
-        for kpi, detector in self._detectors.items():
-            if detector.declared is not None:
-                continue
-            value = float(values.get(kpi) or 0.0)
-            declared = detector.extend(np.asarray([value]))
-            if declared is not None:
-                found.append(self._record(kpi, declared, tick))
+    def _undeclared(self) -> List[int]:
+        return [row for row, declared
+                in enumerate(self._detector.declarations) if declared is None]
+
+    def _found(self, rows: List[int], tick: int) -> List[dict]:
+        declarations = self._detector.declarations
+        found = [self._record(DEFAULT_SELF_KPIS[row], declarations[row], tick)
+                 for row in rows if declarations[row] is not None]
         self.detections.extend(found)
         return found
 
+    def observe(self, tick: int, values: dict) -> List[dict]:
+        """Feed one tick's KPI values — one column over the KPIs not yet
+        declared; returns any fresh detections."""
+        rows = self._undeclared()
+        if rows:
+            self._detector.extend(np.array(
+                [[float(values.get(DEFAULT_SELF_KPIS[row]) or 0.0)]
+                 for row in rows]), rows)
+        return self._found(rows, tick)
+
     def finalize(self, tick: int) -> List[dict]:
-        """Flush every detector (end of stream); returns late finds."""
-        found: List[dict] = []
-        for kpi, detector in self._detectors.items():
-            if detector.declared is None:
-                declared = detector.flush()
-                if declared is not None:
-                    found.append(self._record(kpi, declared, tick))
-        self.detections.extend(found)
-        return found
+        """Flush the detector (end of stream); returns late finds."""
+        rows = self._undeclared()
+        self._detector.flush()
+        return self._found(rows, tick)
 
 
 # -- the monitor --------------------------------------------------------------

@@ -96,10 +96,10 @@ class EagerDetector:
         return None
 
 
-def detector_state(detector):
-    """``detector.state_dict()`` with its ``values`` array as bytes, so
+def detector_state(detector, row=0):
+    """``detector.state_dict(row)`` with its ``values`` array as bytes, so
     two snapshots compare with ``==``, bit for bit."""
-    state = detector.state_dict()
+    state = detector.state_dict(row)
     return dict(state, values=state["values"].tobytes())
 
 

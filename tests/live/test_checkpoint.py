@@ -21,7 +21,7 @@ from repro.exceptions import CheckpointError
 from repro.faults import DELAY, preset_plan
 from repro.live import LiveConfig, parity_live_config, replay_scenario
 from repro.live import detector as detector_module
-from repro.live.assessor import ChangeSession, KpiTracker
+from repro.live.assessor import ChangeSession
 from repro.live.checkpoint import (CHECKPOINT_VERSION, Checkpointer,
                                    _snapshot_session, load_checkpoint,
                                    restore_service, write_checkpoint)
@@ -342,10 +342,11 @@ class TestPreBaselineSnapshot:
         written = []
         for name in ("first", "second"):
             session = ChangeSession(change, None, 0.0, 120 * MINUTE,
-                                    IngestQueues(config.queue_capacity))
-            tracker = session.trackers[key] = KpiTracker(key, 60, 0, config)
-            tracker.detector.extend(np.arange(30.0))    # half a baseline
-            assert tracker.detector._stats is None
+                                    IngestQueues(config.queue_capacity),
+                                    config)
+            row = session.add_trackers([(key, 60, 0)])[0].row
+            session.detector.extend(np.arange(30.0), row)  # half a baseline
+            assert session.detector.state_dict(row)["stats"] is None
             path = tmp_path / (name + ".ckpt")
             write_checkpoint(str(path), [_snapshot_session(session)])
             written.append(path.read_bytes())

@@ -10,6 +10,7 @@ from repro.core.funnel import Funnel, FunnelConfig
 from repro.core.ika import IkaSST
 from repro.core.scoring import _confirmed_directions, robust_normalise
 from repro.exceptions import CheckpointError
+from repro.live import DetectorPool
 from repro.live.detector import IncrementalDetector
 
 from .oracle import detector_state
@@ -41,12 +42,14 @@ def stream(series, change_index, chunk_schedule, config=None,
 
 
 def pass_reads(monkeypatch):
-    """Record the bytes of every normalised prefix a pass tables."""
+    """Record the bytes of every normalised prefix a pass tables (a pass
+    hands the table its NaN-padded ``(stack, lengths, finite)``)."""
     import repro.live.detector as module
     reads, table = [], module._confirmed_directions
 
     def recorded(series, candidates, policy):
-        reads.extend(row.tobytes() for row in series)
+        stack, lengths, _ = series
+        reads.extend(row[:n].tobytes() for row, n in zip(stack, lengths))
         return table(series, candidates, policy)
 
     monkeypatch.setattr(module, "_confirmed_directions", recorded)
@@ -151,7 +154,7 @@ class TestScores:
             assert np.array_equal(scores,
                                   np.where(where, offline_scores[:n], 0.0))
         scored = sum(int(where.sum()) for _, where, _ in asked)
-        assert scored < 0.1 * len(detector)
+        assert scored < 0.1 * detector.length()
         # The declaration reports the score that armed it.
         candidate = declared.index - detector.lookahead
         assert declared.score == offline_scores[candidate]
@@ -220,21 +223,21 @@ class TestFlush:
 class TestStorage:
     def test_growth_keeps_unscored_zero_and_offline_parity(
             self, rng, monkeypatch):
-        """Across two doublings of the private arrays (chunk 50 leaves
-        an uncovered stretch on both sides of each boundary) the samples
-        survive and the end state is the offline detector's."""
+        """Across two doublings of the matrix (128 bins, then 256 and
+        512: chunk 50 leaves an uncovered stretch on both sides of each
+        boundary) the samples survive and the end state is the offline
+        detector's."""
         reads = pass_reads(monkeypatch)
         x = 50.0 + rng.normal(0, 1.0, size=400)
         x[300:] += 7.0
         detector = IncrementalDetector(80, score_chunk_bins=50)
         declared, unscored = None, []
-        for n, capacity in ((100, 128), (130, 256), (250, 256), (260, 512),
-                            (400, 512)):
-            result = detector.extend(x[len(detector):n])
+        for n in (100, 130, 250, 260, 400):
+            result = detector.extend(x[detector.length():n])
             declared = declared or result
-            assert detector._values.size == detector._norm.size == capacity
-            unscored.append(n - detector.span + 1 - detector._next_score_t)
-            np.testing.assert_array_equal(detector.series, x[:n])
+            unscored.append(n - detector.span + 1
+                            - detector.state_dict()["next_score_t"])
+            np.testing.assert_array_equal(detector.series(), x[:n])
         assert unscored == [0, 30, 0, 10, 0]
         # The pass at 400 bins read the whole offline transform.
         assert reads[-1] == robust_normalise(x, baseline=80).tobytes()
@@ -273,6 +276,7 @@ class TestStorage:
         reads = pass_reads(monkeypatch)
         donor = IncrementalDetector(100)
         donor.extend(x[:110])
+        read_at_110 = reads[-1]
         state = donor.state_dict()
         assert "scores" not in state and "norm" not in state
         state["scores"] = scores
@@ -281,8 +285,10 @@ class TestStorage:
         state["norm"] = [float("nan")] * 3
         restored = IncrementalDetector(100)
         restored.load_state(state)
-        assert restored._norm[:110].tobytes() == reads[-1]
-        assert restored.extend(x[110:]) == donor.extend(x[110:]) is not None
+        declared = restored.extend(x[110:])
+        assert reads[-1][:len(read_at_110)] == read_at_110
+        assert declared == donor.extend(x[110:]) is not None
+        assert reads[-1] == reads[-2]
         assert detector_state(restored) == detector_state(donor)
 
 
@@ -292,26 +298,37 @@ class TestLazyNormalisation:
     expression, so how the bins arrived cannot show in what a pass
     reads."""
 
-    def test_extend_leaves_the_normalised_prefix_untouched(self, rng):
-        x = 10.0 + rng.normal(0, 0.5, size=120)   # inside one allocation
+    def test_extend_leaves_the_normalised_prefix_untouched(
+            self, rng, monkeypatch):
+        # A flat baseline (MAD 0) makes the scale 1e-9: normalising
+        # 1e300 overflows, so any arithmetic on the buffered bins shows.
+        detector = IncrementalDetector(60, score_chunk_bins=12,
+                                       deferred_scoring=True)
+        detector.extend(np.full(100, 10.0))
+        with np.errstate(over="raise"):
+            for _ in range(20):
+                assert detector.extend(np.array([1e300])) is None
+            with pytest.raises(FloatingPointError):
+                detector.scan(np.array([0]))
+        # Ordinary bins: what the pass reads is the offline transform.
+        reads = pass_reads(monkeypatch)
+        x = 10.0 + rng.normal(0, 0.5, size=120)
         detector = IncrementalDetector(60, score_chunk_bins=12,
                                        deferred_scoring=True)
         detector.extend(x[:100])
-        detector._norm[:] = np.nan        # poisoned: any write shows
         for value in x[100:]:
             assert detector.extend(np.array([value])) is None
-        assert np.isnan(detector._norm).all()
-        detector.scan()
-        assert (detector._norm[:120].tobytes()
-                == robust_normalise(x, baseline=60).tobytes())
+        assert not reads
+        DetectorPool().score_pending([detector])
+        assert reads == [robust_normalise(x, baseline=60).tobytes()]
 
     @pytest.mark.parametrize("chunk", [1, 12])
     def test_pass_reads_are_bytes_of_the_offline_transform(
             self, rng, monkeypatch, chunk):
         """Bin by bin, one block, ragged chunks, and a checkpoint
         round trip taken mid-chunk: every prefix a pass tables is a
-        prefix of the one offline transform, and after the flush the
-        whole prefix is."""
+        prefix of the one offline transform, and the last pass tables
+        the whole of it."""
         reads = pass_reads(monkeypatch)
         x = 10.0 + rng.normal(0, 0.5, size=220)
         offline = robust_normalise(x, baseline=100).tobytes()
@@ -320,16 +337,17 @@ class TestLazyNormalisation:
             del reads[:]
             detector = IncrementalDetector(100, score_chunk_bins=chunk)
             for size in schedule:
-                if len(detector) == restore_at:
+                n = detector.length()
+                if n == restore_at:
                     restored = IncrementalDetector(100,
                                                    score_chunk_bins=chunk)
                     restored.load_state(detector.state_dict())
                     detector = restored
-                detector.extend(x[len(detector):len(detector) + size])
+                detector.extend(x[n:n + size])
             detector.flush()
-            assert len(detector) == x.size and detector.declared is None
+            assert detector.length() == x.size and detector.declared is None
             assert reads and all(offline.startswith(r) for r in reads)
-            return detector._norm[:x.size].tobytes()
+            return max(reads, key=len)
 
         ragged = [100, 3, 7, 1, 12, 30, 5, 62]
         assert fed([1] * 220) == offline

@@ -105,25 +105,35 @@ def test_lazy_equals_eager(case):
         assert lazy == [changes for _, changes in eager]
     else:
         assert failed in [error for error, _ in eager]
-    # Live: a pool over deferred detectors (a standalone one when the
-    # stack is a single row) against one eager detector per row, call by
+    # Live: a pool over two deferred detectors holding the rows between
+    # them, as sessions do (a standalone one-row detector when the stack
+    # is a single row), against one eager detector per row, call by
     # call, the deadline flush being the last.
     pool = DetectorPool()
-    detectors = [IncrementalDetector(ci, config, score_chunk_bins=chunk,
+    half = len(indices) // 2
+    parts = [range(len(indices))] if not half else \
+        [range(half), range(half, len(indices))]
+    detectors = [IncrementalDetector([indices[i] for i in part], config,
+                                     score_chunk_bins=chunk,
                                      deferred_scoring=len(indices) > 1)
-                 for ci in indices]
+                 for part in parts]
     references = [EagerDetector(ci, config, score_chunk_bins=chunk)
                   for ci in indices]
     for step, (lo, hi) in enumerate(pieces + [(None, None)]):
         def lazily():
-            if len(detectors) == 1:
+            if len(indices) == 1:
                 found = (detectors[0].flush() if lo is None
                          else detectors[0].extend(stack[0, lo:hi]))
                 return {} if found is None else {0: found}
-            for detector, row in zip(detectors, stack):
-                if lo is not None and detector.declared is None:
-                    assert detector.extend(row[lo:hi]) is None
-            return dict(pool.score_pending(detectors, flush=lo is None))
+            for detector, part in zip(detectors, parts):
+                rows = [row for row, declared in
+                        enumerate(detector.declarations) if declared is None]
+                if lo is not None and rows:
+                    assert detector.extend(
+                        stack[[part[row] for row in rows], lo:hi],
+                        rows) is None
+            return {parts[i][row]: change for i, row, change in
+                    pool.score_pending(detectors, flush=lo is None)}
 
         def eagerly():
             found = {}
@@ -141,7 +151,7 @@ def test_lazy_equals_eager(case):
         if failed is not None:
             return                        # both refused the same call
         assert found == expected, step
-    assert [d.declared for d in detectors] == \
+    assert [d for detector in detectors for d in detector.declarations] == \
         [r.declared for r in references]
 
 
@@ -263,7 +273,7 @@ class TestKernelWork:
             live = [d for d in detectors if d.declared is None]
             for detector, row in zip(detectors, stack):
                 if detector.declared is None:
-                    detector.extend(row[len(detector):n])
+                    detector.extend(row[detector.length():n])
             pool.score_pending(live)
         assert [d.declared for d in detectors] == \
             [r.declared for r in references]

@@ -6,7 +6,7 @@ import pytest
 from repro.core.funnel import FunnelConfig
 from repro.core.ika import IkaSST
 from repro.core.rsst import ImprovedSSTParams
-from repro.core.scoring import declare_changes
+from repro.core.scoring import declare_changes, robust_normalise
 from repro.exceptions import ParameterError
 from repro.live import DetectorPool, IncrementalDetector
 from repro.live.pool import (GATED_CANDIDATES_METRIC, GATING_TABLES_METRIC,
@@ -54,11 +54,11 @@ def _kernel_calls(monkeypatch):
 
 
 class TestOneTablePerPass:
-    """The pass decides every pending detector from one table; what it
-    declares, in which order, and where it leaves each detector is
-    pinned against standalone detectors — the same pass, one detector at
-    a time — fed the same bins.  (That the pass itself is right is the
-    eager reference's business: ``test_lazy_eager.py``.)"""
+    """The pass decides every pending row from one table; what it
+    declares, in which order, and where it leaves each row is pinned
+    against standalone detectors — the same pass, one detector at a time
+    — fed the same bins.  (That the pass itself is right is the eager
+    reference's business: ``test_lazy_eager.py``.)"""
 
     #: (change_index, admitted at pass, backfilled bins, series)
     SPECS = [
@@ -74,8 +74,11 @@ class TestOneTablePerPass:
     ]
 
     def test_declares_what_standalone_detectors_declare_in_order(self):
+        """The pooled side is one deferred detector whose rows join as
+        their KPIs are admitted, like a session's trackers."""
         pool = DetectorPool()
-        pooled, solo, fed = {}, {}, {}
+        pooled = IncrementalDetector(deferred_scoring=True)
+        rows, solo, fed = {}, {}, {}
         passes = []
         for tick in range(45):
             fresh = []
@@ -83,33 +86,32 @@ class TestOneTablePerPass:
                     self.SPECS):
                 if tick < admitted:
                     continue
-                if i not in pooled:
-                    pooled[i] = IncrementalDetector(change_index,
-                                                    deferred_scoring=True)
+                if i not in rows:
+                    rows[i], = pooled.add_rows(change_index)
                     solo[i] = IncrementalDetector(change_index)
                     fed[i] = 0
                 bins = x[fed[i]:fed[i] + (1 if fed[i] else backfill)]
                 fed[i] += bins.size
-                assert pooled[i].extend(bins) is None
+                assert pooled.extend(bins, rows[i]) is None
                 if solo[i].extend(bins) is not None:
                     fresh.append(i)
-            live = sorted(pooled)
-            declared = pool.score_pending([pooled[i] for i in live])
-            assert sorted(live[j] for j, _ in declared) == fresh
-            for j, declaration in declared:
-                assert declaration == solo[live[j]].declared
+            declared = pool.score_pending([pooled])
+            assert sorted(row for _, row, _ in declared) == fresh
+            for _, row, declaration in declared:
+                assert declaration == solo[row].declared
             if declared:
-                passes.append((tick, [live[j] for j, _ in declared]))
-            for i in live:
-                assert detector_state(pooled[i]) == detector_state(solo[i])
-        # Group by group (the 150-bin stack first: detector 0 opened
-        # it), input order inside a group; the staggered ones follow.
+                passes.append((tick, [row for _, row, _ in declared]))
+            for i, row in rows.items():
+                assert detector_state(pooled, row) == detector_state(solo[i])
+        # Group by group (the 150-bin stack first: row 0 opened it),
+        # input order inside a group; the staggered ones follow.
         assert passes == [(0, [0, 2, 1, 3]), (7, [5]), (15, [4])]
         assert solo[6].declared is None
-        # Detector 4 confirmed its pre-existing shift first.
-        norm = pooled[4]._norm[:len(pooled[4])]
+        # Row 4 confirmed its pre-existing shift first.
+        norm = robust_normalise(pooled.series(4), baseline=120)
         first = declare_changes(norm, IkaSST().scores(norm), lookahead=16)[0]
-        assert first.start_index < 119 <= pooled[4].declared.start_index
+        assert first.start_index < 119 <= \
+            pooled.declarations[4].start_index
 
     def test_one_table_covers_every_width_group(self, monkeypatch):
         calls = _kernel_calls(monkeypatch)
@@ -161,17 +163,17 @@ class TestOneTablePerPass:
         quiet = IncrementalDetector(80, deferred_scoring=True)
         # The baseline median everywhere but one NaN normalises to
         # [nan, 0.0, 0.0, ...].
+        median = donor.state_dict()["stats"][0]
         state = dict(donor.state_dict(),
-                     values=[float("nan")] + [donor._stats[0]] * 89)
+                     values=[float("nan")] + [median] * 89)
         quiet.load_state(state)
-        np.testing.assert_array_equal(quiet._norm[:90],
-                                      [float("nan")] + [0.0] * 89)
-        quiet.extend(np.full(10, donor._stats[0]))       # normalises to 0.0
+        quiet.extend(np.full(10, median))                # normalises to 0.0
         clean = IncrementalDetector(80, deferred_scoring=True)
         clean.extend(_series(9, 140, [(80, 5.0)])[:100])
-        assert [i for i, _ in DetectorPool().score_pending(
+        assert [i for i, _, _ in DetectorPool().score_pending(
             [quiet, clean])] == [1]
-        assert quiet.declared is None and quiet._scan_t == 100 - 16
+        assert quiet.declared is None
+        assert quiet.state_dict()["scan_t"] == 100 - 16
 
 
 class TestDetectorPool:
@@ -184,7 +186,7 @@ class TestDetectorPool:
             solo = IncrementalDetector(detector.change_index)
             solo.extend(x)
             assert detector_state(detector) == detector_state(solo)
-        assert {i: declaration for i, declaration in declared} == \
+        assert {i: declaration for i, _, declaration in declared} == \
             {i: detector.declared for i, (detector, _) in enumerate(pooled)
              if detector.declared is not None}
         assert len(declared) == 2
@@ -208,44 +210,52 @@ class TestDetectorPool:
             assert detector_state(detector) == detector_state(solo)
 
     def test_two_sessions_three_widths_are_one_kernel_call(self, monkeypatch):
-        """Two sessions whose trackers wait with three prefix lengths:
-        the pass stacks whatever of them confirms, zero-padded, into ONE
-        ``scores_batch`` call, and every detector ends where its
-        standalone twin does."""
-        #: (session, bins fed before the pass, step)
-        specs = [(0, 150, 5.0), (1, 110, 0.0), (0, 130, -4.0),
-                 (1, 150, 6.0), (0, 110, 5.0), (1, 130, 0.0)]
-        pooled, twins = [], []
-        for seed, (session, n, step) in enumerate(specs):
-            x = _series(20 + seed, 170, [(80, step)] if step else [])
-            detector = IncrementalDetector(80, deferred_scoring=True)
-            detector.extend(x[:n])
-            twin = IncrementalDetector(80)
-            twin.extend(x[:n])
-            pooled.append((detector, x, n))
-            twins.append(twin)
+        """Two sessions — two 3-row detectors — whose trackers wait with
+        three prefix lengths: the pass stacks whatever of them confirms,
+        zero-padded, into ONE ``scores_batch`` call, and every row ends
+        where its standalone twin does."""
+        #: (bins fed before the pass, step) per row of each session
+        specs = [[(150, 5.0), (130, -4.0), (110, 5.0)],
+                 [(110, 0.0), (150, 6.0), (130, 0.0)]]
+        sessions, twins = [], []
+        for index, rows in enumerate(specs):
+            detector = IncrementalDetector([80] * 3, deferred_scoring=True)
+            fed = []
+            for row, (n, step) in enumerate(rows):
+                x = _series(20 + 3 * index + row, 170,
+                            [(80, step)] if step else [])
+                detector.extend(x[:n], row)
+                twin = IncrementalDetector(80)
+                twin.extend(x[:n])
+                fed.append((x, n))
+                twins.append(((index, row), twin))
+            sessions.append((detector, fed))
         pool = DetectorPool()
         calls = _kernel_calls(monkeypatch)   # the twins scored on their own
-        declared = pool.score_pending([d for d, _, _ in pooled])
+        declared = pool.score_pending([d for d, _ in sessions])
         # The quiet rows confirm nowhere and are not in the stack.
         assert [(shape, lengths) for shape, lengths, _ in calls] == \
-            [((4, 150), (150, 130, 150, 110))]
+            [((4, 150), (150, 130, 110, 150))]
         assert pool.batches == 1 and pool.series == 4
-        assert dict(declared) == {i: twin.declared
-                                  for i, twin in enumerate(twins)
-                                  if twin.declared is not None}
-        # Width groups in order of first appearance (150, 110, 130).
-        assert [i for i, _ in declared] == [0, 3, 4, 2]
-        # ... and the next tick decides one position a detector from the
+        assert {(i, row): change for i, row, change in declared} == {
+            at: twin.declared for at, twin in twins
+            if twin.declared is not None}
+        # Width groups in order of first appearance (150, 130, 110).
+        assert [(i, row) for i, row, _ in declared] == \
+            [(0, 0), (1, 1), (0, 1), (0, 2)]
+        # ... and the next tick decides one position a row from the
         # table alone: nothing confirms, the kernel is not called.
-        for (detector, x, n), twin in zip(pooled, twins):
-            detector.extend(x[n:n + 1])
+        for detector, fed in sessions:
+            detector.extend(np.array([[x[n]] for x, n in fed]))
+        for (index, row), twin in twins:
+            x, n = sessions[index][1][row]
             twin.extend(x[n:n + 1])
         del calls[:]
-        assert pool.score_pending([d for d, _, _ in pooled]) == []
+        assert pool.score_pending([d for d, _ in sessions]) == []
         assert calls == []
-        for (detector, _, _), twin in zip(pooled, twins):
-            assert detector_state(detector) == detector_state(twin)
+        for (index, row), twin in twins:
+            assert detector_state(sessions[index][0], row) == \
+                detector_state(twin)
 
     @pytest.mark.parametrize("remainder", range(5))
     def test_flush_pass_equals_per_detector_flush(self, remainder):
@@ -272,8 +282,8 @@ class TestDetectorPool:
                 pair.append(detector)
             pooled.append(pair[0])
             twins.append(pair[1])
-        left = {len(d) - d.span - d._next_score_t + 1 for d in pooled
-                if d.declared is None}
+        left = {d.length() - d.span - d.state_dict()["next_score_t"] + 1
+                for d in pooled if d.declared is None}
         assert left == {remainder}
         batches = pool.batches
         declared = pool.score_pending(pooled, flush=True)
@@ -286,31 +296,28 @@ class TestDetectorPool:
             assert flushed is None or before is None
             if flushed is not None:
                 expected[i] = flushed
-        assert dict(declared) == expected
-        assert [i for i, _ in declared] == sorted(expected)
+        assert {i: change for i, _, change in declared} == expected
+        assert [i for i, _, _ in declared] == sorted(expected)
         assert len(expected) == {0: 0, 1: 1, 2: 1}.get(remainder, 2)
         for detector, twin in zip(pooled, twins):
             assert detector_state(detector) == detector_state(twin)
 
-    def test_stray_configuration_flushes_on_its_own(self):
-        """One pass scores one configuration; a detector configured
-        otherwise still gets its scores and its declaration."""
+    def test_mixed_configurations_raise(self):
+        """One pass scores one configuration (a service has one): a pass
+        over detectors configured otherwise is refused before any row
+        moves; an equal configuration is the same one."""
         other = FunnelConfig(sst=ImprovedSSTParams(omega=7))
         x = _series(51, 150, [(80, 5.0)])
         pooled = [IncrementalDetector(80, config, deferred_scoring=True)
-                  for config in (None, other, None)]
+                  for config in (None, other, FunnelConfig())]
         for detector in pooled:
             detector.extend(x)
-        pool = DetectorPool()
-        declared = pool.score_pending(pooled)
-        assert pool.series == 2
-        # Its shorter span makes it a width group of its own.
-        assert [i for i, _ in declared] == [0, 2, 1]
-        for detector in pooled:
-            solo = IncrementalDetector(80, detector.config)
-            solo.extend(x)
-            assert detector_state(detector) == detector_state(solo)
-            assert detector.declared == solo.declared is not None
+        before = [detector_state(detector) for detector in pooled]
+        with pytest.raises(ValueError, match="one configuration"):
+            DetectorPool().score_pending(pooled)
+        assert [detector_state(d) for d in pooled] == before
+        declared = DetectorPool().score_pending(pooled[::2])
+        assert [i for i, _, _ in declared] == [0, 1]
 
     def test_nothing_pending_is_a_noop(self):
         detector, _ = _detector(3)
@@ -329,5 +336,5 @@ class TestDetectorPool:
         assert declared and detector.declared is not None
         # More data arrives; the detector is done declaring.
         detector.extend(np.full(10, 10.0))
-        assert detector.pending_bounds() is None
+        assert not detector.pending_bounds()[0].size
         assert pool.score_pending([detector]) == []

@@ -14,7 +14,7 @@ from repro.faults import preset_plan
 from repro.live import (LiveConfig, VerdictBus, fleet_kpi_keys,
                         parity_live_config, replay_scenario)
 from repro.live.assessor import (DUPLICATE_FRAGMENTS_METRIC, GAP_BINS_METRIC,
-                                 ChangeSession, KpiTracker, LiveAssessor)
+                                 ChangeSession, LiveAssessor)
 from repro.live.queues import (FRAGMENTS_METRIC, SHED_FRAGMENTS_METRIC,
                                IngestQueues)
 from repro.live.scheduler import TICK_STAGE_SECONDS_METRIC
@@ -173,7 +173,7 @@ class TestDeadlineClose:
             tuple(self.STEPS), at_time=self.START + self.OFFSET * MINUTE)
         session = ChangeSession(change, None, 0.0,
                                 self.START + self.WINDOW * MINUTE,
-                                IngestQueues(config.queue_capacity))
+                                IngestQueues(config.queue_capacity), config)
         rng = np.random.default_rng(17)
         series = {}
         for host, (at, step) in self.STEPS.items():
@@ -182,8 +182,7 @@ class TestDeadlineClose:
                 x[at:] += step
             key = KpiKey("server", host, "cpu")
             series[key] = x
-            session.trackers[key] = KpiTracker(
-                key, self.OFFSET, self.START, config)
+            session.add_trackers([(key, self.OFFSET, self.START)])
         for key, x in series.items():          # admission backfill
             assessor.on_fragment(
                 session, key, TimeSeries(self.START, MINUTE, x[:self.OFFSET]),
@@ -278,10 +277,9 @@ class TestIngestPath:
                                 "svc", ("a", "b", "c"),
                                 at_time=self.START + 60 * MINUTE)
         session = ChangeSession(change, None, 0.0, self.DEADLINE,
-                                IngestQueues(config.queue_capacity))
-        for host in ("a", "b", "c"):
-            key = KpiKey("server", host, "cpu")
-            session.trackers[key] = KpiTracker(key, 60, self.START, config)
+                                IngestQueues(config.queue_capacity), config)
+        session.add_trackers([(KpiKey("server", host, "cpu"), 60, self.START)
+                              for host in "abc"])
         return assessor, session
 
     def test_batch_entry_equals_fragment_by_fragment(self):
@@ -309,13 +307,13 @@ class TestIngestPath:
         for key, fragment in fragments:
             single.on_fragment(single_session, key, fragment, self.DEADLINE)
 
-        assert [len(t.detector) for t in
+        assert [batched_session.detector.length(t.row) for t in
                 batched_session.trackers.values()] == [75, 64, 100]
         assert batched_session.trackers[b].degraded is True
         for key, tracker in batched_session.trackers.items():
             twin = single_session.trackers[key]
-            assert (detector_state(tracker.detector)
-                    == detector_state(twin.detector))
+            assert (detector_state(batched_session.detector, tracker.row)
+                    == detector_state(single_session.detector, twin.row))
             assert (tracker.degraded, tracker.done) == \
                 (twin.degraded, twin.done)
         assert batched_session.expected_next == single_session.expected_next
@@ -364,12 +362,12 @@ class TestIngestPath:
                 single.on_fragment(single_session, key, fragment,
                                    self.DEADLINE)
         assert continued == [False, True, True, False, False, True, False]
-        assert [len(t.detector) for t in
+        assert [batched_session.detector.length(t.row) for t in
                 batched_session.trackers.values()] == [100, 62, 100]
         for key, tracker in batched_session.trackers.items():
             twin = single_session.trackers[key]
-            assert (detector_state(tracker.detector)
-                    == detector_state(twin.detector))
+            assert (detector_state(batched_session.detector, tracker.row)
+                    == detector_state(single_session.detector, twin.row))
             assert (tracker.degraded, tracker.done) == \
                 (twin.degraded, twin.done)
         assert batched_session.expected_next == single_session.expected_next
@@ -392,10 +390,11 @@ class TestIngestPath:
         key = KpiKey("server", "a", "cpu")
         assessor.on_fragment(session, key, TimeSeries(
             self.START, MINUTE, np.full(60, 20.0)), self.DEADLINE)
-        before = detector_state(session.trackers[key].detector)
+        row = session.trackers[key].row
+        before = detector_state(session.detector, row)
         assessor.on_fragment(session, key, TimeSeries(
             self.START + 60 * MINUTE, MINUTE, []), self.DEADLINE)
-        assert detector_state(session.trackers[key].detector) == before
+        assert detector_state(session.detector, row) == before
         assert session.expected_next[key] == self.START + 60 * MINUTE
         counters = assessor.metrics.snapshot()["counters"]
         assert counters[DUPLICATE_FRAGMENTS_METRIC]["values"] == [

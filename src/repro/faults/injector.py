@@ -113,10 +113,6 @@ class FaultyMetricStore:
         """Durably ingested fragments (held ones count on release)."""
         return self.inner.appended_fragments
 
-    @property
-    def appended_bins(self) -> int:
-        return self.inner.appended_bins
-
     def bind_metrics(self, metrics: MetricsRegistry) -> None:
         self.metrics = metrics
 

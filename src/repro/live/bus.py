@@ -111,7 +111,6 @@ class VerdictBus:
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics or MetricsRegistry()
         self.verdicts: List[LiveVerdict] = []
-        self.published_by_reason: Dict[str, int] = {}
         self._seen: Dict[VerdictKey, bool] = {}
         self._subscribers: List[Callable[[LiveVerdict], None]] = []
 
@@ -127,8 +126,6 @@ class VerdictBus:
             return False
         self._seen[verdict.key] = True
         self.verdicts.append(verdict)
-        self.published_by_reason[verdict.reason] = \
-            self.published_by_reason.get(verdict.reason, 0) + 1
         self.metrics.counter(
             VERDICTS_METRIC, help="Verdicts published on the bus."
         ).inc(verdict=verdict.verdict, reason=verdict.reason)

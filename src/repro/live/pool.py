@@ -46,8 +46,6 @@ class DetectorPool:
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics or MetricsRegistry()
-        self.batches = 0
-        self.series = 0
 
     def score_pending(
         self, detectors: Sequence[IncrementalDetector], flush: bool = False,
@@ -84,8 +82,6 @@ class DetectorPool:
         decided, masks, found = score_pass(
             [(detector, rows) for _, detector, rows in work])
         rows = sum(int(mask.any(axis=1).sum()) for mask in masks)
-        self.batches += len(masks)
-        self.series += rows
         for name, help_text, amount in (
                 (GATING_TABLES_METRIC,
                  "Gating tables built by the pool (one per pass).",

@@ -57,7 +57,6 @@ class IngestQueues:
         #: drains, which would silently re-aim a stored index.
         self._last_served: Optional[KpiKey] = None
         self.depth = 0
-        self.peak_depth = 0
         self.shed = 0
 
     # -- producer side --------------------------------------------------------
@@ -107,8 +106,6 @@ class IngestQueues:
             self.depth -= n
         queue.append(item)
         self.depth += n
-        if self.depth > self.peak_depth:
-            self.peak_depth = self.depth
 
     def _spill(self) -> None:
         """Move the queued blocks onto the per-KPI deques, row by row."""

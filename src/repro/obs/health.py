@@ -7,12 +7,13 @@ verdict JSONL stays byte-identical to a health-off run):
 
 * **Heartbeat stream** — a :class:`HealthMonitor` attached to a
   :class:`~repro.live.service.LiveAssessmentService` emits one
-  structured JSONL record per scheduler tick (virtual time, per-change
-  watermark lag, queue depth and sheds, pool fill ratio, verdict-lag
-  histogram deltas, degraded/retry counters) through a
-  :class:`HeartbeatWriter` — a bounded, non-blocking buffer that drops
-  its oldest record (and counts the drop) rather than ever stalling the
-  tick on a slow disk.
+  12-field JSONL record per scheduler tick (virtual time, tick seconds,
+  queue depth, worst watermark lag, ingest / shed / verdict deltas and
+  the verdict-lag p99) — the signals the SLOs, the self-assessor and
+  the health report read; everything else lives in the metrics
+  registry — through a :class:`HeartbeatWriter`, a bounded,
+  non-blocking buffer that drops its oldest record (and counts the
+  drop) rather than ever stalling the tick on a slow disk.
 * **SLO tracking** — declarative :class:`Slo` objectives over heartbeat
   signals, evaluated by an :class:`SloTracker` with classic
   multi-window burn-rate alerting: an alert fires only when *both* a
@@ -22,13 +23,13 @@ verdict JSONL stays byte-identical to a health-off run):
 * **Self-assessment** — FUNNEL scoring its host: a
   :class:`SelfAssessor` feeds the assessor's own per-tick KPIs through
   one :class:`~repro.live.detector.IncrementalDetector`, a row per
-  signal, so a mid-run fault or config regression shows up as a
-  detected change on the service's *own* telemetry.  The default KPI
-  set is restricted to signals that are constant in a healthy replay
-  (ingest rate, watermark lag, queue depth, sheds); wall-clock tick
-  duration is recorded on the heartbeat but excluded from detection,
-  because timer noise would trigger false declarations on a fault-free
-  run.
+  signal and a block per score chunk, so a mid-run fault or config
+  regression shows up as a detected change on the service's *own*
+  telemetry.  The default KPI set is restricted to signals that are
+  constant in a healthy replay (ingest rate, watermark lag, queue
+  depth, sheds); wall-clock tick duration is recorded on the heartbeat
+  but excluded from detection, because timer noise would trigger false
+  declarations on a fault-free run.
 
 ``repro obs health-report <heartbeat.jsonl>`` renders SLO attainment,
 burn alerts, lag percentiles over time and self-assessment verdicts
@@ -286,13 +287,18 @@ class SelfAssessor:
     deviations starting after it are reportable — exactly the offline
     declaration filter.  An ``OMEGA`` smaller than the KPI default
     keeps the detection lag short (the scorer needs ``2*omega - 1``
-    ticks of forward context); ``SCORE_CHUNK`` ticks are batched
-    per scoring call.
+    ticks of forward context); ``SCORE_CHUNK`` ticks are buffered and
+    fed as one block, the detector's chunk gate scoring each block once.
     """
 
     BASELINE_TICKS = 60
     OMEGA = 5
     SCORE_CHUNK = 4
+    # The first pass fires when the baseline completes and the chunk
+    # gate re-arms SCORE_CHUNK columns after every pass, so a baseline
+    # of whole chunks puts every pass on a block boundary: a block feed
+    # then declares what a column-per-tick feed does, at the same tick.
+    assert BASELINE_TICKS % SCORE_CHUNK == 0
 
     def __init__(self) -> None:
         # Imported here, not at module level: repro.live imports this
@@ -305,6 +311,8 @@ class SelfAssessor:
         self._detector = IncrementalDetector(
             [self.BASELINE_TICKS] * len(DEFAULT_SELF_KPIS), config,
             score_chunk_bins=self.SCORE_CHUNK)
+        #: the ticks not fed yet, one list of KPI values each
+        self._columns: List[List[float]] = []
         self.detections: List[dict] = []
 
     def _record(self, kpi: str, declared, tick: int) -> dict:
@@ -329,21 +337,31 @@ class SelfAssessor:
         self.detections.extend(found)
         return found
 
-    def observe(self, tick: int, values: dict) -> List[dict]:
-        """Feed one tick's KPI values — one column over the KPIs not yet
+    def _feed(self, tick: int) -> List[dict]:
+        """The buffered ticks as one block over the KPIs not yet
         declared; returns any fresh detections."""
         rows = self._undeclared()
-        if rows:
-            self._detector.extend(np.array(
-                [[float(values.get(DEFAULT_SELF_KPIS[row]) or 0.0)]
-                 for row in rows]), rows)
+        if rows and self._columns:
+            self._detector.extend(np.array(self._columns).T[rows], rows)
+        self._columns = []
         return self._found(rows, tick)
 
+    def observe(self, tick: int, values: dict) -> List[dict]:
+        """Buffer one tick's KPI values, feeding every ``SCORE_CHUNK``-th
+        tick; returns any fresh detections."""
+        self._columns.append([float(values.get(kpi) or 0.0)
+                              for kpi in DEFAULT_SELF_KPIS])
+        if len(self._columns) < self.SCORE_CHUNK:
+            return []
+        return self._feed(tick)
+
     def finalize(self, tick: int) -> List[dict]:
-        """Flush the detector (end of stream); returns late finds."""
+        """Feed the remainder and flush the detector (end of stream);
+        returns late finds."""
+        found = self._feed(tick)
         rows = self._undeclared()
         self._detector.flush()
-        return self._found(rows, tick)
+        return found + self._found(rows, tick)
 
 
 # -- the monitor --------------------------------------------------------------
@@ -355,13 +373,14 @@ class HealthMonitor:
     (its constructor does it when given ``health=``); the event-time
     scheduler then calls :meth:`on_tick` at the end of every tick with
     the tick's wall-clock duration.  Everything here *reads* pipeline
-    state — counters, gauges, session watermarks — and writes only to
-    its own heartbeat stream, which is what keeps verdict output
-    byte-identical with health on or off.
+    state — the store's ingest total, the scheduler's queue depth and
+    watermark lag, registry counters and the verdict-lag histogram —
+    and writes only to its own heartbeat stream, which is what keeps
+    verdict output byte-identical with health on or off.
 
     ``heartbeat_path`` is the JSONL file the stream is written to,
-    flushed every ``FLUSH_EVERY_TICKS`` ticks; ``None`` keeps every
-    record in memory only (the summary still works).
+    flushed every ``FLUSH_EVERY_TICKS`` ticks; ``None`` keeps only the
+    summary.
     """
 
     #: ticks between opportunistic writer flushes.
@@ -377,67 +396,34 @@ class HealthMonitor:
         self.metrics: Optional[MetricsRegistry] = None
         self.ticks = 0
         self.alerts: List[dict] = []
-        self.heartbeats: List[dict] = []
         self.finalized = False
-        self._counter_names: Dict[str, str] = {}
-        self._last: Dict[str, float] = {}
-        self._last_lag_counts: List[int] = []
+        #: the registry metrics a heartbeat reads: the offered, shed,
+        #: degraded and published-verdict counters, then the verdict-lag
+        #: histogram.  Each is peeked at per tick, not created: a
+        #: metric exists from the pipeline's first update of it on.
+        #: (Verdicts are not ``len(bus)``: a resumed run's bus starts
+        #: with the checkpoint's verdicts, which this tick did not publish.)
+        self._names: Tuple[str, ...] = ()
+        #: the previous tick's totals: ingested fragments, then the
+        #: four counters.
+        self._totals: Tuple[float, ...] = (0,) * 5
 
     # -- wiring ---------------------------------------------------------------
 
     def attach(self, service) -> None:
         """Bind to ``service`` and hook the scheduler's tick loop."""
-        from ..live.assessor import (DEGRADED_VERDICTS_METRIC,
-                                     DUPLICATE_FRAGMENTS_METRIC,
-                                     FETCH_FAILURES_METRIC, GAP_BINS_METRIC,
-                                     REPAIRED_BINS_METRIC)
+        from ..live.assessor import DEGRADED_VERDICTS_METRIC
+        from ..live.bus import VERDICTS_METRIC
         from ..live.queues import FRAGMENTS_METRIC, SHED_FRAGMENTS_METRIC
 
         self.service = service
         self.metrics = service.metrics
         if self.writer is not None:
             self.writer.metrics = self.metrics
-        self._counter_names = {
-            "offered_fragments": FRAGMENTS_METRIC,
-            "shed_fragments": SHED_FRAGMENTS_METRIC,
-            "gap_bins": GAP_BINS_METRIC,
-            "repaired_bins": REPAIRED_BINS_METRIC,
-            "duplicate_fragments": DUPLICATE_FRAGMENTS_METRIC,
-            "fetch_failures": FETCH_FAILURES_METRIC,
-            "degraded_verdicts": DEGRADED_VERDICTS_METRIC,
-        }
+        self._names = (FRAGMENTS_METRIC, SHED_FRAGMENTS_METRIC,
+                       DEGRADED_VERDICTS_METRIC, VERDICTS_METRIC,
+                       VERDICT_LAG_METRIC)
         service.scheduler.health = self
-
-    # -- deltas ---------------------------------------------------------------
-
-    def _total(self, name: str) -> float:
-        metric = self.metrics.get(name)
-        return float(metric.total()) if metric is not None else 0.0
-
-    def _delta(self, field_name: str, value: float) -> float:
-        previous = self._last.get(field_name, 0.0)
-        self._last[field_name] = value
-        return value - previous
-
-    def _verdict_lag(self, bin_seconds: int) -> dict:
-        """Histogram deltas + a cumulative p99, in bins."""
-        hist = self.metrics.get(VERDICT_LAG_METRIC)
-        counts: List[int] = []
-        if hist is not None:
-            row = hist.counts.get(())
-            if row:
-                counts = list(row)
-        previous = self._last_lag_counts
-        delta = [n - (previous[i] if i < len(previous) else 0)
-                 for i, n in enumerate(counts)]
-        self._last_lag_counts = counts
-        p99 = hist.percentile(99) if hist is not None else None
-        return {
-            "count": int(sum(delta)),
-            "bucket_delta": delta,
-            "p99_bins": (round(p99 / bin_seconds, 2)
-                         if p99 is not None else None),
-        }
 
     # -- the tick hook --------------------------------------------------------
 
@@ -448,81 +434,35 @@ class HealthMonitor:
         scheduler = service.scheduler
         bin_seconds = max(1, service.store.bin_seconds)
         self.ticks += 1
-
-        watermark_lags: Dict[str, int] = {}
-        for change_id in sorted(scheduler.watcher.sessions):
-            session = scheduler.watcher.sessions[change_id]
-            watermark = session.watermark
-            if watermark is not None:
-                watermark_lags[change_id] = max(0, now - watermark) \
-                    // bin_seconds
-
-        pool = service.assessor.pool
-        pool_batches = self._delta("pool_batches", float(pool.batches))
-        pool_series = self._delta("pool_series", float(pool.series))
-
-        offered = self._delta("offered_fragments", self._total(
-            self._counter_names["offered_fragments"]))
-        shed = self._delta("shed_fragments", self._total(
-            self._counter_names["shed_fragments"]))
-        by_reason = dict(service.bus.published_by_reason)
-        verdicts_by_reason = {
-            reason: int(self._delta("verdicts_" + reason,
-                                    float(count)))
-            for reason, count in sorted(by_reason.items())}
-        lag = self._verdict_lag(bin_seconds)
+        *counters, lag = [self.metrics.get(name) for name in self._names]
+        totals = (service.store.appended_fragments,) + tuple(
+            0 if counter is None else counter.total()
+            for counter in counters)
+        ingest, offered, shed, degraded, verdicts = (
+            total - last for total, last in zip(totals, self._totals))
+        self._totals = totals
+        p99 = lag.percentile(99) if lag is not None else None
 
         record = {
             "kind": HEARTBEAT_KIND,
             "tick": tick,
             "now": now,
             "tick_seconds": round(tick_seconds, 6),
-            "active_changes": len(scheduler.watcher.sessions),
             "queue_depth": scheduler.queue_depth(),
-            "peak_queue_depth": scheduler.peak_queue_depth,
-            "session_peak_queue_depth": max(
-                (s.queues.peak_depth
-                 for s in scheduler.watcher.sessions.values()),
-                default=0),
-            "watermark_lag_bins": max(watermark_lags.values(), default=0),
-            "watermark_lags": watermark_lags,
-            "ingest_fragments": int(self._delta(
-                "ingest_fragments", float(
-                    service.store.appended_fragments))),
-            "ingest_bins": int(self._delta(
-                "ingest_bins", float(service.store.appended_bins))),
-            "offered_fragments": int(offered),
+            "watermark_lag_bins": scheduler.watermark_lag(now) // bin_seconds,
+            "ingest_fragments": int(ingest),
             "shed_fragments": int(shed),
             "shed_ratio": round(shed / offered, 4) if offered else 0.0,
-            "verdicts": sum(verdicts_by_reason.values()),
-            "verdicts_by_reason": verdicts_by_reason,
-            "degraded_verdicts": int(self._delta(
-                "degraded_verdicts", self._total(
-                    self._counter_names["degraded_verdicts"]))),
-            "fetch_failures": int(self._delta(
-                "fetch_failures", self._total(
-                    self._counter_names["fetch_failures"]))),
-            "gap_bins": int(self._delta("gap_bins", self._total(
-                self._counter_names["gap_bins"]))),
-            "repaired_bins": int(self._delta(
-                "repaired_bins", self._total(
-                    self._counter_names["repaired_bins"]))),
-            "duplicate_fragments": int(self._delta(
-                "duplicate_fragments", self._total(
-                    self._counter_names["duplicate_fragments"]))),
-            "pool_batches": int(pool_batches),
-            "pool_series": int(pool_series),
-            "pool_fill": (round(pool_series / pool_batches, 2)
-                          if pool_batches else None),
-            "verdict_lag": lag,
-            "verdict_lag_p99_bins": lag["p99_bins"],
+            "verdicts": int(verdicts),
+            "degraded_verdicts": int(degraded),
+            "verdict_lag_p99_bins": (round(p99 / bin_seconds, 2)
+                                     if p99 is not None else None),
         }
 
         events = self.slo_tracker.update(tick, record)
         self.alerts.extend(events)
         detections = self.self_assessor.observe(tick, record)
 
-        self.heartbeats.append(record)
         if self.writer is not None:
             self.writer.offer(record)
             for doc in events + detections:

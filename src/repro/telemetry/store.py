@@ -144,9 +144,8 @@ class MetricStore:
         self._block_rows = np.zeros(0, dtype=np.int64)
         self._block_run: Optional[slice] = None
         self._subscriptions: List[Subscription] = []
-        #: lifetime ingest totals (health telemetry reads the deltas)
+        #: lifetime ingested fragments (health telemetry reads the deltas)
         self.appended_fragments = 0
-        self.appended_bins = 0
 
     # -- writes ---------------------------------------------------------------
 
@@ -177,7 +176,6 @@ class MetricStore:
         self._table[row, length:needed] = fragment.values
         self._length[row] = needed
         self.appended_fragments += 1
-        self.appended_bins += len(fragment)
         self._views.pop(key, None)
         # Snapshot: a callback may subscribe or cancel (mutating the
         # list) while this append is being delivered.
@@ -244,7 +242,6 @@ class MetricStore:
                 = block
             self._length[rows] = lengths + bins
         self.appended_fragments += len(keys)
-        self.appended_bins += len(keys) * bins
         self._views.clear()
 
         for sub in tuple(self._subscriptions):

@@ -67,7 +67,6 @@ class IngestQueues:
         #: ``(last-served key, rotated order)`` of the previous drain.
         self._rotated: Optional[Tuple[Optional[KpiKey], List[KpiKey]]] = None
         self.depth = 0
-        self.peak_depth = 0
         self.shed = 0
 
     # -- producer side --------------------------------------------------------
@@ -113,8 +112,6 @@ class IngestQueues:
             self._count_shed(self.policy)
         queue.append(fragment)
         self.depth += 1
-        if self.depth > self.peak_depth:
-            self.peak_depth = self.depth
         return True
 
     def _count_shed(self, policy: str, n: int = 1) -> None:

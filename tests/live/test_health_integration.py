@@ -25,6 +25,12 @@ from repro.obs.health import (DETECTION_KIND, HEARTBEAT_KIND, SUMMARY_KIND,
                               HealthMonitor, load_heartbeat)
 from repro.telemetry.timeseries import MINUTE
 
+#: The heartbeat record: what the report, the SLOs and the self KPIs read.
+HEARTBEAT_FIELDS = {
+    "kind", "tick", "now", "tick_seconds", "queue_depth",
+    "watermark_lag_bins", "ingest_fragments", "shed_fragments", "shed_ratio",
+    "verdicts", "degraded_verdicts", "verdict_lag_p99_bins"}
+
 SPEC = FleetScenarioSpec(n_services=2, n_servers=8, n_changes=2,
                          window_bins=120, change_offset=60,
                          history_days=1, seed=7)
@@ -76,6 +82,11 @@ class TestFaultFreeRun:
         assert len(beats) == report.ticks
         assert [b["tick"] for b in beats] == \
             list(range(1, report.ticks + 1))
+
+    def test_heartbeat_is_the_twelve_documented_fields(self, run):
+        _, records = run
+        beats = [r for r in records if r.get("kind") == HEARTBEAT_KIND]
+        assert all(set(b) == HEARTBEAT_FIELDS for b in beats)
 
     def test_heartbeat_records_carry_the_pipeline_signals(self, run):
         report, records = run

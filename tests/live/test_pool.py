@@ -236,7 +236,8 @@ class TestDetectorPool:
         # The quiet rows confirm nowhere and are not in the stack.
         assert [(shape, lengths) for shape, lengths, _ in calls] == \
             [((4, 150), (150, 130, 110, 150))]
-        assert pool.batches == 1 and pool.series == 4
+        assert (pool.metrics.counter(POOLED_BATCHES_METRIC).value(),
+                pool.metrics.counter(POOLED_SERIES_METRIC).value()) == (1, 4)
         assert {(i, row): change for i, row, change in declared} == {
             at: twin.declared for at, twin in twins
             if twin.declared is not None}
@@ -285,10 +286,11 @@ class TestDetectorPool:
         left = {d.length() - d.span - d.state_dict()["next_score_t"] + 1
                 for d in pooled if d.declared is None}
         assert left == {remainder}
-        batches = pool.batches
+        batches = pool.metrics.counter(POOLED_BATCHES_METRIC)
+        before = batches.value()
         declared = pool.score_pending(pooled, flush=True)
         # Only the remainder's positions can confirm anything new.
-        assert pool.batches == batches + (1 if remainder else 0)
+        assert batches.value() == before + (1 if remainder else 0)
         expected = {}
         for i, twin in enumerate(twins):
             before = twin.declared

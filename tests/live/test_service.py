@@ -15,6 +15,7 @@ from repro.live import (LiveConfig, VerdictBus, fleet_kpi_keys,
                         parity_live_config, replay_scenario)
 from repro.live.assessor import (DUPLICATE_FRAGMENTS_METRIC, GAP_BINS_METRIC,
                                  ChangeSession, LiveAssessor)
+from repro.live.pool import POOLED_BATCHES_METRIC
 from repro.live.queues import (FRAGMENTS_METRIC, SHED_FRAGMENTS_METRIC,
                                IngestQueues)
 from repro.live.scheduler import TICK_STAGE_SECONDS_METRIC
@@ -198,7 +199,8 @@ class TestDeadlineClose:
                                x[bin_:bin_ + 1]), now)
             assessor.pool_score([session], now)
         assert [v.entity for v in bus.verdicts] == ["h1"]
-        calls = assessor.pool.batches
+        batches = assessor.pool.metrics.counter(POOLED_BATCHES_METRIC)
+        calls = batches.value()
         assessor.close_session(session, now)
         assert [v.as_dict() for v in bus.verdicts] == [
             dict(change_id="chg-close", entity_type="server", entity=entity,
@@ -210,7 +212,7 @@ class TestDeadlineClose:
             in self.EXPECTED]
         assert not session.open_trackers() and session.pending == []
         # h2, h3, h5 had 4 unscored bins each: one stacked call for all.
-        assert assessor.pool.batches == calls + 1
+        assert batches.value() == calls + 1
 
 
 class TestIngestPath:
@@ -458,7 +460,7 @@ class TestPushPathShape:
                         batch_callback=seen.append)
         store.append_batch(self.KEYS[:2], 0, np.ones((2, 3)))
         seen.clear()
-        before = (store.appended_fragments, store.appended_bins,
+        before = (store.appended_fragments,
                   [store.series(k).values.tolist() for k in self.KEYS[:2]])
         block = np.ones((3, 2))
         block[2, 1] = np.nan
@@ -466,7 +468,7 @@ class TestPushPathShape:
             store.append_batch(self.KEYS, 3 * MINUTE, block)
         assert seen == []
         assert self.KEYS[2] not in store
-        assert (store.appended_fragments, store.appended_bins,
+        assert (store.appended_fragments,
                 [store.series(k).values.tolist()
                  for k in self.KEYS[:2]]) == before
 

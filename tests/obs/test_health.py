@@ -3,11 +3,21 @@
 import json
 import os
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.cli import main
-from repro.obs.health import (DEFAULT_SLOS, HeartbeatWriter, SelfAssessor,
-                              Slo, SloTracker, build_health_report,
-                              load_heartbeat, render_health_report)
+from repro.core.funnel import FunnelConfig
+from repro.core.rsst import ImprovedSSTParams
+from repro.live.detector import IncrementalDetector
+from repro.obs.health import (DEFAULT_SELF_KPIS, DEFAULT_SLOS, SUMMARY_KIND,
+                              HeartbeatWriter, SelfAssessor, Slo, SloTracker,
+                              build_health_report, load_heartbeat,
+                              render_health_report)
 from repro.obs.metrics import Histogram, MetricsRegistry
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 # -- the bounded writer -------------------------------------------------------
@@ -186,6 +196,72 @@ class TestSelfAssessor:
         assert assessor.finalize(80) == []
 
 
+def _column_per_tick(columns):
+    """The self-assessor as it was before it buffered ticks: a 4-row
+    detector (omega 5, chunk 4) extended by one column per tick over
+    the KPIs not yet declared, then flushed; its detection records."""
+    detector = IncrementalDetector(
+        [60] * 4, FunnelConfig(sst=ImprovedSSTParams(omega=5)),
+        score_chunk_bins=4)
+    records = []
+
+    def found(rows, tick):
+        for row in rows:
+            declared = detector.declarations[row]
+            if declared is not None:
+                records.append({
+                    "kind": "self_detection", "kpi": DEFAULT_SELF_KPIS[row],
+                    "tick": tick, "declared_tick": declared.index,
+                    "start_tick": declared.start_index,
+                    "direction": declared.direction,
+                    "score": round(float(declared.score), 4)})
+
+    def undeclared():
+        return [row for row, declared in enumerate(detector.declarations)
+                if declared is None]
+
+    for tick, column in enumerate(columns):
+        rows = undeclared()
+        if rows:
+            detector.extend(np.array([[column[row]] for row in rows]), rows)
+        found(rows, tick)
+    rows = undeclared()
+    detector.flush()
+    found(rows, len(columns))
+    return records
+
+
+class TestChunkedSelfAssessor:
+    """Feeding ``SCORE_CHUNK`` ticks as one block declares what a
+    column per tick declares, at the same tick: every pass of the
+    detector falls on a block boundary."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(at=st.integers(61, 200), size=st.floats(-50.0, 50.0),
+           kpi=st.sampled_from(DEFAULT_SELF_KPIS),
+           # a few ticks past the step: the remainder finalize feeds
+           # is what declares it
+           extra=st.one_of(st.integers(0, 12), st.integers(13, 60)),
+           noise=st.sampled_from([0.0, 0.5]),
+           seed=st.integers(0, 2 ** 16))
+    def test_equals_a_column_per_tick(self, at, size, kpi, extra, noise,
+                                      seed):
+        rng = np.random.default_rng(seed)
+        ticks = at + extra
+        columns = []
+        for tick in range(ticks):
+            values = dict.fromkeys(DEFAULT_SELF_KPIS, 7.0)
+            values[kpi] += noise * float(rng.standard_normal())
+            if tick >= at:
+                values[kpi] += size
+            columns.append([values[name] for name in DEFAULT_SELF_KPIS])
+        assessor = SelfAssessor()
+        for tick, column in enumerate(columns):
+            assessor.observe(tick, dict(zip(DEFAULT_SELF_KPIS, column)))
+        assessor.finalize(ticks)
+        assert assessor.detections == _column_per_tick(columns)
+
+
 # -- histogram percentiles ----------------------------------------------------
 
 class TestHistogramPercentile:
@@ -314,6 +390,21 @@ class TestBuildHealthReport:
         assert report["ticks"] == 0
         assert report["self_detections"] == []
         assert render_health_report(report)
+
+    def test_old_heartbeat_stream_renders_its_recorded_report(self):
+        """Ticks 91-130 of a 27-field heartbeat stream (the agent-silence
+        replay of ``tests/live/test_health_integration.py``), plus the
+        run's detections and summary, render the documents recorded
+        with them: from the summary and, without it, from the beats."""
+        records = load_heartbeat(os.path.join(FIXTURES,
+                                              "heartbeat_v1.jsonl"))
+        assert len(records[0]) == 27
+        report = {"stream": build_health_report(records),
+                  "without_summary": build_health_report(
+                      [r for r in records if r["kind"] != SUMMARY_KIND])}
+        with open(os.path.join(FIXTURES, "heartbeat_v1_report.json")) as fh:
+            assert json.dumps(report, indent=2, sort_keys=True) + "\n" \
+                == fh.read()
 
 
 # -- the CLI ------------------------------------------------------------------

@@ -208,7 +208,6 @@ class TestStoreBatchAppend:
             assert batched.series(key).start == sequential.series(key).start
         assert batched.appended_fragments == \
             sequential.appended_fragments == 3
-        assert batched.appended_bins == sequential.appended_bins == 6
 
     def test_batch_callback_gets_matched_sublist(self):
         store = self._store()

@@ -45,7 +45,6 @@ class ModelStore:
         self.start = {}
         self.values = {}
         self.fragments = 0
-        self.bins = 0
         #: ``[sid, keys, wants_batch, active]`` in subscription order
         self.subs = []
 
@@ -60,7 +59,6 @@ class ModelStore:
         self.start.setdefault(key, start)
         self.values.setdefault(key, []).extend(values)
         self.fragments += 1
-        self.bins += len(values)
 
     def append(self, key, start, width, values, deliver):
         if width != BIN:
@@ -216,7 +214,6 @@ class Harness:
     def check(self):
         store, model = self.store, self.model
         assert store.appended_fragments == model.fragments
-        assert store.appended_bins == model.bins
         assert self.real_events == self.model_events
         assert store.subscription_count() == \
             sum(1 for sub in model.subs if sub[3])
@@ -415,7 +412,7 @@ class TestScriptedInterleavings:
             store.append_batch((a, b), BIN, np.array([[7.0], [8.0]]))
         assert a not in store
         assert store.series(b).values.tolist() == [1.0, 2.0]
-        assert (store.appended_fragments, store.appended_bins) == (2, 2)
+        assert store.appended_fragments == 2
         assert got == [b, b]
         for bad in (np.array([[7.0], [np.nan]]), np.array([[7.0]]),
                     np.array([7.0, 8.0])):

@@ -18,8 +18,7 @@ from typing import Optional, Tuple
 from ..exceptions import ChangeLogError
 from ..types import ChangeKind, LaunchMode
 
-__all__ = ["SoftwareChange", "ConfigScope", "next_change_id",
-           "combine_changes"]
+__all__ = ["SoftwareChange", "ConfigScope", "next_change_id"]
 
 _change_counter = itertools.count(1)
 
@@ -94,46 +93,3 @@ class SoftwareChange:
         """Dark vs Full launching, given the service's full deployment."""
         remaining = set(service_hostnames) - set(self.hostnames)
         return LaunchMode.DARK if remaining else LaunchMode.FULL
-
-
-def combine_changes(changes: "Tuple[SoftwareChange, ...]",
-                    description: str = "") -> SoftwareChange:
-    """Merge concurrent/consecutive same-service changes into one record.
-
-    Section 2.1 excludes interactions across multiple concurrent changes
-    on a server but notes they "can be considered as one combined change
-    as a straw man approach" — this is that straw man: the combined
-    record targets the union of the servers, is stamped with the earliest
-    deployment time, and is typed as an upgrade if any member is one
-    (the broader of the two kinds).
-
-    Raises:
-        ChangeLogError: if the changes span multiple services or the
-            input is empty.
-    """
-    members = tuple(changes)
-    if not members:
-        raise ChangeLogError("cannot combine zero changes")
-    services = {c.service for c in members}
-    if len(services) != 1:
-        raise ChangeLogError(
-            "combined changes must share one service, got %s"
-            % sorted(services)
-        )
-    hostnames = tuple(dict.fromkeys(
-        host for change in members for host in change.hostnames
-    ))
-    kind = (ChangeKind.SOFTWARE_UPGRADE
-            if any(c.kind is ChangeKind.SOFTWARE_UPGRADE for c in members)
-            else ChangeKind.CONFIG_CHANGE)
-    joined = description or "; ".join(
-        c.description for c in members if c.description
-    )
-    return SoftwareChange(
-        change_id=next_change_id(),
-        kind=kind,
-        service=members[0].service,
-        hostnames=hostnames,
-        at_time=min(c.at_time for c in members),
-        description=joined,
-    )

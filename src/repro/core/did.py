@@ -40,7 +40,6 @@ __all__ = [
     "DiDResult",
     "did_estimate",
     "DiDEstimator",
-    "historical_control_windows",
 ]
 
 
@@ -220,58 +219,3 @@ class DiDEstimator:
             t_statistic=t_stat,
             p_value=p_value,
         )
-
-
-def historical_control_windows(history: Sequence[float], change_index: int,
-                               omega: int, days: int = 30,
-                               samples_per_day: int = 1440) -> DiDPanel:
-    """Build the section-3.2.5 seasonal-control panel from one long series.
-
-    The treated group is the single unit formed by the ``omega`` samples
-    before and after ``change_index`` on the day of the change; the
-    control group has one unit per historical day: the same clock window
-    on each of the ``days`` previous days (as many as the history covers,
-    at least one).
-
-    Args:
-        history: the KPI series, 1 sample per time-bin, ending at or after
-            the post-change window.
-        change_index: index of the software change within ``history``.
-        omega: per-period window length.
-        days: how many historical days to use (paper: 30).
-        samples_per_day: bins per day (1440 for 1-minute bins).
-
-    Raises:
-        InsufficientDataError: when the history covers no complete
-            historical day or the post-change window is not available.
-    """
-    x = np.asarray(history, dtype=np.float64)
-    if omega < 1:
-        raise ParameterError("omega must be >= 1, got %d" % omega)
-    if days < 1:
-        raise ParameterError("days must be >= 1, got %d" % days)
-    if change_index - omega < 0 or change_index + omega > x.size:
-        raise InsufficientDataError(
-            "change at %d needs %d samples on each side" % (change_index, omega)
-        )
-    treated_pre = x[change_index - omega:change_index]
-    treated_post = x[change_index:change_index + omega]
-
-    control_pre, control_post = [], []
-    for day in range(1, days + 1):
-        offset = change_index - day * samples_per_day
-        if offset - omega < 0:
-            break
-        control_pre.append(x[offset - omega:offset])
-        control_post.append(x[offset:offset + omega])
-    if not control_pre:
-        raise InsufficientDataError(
-            "history is too short for even one %d-sample historical day"
-            % samples_per_day
-        )
-    return DiDPanel(
-        treated_pre=np.asarray([treated_pre]),
-        treated_post=np.asarray([treated_post]),
-        control_pre=np.asarray(control_pre),
-        control_post=np.asarray(control_post),
-    )

@@ -31,7 +31,6 @@ __all__ = [
     "future_matrix",
     "diagonal_average",
     "HankelOperator",
-    "min_series_length",
 ]
 
 
@@ -134,11 +133,6 @@ def diagonal_average(matrix: np.ndarray) -> np.ndarray:
     return sums / counts
 
 
-def min_series_length(t: int, window: int, count: int, lag: int = 0) -> int:
-    """Samples required to evaluate both ``B(t)`` and ``A(t)`` at index ``t``."""
-    return t + lag + window + count - 1
-
-
 class HankelOperator:
     """Implicit linear operator for ``C = B B^T`` of a Hankel matrix ``B``.
 
@@ -180,14 +174,6 @@ class HankelOperator:
             )
         return cls(series, window, count, start=start)
 
-    @property
-    def shape(self) -> tuple:
-        return (self.window, self.window)
-
-    def dense(self) -> np.ndarray:
-        """Materialise ``B`` explicitly (for tests and small problems)."""
-        return hankel_matrix(self._slice, self.window, self.count)
-
     def correlate(self, v: np.ndarray) -> np.ndarray:
         """``B^T v`` for a length-``window`` vector ``v``."""
         v = np.asarray(v, dtype=np.float64)
@@ -213,6 +199,3 @@ class HankelOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``C v = B (B^T v)`` without forming ``C``."""
         return self.expand(self.correlate(v))
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self.matvec(v)

@@ -11,19 +11,20 @@ Ide & Tsuda (2007) removes it:
 * for each future direction ``beta_i(t)``, ``k`` Lanczos steps seeded at
   ``beta_i`` produce a ``k x k`` tridiagonal ``T_k`` with
   ``k = 2*eta`` (eta even) or ``2*eta - 1`` (eta odd) — Eq. 14;
-* the QL iteration (:func:`repro.core.tridiag.tridiag_eigh`) diagonalises
-  ``T_k``; because the seed is the first Lanczos basis vector, the squared
-  first components of the top ``eta`` eigenvectors of ``T_k`` are exactly
-  the squared projections of ``beta_i`` onto the Ritz approximations of
-  the past subspace, giving Eq. 13::
+* ``numpy.linalg.eigh`` diagonalises ``T_k`` (LAPACK's implicit QL/QR
+  routine for a tridiagonal this small); because the seed is the first
+  Lanczos basis vector, the squared first components of the top ``eta``
+  eigenvectors of ``T_k`` are exactly the squared projections of
+  ``beta_i`` onto the Ritz approximations of the past subspace, giving
+  Eq. 13::
 
       phi_i(t) ~= 1 - sum_{j=1..eta} x_j(1)^2
 
 Two code paths compute the same transform:
 
 * :meth:`IkaSST.score_at` / :meth:`IkaSST.scores_reference` — the
-  literal per-point algorithm above (one Lanczos recursion and one scalar
-  QL solve per future direction).  This is the specification.
+  literal per-point algorithm above (one Lanczos recursion and one
+  ``k x k`` eigensolve per future direction).  This is the specification.
 * :meth:`IkaSST.scores` / :meth:`IkaSST.scores_batch` — the deployed
   path: the identical recursion evaluated for *every* window of *every*
   series simultaneously with batched NumPy primitives (strided Hankel
@@ -63,7 +64,6 @@ from ..types import as_float_array
 from .hankel import HankelOperator, future_matrix
 from .lanczos import krylov_dimension, lanczos
 from .rsst import ImprovedSSTParams, median_mad_gate
-from .tridiag import tridiag_eigh
 
 __all__ = ["IkaSST"]
 
@@ -119,12 +119,12 @@ class IkaSST:
         return lam[sel].copy(), vec[:, sel].copy()
 
     def _phi(self, operator: HankelOperator, beta: np.ndarray) -> float:
-        """Eq. 13: discordance of one future direction via Lanczos + QL."""
+        """Eq. 13: discordance of one future direction via Lanczos."""
         p = self.params
         k = min(self.krylov_k, operator.window)
-        result = lanczos(operator, beta, k)
-        _, vectors = tridiag_eigh(result.alpha, result.beta)
-        # tridiag_eigh sorts ascending; the top-eta Ritz pairs are last.
+        result = lanczos(operator.matvec, beta, k)
+        _, vectors = np.linalg.eigh(result.tridiagonal())
+        # eigh sorts ascending; the top-eta Ritz pairs are last.
         eta = min(p.eta, result.k)
         first_components = vectors[0, -eta:]
         phi = 1.0 - float(np.sum(first_components ** 2))
@@ -325,8 +325,8 @@ class IkaSST:
         j-th column of ``B(t)``; ``seeds`` is ``(T, omega)``.  Runs the
         same Lanczos recursion as :func:`repro.core.lanczos.lanczos`
         vectorised over ``t``, then diagonalises the stacked ``k x k``
-        tridiagonals (stacked ``eigh`` stands in for the scalar QL solver
-        — same eigenpairs, validated against each other in the tests).
+        tridiagonals with one stacked ``eigh``, the solver the per-point
+        path calls once per tridiagonal.
         """
         n_t, _, omega = past.shape
         basis = np.zeros((n_t, omega, k), dtype=np.float64)

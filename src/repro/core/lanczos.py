@@ -1,12 +1,12 @@
 """Lanczos tridiagonalisation for the IKA fast path (paper section 3.2.3).
 
-``lanczos(C, seed, k)`` reduces a symmetric positive semi-definite operator
-``C`` to a ``k x k`` symmetric tridiagonal matrix ``T_k`` whose eigenpairs
-approximate those of ``C`` restricted to the Krylov subspace
-``span{seed, C seed, ..., C^{k-1} seed}``.  The paper runs
-``Lanczos(C, beta_i(t), k)`` with ``C = B(t) B(t)^T`` applied *implicitly*
-(see :class:`repro.core.hankel.HankelOperator`), which is the entire source
-of FUNNEL's speed advantage over exact-SVD SST.
+``lanczos(matvec, seed, k)`` reduces a symmetric positive semi-definite
+operator ``C``, given as its product ``v -> C v``, to a ``k x k`` symmetric
+tridiagonal matrix ``T_k`` whose eigenpairs approximate those of ``C``
+restricted to the Krylov subspace ``span{seed, C seed, ..., C^{k-1} seed}``.
+The paper runs ``Lanczos(C, beta_i(t), k)`` with ``C = B(t) B(t)^T``
+applied *implicitly* (see :meth:`repro.core.hankel.HankelOperator.matvec`),
+which is the entire source of FUNNEL's speed advantage over exact-SVD SST.
 
 The implementation uses full reorthogonalisation: ``k`` is tiny (``2*eta``
 or ``2*eta - 1``, i.e. 5 or 6 in practice) so the O(k^2 w) cost is
@@ -16,16 +16,13 @@ negligible and the numerical robustness is worth it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from ..exceptions import ParameterError
-from .hankel import HankelOperator
 
 __all__ = ["LanczosResult", "lanczos", "krylov_dimension"]
-
-MatVec = Union[np.ndarray, HankelOperator, Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,7 @@ class LanczosResult:
         return self.alpha.size
 
     def tridiagonal(self) -> np.ndarray:
-        """Materialise ``T_k`` as a dense array (tests, small problems)."""
+        """``T_k`` as a dense ``k x k`` array."""
         t = np.diag(self.alpha)
         idx = np.arange(self.k - 1)
         t[idx, idx + 1] = self.beta
@@ -59,28 +56,12 @@ class LanczosResult:
         return t
 
 
-def _as_matvec(operator: MatVec) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(operator, HankelOperator):
-        return operator.matvec
-    if isinstance(operator, np.ndarray):
-        if operator.ndim != 2 or operator.shape[0] != operator.shape[1]:
-            raise ParameterError(
-                "dense operator must be square, got shape %s"
-                % (operator.shape,)
-            )
-        return lambda v: operator @ v
-    if callable(operator):
-        return operator
-    raise ParameterError("operator must be an array, HankelOperator or callable")
-
-
-def lanczos(operator: MatVec, seed: np.ndarray, k: int,
-            breakdown_tol: float = 1e-12) -> LanczosResult:
-    """Run ``k`` Lanczos steps of ``operator`` from ``seed``.
+def lanczos(matvec: Callable[[np.ndarray], np.ndarray], seed: np.ndarray,
+            k: int, breakdown_tol: float = 1e-12) -> LanczosResult:
+    """Run ``k`` Lanczos steps of an operator from ``seed``.
 
     Args:
-        operator: symmetric PSD operator — a dense array, a
-            :class:`~repro.core.hankel.HankelOperator`, or a matvec callable.
+        matvec: the product ``v -> C v`` of a symmetric PSD operator ``C``.
         seed: the starting vector (the paper uses the future direction
             ``beta_i(t)``); it is normalised internally.
         k: the Krylov dimension (see :func:`krylov_dimension`).
@@ -91,7 +72,6 @@ def lanczos(operator: MatVec, seed: np.ndarray, k: int,
         ParameterError: for an invalid ``k``, a zero seed, or a seed/operator
             dimension mismatch.
     """
-    matvec = _as_matvec(operator)
     q = np.asarray(seed, dtype=np.float64).ravel()
     n = q.size
     if k < 1:

@@ -19,7 +19,6 @@ __all__ = [
     "median",
     "mad",
     "median_and_mad",
-    "robust_zscores",
     "MAD_TO_SIGMA",
     "window_pair",
 ]
@@ -69,23 +68,6 @@ def median_and_mad(values: Sequence[float]) -> Tuple[float, float]:
     srt = np.sort(arr)
     med = _middle(srt)
     return med, _middle(np.sort(np.abs(srt - med)))
-
-
-def robust_zscores(values: Sequence[float]) -> np.ndarray:
-    """Outlier scores ``(x - median) / (MAD_TO_SIGMA * MAD)``.
-
-    When the MAD is zero (more than half the samples identical) the scores
-    of the identical samples are 0 and any deviating sample gets ``inf``
-    magnitude, which callers typically clip or threshold.
-    """
-    arr = as_float_array(values)
-    med, scale = median_and_mad(arr)
-    scale *= MAD_TO_SIGMA
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = (arr - med) / scale
-    if scale == 0.0:
-        z = np.where(arr == med, 0.0, np.copysign(np.inf, arr - med))
-    return z
 
 
 def window_pair(series: Sequence[float], t: int,

@@ -39,7 +39,7 @@ from .executor import EngineConfig, execute_jobs, job_seed, run_job
 from .fleet import FleetScenarioSpec, SyntheticFleetSource
 from .jobs import AssessmentJob, DetectorSpec, ItemOutcome, JobResult
 from .planner import (ENTITY_METRICS, FetchedWindow, job_from_item,
-                      jobs_from_items, plan_change_jobs)
+                      plan_change_jobs)
 
 __all__ = [
     "AssessmentEngine", "AssessmentJob", "AttributionBatch",
@@ -49,7 +49,7 @@ __all__ = [
     "FetchedWindow", "FleetAssessmentReport", "FleetScenarioSpec",
     "ItemOutcome", "JobResult", "ObsContext", "SyntheticFleetSource",
     "execute_jobs", "job_from_item",
-    "job_seed", "jobs_from_items", "plan_change_jobs",
+    "job_seed", "plan_change_jobs",
     "plan_detect_batches", "reset_shared_cache",
     "run_attribution_batch", "run_detect_batch", "run_job",
     "shared_cache", "spec_for_method",

@@ -8,8 +8,8 @@ Two entry points feed the executor:
   job per (monitored entity, KPI, detector), pulling the measurement
   windows from a *series provider*.  The impact-set expansion is timed
   as the ``plan`` stage and each window materialisation as ``fetch``.
-* :func:`jobs_from_items` / :func:`job_from_item` is the evaluation
-  path — it wraps pre-built corpus items (anything shaped like
+* :func:`job_from_item` is the evaluation path — it wraps a pre-built
+  corpus item (anything shaped like
   :class:`~repro.synthetic.dataset.EvaluationItem`) without touching
   topology.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from ..topology.impact import identify_impact_set
 from .jobs import AssessmentJob, DetectorSpec
 
 __all__ = ["ENTITY_METRICS", "FetchedWindow", "job_from_item",
-           "jobs_from_items", "plan_change_jobs"]
+           "plan_change_jobs"]
 
 FETCH_BYTES_METRIC = "repro_engine_fetch_bytes"
 ENTITIES_METRIC = "repro_engine_entities_total"
@@ -119,13 +119,6 @@ def job_from_item(item, spec: DetectorSpec,
         metric=item.metric,
         truth_positive=item.truth.positive,
     )
-
-
-def jobs_from_items(items: Iterable, spec: DetectorSpec
-                    ) -> Iterator[AssessmentJob]:
-    """Lazily wrap a corpus stream as jobs for one detector spec."""
-    for item in items:
-        yield job_from_item(item, spec)
 
 
 def plan_change_jobs(fleet: Fleet, change: SoftwareChange, provider,

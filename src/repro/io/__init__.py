@@ -1,9 +1,5 @@
-"""Interchange formats: KPI series CSVs and JSONL change logs."""
+"""Interchange formats: KPI series CSVs."""
 
-from .changelog import (change_from_dict, change_to_dict, read_change_log,
-                        write_change_log)
-from .csvio import read_matrix, read_series, write_matrix, write_series
+from .csvio import read_matrix, read_series, write_matrix
 
-__all__ = ["change_from_dict", "change_to_dict", "read_change_log",
-           "write_change_log", "read_matrix", "read_series",
-           "write_matrix", "write_series"]
+__all__ = ["read_matrix", "read_series", "write_matrix"]

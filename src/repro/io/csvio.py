@@ -24,7 +24,7 @@ import numpy as np
 from ..exceptions import TelemetryError
 from ..telemetry.timeseries import TimeSeries
 
-__all__ = ["read_series", "write_series", "read_matrix", "write_matrix"]
+__all__ = ["read_series", "read_matrix", "write_matrix"]
 
 PathOrFile = Union[str, pathlib.Path, TextIO]
 
@@ -84,20 +84,6 @@ def read_series(source: PathOrFile) -> TimeSeries:
             bin_seconds=int(timestamps[1] - timestamps[0]),
             values=values,
         )
-    finally:
-        if owned:
-            handle.close()
-
-
-def write_series(series: TimeSeries, target: PathOrFile,
-                 value_header: str = "value") -> None:
-    """Write a TimeSeries as a long-format CSV."""
-    handle, owned = _open_for(target, "w")
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(["timestamp", value_header])
-        for t, v in zip(series.timestamps(), series.values):
-            writer.writerow([int(t), repr(float(v))])
     finally:
         if owned:
             handle.close()

@@ -17,8 +17,7 @@ against ``repro assess-fleet`` — see ``docs/live.md``.
 """
 
 from .assessor import ChangeSession, KpiTracker, LiveAssessor
-from .bus import (JsonlVerdictSink, LiveVerdict, VerdictBus, read_verdicts,
-                  verdict_sort_key)
+from .bus import JsonlVerdictSink, LiveVerdict, VerdictBus, verdict_sort_key
 from .checkpoint import (Checkpointer, load_checkpoint, restore_service,
                          snapshot_service, write_checkpoint)
 from .config import LiveConfig
@@ -35,7 +34,7 @@ from .watcher import ChangeWatcher, StoreHistoryProvider, default_priority
 __all__ = [
     "ChangeSession", "KpiTracker", "LiveAssessor",
     "JsonlVerdictSink", "LiveVerdict", "VerdictBus",
-    "read_verdicts", "verdict_sort_key",
+    "verdict_sort_key",
     "Checkpointer", "load_checkpoint", "restore_service",
     "snapshot_service", "write_checkpoint",
     "LiveConfig",

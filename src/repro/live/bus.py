@@ -13,7 +13,7 @@ run byte-compares lines to drop re-emissions (``docs/live.md``), and
 the golden digests hash verdicts in the bus's canonical order
 (:func:`verdict_sort_key`).  The sink is line-buffered and fsyncs on
 close, so a killed process leaves a readable verdict file truncated by
-at most one torn final line — which :func:`read_verdicts` tolerates.
+at most one torn final line.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, TextIO, Tuple
 
-from ..exceptions import TelemetryError
 from ..obs.metrics import MetricsRegistry
 
 __all__ = ["LiveVerdict", "VerdictBus", "JsonlVerdictSink",
-           "read_verdicts", "verdict_sort_key"]
+           "verdict_sort_key"]
 
 VERDICTS_METRIC = "repro_live_verdicts_total"
 DUPLICATES_METRIC = "repro_live_duplicate_verdicts_total"
@@ -174,28 +173,3 @@ class JsonlVerdictSink:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def read_verdicts(path: str) -> List[LiveVerdict]:
-    """Read a verdict JSONL file back into :class:`LiveVerdict` objects.
-
-    A killed writer leaves at most one unterminated final line; that
-    tail is skipped rather than fatal.  A corrupt line anywhere *else*
-    raises — that is real damage, not a crash artifact.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    verdicts: List[LiveVerdict] = []
-    last = len(lines) - 1
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except ValueError:
-            if index == last:
-                break
-            raise TelemetryError(
-                "verdict file %s is corrupt at line %d" % (path, index + 1))
-        verdicts.append(LiveVerdict.from_dict(doc))
-    return verdicts

@@ -156,7 +156,7 @@ class IncrementalDetector:
         self.score_chunk_bins = max(1, score_chunk_bins)
         #: When True (a live session's detector), :meth:`extend` only
         #: buffers — a :class:`~repro.live.pool.DetectorPool` runs one
-        #: :func:`score_pass` over every row :meth:`pending_bounds`
+        #: :func:`score_pass` over every row :meth:`pending_rows`
         #: names, deadline flush included.  False is the standalone
         #: mode: :meth:`extend` and :meth:`flush` run that very pass on
         #: this detector alone.
@@ -346,7 +346,7 @@ class IncrementalDetector:
         return self._pass(flush=True)
 
     def _pass(self, flush: bool) -> Optional[DetectedChange]:
-        rows = self.pending_bounds(flush)[0]
+        rows = self.pending_rows(flush)
         if not rows.size:
             return None
         found = score_pass([(self, rows)])[2]
@@ -354,23 +354,16 @@ class IncrementalDetector:
 
     # -- the scoring pass ------------------------------------------------------
 
-    def pending_bounds(self, flush: bool = False
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, t_lo, t_hi)``: the rows a pass would take, and the
-        score range it would newly cover on each.
+    def pending_rows(self, flush: bool = False) -> np.ndarray:
+        """The rows a pass would take.
 
         A row takes part once ``score_chunk_bins`` new positions are
         scoreable — ``flush`` waives the threshold, and a flushing pass
-        scans even with nothing new to cover: the range is then empty
-        (``t_hi < t_lo``).  Rows without robust stats, declared or
-        frozen sit every pass out.
+        scans a row even with nothing new to cover.  Rows without robust
+        stats, declared or frozen sit every pass out.
         """
-        rows = np.flatnonzero(self._ready_at != NEVER if flush
+        return np.flatnonzero(self._ready_at != NEVER if flush
                               else self._rows.length >= self._ready_at)
-        if not rows.size:
-            return rows, rows, rows
-        return (rows, self._next_score_t[rows],
-                self._rows.length[rows] - self.span)
 
     def scan(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The positions this pass decides on each of ``rows``: ``[lo,
@@ -423,7 +416,7 @@ class IncrementalDetector:
 def score_pass(work: Sequence[Work]) -> Tuple[
         int, List[np.ndarray], List[Tuple[int, int, DetectedChange]]]:
     """One *table, kernel, scan* pass over the rows of detectors of one
-    configuration that :meth:`~IncrementalDetector.pending_bounds` named.
+    configuration that :meth:`~IncrementalDetector.pending_rows` named.
 
     Builds one gating table over the positions each row can now decide —
     its NaN-padded stack read from each detector's matrix, one copy per

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..obs.metrics import MetricsRegistry
 from ..types import DetectedChange
 from .detector import IncrementalDetector, score_pass
@@ -59,13 +57,12 @@ class DetectorPool:
         configured otherwise raise :class:`ValueError`.
 
         Returns ``(index, row, declaration)`` — ``index`` into
-        ``detectors`` — for every declaration found, by segment width
-        (first appearance) and in input order (detector, then row)
-        within a width.
+        ``detectors`` — for every declaration found, in input order
+        (detector, then row).
         """
-        work, widths, config = [], [], None
+        work, config = [], None
         for index, detector in enumerate(detectors):
-            rows, t_lo, t_hi = detector.pending_bounds(flush)
+            rows = detector.pending_rows(flush)
             if not rows.size:
                 continue
             if config is None:
@@ -76,7 +73,6 @@ class DetectorPool:
                 raise ValueError("one pass scores one configuration: %r "
                                  "differs from %r" % (detector.config, config))
             work.append((index, detector, rows))
-            widths.append(t_hi - t_lo)
         if not work:
             return []
         decided, masks, found = score_pass(
@@ -97,18 +93,5 @@ class DetectorPool:
                  sum(int(mask.sum()) for mask in masks))):
             if amount:
                 self.metrics.counter(name, help=help_text).inc(amount)
-        if not found:
-            return []
-        # Width group by width group (numbered by first appearance over
-        # every pending row), input order — detector, then row — inside.
-        groups: dict = {}
-        for width in np.concatenate(widths).tolist():
-            groups.setdefault(width, len(groups))
-
-        def order(entry):
-            slot, row, _ = entry
-            position = int(np.searchsorted(work[slot][2], row))
-            return groups[int(widths[slot][position])], slot, position
-
-        return [(work[slot][0], row, declaration)
-                for slot, row, declaration in sorted(found, key=order)]
+        return [(work[slot][0], row, declaration) for slot, row, declaration
+                in sorted(found, key=lambda entry: entry[:2])]

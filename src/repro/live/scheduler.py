@@ -88,9 +88,10 @@ class EventTimeScheduler:
                 [self.metrics.gauge(name, help=text)
                  for name, text in _GAUGES])
         stage_seconds, gauges = self._handles
+        depth, lag = self._note_depth(), self.watermark_lag(now)
         for gauge, value in zip(gauges, (
-                self._note_depth(), self.peak_queue_depth,
-                self.watermark_lag(now), len(self.watcher.sessions),
+                depth, self.peak_queue_depth, lag,
+                len(self.watcher.sessions),
                 self.store.subscription_count())):
             gauge.set(value)
         self.tick_count += 1
@@ -99,7 +100,8 @@ class EventTimeScheduler:
             self.checkpointer.on_tick(now, self.tick_count)
             t_checkpoint = clock()
         if self.health is not None:
-            self.health.on_tick(now, self.tick_count, t_checkpoint - t_0)
+            self.health.on_tick(now, self.tick_count, t_checkpoint - t_0,
+                                depth, lag)
         t_health = clock()
         stage_seconds.inc(t_poll - t_0, stage="poll")
         stage_seconds.inc(t_drain - t_poll, stage="drain")

@@ -5,7 +5,7 @@ Four pieces, designed to compose:
 * :mod:`repro.obs.tracing` — spans with monotonic timings, explicit
   context propagation and JSON-safe records;
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
-  histograms with Prometheus text exposition and JSON snapshots;
+  histograms with JSON snapshots;
 * :mod:`repro.obs.artifacts` — per-run ``events.jsonl`` + ``run.json``
   written under ``--obs-dir``, making runs diffable and replayable;
 * :mod:`repro.obs.profile` — the stage profiler behind

@@ -205,6 +205,9 @@ class SloTracker:
             name: deque(maxlen=self.FAST_WINDOW) for name in names}
         self._slow: Dict[str, Deque[int]] = {
             name: deque(maxlen=self.SLOW_WINDOW) for name in names}
+        #: the bad ticks in each window, kept as the windows slide.
+        self._fast_bad: Dict[str, int] = dict.fromkeys(names, 0)
+        self._slow_bad: Dict[str, int] = dict.fromkeys(names, 0)
         self._good: Dict[str, int] = dict.fromkeys(names, 0)
         self._bad: Dict[str, int] = dict.fromkeys(names, 0)
         self._firing: Dict[str, bool] = dict.fromkeys(names, False)
@@ -218,14 +221,22 @@ class SloTracker:
             bad = 0 if slo.good(value) else 1
             fast = self._fast[slo.name]
             slow = self._slow[slo.name]
+            fast_bad = self._fast_bad[slo.name] + bad
+            slow_bad = self._slow_bad[slo.name] + bad
+            if len(fast) == self.FAST_WINDOW:       # the oldest slides out
+                fast_bad -= fast[0]
+            if len(slow) == self.SLOW_WINDOW:
+                slow_bad -= slow[0]
             fast.append(bad)
             slow.append(bad)
+            self._fast_bad[slo.name] = fast_bad
+            self._slow_bad[slo.name] = slow_bad
             if bad:
                 self._bad[slo.name] += 1
             else:
                 self._good[slo.name] += 1
-            fast_frac = sum(fast) / len(fast)
-            slow_frac = sum(slow) / len(slow)
+            fast_frac = fast_bad / len(fast)
+            slow_frac = slow_bad / len(slow)
             firing = (len(fast) == self.FAST_WINDOW
                       and fast_frac >= self.FAST_BURN
                       and slow_frac >= self.SLOW_BURN)
@@ -372,9 +383,9 @@ class HealthMonitor:
     Attach to a :class:`~repro.live.service.LiveAssessmentService`
     (its constructor does it when given ``health=``); the event-time
     scheduler then calls :meth:`on_tick` at the end of every tick with
-    the tick's wall-clock duration.  Everything here *reads* pipeline
-    state — the store's ingest total, the scheduler's queue depth and
-    watermark lag, registry counters and the verdict-lag histogram —
+    the tick's wall-clock duration, queue depth and watermark lag.
+    Everything here *reads* pipeline state — those values, the store's
+    ingest total, registry counters and the verdict-lag histogram —
     and writes only to its own heartbeat stream, which is what keeps
     verdict output byte-identical with health on or off.
 
@@ -427,11 +438,12 @@ class HealthMonitor:
 
     # -- the tick hook --------------------------------------------------------
 
-    def on_tick(self, now: int, tick: int,
-                tick_seconds: float = 0.0) -> dict:
-        """Record one heartbeat; returns the record (tests peek at it)."""
+    def on_tick(self, now: int, tick: int, tick_seconds: float,
+                queue_depth: int, watermark_lag: int) -> dict:
+        """Record one heartbeat from the tick's wall-clock duration and
+        the queue depth and worst watermark lag (seconds) the scheduler
+        set its gauges to; returns the record (tests peek at it)."""
         service = self.service
-        scheduler = service.scheduler
         bin_seconds = max(1, service.store.bin_seconds)
         self.ticks += 1
         *counters, lag = [self.metrics.get(name) for name in self._names]
@@ -448,8 +460,8 @@ class HealthMonitor:
             "tick": tick,
             "now": now,
             "tick_seconds": round(tick_seconds, 6),
-            "queue_depth": scheduler.queue_depth(),
-            "watermark_lag_bins": scheduler.watermark_lag(now) // bin_seconds,
+            "queue_depth": queue_depth,
+            "watermark_lag_bins": watermark_lag // bin_seconds,
             "ingest_fragments": int(ingest),
             "shed_fragments": int(shed),
             "shed_ratio": round(shed / offered, 4) if offered else 0.0,

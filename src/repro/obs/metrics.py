@@ -2,13 +2,8 @@
 
 The registry backs the engine's runtime metrics — jobs assessed per
 detector, per-stage latency histograms, fetched bytes, baseline-cache
-hits — with two export surfaces:
-
-* :meth:`MetricsRegistry.snapshot` — a JSON-safe dict, written into run
-  artifacts;
-* :meth:`MetricsRegistry.to_prometheus` — Prometheus text exposition
-  (``text/plain; version=0.0.4``): deterministic ordering, cumulative
-  ``le`` buckets, ``_sum``/``_count`` series.
+hits — exported by :meth:`MetricsRegistry.snapshot` as a JSON-safe dict,
+written into run artifacts.
 
 Everything is plain dicts keyed by sorted label tuples; there is no
 locking because each engine run owns its registry.
@@ -38,28 +33,6 @@ def _label_key(labels: Dict[str, str]) -> LabelKey:
     if not labels:         # the hot form: a label-free ``inc()``
         return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-def _format_value(value: float) -> str:
-    if value == float("inf"):
-        return "+Inf"
-    as_int = int(value)
-    if value == as_int:
-        return str(as_int)
-    return repr(value)
-
-
-def _format_series(name: str, key: LabelKey, value: float,
-                   extra: Optional[Tuple[str, str]] = None) -> str:
-    pairs = list(key)
-    if extra is not None:
-        pairs.append(extra)
-    if pairs:
-        inner = ",".join('%s="%s"' % (k, v.replace("\\", r"\\")
-                                      .replace('"', r'\"'))
-                         for k, v in pairs)
-        return "%s{%s} %s" % (name, inner, _format_value(value))
-    return "%s %s" % (name, _format_value(value))
 
 
 class Counter:
@@ -105,12 +78,11 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram with per-label-set cumulative exposition.
+    """Fixed-bucket histogram, one row of bucket counts per label set.
 
     ``buckets`` are upper bounds, strictly increasing; an implicit
-    ``+Inf`` bucket always exists.  Internally counts are stored
-    per-bucket (non-cumulative); exposition cumulates on the way out, as
-    the Prometheus format requires.
+    ``+Inf`` bucket always exists.  Counts are stored per bucket
+    (non-cumulative), as :meth:`MetricsRegistry.snapshot` reports them.
     """
 
     kind = "histogram"
@@ -238,34 +210,3 @@ class MetricsRegistry:
                                for key in sorted(metric.counts)],
                 }
         return out
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition of every metric, sorted by name."""
-        lines: List[str] = []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if metric.help:
-                lines.append("# HELP %s %s" % (name, metric.help))
-            lines.append("# TYPE %s %s" % (name, metric.kind))
-            if isinstance(metric, (Counter, Gauge)):
-                for key in sorted(metric.values):
-                    lines.append(_format_series(name, key,
-                                                metric.values[key]))
-            else:
-                for key in sorted(metric.counts):
-                    cumulative = 0
-                    for bound, n in zip(metric.buckets,
-                                        metric.counts[key]):
-                        cumulative += n
-                        lines.append(_format_series(
-                            name + "_bucket", key, cumulative,
-                            extra=("le", _format_value(bound))))
-                    cumulative += metric.counts[key][-1]
-                    lines.append(_format_series(
-                        name + "_bucket", key, cumulative,
-                        extra=("le", "+Inf")))
-                    lines.append(_format_series(
-                        name + "_sum", key, metric.sums.get(key, 0.0)))
-                    lines.append(_format_series(
-                        name + "_count", key, cumulative))
-        return "\n".join(lines) + ("\n" if lines else "")

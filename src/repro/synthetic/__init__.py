@@ -1,21 +1,18 @@
 """Synthetic KPI traces, injected changes, and the evaluation corpus."""
 
-from .contamination import ContaminationConfig, contaminate_baseline
+from .contamination import ContaminationConfig
 from .dataset import CorpusSpec, EvaluationCorpus, EvaluationItem, ItemTruth
-from .fleetgen import (ChangeWorkloadSpec, FleetSpec,
-                       generate_change_workload, generate_fleet)
-from .effects import (LevelShift, NoiseBurst, Ramp, Spike, TransientDip,
-                      apply_effects)
+from .fleetgen import FleetSpec, generate_fleet
+from .effects import LevelShift, Ramp, TransientDip, apply_effects
 from .patterns import (SeasonalPattern, StationaryPattern, VariablePattern,
                        pattern_for_character)
 from .workload import GroupTraceConfig, GroupTraces, generate_group
 
-__all__ = ["ContaminationConfig", "contaminate_baseline",
+__all__ = ["ContaminationConfig",
            "CorpusSpec", "EvaluationCorpus", "EvaluationItem", "ItemTruth",
-           "LevelShift", "NoiseBurst", "Ramp", "Spike", "TransientDip",
+           "LevelShift", "Ramp", "TransientDip",
            "apply_effects",
            "SeasonalPattern", "StationaryPattern", "VariablePattern",
            "pattern_for_character",
            "GroupTraceConfig", "GroupTraces", "generate_group",
-           "ChangeWorkloadSpec", "FleetSpec", "generate_change_workload",
-           "generate_fleet"]
+           "FleetSpec", "generate_fleet"]

@@ -2,84 +2,38 @@
 
 "The baseline used to compare the performance after software changes may
 be contaminated by the impact of previous software changes and/or other
-factors."  This module injects that contamination into training/baseline
-segments: residual level offsets from earlier changes, leftover spikes
-from incidents, and partial-day outages in historical controls.  FUNNEL
-counters contamination with a long (30-day) baseline and the averaging
-over many control KPIs; the ablation benches use these injectors to
-show what happens without those counters.
+factors."  This module injects that contamination into historical
+controls as partial-day outages.  FUNNEL counters contamination with a
+long (30-day) baseline and the averaging over many control KPIs; the
+evaluation corpus uses this injector to show what happens without those
+counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import ParameterError
-from .effects import Spike, apply_effects
 
-__all__ = ["ContaminationConfig", "contaminate_baseline",
-           "contaminate_history_panel"]
+__all__ = ["ContaminationConfig", "contaminate_history_panel"]
 
 
 @dataclass(frozen=True)
 class ContaminationConfig:
-    """How dirty a baseline should be.
+    """How dirty a historical baseline should be.
 
     Attributes:
-        residual_shift_sigma: scale of a leftover level offset from a
-            previous software change (in KPI units), applied to a random
-            prefix of the baseline.
-        spike_count: number of leftover incident spikes.
-        spike_sigma: spike magnitude scale.
         outage_fraction: probability that any historical day contains a
             partial outage (a dropped-to-near-zero stretch).
     """
 
-    residual_shift_sigma: float = 0.0
-    spike_count: int = 0
-    spike_sigma: float = 0.0
     outage_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("residual_shift_sigma", "spike_sigma",
-                     "outage_fraction"):
-            if getattr(self, name) < 0:
-                raise ParameterError("%s must be >= 0" % name)
-        if self.spike_count < 0:
-            raise ParameterError("spike_count must be >= 0")
-        if self.outage_fraction > 1:
-            raise ParameterError("outage_fraction must be <= 1")
-
-    @property
-    def any(self) -> bool:
-        return (self.residual_shift_sigma > 0 or self.spike_count > 0
-                or self.outage_fraction > 0)
-
-
-def contaminate_baseline(values: Sequence[float],
-                         config: ContaminationConfig,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Return a contaminated copy of a baseline segment."""
-    out = np.array(values, dtype=np.float64, copy=True)
-    n = out.size
-    if n == 0 or not config.any:
-        return out
-    effects: list = []
-    if config.residual_shift_sigma > 0:
-        # A previous change whose level offset ended somewhere inside the
-        # baseline: shift the prefix.
-        boundary = int(rng.integers(1, max(2, n // 2)))
-        offset = rng.normal(0.0, config.residual_shift_sigma)
-        prefix = out[:boundary] + offset
-        out = np.concatenate([prefix, out[boundary:]])
-    for _ in range(config.spike_count):
-        at = int(rng.integers(0, n))
-        magnitude = rng.normal(0.0, config.spike_sigma)
-        effects.append(Spike(start=at, magnitude=magnitude))
-    return apply_effects(out, effects)
+        if not 0 <= self.outage_fraction <= 1:
+            raise ParameterError("outage_fraction must be in [0, 1]")
 
 
 def contaminate_history_panel(panel: np.ndarray,

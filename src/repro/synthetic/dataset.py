@@ -384,7 +384,7 @@ class EvaluationCorpus:
                   + np.arange(spec.n_bins, dtype=np.int64) * MINUTE)
             rows.append(pattern.sample(ts, rng))
         panel = np.vstack(rows)
-        if spec.contamination.any:
+        if spec.contamination.outage_fraction > 0:
             panel = contaminate_history_panel(panel, spec.contamination, rng)
         return panel
 

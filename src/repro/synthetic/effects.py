@@ -1,8 +1,8 @@
 """Injected behaviour changes and other-factor events.
 
 The KPI changes FUNNEL targets (paper section 2.3, Fig. 2) are *level
-shifts* and *ramp up/downs*; spikes and transient dips are the one-off
-events the 7-minute persistence rule must reject.  Every effect here is
+shifts* and *ramp up/downs*; transient dips are the one-off events the
+7-minute persistence rule must reject.  Every effect here is
 a pure function of (bin index, current values): effects compose, and the
 same effect object can be applied to treated units only (a software-
 change impact) or to treated and control alike (an other-factor event
@@ -18,8 +18,7 @@ import numpy as np
 
 from ..exceptions import ParameterError
 
-__all__ = ["Effect", "LevelShift", "Ramp", "Spike", "TransientDip",
-           "NoiseBurst", "apply_effects"]
+__all__ = ["Effect", "LevelShift", "Ramp", "TransientDip", "apply_effects"]
 
 
 class Effect:
@@ -84,25 +83,6 @@ class Ramp(Effect):
 
 
 @dataclass(frozen=True)
-class Spike(Effect):
-    """A one-off excursion over ``width`` bins — *not* a KPI change."""
-
-    start: int
-    magnitude: float
-    width: int = 1
-
-    def __post_init__(self) -> None:
-        _check_start(self.start)
-        if self.width < 1:
-            raise ParameterError("spike width must be >= 1 bin")
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        out = np.array(values, dtype=np.float64, copy=True)
-        out[self.start:self.start + self.width] += self.magnitude
-        return out
-
-
-@dataclass(frozen=True)
 class TransientDip(Effect):
     """A dip that recovers: shift down at ``start``, back up after
     ``duration`` bins.  Below the persistence threshold this must be
@@ -124,38 +104,6 @@ class TransientDip(Effect):
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = np.array(values, dtype=np.float64, copy=True)
         out[self.start:self.start + self.duration] -= self.magnitude
-        return out
-
-
-@dataclass(frozen=True)
-class NoiseBurst(Effect):
-    """A variance increase without a level change: multiplies the
-    deviations from the local median by ``factor`` for ``duration`` bins.
-
-    Detected through the MAD term of the Eq. 11 gate — a change in scale
-    is a behaviour change even when the location is steady.
-    """
-
-    start: int
-    factor: float
-    duration: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        _check_start(self.start)
-        if self.factor <= 1.0:
-            raise ParameterError("factor must exceed 1")
-        if self.duration < 1:
-            raise ParameterError("burst duration must be >= 1 bin")
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        out = np.array(values, dtype=np.float64, copy=True)
-        lo, hi = self.start, min(self.start + self.duration, out.size)
-        if lo >= out.size:
-            return out
-        segment = out[lo:hi]
-        center = np.median(values)
-        out[lo:hi] = center + (segment - center) * self.factor
         return out
 
 

@@ -1,12 +1,9 @@
-"""KPI telemetry: time series, agents, the metric store, aggregation."""
+"""KPI telemetry: time series, KPI catalogue and keys, the metric store."""
 
-from .agent import Agent
-from .aggregation import ServiceAggregator, aggregate_series
 from .kpi import KpiCatalog, KpiKey, KpiSpec, standard_server_kpis
 from .store import Block, MetricStore, Subscription
-from .timeseries import DAY, MINUTE, TimeSeries, bin_events
+from .timeseries import DAY, MINUTE, TimeSeries
 
-__all__ = ["Agent", "ServiceAggregator", "aggregate_series",
-           "KpiCatalog", "KpiKey", "KpiSpec", "standard_server_kpis",
+__all__ = ["KpiCatalog", "KpiKey", "KpiSpec", "standard_server_kpis",
            "Block", "MetricStore", "Subscription",
-           "DAY", "MINUTE", "TimeSeries", "bin_events"]
+           "DAY", "MINUTE", "TimeSeries"]

@@ -3,7 +3,7 @@
 Paper section 3.1: "A time-series is constructed for each KPI by dividing
 the original event series into equal time-bins.  One min is used as the
 time-bin in FUNNEL."  :class:`TimeSeries` is that object: a start time, a
-bin width, and one value per bin, with the alignment/slicing/resampling
+bin width, and one value per bin, with the alignment and slicing
 operations the detectors and the DiD panels need.
 
 Timestamps are plain integers (seconds since an arbitrary epoch) —
@@ -13,14 +13,13 @@ simulation time, not wall-clock time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import ParameterError, TelemetryError
 from ..types import as_float_array
 
-__all__ = ["TimeSeries", "bin_events", "MINUTE", "DAY"]
+__all__ = ["TimeSeries", "MINUTE", "DAY"]
 
 #: One minute, in the integer time unit used throughout (seconds).
 MINUTE = 60
@@ -35,8 +34,8 @@ class TimeSeries:
 
     Example:
         >>> ts = TimeSeries(start=0, bin_seconds=60, values=[1.0, 2.0, 3.0])
-        >>> ts.index_of(119)
-        1
+        >>> ts.end
+        180
         >>> ts.slice_time(60, 180).values.tolist()
         [2.0, 3.0]
     """
@@ -75,19 +74,6 @@ class TimeSeries:
         """The left edge of every bin."""
         return self.start + np.arange(len(self)) * self.bin_seconds
 
-    def index_of(self, timestamp: int) -> int:
-        """The bin index covering ``timestamp``.
-
-        Raises:
-            TelemetryError: when the timestamp is outside the series.
-        """
-        if not self.start <= timestamp < self.end:
-            raise TelemetryError(
-                "timestamp %d outside series [%d, %d)"
-                % (timestamp, self.start, self.end)
-            )
-        return (timestamp - self.start) // self.bin_seconds
-
     # -- transforms ----------------------------------------------------------
 
     def slice_time(self, from_time: int, to_time: int) -> "TimeSeries":
@@ -111,32 +97,6 @@ class TimeSeries:
             values=self.values[lo:hi].copy(),
         )
 
-    def resample(self, factor: int) -> "TimeSeries":
-        """Aggregate ``factor`` consecutive bins into one by averaging.
-
-        Trailing bins that do not fill a block are dropped.
-        """
-        if factor < 1:
-            raise ParameterError("factor must be >= 1, got %d" % factor)
-        if factor == 1:
-            # An owning copy, like every other transform: returning
-            # ``self`` would alias the caller's buffer and re-open the
-            # store-view corruption hazard for the factor-1 fast path.
-            return TimeSeries(self.start, self.bin_seconds,
-                              self.values.copy())
-        usable = (len(self) // factor) * factor
-        blocks = self.values[:usable].reshape(-1, factor)
-        return TimeSeries(
-            start=self.start,
-            bin_seconds=self.bin_seconds * factor,
-            values=blocks.mean(axis=1),
-        )
-
-    def shifted(self, seconds: int) -> "TimeSeries":
-        """The same values relabelled ``seconds`` later (owning copy)."""
-        return TimeSeries(self.start + seconds, self.bin_seconds,
-                          self.values.copy())
-
     # -- arithmetic ------------------------------------------------------------
 
     def _check_aligned(self, other: "TimeSeries") -> None:
@@ -153,55 +113,3 @@ class TimeSeries:
         self._check_aligned(other)
         return TimeSeries(self.start, self.bin_seconds,
                           self.values + other.values)
-
-    @staticmethod
-    def average(series: Sequence["TimeSeries"]) -> "TimeSeries":
-        """Pointwise mean of aligned series (service-KPI aggregation)."""
-        series = list(series)
-        if not series:
-            raise TelemetryError("cannot average zero series")
-        first = series[0]
-        for other in series[1:]:
-            first._check_aligned(other)
-        stacked = np.vstack([s.values for s in series])
-        return TimeSeries(first.start, first.bin_seconds,
-                          stacked.mean(axis=0))
-
-
-def bin_events(event_times: Iterable[int], start: int, end: int,
-               bin_seconds: int = MINUTE,
-               weights: Optional[Sequence[float]] = None) -> TimeSeries:
-    """Divide an event stream into equal time-bins (paper section 3.1).
-
-    Args:
-        event_times: timestamps of individual events (e.g. page views).
-        start, end: the covered interval ``[start, end)``; events outside
-            it are dropped.
-        bin_seconds: bin width (1 minute by default).
-        weights: optional per-event weights (e.g. response delays); the
-            result is then the per-bin weight *sum*, not the event count.
-
-    Returns:
-        A :class:`TimeSeries` of per-bin counts (or weight sums).
-    """
-    if end <= start:
-        raise ParameterError("end must exceed start")
-    if (end - start) % bin_seconds:
-        raise ParameterError(
-            "interval length %d is not a multiple of bin width %d"
-            % (end - start, bin_seconds)
-        )
-    times = np.fromiter(event_times, dtype=np.int64)
-    n_bins = (end - start) // bin_seconds
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != times.shape:
-            raise ParameterError("weights must match event_times in length")
-    keep = (times >= start) & (times < end)
-    times = times[keep]
-    bins = (times - start) // bin_seconds
-    if weights is None:
-        counts = np.bincount(bins, minlength=n_bins).astype(np.float64)
-    else:
-        counts = np.bincount(bins, weights=weights[keep], minlength=n_bins)
-    return TimeSeries(start=start, bin_seconds=bin_seconds, values=counts)

@@ -7,8 +7,8 @@ instance KPIs (page view count, response delay, ...); a *service KPI* is
 the aggregation of the service's instance KPIs.
 
 The :class:`Fleet` is the registry the rest of the library works
-against: impact-set identification queries it for a service's instances
-and servers; the synthetic workload generators populate it; the
+against: impact-set identification queries it for a service's servers
+and its relationships; the synthetic workload generators populate it; the
 deployment simulation mutates it as rollouts progress.
 """
 
@@ -69,10 +69,6 @@ class Service:
     def __post_init__(self) -> None:
         validate_service_name(self.name)
 
-    @property
-    def instances(self) -> List[Instance]:
-        return [Instance(self.name, host) for host in self.hostnames]
-
 
 class Fleet:
     """Registry of services, servers and instances with their relationships.
@@ -81,10 +77,10 @@ class Fleet:
         >>> fleet = Fleet()
         >>> _ = fleet.add_service("search.frontend", ["fe-1", "fe-2"])
         >>> _ = fleet.add_service("search.backend", ["be-1"])
-        >>> fleet.relationships.has_edge("search.backend", "search.frontend")
+        >>> ("search.backend", "search.frontend") in fleet.relationships.edges
         True
-        >>> [i.name for i in fleet.instances_of("search.frontend")]
-        ['search.frontend@fe-1', 'search.frontend@fe-2']
+        >>> fleet.server("fe-2").service
+        'search.frontend'
     """
 
     def __init__(self, explicit_edges: Iterable[Tuple[str, str]] = ()) -> None:
@@ -145,9 +141,6 @@ class Fleet:
             return self._servers[hostname]
         except KeyError:
             raise TopologyError("unknown server %r" % hostname) from None
-
-    def instances_of(self, service_name: str) -> List[Instance]:
-        return self.service(service_name).instances
 
     def __contains__(self, service_name: str) -> bool:
         return service_name in self._services

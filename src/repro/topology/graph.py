@@ -58,19 +58,12 @@ class ServiceGraph:
         return iter(self._successors)
 
     @property
-    def nodes(self) -> List[str]:
-        return sorted(self._successors)
-
-    @property
     def edges(self) -> List[Tuple[str, str]]:
         return sorted(
             (src, dst)
             for src, targets in self._successors.items()
             for dst in targets
         )
-
-    def has_edge(self, source: str, target: str) -> bool:
-        return target in self._successors.get(source, ())
 
     # -- traversals ------------------------------------------------------------
 

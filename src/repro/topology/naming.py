@@ -14,7 +14,7 @@ using the naming rules."  This module models that practice:
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from ..exceptions import TopologyError
 from .graph import ServiceGraph
@@ -22,8 +22,6 @@ from .graph import ServiceGraph
 __all__ = [
     "validate_service_name",
     "parent_of",
-    "ancestors_of",
-    "hierarchy_distance",
     "derive_relationships",
 ]
 
@@ -51,30 +49,6 @@ def parent_of(name: str) -> str:
     validate_service_name(name)
     head, _, _ = name.rpartition(".")
     return head
-
-
-def ancestors_of(name: str) -> List[str]:
-    """All strict ancestors of ``name``, nearest first."""
-    out = []
-    current = parent_of(name)
-    while current:
-        out.append(current)
-        current = parent_of(current)
-    return out
-
-
-def hierarchy_distance(a: str, b: str) -> int:
-    """Tree distance between two names in the naming hierarchy."""
-    validate_service_name(a)
-    validate_service_name(b)
-    pa = a.split(".")
-    pb = b.split(".")
-    common = 0
-    for xa, xb in zip(pa, pb):
-        if xa != xb:
-            break
-        common += 1
-    return (len(pa) - common) + (len(pb) - common)
 
 
 def derive_relationships(names: Sequence[str],

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.did import (DiDEstimator, DiDPanel, did_estimate,
-                            historical_control_windows)
+from repro.core.did import DiDEstimator, DiDPanel, did_estimate
 from repro.exceptions import InsufficientDataError, ParameterError
 
 
@@ -134,48 +133,3 @@ class TestDiDEstimator:
         panel = DiDPanel(pre[:4], post[:4], pre[4:], post[4:])
         result = DiDEstimator().fit(panel)
         assert round(result.alpha, 0) == 5.0
-
-
-class TestHistoricalControlWindows:
-    def _history(self, rng, days=35, samples_per_day=100, omega=10):
-        n = days * samples_per_day
-        return 50.0 + rng.normal(0, 1.0, size=n)
-
-    def test_shapes(self, rng):
-        x = self._history(rng)
-        change = 33 * 100 + 40
-        panel = historical_control_windows(x, change, omega=10, days=30,
-                                           samples_per_day=100)
-        assert panel.treated_pre.shape == (1, 10)
-        assert panel.control_pre.shape[0] == 30
-        assert panel.control_post.shape == panel.control_pre.shape
-
-    def test_short_history_truncates_days(self, rng):
-        x = self._history(rng, days=5)
-        change = 4 * 100 + 50
-        panel = historical_control_windows(x, change, omega=10, days=30,
-                                           samples_per_day=100)
-        assert 1 <= panel.control_pre.shape[0] <= 5
-
-    def test_no_full_day_raises(self, rng):
-        x = rng.normal(size=150)
-        with pytest.raises(InsufficientDataError):
-            historical_control_windows(x, 80, omega=10, days=30,
-                                       samples_per_day=1000)
-
-    def test_change_at_edge_raises(self, rng):
-        x = self._history(rng)
-        with pytest.raises(InsufficientDataError):
-            historical_control_windows(x, 5, omega=10)
-
-    def test_seasonal_alignment_cancels_diurnal_pattern(self, rng):
-        """A pure daily cycle yields alpha ~ 0 (section 3.2.5)."""
-        samples_per_day = 144            # 10-minute bins
-        days = 32
-        t = np.arange(days * samples_per_day)
-        cycle = 10.0 * np.sin(2 * np.pi * t / samples_per_day)
-        x = 100.0 + cycle + 0.3 * rng.normal(size=t.size)
-        change = 31 * samples_per_day + 60
-        panel = historical_control_windows(x, change, omega=12, days=30,
-                                           samples_per_day=samples_per_day)
-        assert abs(did_estimate(panel)) < 1.0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.robust import (MAD_TO_SIGMA, mad, median, median_and_mad,
-                               robust_zscores, window_pair)
+                               window_pair)
 from repro.exceptions import InsufficientDataError, ParameterError
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -106,24 +106,6 @@ class TestSortedMiddles:
                 if not (x == 0.0).any():
                     assert np.array(got).tobytes() == \
                         np.array(expected).tobytes()
-
-
-class TestRobustZscores:
-    def test_centering(self, rng):
-        x = rng.normal(10.0, 2.0, size=1001)
-        z = robust_zscores(x)
-        assert abs(np.median(z)) < 1e-9
-
-    def test_zero_mad_infinite_tail(self):
-        x = np.array([1.0] * 9 + [5.0])
-        z = robust_zscores(x)
-        assert np.all(z[:9] == 0.0)
-        assert np.isinf(z[9]) and z[9] > 0
-
-    def test_zero_mad_negative_direction(self):
-        x = np.array([1.0] * 9 + [-5.0])
-        z = robust_zscores(x)
-        assert np.isinf(z[9]) and z[9] < 0
 
 
 class TestWindowPair:

@@ -12,7 +12,7 @@ import pytest
 from repro.engine import (AssessmentEngine, AssessmentJob, DetectorSpec,
                           EngineConfig, FleetScenarioSpec, ItemOutcome,
                           SyntheticFleetSource, execute_jobs, job_from_item,
-                          job_seed, jobs_from_items, reset_shared_cache,
+                          job_seed, reset_shared_cache,
                           shared_cache, spec_for_method)
 from repro.engine.planner import ENTITY_METRICS
 from repro.eval.runner import evaluate_corpus, make_method
@@ -88,7 +88,8 @@ class TestParity:
     def _jobs(self, items, methods=("funnel", "cusum")):
         jobs = []
         for name in methods:
-            jobs.extend(jobs_from_items(items, spec_for_method(name)))
+            spec = spec_for_method(name)
+            jobs.extend(job_from_item(item, spec) for item in items)
         return jobs
 
     def test_batch_size_does_not_matter(self, tiny_corpus):
@@ -142,7 +143,7 @@ class TestBaselineCache:
                                                        seed=7)))}
         spec = spec_for_method("funnel")
         for seed in seeds:
-            jobs = list(jobs_from_items(corpora[seed], spec))
+            jobs = [job_from_item(item, spec) for item in corpora[seed]]
             assert_identical(execute_jobs(jobs), oracle_results(jobs))
 
     def test_second_spec_hits_cache(self, fleet_source):

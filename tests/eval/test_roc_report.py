@@ -109,34 +109,3 @@ class TestReportRendering:
 
     def test_render_ascii_empty(self):
         assert "empty" in render_ascii_series([])
-
-
-class TestCombineChanges:
-    def test_union_and_earliest(self):
-        from repro.changes.change import SoftwareChange, combine_changes
-        from repro.types import ChangeKind
-        a = SoftwareChange("c1", ChangeKind.CONFIG_CHANGE, "svc.a",
-                           ("h1", "h2"), 100, config_scope="service")
-        b = SoftwareChange("c2", ChangeKind.SOFTWARE_UPGRADE, "svc.a",
-                           ("h2", "h3"), 40)
-        combined = combine_changes((a, b))
-        assert combined.hostnames == ("h1", "h2", "h3")
-        assert combined.at_time == 40
-        assert combined.kind is ChangeKind.SOFTWARE_UPGRADE
-
-    def test_cross_service_rejected(self):
-        from repro.changes.change import SoftwareChange, combine_changes
-        from repro.exceptions import ChangeLogError
-        from repro.types import ChangeKind
-        a = SoftwareChange("c1", ChangeKind.CONFIG_CHANGE, "svc.a",
-                           ("h1",), 0, config_scope="service")
-        b = SoftwareChange("c2", ChangeKind.CONFIG_CHANGE, "svc.b",
-                           ("h2",), 0, config_scope="service")
-        with pytest.raises(ChangeLogError):
-            combine_changes((a, b))
-
-    def test_empty_rejected(self):
-        from repro.changes.change import combine_changes
-        from repro.exceptions import ChangeLogError
-        with pytest.raises(ChangeLogError):
-            combine_changes(())

@@ -1,19 +1,24 @@
-"""Tests for CSV/JSONL interchange."""
+"""Tests for CSV interchange."""
 
 import io
 
 import numpy as np
 import pytest
 
-from repro.changes.change import SoftwareChange
-from repro.changes.log import ChangeLog
-from repro.exceptions import ChangeLogError, TelemetryError
-from repro.io.changelog import (change_from_dict, change_to_dict,
-                                read_change_log, write_change_log)
-from repro.io.csvio import (read_matrix, read_series, write_matrix,
-                            write_series)
+from repro.exceptions import TelemetryError
+from repro.io.csvio import read_matrix, read_series, write_matrix
 from repro.telemetry.timeseries import TimeSeries
-from repro.types import ChangeKind
+
+
+def write_series(series, target):
+    """A long-format CSV of ``series``, as a metrics export writes it."""
+    rows = ["timestamp,value"] + ["%d,%r" % (t, float(v)) for t, v in
+                                  zip(series.timestamps(), series.values)]
+    text = "\n".join(rows) + "\n"
+    if isinstance(target, io.StringIO):
+        target.write(text)
+    else:
+        target.write_text(text)
 
 
 class TestSeriesCsv:
@@ -101,62 +106,3 @@ class TestMatrixCsv:
         buffer.seek(0)
         loaded, _, _, _ = read_matrix(buffer)
         assert loaded[0, 0] == 0.1 + 0.2
-
-
-class TestChangeLogJsonl:
-    def _change(self, change_id="c1", at=0):
-        return SoftwareChange(
-            change_id=change_id, kind=ChangeKind.CONFIG_CHANGE,
-            service="svc.a", hostnames=("h1", "h2"), at_time=at,
-            description="turn it off and on again",
-            config_scope="service",
-        )
-
-    def test_dict_roundtrip(self):
-        change = self._change()
-        assert change_from_dict(change_to_dict(change)) == change
-
-    def test_file_roundtrip(self, tmp_path):
-        log = ChangeLog()
-        log.record(self._change("c1", at=0))
-        log.record(self._change("c2", at=7200))
-        path = tmp_path / "changes.jsonl"
-        write_change_log(log, path)
-        loaded = read_change_log(path)
-        assert len(loaded) == 2
-        assert loaded.get("c2").at_time == 7200
-        assert loaded.get("c1").config_scope == "service"
-
-    def test_missing_field_rejected(self):
-        with pytest.raises(ChangeLogError):
-            change_from_dict({"change_id": "x"})
-
-    def test_unknown_kind_rejected(self):
-        payload = change_to_dict(self._change())
-        payload["kind"] = "rm -rf"
-        with pytest.raises(ChangeLogError):
-            change_from_dict(payload)
-
-    def test_invalid_json_line(self):
-        buffer = io.StringIO("{not json}\n")
-        with pytest.raises(ChangeLogError):
-            read_change_log(buffer)
-
-    def test_blank_lines_skipped(self):
-        buffer = io.StringIO()
-        log = ChangeLog()
-        log.record(self._change())
-        write_change_log(log, buffer)
-        buffer.write("\n\n")
-        buffer.seek(0)
-        assert len(read_change_log(buffer)) == 1
-
-    def test_guard_applies_on_load(self):
-        buffer = io.StringIO()
-        log = ChangeLog(concurrency_guard_seconds=0)
-        log.record(self._change("c1", at=0))
-        log.record(self._change("c2", at=60))
-        write_change_log(log, buffer)
-        buffer.seek(0)
-        with pytest.raises(ChangeLogError):
-            read_change_log(buffer, concurrency_guard_seconds=3600)

@@ -19,7 +19,7 @@ from repro.engine import reset_shared_cache
 from repro.engine.fleet import FleetScenarioSpec
 from repro.exceptions import TelemetryError
 from repro.faults import (DELAY, HISTORY_ERROR, FaultPlan, FaultRule,
-                          FaultyHistoryProvider, preset_plan)
+                          preset_plan)
 from repro.live import parity_live_config, replay_scenario
 from repro.live.assessor import LiveAssessor
 from repro.live.bus import VerdictBus

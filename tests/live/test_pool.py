@@ -103,9 +103,8 @@ class TestOneTablePerPass:
                 passes.append((tick, [row for _, row, _ in declared]))
             for i, row in rows.items():
                 assert detector_state(pooled, row) == detector_state(solo[i])
-        # Group by group (the 150-bin stack first: row 0 opened it),
-        # input order inside a group; the staggered ones follow.
-        assert passes == [(0, [0, 2, 1, 3]), (7, [5]), (15, [4])]
+        # In input order (row order); the staggered ones follow.
+        assert passes == [(0, [0, 1, 2, 3]), (7, [5]), (15, [4])]
         assert solo[6].declared is None
         # Row 4 confirmed its pre-existing shift first.
         norm = robust_normalise(pooled.series(4), baseline=120)
@@ -241,9 +240,9 @@ class TestDetectorPool:
         assert {(i, row): change for i, row, change in declared} == {
             at: twin.declared for at, twin in twins
             if twin.declared is not None}
-        # Width groups in order of first appearance (150, 130, 110).
+        # In input order: detector, then row.
         assert [(i, row) for i, row, _ in declared] == \
-            [(0, 0), (1, 1), (0, 1), (0, 2)]
+            [(0, 0), (0, 1), (0, 2), (1, 1)]
         # ... and the next tick decides one position a row from the
         # table alone: nothing confirms, the kernel is not called.
         for detector, fed in sessions:
@@ -338,5 +337,5 @@ class TestDetectorPool:
         assert declared and detector.declared is not None
         # More data arrives; the detector is done declaring.
         detector.extend(np.full(10, 10.0))
-        assert not detector.pending_bounds()[0].size
+        assert not detector.pending_rows().size
         assert pool.score_pending([detector]) == []

@@ -1,4 +1,4 @@
-"""Tests for counters, gauges, histograms, snapshots, exposition."""
+"""Tests for counters, gauges, histograms and snapshots."""
 
 import pytest
 
@@ -20,7 +20,7 @@ class TestCounterGauge:
 
     def test_label_free_and_labelled_series_share_one_counter(self):
         """No labels is the hot form and takes a short cut to the empty
-        label key; snapshot and exposition must not tell."""
+        label key; the snapshot must not tell."""
         reg = MetricsRegistry()
         c = reg.counter("ticks_total", help="Ticks.")
         c.inc()
@@ -31,7 +31,6 @@ class TestCounterGauge:
         assert reg.snapshot()["counters"]["ticks_total"]["values"] == [
             {"labels": {}, "value": 3},
             {"labels": {"stage": "pool"}, "value": 1}]
-        assert "ticks_total 3\n" in reg.to_prometheus()
 
     def test_gauge_set_inc_dec(self):
         reg = MetricsRegistry()
@@ -89,62 +88,9 @@ class TestSnapshot:
         assert json.loads(json.dumps(snap)) == snap
 
 
-class TestPrometheusExposition:
-    def test_golden_exposition(self):
-        reg = MetricsRegistry()
-        jobs = reg.counter("jobs_total", help="Jobs.")
-        jobs.inc(3, detector="funnel")
-        jobs.inc(1, detector="cusum")
-        reg.gauge("depth", help="Queue depth.").set(2)
-        lat = reg.histogram("lat", help="Latency.", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 3.0):
-            lat.observe(value)
-
-        expected = (
-            '# HELP depth Queue depth.\n'
-            '# TYPE depth gauge\n'
-            'depth 2\n'
-            '# HELP jobs_total Jobs.\n'
-            '# TYPE jobs_total counter\n'
-            'jobs_total{detector="cusum"} 1\n'
-            'jobs_total{detector="funnel"} 3\n'
-            '# HELP lat Latency.\n'
-            '# TYPE lat histogram\n'
-            'lat_bucket{le="0.1"} 1\n'
-            'lat_bucket{le="1"} 2\n'
-            'lat_bucket{le="+Inf"} 3\n'
-            'lat_sum 3.55\n'
-            'lat_count 3\n'
-        )
-        assert reg.to_prometheus() == expected
-
-    def test_label_value_escaping(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(1, path='a"b\\c')
-        assert r'c{path="a\"b\\c"} 1' in reg.to_prometheus()
-
-    def test_empty_registry_exposes_nothing(self):
-        assert MetricsRegistry().to_prometheus() == ""
-
-
 class TestLabeledHistogramRoundTrip:
-    """A *labeled* histogram: one row per label set, exposed in label
-    order, with percentiles read per label set."""
-
-    GOLDEN = (
-        '# HELP stage_lat Stage latency.\n'
-        '# TYPE stage_lat histogram\n'
-        'stage_lat_bucket{stage="detect",le="0.1"} 2\n'
-        'stage_lat_bucket{stage="detect",le="1"} 5\n'
-        'stage_lat_bucket{stage="detect",le="+Inf"} 6\n'
-        'stage_lat_sum{stage="detect"} 3.61\n'
-        'stage_lat_count{stage="detect"} 6\n'
-        'stage_lat_bucket{stage="fetch",le="0.1"} 1\n'
-        'stage_lat_bucket{stage="fetch",le="1"} 1\n'
-        'stage_lat_bucket{stage="fetch",le="+Inf"} 2\n'
-        'stage_lat_sum{stage="fetch"} 2.05\n'
-        'stage_lat_count{stage="fetch"} 2\n'
-    )
+    """A *labeled* histogram: one row per label set, with percentiles
+    read per label set."""
 
     @staticmethod
     def _observe(reg, values_by_stage):
@@ -159,9 +105,6 @@ class TestLabeledHistogramRoundTrip:
         self._observe(reg, {"detect": (0.05, 0.5, 2.0, 0.06, 0.5, 0.5),
                             "fetch": (0.05, 2.0)})
         return reg
-
-    def test_golden_exposition_text(self):
-        assert self._registry().to_prometheus() == self.GOLDEN
 
     def test_percentiles_per_label_set(self):
         hist = self._registry().histogram("stage_lat", buckets=(0.1, 1.0))

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ParameterError
 from repro.synthetic.contamination import (ContaminationConfig,
-                                           contaminate_baseline,
                                            contaminate_history_panel)
-from repro.synthetic.effects import (LevelShift, NoiseBurst, Ramp, Spike,
-                                     TransientDip, apply_effects)
+from repro.synthetic.effects import (LevelShift, Ramp, TransientDip,
+                                     apply_effects)
 from repro.synthetic.patterns import (SeasonalPattern, StationaryPattern,
                                       VariablePattern,
                                       pattern_for_character)
@@ -141,36 +140,23 @@ class TestEffects:
         np.testing.assert_allclose(out[:8], 0.0)
         assert out[9] == pytest.approx(2.0)
 
-    def test_spike(self):
-        out = Spike(start=4, magnitude=5.0, width=2).apply(np.zeros(8))
-        np.testing.assert_array_equal(out, [0, 0, 0, 0, 5, 5, 0, 0])
-
     def test_transient_dip_recovers(self):
         out = TransientDip(start=2, magnitude=3.0,
                            duration=3).apply(np.full(8, 10.0))
         np.testing.assert_array_equal(out, [10, 10, 7, 7, 7, 10, 10, 10])
 
-    def test_noise_burst_changes_scale_not_location(self, rng):
-        x = 10.0 + rng.normal(0, 1.0, size=400)
-        out = NoiseBurst(start=200, factor=4.0, duration=200).apply(x)
-        assert np.median(out[200:]) == pytest.approx(np.median(x[200:]),
-                                                     abs=0.5)
-        assert np.std(out[200:]) > 2.5 * np.std(x[:200])
-
     def test_apply_effects_composes(self):
         out = apply_effects(np.zeros(10), [
             LevelShift(start=5, magnitude=1.0),
-            Spike(start=2, magnitude=3.0),
+            TransientDip(start=2, magnitude=3.0, duration=1),
         ])
-        assert out[2] == 3.0
+        assert out[2] == -3.0
         assert out[7] == 1.0
 
     @pytest.mark.parametrize("effect_cls,kwargs", [
         (LevelShift, dict(start=-1, magnitude=1.0)),
         (Ramp, dict(start=0, magnitude=1.0, duration=0)),
-        (Spike, dict(start=0, magnitude=1.0, width=0)),
         (TransientDip, dict(start=0, magnitude=-1.0, duration=5)),
-        (NoiseBurst, dict(start=0, factor=1.0, duration=5)),
     ])
     def test_invalid_effects(self, effect_cls, kwargs):
         with pytest.raises(ParameterError):
@@ -188,23 +174,9 @@ class TestEffects:
 
 class TestContamination:
     def test_no_config_is_identity(self, rng):
-        x = rng.normal(size=100)
-        out = contaminate_baseline(x, ContaminationConfig(), rng)
-        np.testing.assert_array_equal(out, x)
-
-    def test_spikes_added(self, rng):
-        x = np.zeros(200)
-        config = ContaminationConfig(spike_count=5, spike_sigma=10.0)
-        out = contaminate_baseline(x, config, rng)
-        assert np.count_nonzero(out) >= 1
-
-    def test_residual_shift_moves_prefix(self, rng):
-        x = np.zeros(200)
-        config = ContaminationConfig(residual_shift_sigma=5.0)
-        out = contaminate_baseline(x, config, rng)
-        assert np.abs(out).max() > 0.0
-        # Suffix untouched.
-        assert np.all(out[150:] == 0.0) or np.abs(out[:50]).max() > 0
+        panel = rng.normal(size=(5, 100))
+        out = contaminate_history_panel(panel, ContaminationConfig(), rng)
+        np.testing.assert_array_equal(out, panel)
 
     def test_history_outages(self, rng):
         panel = np.full((30, 100), 50.0)
@@ -219,6 +191,6 @@ class TestContamination:
 
     def test_invalid_config(self):
         with pytest.raises(ParameterError):
-            ContaminationConfig(spike_count=-1)
+            ContaminationConfig(outage_fraction=-0.1)
         with pytest.raises(ParameterError):
             ContaminationConfig(outage_fraction=1.5)

@@ -1,4 +1,4 @@
-"""Tests for the metric store, subscriptions, agents and aggregation."""
+"""Tests for the metric store, subscriptions and the KPI catalogue."""
 
 import pickle
 
@@ -7,9 +7,6 @@ import pytest
 
 from repro.exceptions import TelemetryError
 from repro.live.checkpoint import _key3, _unkey3
-from repro.telemetry.agent import Agent
-from repro.telemetry.aggregation import (ServiceAggregator, aggregate_series,
-                                         aggregate_service_kpi)
 from repro.telemetry.kpi import (KpiCatalog, KpiKey, KpiSpec,
                                  standard_server_kpis)
 from repro.telemetry.store import MetricStore
@@ -259,76 +256,3 @@ class TestStoreBatchAppend:
                 store.series(key_b).values.size))
         store.append_batch((key_a, key_b), 0, np.ones((2, 2)))
         assert lengths == [2]
-
-
-class TestAgent:
-    def test_collect_round(self, store):
-        agent = Agent("web-1", store)
-        agent.add_server_collector("memory_utilization", lambda t: 42.0)
-        agent.add_server_collector("context_switch_count",
-                                   lambda t: float(t))
-        agent.collect(0)
-        agent.collect(60)
-        mem = store.series(KpiKey("server", "web-1", "memory_utilization"))
-        csc = store.series(KpiKey("server", "web-1",
-                                  "context_switch_count"))
-        np.testing.assert_array_equal(mem.values, [42.0, 42.0])
-        np.testing.assert_array_equal(csc.values, [0.0, 60.0])
-
-    def test_out_of_order_collection_rejected(self, store):
-        agent = Agent("web-1", store)
-        agent.add_server_collector("m", lambda t: 1.0)
-        agent.collect(0)
-        with pytest.raises(TelemetryError):
-            agent.collect(0)
-
-    def test_duplicate_collector_rejected(self, store, key):
-        agent = Agent("web-1", store)
-        agent.add_server_collector(key.metric, lambda t: 1.0)
-        with pytest.raises(TelemetryError, match="for %s$" % NAME):
-            agent.add_server_collector(key.metric, lambda t: 2.0)
-
-    def test_nonfinite_value_rejected(self, store, key):
-        agent = Agent("web-1", store)
-        agent.add_server_collector(key.metric, lambda t: float("nan"))
-        with pytest.raises(TelemetryError, match="for %s returned" % NAME):
-            agent.collect(0)
-
-
-class TestAggregation:
-    def test_mean_and_sum(self):
-        series = [TimeSeries(0, 60, [2.0, 4.0]),
-                  TimeSeries(0, 60, [6.0, 8.0])]
-        np.testing.assert_array_equal(
-            aggregate_series(series, "mean").values, [4.0, 6.0])
-        np.testing.assert_array_equal(
-            aggregate_series(series, "sum").values, [8.0, 12.0])
-
-    def test_invalid_how(self):
-        with pytest.raises(TelemetryError):
-            aggregate_series([TimeSeries(0, 60, [1.0])], "max")
-
-    def test_service_kpi_uses_spec_aggregation(self, store):
-        catalog = KpiCatalog()
-        catalog.register(KpiSpec("page_view_count", "instance",
-                                 KpiCharacter.SEASONAL, aggregation="sum"))
-        for host in ("h1", "h2"):
-            store.append(KpiKey("instance", "svc@%s" % host,
-                                "page_view_count"),
-                         TimeSeries(0, 60, [10.0, 20.0]))
-        result = aggregate_service_kpi(
-            store, catalog, "svc", ["svc@h1", "svc@h2"],
-            "page_view_count", 0, 120)
-        np.testing.assert_array_equal(result.values, [20.0, 40.0])
-
-    def test_service_aggregator_publishes(self, store):
-        catalog = KpiCatalog()
-        catalog.register(KpiSpec("rd", "instance", KpiCharacter.STATIONARY,
-                                 aggregation="mean"))
-        for host in ("h1", "h2"):
-            store.append(KpiKey("instance", "svc@%s" % host, "rd"),
-                         TimeSeries(0, 60, [10.0, 30.0]))
-        aggregator = ServiceAggregator(store, catalog)
-        key = aggregator.publish("svc", ["svc@h1", "svc@h2"], "rd", 0, 120)
-        np.testing.assert_array_equal(store.series(key).values,
-                                      [10.0, 30.0])

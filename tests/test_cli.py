@@ -6,8 +6,13 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.io.csvio import write_matrix, write_series
-from repro.telemetry.timeseries import TimeSeries
+from repro.io.csvio import write_matrix
+
+
+def write_series(values, path):
+    """A one-minute long-format series CSV (``timestamp,value``)."""
+    path.write_text("timestamp,value\n" + "".join(
+        "%d,%r\n" % (60 * i, float(v)) for i, v in enumerate(values)))
 
 
 @pytest.fixture
@@ -90,7 +95,7 @@ class TestDetect:
         x = 50.0 + rng.normal(0, 0.5, size=240)
         x[120:] += 5.0
         path = tmp_path / "series.csv"
-        write_series(TimeSeries(0, 60, x), path)
+        write_series(x, path)
         code = main(["detect", str(path), "--change-minute", "120"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -101,7 +106,7 @@ class TestDetect:
     def test_detect_quiet_series(self, tmp_path, rng, capsys):
         x = 50.0 + rng.normal(0, 0.5, size=240)
         path = tmp_path / "series.csv"
-        write_series(TimeSeries(0, 60, x), path)
+        write_series(x, path)
         assert main(["detect", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["changes"] == []
@@ -224,7 +229,7 @@ class TestGoldenJson:
         x = 50.0 + rng.normal(0, 0.5, size=240)
         x[120:] += 5.0
         path = tmp_path / "series.csv"
-        write_series(TimeSeries(0, 60, x), path)
+        write_series(x, path)
         args = ["detect", str(path), "--change-minute", "120"]
         assert main(args) == 0
         first = capsys.readouterr().out

@@ -14,7 +14,6 @@ import repro.core.ika
 import repro.core.scoring
 import repro.simulation.clock
 import repro.simulation.scenario
-import repro.telemetry.agent
 import repro.telemetry.store
 import repro.telemetry.timeseries
 import repro.topology.entities
@@ -26,7 +25,6 @@ MODULES = [
     repro.core.scoring,
     repro.simulation.clock,
     repro.simulation.scenario,
-    repro.telemetry.agent,
     repro.telemetry.store,
     repro.telemetry.timeseries,
     repro.topology.entities,

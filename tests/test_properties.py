@@ -159,17 +159,6 @@ class TestEvaluationAlgebra:
 
 
 class TestTimeSeriesAlgebra:
-    @given(seeds, st.integers(1, 5), st.integers(10, 60))
-    @settings(max_examples=30, deadline=None)
-    def test_resample_preserves_mean(self, seed, factor, n):
-        rng = np.random.default_rng(seed)
-        usable = (n // factor) * factor
-        if usable == 0:
-            return
-        ts = TimeSeries(0, 60, rng.normal(size=n))
-        coarse = ts.resample(factor)
-        assert coarse.values.mean() == pytest.approx(
-            ts.values[:usable].mean())
 
     @given(seeds, st.integers(0, 20), st.integers(1, 20))
     @settings(max_examples=30, deadline=None)

@@ -41,9 +41,6 @@ class TestConstruction:
 
 
 class TestQueries:
-    def test_has_edge_is_directed(self, fig4_graph):
-        assert fig4_graph.has_edge("a", "b")
-        assert not fig4_graph.has_edge("b", "a")
 
     def test_unknown_node_raises(self, fig4_graph):
         with pytest.raises(TopologyError):

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.exceptions import TopologyError
-from repro.topology.naming import (ancestors_of, derive_relationships,
-                                   hierarchy_distance, parent_of,
+from repro.topology.naming import (derive_relationships, parent_of,
                                    validate_service_name)
 
 
@@ -29,25 +28,15 @@ class TestHierarchy:
         assert parent_of("a.b.c") == "a.b"
         assert parent_of("a") == ""
 
-    def test_ancestors(self):
-        assert ancestors_of("a.b.c") == ["a.b", "a"]
-        assert ancestors_of("a") == []
-
-    def test_hierarchy_distance(self):
-        assert hierarchy_distance("a.b", "a.c") == 2
-        assert hierarchy_distance("a.b", "a.b.c") == 1
-        assert hierarchy_distance("a", "b") == 2
-        assert hierarchy_distance("a.b", "a.b") == 0
-
 
 class TestDeriveRelationships:
     def test_parent_child_edge(self):
         g = derive_relationships(["search", "search.frontend"])
-        assert g.has_edge("search", "search.frontend")
+        assert ("search", "search.frontend") in g.edges
 
     def test_sibling_edges(self):
         g = derive_relationships(["search.frontend", "search.backend"])
-        assert g.has_edge("search.backend", "search.frontend")
+        assert ("search.backend", "search.frontend") in g.edges
 
     def test_unrelated_services_not_linked(self):
         g = derive_relationships(["search.frontend", "mail.smtp"])
@@ -62,7 +51,7 @@ class TestDeriveRelationships:
             ["search.frontend", "ads.serving"],
             explicit_edges=[("search.frontend", "ads.serving")],
         )
-        assert g.has_edge("search.frontend", "ads.serving")
+        assert ("search.frontend", "ads.serving") in g.edges
 
     def test_explicit_edge_unknown_service_raises(self):
         with pytest.raises(TopologyError):
@@ -76,11 +65,11 @@ class TestDeriveRelationships:
         names = ["svc", "svc.web", "svc.web.static", "svc.web.dynamic",
                  "svc.db"]
         g = derive_relationships(names)
-        assert g.has_edge("svc", "svc.web")
-        assert g.has_edge("svc.web", "svc.web.static")
-        assert g.has_edge("svc.web.dynamic", "svc.web.static")
-        assert g.has_edge("svc.db", "svc.web")
+        assert ("svc", "svc.web") in g.edges
+        assert ("svc.web", "svc.web.static") in g.edges
+        assert ("svc.web.dynamic", "svc.web.static") in g.edges
+        assert ("svc.db", "svc.web") in g.edges
         # Cousins are not directly related...
-        assert not g.has_edge("svc.db", "svc.web.static")
+        assert ("svc.db", "svc.web.static") not in g.edges
         # ...but are reachable through the hierarchy.
         assert "svc.web.static" in g.reachable("svc.db")

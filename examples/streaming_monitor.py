@@ -49,7 +49,8 @@ def main() -> None:
             rows[k].append(value)
         tick_buffer.clear()
         treated = [rows[k] for k in treated_keys]
-        declared = detector.extend([np.mean([row[-1] for row in treated])])
+        detector.extend([np.mean([row[-1] for row in treated])])
+        declared = detector.flush()     # decide what the bin completed
         if declared is not None:        # fires once
             outcome = funnel.attribute(
                 treated, declared, change_minute,

@@ -44,7 +44,6 @@ __all__ = [
     "ChangeDeclarationPolicy",
     "candidate_mask",
     "declare_changes",
-    "confirm_candidate",
 ]
 
 #: Minimum duration (in 1-minute bins) a deviation must persist before it
@@ -293,49 +292,36 @@ def _prefix_median_mad(stack: np.ndarray, rows: np.ndarray,
     return meds, scales
 
 
-def _padded(series) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``series`` as the NaN-padded ``(stack, lengths, finite)`` triple
-    :func:`_gating_table` reads (a triple passes through)."""
-    if isinstance(series, tuple):
-        return series
-    lengths = np.array([len(x) for x in series], dtype=np.intp)
-    stack = np.full((lengths.size, int(lengths.max(initial=0))), np.nan)
-    for row, x in enumerate(series):
-        stack[row, :lengths[row]] = x
-    return stack, lengths, np.isfinite(stack).sum(axis=1) == lengths
-
-
-def _gating_table(series, candidates: Sequence[np.ndarray],
+def _gating_table(padded: Tuple[np.ndarray, np.ndarray],
+                  candidates: Sequence[np.ndarray],
                   policy: ChangeDeclarationPolicy) -> Tuple[
-                      np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                      np.ndarray, np.ndarray, np.ndarray]:
     """Per-position confirmation statistics for a ragged stack, in bulk.
 
-    ``candidates[i]`` holds the positions to decide on the 1-D series
-    ``series[i]`` — every one a declaration could come from.  For each
+    ``candidates[i]`` holds the positions to decide on row ``i`` of the
+    padded stack — every one a declaration could come from.  For each
     the persistence rule consumes the baseline
     ``median_and_mad(x[:max(1, c)])`` and the persistence window's
     ``median(x[c:c+persistence])``.  The table computes them all (every
     row of a stack, every detector of a pool pass; one series is the
     one-row case) with two NaN-padded sorts per block of positions and
     one axis-median, bitwise equal to the per-candidate calls (pinned in
-    ``tests/core/test_scoring.py``).  A caller that tables the same
-    rows stretch after stretch passes ``series`` as the ``(stack,
-    lengths, finite)`` it would be padded to here, built once.
+    ``tests/core/test_scoring.py``).  ``padded`` is ``(stack,
+    lengths)``: row ``i`` holds ``lengths[i]`` finite samples, NaN after
+    them — the padding cannot encode a non-finite sample, so a caller
+    refuses those first.
 
-    Returns ``(meds, scales, window_medians, finite)``: the statistics
-    aligned with the concatenated candidates — a window median is NaN
-    when the window does not fit its series (:func:`confirm_candidate`
-    rejects those) — and, per series, whether all its samples are
-    finite; the NaN padding cannot encode a series that is not, so its
-    statistics are meaningless.
+    Returns ``(meds, scales, window_medians)`` aligned with the
+    concatenated candidates; a window median is NaN when the window does
+    not fit its series (the rule rejects those).
     """
-    stack, lengths, finite = _padded(series)
+    stack, lengths = padded
     sizes = [c.size for c in candidates]
     meds = np.empty(sum(sizes), dtype=np.float64)
     scales = np.empty(meds.size, dtype=np.float64)
     window_meds = np.full(meds.size, np.nan)
     if not meds.size:
-        return meds, scales, window_meds, finite
+        return meds, scales, window_meds
     rows = np.repeat(np.arange(len(sizes)), sizes)
     flat = np.concatenate(candidates)
 
@@ -356,7 +342,7 @@ def _gating_table(series, candidates: Sequence[np.ndarray],
         lo, hi = (policy.persistence - 1) // 2, policy.persistence // 2
         window_meds[fits] = (windows[:, lo] if lo == hi else
                              (windows[:, lo] + windows[:, hi]) / 2.0)
-    return meds, scales, window_meds, finite
+    return meds, scales, window_meds
 
 
 def _screened(padded, candidates: Sequence[np.ndarray], sizes: Sequence[int],
@@ -381,7 +367,7 @@ def _screened(padded, candidates: Sequence[np.ndarray], sizes: Sequence[int],
     if four times each sample is still finite, so no sum or difference
     of two of them can overflow.
     """
-    stack, lengths, _ = padded
+    stack, lengths = padded
     p = policy.persistence
     if max(sizes, default=0) < 2 * p:
         return None
@@ -436,25 +422,24 @@ def _screened(padded, candidates: Sequence[np.ndarray], sizes: Sequence[int],
     return keep
 
 
-def _confirmed_directions(series, candidates: Sequence[np.ndarray],
+def _confirmed_directions(padded: Tuple[np.ndarray, np.ndarray],
+                          candidates: Sequence[np.ndarray],
                           policy: ChangeDeclarationPolicy
-                          ) -> List[Optional[np.ndarray]]:
+                          ) -> List[np.ndarray]:
     """The persistence rule: :func:`_screened`, then one
-    :func:`_gating_table` over what the screen could not reject.
+    :func:`_gating_table` over what the screen could not reject, both on
+    the ``(stack, lengths)`` of finite rows the table reads.
 
-    Entry ``[i][j]`` is ``0`` where :func:`confirm_candidate` rejects
-    ``candidates[i][j]`` (window median inside the deviation band, or no
-    window: NaN compares false) and the declared direction ``+1`` /
-    ``-1`` where it confirms — the same comparison on the same floats.
-    Entry ``[i]`` is ``None`` for a series with non-finite samples: the
-    caller runs :func:`confirm_candidate` on it instead.
+    Entry ``[i][j]`` is ``0`` where the rule rejects ``candidates[i][j]``
+    (window median inside the deviation band around the baseline median,
+    or no window: NaN compares false) and the declared direction ``+1``
+    / ``-1`` where it confirms.
     """
-    padded = _padded(series)
     sizes = [c.size for c in candidates]
     keep = _screened(padded, candidates, sizes, policy)
     bounds = list(accumulate(sizes, initial=0))
     spans = list(zip(bounds, bounds[1:]))
-    meds, scales, window_meds, finite = _gating_table(
+    meds, scales, window_meds = _gating_table(
         padded, candidates if keep is None else
         [c[keep[s:e]] for c, (s, e) in zip(candidates, spans)], policy)
     deviations = window_meds - meds
@@ -464,8 +449,7 @@ def _confirmed_directions(series, candidates: Sequence[np.ndarray],
     if keep is not None:
         decided, directions = directions, np.zeros(keep.size, np.intp)
         directions[keep] = decided
-    return [directions[s:e] if ok else None
-            for (s, e), ok in zip(spans, finite.tolist())]
+    return [directions[s:e] for s, e in spans]
 
 
 def _score_and_scan(where: np.ndarray, ask, policy: ChangeDeclarationPolicy,
@@ -545,9 +529,9 @@ def declare_changes(series: Sequence[float], scores,
     position declares iff it is confirmed, armed and outside every
     earlier declaration's ``[t, t + horizon]`` — nothing to its right
     matters — so the rounds give the one-pass chain: what scoring
-    everything and confirming the armed positions one by one
-    (:func:`confirm_candidate`) gives.  A row leaves when it has no
-    positions left or, under ``first_only``, its answer; where the
+    everything and confirming the armed positions one by one (the
+    reference in ``tests/live/oracle.py``) gives.  A row leaves when it
+    has no positions left or, under ``first_only``, its answer; where the
     stretches end and the first starts (without ``first_only``: one,
     the whole row) is derived in ``docs/algorithms.md`` section 5.
 
@@ -615,8 +599,8 @@ def declare_changes(series: Sequence[float], scores,
     # cannot declare whatever their window and score say.
     horizon = max(policy.persistence - 1, lookahead)
     last = max(0, width - horizon)
-    # The padding and its finite check are per call, not per round.
-    padded = (stack, np.full(n_rows, width), np.ones(n_rows, dtype=bool))
+    # The padding is per call, not per round.
+    padded = (stack, np.full(n_rows, width))
     out: List[List[DetectedChange]] = [[] for _ in range(n_rows)]
     # Per row, the stretch ``[cursor, end)`` its next round decides: the
     # cursor is past every position tabled and every declared stretch.
@@ -672,31 +656,3 @@ def candidate_mask(scores: Sequence[float],
     s = np.asarray(scores, dtype=np.float64)
     policy = policy or ChangeDeclarationPolicy()
     return s > policy.score_threshold
-
-
-def confirm_candidate(x: np.ndarray, scores: np.ndarray, candidate: int,
-                      policy: ChangeDeclarationPolicy,
-                      lookahead: int = 0) -> Optional[DetectedChange]:
-    """Run the persistence check for a candidate armed at ``candidate``.
-
-    Confirms when the median of ``x[candidate : candidate+persistence]``
-    sits more than the deviation band away from the pre-candidate
-    baseline median, each computed with a plain ``np.median``.
-
-    This is the reference rule of :func:`declare_changes`: the gating
-    table is tested against it, and a live scan falls back to it for a
-    series carrying non-finite samples, which the table cannot encode.
-    """
-    end = candidate + policy.persistence
-    if end > x.size:
-        return None
-    baseline = max(1, candidate)
-    med, scale = median_and_mad(x[:baseline])
-    band = policy.deviation_sigmas * (MAD_TO_SIGMA * scale + 1e-9)
-
-    window_median = float(np.median(x[candidate:end]))
-    deviation = window_median - med
-    if not abs(deviation) > band:        # a NaN deviation never confirms
-        return None
-    return _declared_change(x, scores, candidate,
-                            1 if deviation > 0 else -1, policy, lookahead)

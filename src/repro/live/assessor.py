@@ -102,7 +102,7 @@ class KpiTracker:
 class ChangeSession:
     """Everything the pipeline holds for one in-flight change.
 
-    Its trackers are the rows of one deferred
+    Its trackers are the rows of one
     :class:`~repro.live.detector.IncrementalDetector`, its peer-control
     series the rows of one :class:`~repro.live.detector.RowMatrix`, and
     each subscribed KPI has a slot in the two watermark arrays, so a
@@ -122,8 +122,7 @@ class ChangeSession:
         #: the tracker of each detector row.
         self.by_row: List[KpiTracker] = []
         self.detector = IncrementalDetector(
-            (), config.funnel, score_chunk_bins=config.score_chunk_bins,
-            deferred_scoring=True)
+            (), config.funnel, score_chunk_bins=config.score_chunk_bins)
         #: peer keys per (entity_type, metric), in the offline fetch order.
         self.control_groups: Dict[ControlGroupKey, List[KpiKey]] = {}
         #: peer-control series: each key's row and each row's start time.
@@ -412,7 +411,7 @@ class LiveAssessor:
         Once per tick, after the drain and before deadline closes: one
         :meth:`~repro.live.pool.DetectorPool.score_pending` pass over the
         sessions' detectors (a done, degraded or declared row sits it
-        out) computes bitwise the scores standalone detectors would, and
+        out) computes bitwise the scores a pass over each alone would, and
         attributes every declaration in pool order.  Returns how many
         declared.
         """

@@ -131,7 +131,11 @@ def _encode_floats(obj):
 
 def decode_floats(doc, field: str, n: Optional[int] = None) -> np.ndarray:
     """A float64 copy of one array field: a list (format 1), a base64
-    string (format 2) or an ndarray, of ``n`` bins unless ``n`` is None."""
+    string (format 2) or an ndarray, of ``n`` bins unless ``n`` is None.
+
+    Every sample must be finite, as the store's own are: a NaN or inf
+    is refused here, where it enters, not by the detector pass or
+    attribution that would read it ticks later."""
     try:
         values = np.array(np.frombuffer(base64.b64decode(
             doc, validate=True), "<f8") if isinstance(doc, str) else doc,
@@ -139,6 +143,9 @@ def decode_floats(doc, field: str, n: Optional[int] = None) -> np.ndarray:
         if values.shape != (values.size if n is None else n,):
             raise ValueError("shape %s, expected (%s,)" % (
                 values.shape, "n" if n is None else n))
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError("non-finite sample at bin %d" % bad[0])
     except (TypeError, ValueError) as exc:      # binascii.Error included
         raise CheckpointError("checkpoint field %r is malformed: %s"
                               % (field, exc))

@@ -39,9 +39,13 @@ session's block of bins is one column write.  Rows are independent: a
 row of a ``k``-row detector ends bitwise where a one-row detector fed
 the same bins ends.  :meth:`~IncrementalDetector.extend` only buffers
 raw bins; :meth:`~IncrementalDetector.scan`, a pass's first reader, and
-:meth:`~IncrementalDetector.load_state` normalise what arrived.  A
-checkpoint carries one row's raw live prefix, and neither how the rows
-are held nor the scoring mode (``deferred_scoring``) is part of it.
+:meth:`~IncrementalDetector.load_state` normalise what arrived.  Every
+pass is a :func:`score_pass` — a :class:`~repro.live.pool.DetectorPool`
+tick over many detectors, or :meth:`~IncrementalDetector.flush` over one
+— and it refuses a row with a non-finite sample, which no caller feeds:
+the store and :class:`~repro.telemetry.timeseries.TimeSeries` refuse
+them, and so does a checkpoint's decoder.  A checkpoint carries one
+row's raw live prefix; how the rows are held is not part of it.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ from ..core.funnel import FunnelConfig
 from ..core.ika import IkaSST
 from ..core.robust import MAD_TO_SIGMA, median_and_mad
 from ..core.scoring import (_confirmed_directions, _declared_change,
-                            _reportable, _score_and_scan, candidate_mask,
-                            confirm_candidate)
+                            _reportable, _score_and_scan)
+from ..exceptions import ParameterError
 from ..types import DetectedChange
 
 __all__ = ["IncrementalDetector", "RowMatrix"]
@@ -149,18 +153,10 @@ class IncrementalDetector:
 
     def __init__(self, change_index=(),
                  config: Optional[FunnelConfig] = None,
-                 score_chunk_bins: int = 1,
-                 deferred_scoring: bool = False) -> None:
+                 score_chunk_bins: int = 1) -> None:
         self.config = config or FunnelConfig()
         self.scorer = IkaSST(self.config.sst)
         self.score_chunk_bins = max(1, score_chunk_bins)
-        #: When True (a live session's detector), :meth:`extend` only
-        #: buffers — a :class:`~repro.live.pool.DetectorPool` runs one
-        #: :func:`score_pass` over every row :meth:`pending_rows`
-        #: names, deadline flush included.  False is the standalone
-        #: mode: :meth:`extend` and :meth:`flush` run that very pass on
-        #: this detector alone.
-        self.deferred = bool(deferred_scoring)
         #: Samples each score consumes on either side of its position.
         self.span = self.config.sst.lead
         #: The wall-clock lag declare_changes charges the score with.
@@ -223,7 +219,7 @@ class IncrementalDetector:
 
     @property
     def declared(self) -> Optional[DetectedChange]:
-        """Row 0's declaration: a one-row (standalone) detector's."""
+        """Row 0's declaration: a one-row detector's."""
         return self.declarations[0]
 
     def length(self, row: int = 0) -> int:
@@ -291,13 +287,12 @@ class IncrementalDetector:
 
     # -- ingest ---------------------------------------------------------------
 
-    def extend(self, values, rows=None) -> Optional[DetectedChange]:
+    def extend(self, values, rows=None) -> None:
         """Buffer bins: ``values[i]`` after the samples of ``rows[i]``
         (all rows by default; a 1-D ``values`` is one row's bins).
-        Frozen rows keep their length.
-
-        Standalone, returns a declaration this call's pass made (a
-        multi-row caller reads :attr:`declarations`); deferred, None.
+        Frozen rows keep their length.  Nothing is decided here: a
+        :class:`~repro.live.pool.DetectorPool` pass or :meth:`flush`
+        does that.
         """
         if type(values) is not np.ndarray:
             values = np.asarray(values, dtype=np.float64)
@@ -308,7 +303,6 @@ class IncrementalDetector:
         rows = self._rows.append(rows, values)
         if self._waiting and rows.size:
             self._baseline_stats(rows)
-        return None if self.deferred else self._pass(flush=False)
 
     def _baseline_stats(self, rows: np.ndarray) -> None:
         """Robust stats for the ``rows`` whose baseline just completed."""
@@ -342,11 +336,10 @@ class IncrementalDetector:
         self._normed[rows] = n
 
     def flush(self) -> Optional[DetectedChange]:
-        """Decide everything decidable (deadline close)."""
-        return self._pass(flush=True)
-
-    def _pass(self, flush: bool) -> Optional[DetectedChange]:
-        rows = self.pending_rows(flush)
+        """Decide everything decidable now: one :func:`score_pass` over
+        this detector's open rows, the chunk threshold waived.  Returns
+        the declaration of the lowest row that declared, if any."""
+        rows = self.pending_rows(flush=True)
         if not rows.size:
             return None
         found = score_pass([(self, rows)])[2]
@@ -383,33 +376,25 @@ class IncrementalDetector:
         return lo, hi
 
     def apply_scores(self, scores: np.ndarray, chain: Sequence[int],
-                     directions: Optional[np.ndarray] = None, row: int = 0
+                     directions: np.ndarray, row: int = 0
                      ) -> Optional[DetectedChange]:
         """Declare on ``row`` from this pass's score row (indexed like the
         series; it is gone after the pass): ``chain`` holds the positions
-        that declare, oldest first, ``directions[t]`` their sign.  The
-        first reportable change is the one kept.
-
-        Without ``directions`` — the table refuses a row with non-finite
-        samples — ``chain`` is every armed position and
-        :func:`confirm_candidate`, the rule as written, decides each.
+        that declare, oldest first, ``directions[t]`` their sign — each
+        below :meth:`scan`'s ``hi``, so its declaration index exists.  The
+        first reportable change is the one kept; scanning resumes after
+        the last declaration's index.
         """
         x = self._rows.planes[1][row, :self._rows.length[row]]
-        policy, resume = self.config.policy, 0
         for t in chain:
-            if t < resume:
-                continue                 # inside an earlier stretch
-            declared = (
-                confirm_candidate(x, scores, t, policy, self.lookahead)
-                if directions is None else _declared_change(
-                    x, scores, t, int(directions[t]), policy, self.lookahead))
-            if declared is not None:
-                resume = declared.index + 1
-                self._scan_t[row] = max(int(self._scan_t[row]), resume)
-                if _reportable(declared, int(self.change_index[row])):
-                    self.declarations[row] = declared
-                    self._ready_at[row] = NEVER
-                    return declared
+            declared = _declared_change(x, scores, t, int(directions[t]),
+                                        self.config.policy, self.lookahead)
+            self._scan_t[row] = max(int(self._scan_t[row]),
+                                    declared.index + 1)
+            if _reportable(declared, int(self.change_index[row])):
+                self.declarations[row] = declared
+                self._ready_at[row] = NEVER
+                return declared
         return None
 
 
@@ -429,7 +414,7 @@ def score_pass(work: Sequence[Work]) -> Tuple[
     ``(work index, row, declaration)`` of every row that declared.
     """
     first = work[0][0]
-    policy, span, scorer = first.config.policy, first.span, first.scorer
+    policy, scorer = first.config.policy, first.scorer
     tabled = []          # (work index, detector, rows, lengths, positions)
     for index, (detector, rows) in enumerate(work):
         lo, hi = detector.scan(rows)
@@ -456,30 +441,17 @@ def score_pass(work: Sequence[Work]) -> Tuple[
             block[np.arange(width) >= np.array(n)[:, None]] = np.nan
         stack[at:at + len(n), :width] = block
         at += len(n)
-    finite = np.isfinite(stack).sum(axis=1) == lengths
-    found = _confirmed_directions((stack, lengths, finite), candidates,
-                                  policy)
-    # Python on short lists: a few rows' numpy reductions cost more.
-    if all(finite.tolist()) and not np.count_nonzero(np.concatenate(found)):
+    # The NaN padding cannot encode a NaN sample: every sample in a
+    # row's length must count as finite.
+    if np.count_nonzero(np.isfinite(stack)) != sum(sizes):
+        raise ParameterError("series or scores contain NaN or infinite values")
+    found = _confirmed_directions((stack, lengths), candidates, policy)
+    if not np.count_nonzero(np.concatenate(found)):
         return decided, [], []      # nothing confirms: most passes
-    fallback = [i for i, directions in enumerate(found) if directions is None]
     scored = [i for i, directions in enumerate(found)  # a position confirms
-              if directions is not None and np.count_nonzero(directions)]
+              if np.count_nonzero(directions)]
     flat = [(index, detector, row) for index, detector, rows, _, _ in tabled
             for row in rows.tolist()]
-    declared = []
-    for i in fallback:               # score all that is left, then ask
-        index, detector, row = flat[i]
-        positions = candidates[i]
-        start, n = int(positions[0]) - span, int(lengths[i])
-        scores = np.zeros(n, dtype=np.float64)
-        scores[start:] = scorer.scores(detector._rows.planes[1][row, start:n])
-        change = detector.apply_scores(scores, positions[candidate_mask(
-            scores[positions], policy)].tolist(), row=row)
-        if change is not None:
-            declared.append((index, row, change))
-    if not scored:
-        return decided, [], declared
     kernel_lengths = lengths[scored]
     kernel_stack = stack[scored, :int(kernel_lengths.max())]
     kernel_stack[np.isnan(kernel_stack)] = 0.0     # zero-padded, as ever
@@ -491,6 +463,7 @@ def score_pass(work: Sequence[Work]) -> Tuple[
         where, lambda mask: scorer.scores_batch(kernel_stack, kernel_lengths,
                                                 where=mask),
         policy, first.horizon)
+    declared = []
     for i, chain, row_scores, sign in zip(scored, chains, scores, signs):
         if chain:
             index, detector, row = flat[i]

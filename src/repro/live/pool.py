@@ -13,11 +13,12 @@ is the deadline form of the same pass.
 
 Parity: the table is bitwise the per-candidate rule and ``scores_batch``
 bitwise the per-series scorer, whatever else rides in the stack (pinned
-in ``tests/core``); a standalone detector runs this very pass on itself;
-and the scheduler invokes the pool after the tick's drain and before any
-deadline close — so a replay declares what the eager reference in
-``tests/live/oracle.py`` (score everything, confirm each armed candidate)
-declares on the same bins, and matches the offline engine.
+in ``tests/core``); :meth:`IncrementalDetector.flush` is this very pass
+over one detector; and the scheduler invokes the pool after the tick's
+drain and before any deadline close — so a replay declares what the
+eager reference in ``tests/live/oracle.py`` (score everything, confirm
+each armed candidate) declares on the same bins, and matches the
+offline engine.
 """
 
 from __future__ import annotations

@@ -299,17 +299,13 @@ class SelfAssessor:
     declaration filter.  An ``OMEGA`` smaller than the KPI default
     keeps the detection lag short (the scorer needs ``2*omega - 1``
     ticks of forward context); ``SCORE_CHUNK`` ticks are buffered and
-    fed as one block, the detector's chunk gate scoring each block once.
+    fed as one block, and one :meth:`IncrementalDetector.flush` pass
+    decides what the block made decidable.
     """
 
     BASELINE_TICKS = 60
     OMEGA = 5
     SCORE_CHUNK = 4
-    # The first pass fires when the baseline completes and the chunk
-    # gate re-arms SCORE_CHUNK columns after every pass, so a baseline
-    # of whole chunks puts every pass on a block boundary: a block feed
-    # then declares what a column-per-tick feed does, at the same tick.
-    assert BASELINE_TICKS % SCORE_CHUNK == 0
 
     def __init__(self) -> None:
         # Imported here, not at module level: repro.live imports this
@@ -320,8 +316,7 @@ class SelfAssessor:
 
         config = FunnelConfig(sst=ImprovedSSTParams(omega=self.OMEGA))
         self._detector = IncrementalDetector(
-            [self.BASELINE_TICKS] * len(DEFAULT_SELF_KPIS), config,
-            score_chunk_bins=self.SCORE_CHUNK)
+            [self.BASELINE_TICKS] * len(DEFAULT_SELF_KPIS), config)
         #: the ticks not fed yet, one list of KPI values each
         self._columns: List[List[float]] = []
         self.detections: List[dict] = []
@@ -350,10 +345,11 @@ class SelfAssessor:
 
     def _feed(self, tick: int) -> List[dict]:
         """The buffered ticks as one block over the KPIs not yet
-        declared; returns any fresh detections."""
+        declared, then one pass; returns any fresh detections."""
         rows = self._undeclared()
         if rows and self._columns:
             self._detector.extend(np.array(self._columns).T[rows], rows)
+            self._detector.flush()
         self._columns = []
         return self._found(rows, tick)
 
@@ -367,12 +363,8 @@ class SelfAssessor:
         return self._feed(tick)
 
     def finalize(self, tick: int) -> List[dict]:
-        """Feed the remainder and flush the detector (end of stream);
-        returns late finds."""
-        found = self._feed(tick)
-        rows = self._undeclared()
-        self._detector.flush()
-        return found + self._found(rows, tick)
+        """Feed the remainder (end of stream); returns late finds."""
+        return self._feed(tick)
 
 
 # -- the monitor --------------------------------------------------------------

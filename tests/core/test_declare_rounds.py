@@ -36,6 +36,7 @@ from repro.exceptions import InsufficientDataError, ParameterError
 from ..live.oracle import _confirmed, eager_changes
 from ..live.test_lazy_eager import SHAPES as COMMON_SHAPES
 from ..live.test_lazy_eager import _series as common_series
+from .test_scoring import padded
 
 CONFIG = FunnelConfig()
 #: bins from a declaring position to its declaration index (w = 9, p = 7)
@@ -191,7 +192,7 @@ class TestFixtures:
         assert declare_changes(xs[None, :], ask, CONFIG.policy, True, HORIZON,
                                since=since) == [[change]]
         confirmed = scoring._confirmed_directions(
-            [xs], [np.arange(end)], CONFIG.policy)[0] != 0
+            padded([xs]), [np.arange(end)], CONFIG.policy)[0] != 0
         assert asked[at] and not asked[end:].any()
         assert not (asked[:end] & ~confirmed).any()
 
@@ -502,7 +503,7 @@ class TestWorkBound:
             [[list(range(self.WIDTH - HORIZON))] * self.ROWS]
         (confirmed, after), = calls
         assert after == 1                         # table first, once
-        found = scoring._confirmed_directions(list(normalised), tabled[0],
+        found = scoring._confirmed_directions(padded(normalised), tabled[0],
                                               ChangeDeclarationPolicy())
         assert confirmed[:, :self.WIDTH - HORIZON].tolist() == \
             [(row != 0).tolist() for row in found]

@@ -11,10 +11,21 @@ from repro.core import scoring
 from repro.core.robust import median_and_mad
 from repro.core.scoring import (ChangeDeclarationPolicy, PERSISTENCE_MINUTES,
                                 candidate_mask, classify_change,
-                                confirm_candidate, declare_changes,
-                                estimate_change_start,
+                                declare_changes, estimate_change_start,
                                 robust_normalise, robust_normalise_batch)
 from repro.exceptions import InsufficientDataError, ParameterError
+
+from ..live.oracle import confirm_candidate
+
+
+def padded(series):
+    """The ``(stack, lengths)`` the gating table reads: the 1-D
+    ``series`` as rows of one stack, NaN past each one's length."""
+    lengths = np.array([len(x) for x in series], dtype=np.intp)
+    stack = np.full((lengths.size, int(lengths.max(initial=0))), np.nan)
+    for row, x in enumerate(series):
+        stack[row, :lengths[row]] = x
+    return stack, lengths
 
 
 class TestRobustNormalise:
@@ -219,9 +230,8 @@ class TestGatingTable:
         candidates[0] = np.append(0, candidates[0])
         policy = ChangeDeclarationPolicy(persistence=persistence)
         with mock.patch.object(scoring, "_TABLE_BLOCK_CELLS", block_cells):
-            meds, scales, window_meds, finite = scoring._gating_table(
-                series, candidates, policy)
-        assert finite.all()
+            meds, scales, window_meds = scoring._gating_table(
+                padded(series), candidates, policy)
         pairs = [(x, c) for x, row in zip(series, candidates) for c in row]
         assert len(pairs) == meds.size == scales.size == window_meds.size
         for j, (x, c) in enumerate(pairs):
@@ -236,33 +246,19 @@ class TestGatingTable:
         candidates = np.array([0, 3, 40, 77])
         policy = ChangeDeclarationPolicy()
         for single, stacked in zip(
-                scoring._gating_table([x], [candidates], policy)[:3],
-                scoring._gating_table([other, x, other],
+                scoring._gating_table(padded([x]), [candidates], policy),
+                scoring._gating_table(padded([other, x, other]),
                                       [np.array([5]), candidates,
                                        np.empty(0, np.intp)], policy)):
             np.testing.assert_array_equal(single, stacked[1:])
 
-    def test_non_finite_rows_are_flagged_not_tabled(self, rng):
-        """NaN padding cannot encode a NaN sample: the row is reported
-        and its directions withheld, the other rows are unaffected."""
-        clean, dirty = rng.normal(size=40), rng.normal(size=50)
-        dirty[45] = np.inf
-        candidates = [np.array([20, 30]), np.array([10])]
-        policy = ChangeDeclarationPolicy()
-        assert scoring._gating_table([clean, dirty], candidates,
-                                     policy)[3].tolist() == [True, False]
-        both = scoring._confirmed_directions([clean, dirty], candidates,
-                                             policy)
-        assert both[1] is None
-        np.testing.assert_array_equal(both[0], scoring._confirmed_directions(
-            [clean], candidates[:1], policy)[0])
-
     def test_no_candidates(self):
-        table = scoring._gating_table([np.zeros(20)], [np.empty(0, np.intp)],
+        table = scoring._gating_table(padded([np.zeros(20)]),
+                                      [np.empty(0, np.intp)],
                                       ChangeDeclarationPolicy())
-        assert [part.size for part in table] == [0, 0, 0, 1]
+        assert [part.size for part in table] == [0, 0, 0]
         assert [row.tolist() for row in scoring._confirmed_directions(
-            [np.zeros(20)], [np.empty(0, np.intp)],
+            padded([np.zeros(20)]), [np.empty(0, np.intp)],
             ChangeDeclarationPolicy())] == [[]]
 
 
@@ -328,7 +324,8 @@ class TestScreen:
     def test_directions_equal_the_rule_position_by_position(self, case):
         policy, rows, candidates = case
         with np.errstate(all="ignore"):
-            found = scoring._confirmed_directions(rows, candidates, policy)
+            found = scoring._confirmed_directions(padded(rows), candidates,
+                                                  policy)
             for x, positions, directions in zip(rows, candidates, found):
                 expected = []
                 for c in positions.tolist():
@@ -353,7 +350,7 @@ class TestScreen:
                      for c in positions.tolist())]
         assert expected[5] != 0
         assert scoring._confirmed_directions(
-            [x], [positions], policy)[0].tolist() == expected
+            padded([x]), [positions], policy)[0].tolist() == expected
 
     def test_a_quiet_row_is_mostly_screened(self, rng):
         """And what is screened out never reaches the table."""
@@ -361,7 +358,7 @@ class TestScreen:
         with mock.patch.object(scoring, "_gating_table",
                                wraps=scoring._gating_table) as table:
             found = scoring._confirmed_directions(
-                [x], [np.arange(224)], ChangeDeclarationPolicy())
+                padded([x]), [np.arange(224)], ChangeDeclarationPolicy())
         tabled, = table.call_args.args[1]
         assert tabled.size < 224 // 5
         assert not found[0][np.setdiff1d(np.arange(224), tabled)].any()
@@ -375,7 +372,7 @@ class TestScreen:
         positions = np.arange(20, 20 + size)
         with mock.patch.object(scoring, "_gating_table",
                                wraps=scoring._gating_table) as table:
-            scoring._confirmed_directions([x], [positions],
+            scoring._confirmed_directions(padded([x]), [positions],
                                           ChangeDeclarationPolicy())
         np.testing.assert_array_equal(table.call_args.args[1][0], positions)
 
@@ -417,7 +414,7 @@ class TestDeclareFromTable:
             assert [confirm_candidate(x, np.ones(40), c, policy)
                     for c in positions] == [None] * positions.size
             assert not scoring._confirmed_directions(
-                [x], [positions], policy)[0].any()
+                padded([x]), [positions], policy)[0].any()
 
     def test_stack_rows_equal_single_rows(self):
         """One table for the stack — rows without any armed candidate in

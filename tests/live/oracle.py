@@ -5,28 +5,60 @@ decides persistence everywhere, the kernel scores only where it
 confirms, nothing is stored between passes.  What must come out is
 defined here without any of that, and without sharing a line of it:
 score **every** position of the received prefix with
-:meth:`repro.core.ika.IkaSST.scores`, then run
-:func:`repro.core.scoring.confirm_candidate` on each armed candidate,
-oldest first — whole :class:`~repro.types.DetectedChange` s, ``score``
-(the armed candidate's own) included; live only ``kind`` may differ from
-offline.  :func:`eager_changes` is the offline form,
+:meth:`repro.core.ika.IkaSST.scores`, then run :func:`confirm_candidate`
+(the persistence rule as written, plain ``np.median`` calls) on each
+armed candidate, oldest first — whole
+:class:`~repro.types.DetectedChange` s, ``score`` (the armed candidate's
+own) included; live only ``kind`` may differ from offline.  :func:`eager_changes` is the offline form,
 :class:`EagerDetector` the live one (a pass on the ticks the service
 makes one: same chunk threshold, same deadline flush), and
 :func:`standalone_verdict_documents` the verdict documents a fault-free
 replay must publish, with :meth:`repro.core.funnel.Funnel.attribute` run
-on each declaration.
+on each declaration.  :func:`alone` is the other side of the live
+comparisons: the pass a service tick makes, over one detector.
 """
 
 import numpy as np
 
 from repro.core.funnel import Funnel, FunnelConfig
 from repro.core.ika import IkaSST
-from repro.core.scoring import confirm_candidate, robust_normalise
+from repro.core.robust import MAD_TO_SIGMA, median_and_mad
+from repro.core.scoring import _declared_change, robust_normalise
 from repro.engine.fleet import SyntheticFleetSource
 from repro.engine.planner import ENTITY_METRICS
-from repro.live import LiveVerdict, parity_live_config
+from repro.live import DetectorPool, LiveVerdict, parity_live_config
 from repro.telemetry.timeseries import MINUTE
 from repro.topology.impact import identify_impact_set
+
+
+def confirm_candidate(x, scores, candidate, policy, lookahead=0):
+    """Run the persistence check for a candidate armed at ``candidate``.
+
+    Confirms when the median of ``x[candidate : candidate+persistence]``
+    sits more than the deviation band away from the pre-candidate
+    baseline median, each computed with a plain ``np.median``: the rule
+    ``src/``'s gating table is tested against.
+    """
+    end = candidate + policy.persistence
+    if end > x.size:
+        return None
+    med, scale = median_and_mad(x[:max(1, candidate)])
+    band = policy.deviation_sigmas * (MAD_TO_SIGMA * scale + 1e-9)
+    deviation = float(np.median(x[candidate:end])) - med
+    if not abs(deviation) > band:        # a NaN deviation never confirms
+        return None
+    return _declared_change(x, scores, candidate,
+                            1 if deviation > 0 else -1, policy, lookahead)
+
+
+def alone(detector, values=None, rows=None):
+    """``detector.extend(values, rows)`` (unless ``values`` is None), then
+    the pass a service tick makes over this one detector: returns the
+    declaration of the lowest row that declared in it, if any."""
+    if values is not None:
+        detector.extend(values, rows)
+    found = DetectorPool().score_pending([detector])
+    return found[0][2] if found else None
 
 
 def _confirmed(x, scores, config, cursor=0, last=None):

@@ -30,7 +30,7 @@ from repro.telemetry.kpi import KpiKey
 from repro.telemetry.timeseries import MINUTE
 from repro.types import ChangeKind
 
-from .oracle import detector_state
+from .oracle import alone, detector_state
 from .test_golden_digest import CLEAN_SHA
 from .test_golden_digest import SPEC as GOLDEN_SPEC
 from .test_golden_digest import verdicts_sha
@@ -281,7 +281,9 @@ class TestMalformedArrays:
     with a :class:`CheckpointError` naming the field — never a bare
     ``binascii.Error`` or ``ValueError`` from inside numpy.  Only the
     detector stores a bin count ``n`` to hold its column to; a control
-    buffer or queued fragment column must be 1-D."""
+    buffer or queued fragment column must be 1-D.  A well-formed column
+    holding a NaN or inf is refused there too, where it enters, so no
+    detector pass, DiD panel or queued fragment's series ever sees it."""
 
     SITES = {
         "detector": (lambda session: session["trackers"][0]["detector"],
@@ -294,7 +296,7 @@ class TestMalformedArrays:
 
     @pytest.mark.parametrize("site", sorted(SITES))
     @pytest.mark.parametrize("damage", ["invalid-base64", "ragged-bytes",
-                                        "wrong-shape"])
+                                        "wrong-shape", "nan", "inf"])
     def test_damaged_column_raises_checkpoint_error(self, tmp_path, site,
                                                     damage):
         records = [json.loads(line) for line in
@@ -305,6 +307,9 @@ class TestMalformedArrays:
             bad = "not base64!"
         elif damage == "ragged-bytes":
             bad = _b64(8 * 3 + 4)
+        elif damage in ("nan", "inf"):
+            bad = np.frombuffer(base64.b64decode(holder[field]), "<f8").copy()
+            bad[bad.size // 2] = float(damage)
         elif site == "detector":
             bad = _b64(8 * (holder["n"] + 1))
         else:
@@ -476,7 +481,7 @@ class TestPooledScoringResume:
         """The scoring mode is not part of the wire format.  PRs 13-17
         wrote ``"deferred": true`` into every detector record, PR <= 12
         trackers (which scored inside ``extend``) ``false``, older files
-        and this build no key at all: each resumes as a deferred tracker
+        and this build no key at all: each resumes as a session's tracker
         whose scan cursor and score frontier are where the pool picks
         up, and publishes the uninterrupted run's bytes in order."""
         baseline = replay_scenario(SPEC)
@@ -502,8 +507,8 @@ class TestPooledScoringResume:
         assert resumed.parity_ok is True
 
     def test_pre_pool_checkpoint_state_still_loads(self):
-        """The mode is the constructor's: a state with the ``deferred``
-        key PRs 13-17 wrote loads, the key is ignored, and the restored
+        """There is one scoring mode: a state with the ``deferred`` key
+        PRs 13-17 wrote loads, the key is ignored, and the restored
         detector continues bit-identically."""
         import numpy as np
         from repro.live import IncrementalDetector
@@ -511,14 +516,11 @@ class TestPooledScoringResume:
         x = 10.0 + rng.normal(0, 0.5, size=200)
         x[120:] += 5.0
         original = IncrementalDetector(120)
-        original.extend(x[:150])
+        alone(original, x[:150])
         state = original.state_dict()
         assert "deferred" not in state
         state["deferred"] = True       # as a PR 13-17 file carries it
         restored = IncrementalDetector(120)
         restored.load_state(state)
-        assert restored.deferred is False
-        a = original.extend(x[150:])
-        b = restored.extend(x[150:])
-        assert a == b
+        assert alone(original, x[150:]) == alone(restored, x[150:])
         assert detector_state(original) == detector_state(restored)

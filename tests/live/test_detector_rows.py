@@ -1,22 +1,21 @@
 """Row ``r`` of a ``k``-row detector is a one-row detector fed the same bins.
 
-A live session holds its trackers as the rows of one deferred
+A live session holds its trackers as the rows of one
 :class:`~repro.live.detector.IncrementalDetector`: a drained block is
 one column write, a pass covers every pending row.  A hypothesis state
 machine drives one such detector (scored by a
 :class:`~repro.live.pool.DetectorPool`, as the service scores it) and
-``k`` standalone one-row twins with the same steps — blocks of 1-12
-bins over every row, single-row deliveries of other widths (ragged
-lengths), rows turning done or degraded at random ticks (frozen: a
-block still names them and must not reach them), deadline flushes,
-``state_dict`` / ``load_state`` round trips, and a non-finite sample
-written into a row's decided past so its passes take the
-:func:`~repro.core.scoring.confirm_candidate` fallback — and after every
-step requires, row by row, the twin's ``state_dict`` (bins, stats,
-chunk gate and scan cursor), declaration and length, and that a pass
-tables the twins' normalised prefixes byte for byte and declares exactly
-what the twins' own passes declared (or refuses the non-finite sample
-exactly when a twin's reference rule does).
+``k`` one-row twins, each scored by a pass of its own, with the same
+steps — blocks of 1-12 bins over every row, single-row deliveries of
+other widths (ragged lengths), rows turning done or degraded at random
+ticks (frozen: a block still names them and must not reach them),
+deadline flushes, ``state_dict`` / ``load_state`` round trips, and
+snapshots carrying a non-finite sample, which ``load_state`` refuses
+without touching the row — and after every step requires, row by row,
+the twin's ``state_dict`` (bins, stats, chunk gate and scan cursor),
+declaration and length, and that a pass tables the twins' normalised
+prefixes byte for byte and declares exactly what the twins' own passes
+declared.
 """
 
 from contextlib import contextmanager
@@ -27,16 +26,16 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
-                                 invariant, precondition, rule)
+                                 invariant, rule)
 
 import repro.live.detector as detector_module
 from repro.core.funnel import FunnelConfig
 from repro.core.rsst import ImprovedSSTParams
 from repro.core.scoring import ChangeDeclarationPolicy
-from repro.exceptions import ParameterError
+from repro.exceptions import CheckpointError
 from repro.live import DetectorPool, IncrementalDetector
 
-from .oracle import detector_state
+from .oracle import alone, detector_state
 
 CONFIGS = (
     FunnelConfig(sst=ImprovedSSTParams(omega=3),
@@ -53,7 +52,7 @@ def tabled_prefixes(reads):
     table = detector_module._confirmed_directions
 
     def recorded(series, candidates, policy):
-        stack, lengths, _ = series
+        stack, lengths = series
         reads.extend(row[:n].tobytes() for row, n in zip(stack, lengths))
         return table(series, candidates, policy)
 
@@ -81,13 +80,11 @@ class RowsMachine(RuleBasedStateMachine):
             self.series.append(x)
         self.config, self.chunk = config, chunk
         self.matrix = IncrementalDetector(self.indices, config,
-                                          score_chunk_bins=chunk,
-                                          deferred_scoring=True)
+                                          score_chunk_bins=chunk)
         self.twins = [IncrementalDetector(change_index, config,
                                           score_chunk_bins=chunk)
                       for change_index in self.indices]
         self.frozen = [False] * k
-        self.refused = False
         self.pool = DetectorPool()
         # Admission backfills each row up to around its change, or every
         # row to one length (a session's trackers, then in lockstep).
@@ -101,27 +98,15 @@ class RowsMachine(RuleBasedStateMachine):
 
     def _score(self, passes, flush=False):
         """Run each twin's own pass, then one pool pass over the matrix:
-        it declares what they declared — or, when a twin's reference
-        rule refused a non-finite sample an armed candidate needed, it
-        refuses too, and the run ends there (a refused pass is fatal to
-        the service)."""
-        expected, refused, reads = {}, False, []
+        it declares what they declared."""
+        expected, reads = {}, []
         with tabled_prefixes(reads):
             for row, run in passes:
-                try:
-                    declared = run()
-                except ParameterError:
-                    refused = True
-                    continue
+                declared = run()
                 if declared is not None:
                     expected[row] = declared
         twin_reads, reads[:] = list(reads), []
         with tabled_prefixes(reads):
-            if refused:
-                with pytest.raises(ParameterError):
-                    self.pool.score_pending([self.matrix], flush=flush)
-                self.refused = True
-                return
             found = self.pool.score_pending([self.matrix], flush=flush)
         assert len(found) == len(expected)
         assert {row: change for _, row, change in found} == expected
@@ -129,7 +114,6 @@ class RowsMachine(RuleBasedStateMachine):
         # twin's normalised prefix, byte for byte.
         assert reads == twin_reads
 
-    @precondition(lambda self: not self.refused)
     @rule(width=st.integers(1, 12))
     def block(self, width):
         """One drained block: every row named, frozen ones included."""
@@ -139,11 +123,10 @@ class RowsMachine(RuleBasedStateMachine):
         block = np.vstack([self._next(row, width)
                            for row in range(len(self.twins))])
         assert self.matrix.extend(block) is None
-        self._score([(row, partial(twin.extend, block[row]))
+        self._score([(row, partial(alone, twin, block[row]))
                      for row, twin in enumerate(self.twins)
                      if not self.frozen[row]])
 
-    @precondition(lambda self: not self.refused)
     @rule(data=st.data(), width=st.integers(1, 40))
     def one_row(self, data, width):
         """A healed single-key delivery: the rows' lengths go ragged."""
@@ -154,55 +137,47 @@ class RowsMachine(RuleBasedStateMachine):
         bins = self._next(row, width)
         self.matrix.extend(bins, [row])
         self._score([] if self.frozen[row] else
-                    [(row, partial(self.twins[row].extend, bins))])
+                    [(row, partial(alone, self.twins[row], bins))])
 
     @rule(data=st.data())
     def freeze(self, data):
-        """The row's KPI is done or degraded (the one step left to a
-        refused run)."""
+        """The row's KPI is done or degraded."""
         row = data.draw(st.integers(0, len(self.twins) - 1))
         self.matrix.freeze(row)
         self.frozen[row] = True
 
-    @precondition(lambda self: not self.refused)
     @rule()
     def flush(self):
         self._score([(row, twin.flush) for row, twin in enumerate(self.twins)
                      if not self.frozen[row] and twin.declared is None],
                     flush=True)
 
-    @precondition(lambda self: not self.refused)
     @rule()
     def round_trip(self):
         restored = IncrementalDetector(self.indices, self.config,
-                                       score_chunk_bins=self.chunk,
-                                       deferred_scoring=True)
+                                       score_chunk_bins=self.chunk)
         for row, frozen in enumerate(self.frozen):
             restored.load_state(self.matrix.state_dict(row), row)
             if frozen:
                 restored.freeze(row)
         self.matrix = restored
 
-    def _poisonable(self):
-        return [row for row, twin in enumerate(self.twins)
-                if twin.declared is None and not self.frozen[row]
-                and twin.state_dict()["scan_t"] - twin.span > 1]
-
-    @precondition(lambda self: not self.refused and self._poisonable())
-    @rule(data=st.data())
-    def poison(self, data):
-        """A NaN in the decided past (a checkpoint carried it): the table
-        refuses the row and the reference rule decides it."""
-        row = data.draw(st.sampled_from(self._poisonable()))
+    @rule(data=st.data(), poison=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def poison(self, data, poison):
+        """A snapshot carrying a non-finite sample (a corrupt checkpoint)
+        is refused at the boundary: the row keeps its state."""
+        row = data.draw(st.integers(0, len(self.twins) - 1))
         state = self.twins[row].state_dict()
-        state["values"][data.draw(st.integers(
-            0, state["scan_t"] - self.twins[row].span - 1))] = np.nan
-        self.twins[row].load_state(state)
-        self.matrix.load_state(state, row)
+        if not state["n"]:
+            return
+        state["values"][data.draw(st.integers(0, state["n"] - 1))] = poison
+        for detector, at in ((self.twins[row], 0), (self.matrix, row)):
+            with pytest.raises(CheckpointError, match="'values'"):
+                detector.load_state(state, at)
 
     @invariant()
     def rows_are_their_twins(self):
-        if not hasattr(self, "matrix") or self.refused:
+        if not hasattr(self, "matrix"):
             return
         for row, twin in enumerate(self.twins):
             assert detector_state(self.matrix, row) == detector_state(twin)

@@ -13,7 +13,8 @@ from repro.exceptions import CheckpointError
 from repro.live import DetectorPool
 from repro.live.detector import IncrementalDetector
 
-from .oracle import detector_state
+from ..core.test_scoring import padded
+from .oracle import alone, detector_state
 
 
 def offline_first_declaration(series, change_index, config=None):
@@ -23,7 +24,8 @@ def offline_first_declaration(series, change_index, config=None):
 
 def stream(series, change_index, chunk_schedule, config=None,
            score_chunk_bins=1):
-    """Feed ``series`` in pieces; returns (detector, declaration)."""
+    """Feed ``series`` in pieces, a pass after each; returns (detector,
+    declaration)."""
     detector = IncrementalDetector(change_index, config,
                                    score_chunk_bins=score_chunk_bins)
     declared = None
@@ -32,7 +34,7 @@ def stream(series, change_index, chunk_schedule, config=None,
         piece = series[position:position + size]
         if piece.size == 0:
             break
-        result = detector.extend(piece)
+        result = alone(detector, piece)
         if declared is None:
             declared = result
         position += size
@@ -43,12 +45,12 @@ def stream(series, change_index, chunk_schedule, config=None,
 
 def pass_reads(monkeypatch):
     """Record the bytes of every normalised prefix a pass tables (a pass
-    hands the table its NaN-padded ``(stack, lengths, finite)``)."""
+    hands the table its NaN-padded ``(stack, lengths)``)."""
     import repro.live.detector as module
     reads, table = [], module._confirmed_directions
 
     def recorded(series, candidates, policy):
-        stack, lengths, _ = series
+        stack, lengths = series
         reads.extend(row[:n].tobytes() for row, n in zip(stack, lengths))
         return table(series, candidates, policy)
 
@@ -136,7 +138,8 @@ class TestScores:
         normalised = robust_normalise(x, baseline=80)
         offline_scores = Funnel(config).scorer.scores(normalised)
         confirmed = _confirmed_directions(
-            [normalised], [np.arange(x.size - 16)], config.policy)[0] != 0
+            padded([normalised]), [np.arange(x.size - 16)],
+            config.policy)[0] != 0
         asked = []
         original = IkaSST.scores_batch
 
@@ -195,7 +198,7 @@ class TestFlush:
         detector = IncrementalDetector(80, score_chunk_bins=64)
         declared = None
         for value in x:
-            declared = declared or detector.extend(np.array([value]))
+            declared = declared or alone(detector, np.array([value]))
         if declared is None:
             declared = detector.flush()
         offline = offline_first_declaration(x, 80)
@@ -213,7 +216,7 @@ class TestFlush:
         detector = IncrementalDetector(80)
         declarations = []
         for value in x:
-            result = detector.extend(np.array([value]))
+            result = alone(detector, np.array([value]))
             if result is not None:
                 declarations.append(result)
         assert len(declarations) == 1
@@ -233,7 +236,7 @@ class TestStorage:
         detector = IncrementalDetector(80, score_chunk_bins=50)
         declared, unscored = None, []
         for n in (100, 130, 250, 260, 400):
-            result = detector.extend(x[detector.length():n])
+            result = alone(detector, x[detector.length():n])
             declared = declared or result
             unscored.append(n - detector.span + 1
                             - detector.state_dict()["next_score_t"])
@@ -275,7 +278,7 @@ class TestStorage:
         x[100:] += 5.0
         reads = pass_reads(monkeypatch)
         donor = IncrementalDetector(100)
-        donor.extend(x[:110])
+        alone(donor, x[:110])
         read_at_110 = reads[-1]
         state = donor.state_dict()
         assert "scores" not in state and "norm" not in state
@@ -285,9 +288,9 @@ class TestStorage:
         state["norm"] = [float("nan")] * 3
         restored = IncrementalDetector(100)
         restored.load_state(state)
-        declared = restored.extend(x[110:])
+        declared = alone(restored, x[110:])
         assert reads[-1][:len(read_at_110)] == read_at_110
-        assert declared == donor.extend(x[110:]) is not None
+        assert declared == alone(donor, x[110:]) is not None
         assert reads[-1] == reads[-2]
         assert detector_state(restored) == detector_state(donor)
 
@@ -302,8 +305,7 @@ class TestLazyNormalisation:
             self, rng, monkeypatch):
         # A flat baseline (MAD 0) makes the scale 1e-9: normalising
         # 1e300 overflows, so any arithmetic on the buffered bins shows.
-        detector = IncrementalDetector(60, score_chunk_bins=12,
-                                       deferred_scoring=True)
+        detector = IncrementalDetector(60, score_chunk_bins=12)
         detector.extend(np.full(100, 10.0))
         with np.errstate(over="raise"):
             for _ in range(20):
@@ -313,8 +315,7 @@ class TestLazyNormalisation:
         # Ordinary bins: what the pass reads is the offline transform.
         reads = pass_reads(monkeypatch)
         x = 10.0 + rng.normal(0, 0.5, size=120)
-        detector = IncrementalDetector(60, score_chunk_bins=12,
-                                       deferred_scoring=True)
+        detector = IncrementalDetector(60, score_chunk_bins=12)
         detector.extend(x[:100])
         for value in x[100:]:
             assert detector.extend(np.array([value])) is None
@@ -343,7 +344,7 @@ class TestLazyNormalisation:
                                                    score_chunk_bins=chunk)
                     restored.load_state(detector.state_dict())
                     detector = restored
-                detector.extend(x[n:n + size])
+                alone(detector, x[n:n + size])
             detector.flush()
             assert detector.length() == x.size and detector.declared is None
             assert reads and all(offline.startswith(r) for r in reads)

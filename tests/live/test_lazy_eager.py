@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 from repro.core.funnel import Funnel, FunnelConfig
 from repro.core.ika import IkaSST
 from repro.core.rsst import ImprovedSSTParams
-from repro.core.scoring import (ChangeDeclarationPolicy, confirm_candidate,
-                                robust_normalise)
+from repro.core.scoring import ChangeDeclarationPolicy, robust_normalise
 from repro.exceptions import InsufficientDataError, ParameterError
 from repro.live import DetectorPool, IncrementalDetector
 from repro.live.pool import GATED_CANDIDATES_METRIC, SCORED_WINDOWS_METRIC
 from repro.obs.metrics import MetricsRegistry
 
-from .oracle import EagerDetector, _confirmed, eager_changes
+from .oracle import (EagerDetector, _confirmed, confirm_candidate,
+                     eager_changes)
 
 SHAPES = ("quiet", "step", "ramp", "spike", "two", "pre-shift")
 
@@ -71,7 +71,7 @@ def cases(draw):
     stack = np.vstack([
         _series(rng, n, ci, SHAPES[int(rng.integers(len(SHAPES)))]
                 if flaw != "short" else "quiet") for ci in indices])
-    if flaw == "nan":                     # arrives once every row passes
+    if flaw == "nan":   # arrives once every row passes; refused by both
         stack[int(rng.integers(height)), int(rng.integers(100, n))] = np.nan
     pieces, fed = [], 0
     first = max(indices) if flaw != "short" else n
@@ -105,26 +105,22 @@ def test_lazy_equals_eager(case):
         assert lazy == [changes for _, changes in eager]
     else:
         assert failed in [error for error, _ in eager]
-    # Live: a pool over two deferred detectors holding the rows between
-    # them, as sessions do (a standalone one-row detector when the stack
-    # is a single row), against one eager detector per row, call by
-    # call, the deadline flush being the last.
+    # Live: a pool over two detectors holding the rows between them, as
+    # sessions do (one one-row detector when the stack is a single row),
+    # against one eager detector per row, call by call, the deadline
+    # flush being the last.  A NaN sample fails the first pass its row
+    # takes part in, as it fails the reference's scorer.
     pool = DetectorPool()
     half = len(indices) // 2
     parts = [range(len(indices))] if not half else \
         [range(half), range(half, len(indices))]
     detectors = [IncrementalDetector([indices[i] for i in part], config,
-                                     score_chunk_bins=chunk,
-                                     deferred_scoring=len(indices) > 1)
+                                     score_chunk_bins=chunk)
                  for part in parts]
     references = [EagerDetector(ci, config, score_chunk_bins=chunk)
                   for ci in indices]
     for step, (lo, hi) in enumerate(pieces + [(None, None)]):
         def lazily():
-            if len(indices) == 1:
-                found = (detectors[0].flush() if lo is None
-                         else detectors[0].extend(stack[0, lo:hi]))
-                return {} if found is None else {0: found}
             for detector, part in zip(detectors, parts):
                 rows = [row for row, declared in
                         enumerate(detector.declarations) if declared is None]
@@ -250,8 +246,7 @@ class TestKernelWork:
                                 for row in stack])
         registry = MetricsRegistry()
         pool = DetectorPool(registry)
-        detectors = [IncrementalDetector(self.CHANGE, config,
-                                         deferred_scoring=True)
+        detectors = [IncrementalDetector(self.CHANGE, config)
                      for _ in stack]
         references = [EagerDetector(self.CHANGE, config) for _ in stack]
         decided_to = [0] * len(stack)

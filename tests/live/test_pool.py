@@ -14,7 +14,7 @@ from repro.live.pool import (GATED_CANDIDATES_METRIC, GATING_TABLES_METRIC,
                              SCORED_WINDOWS_METRIC)
 from repro.obs.metrics import MetricsRegistry
 
-from .oracle import detector_state
+from .oracle import alone, detector_state
 
 
 def _detector(seed, n=150, change_index=80, step=0.0):
@@ -22,7 +22,7 @@ def _detector(seed, n=150, change_index=80, step=0.0):
     x = 10.0 + rng.normal(0, 0.5, size=n)
     if step:
         x[change_index:] += step
-    detector = IncrementalDetector(change_index, deferred_scoring=True)
+    detector = IncrementalDetector(change_index)
     detector.extend(x)
     return detector, x
 
@@ -56,9 +56,9 @@ def _kernel_calls(monkeypatch):
 class TestOneTablePerPass:
     """The pass decides every pending row from one table; what it
     declares, in which order, and where it leaves each row is pinned
-    against standalone detectors — the same pass, one detector at a time
-    — fed the same bins.  (That the pass itself is right is the eager
-    reference's business: ``test_lazy_eager.py``.)"""
+    against standalone detectors — the same pass over each detector
+    alone — fed the same bins.  (That the pass itself is right is the
+    eager reference's business: ``test_lazy_eager.py``.)"""
 
     #: (change_index, admitted at pass, backfilled bins, series)
     SPECS = [
@@ -74,10 +74,10 @@ class TestOneTablePerPass:
     ]
 
     def test_declares_what_standalone_detectors_declare_in_order(self):
-        """The pooled side is one deferred detector whose rows join as
-        their KPIs are admitted, like a session's trackers."""
+        """The pooled side is one detector whose rows join as their KPIs
+        are admitted, like a session's trackers."""
         pool = DetectorPool()
-        pooled = IncrementalDetector(deferred_scoring=True)
+        pooled = IncrementalDetector()
         rows, solo, fed = {}, {}, {}
         passes = []
         for tick in range(45):
@@ -93,7 +93,7 @@ class TestOneTablePerPass:
                 bins = x[fed[i]:fed[i] + (1 if fed[i] else backfill)]
                 fed[i] += bins.size
                 assert pooled.extend(bins, rows[i]) is None
-                if solo[i].extend(bins) is not None:
+                if alone(solo[i], bins) is not None:
                     fresh.append(i)
             declared = pool.score_pending([pooled])
             assert sorted(row for _, row, _ in declared) == fresh
@@ -118,8 +118,7 @@ class TestOneTablePerPass:
         pool = DetectorPool(registry)
         detectors, positions = [], 0
         for change_index, _, backfill, x in self.SPECS[:5]:
-            detector = IncrementalDetector(change_index,
-                                           deferred_scoring=True)
+            detector = IncrementalDetector(change_index)
             detector.extend(x[:backfill])
             detectors.append(detector)
             # Decidable: scoreable (from bin 17) and the declaration
@@ -134,45 +133,24 @@ class TestOneTablePerPass:
         assert _counter(registry, SCORED_WINDOWS_METRIC) == windows
         assert 0 < windows < positions / 2
 
-    def test_nan_carrying_row_is_left_out_of_the_table(self):
-        """A checkpoint whose prefix carries a NaN (so its normalised
-        prefix does too): the table's NaN-padded sorts would silently
-        mis-rank it, so the row is decided by the reference rule — which
-        refuses the samples, exactly as it does for the standalone
-        detector."""
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_a_non_finite_row_fails_the_pass(self, poison):
+        """No caller feeds one (the store, ``TimeSeries`` and a
+        checkpoint's decoder refuse non-finite samples) and the table's
+        NaN padding cannot encode one: a pass that tables it is refused
+        whole, and so is the same row's own flush."""
         x = _series(8, 140, [(80, 5.0)])
-        donor = IncrementalDetector(80)
-        donor.extend(x[:90])
-        state = donor.state_dict()
-        state["values"][3] = float("nan")
-        twin = IncrementalDetector(80)
-        twin.load_state(state)
-        with pytest.raises(ParameterError):
-            twin.extend(x[90:100])
-
-        dirty = IncrementalDetector(80, deferred_scoring=True)
-        dirty.load_state(state)
-        dirty.extend(x[90:100])
-        clean = IncrementalDetector(80, deferred_scoring=True)
-        clean.extend(_series(9, 140, [(80, 5.0)])[:100])
-        with pytest.raises(ParameterError):
-            DetectorPool().score_pending([clean, dirty])
-        # While nothing arms on it, the refused row rides along quietly
-        # and the rows beside it declare as they would without it.
-        quiet = IncrementalDetector(80, deferred_scoring=True)
-        # The baseline median everywhere but one NaN normalises to
-        # [nan, 0.0, 0.0, ...].
-        median = donor.state_dict()["stats"][0]
-        state = dict(donor.state_dict(),
-                     values=[float("nan")] + [median] * 89)
-        quiet.load_state(state)
-        quiet.extend(np.full(10, median))                # normalises to 0.0
-        clean = IncrementalDetector(80, deferred_scoring=True)
-        clean.extend(_series(9, 140, [(80, 5.0)])[:100])
-        assert [i for i, _, _ in DetectorPool().score_pending(
-            [quiet, clean])] == [1]
-        assert quiet.declared is None
-        assert quiet.state_dict()["scan_t"] == 100 - 16
+        x[95] = poison
+        clean = _series(9, 140, [(80, 5.0)])
+        for rows, run in (
+                ([clean, x], lambda d: DetectorPool().score_pending(d)),
+                ([x], lambda d: DetectorPool().score_pending(d)),
+                ([x], lambda d: d[0].flush())):
+            detectors = [IncrementalDetector(80) for _ in rows]
+            for detector, row in zip(detectors, rows):
+                detector.extend(row[:100])
+            with pytest.raises(ParameterError, match="NaN or infinite"):
+                run(detectors)
 
 
 class TestDetectorPool:
@@ -183,7 +161,7 @@ class TestDetectorPool:
         declared = pool.score_pending([d for d, _ in pooled])
         for detector, x in pooled:
             solo = IncrementalDetector(detector.change_index)
-            solo.extend(x)
+            alone(solo, x)
             assert detector_state(detector) == detector_state(solo)
         assert {i: declaration for i, _, declaration in declared} == \
             {i: detector.declared for i, (detector, _) in enumerate(pooled)
@@ -205,27 +183,27 @@ class TestDetectorPool:
         assert _counter(registry, POOLED_SERIES_METRIC) == 2
         for detector, x in ((short, x_short), (long, x_long)):
             solo = IncrementalDetector(detector.change_index)
-            solo.extend(x)
+            alone(solo, x)
             assert detector_state(detector) == detector_state(solo)
 
     def test_two_sessions_three_widths_are_one_kernel_call(self, monkeypatch):
         """Two sessions — two 3-row detectors — whose trackers wait with
         three prefix lengths: the pass stacks whatever of them confirms,
         zero-padded, into ONE ``scores_batch`` call, and every row ends
-        where its standalone twin does."""
+        where its twin, scored alone, does."""
         #: (bins fed before the pass, step) per row of each session
         specs = [[(150, 5.0), (130, -4.0), (110, 5.0)],
                  [(110, 0.0), (150, 6.0), (130, 0.0)]]
         sessions, twins = [], []
         for index, rows in enumerate(specs):
-            detector = IncrementalDetector([80] * 3, deferred_scoring=True)
+            detector = IncrementalDetector([80] * 3)
             fed = []
             for row, (n, step) in enumerate(rows):
                 x = _series(20 + 3 * index + row, 170,
                             [(80, step)] if step else [])
                 detector.extend(x[:n], row)
                 twin = IncrementalDetector(80)
-                twin.extend(x[:n])
+                alone(twin, x[:n])
                 fed.append((x, n))
                 twins.append(((index, row), twin))
             sessions.append((detector, fed))
@@ -249,7 +227,7 @@ class TestDetectorPool:
             detector.extend(np.array([[x[n]] for x, n in fed]))
         for (index, row), twin in twins:
             x, n = sessions[index][1][row]
-            twin.extend(x[n:n + 1])
+            alone(twin, x[n:n + 1])
         del calls[:]
         assert pool.score_pending([d for d, _ in sessions]) == []
         assert calls == []
@@ -272,8 +250,7 @@ class TestDetectorPool:
             x = _series(40 + seed, n, [(at, 5.0)] if at else [])
             pair = []
             for _ in range(2):
-                detector = IncrementalDetector(60, score_chunk_bins=chunk,
-                                               deferred_scoring=True)
+                detector = IncrementalDetector(60, score_chunk_bins=chunk)
                 detector.extend(x[:60])
                 pool.score_pending([detector])
                 for value in x[60:]:
@@ -309,7 +286,7 @@ class TestDetectorPool:
         moves; an equal configuration is the same one."""
         other = FunnelConfig(sst=ImprovedSSTParams(omega=7))
         x = _series(51, 150, [(80, 5.0)])
-        pooled = [IncrementalDetector(80, config, deferred_scoring=True)
+        pooled = [IncrementalDetector(80, config)
                   for config in (None, other, FunnelConfig())]
         for detector in pooled:
             detector.extend(x)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core.funnel import FunnelConfig
 from repro.core.rsst import ImprovedSSTParams
+from repro.live import DetectorPool
 from repro.live.detector import IncrementalDetector
 from repro.obs.health import (DEFAULT_SELF_KPIS, DEFAULT_SLOS, SUMMARY_KIND,
                               HeartbeatWriter, SelfAssessor, Slo, SloTracker,
@@ -199,7 +200,8 @@ class TestSelfAssessor:
 def _column_per_tick(columns):
     """The self-assessor as it was before it buffered ticks: a 4-row
     detector (omega 5, chunk 4) extended by one column per tick over
-    the KPIs not yet declared, then flushed; its detection records."""
+    the KPIs not yet declared, each column followed by a pool pass over
+    it, then flushed; its detection records."""
     detector = IncrementalDetector(
         [60] * 4, FunnelConfig(sst=ImprovedSSTParams(omega=5)),
         score_chunk_bins=4)
@@ -224,6 +226,7 @@ def _column_per_tick(columns):
         rows = undeclared()
         if rows:
             detector.extend(np.array([[column[row]] for row in rows]), rows)
+            DetectorPool().score_pending([detector])
         found(rows, tick)
     rows = undeclared()
     detector.flush()
@@ -232,9 +235,10 @@ def _column_per_tick(columns):
 
 
 class TestChunkedSelfAssessor:
-    """Feeding ``SCORE_CHUNK`` ticks as one block declares what a
-    column per tick declares, at the same tick: every pass of the
-    detector falls on a block boundary."""
+    """Feeding ``SCORE_CHUNK`` ticks as one block, a pass after each,
+    declares what a column per tick under a ``SCORE_CHUNK`` chunk gate
+    declares, at the same tick: the baseline is whole blocks, so every
+    gated pass falls on a block boundary."""
 
     @settings(max_examples=60, deadline=None)
     @given(at=st.integers(61, 200), size=st.floats(-50.0, 50.0),
@@ -246,6 +250,7 @@ class TestChunkedSelfAssessor:
            seed=st.integers(0, 2 ** 16))
     def test_equals_a_column_per_tick(self, at, size, kpi, extra, noise,
                                       seed):
+        assert SelfAssessor.BASELINE_TICKS % SelfAssessor.SCORE_CHUNK == 0
         rng = np.random.default_rng(seed)
         ticks = at + extra
         columns = []

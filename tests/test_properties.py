@@ -60,7 +60,9 @@ class TestDetectionInvariances:
         magnitude = float(rng.uniform(3.5, 8.0))
         x[120:] += magnitude
         offline = Funnel().detect(x, change_index=120)
-        online = IncrementalDetector(change_index=120).extend(x)
+        detector = IncrementalDetector(change_index=120)
+        detector.extend(x)
+        online = detector.flush()
         assert bool(offline) == (online is not None)
         if offline:
             assert online.index == offline[0].index

@@ -6,18 +6,18 @@ the first half calibrates the in-control mean and standard deviation; the
 two-sided CUSUM recursions then accumulate standardised deviations over
 the second half::
 
-    S+_i = max(0, S+_{i-1} + z_i - slack)
-    S-_i = max(0, S-_{i-1} - z_i - slack)
+    S+_i = max(0, S+_{i-1} + z_i - SLACK)
+    S-_i = max(0, S-_{i-1} - z_i - SLACK)
 
 and a change is declared when either statistic exceeds a decision
 threshold ``h``.  Significance is assessed the way CUSUM deployments
 usually do (Taylor's method): the observed CUSUM range is compared with
-the ranges of ``n_bootstrap`` random shufflings of the window — a genuine
+the ranges of ``N_BOOTSTRAP`` random shufflings of the window — a genuine
 change survives almost no shuffle.
 
 This bootstrap is also what makes CUSUM's per-window cost exceed
 FUNNEL's (Table 2): the statistic itself is O(W), but each window pays
-``n_bootstrap`` resampled passes.
+``N_BOOTSTRAP`` resampled passes.
 
 The detector's weaknesses reproduced in the paper's Table 1 follow from
 the construction: the in-window calibration cannot tell a diurnal climb
@@ -39,6 +39,14 @@ from ..core.scoring import classify_change, estimate_change_start
 
 __all__ = ["CusumParams", "CusumDetector"]
 
+#: The allowance ``k`` in standardised units; the classic choice 0.5
+#: detects ~1-sigma shifts fastest.
+SLACK = 0.5
+#: Shuffles in the significance test.
+N_BOOTSTRAP = 100
+#: Fraction of shuffles the observed range must beat.
+CONFIDENCE = 0.95
+
 
 @dataclass(frozen=True)
 class CusumParams:
@@ -47,30 +55,17 @@ class CusumParams:
     Attributes:
         window: sliding-window length ``W`` (the paper's best-accuracy
             setting for CUSUM is ``W = 60``).
-        slack: the allowance ``k`` in standardised units; the classic
-            choice 0.5 detects ~1-sigma shifts fastest.
         threshold: decision interval ``h`` in standardised units.
-        n_bootstrap: shuffles for the significance test; 0 disables it.
-        confidence: fraction of shuffles the observed range must beat.
     """
 
     window: int = 60
-    slack: float = 0.5
     threshold: float = 8.0
-    n_bootstrap: int = 100
-    confidence: float = 0.95
 
     def __post_init__(self) -> None:
         if self.window < 8:
             raise ParameterError("window must be >= 8, got %d" % self.window)
-        if self.slack < 0:
-            raise ParameterError("slack must be >= 0")
         if self.threshold <= 0:
             raise ParameterError("threshold must be > 0")
-        if self.n_bootstrap < 0:
-            raise ParameterError("n_bootstrap must be >= 0")
-        if not 0.0 < self.confidence <= 1.0:
-            raise ParameterError("confidence must be in (0, 1]")
 
     @property
     def calibration(self) -> int:
@@ -109,24 +104,21 @@ class CusumDetector:
         z = (x[p.calibration:] - mu) / sigma
         pos = neg = peak = 0.0
         for value in z:
-            pos = max(0.0, pos + value - p.slack)
-            neg = max(0.0, neg - value - p.slack)
+            pos = max(0.0, pos + value - SLACK)
+            neg = max(0.0, neg - value - SLACK)
             peak = max(peak, pos, neg)
         return peak
 
     def _bootstrap_significant(self, window_values: np.ndarray) -> bool:
         """Taylor's shuffle test on the CUSUM range of the window."""
-        p = self.params
-        if p.n_bootstrap == 0:
-            return True
         x = window_values - window_values.mean()
         observed = self._cusum_range(x)
         shuffles = np.array([
             self._cusum_range(self._rng.permutation(x))
-            for _ in range(p.n_bootstrap)
+            for _ in range(N_BOOTSTRAP)
         ])
         beaten = float(np.mean(shuffles < observed))
-        return beaten >= p.confidence
+        return beaten >= CONFIDENCE
 
     @staticmethod
     def _cusum_range(centred: np.ndarray) -> float:

@@ -7,7 +7,7 @@ scales, and scoring how far the most recent samples fall outside that
 subspace.  The FUNNEL paper does not restate the algorithm; this
 implementation follows the cited construction:
 
-* each sliding window is analysed at ``scales`` (1-, 2-, 4-minute
+* each sliding window is analysed at ``SCALES`` (1-, 2-, 4-minute
   aggregation) to catch both abrupt and slow changes;
 * at each scale the window's trajectory (Hankel) matrix is separated
   into a low-rank local subspace plus sparse deviations with Robust PCA
@@ -27,7 +27,7 @@ dozens of full SVDs (Table 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -40,29 +40,30 @@ from .rpca import robust_pca
 
 __all__ = ["MrlsParams", "MrlsDetector"]
 
+#: Aggregation factors for the multiscale analysis.
+SCALES = (1, 2, 4)
+#: Trailing (finest-scale) samples whose sparse energy is the score.
+RECENT = 4
+#: Down-weighting of the sparse (outlier) channel relative to the
+#: low-rank (persistent shift) channel.
+SPIKE_WEIGHT = 0.4
+#: Robust PCA's stopping tolerance and iteration cap.
+RPCA_TOLERANCE = 1e-6
+RPCA_MAX_ITERATIONS = 100
+
 
 @dataclass(frozen=True)
 class MrlsParams:
     """MRLS tuning knobs.
 
     Attributes:
-        window: sliding-window length ``W`` (paper best: 32).
-        scales: aggregation factors for the multiscale analysis.
-        recent: number of trailing (finest-scale) samples whose sparse
-            energy constitutes the change score.
+        window: sliding-window length ``W`` (paper best: 32); at least
+            four of the coarsest scale.
         threshold: declared-change bound on the normalised score.
-        spike_weight: down-weighting of the sparse (outlier) channel
-            relative to the low-rank (persistent shift) channel.
-        rpca_tolerance / rpca_max_iterations: forwarded to Robust PCA.
     """
 
     window: int = 32
-    scales: Tuple[int, ...] = (1, 2, 4)
-    recent: int = 4
     threshold: float = 4.0
-    spike_weight: float = 0.4
-    rpca_tolerance: float = 1e-6
-    rpca_max_iterations: int = 100
     rpca_sparsity_scale: float = 1.0
     """Multiplier on Robust PCA's default ``1/sqrt(max(m, n))`` sparsity
     weight.  Lower values keep young level shifts in the sparse component
@@ -70,22 +71,13 @@ class MrlsParams:
     benches to trade delay against false positives."""
 
     def __post_init__(self) -> None:
-        if self.window < 8:
-            raise ParameterError("window must be >= 8, got %d" % self.window)
-        if not self.scales:
-            raise ParameterError("at least one scale is required")
-        if any(s < 1 for s in self.scales):
-            raise ParameterError("scales must be positive, got %r"
-                                 % (self.scales,))
-        if max(self.scales) * 4 > self.window:
-            raise ParameterError(
-                "largest scale %d too coarse for window %d"
-                % (max(self.scales), self.window)
-            )
-        if not 1 <= self.recent <= self.window:
-            raise ParameterError("recent must be in [1, window]")
+        if self.window < 4 * max(SCALES):
+            raise ParameterError("window must be >= %d, got %d"
+                                 % (4 * max(SCALES), self.window))
         if self.threshold <= 0:
             raise ParameterError("threshold must be positive")
+        if self.rpca_sparsity_scale <= 0:
+            raise ParameterError("rpca_sparsity_scale must be positive")
 
 
 def _aggregate(window_values: np.ndarray, scale: int) -> np.ndarray:
@@ -117,11 +109,11 @@ class MrlsDetector:
         sigma = MAD_TO_SIGMA * scale_est + 1e-9
 
         best = 0.0
-        for scale in p.scales:
+        for scale in SCALES:
             agg = _aggregate(x, scale)
             emb = max(3, agg.size // 3)
             count = agg.size - emb + 1
-            recent = max(1, -(-p.recent // scale))    # ceil division
+            recent = max(1, -(-RECENT // scale))    # ceil division
             if count <= recent:
                 continue
             trajectory = hankel_matrix(agg, emb, count)
@@ -130,8 +122,8 @@ class MrlsDetector:
             result = robust_pca(
                 trajectory,
                 sparsity=sparsity,
-                tolerance=p.rpca_tolerance,
-                max_iterations=p.rpca_max_iterations,
+                tolerance=RPCA_TOLERANCE,
+                max_iterations=RPCA_MAX_ITERATIONS,
             )
             # Map both components back to the time domain.  The l1
             # criterion treats a *young* level shift as sparse outliers:
@@ -153,7 +145,7 @@ class MrlsDetector:
             # should cross a threshold calibrated for level shifts — hence
             # the down-weighting.
             spike_score = float(np.abs(outliers[-recent:]).max()) / sigma
-            best = max(best, shift_score, p.spike_weight * spike_score)
+            best = max(best, shift_score, SPIKE_WEIGHT * spike_score)
         return best
 
     def scores(self, series: Sequence[float]) -> np.ndarray:

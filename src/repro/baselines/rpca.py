@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..exceptions import ConvergenceError, ParameterError
+from ..exceptions import ParameterError
 
 __all__ = ["RpcaResult", "robust_pca"]
 
@@ -58,8 +58,8 @@ def _svd_shrink(matrix: np.ndarray, tau: float) -> np.ndarray:
 
 
 def robust_pca(observations: np.ndarray, sparsity: Optional[float] = None,
-               tolerance: float = 1e-7, max_iterations: int = 200,
-               strict: bool = False) -> RpcaResult:
+               tolerance: float = 1e-7,
+               max_iterations: int = 200) -> RpcaResult:
     """Inexact-ALM Robust PCA of ``observations``.
 
     Args:
@@ -67,9 +67,8 @@ def robust_pca(observations: np.ndarray, sparsity: Optional[float] = None,
         sparsity: the trade-off ``lambda``; defaults to the standard
             ``1 / sqrt(max(m, n))``.
         tolerance: relative Frobenius residual at which to stop.
-        max_iterations: iteration cap.
-        strict: raise :class:`~repro.exceptions.ConvergenceError` instead
-            of returning a non-converged result when the cap is hit.
+        max_iterations: iteration cap; a result that hits it is returned
+            with ``converged=False``.
 
     Returns:
         The :class:`RpcaResult` decomposition.
@@ -118,10 +117,5 @@ def robust_pca(observations: np.ndarray, sparsity: Optional[float] = None,
             converged = True
             break
 
-    if not converged and strict:
-        raise ConvergenceError(
-            "robust PCA did not converge in %d iterations" % max_iterations,
-            iterations=iteration,
-        )
     return RpcaResult(low_rank=low_rank, sparse=sparse,
                       iterations=iteration, converged=converged)

@@ -29,6 +29,9 @@ from ..types import DetectedChange, as_float_array
 
 __all__ = ["WowParams", "WeekOverWeekDetector"]
 
+#: Consecutive anomalous samples required to declare a change.
+PERSISTENCE = 7
+
 
 @dataclass(frozen=True)
 class WowParams:
@@ -40,13 +43,11 @@ class WowParams:
         n_periods: how many past periods form the reference.
         threshold_sigmas: deviation (in robust sigmas of the reference
             spread) that marks a sample anomalous.
-        persistence: consecutive anomalous samples required to declare.
     """
 
     period: int = 7 * 24 * 60
     n_periods: int = 4
     threshold_sigmas: float = 4.0
-    persistence: int = 7
 
     def __post_init__(self) -> None:
         if self.period < 2:
@@ -55,8 +56,6 @@ class WowParams:
             raise ParameterError("n_periods must be >= 1")
         if self.threshold_sigmas <= 0:
             raise ParameterError("threshold_sigmas must be positive")
-        if self.persistence < 1:
-            raise ParameterError("persistence must be >= 1")
 
     @property
     def history_needed(self) -> int:
@@ -70,7 +69,7 @@ class WeekOverWeekDetector:
     reference set is ``{x[t - k*period] : k = 1..n_periods}``; the sample
     is anomalous when it leaves the reference median by more than
     ``threshold_sigmas`` robust sigmas (reference MAD pooled with a
-    global noise floor).  A run of ``persistence`` anomalous samples on
+    global noise floor).  A run of ``PERSISTENCE`` anomalous samples on
     one side declares a change.
     """
 
@@ -122,7 +121,7 @@ class WeekOverWeekDetector:
                     run = 0
                 direction = side
                 run += 1
-                if run >= p.persistence:
+                if run >= PERSISTENCE:
                     start = estimate_change_start(
                         x, t, baseline=t - run,
                         threshold_sigmas=p.threshold_sigmas)
@@ -136,7 +135,7 @@ class WeekOverWeekDetector:
                     if first_only:
                         return changes
                     run = 0
-                    t += p.persistence
+                    t += PERSISTENCE
                     continue
             else:
                 run = 0

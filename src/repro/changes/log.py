@@ -16,35 +16,32 @@ from .change import SoftwareChange
 
 __all__ = ["ChangeLog"]
 
+#: Two changes to the *same service* closer than this are rejected,
+#: encoding the no-concurrent-changes practice (1 hour matches the
+#: paper's assessment horizon).
+CONCURRENCY_GUARD_SECONDS = 3600
+
 
 class ChangeLog:
     """Append-only record of software changes, indexed by service and time."""
 
-    def __init__(self, concurrency_guard_seconds: int = 3600) -> None:
-        """Args:
-            concurrency_guard_seconds: two changes to the *same service*
-                closer than this are rejected, encoding the no-concurrent-
-                changes practice (1 hour matches the paper's assessment
-                horizon).  Set 0 to disable.
-        """
+    def __init__(self) -> None:
         self._by_id: Dict[str, SoftwareChange] = {}
         self._by_service: Dict[str, List[SoftwareChange]] = {}
-        self.concurrency_guard_seconds = concurrency_guard_seconds
 
     def record(self, change: SoftwareChange) -> SoftwareChange:
         """Append a change; rejects duplicates and same-service overlaps."""
         if change.change_id in self._by_id:
             raise ChangeLogError("duplicate change id %r" % change.change_id)
-        if self.concurrency_guard_seconds:
-            for other in self._by_service.get(change.service, ()):
-                if (abs(other.at_time - change.at_time)
-                        < self.concurrency_guard_seconds):
-                    raise ChangeLogError(
-                        "change %s overlaps %s on service %r within the "
-                        "%d-second guard"
-                        % (change.change_id, other.change_id, change.service,
-                           self.concurrency_guard_seconds)
-                    )
+        for other in self._by_service.get(change.service, ()):
+            if (abs(other.at_time - change.at_time)
+                    < CONCURRENCY_GUARD_SECONDS):
+                raise ChangeLogError(
+                    "change %s overlaps %s on service %r within the "
+                    "%d-second guard"
+                    % (change.change_id, other.change_id, change.service,
+                       CONCURRENCY_GUARD_SECONDS)
+                )
         self._by_id[change.change_id] = change
         self._by_service.setdefault(change.service, []).append(change)
         self._by_service[change.service].sort(key=lambda c: c.at_time)

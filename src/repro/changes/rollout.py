@@ -20,6 +20,9 @@ from .change import SoftwareChange, next_change_id
 
 __all__ = ["RolloutPolicy", "RolloutPlan", "plan_rollout"]
 
+#: Share of a service's servers a Dark launch treats in its first stage.
+TREATED_FRACTION = 0.25
+
 
 @dataclass(frozen=True)
 class RolloutPolicy:
@@ -27,23 +30,11 @@ class RolloutPolicy:
 
     Attributes:
         mode: Dark or Full launching.
-        treated_fraction: for Dark launches, the fraction of servers in
-            the first stage (at least one server is always treated and at
-            least one is always left as control).
         seed: RNG seed for choosing the treated subset.
     """
 
     mode: LaunchMode = LaunchMode.DARK
-    treated_fraction: float = 0.25
     seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.mode is LaunchMode.DARK:
-            if not 0.0 < self.treated_fraction < 1.0:
-                raise ParameterError(
-                    "treated_fraction must be in (0, 1) for dark launches, "
-                    "got %g" % self.treated_fraction
-                )
 
 
 @dataclass(frozen=True)
@@ -69,8 +60,7 @@ class RolloutPlan:
             raise ChangeLogError("full launch with a control group")
 
     def to_change(self, service: str, kind: ChangeKind, at_time: int,
-                  description: str = "",
-                  config_scope: Optional[str] = None) -> SoftwareChange:
+                  description: str = "") -> SoftwareChange:
         """Materialise the plan as a change-log record."""
         return SoftwareChange(
             change_id=next_change_id(),
@@ -79,7 +69,6 @@ class RolloutPlan:
             hostnames=self.treated,
             at_time=at_time,
             description=description,
-            config_scope=config_scope,
         )
 
 
@@ -87,8 +76,9 @@ def plan_rollout(hostnames: Sequence[str],
                  policy: Optional[RolloutPolicy] = None) -> RolloutPlan:
     """Split a service's servers into treated and control groups.
 
-    For Dark launches picks ``ceil(n * treated_fraction)`` servers
-    (clamped so both groups are non-empty); Full launches treat all.
+    For Dark launches picks ``ceil(n * TREATED_FRACTION)`` servers (at
+    least one, and at least one left as control); Full launches treat
+    all.
 
     Raises:
         ParameterError: for an empty server list, or a single-server
@@ -107,8 +97,7 @@ def plan_rollout(hostnames: Sequence[str],
         raise ParameterError(
             "dark launching needs at least 2 servers, got %d" % len(hosts)
         )
-    count = int(np.ceil(len(hosts) * policy.treated_fraction))
-    count = max(1, min(count, len(hosts) - 1))
+    count = int(np.ceil(len(hosts) * TREATED_FRACTION))
     rng = np.random.default_rng(policy.seed)
     treated_idx = rng.choice(len(hosts), size=count, replace=False)
     treated = tuple(hosts[i] for i in sorted(treated_idx))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -141,21 +141,14 @@ class DiDResult:
     t_statistic: float
     p_value: float
 
-    def significant(self, threshold: float = 0.5,
-                    max_p_value: Optional[float] = None) -> bool:
+    def significant(self, threshold: float = 0.5) -> bool:
         """Is the impact attributable to the software change?
 
         ``threshold`` is the paper's empirically chosen bound on the
         (normalised) ``|alpha|`` — 0.5 for change-sensitive services such
-        as advertising, larger otherwise.  If ``max_p_value`` is given the
-        estimate must also be statistically significant at that level
-        (skipped when too few units exist for a standard error).
+        as advertising, larger otherwise.
         """
-        if abs(self.normalised_alpha) <= threshold:
-            return False
-        if max_p_value is not None and math.isfinite(self.p_value):
-            return self.p_value <= max_p_value
-        return True
+        return abs(self.normalised_alpha) > threshold
 
 
 def did_estimate(panel: DiDPanel) -> float:

@@ -53,30 +53,21 @@ class FunnelConfig:
             W = 34 sliding window; use 5 for quick mitigation and 15 for
             precise assessment, section 3.2.3).
         policy: change-declaration thresholds (7-minute persistence).
-        did_window: per-period sample count for the DiD panels; defaults
-            to the gate window ``2*omega - 1``.
         did_threshold: bound on the normalised DiD estimator ``alpha``
             below which a change is attributed to other factors
             (section 3.2.4 suggests 0.5 for change-sensitive services).
-        did_p_value: optional significance requirement on ``alpha``.
+
+    Each DiD period holds the gate window's ``2*omega - 1`` samples.
     """
 
     sst: ImprovedSSTParams = field(default_factory=ImprovedSSTParams)
     policy: ChangeDeclarationPolicy = field(
         default_factory=ChangeDeclarationPolicy)
-    did_window: int = 0
     did_threshold: float = 0.5
-    did_p_value: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.did_window < 0:
-            raise ParameterError("did_window must be >= 0")
         if self.did_threshold <= 0:
             raise ParameterError("did_threshold must be positive")
-
-    @property
-    def effective_did_window(self) -> int:
-        return self.did_window or (2 * self.sst.omega - 1)
 
 
 class Funnel:
@@ -103,18 +94,13 @@ class Funnel:
     # -- detection ------------------------------------------------------------
 
     def detect(self, series: Sequence[float], change_index: int,
-               baseline_stats: Optional[Tuple[float, float]] = None,
                first_only: bool = False) -> List[DetectedChange]:
         """Declared behaviour changes starting at/after ``change_index``.
 
-        ``baseline_stats`` optionally carries the precomputed
-        ``(median, MAD)`` of the pre-change baseline (the engine's
-        per-entity cache) so repeated windows skip the recomputation.
         The one-row case of :meth:`detect_batch`.
         """
         return self.detect_batch(as_float_array(series)[None, :],
-                                 [change_index], [baseline_stats],
-                                 first_only)[0]
+                                 [change_index], first_only=first_only)[0]
 
     def detect_batch(
         self, stacked, change_indices: Sequence[int],
@@ -176,8 +162,7 @@ class Funnel:
         explained by a negative relative movement of the treated group
         (or vice versa) is control-group noise, not impact.
         """
-        if not result.significant(self.config.did_threshold,
-                                  self.config.did_p_value):
+        if not result.significant(self.config.did_threshold):
             return False
         if change.direction and result.normalised_alpha:
             return (change.direction > 0) == (result.normalised_alpha > 0)
@@ -185,7 +170,7 @@ class Funnel:
 
     def _peer_panel(self, treated: np.ndarray, control: np.ndarray,
                     change_index: int, detection_index: int) -> DiDPanel:
-        w = self.config.effective_did_window
+        w = 2 * self.config.sst.omega - 1
         pre_lo = max(0, change_index - w)
         post_hi = min(treated.shape[1], detection_index + 1)
         post_lo = max(change_index, post_hi - w)
@@ -198,7 +183,7 @@ class Funnel:
 
     def _history_panel(self, series: np.ndarray, history: np.ndarray,
                        change_index: int, detection_index: int) -> DiDPanel:
-        w = self.config.effective_did_window
+        w = 2 * self.config.sst.omega - 1
         pre_lo = max(0, change_index - w)
         post_hi = min(series.size, detection_index + 1)
         post_lo = max(change_index, post_hi - w)
@@ -212,10 +197,9 @@ class Funnel:
     # -- full assessment ----------------------------------------------------------
 
     def assess(self, treated, change_index: int, control=None,
-               history=None, first_change_only: bool = True,
-               baseline_stats: Optional[Tuple[float, float]] = None
-               ) -> Assessment:
-        """Assess one item end-to-end (Fig. 3).
+               history=None) -> Assessment:
+        """Assess one item end-to-end (Fig. 3): the earliest declared
+        change is attributed.
 
         Args:
             treated: treated-group measurements, ``(units, bins)`` or a
@@ -228,9 +212,6 @@ class Funnel:
                 same clock window on a previous day — used when
                 ``control`` is absent (affected services, Full
                 Launching).
-            first_change_only: assess only the earliest declared change.
-            baseline_stats: precomputed baseline ``(median, MAD)``,
-                forwarded to :meth:`detect`.
 
         Returns:
             The :class:`~repro.types.Assessment` with verdict, detection
@@ -238,13 +219,10 @@ class Funnel:
         """
         treated = np.atleast_2d(np.asarray(treated, dtype=np.float64))
         aggregate = treated.mean(axis=0)
-        changes = self.detect(aggregate, change_index,
-                              baseline_stats=baseline_stats,
-                              first_only=first_change_only)
+        changes = self.detect(aggregate, change_index, first_only=True)
         if not changes:
             return Assessment(verdict=Verdict.NO_CHANGE)
-        change = changes[0] if first_change_only else changes[-1]
-        return self.attribute(treated, change, change_index,
+        return self.attribute(treated, changes[0], change_index,
                               control=control, history=history)
 
     def attribute(self, treated, change: DetectedChange, change_index: int,

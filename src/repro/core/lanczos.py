@@ -24,6 +24,9 @@ from ..exceptions import ParameterError
 
 __all__ = ["LanczosResult", "lanczos", "krylov_dimension"]
 
+#: Relative size under which a Lanczos residual counts as zero.
+BREAKDOWN_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class LanczosResult:
@@ -57,7 +60,7 @@ class LanczosResult:
 
 
 def lanczos(matvec: Callable[[np.ndarray], np.ndarray], seed: np.ndarray,
-            k: int, breakdown_tol: float = 1e-12) -> LanczosResult:
+            k: int) -> LanczosResult:
     """Run ``k`` Lanczos steps of an operator from ``seed``.
 
     Args:
@@ -65,8 +68,9 @@ def lanczos(matvec: Callable[[np.ndarray], np.ndarray], seed: np.ndarray,
         seed: the starting vector (the paper uses the future direction
             ``beta_i(t)``); it is normalised internally.
         k: the Krylov dimension (see :func:`krylov_dimension`).
-        breakdown_tol: relative tolerance under which the residual is
-            considered zero and the recursion stops early.
+
+    The recursion stops early when a residual falls to ``BREAKDOWN_TOL``
+    of the step's scale: it is then considered zero.
 
     Raises:
         ParameterError: for an invalid ``k``, a zero seed, or a seed/operator
@@ -111,7 +115,7 @@ def lanczos(matvec: Callable[[np.ndarray], np.ndarray], seed: np.ndarray,
             break
         b = np.linalg.norm(w)
         scale = max(abs(alpha[j]), prev_beta, 1.0)
-        if b <= breakdown_tol * scale:
+        if b <= BREAKDOWN_TOL * scale:
             achieved = j + 1
             broke = True
             break

@@ -8,7 +8,7 @@ are not very robust in the presence of large changes or outliers".
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -43,19 +43,12 @@ def median(values: Sequence[float]) -> float:
     return _middle(np.sort(arr))
 
 
-def mad(values: Sequence[float], center: Optional[float] = None) -> float:
-    """Median absolute deviation around ``center`` (paper Eq. 12).
-
-    Args:
-        values: the samples.
-        center: deviation reference; defaults to ``median(values)``.
-    """
+def mad(values: Sequence[float]) -> float:
+    """Median absolute deviation around the median (paper Eq. 12)."""
     arr = as_float_array(values)
     if arr.size == 0:
         raise InsufficientDataError("MAD of an empty sequence")
-    if center is None:
-        center = _middle(np.sort(arr))
-    return _middle(np.sort(np.abs(arr - center)))
+    return _middle(np.sort(np.abs(arr - _middle(np.sort(arr)))))
 
 
 def median_and_mad(values: Sequence[float]) -> Tuple[float, float]:

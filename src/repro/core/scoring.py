@@ -50,32 +50,24 @@ __all__ = [
 #: is declared a KPI change rather than a one-off event.
 PERSISTENCE_MINUTES = 7
 
+#: Scale regulariser of :func:`robust_normalise` for constant baselines.
+EPSILON = 1e-9
 
-def robust_normalise(series: Sequence[float], baseline: Optional[int] = None,
-                     epsilon: float = 1e-9,
-                     stats: Optional[Tuple[float, float]] = None) -> np.ndarray:
+
+def robust_normalise(series: Sequence[float],
+                     baseline: Optional[int] = None) -> np.ndarray:
     """Centre/scale a series by the median/MAD of its baseline prefix.
 
-    ``(x - median) / (MAD_TO_SIGMA * MAD + epsilon)`` where the statistics
+    ``(x - median) / (MAD_TO_SIGMA * MAD + EPSILON)`` where the statistics
     are computed over the first ``baseline`` samples (the pre-change
     period), or the whole series when ``baseline`` is ``None``.  After this
     transform the Eq. 11 gate magnitudes are in robust-sigma units, so one
     fixed declaration threshold works for every KPI.
 
-    Args:
-        series: the KPI samples.
-        baseline: length of the pre-change prefix the statistics cover.
-        epsilon: scale regulariser for constant baselines.
-        stats: precomputed ``(median, MAD)`` of the baseline prefix —
-            pass the cached value (see
-            :class:`repro.engine.cache.BaselineStatsCache`) to skip the
-            recomputation; must equal what ``median_and_mad`` would
-            return on the same prefix.
-
     The one-row case of :func:`robust_normalise_batch`.
     """
-    return robust_normalise_batch(as_float_array(series)[None, :], baseline,
-                                  epsilon, [stats])[0]
+    return robust_normalise_batch(as_float_array(series)[None, :],
+                                  baseline)[0]
 
 
 def _per_row(name: str, values, n_rows: int, lo: int, hi: int) -> np.ndarray:
@@ -95,7 +87,6 @@ def _per_row(name: str, values, n_rows: int, lo: int, hi: int) -> np.ndarray:
 def robust_normalise_batch(
     stacked: Sequence[Sequence[float]],
     baselines=None,
-    epsilon: float = 1e-9,
     stats: Optional[Sequence[Optional[Tuple[float, float]]]] = None,
 ) -> np.ndarray:
     """:func:`robust_normalise` for a ``(n_series, T)`` stack at once.
@@ -110,7 +101,6 @@ def robust_normalise_batch(
         stacked: the ``(n_series, T)`` KPI stack.
         baselines: ``None`` (whole rows), one int shared by every row,
             or a per-row sequence of prefix lengths.
-        epsilon: scale regulariser for constant baselines.
         stats: optional per-row ``(median, MAD)`` entries; rows whose
             entry is ``None`` compute their statistics from the prefix.
     """
@@ -140,7 +130,7 @@ def robust_normalise_batch(
     if todo.any():
         meds[todo], scales[todo] = _prefix_median_mad(
             x, np.flatnonzero(todo), row_baselines[todo])
-    return (x - meds[:, None]) / (MAD_TO_SIGMA * scales[:, None] + epsilon)
+    return (x - meds[:, None]) / (MAD_TO_SIGMA * scales[:, None] + EPSILON)
 
 
 def estimate_change_start(series: Sequence[float], detected_at: int,
@@ -202,20 +192,20 @@ def _ramp_fit_sse(segment: np.ndarray) -> float:
     return float(resid @ resid)
 
 
-def classify_change(series: Sequence[float], start: int, detected_at: int,
-                    context: int = 10) -> str:
+def classify_change(series: Sequence[float], start: int,
+                    detected_at: int) -> str:
     """Classify a change as ``"level_shift"`` or ``"ramp"`` (Fig. 2).
 
     Compares the best piecewise-constant (step) fit with the best linear
-    fit over the change region plus ``context`` samples on each side.  A
+    fit over the change region plus 10 samples on each side.  A
     level shift is fit much better by the step; a gradual ramp by the
     line.  Ties (both fits comparable) default to ``"level_shift"``,
     matching the paper's observation that level shifts are the common
     case immediately after a software change.
     """
     x = as_float_array(series)
-    lo = max(0, start - context)
-    hi = min(x.size, detected_at + context + 1)
+    lo = max(0, start - 10)
+    hi = min(x.size, detected_at + 11)
     segment = x[lo:hi]
     if segment.size < 4:
         return "level_shift"

@@ -63,7 +63,6 @@ def _peak_post_statistic(detector, item: EvaluationItem) -> float:
 
 def collect_statistics(items: Iterable[EvaluationItem],
                        statistic: StatisticFn,
-                       clean_factor: float = CLEAN_SCALE_FACTOR,
                        stride: int = 1) -> List[ItemStatistic]:
     """Evaluate ``statistic`` once per (strided) item."""
     if stride < 1:
@@ -72,7 +71,8 @@ def collect_statistics(items: Iterable[EvaluationItem],
     for counter, item in enumerate(items):
         if counter % stride:
             continue
-        weight = stride * (clean_factor if item.half == "clean" else 1.0)
+        weight = stride * (CLEAN_SCALE_FACTOR if item.half == "clean"
+                           else 1.0)
         out.append(ItemStatistic(
             statistic=statistic(item),
             positive=item.truth.positive,

@@ -36,28 +36,26 @@ class CostReport:
     def microseconds_per_window(self) -> float:
         return self.seconds_per_window * 1e6
 
-    def cores_for(self, kpis: int = 1_000_000,
-                  interval_seconds: float = 60.0) -> int:
-        return cores_for_kpis(self.seconds_per_window, kpis,
-                              interval_seconds)
+    def cores_for(self) -> int:
+        return cores_for_kpis(self.seconds_per_window)
 
 
-def cores_for_kpis(seconds_per_window: float, kpis: int = 1_000_000,
-                   interval_seconds: float = 60.0) -> int:
-    """Cores needed to assess ``kpis`` series every ``interval_seconds``.
+def cores_for_kpis(seconds_per_window: float) -> int:
+    """Cores needed to assess one million KPIs every minute.
 
     Table 2's last row: each KPI needs one window evaluation per
     collection interval, so a single core sustains
-    ``interval / seconds_per_window`` KPIs.
+    ``60 s / seconds_per_window`` KPIs.
     """
     if seconds_per_window <= 0:
         raise EvaluationError("seconds_per_window must be positive")
-    return int(math.ceil(kpis * seconds_per_window / interval_seconds))
+    return int(math.ceil(1_000_000 * seconds_per_window / 60.0))
 
 
-def time_callable(work: Callable[[], int], min_seconds: float = 0.5,
-                  max_rounds: int = 1000) -> CostReport:
-    """Repeat ``work`` until ``min_seconds`` of wall time accumulates.
+def time_callable(work: Callable[[], int],
+                  min_seconds: float = 0.5) -> CostReport:
+    """Repeat ``work`` until ``min_seconds`` of wall time accumulates (at
+    most 1,000 rounds).
 
     ``work`` returns the number of windows it evaluated; the report's
     per-window time is total time over total windows.
@@ -65,7 +63,7 @@ def time_callable(work: Callable[[], int], min_seconds: float = 0.5,
     total_windows = 0
     start = time.perf_counter()
     rounds = 0
-    while time.perf_counter() - start < min_seconds and rounds < max_rounds:
+    while time.perf_counter() - start < min_seconds and rounds < 1000:
         total_windows += int(work())
         rounds += 1
     elapsed = time.perf_counter() - start
@@ -75,11 +73,11 @@ def time_callable(work: Callable[[], int], min_seconds: float = 0.5,
                       windows_timed=total_windows)
 
 
-def measure_method_costs(series_length: int = 2048, seed: int = 5,
-                         min_seconds: float = 0.5,
+def measure_method_costs(seed: int = 5, min_seconds: float = 0.5,
                          include_exact_sst: bool = False
                          ) -> Dict[str, CostReport]:
-    """Time every method's deployed per-window path on one noise series.
+    """Time every method's deployed per-window path on one 2,048-sample
+    noise series.
 
     Returns a mapping method name -> :class:`CostReport`:
 
@@ -93,12 +91,12 @@ def measure_method_costs(series_length: int = 2048, seed: int = 5,
       IKA speedup.
     """
     rng = np.random.default_rng(seed)
-    series = 50.0 + rng.normal(0.0, 1.0, size=series_length)
+    series = 50.0 + rng.normal(0.0, 1.0, size=2048)
 
     reports: Dict[str, CostReport] = {}
 
     ika = IkaSST()
-    n_windows = series_length - ika.params.window_length + 1
+    n_windows = series.size - ika.params.window_length + 1
 
     def funnel_work() -> int:
         ika.scores(series)

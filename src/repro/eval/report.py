@@ -80,7 +80,7 @@ def render_table2(reports: Dict[str, "CostReport"]) -> str:
     )
 
 
-def render_ccdf(curves: Dict[str, tuple], width: int = 60) -> str:
+def render_ccdf(curves: Dict[str, tuple]) -> str:
     """Tabulate CCDF curves (Fig. 5) at a coarse minute grid."""
     methods = sorted(curves)
     grid_points = [0, 5, 10, 15, 20, 25, 30, 40, 50, 60]
@@ -98,15 +98,16 @@ def render_ccdf(curves: Dict[str, tuple], width: int = 60) -> str:
 
 
 def render_ascii_series(values: Sequence[float], height: int = 12,
-                        width: int = 72, title: str = "") -> str:
-    """Coarse ASCII plot of one series (for the Fig. 2/6/7 benches)."""
+                        title: str = "") -> str:
+    """Coarse ASCII plot of one series, at most 72 columns wide (for the
+    Fig. 2/6/7 benches)."""
     data = np.asarray(values, dtype=np.float64)
     if data.size == 0:
         return "(empty series)"
-    if data.size > width:
+    if data.size > 72:
         # Downsample by block mean to the plot width.
-        usable = (data.size // width) * width
-        data = data[:usable].reshape(width, -1).mean(axis=1)
+        usable = (data.size // 72) * 72
+        data = data[:usable].reshape(72, -1).mean(axis=1)
     lo, hi = float(data.min()), float(data.max())
     span = hi - lo or 1.0
     levels = np.clip(((data - lo) / span * (height - 1)).round(), 0,

@@ -105,37 +105,32 @@ class EvaluationResult:
 
     # -- synthesis -----------------------------------------------------------
 
-    def synthesized(self, method: str, character: str,
-                    clean_factor: float = CLEAN_SCALE_FACTOR
-                    ) -> ConfusionMatrix:
-        """Table 1 cell: inducing counts + ``clean_factor`` x clean counts."""
+    def synthesized(self, method: str, character: str) -> ConfusionMatrix:
+        """Table 1 cell: inducing counts + ``CLEAN_SCALE_FACTOR`` x clean
+        counts."""
         inducing = self.strata.get((method, character, "inducing"),
                                    ConfusionMatrix())
         clean = self.strata.get((method, character, "clean"),
                                 ConfusionMatrix())
-        return inducing + clean.scaled(clean_factor)
+        return inducing + clean.scaled(CLEAN_SCALE_FACTOR)
 
-    def table1(self, methods: Iterable[str] = METHOD_NAMES,
-               clean_factor: float = CLEAN_SCALE_FACTOR) -> List[dict]:
+    def table1(self, methods: Iterable[str] = METHOD_NAMES) -> List[dict]:
         """All Table 1 rows: one per (method, KPI type)."""
         rows = []
         for method in methods:
             for character in (KpiCharacter.SEASONAL,
                               KpiCharacter.STATIONARY,
                               KpiCharacter.VARIABLE):
-                matrix = self.synthesized(method, character.value,
-                                          clean_factor)
+                matrix = self.synthesized(method, character.value)
                 row = {"method": method, "type": character.value}
                 row.update(matrix.as_row())
                 rows.append(row)
         return rows
 
-    def overall(self, method: str,
-                clean_factor: float = CLEAN_SCALE_FACTOR) -> ConfusionMatrix:
+    def overall(self, method: str) -> ConfusionMatrix:
         total = ConfusionMatrix()
         for character in KpiCharacter:
-            total = total + self.synthesized(method, character.value,
-                                             clean_factor)
+            total = total + self.synthesized(method, character.value)
         return total
 
 

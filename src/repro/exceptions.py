@@ -25,17 +25,6 @@ class InsufficientDataError(ReproError, ValueError):
     """A time series is too short for the requested computation."""
 
 
-class ConvergenceError(ReproError, RuntimeError):
-    """An iterative numerical routine failed to converge.
-
-    Carries the number of iterations performed in :attr:`iterations`.
-    """
-
-    def __init__(self, message: str, iterations: int = 0) -> None:
-        super().__init__(message)
-        self.iterations = iterations
-
-
 class TopologyError(ReproError, ValueError):
     """The fleet/service topology is inconsistent.
 

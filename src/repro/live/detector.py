@@ -361,19 +361,23 @@ class IncrementalDetector:
     def scan(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The positions this pass decides on each of ``rows``: ``[lo,
         hi)``, from the scan cursor to the last one whose persistence
-        window and declaration index fit the bins received.  Moves the
-        cursors (and the chunk gates) past them, and brings the
-        normalised prefixes the pass reads up to date.
+        window and declaration index fit the bins received.  Brings the
+        normalised prefixes the pass reads up to date and moves nothing
+        else: :meth:`advance` does, once the pass has accepted its rows.
         """
         n = self._rows.length[rows]
         self._normalise(rows, n)
-        gate = np.maximum(self._next_score_t[rows], n - (self.span - 1))
+        return np.maximum(self._scan_t[rows], self.span), n - self.horizon
+
+    def advance(self, rows: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> None:
+        """Move the cursors of ``rows`` past the positions :meth:`scan`
+        gave them, and their chunk gates past the bins received."""
+        gate = np.maximum(self._next_score_t[rows],
+                          self._rows.length[rows] - (self.span - 1))
         self._next_score_t[rows] = gate
         self._ready_at[rows] = gate + (self.span + self.score_chunk_bins - 1)
-        cursor = self._scan_t[rows]
-        lo, hi = np.maximum(cursor, self.span), n - self.horizon
-        self._scan_t[rows] = np.where(hi > lo, hi, cursor)
-        return lo, hi
+        self._scan_t[rows] = np.where(hi > lo, hi, self._scan_t[rows])
 
     def apply_scores(self, scores: np.ndarray, chain: Sequence[int],
                      directions: np.ndarray, row: int = 0
@@ -398,6 +402,11 @@ class IncrementalDetector:
         return None
 
 
+def _advance(scans) -> None:
+    for detector, rows, lo, hi in scans:
+        detector.advance(rows, lo, hi)
+
+
 def score_pass(work: Sequence[Work]) -> Tuple[
         int, List[np.ndarray], List[Tuple[int, int, DetectedChange]]]:
     """One *table, kernel, scan* pass over the rows of detectors of one
@@ -411,13 +420,15 @@ def score_pass(work: Sequence[Work]) -> Tuple[
 
     Returns the number of positions decided, the ``where`` mask of the
     kernel call if one was made (one row per scored row), and the
-    ``(work index, row, declaration)`` of every row that declared.
+    ``(work index, row, declaration)`` of every row that declared.  A
+    pass that raises has moved no detector: the same pass raises again.
     """
     first = work[0][0]
     policy, scorer = first.config.policy, first.scorer
+    scans = [(detector, rows) + detector.scan(rows)
+             for detector, rows in work]
     tabled = []          # (work index, detector, rows, lengths, positions)
-    for index, (detector, rows) in enumerate(work):
-        lo, hi = detector.scan(rows)
+    for index, (detector, rows, lo, hi) in enumerate(scans):
         spans = [(row, a, b) for row, a, b in
                  zip(rows.tolist(), lo.tolist(), hi.tolist()) if a < b]
         if spans:
@@ -427,6 +438,7 @@ def score_pass(work: Sequence[Work]) -> Tuple[
                            detector._rows.length[rows].tolist(),
                            [np.arange(a, b) for _, a, b in spans]))
     if not tabled:
+        _advance(scans)
         return 0, [], []
     sizes = [n for entry in tabled for n in entry[3]]
     lengths = np.array(sizes)
@@ -445,6 +457,7 @@ def score_pass(work: Sequence[Work]) -> Tuple[
     # row's length must count as finite.
     if np.count_nonzero(np.isfinite(stack)) != sum(sizes):
         raise ParameterError("series or scores contain NaN or infinite values")
+    _advance(scans)
     found = _confirmed_directions((stack, lengths), candidates, policy)
     if not np.count_nonzero(np.concatenate(found)):
         return decided, [], []      # nothing confirms: most passes

@@ -38,11 +38,11 @@ EVENTS_FILE = "events.jsonl"
 MANIFEST_FILE = "run.json"
 
 
-def git_revision(cwd: Optional[str] = None) -> Optional[str]:
+def git_revision() -> Optional[str]:
     """The current git commit hash, or ``None`` outside a checkout."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=cwd, capture_output=True,
+            ["git", "rev-parse", "HEAD"], capture_output=True,
             text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None

@@ -531,12 +531,12 @@ def load_heartbeat(path: str) -> List[dict]:
     return records
 
 
-def _sample_over_time(heartbeats: List[dict], points: int = 12
-                      ) -> List[dict]:
-    """Evenly sampled lag trajectory for the percentiles-over-time view."""
+def _sample_over_time(heartbeats: List[dict]) -> List[dict]:
+    """Evenly sampled lag trajectory (at most 12 points) for the
+    percentiles-over-time view."""
     if not heartbeats:
         return []
-    count = min(points, len(heartbeats))
+    count = min(12, len(heartbeats))
     indices = sorted({round(i * (len(heartbeats) - 1) / max(1, count - 1))
                       for i in range(count)})
     out = []

@@ -48,23 +48,22 @@ class RedisCaseResult:
         return len(self.flagged)
 
 
-def redis_case(n_class_a: int = 8, n_class_b: int = 8,
-               n_unaffected_kpis: int = 102, pre_minutes: int = 240,
-               post_minutes: int = 240, shift_fraction: float = 0.35,
-               seed: int = 42,
+def redis_case(seed: int = 42,
                funnel_config: Optional[FunnelConfig] = None) -> RedisCaseResult:
     """Reproduce the Redis load-balancing case (Fig. 6).
 
-    Builds an impact set of ``n_class_a + n_class_b + n_unaffected``
-    KPIs (118 with the defaults, matching the paper).  The configuration
-    change moves ``shift_fraction`` of class A's NIC throughput over to
-    class B at ``pre_minutes``; the change is applied to the whole
-    service at once, so FUNNEL uses the 30-day historical control.
+    Builds an impact set of 8 class A NICs, 8 class B NICs and 102
+    unaffected KPIs (118, matching the paper).  The configuration
+    change moves 35% of class A's NIC throughput over to class B after
+    240 minutes of a 480-minute window; the change is applied to the
+    whole service at once, so FUNNEL uses the 30-day historical control.
     """
     rng = np.random.default_rng(seed)
     funnel = Funnel(funnel_config)
-    n_bins = pre_minutes + post_minutes
-    change_index = pre_minutes
+    n_bins = 480
+    change_index = 240
+    n_class_a = n_class_b = 8
+    n_unaffected_kpis = 102
     start = 100 * DAY + 10 * 3600            # mid-morning, a weekday
 
     flagged: List[str] = []
@@ -72,7 +71,7 @@ def redis_case(n_class_a: int = 8, n_class_b: int = 8,
     example_a: Optional[np.ndarray] = None
     example_b: Optional[np.ndarray] = None
 
-    def history_for(pattern, extra_effects=()):
+    def history_for(pattern):
         rows = []
         for day in range(1, 31):
             ts = (start - day * DAY
@@ -101,7 +100,7 @@ def redis_case(n_class_a: int = 8, n_class_b: int = 8,
         if not busy and example_b is None and shift:
             example_b = series
 
-    shift_amount = shift_fraction * 90.0
+    shift_amount = 0.35 * 90.0
     for i in range(n_class_a):
         assess_server("redis-a-%02d:nic_throughput" % i, busy=True,
                       shift=-shift_amount)
@@ -150,17 +149,17 @@ class AdvertisingCaseResult:
                 and self.detection_delay_minutes <= 10)
 
 
-def advertising_case(days_of_context: int = 6, drop_fraction: float = 0.6,
-                     outage_minutes: int = 90, seed: int = 7,
+def advertising_case(seed: int = 7,
                      funnel_config: Optional[FunnelConfig] = None
                      ) -> AdvertisingCaseResult:
     """Reproduce the advertising anti-cheat incident (Fig. 7).
 
-    Generates ``days_of_context`` days of the strongly seasonal
-    effective-clicks KPI, drops it by ``drop_fraction`` at a mid-day
-    software upgrade, recovers it ``outage_minutes`` later (the manual
-    fix), and runs FUNNEL with the 30-day historical control.
+    Generates 6 days of the strongly seasonal effective-clicks KPI,
+    drops it by 60% at a mid-day software upgrade, recovers it 90
+    minutes later (the manual fix), and runs FUNNEL with the 30-day
+    historical control.
     """
+    days_of_context, outage_minutes = 6, 90
     rng = np.random.default_rng(seed)
     if funnel_config is None:
         # Advertising is a change-sensitive service: the paper's
@@ -184,7 +183,7 @@ def advertising_case(days_of_context: int = 6, drop_fraction: float = 0.6,
 
     change_index = (upgrade_day_start + upgrade_second - series_start) \
         // MINUTE
-    drop = drop_fraction * pattern.profile(
+    drop = 0.6 * pattern.profile(
         [upgrade_day_start + upgrade_second])[0]
     clicks = TransientDip(start=change_index, magnitude=drop,
                           duration=outage_minutes).apply(clicks)

@@ -48,14 +48,12 @@ class DeploymentSpec:
     single day at ~a hundred changes so the whole week runs in minutes.
     A day's KPIs come from one evaluation corpus, which holds at most
     9,982 items, so the monitored KPIs (and Table 3's counts) stop
-    growing above ``scale`` ≈ 0.0044 (9,982 / 2,256,390).
+    growing above ``scale`` ≈ 0.0044 (9,982 / 2,256,390).  The share of
+    impactful changes and the KPIs per change are the paper's.
     """
 
     scale: float = 0.004
     days: int = 7
-    impact_rate: float = PAPER_DAILY_IMPACTFUL / PAPER_DAILY_CHANGES
-    kpis_per_change: float = PAPER_DAILY_KPIS / PAPER_DAILY_CHANGES
-    impacted_kpi_fraction: float = 0.12
     seed: int = 5
 
     def __post_init__(self) -> None:
@@ -63,8 +61,6 @@ class DeploymentSpec:
             raise ParameterError("scale must be in (0, 1]")
         if self.days < 1:
             raise ParameterError("days must be >= 1")
-        if not 0.0 < self.impact_rate < 1.0:
-            raise ParameterError("impact_rate must be in (0, 1)")
 
     @property
     def changes_per_day(self) -> int:
@@ -158,9 +154,11 @@ def _day_corpus(spec: DeploymentSpec, day: int) -> EvaluationCorpus:
     shrinking the positive count through the corpus scale and treating
     the 'clean factor' as 1 (no x86 synthesis here: every item is real).
     """
-    n_kpis = int(spec.changes_per_day * spec.kpis_per_change)
+    n_kpis = int(spec.changes_per_day
+                 * (PAPER_DAILY_KPIS / PAPER_DAILY_CHANGES))
     corpus_scale = min(1.0, n_kpis / 9982.0)
-    impactful = max(1, int(round(spec.changes_per_day * spec.impact_rate)))
+    impactful = max(1, int(round(
+        spec.changes_per_day * (PAPER_DAILY_IMPACTFUL / PAPER_DAILY_CHANGES))))
     return EvaluationCorpus(CorpusSpec(
         scale=corpus_scale,
         n_changes=max(2, impactful),

@@ -28,12 +28,12 @@ from ..core.funnel import Funnel, FunnelConfig
 from ..exceptions import ParameterError, TelemetryError
 from ..synthetic.effects import Effect, apply_effects
 from ..synthetic.patterns import Pattern
-from ..telemetry.kpi import KpiCatalog, KpiKey, KpiSpec, standard_server_kpis
+from ..telemetry.kpi import KpiCatalog, KpiKey, standard_server_kpis
 from ..telemetry.store import MetricStore
 from ..telemetry.timeseries import MINUTE, TimeSeries
 from ..topology.entities import Fleet
 from ..topology.impact import ImpactSet, identify_impact_set
-from ..types import Assessment, ChangeKind, KpiCharacter, LaunchMode
+from ..types import Assessment, ChangeKind, LaunchMode
 
 __all__ = ["KpiBehaviour", "ChangeAssessment", "ServiceScenario"]
 
@@ -44,9 +44,7 @@ class KpiBehaviour:
 
     metric: str
     pattern: Pattern
-    level: str = "server"
     idiosyncratic_sigma: float = 1.0
-    unit_offset_sigma: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -104,13 +102,12 @@ class ServiceScenario:
     # -- construction ------------------------------------------------------------
 
     def add_service(self, name: str, n_servers: int,
-                    behaviours: Sequence[KpiBehaviour] = (),
                     hostnames: Optional[Sequence[str]] = None) -> List[str]:
         """Register a service with ``n_servers`` dedicated servers.
 
-        Default behaviours (when none are given) are the two standard
-        server KPIs of the paper's evaluation: a stationary memory
-        utilisation and a variable CPU context switch count.
+        Its behaviours are the two standard server KPIs of the paper's
+        evaluation: a stationary memory utilisation and a variable CPU
+        context switch count.
         """
         if hostnames is None:
             hostnames = []
@@ -118,16 +115,7 @@ class ServiceScenario:
                 self._host_counter += 1
                 hostnames.append("host-%04d" % self._host_counter)
         self.fleet.add_service(name, hostnames)
-        if not behaviours:
-            behaviours = self._default_behaviours()
-        self._behaviours[name] = list(behaviours)
-        for behaviour in behaviours:
-            if behaviour.metric not in self.catalog:
-                self.catalog.register(KpiSpec(
-                    name=behaviour.metric, level=behaviour.level,
-                    character=getattr(behaviour.pattern, "character",
-                                      KpiCharacter.STATIONARY),
-                ))
+        self._behaviours[name] = self._default_behaviours()
         return list(hostnames)
 
     def _default_behaviours(self) -> List[KpiBehaviour]:
@@ -165,7 +153,7 @@ class ServiceScenario:
             for behaviour in behaviours:
                 shared = behaviour.pattern.sample(timestamps, self._rng)
                 for host in hostnames:
-                    key = self._key_for(service, host, behaviour)
+                    key = KpiKey("server", host, behaviour.metric)
                     offset = self._offset_for(service, host, behaviour)
                     noise = self._rng.normal(
                         0.0, behaviour.idiosyncratic_sigma, size=n_bins)
@@ -194,19 +182,12 @@ class ServiceScenario:
         except TypeError:
             return None
 
-    def _key_for(self, service: str, host: str,
-                 behaviour: KpiBehaviour) -> KpiKey:
-        if behaviour.level == "server":
-            return KpiKey("server", host, behaviour.metric)
-        return KpiKey("instance", "%s@%s" % (service, host),
-                      behaviour.metric)
-
     def _offset_for(self, service: str, host: str,
                     behaviour: KpiBehaviour) -> float:
         key = (service, host, behaviour.metric)
         if key not in self._unit_offsets:
             self._unit_offsets[key] = float(
-                self._rng.normal(0.0, behaviour.unit_offset_sigma))
+                self._rng.normal(0.0, 0.5))
         return self._unit_offsets[key]
 
     # -- changes ------------------------------------------------------------
@@ -215,7 +196,6 @@ class ServiceScenario:
                       policy: Optional[RolloutPolicy] = None,
                       effect_sigmas: float = 0.0,
                       metric: Optional[str] = None,
-                      effects: Optional[Dict[str, Sequence[Effect]]] = None,
                       description: str = "") -> SoftwareChange:
         """Deploy a change now; optionally inject its KPI impact.
 
@@ -227,9 +207,6 @@ class ServiceScenario:
                 many pattern-sigmas on ``metric`` for every treated unit
                 starting now (a simple common case).
             metric: the metric ``effect_sigmas`` applies to.
-            effects: full control — metric name -> effects (with
-                ``start`` in absolute simulation seconds) applied to
-                treated units' future measurements.
         """
         hostnames = self.fleet.service(service).hostnames
         if policy is None:
@@ -241,21 +218,14 @@ class ServiceScenario:
                                 description=description)
         self.change_log.record(change)
 
-        to_apply: Dict[str, List[Effect]] = {}
         if effect_sigmas and metric:
             behaviour = self._behaviour(service, metric)
             from ..synthetic.effects import LevelShift
-            magnitude = effect_sigmas * behaviour.pattern.typical_scale()
-            to_apply.setdefault(metric, []).append(
-                LevelShift(start=self.now, magnitude=magnitude))
-        for name, effect_list in (effects or {}).items():
-            to_apply.setdefault(name, []).extend(effect_list)
-
-        for name, effect_list in to_apply.items():
-            behaviour = self._behaviour(service, name)
+            shift = LevelShift(start=self.now, magnitude=effect_sigmas
+                               * behaviour.pattern.typical_scale())
             for host in plan.treated:
-                key = self._key_for(service, host, behaviour)
-                self._pending_effects.setdefault(key, []).extend(effect_list)
+                self._pending_effects.setdefault(
+                    KpiKey("server", host, metric), []).append(shift)
         return change
 
     def _behaviour(self, service: str, metric: str) -> KpiBehaviour:
@@ -281,7 +251,7 @@ class ServiceScenario:
         results: List[Tuple[KpiKey, Assessment]] = []
         for behaviour in self._behaviours[change.service]:
             control_keys = [
-                self._key_for(change.service, s.hostname, behaviour)
+                KpiKey("server", s.hostname, behaviour.metric)
                 for s in impact.cservers
             ]
             control = None
@@ -289,8 +259,7 @@ class ServiceScenario:
                 control = self.store.window_matrix(control_keys, from_time,
                                                    to_time)
             for server in impact.tservers:
-                key = self._key_for(change.service, server.hostname,
-                                    behaviour)
+                key = KpiKey("server", server.hostname, behaviour.metric)
                 treated = self.store.window_matrix([key], from_time, to_time)
                 result = self.funnel.assess(
                     treated, change_index, control=control,
@@ -303,7 +272,7 @@ class ServiceScenario:
         for affected in sorted(impact.affected_services):
             for behaviour in self._behaviours.get(affected, ()):
                 unit_keys = [
-                    self._key_for(affected, host, behaviour)
+                    KpiKey("server", host, behaviour.metric)
                     for host in self.fleet.service(affected).hostnames
                 ]
                 matrix = self.store.window_matrix(unit_keys, from_time,

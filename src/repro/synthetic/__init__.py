@@ -1,6 +1,5 @@
 """Synthetic KPI traces, injected changes, and the evaluation corpus."""
 
-from .contamination import ContaminationConfig
 from .dataset import CorpusSpec, EvaluationCorpus, EvaluationItem, ItemTruth
 from .fleetgen import FleetSpec, generate_fleet
 from .effects import LevelShift, Ramp, TransientDip, apply_effects
@@ -8,8 +7,7 @@ from .patterns import (SeasonalPattern, StationaryPattern, VariablePattern,
                        pattern_for_character)
 from .workload import GroupTraceConfig, GroupTraces, generate_group
 
-__all__ = ["ContaminationConfig",
-           "CorpusSpec", "EvaluationCorpus", "EvaluationItem", "ItemTruth",
+__all__ = ["CorpusSpec", "EvaluationCorpus", "EvaluationItem", "ItemTruth",
            "LevelShift", "Ramp", "TransientDip",
            "apply_effects",
            "SeasonalPattern", "StationaryPattern", "VariablePattern",

@@ -34,7 +34,7 @@ Each item carries exactly what each method is allowed to see:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -42,13 +42,24 @@ import numpy as np
 from ..exceptions import ParameterError
 from ..telemetry.timeseries import DAY, MINUTE
 from ..types import KpiCharacter, LaunchMode
-from .contamination import ContaminationConfig, contaminate_history_panel
 from .effects import Effect, LevelShift, Ramp
 from .patterns import (Pattern, SeasonalPattern, StationaryPattern,
                        VariablePattern)
 from .workload import GroupTraceConfig, generate_group
 
 __all__ = ["ItemTruth", "EvaluationItem", "CorpusSpec", "EvaluationCorpus"]
+
+#: Assessment horizon around the change: 1 h + 1 h at 1-minute bins.
+PRE_BINS = 60
+POST_BINS = 60
+#: Fraction of service items that belong to affected services
+#: (history-controlled even under dark launching).
+AFFECTED_FRACTION = 0.15
+#: Fraction of positive impacts that are ramps rather than level shifts.
+RAMP_FRACTION = 0.3
+#: Probability that a negative item carries an other-factor event (hits
+#: treated AND control).
+OTHER_FACTOR_RATE = 0.05
 
 
 @dataclass(frozen=True)
@@ -125,57 +136,30 @@ class CorpusSpec:
         scale: corpus size multiplier.
         n_changes: evaluated software changes per half at scale 1.0.
         dark_fraction: fraction of changes Dark Launched (108/144).
-        affected_fraction: fraction of service items that belong to
-            affected services (history-controlled even under dark
-            launching).
-        pre_bins / post_bins: assessment horizon around the change
-            (1 h + 1 h at 1-minute bins).
         history_days: historical-control depth (30).
         effect_sigmas: (min, max) injected-impact magnitude in units of
             the pattern's typical scale.
-        ramp_fraction: fraction of positive impacts that are ramps
-            rather than level shifts.
-        other_factor_rate: probability that a negative item carries an
-            other-factor event (hits treated AND control).
+        ramp_duration: bins a ramp impact takes to reach its level.
         seed: corpus master seed.
+
+    Every item spans ``PRE_BINS`` before and ``POST_BINS`` after its
+    change.
     """
 
     scale: float = 1.0
     n_changes: int = 72
     dark_fraction: float = 0.75
-    affected_fraction: float = 0.15
-    pre_bins: int = 60
-    post_bins: int = 60
     history_days: int = 30
     effect_sigmas: Tuple[float, float] = (4.0, 9.0)
-    ramp_fraction: float = 0.3
     ramp_duration: int = 20
-    other_factor_rate: float = 0.05
-    contamination: ContaminationConfig = field(
-        default_factory=ContaminationConfig)
     seed: int = 20151201       # CoNEXT'15 conference date
 
     def __post_init__(self) -> None:
         if not 0.0 < self.scale <= 1.0:
             raise ParameterError("scale must be in (0, 1]")
-        if self.pre_bins < 40 or self.post_bins < 40:
-            raise ParameterError(
-                "pre/post horizons must each cover at least 40 bins for "
-                "the widest detector window"
-            )
-        if not 0.0 <= self.other_factor_rate <= 1.0:
-            raise ParameterError("other_factor_rate must be in [0, 1]")
         if self.effect_sigmas[0] <= 0 or \
                 self.effect_sigmas[1] < self.effect_sigmas[0]:
             raise ParameterError("effect_sigmas must be 0 < lo <= hi")
-
-    @property
-    def n_bins(self) -> int:
-        return self.pre_bins + self.post_bins
-
-    @property
-    def change_index(self) -> int:
-        return self.pre_bins
 
     def counts(self, half: str) -> dict:
         base = _INDUCING_COUNTS if half == "inducing" else _CLEAN_COUNTS
@@ -238,7 +222,7 @@ class EvaluationCorpus:
                 metric, entity_type = _METRICS[entry["character"]]
                 is_service = entity_type == "service"
                 affected = (is_service and dark
-                            and master.random() < spec.affected_fraction)
+                            and master.random() < AFFECTED_FRACTION)
                 entry.update({
                     "item_id": item_id,
                     "change_id": change_id,
@@ -316,14 +300,13 @@ class EvaluationCorpus:
         of the recurring intraday event edges (the hard case for raw
         detectors); other items land anywhere in the day.
         """
-        spec = self.spec
         day = int(rng.integers(40, 400)) * DAY      # leave room for history
         if character is KpiCharacter.SEASONAL:
             # Land the assessment window on the steep morning climb:
             # change between 07:00 and 09:30.
             change_second = int(rng.integers(7 * 3600, 9 * 3600 + 1800))
             change_second -= change_second % MINUTE
-            return day + change_second - spec.pre_bins * MINUTE
+            return day + change_second - PRE_BINS * MINUTE
         return day + int(rng.integers(0, DAY // MINUTE)) * MINUTE
 
     def _treated_effects(self, entry: dict, pattern: Pattern,
@@ -342,10 +325,10 @@ class EvaluationCorpus:
                 pattern.typical_scale()
         if rng.random() < 0.5:
             magnitude = -magnitude
-        if rng.random() < spec.ramp_fraction:
-            return (Ramp(start=spec.change_index, magnitude=magnitude,
+        if rng.random() < RAMP_FRACTION:
+            return (Ramp(start=PRE_BINS, magnitude=magnitude,
                          duration=spec.ramp_duration),)
-        return (LevelShift(start=spec.change_index, magnitude=magnitude),)
+        return (LevelShift(start=PRE_BINS, magnitude=magnitude),)
 
     def _shared_effects(self, entry: dict, pattern: Pattern,
                         rng: np.random.Generator) -> Tuple[Effect, ...]:
@@ -357,7 +340,7 @@ class EvaluationCorpus:
         # be excluded, so confounding events there are kept an order of
         # magnitude rarer, as they are in practice within the one-hour
         # assessment horizon.
-        rate = self.spec.other_factor_rate
+        rate = OTHER_FACTOR_RATE
         dark = entry["launch_mode"] is LaunchMode.DARK
         if not (dark and not entry["affected_service"]):
             rate *= 0.1
@@ -369,27 +352,21 @@ class EvaluationCorpus:
         magnitude = float(rng.uniform(*self.spec.effect_sigmas)) * scale
         if rng.random() < 0.5:
             magnitude = -magnitude
-        at = self.spec.change_index + int(
-            rng.integers(0, self.spec.post_bins // 2))
+        at = PRE_BINS + int(rng.integers(0, POST_BINS // 2))
         return (LevelShift(start=at, magnitude=magnitude),)
 
     def _history_panel(self, pattern: Pattern, start_time: int,
                        shared_effects: Tuple[Effect, ...],
                        rng: np.random.Generator) -> np.ndarray:
         """Same clock window on each of the previous ``history_days``."""
-        spec = self.spec
         rows = []
-        for day in range(1, spec.history_days + 1):
+        for day in range(1, self.spec.history_days + 1):
             ts = (start_time - day * DAY
-                  + np.arange(spec.n_bins, dtype=np.int64) * MINUTE)
+                  + np.arange(PRE_BINS + POST_BINS, dtype=np.int64) * MINUTE)
             rows.append(pattern.sample(ts, rng))
-        panel = np.vstack(rows)
-        if spec.contamination.outage_fraction > 0:
-            panel = contaminate_history_panel(panel, spec.contamination, rng)
-        return panel
+        return np.vstack(rows)
 
     def _generate_item(self, entry: dict) -> EvaluationItem:
-        spec = self.spec
         rng = np.random.default_rng(entry["seed"])
         character: KpiCharacter = entry["character"]
         pattern = self._pattern_for(character, rng)
@@ -408,7 +385,7 @@ class EvaluationCorpus:
             pattern=pattern,
             n_treated=n_treated,
             n_control=n_control,
-            n_bins=spec.n_bins,
+            n_bins=PRE_BINS + POST_BINS,
             start_time=start_time,
             unit_offset_sigma=0.5 * scale,
             idiosyncratic_sigma=0.6 * scale,
@@ -425,7 +402,7 @@ class EvaluationCorpus:
         if entry["positive"]:
             truth = ItemTruth(
                 positive=True,
-                start_index=spec.change_index,
+                start_index=PRE_BINS,
                 kind=("ramp" if isinstance(treated_effects[0], Ramp)
                       else "level_shift"),
             )
@@ -441,7 +418,7 @@ class EvaluationCorpus:
             metric=entry["metric"],
             launch_mode=entry["launch_mode"],
             affected_service=entry["affected_service"],
-            change_index=spec.change_index,
+            change_index=PRE_BINS,
             treated=traces.treated,
             control=traces.control if use_peer_control else None,
             history=history,

@@ -22,6 +22,11 @@ __all__ = ["FleetSpec", "generate_fleet"]
 
 _FAMILIES = ("search", "ads", "mail", "shop", "feed", "video", "map")
 _TIERS = ("frontend", "backend", "cache", "index", "api", "store")
+#: Servers every service gets before the skewed split of the rest.
+MIN_SERVERS_PER_SERVICE = 4
+#: Cross-family request/response edges drawn (e.g. search.frontend calls
+#: ads.api), in addition to the naming-derived ones.
+CROSS_FAMILY_EDGES = 6
 
 
 @dataclass(frozen=True)
@@ -34,18 +39,15 @@ class FleetSpec:
 
     n_services: int = 19
     n_servers: int = 931
-    min_servers_per_service: int = 4
-    cross_family_edges: int = 6
     seed: int = 4
 
     def __post_init__(self) -> None:
         if self.n_services < 1:
             raise ParameterError("n_services must be >= 1")
-        if self.n_servers < self.n_services * self.min_servers_per_service:
+        if self.n_servers < self.n_services * MIN_SERVERS_PER_SERVICE:
             raise ParameterError(
                 "%d servers cannot give %d services at least %d each"
-                % (self.n_servers, self.n_services,
-                   self.min_servers_per_service)
+                % (self.n_servers, self.n_services, MIN_SERVERS_PER_SERVICE)
             )
 
 
@@ -79,13 +81,13 @@ def generate_fleet(spec: Optional[FleetSpec] = None) -> Fleet:
 
     weights = rng.pareto(2.0, size=spec.n_services) + 1.0
     weights = weights / weights.sum()
-    spare = spec.n_servers - spec.n_services * spec.min_servers_per_service
+    spare = spec.n_servers - spec.n_services * MIN_SERVERS_PER_SERVICE
     extra = np.floor(weights * spare).astype(int)
     # Distribute the rounding remainder to the largest services.
     remainder = spare - int(extra.sum())
     for i in np.argsort(-weights)[:remainder]:
         extra[i] += 1
-    counts = spec.min_servers_per_service + extra
+    counts = MIN_SERVERS_PER_SERVICE + extra
 
     fleet = Fleet()
     host_id = 0
@@ -97,10 +99,8 @@ def generate_fleet(spec: Optional[FleetSpec] = None) -> Fleet:
             hostnames.append("%s-%04d" % (prefix, host_id))
         fleet.add_service(name, hostnames)
 
-    # Cross-family request/response edges (e.g. search.frontend calls
-    # ads.api), in addition to the naming-derived ones.  A one-service
-    # fleet has no pair to draw.
-    edges = spec.cross_family_edges if spec.n_services >= 2 else 0
+    # A one-service fleet has no pair to draw.
+    edges = CROSS_FAMILY_EDGES if spec.n_services >= 2 else 0
     for _ in range(edges):
         a, b = rng.choice(spec.n_services, size=2, replace=False)
         source, target = names[int(a)], names[int(b)]

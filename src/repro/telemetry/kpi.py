@@ -34,25 +34,16 @@ class KpiSpec:
         level: ``"server"``, ``"instance"`` or ``"service"``.
         character: the archetype of its normal behaviour.
         unit: free-form unit label for reports.
-        aggregation: how instance series roll up into the service KPI —
-            ``"sum"`` for counts (page views), ``"mean"`` for intensities
-            (response delay, utilisation).
     """
 
     name: str
     level: str
     character: KpiCharacter
     unit: str = ""
-    aggregation: str = "mean"
 
     def __post_init__(self) -> None:
         if self.level not in ("server", "instance", "service"):
             raise TelemetryError("invalid KPI level %r" % self.level)
-        if self.aggregation not in ("mean", "sum"):
-            raise TelemetryError(
-                "invalid aggregation %r for KPI %r"
-                % (self.aggregation, self.name)
-            )
 
 
 class KpiKey(NamedTuple("_KpiKeyFields", [
@@ -83,7 +74,7 @@ class KpiCatalog:
 
     The operations team defines service/instance KPIs per service (paper
     section 4.1); the catalog lets the rest of the library look up a
-    metric's character and aggregation rule.
+    metric's character.
     """
 
     def __init__(self) -> None:

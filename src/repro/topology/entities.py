@@ -83,10 +83,10 @@ class Fleet:
         'search.frontend'
     """
 
-    def __init__(self, explicit_edges: Iterable[Tuple[str, str]] = ()) -> None:
+    def __init__(self) -> None:
         self._services: Dict[str, Service] = {}
         self._servers: Dict[str, Server] = {}
-        self._explicit_edges: List[Tuple[str, str]] = list(explicit_edges)
+        self._explicit_edges: List[Tuple[str, str]] = []
         self._relationships: Optional[ServiceGraph] = None
 
     # -- mutation ----------------------------------------------------------

@@ -12,7 +12,7 @@ treat the graph as undirected unless asked otherwise.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from ..exceptions import TopologyError
 
@@ -67,8 +67,7 @@ class ServiceGraph:
 
     # -- traversals ------------------------------------------------------------
 
-    def reachable(self, start: str, directed: bool = False,
-                  max_hops: Optional[int] = None) -> Set[str]:
+    def reachable(self, start: str, directed: bool = False) -> Set[str]:
         """Every node reachable from ``start``, excluding ``start`` itself.
 
         Args:
@@ -77,25 +76,20 @@ class ServiceGraph:
                 traversal is undirected, matching the paper's notion that
                 impact flows along relationships both ways (Fig. 4: a
                 change in A affects B, C and D; B and D are A's direct
-                relations, C is related to B).
-            max_hops: optional traversal radius.
+                relations, C is related to B).  There is no hop limit.
         """
         self._require(start)
-        frontier = deque([(start, 0)])
+        frontier = deque([start])
         seen = {start}
-        result: Set[str] = set()
         while frontier:
-            node, hops = frontier.popleft()
-            if max_hops is not None and hops >= max_hops:
-                continue
+            node = frontier.popleft()
             step = (self._successors[node] if directed
                     else self._successors[node] | self._predecessors[node])
             for nxt in step:
                 if nxt not in seen:
                     seen.add(nxt)
-                    result.add(nxt)
-                    frontier.append((nxt, hops + 1))
-        return result
+                    frontier.append(nxt)
+        return seen - {start}
 
     def _require(self, node: str) -> None:
         if node not in self._successors:

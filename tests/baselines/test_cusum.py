@@ -15,8 +15,8 @@ class TestCusumParams:
         assert CusumParams(window=60).calibration == 30
 
     @pytest.mark.parametrize("kwargs", [
-        dict(window=4), dict(slack=-0.1), dict(threshold=0.0),
-        dict(n_bootstrap=-1), dict(confidence=0.0), dict(confidence=1.5),
+        dict(window=4), dict(window=7), dict(threshold=0.0),
+        dict(threshold=-8.0), dict(window=0), dict(window=7, threshold=0.0),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ParameterError):
@@ -73,7 +73,7 @@ class TestDetect:
 
     def test_long_delay_for_small_shift(self, rng):
         """Crossing h takes ~h/shift samples: CUSUM's delay problem."""
-        params = CusumParams(threshold=20.0, n_bootstrap=0)
+        params = CusumParams(threshold=20.0)
         x = 10.0 + 0.5 * rng.normal(size=300)
         x[150:] += 1.0             # 2-sigma shift
         changes = CusumDetector(params).detect(x, first_only=True)
@@ -94,7 +94,7 @@ class TestDetect:
         assert scores[70:].max() > 1.0
 
     def test_bootstrap_rejects_shuffled_noise(self, rng):
-        detector = CusumDetector(CusumParams(n_bootstrap=200), seed=3)
+        detector = CusumDetector(seed=3)
         noise = rng.normal(size=60)
         x = np.sort(noise)           # maximally trend-like arrangement
         assert detector._bootstrap_significant(x)

@@ -10,8 +10,7 @@ from repro.telemetry.timeseries import MINUTE
 
 
 def daily_params(**kwargs):
-    defaults = dict(period=1440, n_periods=3, threshold_sigmas=4.0,
-                    persistence=7)
+    defaults = dict(period=1440, n_periods=3, threshold_sigmas=4.0)
     defaults.update(kwargs)
     return WowParams(**defaults)
 
@@ -31,7 +30,7 @@ class TestWowParams:
 
     @pytest.mark.parametrize("kwargs", [
         dict(period=1), dict(n_periods=0), dict(threshold_sigmas=0.0),
-        dict(persistence=0),
+        dict(threshold_sigmas=-4.0),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ParameterError):

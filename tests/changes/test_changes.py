@@ -3,7 +3,7 @@
 import pytest
 
 from repro.changes.change import ConfigScope, SoftwareChange, next_change_id
-from repro.changes.log import ChangeLog
+from repro.changes.log import CONCURRENCY_GUARD_SECONDS, ChangeLog
 from repro.changes.rollout import RolloutPlan, RolloutPolicy, plan_rollout
 from repro.exceptions import ChangeLogError, ParameterError
 from repro.types import ChangeKind, LaunchMode
@@ -66,7 +66,7 @@ class TestChangeLog:
             log.record(make_change())
 
     def test_concurrency_guard(self):
-        log = ChangeLog(concurrency_guard_seconds=3600)
+        log = ChangeLog()
         log.record(make_change("c1", at=0))
         with pytest.raises(ChangeLogError):
             log.record(make_change("c2", at=1800))
@@ -74,15 +74,9 @@ class TestChangeLog:
         # Different services are never in conflict.
         log.record(make_change("c4", service="svc.b", at=10))
 
-    def test_guard_disabled(self):
-        log = ChangeLog(concurrency_guard_seconds=0)
-        log.record(make_change("c1", at=0))
-        log.record(make_change("c2", at=1))
-        assert len(log) == 2
-
     def test_iteration_time_ordered(self):
-        log = ChangeLog(concurrency_guard_seconds=0)
-        log.record(make_change("late", at=100))
+        log = ChangeLog()
+        log.record(make_change("late", at=5 + CONCURRENCY_GUARD_SECONDS))
         log.record(make_change("early", at=5))
         assert [c.change_id for c in log] == ["early", "late"]
 
@@ -94,7 +88,7 @@ class TestChangeLog:
 class TestRollout:
     def test_dark_plan_splits(self):
         plan = plan_rollout(["h%d" % i for i in range(8)],
-                            RolloutPolicy(treated_fraction=0.25, seed=1))
+                            RolloutPolicy(seed=1))
         assert plan.mode is LaunchMode.DARK
         assert len(plan.treated) == 2
         assert len(plan.control) == 6
@@ -107,9 +101,10 @@ class TestRollout:
         assert plan.control == ()
 
     def test_dark_always_leaves_control(self):
-        plan = plan_rollout(["h1", "h2"],
-                            RolloutPolicy(treated_fraction=0.99, seed=0))
-        assert len(plan.control) >= 1
+        for n in range(2, 12):
+            plan = plan_rollout(["h%d" % i for i in range(n)],
+                                RolloutPolicy(seed=0))
+            assert len(plan.treated) >= 1 and len(plan.control) >= 1
 
     def test_single_server_dark_rejected(self):
         with pytest.raises(ParameterError):
@@ -125,16 +120,11 @@ class TestRollout:
         p2 = plan_rollout(hosts, RolloutPolicy(seed=4))
         assert p1.treated == p2.treated
 
-    def test_invalid_fraction(self):
-        with pytest.raises(ParameterError):
-            RolloutPolicy(treated_fraction=1.0)
-
     def test_plan_to_change(self):
         plan = plan_rollout(["h1", "h2", "h3", "h4"],
                             RolloutPolicy(seed=2))
         change = plan.to_change("svc.a", ChangeKind.CONFIG_CHANGE,
-                                at_time=500,
-                                config_scope=ConfigScope.SERVICE)
+                                at_time=500)
         assert change.service == "svc.a"
         assert change.hostnames == plan.treated
         assert change.at_time == 500

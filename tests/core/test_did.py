@@ -114,17 +114,6 @@ class TestDiDEstimator:
         assert math.isnan(result.std_error)
         assert math.isnan(result.p_value)
 
-    def test_significant_requires_p_value_when_asked(self, rng):
-        panel = make_panel(rng, effect=5.0, noise=0.3)
-        result = DiDEstimator().fit(panel)
-        assert result.significant(threshold=0.5, max_p_value=0.05)
-        weak = make_panel(np.random.default_rng(7), effect=0.9, noise=3.0,
-                          n_treated=2, n_control=2)
-        weak_result = DiDEstimator().fit(weak)
-        if math.isfinite(weak_result.p_value):
-            assert (weak_result.significant(0.01, max_p_value=1e-12)
-                    in (False, True))  # does not crash
-
     def test_docstring_example(self):
         rng = np.random.default_rng(0)
         pre = rng.normal(10.0, 0.5, size=(8, 30))

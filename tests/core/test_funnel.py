@@ -17,19 +17,29 @@ def correlated_groups(rng, n_treated=4, n_control=12, bins=200, base=50.0):
 
 
 class TestFunnelConfig:
-    def test_defaults(self):
+    def test_defaults(self, rng):
         cfg = FunnelConfig()
         assert cfg.sst.omega == 9
-        assert cfg.effective_did_window == 17
+        series = rng.normal(size=200)
+        panel = Funnel(cfg)._history_panel(series, rng.normal(
+            size=(3, 200)), change_index=100, detection_index=150)
+        assert panel.treated_pre.shape[1] == 17      # 2*omega - 1
+        assert panel.treated_post.shape[1] == 17
 
-    def test_explicit_did_window(self):
-        assert FunnelConfig(did_window=25).effective_did_window == 25
+    def test_explicit_did_window(self, rng):
+        """A DiD period is the gate window of the configured omega."""
+        funnel = Funnel(FunnelConfig(sst=ImprovedSSTParams(omega=13)))
+        treated, control = correlated_groups(rng)
+        panel = funnel._peer_panel(treated, control, change_index=100,
+                                   detection_index=150)
+        assert panel.control_pre.shape[1] == 25
+        assert panel.control_post.shape[1] == 25
 
     def test_invalid(self):
         with pytest.raises(ParameterError):
             FunnelConfig(did_threshold=0.0)
         with pytest.raises(ParameterError):
-            FunnelConfig(did_window=-1)
+            FunnelConfig(did_threshold=-0.5)
 
 
 class TestDetect:

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import scoring
-from repro.core.robust import median_and_mad
-from repro.core.scoring import (ChangeDeclarationPolicy, PERSISTENCE_MINUTES,
-                                candidate_mask, classify_change,
+from repro.core.robust import MAD_TO_SIGMA, median_and_mad
+from repro.core.scoring import (EPSILON, ChangeDeclarationPolicy,
+                                PERSISTENCE_MINUTES, candidate_mask, classify_change,
                                 declare_changes, estimate_change_start,
                                 robust_normalise, robust_normalise_batch)
 from repro.exceptions import InsufficientDataError, ParameterError
@@ -95,7 +95,7 @@ class TestClassifyChange:
 
     def test_tiny_segment_defaults_to_level_shift(self):
         x = np.array([0.0, 5.0])
-        assert classify_change(x, 1, 1, context=0) == "level_shift"
+        assert classify_change(x, 1, 1) == "level_shift"
 
 
 class TestChangeDeclarationPolicy:
@@ -470,8 +470,7 @@ class TestRobustNormaliseBatch:
         np.testing.assert_array_equal(
             batched[0], robust_normalise(stack[0], baseline=60))
         np.testing.assert_array_equal(
-            batched[1],
-            robust_normalise(stack[1], baseline=60, stats=(0.5, 2.0)))
+            batched[1], (stack[1] - 0.5) / (MAD_TO_SIGMA * 2.0 + EPSILON))
 
     def test_rejects_non_2d_and_bad_baselines(self, rng):
         with pytest.raises(ParameterError):

@@ -139,7 +139,7 @@ class TestCost:
 
     def test_time_callable_zero_windows(self):
         with pytest.raises(EvaluationError):
-            time_callable(lambda: 0, min_seconds=0.01, max_rounds=3)
+            time_callable(lambda: 0, min_seconds=0.01)
 
     def test_cost_report_units(self):
         report = CostReport("m", seconds_per_window=4e-4, windows_timed=10)

@@ -11,9 +11,9 @@ import numpy as np
 
 from repro.core.did import DiDEstimator, DiDPanel
 from repro.core.funnel import Funnel
-from repro.synthetic.contamination import (ContaminationConfig,
-                                           contaminate_history_panel)
 from repro.types import Verdict
+
+from ..synthetic.contamination import contaminate_history_panel
 
 
 def seasonal_day(rng, bins=240, base=200.0):
@@ -27,9 +27,7 @@ class TestLongHistoricalBaseline:
         today = seasonal_day(rng)
         today[120:] += effect
         history = np.vstack([seasonal_day(rng) for _ in range(days)])
-        history = contaminate_history_panel(
-            history, ContaminationConfig(outage_fraction=outage_fraction),
-            rng)
+        history = contaminate_history_panel(history, outage_fraction, rng)
         return Funnel().assess(today, 120, history=history)
 
     def test_clean_history_attributes_impact(self, rng):

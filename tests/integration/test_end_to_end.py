@@ -114,8 +114,7 @@ class TestLaunchModeRouting:
 
     def test_plan_rollout_feeds_impact_set(self):
         hosts = ["srv-%02d" % i for i in range(12)]
-        plan = plan_rollout(hosts, RolloutPolicy(treated_fraction=0.25,
-                                                 seed=3))
+        plan = plan_rollout(hosts, RolloutPolicy(seed=3))
         from repro.topology.entities import Fleet
         fleet = Fleet()
         fleet.add_service("svc.z", hosts)

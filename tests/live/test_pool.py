@@ -133,25 +133,34 @@ class TestOneTablePerPass:
         assert _counter(registry, SCORED_WINDOWS_METRIC) == windows
         assert 0 < windows < positions / 2
 
-    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, 1e300])
     def test_a_non_finite_row_fails_the_pass(self, poison):
-        """No caller feeds one (the store, ``TimeSeries`` and a
-        checkpoint's decoder refuse non-finite samples) and the table's
-        NaN padding cannot encode one: a pass that tables it is refused
-        whole, and so is the same row's own flush."""
-        x = _series(8, 140, [(80, 5.0)])
-        x[95] = poison
-        clean = _series(9, 140, [(80, 5.0)])
+        """The table's NaN padding cannot encode a non-finite sample: a
+        pass that tables one is refused whole, and so is the same row's
+        own flush.  A refused pass moves no detector, so the same pass
+        is refused again.  The store, ``TimeSeries`` and a checkpoint's
+        decoder refuse NaN and inf, but not a finite sample that
+        normalises to inf: on a constant baseline the scale is 1e-9, so
+        a sample above about 1e299 does (``poison=1e300``)."""
+        if poison == 1e300:
+            x = np.r_[np.full(80, 5.0), np.full(20, poison)]
+        else:
+            x = _series(8, 100, [(80, 5.0)])
+            x[95] = poison
+        clean = _series(9, 100, [(80, 5.0)])
         for rows, run in (
                 ([clean, x], lambda d: DetectorPool().score_pending(d)),
                 ([x], lambda d: DetectorPool().score_pending(d)),
                 ([x], lambda d: d[0].flush())):
             detectors = [IncrementalDetector(80) for _ in rows]
             for detector, row in zip(detectors, rows):
-                detector.extend(row[:100])
-            with pytest.raises(ParameterError, match="NaN or infinite"):
-                run(detectors)
-
+                detector.extend(row)
+            before = [detector_state(d) for d in detectors]
+            for _ in range(2):
+                with np.errstate(over="ignore"), pytest.raises(
+                        ParameterError, match="NaN or infinite"):
+                    run(detectors)
+                assert [detector_state(d) for d in detectors] == before
 
 class TestDetectorPool:
     def test_pooled_scores_match_per_detector(self):

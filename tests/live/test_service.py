@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.changes.change import SoftwareChange
-from repro.changes.log import ChangeLog
+from repro.changes.log import CONCURRENCY_GUARD_SECONDS, ChangeLog
 from repro.engine.fleet import FleetScenarioSpec, SyntheticFleetSource
 from repro.engine.planner import ENTITY_METRICS
 from repro.exceptions import ParameterError
@@ -572,7 +572,7 @@ class TestWatcherCursor:
     def test_late_recorded_due_change_is_admitted_at_the_next_poll(self):
         source = SyntheticFleetSource(SMALL)
         template = source.changes[0]
-        log = ChangeLog(concurrency_guard_seconds=0)
+        log = ChangeLog()
         service = LiveAssessmentService(MetricStore(MINUTE), log,
                                         source.fleet,
                                         config=parity_live_config(SMALL))
@@ -585,15 +585,17 @@ class TestWatcherCursor:
         def poll(at):
             return [s.change_id for s in watcher.poll(at)]
 
+        # One service: the log keeps its changes a guard apart.
+        gap = CONCURRENCY_GUARD_SECONDS
         assert poll(now) == []
         record("due", now - MINUTE)
-        record("future", now + 10 * MINUTE)
+        record("future", now + gap)
         assert poll(now + MINUTE) == ["due"]
         assert poll(now + 2 * MINUTE) == []
         # Recorded after polling began, due before the changes already
         # walked past: the growth rescan admits it, and only it.
-        record("late", now - 2 * MINUTE)
+        record("late", now - MINUTE - gap)
         assert poll(now + 2 * MINUTE) == ["late"]
-        assert poll(now + 10 * MINUTE) == ["future"]
-        assert poll(now + 20 * MINUTE) == []
+        assert poll(now + gap) == ["future"]
+        assert poll(now + 2 * gap) == []
         assert sorted(watcher.sessions) == ["due", "future", "late"]

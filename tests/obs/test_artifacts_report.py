@@ -125,7 +125,7 @@ def _observed_context():
 class TestArtifactsRoundTrip:
     def test_jsonl_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setattr("repro.obs.artifacts.git_revision",
-                            lambda cwd=None: "abc123")
+                            lambda: "abc123")
         obs = _observed_context()
         written = write_run_artifacts(
             str(tmp_path), obs, config={"batch_size": 16},
@@ -226,7 +226,7 @@ class TestObsReportCli:
     @staticmethod
     def _write_fixture_run(tmp_path, monkeypatch, counters=()):
         monkeypatch.setattr("repro.obs.artifacts.git_revision",
-                            lambda cwd=None: None)
+                            lambda: None)
         obs = ObsContext()
         obs.tracer.finished.extend(FIXTURE_SPANS)
         for name, labels, value in counters:

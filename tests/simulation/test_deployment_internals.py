@@ -13,11 +13,12 @@ from repro.simulation.deployment import (DeploymentDay, DeploymentReport,
 
 class TestSpecDerivedRates:
     def test_paper_rates(self):
-        spec = DeploymentSpec()
-        assert spec.impact_rate == pytest.approx(
-            PAPER_DAILY_IMPACTFUL / PAPER_DAILY_CHANGES)
-        assert spec.kpis_per_change == pytest.approx(
-            PAPER_DAILY_KPIS / PAPER_DAILY_CHANGES)
+        """A day holds the paper's share of impactful changes: 268 of
+        24,119, so 3 of the 241 changes a day at scale 0.01."""
+        spec = DeploymentSpec(scale=0.01)
+        assert round(spec.changes_per_day * PAPER_DAILY_IMPACTFUL
+                     / PAPER_DAILY_CHANGES) == 3
+        assert _day_corpus(spec, 0).spec.n_changes == 3
 
     def test_changes_per_day_scales(self):
         assert DeploymentSpec(scale=1.0).changes_per_day == \
@@ -47,7 +48,8 @@ class TestDayCorpus:
     def test_volume_tracks_spec(self):
         spec = DeploymentSpec(scale=0.0005)
         corpus = _day_corpus(spec, 0)
-        expected = spec.changes_per_day * spec.kpis_per_change
+        expected = (spec.changes_per_day * PAPER_DAILY_KPIS
+                    / PAPER_DAILY_CHANGES)
         assert len(corpus) == pytest.approx(expected, rel=0.35)
 
 

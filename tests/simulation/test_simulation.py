@@ -90,19 +90,18 @@ class TestServiceScenario:
 
 class TestDeployment:
     def test_tiny_week(self):
-        # 10 changes a day (the spec's floor) x 30 KPIs each: two full
-        # days of the pipeline at a third of the paper's KPIs per change.
-        spec = DeploymentSpec(scale=0.0004, days=2, seed=11,
-                              kpis_per_change=30.0)
+        # 10 changes a day (the spec's floor) x the paper's 93.55 KPIs
+        # each: two full days of the pipeline.
+        spec = DeploymentSpec(scale=0.0004, days=2, seed=11)
         report = simulate_week(spec)
         assert len(report.days) == 2
-        assert report.daily_kpis == 300
+        assert report.daily_kpis == 935
         # (detections, true detections) per day, as per-item
         # ``Funnel.assess`` gives them: any verdict change moves a pin.
-        # 51 / 57 = 0.895 precision is too few detections to hold the
+        # 159 / 166 = 0.958 precision is too few detections to hold the
         # paper's 98.21%; the Table 3 bench holds it at a real scale.
         assert [(day.detections, day.true_detections)
-                for day in report.days] == [(31, 27), (26, 24)]
+                for day in report.days] == [(81, 77), (85, 82)]
 
     def test_invalid_spec(self):
         with pytest.raises(ParameterError):
@@ -120,11 +119,10 @@ class TestDeployment:
 class TestRedisCase:
     @pytest.fixture(scope="class")
     def result(self):
-        return redis_case(n_class_a=4, n_class_b=4, n_unaffected_kpis=20,
-                          pre_minutes=120, post_minutes=120)
+        return redis_case()
 
     def test_impact_set_size(self, result):
-        assert result.total_kpis == 28
+        assert result.total_kpis == 118
 
     def test_flags_mostly_nic_shifts(self, result):
         assert result.flagged_count >= 6
@@ -150,7 +148,7 @@ class TestRedisCase:
 class TestAdvertisingCase:
     @pytest.fixture(scope="class")
     def result(self):
-        return advertising_case(days_of_context=3)
+        return advertising_case()
 
     def test_detected_as_caused_by_change(self, result):
         assert result.assessment.verdict is Verdict.CAUSED_BY_CHANGE

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ParameterError
-from repro.synthetic.contamination import (ContaminationConfig,
-                                           contaminate_history_panel)
 from repro.synthetic.effects import (LevelShift, Ramp, TransientDip,
                                      apply_effects)
 from repro.synthetic.patterns import (SeasonalPattern, StationaryPattern,
@@ -15,6 +13,8 @@ from repro.synthetic.patterns import (SeasonalPattern, StationaryPattern,
                                       pattern_for_character)
 from repro.telemetry.timeseries import DAY, MINUTE
 from repro.types import KpiCharacter
+
+from .contamination import contaminate_history_panel
 
 
 class TestSeasonalPattern:
@@ -175,22 +175,20 @@ class TestEffects:
 class TestContamination:
     def test_no_config_is_identity(self, rng):
         panel = rng.normal(size=(5, 100))
-        out = contaminate_history_panel(panel, ContaminationConfig(), rng)
+        out = contaminate_history_panel(panel, 0.0, rng)
         np.testing.assert_array_equal(out, panel)
 
     def test_history_outages(self, rng):
         panel = np.full((30, 100), 50.0)
-        config = ContaminationConfig(outage_fraction=1.0)
-        out = contaminate_history_panel(panel, config, rng)
+        out = contaminate_history_panel(panel, 1.0, rng)
         assert (out < 25.0).any(axis=1).all()
 
     def test_history_shape_checked(self, rng):
         with pytest.raises(ParameterError):
-            contaminate_history_panel(np.zeros(10),
-                                      ContaminationConfig(), rng)
+            contaminate_history_panel(np.zeros(10), 0.0, rng)
 
     def test_invalid_config(self):
         with pytest.raises(ParameterError):
-            ContaminationConfig(outage_fraction=-0.1)
+            contaminate_history_panel(np.zeros((2, 3)), -0.1, None)
         with pytest.raises(ParameterError):
-            ContaminationConfig(outage_fraction=1.5)
+            contaminate_history_panel(np.zeros((2, 3)), 1.5, None)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
-from repro.synthetic.dataset import (CorpusSpec, EvaluationCorpus,
-                                     ItemTruth)
+from repro.synthetic.dataset import (POST_BINS, PRE_BINS, CorpusSpec,
+                                     EvaluationCorpus, ItemTruth)
 from repro.synthetic.effects import LevelShift
 from repro.synthetic.patterns import StationaryPattern
 from repro.synthetic.workload import (GroupTraceConfig,
@@ -94,8 +94,6 @@ class TestCorpusSpec:
         with pytest.raises(ParameterError):
             CorpusSpec(scale=0.0)
         with pytest.raises(ParameterError):
-            CorpusSpec(pre_bins=10)
-        with pytest.raises(ParameterError):
             CorpusSpec(effect_sigmas=(5.0, 3.0))
 
 
@@ -139,10 +137,9 @@ class TestEvaluationCorpus:
                 assert item.history.shape[0] == 30
 
     def test_series_lengths(self, items):
-        spec = CorpusSpec(scale=0.02)
         for item in items:
-            assert item.treated.shape[1] == spec.n_bins
-            assert item.change_index == spec.pre_bins
+            assert item.treated.shape[1] == PRE_BINS + POST_BINS
+            assert item.change_index == PRE_BINS
 
     def test_positive_items_have_visible_effect(self, items):
         for item in items:

@@ -110,9 +110,6 @@ class TestKpiCatalog:
     def test_invalid_spec(self):
         with pytest.raises(TelemetryError):
             KpiSpec("m", "rack", KpiCharacter.STATIONARY)
-        with pytest.raises(TelemetryError):
-            KpiSpec("m", "server", KpiCharacter.STATIONARY,
-                    aggregation="max")
 
 
 class TestMetricStore:

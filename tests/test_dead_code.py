@@ -1,6 +1,6 @@
 """No ``src/`` function or class is reached only from its own tests, or
-from nothing, no ``src/`` module imports a name it never uses, and no field
-of a live, health or engine ``*Config`` dataclass is set only by tests.
+from nothing, no ``src/`` module imports a name it never uses, and no
+``src/`` value is settable that only tests set.
 
 A function or class counts as used when its name occurs in code under
 ``src/``, ``benchmarks/`` or ``examples/``, outside its own definition, as a
@@ -9,6 +9,27 @@ string under ``benchmarks/`` (the suite's trace targets, which CI requires
 to exist).  Import statements, ``__all__`` entries, docstrings and comments
 do not count, and dunders are called by the language.  Anything that fails
 here is either a leftover to delete or wants a caller outside ``tests/``.
+
+Two rules keep a knob with one value in use from coming back, both over
+calls in ``src/``, ``benchmarks/`` and ``examples/``:
+
+* **Fields.**  A field of a ``*Config``, ``*Params``, ``*Spec`` or
+  ``*Policy`` dataclass is set by a keyword argument outside its class,
+  by a keyword argument to ``cls(...)`` in one of the class's own
+  classmethods (``DetectorSpec.create`` sets ``options``), or by a call
+  by the class name that reaches it positionally or passes ``*``/``**``.
+* **Parameters.**  A defaulted parameter of a ``src/`` function is passed
+  by a keyword argument of its name outside its own definition, or by a
+  call by the function's name (the class name for ``__init__``) that
+  reaches it positionally or passes ``*``/``**``.
+
+A value neither rule finds is a constant: delete it, put the value it
+always had in the body or a module constant, and rewrite or delete the
+tests that set it.  ``ALLOWED`` and ``ALLOWED_KNOBS`` name what stays
+anyway, each with its written reason; a knob qualifies only as a paper
+parameter ROADMAP item 1 sweeps, DESIGN.md's paper-ambiguity variant, a
+determinism hook golden files pin, or part of a module ROADMAP deletes
+whole.
 """
 
 import ast
@@ -27,49 +48,55 @@ ALLOWED = {
 }
 
 
+def _parsed(directories):
+    """``(path relative to the root, module tree)`` of every file."""
+    for directory in directories:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            yield path.relative_to(ROOT), ast.parse(path.read_text())
+
+
 def _definitions(tree):
-    """``(node, qualname)`` for every function and class in ``tree``."""
+    """``(node, enclosing class or None, qualname)`` for every function
+    and class in ``tree``."""
     found = []
 
-    def visit(node, prefix):
+    def visit(node, cls, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
-                found.append((child, prefix + child.name))
-                visit(child, prefix + child.name + ".")
+                found.append((child, cls, prefix + child.name))
+                visit(child, child if isinstance(child, ast.ClassDef)
+                      else None, prefix + child.name + ".")
             else:
-                visit(child, prefix)
+                visit(child, cls, prefix)
 
-    visit(tree, "")
+    visit(tree, None, "")
     return found
 
 
 def _uses():
     """Every place a name is used: ``name -> [(path, line), ...]``."""
     uses = collections.defaultdict(list)
-    for directory in CALLER_DIRS:
-        for path in (ROOT / directory).rglob("*.py"):
-            where = path.relative_to(ROOT)
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    uses[node.id].append((where, node.lineno))
-                elif isinstance(node, ast.Attribute):
-                    uses[node.attr].append((where, node.end_lineno))
-                elif (directory == "benchmarks"
-                      and isinstance(node, ast.Constant)
-                      and isinstance(node.value, str)):
-                    target = TRACE_TARGET.match(node.value)
-                    for part in target.group(1).split(".") if target else ():
-                        uses[part].append((where, node.lineno))
+    for where, tree in _parsed(CALLER_DIRS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses[node.id].append((where, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses[node.attr].append((where, node.end_lineno))
+            elif (where.parts[0] == "benchmarks"
+                  and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                target = TRACE_TARGET.match(node.value)
+                for part in target.group(1).split(".") if target else ():
+                    uses[part].append((where, node.lineno))
     return uses
 
 
 def test_every_src_function_has_a_caller():
     uses = _uses()
     dead = []
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        where = path.relative_to(ROOT)
-        for node, qualname in _definitions(ast.parse(path.read_text())):
+    for where, tree in _parsed(["src"]):
+        for node, _, qualname in _definitions(tree):
             name = node.name
             if (name.startswith("__") and name.endswith("__")
                     or qualname in ALLOWED):
@@ -95,10 +122,9 @@ def test_no_src_module_imports_a_name_it_never_uses():
     their name appears as a ``Name`` node or in a string constant (an
     ``__all__`` entry, a quoted annotation)."""
     unused = []
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        if path.name == "__init__.py":
+    for where, tree in _parsed(["src"]):
+        if where.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text())
         names, strings = set(), []
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -113,53 +139,147 @@ def test_no_src_module_imports_a_name_it_never_uses():
             for name in _bound_names(node):
                 if name not in names and not re.search(
                         r"\b%s\b" % re.escape(name), text):
-                    unused.append("%s:%d %s" % (path.relative_to(ROOT),
-                                                node.lineno, name))
+                    unused.append("%s:%d %s" % (where, node.lineno, name))
     assert not unused, "imported but never used:\n" + "\n".join(unused)
 
 
+KNOB_SUFFIXES = ("Config", "Params", "Spec", "Policy")
 
-CONFIG_DIRS = ("live", "obs", "engine")
+_SWEPT = "a paper parameter ROADMAP item 1 sweeps"
+_GOLDEN = "a determinism hook the golden run-artifact files pin"
+
+# Knobs kept with no setter outside tests: qualified name -> reason.
+ALLOWED_KNOBS = {
+    "ImprovedSSTParams.eta": _SWEPT,
+    "ChangeDeclarationPolicy.score_threshold": _SWEPT,
+    "ChangeDeclarationPolicy.persistence": _SWEPT,
+    "ChangeDeclarationPolicy.deviation_sigmas": _SWEPT,
+    "CorpusSpec.ramp_duration": _SWEPT,
+    "ImprovedSSTParams.future_directions":
+        "DESIGN.md's paper-ambiguity variant (Eq. 8's literal smallest "
+        "eigenvalues); only the production kernel computes it",
+    "write_run_artifacts.run_id": _GOLDEN,
+    "write_run_artifacts.unix_time": _GOLDEN,
+    "BaselineStatsCache.__init__.max_entries":
+        "ROADMAP item 4 deletes the baseline cache module whole",
+}
 
 
-def _is_config_dataclass(node):
-    return (isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+def _called_name(call):
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _calls_and_keywords():
+    """Every call by the name it is made through, and every keyword
+    argument by its name, in code under ``src/``, ``benchmarks/`` and
+    ``examples/``."""
+    calls = collections.defaultdict(list)
+    keywords = collections.defaultdict(list)
+    for _, tree in _parsed(CALLER_DIRS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls[_called_name(node)].append(node)
+                for keyword in node.keywords:
+                    if keyword.arg:
+                        keywords[keyword.arg].append(keyword)
+    return calls, keywords
+
+
+def _reach(calls):
+    """``(positional arguments passed at most, any ``*``/``**``)``."""
+    positional = max([sum(not isinstance(arg, ast.Starred)
+                          for arg in call.args) for call in calls] or [0])
+    starred = any(isinstance(arg, ast.Starred) for call in calls
+                  for arg in call.args) or any(
+        keyword.arg is None for call in calls for keyword in call.keywords)
+    return positional, starred
+
+
+def _is_knob_dataclass(node):
+    return (isinstance(node, ast.ClassDef)
+            and node.name.endswith(KNOB_SUFFIXES)
             and any("dataclass" in ast.unparse(d)
                     for d in node.decorator_list))
 
 
 def test_every_config_field_has_a_caller():
-    """A config field is set somewhere outside ``tests/``: passed as a
-    keyword argument or named as a dict key in ``src/``, ``benchmarks/``
-    or ``examples/`` (the declaring dataclass does not count).  A field no
-    caller sets has one value in use and belongs in a constant."""
-    fields = []
-    for directory in CONFIG_DIRS:
-        for path in (ROOT / "src" / "repro" / directory).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if _is_config_dataclass(node):
-                    fields += [(node.name, item.target.id)
-                               for item in node.body
-                               if isinstance(item, ast.AnnAssign)
-                               and isinstance(item.target, ast.Name)]
-    set_names = set()
-    for directory in CALLER_DIRS:
-        for path in (ROOT / directory).rglob("*.py"):
-            tree = ast.parse(path.read_text())
-            inside = {id(inner) for node in ast.walk(tree)
-                      if _is_config_dataclass(node)
-                      for inner in ast.walk(node)}
-            for node in ast.walk(tree):
-                if id(node) in inside:
+    """Every field of a ``*Config``, ``*Params``, ``*Spec`` or
+    ``*Policy`` dataclass under ``src/`` is set outside ``tests/``: by a
+    keyword argument anywhere but in its own class, by a keyword
+    argument to ``cls(...)`` in one of its own classmethods, or by a
+    call by the class name that passes it positionally (or passes
+    ``*``/``**``).  A field no caller sets has one value in use and
+    belongs in a constant."""
+    calls, keywords = _calls_and_keywords()
+    unset = []
+    for _, tree in _parsed(["src"]):
+        for node in ast.walk(tree):
+            if not _is_knob_dataclass(node):
+                continue
+            inside = {id(inner) for inner in ast.walk(node)}
+            constructors = [
+                inner for method in node.body
+                if isinstance(method, ast.FunctionDef)
+                and any(ast.unparse(d) == "classmethod"
+                        for d in method.decorator_list)
+                for inner in ast.walk(method)
+                if isinstance(inner, ast.Call) and _called_name(inner) == "cls"]
+            own = {id(keyword) for call in constructors
+                   for keyword in call.keywords}
+            positional, starred = _reach(calls[node.name] + constructors)
+            fields = [item.target.id for item in node.body
+                      if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)]
+            for index, field in enumerate(fields):
+                qualname = "%s.%s" % (node.name, field)
+                if (starred or index < positional
+                        or qualname in ALLOWED_KNOBS
+                        or any(id(k) not in inside or id(k) in own
+                               for k in keywords[field])):
                     continue
-                if isinstance(node, ast.keyword) and node.arg:
-                    set_names.add(node.arg)
-                elif isinstance(node, ast.Dict):
-                    set_names.update(
-                        key.value for key in node.keys
-                        if isinstance(key, ast.Constant)
-                        and isinstance(key.value, str))
-    unset = sorted("%s.%s" % field for field in fields
-                   if field[1] not in set_names)
-    assert not unset, ("config fields no caller outside tests sets:\n"
-                       + "\n".join(unset))
+                unset.append(qualname)
+    assert not unset, ("knob fields no caller outside tests sets:\n"
+                       + "\n".join(sorted(unset)))
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    """Every defaulted parameter of a ``src/`` function is passed outside
+    ``tests/``: its name is a keyword argument somewhere outside the
+    function's own definition, or a call by the function's name (the
+    class name for ``__init__``) passes at least that many positional
+    arguments, or passes ``*``/``**``.  A parameter nobody passes has
+    one value in use and belongs in the body as a constant."""
+    calls, keywords = _calls_and_keywords()
+    unpassed = []
+    for where, tree in _parsed(["src"]):
+        for node, cls, qualname in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = cls is not None and not any(
+                ast.unparse(d) == "staticmethod"
+                for d in node.decorator_list)
+            name = cls.name if node.name == "__init__" else node.name
+            reach, starred = _reach(calls[name])
+            inside = {id(inner) for inner in ast.walk(node)}
+            defaulted = [(parameter, positional.index(parameter) - bound)
+                         for parameter in positional[
+                             len(positional) - len(args.defaults):]]
+            defaulted += [(parameter, None) for parameter, default
+                          in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            for parameter, index in defaulted:
+                full = "%s.%s" % (qualname, parameter.arg)
+                if (starred or index is not None and index < reach
+                        or full in ALLOWED_KNOBS
+                        or any(id(k) not in inside
+                               for k in keywords[parameter.arg])):
+                    continue
+                unpassed.append("%s:%s" % (where, full))
+    assert not unpassed, ("defaulted parameters no caller outside tests "
+                          "passes:\n" + "\n".join(unpassed))

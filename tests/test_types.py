@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import (ChangeLogError, ConvergenceError,
-                              EvaluationError, InsufficientDataError,
-                              ParameterError, ReproError, TelemetryError,
-                              TopologyError)
+from repro.exceptions import (ChangeLogError, EvaluationError,
+                              InsufficientDataError, ParameterError,
+                              ReproError, TelemetryError, TopologyError)
 from repro.types import (Assessment, ChangeKind, DetectedChange,
                          KpiCharacter, LaunchMode, Verdict, as_float_array)
 
 
 class TestExceptionHierarchy:
     @pytest.mark.parametrize("exc_cls", [
-        ParameterError, InsufficientDataError, ConvergenceError,
+        ParameterError, InsufficientDataError,
         TopologyError, TelemetryError, ChangeLogError, EvaluationError,
     ])
     def test_all_derive_from_repro_error(self, exc_cls):
@@ -23,10 +22,6 @@ class TestExceptionHierarchy:
         # Callers using plain ValueError handling still work.
         assert issubclass(ParameterError, ValueError)
         assert issubclass(InsufficientDataError, ValueError)
-
-    def test_convergence_error_carries_iterations(self):
-        exc = ConvergenceError("no luck", iterations=42)
-        assert exc.iterations == 42
 
 
 class TestEnums:

@@ -63,9 +63,11 @@ class TestReachability:
         assert fig4_graph.reachable("b", directed=True) == {"c"}
         assert fig4_graph.reachable("d", directed=True) == set()
 
-    def test_max_hops(self, fig4_graph):
-        assert fig4_graph.reachable("a", max_hops=1) == {"b", "d"}
-        assert fig4_graph.reachable("a", max_hops=2) == {"b", "c", "d"}
+    def test_max_hops(self):
+        """There is no hop limit: a chain is reachable end to end."""
+        g = graph_of(("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"))
+        assert g.reachable("a") == {"b", "c", "d", "e"}
+        assert g.reachable("e", directed=True) == set()
 
     def test_disconnected_components(self):
         g = graph_of(("a", "b"), ("x", "y"))

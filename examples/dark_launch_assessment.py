@@ -1,73 +1,67 @@
 #!/usr/bin/env python
 """End-to-end dark-launch assessment on a simulated fleet.
 
-Builds a small service topology (Fig. 1/Fig. 4 style), runs the
-telemetry plane for a few hours, dark-launches a configuration change
-that degrades memory utilisation on the treated servers, and lets
-FUNNEL identify the impact set and assess every KPI in it.
+Builds a synthetic fleet (services named so that the naming rules imply
+their relationships, section 3.1), picks a dark-launched change that
+genuinely shifts its treated servers' KPIs, and lets the engine do
+FUNNEL's walk: identify the change's impact set, fetch every monitored
+KPI's window with its peer or historical control, and assess each one.
 
 Run:
     python examples/dark_launch_assessment.py
 """
 
-from repro.simulation import ServiceScenario
+from repro.engine import (AssessmentEngine, FleetScenarioSpec,
+                          SyntheticFleetSource, plan_change_jobs,
+                          spec_for_method)
+from repro.telemetry import KpiKey
 from repro.topology.impact import identify_impact_set
-from repro.types import ChangeKind
+from repro.types import Verdict
 
 
 def main() -> None:
-    scenario = ServiceScenario(seed=42)
+    source = SyntheticFleetSource(FleetScenarioSpec(
+        n_services=6, n_servers=48, n_changes=8, seed=42))
 
-    # A search-engine-ish hierarchy: naming implies the relationships
-    # (section 3.1 — "FUNNEL derives the relationship among services
-    # using the naming rules").
-    scenario.add_service("search.frontend", n_servers=8)
-    scenario.add_service("search.backend", n_servers=12)
-    scenario.add_service("search.cache", n_servers=6)
-    scenario.add_service("ads.serving", n_servers=4)
-    scenario.fleet.add_relationship("search.frontend", "ads.serving")
+    # The first dark launch whose treated servers really regress
+    # (``truth`` is the scenario's ground truth for one entity and KPI).
+    change = next(
+        c for c in source.changes
+        if len(c.hostnames) < len(source.fleet.service(c.service).hostnames)
+        and source.truth(c, "server", c.hostnames[0], "memory_utilization"))
+    n_hosts = len(source.fleet.service(change.service).hostnames)
+    print("change %s (%s) dark-launched on %d of %d servers of %s"
+          % (change.change_id, change.kind.value, len(change.hostnames),
+             n_hosts, change.service))
 
-    # Four hours of normal operation before anything changes.
-    scenario.run(minutes=240)
-
-    # Dark-launch a config change on search.backend; it regresses the
-    # treated servers' memory utilisation by ~6 sigma.
-    change = scenario.deploy_change(
-        "search.backend", ChangeKind.CONFIG_CHANGE,
-        effect_sigmas=6.0, metric="memory_utilization",
-        description="increase worker threads 8 -> 32",
-    )
-    print("change %s deployed on %d of %d servers at t=%ds"
-          % (change.change_id, len(change.hostnames),
-             len(scenario.fleet.service("search.backend").hostnames),
-             change.at_time))
-
-    # Two more hours of measurements, then assess.
-    scenario.run(minutes=120)
-    assessment = scenario.assess(change)
-
-    impact = assessment.impact_set
+    impact = identify_impact_set(source.fleet, change.service,
+                                 change.hostnames)
     print("\nimpact set:")
     print("  tservers:  %s" % (impact.treated_hostnames,))
     print("  cservers:  %d peers form the control group"
           % len(impact.cservers))
     print("  affected services: %s" % sorted(impact.affected_services))
 
-    print("\nper-KPI verdicts (%d KPIs assessed):" % assessment.kpi_count)
-    for key, result in assessment.results:
+    # One job per monitored (entity, KPI); the engine scores them in
+    # one stacked pass and attributes the declared ones with DiD.
+    jobs = list(plan_change_jobs(source.fleet, change, source,
+                                 spec_for_method("funnel")))
+    results = AssessmentEngine().run(jobs)
+    keys = [KpiKey(job.entity_type, job.entity, job.metric) for job in jobs]
+
+    # A KPI in which nothing was declared carries no verdict: no change.
+    print("\nper-KPI verdicts (%d KPIs assessed):" % len(jobs))
+    for key, result in zip(keys, results):
         marker = "  <-- impact" if result.positive else ""
-        print("  %-48s %s%s" % (key, result.verdict.value, marker))
+        print("  %-56s %s%s" % (key, (result.verdict
+                                       or Verdict.NO_CHANGE).value, marker))
 
-    flagged = assessment.flagged
-    print("\nFUNNEL attributes %d KPI change(s) to %s"
-          % (len(flagged), change.change_id))
+    flagged = {key for key, result in zip(keys, results) if result.positive}
+    truth = {key for key, job in zip(keys, jobs) if job.truth_positive}
+    print("\nFUNNEL attributes %d KPI change(s) to %s (%d true)"
+          % (len(flagged), change.change_id, len(truth)))
     assert flagged, "the regression must be caught"
-    assert all(k.metric == "memory_utilization" for k in flagged)
-
-    # The impact-set identification is also available standalone:
-    standalone = identify_impact_set(scenario.fleet, "search.backend",
-                                     change.hostnames)
-    assert standalone.treated_hostnames == impact.treated_hostnames
+    assert flagged == truth, "flagged KPIs must be the change's true ones"
 
 
 if __name__ == "__main__":

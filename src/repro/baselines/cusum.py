@@ -146,8 +146,7 @@ class CusumDetector:
             out[end - 1] = stat / p.threshold
         return out
 
-    def detect(self, series: Sequence[float],
-               first_only: bool = False) -> List[DetectedChange]:
+    def detect(self, series: Sequence[float]) -> List[DetectedChange]:
         """Declared changes: threshold crossing + bootstrap significance."""
         x = as_float_array(series)
         p = self.params
@@ -176,8 +175,6 @@ class CusumDetector:
                     kind=kind,
                     direction=direction,
                 ))
-                if first_only:
-                    break
                 end += p.window      # skip past the declared window
             else:
                 end += 1

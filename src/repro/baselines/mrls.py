@@ -167,8 +167,7 @@ class MrlsDetector:
             out[end - 1] = stat / p.threshold
         return out
 
-    def detect(self, series: Sequence[float],
-               first_only: bool = False) -> List[DetectedChange]:
+    def detect(self, series: Sequence[float]) -> List[DetectedChange]:
         """Declared changes at threshold crossings of the MRLS statistic."""
         x = as_float_array(series)
         p = self.params
@@ -195,8 +194,6 @@ class MrlsDetector:
                     kind=kind,
                     direction=direction,
                 ))
-                if first_only:
-                    break
                 end += p.window
             else:
                 end += 1

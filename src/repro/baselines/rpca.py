@@ -36,14 +36,6 @@ class RpcaResult:
     iterations: int
     converged: bool
 
-    @property
-    def rank(self) -> int:
-        """Numerical rank of the recovered low-rank component."""
-        s = np.linalg.svd(self.low_rank, compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.sum(s > 1e-9 * s[0]))
-
 
 def _shrink(matrix: np.ndarray, tau: float) -> np.ndarray:
     """Elementwise soft-thresholding (the l1 proximal operator)."""

@@ -1,8 +1,8 @@
 """Software changes: records, the change log, rollout policies."""
 
-from .change import ConfigScope, SoftwareChange, next_change_id
+from .change import ConfigScope, SoftwareChange
 from .log import ChangeLog
 from .rollout import RolloutPlan, RolloutPolicy, plan_rollout
 
-__all__ = ["ConfigScope", "SoftwareChange", "next_change_id", "ChangeLog",
+__all__ = ["ConfigScope", "SoftwareChange", "ChangeLog",
            "RolloutPlan", "RolloutPolicy", "plan_rollout"]

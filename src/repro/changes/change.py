@@ -11,21 +11,13 @@ the deployed servers with the service's full deployment.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..exceptions import ChangeLogError
-from ..types import ChangeKind, LaunchMode
+from ..types import ChangeKind
 
-__all__ = ["SoftwareChange", "ConfigScope", "next_change_id"]
-
-_change_counter = itertools.count(1)
-
-
-def next_change_id() -> str:
-    """A process-unique change identifier (``chg-000001``-style)."""
-    return "chg-%06d" % next(_change_counter)
+__all__ = ["SoftwareChange", "ConfigScope"]
 
 
 class ConfigScope:
@@ -88,8 +80,3 @@ class SoftwareChange:
             raise ChangeLogError(
                 "software upgrades carry no config scope"
             )
-
-    def launch_mode(self, service_hostnames: Tuple[str, ...]) -> LaunchMode:
-        """Dark vs Full launching, given the service's full deployment."""
-        remaining = set(service_hostnames) - set(self.hostnames)
-        return LaunchMode.DARK if remaining else LaunchMode.FULL

@@ -15,8 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import ChangeLogError, ParameterError
-from ..types import ChangeKind, LaunchMode
-from .change import SoftwareChange, next_change_id
+from ..types import LaunchMode
 
 __all__ = ["RolloutPolicy", "RolloutPlan", "plan_rollout"]
 
@@ -58,18 +57,6 @@ class RolloutPlan:
             raise ChangeLogError("dark launch with an empty control group")
         if self.mode is LaunchMode.FULL and self.control:
             raise ChangeLogError("full launch with a control group")
-
-    def to_change(self, service: str, kind: ChangeKind, at_time: int,
-                  description: str = "") -> SoftwareChange:
-        """Materialise the plan as a change-log record."""
-        return SoftwareChange(
-            change_id=next_change_id(),
-            kind=kind,
-            service=service,
-            hostnames=self.treated,
-            at_time=at_time,
-            description=description,
-        )
 
 
 def plan_rollout(hostnames: Sequence[str],

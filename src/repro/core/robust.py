@@ -17,7 +17,6 @@ from ..types import as_float_array
 
 __all__ = [
     "median",
-    "mad",
     "median_and_mad",
     "MAD_TO_SIGMA",
     "window_pair",
@@ -41,14 +40,6 @@ def median(values: Sequence[float]) -> float:
     if arr.size == 0:
         raise InsufficientDataError("median of an empty sequence")
     return _middle(np.sort(arr))
-
-
-def mad(values: Sequence[float]) -> float:
-    """Median absolute deviation around the median (paper Eq. 12)."""
-    arr = as_float_array(values)
-    if arr.size == 0:
-        raise InsufficientDataError("MAD of an empty sequence")
-    return _middle(np.sort(np.abs(arr - _middle(np.sort(arr)))))
 
 
 def median_and_mad(values: Sequence[float]) -> Tuple[float, float]:

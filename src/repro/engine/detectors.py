@@ -58,7 +58,7 @@ def spec_for_method(name: str,
 def baseline_detector(spec: DetectorSpec, seed: int):
     """A fresh CUSUM / MRLS / WoW detector for ``spec``, seeded ``seed``.
 
-    Each has ``detect(series, first_only=...) -> List[DetectedChange]``.
+    Each has ``detect(series) -> List[DetectedChange]``.
     """
     if spec.name == "cusum":
         return CusumDetector(spec.option("cusum_params"), seed=seed)

@@ -100,7 +100,7 @@ def run_job(job: AssessmentJob) -> JobResult:
     detector = baseline_detector(job.detector, job_seed(job))
     started = time.perf_counter()
     try:
-        changes = detector.detect(job.treated_aggregate, first_only=False)
+        changes = detector.detect(job.treated_aggregate)
     except InsufficientDataError:
         changes = []
     relevant = [c for c in changes if _reportable(c, job.change_index)]

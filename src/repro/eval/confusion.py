@@ -76,10 +76,6 @@ class ConfusionMatrix:
     def positives(self) -> float:
         return self.tp + self.fn
 
-    @property
-    def negatives(self) -> float:
-        return self.tn + self.fp
-
     @staticmethod
     def _ratio(numerator: float, denominator: float) -> float:
         """A rate, or ``nan`` when its denominator is empty."""

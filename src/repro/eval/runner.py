@@ -1,9 +1,8 @@
 """The experiment runner: methods x corpus -> Table 1 / Fig. 5 data.
 
 Every method is evaluated through the assessment engine
-(:mod:`repro.engine`): :func:`make_method` resolves a method name to an
-:class:`EngineMethod` — a callable adapter wrapping a
-:class:`~repro.engine.jobs.DetectorSpec` — and :func:`evaluate_corpus`
+(:mod:`repro.engine`): :func:`make_method` resolves a method name to its
+:class:`~repro.engine.jobs.DetectorSpec`, and :func:`evaluate_corpus`
 plans one :class:`~repro.engine.jobs.AssessmentJob` per (item, method)
 and runs them through the batched executor.  The engine preserves what
 each method is *allowed to see*:
@@ -36,7 +35,7 @@ from ..types import KpiCharacter
 from .confusion import ConfusionMatrix
 from .delay import DelayDistribution
 
-__all__ = ["ItemOutcome", "EngineMethod", "make_method",
+__all__ = ["ItemOutcome", "make_method",
            "EvaluationResult", "evaluate_corpus", "CLEAN_SCALE_FACTOR",
            "METHOD_NAMES"]
 
@@ -46,33 +45,16 @@ CLEAN_SCALE_FACTOR = 86.0
 METHOD_NAMES = ("funnel", "improved_sst", "cusum", "mrls")
 
 
-class EngineMethod:
-    """A method adapter backed by an engine detector spec.
-
-    Calling it runs one item through :func:`~repro.engine.execute_jobs`,
-    the route :func:`evaluate_corpus` takes, so the one-item
-    convenience path and the corpus run cannot diverge.
-    """
-
-    def __init__(self, spec: DetectorSpec) -> None:
-        self.spec = spec
-        self.name = spec.name
-
-    def __call__(self, item: EvaluationItem) -> ItemOutcome:
-        return execute_jobs([job_from_item(item, self.spec)])[0].outcome
-
-
 def make_method(name: str, funnel_config: Optional[FunnelConfig] = None,
                 cusum_params: Optional[CusumParams] = None,
-                mrls_params: Optional[MrlsParams] = None) -> EngineMethod:
-    """Build the engine-backed adapter for one of :data:`METHOD_NAMES`."""
+                mrls_params: Optional[MrlsParams] = None) -> DetectorSpec:
+    """The engine detector spec for one of :data:`METHOD_NAMES`."""
     try:
-        spec = spec_for_method(name, funnel_config=funnel_config,
+        return spec_for_method(name, funnel_config=funnel_config,
                                cusum_params=cusum_params,
                                mrls_params=mrls_params)
     except EngineError as exc:
         raise EvaluationError("unknown method %r" % name) from exc
-    return EngineMethod(spec)
 
 
 @dataclass
@@ -135,22 +117,22 @@ class EvaluationResult:
 
 
 def evaluate_corpus(items: Iterable[EvaluationItem],
-                    methods: Dict[str, EngineMethod],
+                    methods: Dict[str, DetectorSpec],
                     mrls_stride: int = 1,
                     progress: Optional[Callable[[int], None]] = None,
                     batch_size: int = 16,
                     obs: Optional[ObsContext] = None) -> EvaluationResult:
     """Run every method over every item.
 
-    Every method (an adapter :func:`make_method` returns) is planned
+    Every method (a spec :func:`make_method` returns) is planned
     into assessment jobs and run through
     :func:`repro.engine.execute_jobs` in chunks of ``batch_size * 4``
     items; results do not depend on the chunking.
 
     Args:
         items: the evaluation corpus (streamed).
-        methods: name -> adapter; build with :func:`make_method` (any
-            other callable raises :class:`EvaluationError`).
+        methods: name -> detector spec; build with :func:`make_method`
+            (any other value raises :class:`EvaluationError`).
         mrls_stride: evaluate ``mrls`` only on every n-th item (its
             iterated-SVD cost makes the full corpus impractical; the
             sampled counts are scaled back up by ``mrls_stride`` so the
@@ -164,10 +146,10 @@ def evaluate_corpus(items: Iterable[EvaluationItem],
     """
     if mrls_stride < 1:
         raise EvaluationError("mrls_stride must be >= 1")
-    for name, adapter in methods.items():
-        if not isinstance(adapter, EngineMethod):
+    for name, spec in methods.items():
+        if not isinstance(spec, DetectorSpec):
             raise EvaluationError(
-                "method %r is not an engine adapter; build it with "
+                "method %r is not a detector spec; build it with "
                 "make_method" % name)
     result = _evaluate_with_engine(
         items, methods, mrls_stride, progress,
@@ -181,7 +163,7 @@ def evaluate_corpus(items: Iterable[EvaluationItem],
 
 
 def _evaluate_with_engine(items: Iterable[EvaluationItem],
-                          methods: Dict[str, "EngineMethod"],
+                          methods: Dict[str, DetectorSpec],
                           mrls_stride: int,
                           progress: Optional[Callable[[int], None]],
                           config: EngineConfig,
@@ -196,10 +178,10 @@ def _evaluate_with_engine(items: Iterable[EvaluationItem],
         jobs: List[AssessmentJob] = []
         labels: List[Tuple[str, EvaluationItem]] = []
         for counter, item in chunk:
-            for name, method in methods.items():
+            for name, spec in methods.items():
                 if name == "mrls" and counter % mrls_stride:
                     continue
-                jobs.append(job_from_item(item, method.spec))
+                jobs.append(job_from_item(item, spec))
                 labels.append((name, item))
         outcomes = execute_jobs(jobs, config=config, obs=obs)
         for (name, item), job_result in zip(labels, outcomes):

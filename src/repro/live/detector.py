@@ -217,11 +217,6 @@ class IncrementalDetector:
     def rows(self) -> int:
         return self.change_index.size
 
-    @property
-    def declared(self) -> Optional[DetectedChange]:
-        """Row 0's declaration: a one-row detector's."""
-        return self.declarations[0]
-
     def length(self, row: int = 0) -> int:
         """Bins received on ``row``."""
         return int(self._rows.length[row])

@@ -1,12 +1,10 @@
-"""End-to-end simulations: scenarios, the deployment week, case studies."""
+"""End-to-end simulations: the deployment week and the case studies."""
 
 from .cases import (AdvertisingCaseResult, RedisCaseResult,
                     advertising_case, redis_case)
 from .clock import SimulationClock
 from .deployment import (DeploymentReport, DeploymentSpec, simulate_week)
-from .scenario import ChangeAssessment, KpiBehaviour, ServiceScenario
 
 __all__ = ["AdvertisingCaseResult", "RedisCaseResult", "advertising_case",
            "redis_case", "SimulationClock", "DeploymentReport",
-           "DeploymentSpec", "simulate_week", "ChangeAssessment",
-           "KpiBehaviour", "ServiceScenario"]
+           "DeploymentSpec", "simulate_week"]

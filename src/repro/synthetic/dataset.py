@@ -57,6 +57,9 @@ POST_BINS = 60
 AFFECTED_FRACTION = 0.15
 #: Fraction of positive impacts that are ramps rather than level shifts.
 RAMP_FRACTION = 0.3
+#: (min, max) magnitude of an injected level shift or ramp, in units of
+#: the pattern's typical scale.
+EFFECT_SIGMAS = (4.0, 9.0)
 #: Probability that a negative item carries an other-factor event (hits
 #: treated AND control).
 OTHER_FACTOR_RATE = 0.05
@@ -137,8 +140,6 @@ class CorpusSpec:
         n_changes: evaluated software changes per half at scale 1.0.
         dark_fraction: fraction of changes Dark Launched (108/144).
         history_days: historical-control depth (30).
-        effect_sigmas: (min, max) injected-impact magnitude in units of
-            the pattern's typical scale.
         ramp_duration: bins a ramp impact takes to reach its level.
         seed: corpus master seed.
 
@@ -150,16 +151,12 @@ class CorpusSpec:
     n_changes: int = 72
     dark_fraction: float = 0.75
     history_days: int = 30
-    effect_sigmas: Tuple[float, float] = (4.0, 9.0)
     ramp_duration: int = 20
     seed: int = 20151201       # CoNEXT'15 conference date
 
     def __post_init__(self) -> None:
         if not 0.0 < self.scale <= 1.0:
             raise ParameterError("scale must be in (0, 1]")
-        if self.effect_sigmas[0] <= 0 or \
-                self.effect_sigmas[1] < self.effect_sigmas[0]:
-            raise ParameterError("effect_sigmas must be 0 < lo <= hi")
 
     def counts(self, half: str) -> dict:
         base = _INDUCING_COUNTS if half == "inducing" else _CLEAN_COUNTS
@@ -321,7 +318,7 @@ class EvaluationCorpus:
             # noise-sigmas per hour.
             magnitude = float(rng.uniform(0.2, 0.5)) * pattern.base
         else:
-            magnitude = float(rng.uniform(*spec.effect_sigmas)) * \
+            magnitude = float(rng.uniform(*EFFECT_SIGMAS)) * \
                 pattern.typical_scale()
         if rng.random() < 0.5:
             magnitude = -magnitude
@@ -349,7 +346,7 @@ class EvaluationCorpus:
         # An other-factor event: a level shift hitting the whole service
         # (both groups) somewhere in the post-change hour.
         scale = pattern.typical_scale()
-        magnitude = float(rng.uniform(*self.spec.effect_sigmas)) * scale
+        magnitude = float(rng.uniform(*EFFECT_SIGMAS)) * scale
         if rng.random() < 0.5:
             magnitude = -magnitude
         at = PRE_BINS + int(rng.integers(0, POST_BINS // 2))

@@ -70,10 +70,6 @@ class TimeSeries:
         """One past the last covered timestamp."""
         return self.start + len(self) * self.bin_seconds
 
-    def timestamps(self) -> np.ndarray:
-        """The left edge of every bin."""
-        return self.start + np.arange(len(self)) * self.bin_seconds
-
     # -- transforms ----------------------------------------------------------
 
     def slice_time(self, from_time: int, to_time: int) -> "TimeSeries":

@@ -77,10 +77,10 @@ class Fleet:
         >>> fleet = Fleet()
         >>> _ = fleet.add_service("search.frontend", ["fe-1", "fe-2"])
         >>> _ = fleet.add_service("search.backend", ["be-1"])
-        >>> ("search.backend", "search.frontend") in fleet.relationships.edges
-        True
-        >>> fleet.server("fe-2").service
-        'search.frontend'
+        >>> fleet.relationships.reachable("search.backend")
+        {'search.frontend'}
+        >>> fleet.service("search.frontend").hostnames
+        ['fe-1', 'fe-2']
     """
 
     def __init__(self) -> None:
@@ -135,12 +135,6 @@ class Fleet:
             return self._services[name]
         except KeyError:
             raise TopologyError("unknown service %r" % name) from None
-
-    def server(self, hostname: str) -> Server:
-        try:
-            return self._servers[hostname]
-        except KeyError:
-            raise TopologyError("unknown server %r" % hostname) from None
 
     def __contains__(self, service_name: str) -> bool:
         return service_name in self._services

@@ -12,7 +12,7 @@ treat the graph as undirected unless asked otherwise.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, Set
 
 from ..exceptions import TopologyError
 
@@ -56,14 +56,6 @@ class ServiceGraph:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._successors)
-
-    @property
-    def edges(self) -> List[Tuple[str, str]]:
-        return sorted(
-            (src, dst)
-            for src, targets in self._successors.items()
-            for dst in targets
-        )
 
     # -- traversals ------------------------------------------------------------
 

@@ -67,7 +67,7 @@ class TestDetect:
     def test_detects_step(self, rng):
         x = 10.0 + 0.4 * rng.normal(size=200)
         x[120:] += 3.0
-        changes = CusumDetector().detect(x, first_only=True)
+        changes = CusumDetector().detect(x)
         assert changes
         assert changes[0].index >= 120
 
@@ -76,14 +76,14 @@ class TestDetect:
         params = CusumParams(threshold=20.0)
         x = 10.0 + 0.5 * rng.normal(size=300)
         x[150:] += 1.0             # 2-sigma shift
-        changes = CusumDetector(params).detect(x, first_only=True)
+        changes = CusumDetector(params).detect(x)
         if changes:
             assert changes[0].index - 150 > 5
 
     def test_quiet_series_no_detection(self, rng):
         x = 10.0 + 0.4 * rng.normal(size=200)
         detector = CusumDetector(CusumParams(threshold=15.0))
-        assert detector.detect(x, first_only=True) == []
+        assert detector.detect(x) == []
 
     def test_scores_normalised_by_threshold(self, rng):
         x = 10.0 + 0.4 * rng.normal(size=100)

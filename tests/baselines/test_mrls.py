@@ -87,15 +87,14 @@ class TestDetect:
     def test_detects_step(self, rng):
         x = 10.0 + 0.3 * rng.normal(size=160)
         x[100:] += 2.0
-        changes = MrlsDetector().detect(x, first_only=True)
+        changes = MrlsDetector().detect(x)
         assert changes
         assert changes[0].index >= 100
         assert changes[0].direction == 1
 
     def test_quiet_series_no_detection(self, rng):
         x = 10.0 + 0.3 * rng.normal(size=160)
-        assert MrlsDetector(MrlsParams(threshold=6.0)).detect(
-            x, first_only=True) == []
+        assert MrlsDetector(MrlsParams(threshold=6.0)).detect(x) == []
 
     def test_scores_shape(self, rng):
         x = 10.0 + 0.3 * rng.normal(size=80)

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.changes.change import ConfigScope, SoftwareChange, next_change_id
+from repro.changes.change import ConfigScope, SoftwareChange
 from repro.changes.log import CONCURRENCY_GUARD_SECONDS, ChangeLog
 from repro.changes.rollout import RolloutPlan, RolloutPolicy, plan_rollout
 from repro.exceptions import ChangeLogError, ParameterError
+from repro.topology.entities import Fleet
+from repro.topology.impact import identify_impact_set
 from repro.types import ChangeKind, LaunchMode
 
 
@@ -15,17 +17,22 @@ def make_change(change_id="c1", service="svc.a", hosts=("h1",), at=0,
                           hostnames=tuple(hosts), at_time=at, **kwargs)
 
 
-class TestSoftwareChange:
-    def test_unique_ids(self):
-        assert next_change_id() != next_change_id()
+def dark_launched(change, service_hostnames):
+    """Whether ``change`` leaves a control group of its service's peers."""
+    fleet = Fleet()
+    fleet.add_service(change.service, service_hostnames)
+    return identify_impact_set(fleet, change.service,
+                               change.hostnames).dark_launched
 
+
+class TestSoftwareChange:
     def test_launch_mode_dark(self):
         change = make_change(hosts=("h1",))
-        assert change.launch_mode(("h1", "h2")) is LaunchMode.DARK
+        assert dark_launched(change, ("h1", "h2"))
 
     def test_launch_mode_full(self):
         change = make_change(hosts=("h1", "h2"))
-        assert change.launch_mode(("h1", "h2")) is LaunchMode.FULL
+        assert not dark_launched(change, ("h1", "h2"))
 
     def test_config_scope_valid(self):
         change = make_change(kind=ChangeKind.CONFIG_CHANGE,
@@ -119,15 +126,6 @@ class TestRollout:
         p1 = plan_rollout(hosts, RolloutPolicy(seed=4))
         p2 = plan_rollout(hosts, RolloutPolicy(seed=4))
         assert p1.treated == p2.treated
-
-    def test_plan_to_change(self):
-        plan = plan_rollout(["h1", "h2", "h3", "h4"],
-                            RolloutPolicy(seed=2))
-        change = plan.to_change("svc.a", ChangeKind.CONFIG_CHANGE,
-                                at_time=500)
-        assert change.service == "svc.a"
-        assert change.hostnames == plan.treated
-        assert change.at_time == 500
 
     def test_inconsistent_plan_rejected(self):
         with pytest.raises(ChangeLogError):

@@ -47,11 +47,17 @@ class TestRegistry:
     """Method names, their specs, and the executor's answer per name."""
 
     def test_every_method_runs_under_its_own_name(self, tiny_corpus):
-        jobs = [job_from_item(tiny_corpus[0], spec_for_method(name))
-                for name in METHODS]
+        """... and answers what the core pipeline does on each job alone,
+        for a positive item and a negative one."""
+        items = [next(i for i in tiny_corpus if i.truth.positive),
+                 next(i for i in tiny_corpus if not i.truth.positive)]
+        jobs = [job_from_item(item, spec_for_method(name))
+                for name in METHODS for item in items]
         results = execute_jobs(jobs)
-        assert [r.detector for r in results] == list(METHODS)
+        assert [r.detector for r in results] == [name for name in METHODS
+                                                 for _ in items]
         assert [r.job_id for r in results] == [j.job_id for j in jobs]
+        assert_identical(results, oracle_results(jobs))
 
     def test_unknown_name_raises(self, tiny_corpus):
         job = job_from_item(tiny_corpus[0], DetectorSpec.create("prophet"))
@@ -108,19 +114,6 @@ class TestParity:
             other = chunked.strata[key]
             assert (matrix.tp, matrix.tn, matrix.fp, matrix.fn) == \
                 (other.tp, other.tn, other.fp, other.fn)
-
-    def test_single_item_path_matches_executor(self, tiny_corpus):
-        """A one-item call answers what the core pipeline does, for a
-        positive item and a negative one, under every method name."""
-        items = [next(i for i in tiny_corpus if i.truth.positive),
-                 next(i for i in tiny_corpus if not i.truth.positive)]
-        for name in METHODS:
-            adapter = make_method(name)
-            for item in items:
-                job = job_from_item(item, adapter.spec)
-                via_engine = execute_jobs([job])
-                assert_identical(via_engine, oracle_results([job]))
-                assert adapter(item) == via_engine[0].outcome
 
     def test_invalid_config(self):
         with pytest.raises(EngineError):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import DetectorSpec, execute_jobs, job_from_item
 from repro.eval.calibrate import (ItemStatistic, calibrate_baseline,
                                   collect_statistics, pick_threshold,
                                   sweep_threshold)
@@ -30,15 +31,16 @@ class TestItemOutcome:
 class TestMakeMethod:
     def test_all_methods_constructible(self):
         for name in METHOD_NAMES:
-            assert callable(make_method(name))
+            spec = make_method(name)
+            assert isinstance(spec, DetectorSpec) and spec.name == name
 
     def test_unknown_method(self):
         with pytest.raises(EvaluationError):
             make_method("prophet")
 
     def test_funnel_adapter_on_item(self, tiny_corpus):
-        adapter = make_method("funnel")
-        outcome = adapter(tiny_corpus[0])
+        job = job_from_item(tiny_corpus[0], make_method("funnel"))
+        outcome = execute_jobs([job])[0].outcome
         assert isinstance(outcome.positive, bool)
 
 
@@ -103,11 +105,10 @@ class TestEvaluateCorpus:
         assert not result.strata
 
     def test_plain_callable_is_refused_by_name(self, tiny_corpus):
-        funnel = make_method("funnel")
         with pytest.raises(EvaluationError, match="'homemade'"):
             evaluate_corpus(tiny_corpus[:2], {
-                "funnel": funnel,
-                "homemade": lambda item: funnel(item)})
+                "funnel": make_method("funnel"),
+                "homemade": lambda item: None})
 
     def test_progress_callback(self, tiny_corpus):
         seen = []

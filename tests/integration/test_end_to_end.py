@@ -6,54 +6,84 @@ import pytest
 from repro.changes.rollout import RolloutPolicy, plan_rollout
 from repro.core.funnel import Funnel, FunnelConfig
 from repro.core.rsst import ImprovedSSTParams
+from repro.engine import (AssessmentEngine, FleetScenarioSpec,
+                          SyntheticFleetSource, plan_change_jobs,
+                          spec_for_method)
 from repro.eval import evaluate_corpus, make_method
-from repro.simulation import ServiceScenario
 from repro.synthetic import CorpusSpec, EvaluationCorpus
-from repro.telemetry.kpi import KpiKey
 from repro.topology.impact import identify_impact_set
-from repro.types import ChangeKind, Verdict
+from repro.types import Verdict
+
+
+@pytest.fixture(scope="module")
+def fleet_source():
+    return SyntheticFleetSource(FleetScenarioSpec(seed=7))
+
+
+def _change(source, dark, impactful):
+    """The first change of ``source`` with that launch mode and truth."""
+    return next(
+        change for change in source.changes
+        if (len(change.hostnames)
+            < len(source.fleet.service(change.service).hostnames)) == dark
+        and source.truth(change, "server", change.hostnames[0],
+                         "memory_utilization") == impactful)
+
+
+def _assess(source, change):
+    """The engine's walk over ``change``'s impact set: jobs and results."""
+    jobs = list(plan_change_jobs(source.fleet, change, source,
+                                 spec_for_method("funnel")))
+    return jobs, AssessmentEngine().run(jobs)
 
 
 class TestFleetToFunnel:
-    """The full paper pipeline on a scenario fleet."""
+    """The full paper pipeline on a synthetic fleet: impact set, peer or
+    historical control, one engine verdict per monitored KPI."""
 
-    def test_rollback_worthy_regression_is_caught_everywhere(self):
-        scenario = ServiceScenario(seed=10)
-        scenario.add_service("shop.checkout", n_servers=10)
-        scenario.run(minutes=200)
-        change = scenario.deploy_change(
-            "shop.checkout", ChangeKind.SOFTWARE_UPGRADE,
-            effect_sigmas=7.0, metric="memory_utilization")
-        scenario.run(minutes=100)
-        assessment = scenario.assess(change)
+    def test_rollback_worthy_regression_is_caught_everywhere(
+            self, fleet_source):
+        change = _change(fleet_source, dark=True, impactful=True)
+        jobs, results = _assess(fleet_source, change)
+        flagged = [job for job, result in zip(jobs, results)
+                   if result.positive]
+        assert flagged
+        assert [job.job_id for job in flagged] == \
+            [job.job_id for job in jobs if job.truth_positive]
+        for job in flagged:
+            assert job.entity_type in ("server", "instance")
+            assert job.entity.split("@")[-1] in change.hostnames
+            assert job.control is not None
 
-        treated = set(assessment.impact_set.treated_hostnames)
-        flagged_hosts = {str(k).split(":")[1] for k in assessment.flagged}
-        assert flagged_hosts == treated
+    def test_benign_change_produces_no_alerts_across_services(
+            self, fleet_source):
+        change = _change(fleet_source, dark=True, impactful=False)
+        jobs, results = _assess(fleet_source, change)
+        assert not any(result.positive for result in results)
+        # Sibling services under the changed service's family are the
+        # affected services, each assessed on its own service KPI.
+        family = change.service.split(".")[0] + "."
+        siblings = {name for name in fleet_source.fleet.service_names
+                    if name.startswith(family) and name != change.service}
+        assert siblings
+        assert identify_impact_set(
+            fleet_source.fleet, change.service,
+            change.hostnames).affected_services == siblings
+        assert {job.entity for job in jobs if job.entity_type == "service"} \
+            == siblings | {change.service}
 
-    def test_benign_change_produces_no_alerts_across_services(self):
-        scenario = ServiceScenario(seed=11)
-        for name in ("mail.smtp", "mail.imap", "mail.spool"):
-            scenario.add_service(name, n_servers=5)
-        scenario.run(minutes=200)
-        change = scenario.deploy_change("mail.imap",
-                                        ChangeKind.CONFIG_CHANGE)
-        scenario.run(minutes=100)
-        assessment = scenario.assess(change)
-        assert assessment.flagged == []
-        # Sibling services under "mail" are affected services.
-        assert assessment.impact_set.affected_services == {"mail.smtp",
-                                                           "mail.spool"}
-
-    def test_store_subscription_sees_collected_data(self):
-        scenario = ServiceScenario(seed=12)
-        scenario.add_service("svc.sub", n_servers=2)
-        key = KpiKey("server", "host-0001", "memory_utilization")
-        fragments = []
-        scenario.store.subscribe([key],
-                                 lambda k, f: fragments.append(len(f)))
-        scenario.run(minutes=40)
-        assert sum(fragments) == 40
+    def test_full_launch_is_judged_against_history(self, fleet_source):
+        change = _change(fleet_source, dark=False, impactful=True)
+        jobs, results = _assess(fleet_source, change)
+        assert all(job.control is None and job.history.shape[0]
+                   == fleet_source.spec.history_days for job in jobs)
+        flagged = [job for job, result in zip(jobs, results)
+                   if result.positive]
+        assert flagged
+        assert [job.job_id for job in flagged] == \
+            [job.job_id for job in jobs if job.truth_positive]
+        assert {result.verdict for result in results if result.positive} \
+            == {Verdict.CAUSED_BY_CHANGE}
 
 
 class TestCorpusPipelineInvariants:

@@ -12,8 +12,9 @@ from repro.telemetry.timeseries import TimeSeries
 
 def write_series(series, target):
     """A long-format CSV of ``series``, as a metrics export writes it."""
-    rows = ["timestamp,value"] + ["%d,%r" % (t, float(v)) for t, v in
-                                  zip(series.timestamps(), series.values)]
+    times = series.start + series.bin_seconds * np.arange(len(series))
+    rows = ["timestamp,value"] + ["%d,%r" % (t, float(v))
+                                  for t, v in zip(times, series.values)]
     text = "\n".join(rows) + "\n"
     if isinstance(target, io.StringIO):
         target.write(text)

@@ -149,7 +149,7 @@ class RowsMachine(RuleBasedStateMachine):
     @rule()
     def flush(self):
         self._score([(row, twin.flush) for row, twin in enumerate(self.twins)
-                     if not self.frozen[row] and twin.declared is None],
+                     if not self.frozen[row] and twin.declarations[0] is None],
                     flush=True)
 
     @rule()
@@ -181,7 +181,7 @@ class RowsMachine(RuleBasedStateMachine):
             return
         for row, twin in enumerate(self.twins):
             assert detector_state(self.matrix, row) == detector_state(twin)
-            assert self.matrix.declarations[row] == twin.declared
+            assert self.matrix.declarations[row] == twin.declarations[0]
             assert self.matrix.length(row) == twin.length()
 
 

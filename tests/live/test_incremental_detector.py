@@ -346,7 +346,7 @@ class TestLazyNormalisation:
                     detector = restored
                 alone(detector, x[n:n + size])
             detector.flush()
-            assert detector.length() == x.size and detector.declared is None
+            assert detector.length() == x.size and detector.declarations[0] is None
             assert reads and all(offline.startswith(r) for r in reads)
             return max(reads, key=len)
 

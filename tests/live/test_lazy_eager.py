@@ -265,14 +265,14 @@ class TestKernelWork:
                                             config.sst.lead) + 1
                     reference.extend(stack[i, len(reference.series):n])
             counted.on = True
-            live = [d for d in detectors if d.declared is None]
+            live = [d for d in detectors if d.declarations[0] is None]
             for detector, row in zip(detectors, stack):
-                if detector.declared is None:
+                if detector.declarations[0] is None:
                     detector.extend(row[detector.length():n])
             pool.score_pending(live)
-        assert [d.declared for d in detectors] == \
+        assert [d.declarations[0] for d in detectors] == \
             [r.declared for r in references]
-        assert [d.declared is not None for d in detectors][:2] == \
+        assert [d.declarations[0] is not None for d in detectors][:2] == \
             [False, True]
         assert sum(counted) == confirmed
         assert (unconfirmed > 0) == (config is not self.CONFIGS[0])

@@ -98,14 +98,14 @@ class TestOneTablePerPass:
             declared = pool.score_pending([pooled])
             assert sorted(row for _, row, _ in declared) == fresh
             for _, row, declaration in declared:
-                assert declaration == solo[row].declared
+                assert declaration == solo[row].declarations[0]
             if declared:
                 passes.append((tick, [row for _, row, _ in declared]))
             for i, row in rows.items():
                 assert detector_state(pooled, row) == detector_state(solo[i])
         # In input order (row order); the staggered ones follow.
         assert passes == [(0, [0, 1, 2, 3]), (7, [5]), (15, [4])]
-        assert solo[6].declared is None
+        assert solo[6].declarations[0] is None
         # Row 4 confirmed its pre-existing shift first.
         norm = robust_normalise(pooled.series(4), baseline=120)
         first = declare_changes(norm, IkaSST().scores(norm), lookahead=16)[0]
@@ -173,8 +173,8 @@ class TestDetectorPool:
             alone(solo, x)
             assert detector_state(detector) == detector_state(solo)
         assert {i: declaration for i, _, declaration in declared} == \
-            {i: detector.declared for i, (detector, _) in enumerate(pooled)
-             if detector.declared is not None}
+            {i: detector.declarations[0] for i, (detector, _) in enumerate(pooled)
+             if detector.declarations[0] is not None}
         assert len(declared) == 2
 
     def test_mixed_lengths_score_in_one_call(self, monkeypatch):
@@ -225,8 +225,8 @@ class TestDetectorPool:
         assert (pool.metrics.counter(POOLED_BATCHES_METRIC).value(),
                 pool.metrics.counter(POOLED_SERIES_METRIC).value()) == (1, 4)
         assert {(i, row): change for i, row, change in declared} == {
-            at: twin.declared for at, twin in twins
-            if twin.declared is not None}
+            at: twin.declarations[0] for at, twin in twins
+            if twin.declarations[0] is not None}
         # In input order: detector, then row.
         assert [(i, row) for i, row, _ in declared] == \
             [(0, 0), (0, 1), (0, 2), (1, 1)]
@@ -269,7 +269,7 @@ class TestDetectorPool:
             pooled.append(pair[0])
             twins.append(pair[1])
         left = {d.length() - d.span - d.state_dict()["next_score_t"] + 1
-                for d in pooled if d.declared is None}
+                for d in pooled if d.declarations[0] is None}
         assert left == {remainder}
         batches = pool.metrics.counter(POOLED_BATCHES_METRIC)
         before = batches.value()
@@ -278,7 +278,7 @@ class TestDetectorPool:
         assert batches.value() == before + (1 if remainder else 0)
         expected = {}
         for i, twin in enumerate(twins):
-            before = twin.declared
+            before = twin.declarations[0]
             flushed = twin.flush()
             assert flushed is None or before is None
             if flushed is not None:
@@ -320,7 +320,7 @@ class TestDetectorPool:
         detector, _ = _detector(4, step=6.0)
         pool = DetectorPool()
         declared = pool.score_pending([detector])
-        assert declared and detector.declared is not None
+        assert declared and detector.declarations[0] is not None
         # More data arrives; the detector is done declaring.
         detector.extend(np.full(10, 10.0))
         assert not detector.pending_rows().size

@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.changes.rollout import RolloutPolicy
-from repro.exceptions import ParameterError, TelemetryError
+from repro.exceptions import ParameterError
 from repro.simulation.cases import advertising_case, redis_case
 from repro.simulation.clock import SimulationClock
 from repro.simulation.deployment import (DeploymentDay, DeploymentSpec,
                                          simulate_week)
-from repro.simulation.scenario import ServiceScenario
-from repro.telemetry.kpi import KpiKey
-from repro.types import ChangeKind, LaunchMode, Verdict
+from repro.types import Verdict
 
 
 class TestSimulationClock:
@@ -24,68 +21,6 @@ class TestSimulationClock:
             SimulationClock(start=30)
         with pytest.raises(ParameterError):
             SimulationClock().advance_minutes(-1)
-
-
-class TestServiceScenario:
-    def test_series_accumulate(self):
-        scenario = ServiceScenario(seed=3)
-        scenario.add_service("svc.x", n_servers=3)
-        scenario.run(minutes=50)
-        scenario.run(minutes=30)
-        key = KpiKey("server", "host-0001", "memory_utilization")
-        assert len(scenario.store.series(key)) == 80
-
-    def test_change_effect_flagged_on_treated_only(self):
-        scenario = ServiceScenario(seed=1)
-        scenario.add_service("svc.x", n_servers=6)
-        scenario.run(minutes=240)
-        change = scenario.deploy_change(
-            "svc.x", ChangeKind.CONFIG_CHANGE, effect_sigmas=6.0,
-            metric="memory_utilization")
-        scenario.run(minutes=120)
-        assessment = scenario.assess(change)
-        flagged = {str(k) for k in assessment.flagged}
-        treated = set(assessment.impact_set.treated_hostnames)
-        assert flagged
-        for name in flagged:
-            _, host, metric = name.split(":")
-            assert host in treated
-            assert metric == "memory_utilization"
-
-    def test_no_effect_no_flags(self):
-        scenario = ServiceScenario(seed=2)
-        scenario.add_service("svc.x", n_servers=6)
-        scenario.run(minutes=240)
-        change = scenario.deploy_change("svc.x",
-                                        ChangeKind.SOFTWARE_UPGRADE)
-        scenario.run(minutes=120)
-        assessment = scenario.assess(change)
-        assert assessment.flagged == []
-
-    def test_change_log_guard(self):
-        scenario = ServiceScenario(seed=4)
-        scenario.add_service("svc.x", n_servers=4)
-        scenario.run(minutes=60)
-        scenario.deploy_change("svc.x", ChangeKind.SOFTWARE_UPGRADE)
-        from repro.exceptions import ChangeLogError
-        with pytest.raises(ChangeLogError):
-            scenario.deploy_change("svc.x", ChangeKind.SOFTWARE_UPGRADE)
-
-    def test_unknown_metric_effect_rejected(self):
-        scenario = ServiceScenario(seed=5)
-        scenario.add_service("svc.x", n_servers=4)
-        with pytest.raises(TelemetryError):
-            scenario.deploy_change("svc.x", ChangeKind.CONFIG_CHANGE,
-                                   effect_sigmas=2.0, metric="nope")
-
-    def test_full_launch_policy(self):
-        scenario = ServiceScenario(seed=6)
-        scenario.add_service("svc.x", n_servers=3)
-        scenario.run(minutes=60)
-        change = scenario.deploy_change(
-            "svc.x", ChangeKind.SOFTWARE_UPGRADE,
-            policy=RolloutPolicy(mode=LaunchMode.FULL))
-        assert len(change.hostnames) == 3
 
 
 class TestDeployment:

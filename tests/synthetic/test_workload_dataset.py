@@ -93,8 +93,6 @@ class TestCorpusSpec:
     def test_invalid(self):
         with pytest.raises(ParameterError):
             CorpusSpec(scale=0.0)
-        with pytest.raises(ParameterError):
-            CorpusSpec(effect_sigmas=(5.0, 3.0))
 
 
 class TestEvaluationCorpus:

@@ -1,4 +1,4 @@
-"""Tests for the metric store, subscriptions and the KPI catalogue."""
+"""Tests for the metric store, subscriptions and KPI keys."""
 
 import pickle
 
@@ -7,11 +7,9 @@ import pytest
 
 from repro.exceptions import TelemetryError
 from repro.live.checkpoint import _key3, _unkey3
-from repro.telemetry.kpi import (KpiCatalog, KpiKey, KpiSpec,
-                                 standard_server_kpis)
+from repro.telemetry.kpi import KpiKey
 from repro.telemetry.store import MetricStore
 from repro.telemetry.timeseries import MINUTE, TimeSeries
-from repro.types import KpiCharacter
 
 
 @pytest.fixture
@@ -79,37 +77,6 @@ class TestKpiKey:
         assert _key3(key) == list(self.FIELDS)
         restored = _unkey3(_key3(key))
         assert type(restored) is KpiKey and restored == key
-
-
-class TestKpiCatalog:
-    def test_standard_server_kpis(self):
-        catalog = standard_server_kpis()
-        assert "cpu_context_switch_count" in catalog
-        spec = catalog.get("cpu_context_switch_count")
-        assert spec.character is KpiCharacter.VARIABLE
-        assert catalog.get("memory_utilization").character \
-            is KpiCharacter.STATIONARY
-
-    def test_register_conflict(self):
-        catalog = KpiCatalog()
-        catalog.register(KpiSpec("m", "server", KpiCharacter.STATIONARY))
-        with pytest.raises(TelemetryError):
-            catalog.register(KpiSpec("m", "server", KpiCharacter.VARIABLE))
-
-    def test_reregister_identical_ok(self):
-        catalog = KpiCatalog()
-        spec = KpiSpec("m", "server", KpiCharacter.STATIONARY)
-        catalog.register(spec)
-        catalog.register(spec)
-        assert len(catalog) == 1
-
-    def test_unknown_raises(self):
-        with pytest.raises(TelemetryError):
-            KpiCatalog().get("zzz")
-
-    def test_invalid_spec(self):
-        with pytest.raises(TelemetryError):
-            KpiSpec("m", "rack", KpiCharacter.STATIONARY)
 
 
 class TestMetricStore:

@@ -4,10 +4,14 @@ from nothing, no ``src/`` module imports a name it never uses, and no
 
 A function or class counts as used when its name occurs in code under
 ``src/``, ``benchmarks/`` or ``examples/``, outside its own definition, as a
-``Name`` or an ``Attribute``; so does a component of a ``module:qualname``
-string under ``benchmarks/`` (the suite's trace targets, which CI requires
-to exist).  Import statements, ``__all__`` entries, docstrings and comments
-do not count, and dunders are called by the language.  Anything that fails
+``Name`` load or an ``Attribute``; so does a component of a
+``module:qualname`` string under ``benchmarks/`` (the suite's trace
+targets, which CI requires to exist).  A ``Name`` whose name a function (or
+lambda, or comprehension) around it binds itself — a parameter, an
+assigned name, a ``for`` or ``with`` target — is that local, not a use;
+a local import or a nested definition still counts.  Import statements,
+``__all__`` entries, docstrings and comments do not count, and dunders
+are called by the language.  Anything that fails
 here is either a leftover to delete or wants a caller outside ``tests/``.
 
 Two rules keep a knob with one value in use from coming back, both over
@@ -74,13 +78,54 @@ def _definitions(tree):
     return found
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp,
+           ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _local_names(scope):
+    """The names a function (or lambda, or comprehension) binds itself:
+    its arguments, and every name it assigns or takes as a ``for`` /
+    ``with`` target outside the scopes nested in it.  Imports and nested
+    definitions are left out, so a use of them still counts; so is a
+    name the scope declares ``global`` or ``nonlocal``."""
+    names, shared = set(), set()
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = scope.args
+        names.update(arg.arg for arg in args.posonlyargs + args.args
+                     + args.kwonlyargs + [args.vararg, args.kwarg] if arg)
+        pending = (list(scope.body) if isinstance(scope.body, list)
+                   else [scope.body])
+    else:
+        pending = list(ast.iter_child_nodes(scope))
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            shared.update(node.names)
+        if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+            pending.extend(ast.iter_child_nodes(node))
+    return names - shared
+
+
 def _uses():
-    """Every place a name is used: ``name -> [(path, line), ...]``."""
+    """Every place a name is used: ``name -> [(path, line), ...]``.
+
+    A ``Name`` bound locally in a scope that encloses it (a parameter or
+    local variable that happens to share a definition's name) is not a
+    use of that definition."""
     uses = collections.defaultdict(list)
     for where, tree in _parsed(CALLER_DIRS):
-        for node in ast.walk(tree):
+        pending = [(tree, frozenset())]
+        while pending:
+            node, bound = pending.pop()
+            if isinstance(node, _SCOPES):
+                bound = bound | _local_names(node)
+            pending.extend((child, bound)
+                           for child in ast.iter_child_nodes(node))
             if isinstance(node, ast.Name):
-                uses[node.id].append((where, node.lineno))
+                if isinstance(node.ctx, ast.Load) and node.id not in bound:
+                    uses[node.id].append((where, node.lineno))
             elif isinstance(node, ast.Attribute):
                 uses[node.attr].append((where, node.end_lineno))
             elif (where.parts[0] == "benchmarks"

@@ -13,7 +13,6 @@ import repro.core.funnel
 import repro.core.ika
 import repro.core.scoring
 import repro.simulation.clock
-import repro.simulation.scenario
 import repro.telemetry.store
 import repro.telemetry.timeseries
 import repro.topology.entities
@@ -24,7 +23,6 @@ MODULES = [
     repro.core.ika,
     repro.core.scoring,
     repro.simulation.clock,
-    repro.simulation.scenario,
     repro.telemetry.store,
     repro.telemetry.timeseries,
     repro.topology.entities,

@@ -153,7 +153,7 @@ class TestEvaluationAlgebra:
     @settings(max_examples=50, deadline=None)
     def test_accuracy_between_recall_and_tnr(self, m):
         """Accuracy is a weighted mean of recall and TNR."""
-        if m.positives == 0 or m.negatives == 0:
+        if m.positives == 0 or m.tn + m.fp == 0:
             return
         lo = min(m.recall, m.tnr)
         hi = max(m.recall, m.tnr)

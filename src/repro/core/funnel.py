@@ -150,9 +150,6 @@ class Funnel:
 
     # -- attribution ------------------------------------------------------------
 
-    def _did_from_panel(self, panel: DiDPanel) -> DiDResult:
-        return self.estimator.fit(panel)
-
     def _attributed(self, result: DiDResult,
                     change: DetectedChange) -> bool:
         """Does the DiD estimate attribute ``change`` to the software change?
@@ -167,32 +164,6 @@ class Funnel:
         if change.direction and result.normalised_alpha:
             return (change.direction > 0) == (result.normalised_alpha > 0)
         return True
-
-    def _peer_panel(self, treated: np.ndarray, control: np.ndarray,
-                    change_index: int, detection_index: int) -> DiDPanel:
-        w = 2 * self.config.sst.omega - 1
-        pre_lo = max(0, change_index - w)
-        post_hi = min(treated.shape[1], detection_index + 1)
-        post_lo = max(change_index, post_hi - w)
-        return DiDPanel(
-            treated_pre=treated[:, pre_lo:change_index],
-            treated_post=treated[:, post_lo:post_hi],
-            control_pre=control[:, pre_lo:change_index],
-            control_post=control[:, post_lo:post_hi],
-        )
-
-    def _history_panel(self, series: np.ndarray, history: np.ndarray,
-                       change_index: int, detection_index: int) -> DiDPanel:
-        w = 2 * self.config.sst.omega - 1
-        pre_lo = max(0, change_index - w)
-        post_hi = min(series.size, detection_index + 1)
-        post_lo = max(change_index, post_hi - w)
-        return DiDPanel(
-            treated_pre=series[pre_lo:change_index].reshape(1, -1),
-            treated_post=series[post_lo:post_hi].reshape(1, -1),
-            control_pre=history[:, pre_lo:change_index],
-            control_post=history[:, post_lo:post_hi],
-        )
 
     # -- full assessment ----------------------------------------------------------
 
@@ -232,44 +203,65 @@ class Funnel:
         This is the second half of :meth:`assess`, split out so the
         engine can time and report detection and attribution as separate
         stages.  ``treated`` is the same matrix (or single series) that
-        produced ``change``.
+        produced ``change``.  The one-item case of
+        :meth:`attribute_batch`.
         """
-        treated = np.atleast_2d(np.asarray(treated, dtype=np.float64))
-        aggregate = treated.mean(axis=0)
+        return self.attribute_batch(
+            [(treated, change, change_index, control, history)])[0]
 
-        if control is not None and np.asarray(control).size:
-            control = np.atleast_2d(np.asarray(control, dtype=np.float64))
-            panel = self._peer_panel(treated, control, change_index,
-                                     change.index)
-            result = self._did_from_panel(panel)
-            caused = self._attributed(result, change)
-            return Assessment(
-                verdict=(Verdict.CAUSED_BY_CHANGE if caused
-                         else Verdict.OTHER_REASONS),
-                change=change,
-                did_estimate=result.normalised_alpha,
-                control="peers",
-            )
+    def attribute_batch(self, items: Sequence[tuple]) -> List[Assessment]:
+        """:meth:`attribute` for many declared changes at once.
 
-        if history is not None and np.asarray(history).size:
-            history = np.atleast_2d(np.asarray(history, dtype=np.float64))
-            panel = self._history_panel(aggregate, history, change_index,
-                                        change.index)
-            result = self._did_from_panel(panel)
-            caused = self._attributed(result, change)
-            return Assessment(
-                verdict=(Verdict.CAUSED_BY_CHANGE if caused
-                         else Verdict.SEASONALITY),
-                change=change,
-                did_estimate=result.normalised_alpha,
-                control="history",
-            )
-
-        return Assessment(
-            verdict=Verdict.CAUSED_BY_CHANGE,
-            change=change,
-            did_estimate=None,
-            control=None,
-            notes=("no control group available; other factors were not "
-                   "excluded",),
-        )
+        ``items`` holds ``(treated, change, change_index, control,
+        history)`` tuples, :meth:`attribute`'s arguments.  Peers are
+        compared unit by unit, history with the treated aggregate; each
+        period holds up to ``2*omega - 1`` bins, the pre-period ending at
+        the change and the post-period at the declaration.  Panels of one
+        shape are fitted as one stacked :class:`DiDPanel`, each item's
+        answer bitwise what it gets alone.
+        """
+        w = 2 * self.config.sst.omega - 1
+        out: List[Optional[Assessment]] = [None] * len(items)
+        groups: dict = {}
+        for position, (treated, change, change_index, control,
+                       history) in enumerate(items):
+            treated = np.atleast_2d(np.asarray(treated, dtype=np.float64))
+            if control is not None and np.asarray(control).size:
+                kind = "peers"
+                control = np.atleast_2d(np.asarray(control, dtype=np.float64))
+            elif history is not None and np.asarray(history).size:
+                kind, treated = "history", treated.mean(axis=0)[None, :]
+                control = np.atleast_2d(np.asarray(history, dtype=np.float64))
+            else:
+                out[position] = Assessment(
+                    verdict=Verdict.CAUSED_BY_CHANGE, change=change,
+                    did_estimate=None, control=None,
+                    notes=("no control group available; other factors "
+                           "were not excluded",))
+                continue
+            pre_lo = max(0, change_index - w)
+            post_hi = min(treated.shape[1], change.index + 1)
+            post_lo = max(change_index, post_hi - w)
+            fields = (treated[:, pre_lo:change_index], treated[:, post_lo:post_hi],
+                      control[:, pre_lo:change_index], control[:, post_lo:post_hi])
+            key = (kind, fields[0].shape, fields[1].shape, fields[2].shape,
+                   fields[3].shape)
+            groups.setdefault(key, []).append((position, change, fields))
+        for (kind, *_), members in groups.items():
+            if len(members) == 1:
+                stacks = [field[None] for field in members[0][2]]
+            else:
+                stacks = [np.stack(column) for column
+                          in zip(*(fields for _, _, fields in members))]
+            for (position, change, _), result in zip(
+                    members, self.estimator.fit(DiDPanel(*stacks))):
+                caused = self._attributed(result, change)
+                out[position] = Assessment(
+                    verdict=(Verdict.CAUSED_BY_CHANGE if caused
+                             else Verdict.OTHER_REASONS if kind == "peers"
+                             else Verdict.SEASONALITY),
+                    change=change,
+                    did_estimate=result.normalised_alpha,
+                    control=kind,
+                )
+        return out

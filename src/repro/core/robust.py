@@ -27,11 +27,11 @@ __all__ = [
 MAD_TO_SIGMA = 1.4826022185056018
 
 
-def _middle(srt: np.ndarray) -> float:
-    """Median of a sorted array — the mean of its two middles, bitwise
-    ``np.median``'s value at a fifth of its per-call cost."""
-    lo, hi = (srt.size - 1) // 2, srt.size // 2
-    return float(srt[lo] if lo == hi else (srt[lo] + srt[hi]) / 2.0)
+def _middle(srt: np.ndarray) -> np.ndarray:
+    """Medians of sorted rows (the last axis): the mean of each row's two
+    middles, bitwise ``np.median``'s value at a fifth of its cost."""
+    lo, hi = (srt.shape[-1] - 1) // 2, srt.shape[-1] // 2
+    return srt[..., lo] if lo == hi else (srt[..., lo] + srt[..., hi]) / 2.0
 
 
 def median(values: Sequence[float]) -> float:
@@ -39,19 +39,26 @@ def median(values: Sequence[float]) -> float:
     arr = as_float_array(values)
     if arr.size == 0:
         raise InsufficientDataError("median of an empty sequence")
-    return _middle(np.sort(arr))
+    return float(_middle(np.sort(arr)))
+
+
+def _median_and_mad(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Median and MAD of each row (along the last axis) of finite,
+    non-empty samples: one sort of the rows, one of their deviations."""
+    srt = np.sort(rows, axis=-1)
+    med = _middle(srt)
+    return med, _middle(np.sort(np.abs(srt - med[..., None]), axis=-1))
 
 
 def median_and_mad(values: Sequence[float]) -> Tuple[float, float]:
-    """Return ``(median, MAD)``: one sort of ``values``, one of their
-    deviations.  With both ``-0.0`` and ``0.0`` present the sign of a
-    zero median is the sort's to choose: nothing may depend on it."""
+    """``(median, MAD)``, the one-row :func:`_median_and_mad`.  With both
+    ``-0.0`` and ``0.0`` present a zero median's sign is the sort's to
+    choose: nothing may depend on it."""
     arr = as_float_array(values)
     if arr.size == 0:
         raise InsufficientDataError("statistics of an empty sequence")
-    srt = np.sort(arr)
-    med = _middle(srt)
-    return med, _middle(np.sort(np.abs(srt - med)))
+    med, mad = _median_and_mad(arr)
+    return float(med), float(mad)
 
 
 def window_pair(series: Sequence[float], t: int,

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..exceptions import InsufficientDataError, ParameterError
 from ..types import DetectedChange, as_float_array
-from .robust import MAD_TO_SIGMA, median_and_mad
+from .robust import MAD_TO_SIGMA, _middle, median_and_mad
 
 __all__ = [
     "PERSISTENCE_MINUTES",
@@ -142,7 +142,7 @@ def estimate_change_start(series: Sequence[float], detected_at: int,
     trailing run of samples that deviate from the pre-change baseline by
     more than ``threshold_sigmas`` robust sigmas.  If nothing qualifies
     (e.g. a slow ramp still inside the noise band), returns
-    ``detected_at`` itself.
+    ``detected_at`` itself.  The one-item case of :func:`_change_starts`.
 
     Args:
         series: the KPI samples.
@@ -161,35 +161,32 @@ def estimate_change_start(series: Sequence[float], detected_at: int,
     baseline = max(1, min(baseline, detected_at))
     med, scale = median_and_mad(x[:baseline])
     band = threshold_sigmas * (MAD_TO_SIGMA * scale + 1e-9)
-    start = detected_at
-    for i in range(detected_at, -1, -1):
-        if abs(x[i] - med) > band:
-            start = i
-        else:
-            break
-    return start
+    return int(_change_starts(x[None, :], np.zeros(1, np.intp), np.array(
+        [detected_at]), np.array([med]), np.array([band]))[0])
 
 
-def _step_fit_sse(segment: np.ndarray) -> float:
-    """Best single-step (level-shift) fit SSE over ``segment``."""
-    best = float(np.sum((segment - segment.mean()) ** 2))
-    cumsum = np.cumsum(segment)
-    split = np.arange(1, segment.size)
-    left = cumsum[:-1]
-    sse = (float(np.sum(segment ** 2)) - left ** 2 / split
-           - (cumsum[-1] - left) ** 2 / (segment.size - split))
-    below = sse[sse < best]          # NaN splits never win, as in a scan
-    return max(float(below.min()) if below.size else best, 0.0)
+def _change_starts(stack: np.ndarray, rows: np.ndarray, ends: np.ndarray,
+                   meds: np.ndarray, bands: np.ndarray) -> np.ndarray:
+    """:func:`estimate_change_start`'s backward scan of ``stack[rows[i],
+    :ends[i] + 1]`` against ``meds[i]`` and ``bands[i]``, elementwise."""
+    cols = np.arange(int(ends.max()) + 1)
+    inside = ((np.abs(stack[rows, :cols.size] - meds[:, None])
+               <= bands[:, None]) & (cols <= ends[:, None]))
+    return np.minimum(np.where(inside, cols, -1).max(axis=1) + 1, ends)
 
 
-def _ramp_fit_sse(segment: np.ndarray) -> float:
-    """Least-squares linear (ramp) fit SSE over ``segment``."""
-    n = segment.size
-    t = np.arange(n, dtype=np.float64)
-    design = np.column_stack([t, np.ones(n)])
-    coef, _, _, _ = np.linalg.lstsq(design, segment, rcond=None)
-    resid = segment - design @ coef
-    return float(resid @ resid)
+def _step_fit_sse(segments: np.ndarray) -> np.ndarray:
+    """Best single-step (level-shift) fit SSE over each row: what the row
+    alone gives, since every sum runs along one row."""
+    best = ((segments - segments.mean(axis=1, keepdims=True)) ** 2).sum(
+        axis=1)
+    cumsum = segments.cumsum(axis=1)
+    split = np.arange(1, segments.shape[1])
+    left = cumsum[:, :-1]
+    sse = ((segments ** 2).sum(axis=1)[:, None] - left ** 2 / split
+           - (cumsum[:, -1:] - left) ** 2 / (segments.shape[1] - split))
+    # NaN splits never win, as in a scan
+    return np.maximum(np.fmin(best, np.fmin.reduce(sse, axis=1)), 0.0)
 
 
 def classify_change(series: Sequence[float], start: int,
@@ -201,17 +198,40 @@ def classify_change(series: Sequence[float], start: int,
     level shift is fit much better by the step; a gradual ramp by the
     line.  Ties (both fits comparable) default to ``"level_shift"``,
     matching the paper's observation that level shifts are the common
-    case immediately after a software change.
+    case immediately after a software change.  The one-item case of
+    :func:`_change_kinds`.
     """
     x = as_float_array(series)
-    lo = max(0, start - 10)
-    hi = min(x.size, detected_at + 11)
-    segment = x[lo:hi]
-    if segment.size < 4:
-        return "level_shift"
-    step_sse = _step_fit_sse(segment)
-    ramp_sse = _ramp_fit_sse(segment)
-    return "ramp" if ramp_sse < 0.8 * step_sse else "level_shift"
+    return _change_kinds(x[None, :], [0], [x.size], [start],
+                         [detected_at])[0]
+
+
+def _change_kinds(stack: np.ndarray, rows: Sequence[int],
+                  lengths: Sequence[int], starts: Sequence[int],
+                  indices: Sequence[int]) -> List[str]:
+    """:func:`classify_change` for every item — row ``rows[i]`` up to
+    ``lengths[i]``, ``starts[i]``, ``indices[i]`` — with one step fit
+    per segment length and one ``lstsq`` ramp fit per item."""
+    groups: dict = {}                   # segment length -> (item, lo)
+    for item, (start, index, length) in enumerate(zip(starts, indices,
+                                                      lengths)):
+        lo = max(start - 10, 0)
+        groups.setdefault(min(length, index + 11) - lo, []).append((item, lo))
+    kinds = ["level_shift"] * len(starts)
+    for size, members in groups.items():
+        if size < 4:
+            continue
+        segments = np.array([stack[rows[item], lo:lo + size]
+                             for item, lo in members])
+        design = np.ones((size, 2))             # [t, 1]
+        design[:, 0] = np.arange(size)
+        for (item, _), segment, step_sse in zip(
+                members, segments, _step_fit_sse(segments).tolist()):
+            coef = np.linalg.lstsq(design, segment, rcond=None)[0]
+            resid = segment - design @ coef         # the ramp fit
+            if float(resid @ resid) < 0.8 * step_sse:
+                kinds[item] = "ramp"
+    return kinds
 
 
 @dataclass(frozen=True)
@@ -329,9 +349,7 @@ def _gating_table(padded: Tuple[np.ndarray, np.ndarray],
         cols = flat[fits, None] + np.arange(policy.persistence)
         windows = stack[rows[fits, None], cols]
         windows.sort(axis=1)
-        lo, hi = (policy.persistence - 1) // 2, policy.persistence // 2
-        window_meds[fits] = (windows[:, lo] if lo == hi else
-                             (windows[:, lo] + windows[:, hi]) / 2.0)
+        window_meds[fits] = _middle(windows)
     return meds, scales, window_meds
 
 
@@ -376,9 +394,7 @@ def _screened(padded, candidates: Sequence[np.ndarray], sizes: Sequence[int],
     rows, pos, anchors = rows[tested], flat[tested], anchors[tested]
     windows = stack[rows[:, None], pos[:, None] + np.arange(p)]
     windows.sort(axis=1)
-    lo, hi = (p - 1) // 2, p // 2
-    window_meds = (windows[:, lo] if lo == hi else
-                   (windows[:, lo] + windows[:, hi]) / 2.0)
+    window_meds = _middle(windows)
 
     first = np.ones(pos.size, dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]) | (anchors[1:] != anchors[:-1])
@@ -415,31 +431,34 @@ def _screened(padded, candidates: Sequence[np.ndarray], sizes: Sequence[int],
 def _confirmed_directions(padded: Tuple[np.ndarray, np.ndarray],
                           candidates: Sequence[np.ndarray],
                           policy: ChangeDeclarationPolicy
-                          ) -> List[np.ndarray]:
+                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The persistence rule: :func:`_screened`, then one
     :func:`_gating_table` over what the screen could not reject, both on
     the ``(stack, lengths)`` of finite rows the table reads.
 
-    Entry ``[i][j]`` is ``0`` where the rule rejects ``candidates[i][j]``
-    (window median inside the deviation band around the baseline median,
-    or no window: NaN compares false) and the declared direction ``+1``
-    / ``-1`` where it confirms.
+    Returns ``(directions, meds, bands)`` over the concatenated
+    candidates: ``0`` where the rule rejects a position (window median
+    inside the deviation band around the baseline median, or no window:
+    NaN compares false), else the direction ``+1`` / ``-1``, with the
+    baseline median and band a declaration's start reads.
     """
     sizes = [c.size for c in candidates]
     keep = _screened(padded, candidates, sizes, policy)
-    bounds = list(accumulate(sizes, initial=0))
-    spans = list(zip(bounds, bounds[1:]))
-    meds, scales, window_meds = _gating_table(
-        padded, candidates if keep is None else
-        [c[keep[s:e]] for c, (s, e) in zip(candidates, spans)], policy)
+    if keep is not None:
+        bounds = list(accumulate(sizes, initial=0))
+        candidates = [c[keep[s:e]] for c, s, e
+                      in zip(candidates, bounds, bounds[1:])]
+    meds, scales, window_meds = _gating_table(padded, candidates, policy)
     deviations = window_meds - meds
     bands = policy.deviation_sigmas * (MAD_TO_SIGMA * scales + 1e-9)
     directions = np.where(np.abs(deviations) > bands, np.sign(deviations),
                           0.0).astype(np.intp)
-    if keep is not None:
-        decided, directions = directions, np.zeros(keep.size, np.intp)
-        directions[keep] = decided
-    return [directions[s:e] for s, e in spans]
+    if keep is None:
+        return directions, meds, bands
+    full, stats = np.zeros(keep.size, np.intp), np.full((2, keep.size), np.nan)
+    if directions.any():                # what a declaration reads
+        full[keep], stats[0, keep], stats[1, keep] = directions, meds, bands
+    return full, stats[0], stats[1]
 
 
 def _score_and_scan(where: np.ndarray, ask, policy: ChangeDeclarationPolicy,
@@ -464,35 +483,55 @@ def _score_and_scan(where: np.ndarray, ask, policy: ChangeDeclarationPolicy,
     return chains, scores
 
 
-def _declared_change(x: np.ndarray, scores: np.ndarray, candidate: int,
-                     direction: int, policy: ChangeDeclarationPolicy,
-                     lookahead: int) -> Optional[DetectedChange]:
-    """What a confirmed candidate declares.  The change is declared at
-    the wall-clock bin by which all consumed samples exist: the later of
-    the persistence window's end and the scoring lookahead horizon — so
-    FUNNEL's detection delay has the persistence threshold as its floor
-    (paper section 4.4)."""
-    detected_at = candidate + max(policy.persistence - 1, lookahead)
-    if detected_at >= x.size:
-        return None
-    start = estimate_change_start(
-        x, min(candidate + policy.persistence - 1, detected_at),
-        baseline=candidate, threshold_sigmas=policy.deviation_sigmas,
-    )
-    return DetectedChange(
-        index=detected_at,
-        start_index=start,
-        score=float(scores[candidate]),
-        kind=classify_change(x, start, detected_at),
-        direction=direction,
-    )
+def _declared_changes(padded: Tuple[np.ndarray, np.ndarray],
+                      chains: Sequence[tuple], gated: Tuple[np.ndarray, ...],
+                      policy: ChangeDeclarationPolicy, lookahead: int,
+                      first_only: bool) -> List[tuple]:
+    """What the declaring positions of a pass declare, every row at once.
+
+    ``chains[i]`` is ``(row, positions, offset, scores, since)``: row
+    ``row`` of ``padded`` declares at ``positions``, oldest first; ``t``'s
+    entry of ``gated`` (:func:`_confirmed_directions`) is at ``offset +
+    t`` and its score at ``scores[t]``.  A change is declared once all
+    consumed samples exist, so the persistence threshold floors FUNNEL's
+    delay (section 4.4); its start reuses the table's baseline.  Returns
+    per chain its reportable changes (under ``first_only`` the first)
+    and the index of the last one walked."""
+    stack, lengths = padded
+    directions, meds, bands = gated
+    horizon = max(policy.persistence - 1, lookahead)
+    rows, positions, flat = map(np.array, zip(*[
+        (row, t, offset + t) for row, chain, offset, _, _ in chains
+        for t in chain]))
+    starts = _change_starts(stack, rows, positions + policy.persistence - 1,
+                            meds[flat], bands[flat]).tolist()
+    kept, walks, at = [], [], 0   # (row, position, item, scores)
+    for row, chain, _, scores, since in chains:
+        first = len(kept)
+        for item in range(at, at + len(chain)):
+            if _reportable(starts[item], since):
+                kept.append((row, chain[item - at], item, scores))
+                if first_only:
+                    break
+        walks.append((first, len(kept), chain[item - at] + horizon))
+        at += len(chain)
+    kinds = _change_kinds(stack, [row for row, _, _, _ in kept],
+                          [lengths[row] for row, _, _, _ in kept],
+                          [starts[item] for _, _, item, _ in kept],
+                          [t + horizon for _, t, _, _ in kept])
+    changes = [DetectedChange(
+        index=t + horizon, start_index=starts[item], score=float(scores[t]),
+        kind=kind, direction=int(directions[flat[item]]))
+        for (_, t, item, scores), kind in zip(kept, kinds)]
+    return [(changes[first:end], walked) for first, end, walked in walks]
 
 
-def _reportable(change: DetectedChange, since: int) -> bool:
-    """Could the software change at bin ``since`` have caused ``change``?
-    A change that started before it is by definition pre-existing; a
-    1-bin slack tolerates start-estimation jitter."""
-    return change.start_index >= since - 1
+def _reportable(start_index, since):
+    """Could the software change at bin ``since`` have caused a change
+    that started at ``start_index`` (elementwise for arrays)?  A change
+    that started before it is by definition pre-existing; a 1-bin slack
+    tolerates start-estimation jitter."""
+    return start_index >= since - 1
 
 
 def declare_changes(series: Sequence[float], scores,
@@ -607,24 +646,29 @@ def declare_changes(series: Sequence[float], scores,
         candidates = [np.arange(0)] * n_rows
         for row in pending:
             candidates[row] = np.arange(cursor[row], ends[row])
-        found = _confirmed_directions(padded, candidates, policy)
-        where = np.zeros(stack.shape, dtype=bool)
+        gated = _confirmed_directions(padded, candidates, policy)
+        chains, redo = [[]] * n_rows, set()
+        if gated[0].any():
+            confirmed = gated[0] != 0
+            sizes = [c.size for c in candidates]
+            where = np.zeros(stack.shape, dtype=bool)
+            where[np.repeat(np.arange(n_rows), sizes)[confirmed],
+                  np.concatenate(candidates)[confirmed]] = True
+            chains, got = _score_and_scan(where, ask, policy, horizon)
+            offsets = list(accumulate(sizes, initial=0))
+            redo = {row for row in pending
+                    if lead_in and cursor[row] and chains[row]}
+            declaring = [(row, chains[row], offsets[row] - cursor[row],
+                          got[row], since[row]) for row in pending
+                         if chains[row] and row not in redo]
+            for (row, *_), (kept, _) in zip(declaring, _declared_changes(
+                    padded, declaring, gated, policy, lookahead, first_only)
+                    if declaring else ()):
+                out[row] += kept
         for row in pending:
-            where[row, cursor[row]:ends[row]] = found[row] != 0
-        chains, got = (_score_and_scan(where, ask, policy, horizon)
-                       if where.any() else ([[]] * n_rows, None))
-        for row in pending:
-            if lead_in and cursor[row] and chains[row]:
+            if row in redo:
                 cursor[row] = 0
                 continue
-            for t in chains[row]:
-                change = _declared_change(
-                    stack[row], got[row], t,
-                    int(found[row][t - cursor[row]]), policy, lookahead)
-                if _reportable(change, since[row]):
-                    out[row].append(change)
-                    if first_only:
-                        break
             if chains[row]:             # decided too: nothing in it declares
                 ends[row] = max(ends[row], chains[row][-1] + horizon + 1)
             cursor[row] = ends[row]

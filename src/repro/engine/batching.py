@@ -8,7 +8,8 @@
   of one full pipeline invocation per job.
 * **Attribution stage** (:class:`AttributionBatch` /
   :func:`run_attribution_batch`): only jobs that *declared* a change
-  proceed to the per-item DiD attribution.  The baselines
+  proceed to DiD attribution, one
+  :meth:`~repro.core.funnel.Funnel.attribute_batch` call per batch.  The baselines
   (CUSUM/MRLS/WoW) are not planned here: they run through
   :func:`repro.engine.executor.run_job` one job at a time.
 
@@ -156,7 +157,7 @@ def detect_only_result(job: AssessmentJob, spec_name: str,
                      timings=(("detect", record.detect_seconds),))
 
 
-# -- per-item attribution stage ------------------------------------------------
+# -- batched attribution stage ---------------------------------------------------
 
 @dataclass(frozen=True)
 class AttributionBatch:
@@ -173,23 +174,25 @@ class AttributionBatch:
 
 def run_attribution_batch(
         batch: AttributionBatch) -> List[Tuple[int, JobResult]]:
-    """Attribute each declared change with
-    :meth:`~repro.core.funnel.Funnel.attribute` — the second half of
-    :meth:`~repro.core.funnel.Funnel.assess`."""
-    funnels: Dict[DetectorSpec, Funnel] = {}
-    out: List[Tuple[int, JobResult]] = []
-    for job, position, change, detect_seconds in zip(
-            batch.jobs, batch.positions, batch.changes,
-            batch.detect_seconds):
-        funnel = funnels.get(job.detector)
-        if funnel is None:
-            funnel = Funnel(job.detector.option("funnel_config"))
-            funnels[job.detector] = funnel
+    """Attribute every declared change of the batch with one
+    :meth:`~repro.core.funnel.Funnel.attribute_batch` call per detector
+    configuration — the second half of
+    :meth:`~repro.core.funnel.Funnel.assess`; each job is charged an
+    equal share of its call's time."""
+    answers: Dict[int, tuple] = {}
+    for spec in dict.fromkeys(job.detector for job in batch.jobs):
+        items = [i for i, job in enumerate(batch.jobs) if job.detector == spec]
         started = time.perf_counter()
-        assessment = funnel.attribute(job.treated, change, job.change_index,
-                                      control=job.control,
-                                      history=job.history)
-        attribute_seconds = time.perf_counter() - started
+        assessments = Funnel(spec.option("funnel_config")).attribute_batch([
+            (job.treated, change, job.change_index, job.control, job.history)
+            for job, change in ((batch.jobs[i], batch.changes[i])
+                                for i in items)])
+        share = (time.perf_counter() - started) / len(items)
+        answers.update((i, (a, share)) for i, a in zip(items, assessments))
+    out: List[Tuple[int, JobResult]] = []
+    for item, (job, position, detect_seconds) in enumerate(zip(
+            batch.jobs, batch.positions, batch.detect_seconds)):
+        assessment, attribute_seconds = answers[item]
         index = assessment.change.index if assessment.change else None
         out.append((position, JobResult(
             job_id=job.job_id, detector=job.detector.name,

@@ -103,7 +103,8 @@ def run_job(job: AssessmentJob) -> JobResult:
         changes = detector.detect(job.treated_aggregate)
     except InsufficientDataError:
         changes = []
-    relevant = [c for c in changes if _reportable(c, job.change_index)]
+    relevant = [c for c in changes
+                if _reportable(c.start_index, job.change_index)]
     detect_seconds = time.perf_counter() - started
     outcome = (ItemOutcome(positive=True, detection_index=relevant[0].index)
                if relevant else ItemOutcome(positive=False))
@@ -194,7 +195,8 @@ def _run_attribution_batch_observed(batch: AttributionBatch,
                                     obs: ObsContext, position: int):
     """Attribution stage with telemetry (funnel positives only)."""
     with obs.tracer.span("attribute_batch", batch=position,
-                         jobs=len(batch.positions)):
+                         jobs=len(batch.positions),
+                         detector=batch.jobs[0].detector.name):
         out = run_attribution_batch(batch)
     latency = _latency(obs)
     positives = obs.metrics.counter(POSITIVES_METRIC,

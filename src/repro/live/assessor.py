@@ -7,9 +7,10 @@ peer-control matrix.  :meth:`LiveAssessor.on_fragment_batch` takes a drained
 :class:`~repro.telemetry.store.Block` (checked once) or fragment pairs,
 :meth:`LiveAssessor.on_fragment` a lone fragment; trackers only buffer,
 the tick's pool stage (:meth:`LiveAssessor.pool_score`) scores every
-pending segment in one stacked call, and each declaration is attributed
-by :meth:`repro.core.funnel.Funnel.attribute` on the buffered panels —
-peers for dark launches on machine-level KPIs, history otherwise.
+pending segment in one stacked call, and one
+:meth:`repro.core.funnel.Funnel.attribute_batch` call attributes its
+declarations on the buffered panels — peers for dark launches on
+machine-level KPIs, history otherwise — published in pool order.
 
 The DiD panels only read samples up to the declaration index, so
 attributing from buffers at declaration time is bit-identical to the
@@ -400,8 +401,10 @@ class LiveAssessor:
         row = session.control_rows.get(key)
         if row is not None and not session.controls.frozen[row]:
             session.controls.append(np.array([row]), values.reshape(1, -1))
-            if session.pending:
-                self._retry_pending(session, now)
+            if session.pending:     # retry what waited for the peers
+                session.pending = self._settle(
+                    [(session, tracker) for tracker in session.pending
+                     if not tracker.done], now)
 
     # -- pooled scoring --------------------------------------------------------
 
@@ -412,18 +415,18 @@ class LiveAssessor:
         :meth:`~repro.live.pool.DetectorPool.score_pending` pass over the
         sessions' detectors (a done, degraded or declared row sits it
         out) computes bitwise the scores a pass over each alone would, and
-        attributes every declaration in pool order.  Returns how many
-        declared.
+        attributes its declarations in one batch, publishing them in pool
+        order.  Returns how many declared.
         """
         if not sessions:
             return 0
         declared = self.pool.score_pending(
             [session.detector for session in sessions])
         for index, row, declaration in declared:
-            session = sessions[index]
-            tracker = session.by_row[row]
-            tracker.declaration = declaration
-            self._attribute(session, tracker, now)
+            sessions[index].by_row[row].declaration = declaration
+        if declared:
+            self._settle([(sessions[index], sessions[index].by_row[row])
+                          for index, row, _ in declared], now)
         return len(declared)
 
     def _mark_gap(self, session: ChangeSession, key: KpiKey,
@@ -539,53 +542,63 @@ class LiveAssessor:
             return None, True
         return controls.planes[0][rows, :length], False
 
-    def _attribute(self, session: ChangeSession, tracker: KpiTracker,
-                   now: int, force: bool = False) -> bool:
-        """Run DiD for a declared tracker; False = parked as pending."""
-        control, wait = self._control_matrix(session, tracker)
-        if wait and not force:
-            if tracker not in session.pending:
-                session.pending.append(tracker)
-            return False
-        history = None
-        degraded_notes: Tuple[str, ...] = ()
-        if control is None and self.history_provider is not None:
-            history, healthy = self._fetch_history(session, tracker)
-            if not healthy:
-                degraded_notes = (
-                    "degraded: history unavailable after %d attempts"
-                    % FETCH_ATTEMPTS,)
-                self.metrics.counter(
-                    DEGRADED_VERDICTS_METRIC,
-                    help="Verdicts attributed without a healthy "
-                         "history fetch.").inc()
-        assessment = self.funnel.attribute(
-            session.detector.series(tracker.row), tracker.declaration,
-            tracker.change_index, control=control, history=history)
-        self._emit(session, tracker, now, LiveVerdict(
-            change_id=session.change_id,
-            entity_type=tracker.key.entity_type,
-            entity=tracker.key.entity,
-            metric=tracker.key.metric,
-            verdict=assessment.verdict.value,
-            reason="declared",
-            emitted_at=now,
-            declaration_bin=tracker.declaration.index,
-            did_estimate=assessment.did_estimate,
-            control=assessment.control,
-            direction=tracker.declaration.direction,
-            notes=tuple(assessment.notes) + degraded_notes,
-        ))
-        return True
-
-    def _retry_pending(self, session: ChangeSession, now: int) -> None:
-        still_waiting = []
-        for tracker in session.pending:
-            if tracker.done:
+    def _settle(self, trackers: List[Tuple[ChangeSession, KpiTracker]],
+                now: int, close: bool = False) -> List[KpiTracker]:
+        """Publish a verdict for each of ``trackers`` in order; returns
+        the ones parked.  A declared tracker is attributed — all in one
+        :meth:`~repro.core.funnel.Funnel.attribute_batch` call — or parks
+        while its peers lack its declaration bin; at a deadline ``close``
+        it uses what exists, and an undeclared or degraded one closes as
+        ``no_change``."""
+        entries, items, parked = [], [], []
+        for session, tracker in trackers:
+            if close and (tracker.declaration is None or tracker.degraded):
+                entries.append(LiveVerdict(
+                    change_id=session.change_id,
+                    entity_type=tracker.key.entity_type,
+                    entity=tracker.key.entity, metric=tracker.key.metric,
+                    verdict="no_change",
+                    reason="gap" if tracker.degraded else "deadline",
+                    emitted_at=now))
                 continue
-            if not self._attribute(session, tracker, now):
-                still_waiting.append(tracker)
-        session.pending = still_waiting
+            control, wait = self._control_matrix(session, tracker)
+            if wait and not close:
+                if tracker not in session.pending:
+                    session.pending.append(tracker)
+                parked.append(tracker)
+                entries.append(None)
+                continue
+            history, degraded_notes = None, ()
+            if control is None and self.history_provider is not None:
+                history, healthy = self._fetch_history(session, tracker)
+                if not healthy:
+                    degraded_notes = (
+                        "degraded: history unavailable after %d attempts"
+                        % FETCH_ATTEMPTS,)
+                    self.metrics.counter(
+                        DEGRADED_VERDICTS_METRIC,
+                        help="Verdicts attributed without a healthy "
+                             "history fetch.").inc()
+            entries.append(degraded_notes)
+            items.append((session.detector.series(tracker.row),
+                          tracker.declaration, tracker.change_index,
+                          control, history))
+        assessments = iter(self.funnel.attribute_batch(items))
+        for (session, tracker), entry in zip(trackers, entries):
+            if type(entry) is tuple:        # attributed: its DiD verdict
+                assessment, declared = next(assessments), tracker.declaration
+                entry = LiveVerdict(
+                    change_id=session.change_id,
+                    entity_type=tracker.key.entity_type,
+                    entity=tracker.key.entity, metric=tracker.key.metric,
+                    verdict=assessment.verdict.value, reason="declared",
+                    emitted_at=now, declaration_bin=declared.index,
+                    did_estimate=assessment.did_estimate,
+                    control=assessment.control, direction=declared.direction,
+                    notes=tuple(assessment.notes) + entry)
+            if entry is not None:
+                self._emit(session, tracker, now, entry)
+        return parked
 
     def _emit(self, session: ChangeSession, tracker: KpiTracker, now: int,
               verdict: LiveVerdict) -> None:
@@ -607,7 +620,7 @@ class LiveAssessor:
         One pooled pass (``score_pending(flush=True)`` over the session's
         detector) flushes every unfinished tracker; those that declare in
         it are attributed
-        (with whatever control rows exist — ``force=True`` falls back to
+        (with whatever control rows exist — a close falls back to
         history / no-control when the peers never caught up), the rest
         close as ``no_change``, with reason ``deadline`` or ``gap``.
         """
@@ -615,17 +628,6 @@ class LiveAssessor:
         for _, row, declared in self.pool.score_pending(
                 [session.detector], flush=True):
             session.by_row[row].declaration = declared
-        for tracker in trackers:
-            if tracker.declaration is not None and not tracker.degraded:
-                self._attribute(session, tracker, now, force=True)
-                continue
-            self._emit(session, tracker, now, LiveVerdict(
-                change_id=session.change_id,
-                entity_type=tracker.key.entity_type,
-                entity=tracker.key.entity,
-                metric=tracker.key.metric,
-                verdict="no_change",
-                reason="gap" if tracker.degraded else "deadline",
-                emitted_at=now,
-            ))
+        self._settle([(session, tracker) for tracker in trackers], now,
+                     close=True)
         session.pending = []

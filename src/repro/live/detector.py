@@ -58,8 +58,8 @@ import numpy as np
 from ..core.funnel import FunnelConfig
 from ..core.ika import IkaSST
 from ..core.robust import MAD_TO_SIGMA, median_and_mad
-from ..core.scoring import (_confirmed_directions, _declared_change,
-                            _reportable, _score_and_scan)
+from ..core.scoring import (_confirmed_directions, _declared_changes,
+                            _score_and_scan)
 from ..exceptions import ParameterError
 from ..types import DetectedChange
 
@@ -374,27 +374,16 @@ class IncrementalDetector:
         self._ready_at[rows] = gate + (self.span + self.score_chunk_bins - 1)
         self._scan_t[rows] = np.where(hi > lo, hi, self._scan_t[rows])
 
-    def apply_scores(self, scores: np.ndarray, chain: Sequence[int],
-                     directions: np.ndarray, row: int = 0
-                     ) -> Optional[DetectedChange]:
-        """Declare on ``row`` from this pass's score row (indexed like the
-        series; it is gone after the pass): ``chain`` holds the positions
-        that declare, oldest first, ``directions[t]`` their sign — each
-        below :meth:`scan`'s ``hi``, so its declaration index exists.  The
-        first reportable change is the one kept; scanning resumes after
-        the last declaration's index.
-        """
-        x = self._rows.planes[1][row, :self._rows.length[row]]
-        for t in chain:
-            declared = _declared_change(x, scores, t, int(directions[t]),
-                                        self.config.policy, self.lookahead)
-            self._scan_t[row] = max(int(self._scan_t[row]),
-                                    declared.index + 1)
-            if _reportable(declared, int(self.change_index[row])):
-                self.declarations[row] = declared
-                self._ready_at[row] = NEVER
-                return declared
-        return None
+    def apply_scores(self, row: int, walked: int,
+                     declared: Optional[DetectedChange]) -> None:
+        """Record what a pass's scores declared on ``row``: its scan
+        resumes after ``walked`` (the index of the last declaration its
+        chain walked), and a reportable ``declared`` is kept — the row
+        sits every later pass out."""
+        self._scan_t[row] = max(int(self._scan_t[row]), walked + 1)
+        if declared is not None:
+            self.declarations[row] = declared
+            self._ready_at[row] = NEVER
 
 
 def _advance(scans) -> None:
@@ -410,8 +399,11 @@ def score_pass(work: Sequence[Work]) -> Tuple[
     Builds one gating table over the positions each row can now decide —
     its NaN-padded stack read from each detector's matrix, one copy per
     detector — makes one kernel call for the positions that confirm —
-    none, on most ticks — and leaves each declaration in its detector's
-    :attr:`~IncrementalDetector.declarations`.
+    none, on most ticks — and one batched declaration
+    (:func:`~repro.core.scoring._declared_changes`) for every row whose
+    scan arms one, and leaves each row's first reportable declaration
+    in its detector's :attr:`~IncrementalDetector.declarations`
+    (:meth:`~IncrementalDetector.apply_scores`).
 
     Returns the number of positions decided, the ``where`` mask of the
     kernel call if one was made (one row per scored row), and the
@@ -453,29 +445,38 @@ def score_pass(work: Sequence[Work]) -> Tuple[
     if np.count_nonzero(np.isfinite(stack)) != sum(sizes):
         raise ParameterError("series or scores contain NaN or infinite values")
     _advance(scans)
-    found = _confirmed_directions((stack, lengths), candidates, policy)
-    if not np.count_nonzero(np.concatenate(found)):
+    gated = _confirmed_directions((stack, lengths), candidates, policy)
+    confirmed = gated[0] != 0
+    if not confirmed.any():
         return decided, [], []      # nothing confirms: most passes
-    scored = [i for i, directions in enumerate(found)  # a position confirms
-              if np.count_nonzero(directions)]
-    flat = [(index, detector, row) for index, detector, rows, _, _ in tabled
-            for row in rows.tolist()]
+    counts = [c.size for c in candidates]
+    owners = np.repeat(np.arange(len(candidates)), counts)[confirmed]
+    scored = np.flatnonzero(np.bincount(owners))   # where one confirms
     kernel_lengths = lengths[scored]
     kernel_stack = stack[scored, :int(kernel_lengths.max())]
     kernel_stack[np.isnan(kernel_stack)] = 0.0     # zero-padded, as ever
-    signs = np.zeros(kernel_stack.shape, dtype=np.intp)
-    for j, i in enumerate(scored):
-        signs[j, candidates[i]] = found[i]
-    where = signs != 0             # decidable, hence scoreable by now
+    where = np.zeros(kernel_stack.shape, dtype=bool)
+    where[np.searchsorted(scored, owners),
+          np.concatenate(candidates)[confirmed]] = True
     chains, scores = _score_and_scan(
         where, lambda mask: scorer.scores_batch(kernel_stack, kernel_lengths,
                                                 where=mask),
         policy, first.horizon)
+    if not any(chains):             # nothing armed: most kernel passes
+        return decided, [where], []
+    flat = [(index, detector, row) for index, detector, rows, _, _ in tabled
+            for row in rows.tolist()]
+    offsets = np.cumsum(counts) - counts
+    declaring = [(i, chain, int(offsets[i] - candidates[i][0]), row_scores,
+                  int(flat[i][1].change_index[flat[i][2]]))
+                 for i, chain, row_scores in zip(scored.tolist(), chains,
+                                                 scores) if chain]
     declared = []
-    for i, chain, row_scores, sign in zip(scored, chains, scores, signs):
-        if chain:
-            index, detector, row = flat[i]
-            change = detector.apply_scores(row_scores, chain, sign, row=row)
-            if change is not None:
-                declared.append((index, row, change))
+    for (i, *_), (kept, walked) in zip(declaring, _declared_changes(
+            (stack, lengths), declaring, gated, policy, first.lookahead,
+            True)):
+        index, detector, row = flat[i]
+        detector.apply_scores(row, walked, kept[0] if kept else None)
+        if kept:
+            declared.append((index, row, kept[0]))
     return decided, [where], declared

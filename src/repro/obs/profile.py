@@ -132,6 +132,9 @@ def _profile_detectors(spans: Sequence[SpanRecord],
             row["jobs"] += int(span.attr("jobs") or 0)
             row["job_s"] += span.duration_s
             name = "detect"
+        elif name == "attribute_batch":     # likewise for attribution
+            row["job_s"] += span.duration_s
+            name = "attribute"
         stage = row["stages"].setdefault(name, {"calls": 0, "total_s": 0.0})
         stage["calls"] += 1
         stage["total_s"] += span.duration_s

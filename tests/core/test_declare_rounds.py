@@ -232,10 +232,10 @@ class TestFixtures:
         x, since = _chained()
         start = since - CONFIG.policy.persistence - HORIZON
         (bump_at, bump), (at, change) = _chain(x, since)
-        assert bump_at < start and _reportable(change, since)
+        assert bump_at < start and _reportable(change.start_index, since)
         (dip_at, dip), (late, _) = _chain(x, since, cursor=start)
         assert start <= dip_at <= bump_at + HORIZON < at <= dip_at + HORIZON
-        assert late > at and not _reportable(dip, since)
+        assert late > at and not _reportable(dip.start_index, since)
 
     def test_late_ramp_declares_in_the_last_round(self):
         x, since = _late_ramp()
@@ -246,12 +246,14 @@ class TestFixtures:
     def test_second_change_is_never_built(self):
         x, since = _two()
         assert len(eager_changes(x, since)) == 2
-        with mock.patch.object(scoring, "_declared_change",
-                               wraps=scoring._declared_change) as built:
+        with mock.patch.object(scoring, "_change_kinds",
+                               wraps=scoring._change_kinds) as built:
             assert len(Funnel().detect(x, since, first_only=True)) == 1
-            assert built.call_count == 1
+            assert sum(len(call.args[1]) for call in built.call_args_list) \
+                == 1
             assert len(Funnel().detect(x, since)) == 2
-            assert built.call_count == 3
+            assert sum(len(call.args[1]) for call in built.call_args_list) \
+                == 3
 
 
 #: the lazy/eager property's shapes, plus three the rounds must get right
@@ -319,7 +321,7 @@ def test_first_only_equals_head_of_the_eager_scan(case):
     for x, row, since in zip(normalised, scores, indices):
         for _, change in _confirmed(x, row, config):
             if change.index - horizon < since - config.policy.persistence:
-                assert not _reportable(change, since)
+                assert not _reportable(change.start_index, since)
 
 
 class TestValidatesFirst:
@@ -504,9 +506,9 @@ class TestWorkBound:
         (confirmed, after), = calls
         assert after == 1                         # table first, once
         found = scoring._confirmed_directions(padded(normalised), tabled[0],
-                                              ChangeDeclarationPolicy())
+                                              ChangeDeclarationPolicy())[0]
         assert confirmed[:, :self.WIDTH - HORIZON].tolist() == \
-            [(row != 0).tolist() for row in found]
+            (found.reshape(self.ROWS, -1) != 0).tolist()
         assert not confirmed[:, self.WIDTH - HORIZON:].any()
         at = declared[0][0].index - HORIZON
         assert not confirmed[0, at:at + HORIZON + 1].all()

@@ -1,13 +1,11 @@
 """Tests for the difference-in-difference estimator."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.did import DiDEstimator, DiDPanel, did_estimate
+from repro.core.did import DiDEstimator, DiDPanel
 from repro.exceptions import InsufficientDataError, ParameterError
 
 
@@ -20,10 +18,16 @@ def make_panel(rng, n_treated=4, n_control=12, omega=30, effect=0.0,
                     pre[n_treated:], post[n_treated:])
 
 
+def did_estimate(panel):
+    """The double difference of Eq. 16, as the estimator fits it."""
+    (result,) = DiDEstimator().fit(panel)
+    return result.alpha
+
+
 class TestDiDPanel:
     def test_1d_input_promoted(self):
         panel = DiDPanel([1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [1.0, 2.0])
-        assert panel.n_treated == panel.n_control == 1
+        assert panel.treated_pre.shape == panel.control_pre.shape == (1, 1, 2)
 
     def test_unit_count_mismatch_raises(self, rng):
         with pytest.raises(ParameterError):
@@ -44,8 +48,8 @@ class TestDiDPanel:
         panel = DiDPanel([[0.0, 0.0]], [[2.0, 4.0]],
                          [[1.0, 1.0]], [[1.0, 1.0]])
         treated, control = panel.unit_differences()
-        assert treated[0] == 3.0
-        assert control[0] == 0.0
+        assert treated.tolist() == [[3.0]]
+        assert control.tolist() == [[0.0]]
 
 
 class TestDiDEstimate:
@@ -84,35 +88,55 @@ class TestDiDEstimate:
 class TestDiDEstimator:
     def test_alpha_matches_plain_double_difference(self, rng):
         panel = make_panel(rng, effect=2.0)
-        result = DiDEstimator().fit(panel)
-        assert result.alpha == pytest.approx(did_estimate(panel), abs=1e-9)
+        treated, control = panel.unit_differences()
+        assert did_estimate(panel) == pytest.approx(
+            treated.mean() - control.mean(), abs=1e-9)
 
     def test_significance_on_clear_effect(self, rng):
         panel = make_panel(rng, effect=5.0, noise=0.3)
-        result = DiDEstimator().fit(panel)
-        assert result.p_value < 0.01
+        (result,) = DiDEstimator().fit(panel)
         assert result.significant(threshold=0.5)
 
     def test_insignificant_on_null(self, rng):
         panel = make_panel(rng, effect=0.0, noise=0.3)
-        result = DiDEstimator().fit(panel)
+        (result,) = DiDEstimator().fit(panel)
         assert not result.significant(threshold=0.5)
 
     def test_normalised_alpha_scale_free(self, rng):
         panel1 = make_panel(rng, effect=5.0, noise=0.5)
         rng2 = np.random.default_rng(12345)
         panel2 = make_panel(rng2, effect=500.0, noise=50.0, base=1000.0)
-        r1 = DiDEstimator().fit(panel1)
-        r2 = DiDEstimator().fit(panel2)
+        (r1,) = DiDEstimator().fit(panel1)
+        (r2,) = DiDEstimator().fit(panel2)
         assert r1.normalised_alpha == pytest.approx(r2.normalised_alpha,
                                                     rel=0.5)
 
-    def test_single_unit_groups_have_nan_se(self, rng):
-        panel = DiDPanel(rng.normal(size=(1, 10)), rng.normal(size=(1, 10)),
-                         rng.normal(size=(1, 10)), rng.normal(size=(1, 10)))
-        result = DiDEstimator().fit(panel)
-        assert math.isnan(result.std_error)
-        assert math.isnan(result.p_value)
+    def test_single_unit_groups_fit_the_double_difference(self, rng):
+        """One treated and one control unit — every history panel's
+        treated side — still give Eq. 16's alpha."""
+        pre, post = rng.normal(size=(2, 10)), rng.normal(size=(2, 10))
+        panel = DiDPanel(pre[:1], post[:1], pre[1:], post[1:])
+        expected = ((post[0].mean() - pre[0].mean())
+                    - (post[1].mean() - pre[1].mean()))
+        assert did_estimate(panel) == pytest.approx(expected, abs=1e-12)
+
+    def test_a_stack_fits_each_panel_bitwise(self, rng):
+        """Panels of one shape fitted as one stack answer what each
+        panel fitted alone does, bit for bit."""
+        panels = [make_panel(rng, effect=float(effect))
+                  for effect in (0.0, 3.0, -2.0)]
+        stacked = DiDPanel(*(np.concatenate([getattr(p, name)
+                                             for p in panels])
+                             for name in ("treated_pre", "treated_post",
+                                          "control_pre", "control_post")))
+        alone = [DiDEstimator().fit(p)[0] for p in panels]
+        assert [repr(r) for r in DiDEstimator().fit(stacked)] == [
+            repr(r) for r in alone]
+
+    def test_panel_counts_must_agree(self, rng):
+        with pytest.raises(ParameterError):
+            DiDPanel(rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 3, 5)),
+                     rng.normal(size=(1, 4, 5)), rng.normal(size=(1, 4, 5)))
 
     def test_docstring_example(self):
         rng = np.random.default_rng(0)
@@ -120,5 +144,5 @@ class TestDiDEstimator:
         post = pre + rng.normal(0.0, 0.5, size=(8, 30))
         post[:4] += 5.0
         panel = DiDPanel(pre[:4], post[:4], pre[4:], post[4:])
-        result = DiDEstimator().fit(panel)
+        (result,) = DiDEstimator().fit(panel)
         assert round(result.alpha, 0) == 5.0

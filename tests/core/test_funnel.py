@@ -6,7 +6,7 @@ import pytest
 from repro.core.funnel import Funnel, FunnelConfig
 from repro.core.rsst import ImprovedSSTParams
 from repro.exceptions import ParameterError
-from repro.types import Verdict
+from repro.types import DetectedChange, Verdict
 
 
 def correlated_groups(rng, n_treated=4, n_control=12, bins=200, base=50.0):
@@ -16,24 +16,39 @@ def correlated_groups(rng, n_treated=4, n_control=12, bins=200, base=50.0):
     return series[:n_treated].copy(), series[n_treated:].copy()
 
 
+def fitted_panel(funnel, *args, **kwargs):
+    """The DiD panel ``funnel.attribute(*args, **kwargs)`` fits."""
+    panels, fit = [], funnel.estimator.fit
+
+    def recorded(panel):
+        panels.append(panel)
+        return fit(panel)
+
+    funnel.estimator.fit = recorded
+    funnel.attribute(*args, **kwargs)
+    (panel,) = panels
+    return panel
+
+
 class TestFunnelConfig:
     def test_defaults(self, rng):
         cfg = FunnelConfig()
         assert cfg.sst.omega == 9
         series = rng.normal(size=200)
-        panel = Funnel(cfg)._history_panel(series, rng.normal(
-            size=(3, 200)), change_index=100, detection_index=150)
-        assert panel.treated_pre.shape[1] == 17      # 2*omega - 1
-        assert panel.treated_post.shape[1] == 17
+        panel = fitted_panel(
+            Funnel(cfg), series, DetectedChange(150, 100, 1.0), 100,
+            history=rng.normal(size=(3, 200)))
+        assert panel.treated_pre.shape[2] == 17      # 2*omega - 1
+        assert panel.treated_post.shape[2] == 17
 
     def test_explicit_did_window(self, rng):
         """A DiD period is the gate window of the configured omega."""
         funnel = Funnel(FunnelConfig(sst=ImprovedSSTParams(omega=13)))
         treated, control = correlated_groups(rng)
-        panel = funnel._peer_panel(treated, control, change_index=100,
-                                   detection_index=150)
-        assert panel.control_pre.shape[1] == 25
-        assert panel.control_post.shape[1] == 25
+        panel = fitted_panel(funnel, treated, DetectedChange(150, 100, 1.0),
+                             100, control=control)
+        assert panel.control_pre.shape[2] == 25
+        assert panel.control_post.shape[2] == 25
 
     def test_invalid(self):
         with pytest.raises(ParameterError):

@@ -257,9 +257,9 @@ class TestGatingTable:
                                       [np.empty(0, np.intp)],
                                       ChangeDeclarationPolicy())
         assert [part.size for part in table] == [0, 0, 0]
-        assert [row.tolist() for row in scoring._confirmed_directions(
+        assert [part.size for part in scoring._confirmed_directions(
             padded([np.zeros(20)]), [np.empty(0, np.intp)],
-            ChangeDeclarationPolicy())] == [[]]
+            ChangeDeclarationPolicy())] == [0, 0, 0]
 
 
 #: what the screen must be exact on: tails, ties, no spread at all,
@@ -324,8 +324,10 @@ class TestScreen:
     def test_directions_equal_the_rule_position_by_position(self, case):
         policy, rows, candidates = case
         with np.errstate(all="ignore"):
-            found = scoring._confirmed_directions(padded(rows), candidates,
-                                                  policy)
+            found = np.split(
+                scoring._confirmed_directions(padded(rows), candidates,
+                                              policy)[0],
+                np.cumsum([c.size for c in candidates])[:-1])
             for x, positions, directions in zip(rows, candidates, found):
                 expected = []
                 for c in positions.tolist():

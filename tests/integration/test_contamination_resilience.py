@@ -90,7 +90,7 @@ class TestControlGroupAveraging:
             control[0, 120:] += 40.0           # the hotspot
             panel = DiDPanel(treated[:, 100:120], treated[:, 140:160],
                              control[:, 100:120], control[:, 140:160])
-            return estimator.fit(panel).alpha
+            return estimator.fit(panel)[0].alpha
 
         small = alpha_with(2)
         large = alpha_with(24)

@@ -23,7 +23,8 @@ import numpy as np
 from repro.core.funnel import Funnel, FunnelConfig
 from repro.core.ika import IkaSST
 from repro.core.robust import MAD_TO_SIGMA, median_and_mad
-from repro.core.scoring import _declared_change, robust_normalise
+from repro.core.scoring import robust_normalise
+from repro.types import DetectedChange
 from repro.engine.fleet import SyntheticFleetSource
 from repro.engine.planner import ENTITY_METRICS
 from repro.live import DetectorPool, LiveVerdict, parity_live_config
@@ -47,8 +48,52 @@ def confirm_candidate(x, scores, candidate, policy, lookahead=0):
     deviation = float(np.median(x[candidate:end])) - med
     if not abs(deviation) > band:        # a NaN deviation never confirms
         return None
-    return _declared_change(x, scores, candidate,
-                            1 if deviation > 0 else -1, policy, lookahead)
+    return declared_change(x, scores, candidate,
+                           1 if deviation > 0 else -1, policy, lookahead)
+
+
+def declared_change(x, scores, candidate, direction, policy, lookahead):
+    """What a confirmed candidate declares, one at a time and in plain
+    loops: the per-item reference ``src/``'s batched declaration is
+    pinned to (``tests/core/test_declare_batch.py``)."""
+    detected_at = candidate + max(policy.persistence - 1, lookahead)
+    if detected_at >= x.size:
+        return None
+    med, scale = median_and_mad(x[:max(1, candidate)])
+    band = policy.deviation_sigmas * (MAD_TO_SIGMA * scale + 1e-9)
+    start = candidate + policy.persistence - 1
+    for i in range(start, -1, -1):
+        if not abs(x[i] - med) > band:
+            break
+        start = i
+    return DetectedChange(index=detected_at, start_index=start,
+                          score=float(scores[candidate]),
+                          kind=classify(x, start, detected_at),
+                          direction=direction)
+
+
+def classify(x, start, detected_at):
+    """Fig. 2's step-versus-line rule over one segment: the best
+    single-step fit's SSE by scanning every split, the line's by
+    ``lstsq``."""
+    segment = x[max(0, start - 10):min(x.size, detected_at + 11)]
+    if segment.size < 4:
+        return "level_shift"
+    step = float(np.sum((segment - segment.mean()) ** 2))
+    cumsum = np.cumsum(segment)
+    total = float(np.sum(segment ** 2))
+    for split in range(1, segment.size):
+        left = cumsum[split - 1]
+        sse = (total - left ** 2 / split
+               - (cumsum[-1] - left) ** 2 / (segment.size - split))
+        if sse < step:
+            step = sse
+    design = np.column_stack([np.arange(segment.size, dtype=np.float64),
+                              np.ones(segment.size)])
+    coef = np.linalg.lstsq(design, segment, rcond=None)[0]
+    resid = segment - design @ coef
+    return "ramp" if float(resid @ resid) < 0.8 * max(step, 0.0) \
+        else "level_shift"
 
 
 def alone(detector, values=None, rows=None):

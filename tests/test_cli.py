@@ -201,6 +201,23 @@ class TestAssessFleet:
         assert calls[("assess_fleet", "plan")] == 3 * 2
         assert calls[("assess_fleet", "fetch")] == payload["jobs"]
 
+    def test_report_charges_funnel_attribution_to_its_detector(
+            self, tmp_path, capsys):
+        """``attribute_batch`` spans carry their detector, so the
+        per-detector view shows funnel's DiD time under ``attrib_s``."""
+        obs_dir = tmp_path / "obs"
+        assert main(["assess-fleet", "--services", "2", "--servers", "8",
+                     "--changes", "2", "--history-days", "1",
+                     "--obs-dir", str(obs_dir)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "report", str(obs_dir), "--json"]) == 0
+        funnel = json.loads(capsys.readouterr().out)["detectors"]["funnel"]
+        assert funnel["stages"]["attribute"]["total_s"] > 0
+        assert main(["obs", "report", str(obs_dir)]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("funnel "))
+        assert float(row.split()[-1]) > 0          # attrib_s
+
     def test_golden_json_round_trip(self, capsys):
         """Two runs (small and default stacks) print the same JSON,
         timings aside."""

@@ -9,7 +9,7 @@ drift hits them equally:
   on every batch).
 * **live health** — a 16x-fleet pooled live replay with no health
   telemetry vs. a full :class:`repro.obs.HealthMonitor` (per-tick
-  heartbeat JSONL, SLO burn tracking, FUNNEL-on-FUNNEL
+  heartbeat JSONL, SLO burn tracking, the persistence-rule
   self-assessment).  The fault-free replay must also self-detect
   nothing — the zero-false-positive half of the health contract.
 

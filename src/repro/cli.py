@@ -30,7 +30,7 @@ Commands:
   stacks.
 * ``obs health-report`` — render a live run's heartbeat stream
   (``live-replay --health <path>``): SLO attainment, burn alerts, lag
-  percentiles over time, and FUNNEL-on-FUNNEL self-assessment verdicts;
+  percentiles over time, and the self-assessment's detections;
   ``--min/--max-self-detections`` turn it into a CI gate.
 
 All commands emit JSON on stdout so they compose with shell tooling —
@@ -232,7 +232,7 @@ def _add_live_replay_options(live: argparse.ArgumentParser) -> None:
     live.add_argument("--health",
                       help="write a per-tick health heartbeat stream "
                            "(JSONL) here; enables SLO tracking and the "
-                           "FUNNEL-on-FUNNEL self-assessment loop "
+                           "self-assessment of the assessor's own KPIs "
                            "(verdict output is unaffected)")
 
 

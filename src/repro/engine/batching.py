@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.funnel import Funnel
-from ..types import DetectedChange
+from ..types import DetectedChange, Verdict
 from .cache import shared_cache
 from .jobs import AssessmentJob, DetectorSpec, ItemOutcome, JobResult
 
@@ -144,8 +144,8 @@ def detect_only_result(job: AssessmentJob, spec_name: str,
                        record: DetectionRecord) -> JobResult:
     """The final result for a job whose batched answer needs no DiD.
 
-    Covers improved_sst (positive iff anything declared) and funnel
-    negatives.
+    Covers improved_sst (positive iff anything declared; no verdict) and
+    funnel negatives (``NO_CHANGE``, as ``Funnel.assess`` gives them).
     """
     changes = record.changes
     if spec_name == "improved_sst" and changes:
@@ -154,6 +154,8 @@ def detect_only_result(job: AssessmentJob, spec_name: str,
     else:
         outcome = ItemOutcome(positive=False)
     return JobResult(job_id=job.job_id, detector=spec_name, outcome=outcome,
+                     verdict=(Verdict.NO_CHANGE if spec_name == "funnel"
+                              else None),
                      timings=(("detect", record.detect_seconds),))
 
 

@@ -13,8 +13,8 @@ Four pieces, designed to compose:
   latency, slowest jobs, and flamegraph ``folded`` export;
 * :mod:`repro.obs.health` — live-service health telemetry: the per-tick
   heartbeat stream, declarative SLO tracking with multi-window burn
-  alerts, and the FUNNEL-on-FUNNEL self-assessment loop behind
-  ``repro obs health-report``.
+  alerts, and the self-assessment (the persistence rule on the
+  assessor's own KPIs) behind ``repro obs health-report``.
 
 The engine threads one :class:`ObsContext` per run through planner,
 executor and reporters; ``repro assess-fleet --obs-dir <d>`` records a

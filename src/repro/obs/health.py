@@ -20,19 +20,16 @@ verdict JSONL stays byte-identical to a health-off run):
   fast window (catches sharp regressions quickly) and a slow window
   (filters one-tick blips) exceed their bad-fraction thresholds, and a
   ``resolved`` record is emitted when the burn subsides.
-* **Self-assessment** — FUNNEL scoring its host: a
-  :class:`SelfAssessor` feeds the assessor's own per-tick KPIs through
-  one :class:`~repro.live.detector.IncrementalDetector`, a row per
-  signal and a block per score chunk, so a mid-run fault or config
-  regression shows up as a detected change on the service's *own*
-  telemetry.  The default KPI set is restricted to signals that are
-  constant in a healthy replay (ingest rate, watermark lag, queue
-  depth, sheds); wall-clock tick duration is recorded on the heartbeat
-  but excluded from detection, because timer noise would trigger false
-  declarations on a fault-free run.
+* **Self-assessment** — a :class:`SelfAssessor` holds the assessor's
+  own per-tick KPIs to the paper's persistence rule against a fixed
+  baseline, so a mid-run fault or config regression shows up as a
+  detected change on the service's *own* telemetry.  Its KPIs are
+  signals constant in a healthy replay (ingest rate, watermark lag,
+  queue depth, sheds); wall-clock tick duration is on the heartbeat
+  but not assessed: timer noise would declare on a fault-free run.
 
 ``repro obs health-report <heartbeat.jsonl>`` renders SLO attainment,
-burn alerts, lag percentiles over time and self-assessment verdicts
+burn alerts, lag percentiles over time and self-assessment detections
 from a recorded stream (:func:`load_heartbeat`,
 :func:`build_health_report`, :func:`render_health_report`).
 """
@@ -41,12 +38,13 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-import numpy as np
-
+from ..core.robust import MAD_TO_SIGMA, median_and_mad
+from ..core.scoring import EPSILON, ChangeDeclarationPolicy
 from .metrics import MetricsRegistry
 
 __all__ = [
@@ -274,7 +272,7 @@ class SloTracker:
         return out
 
 
-# -- FUNNEL on FUNNEL ---------------------------------------------------------
+# -- self-assessment ----------------------------------------------------------
 
 #: Operational KPIs a healthy virtual-time replay holds constant, which
 #: is what makes a zero-false-positive self-assessment possible: the
@@ -288,83 +286,84 @@ DEFAULT_SELF_KPIS: Tuple[str, ...] = (
     "shed_fragments")
 
 
-class SelfAssessor:
-    """The assessor's own KPIs pushed through incremental FUNNEL.
+class _KpiWatch:
+    """One self KPI past its baseline: the baseline median, sigma and
+    band, the last ``persistence`` values, and the first tick of the
+    current out-of-band run (``None`` while in band)."""
 
-    One :class:`~repro.live.detector.IncrementalDetector` with a row per
-    KPI of :data:`DEFAULT_SELF_KPIS`, one column per scheduler tick.
-    ``BASELINE_TICKS`` plays the role of the change index: the first
-    that many ticks form the robust normalisation baseline, and only
-    deviations starting after it are reportable — exactly the offline
-    declaration filter.  An ``OMEGA`` smaller than the KPI default
-    keeps the detection lag short (the scorer needs ``2*omega - 1``
-    ticks of forward context); ``SCORE_CHUNK`` ticks are buffered and
-    fed as one block, and one :meth:`IncrementalDetector.flush` pass
-    decides what the block made decidable.
-    """
+    def __init__(self, ticks: Tuple[int, ...], values: Tuple[float, ...],
+                 policy: ChangeDeclarationPolicy) -> None:
+        self.median, mad = median_and_mad(values)
+        self.sigma = MAD_TO_SIGMA * mad + EPSILON
+        self.band = policy.deviation_sigmas * self.sigma
+        self.run_start: Optional[int] = None
+        for tick, value in zip(ticks, values):
+            self.track(tick, value)
+        self.values = deque(values[-policy.persistence:],
+                            maxlen=policy.persistence)
+
+    def track(self, tick: int, value: float) -> None:
+        if abs(value - self.median) <= self.band:
+            self.run_start = None
+        elif self.run_start is None:
+            self.run_start = tick
+
+
+class SelfAssessor:
+    """The paper's persistence rule on the assessor's own KPIs, O(1)
+    per tick in fixed memory (``docs/observability.md``).
+
+    Per KPI of :data:`DEFAULT_SELF_KPIS` (omitted: zero) the first
+    ``BASELINE_TICKS`` ticks fix a median and a sigma ``MAD_TO_SIGMA *
+    MAD + 1e-9``.  A later tick declares when the median of the last
+    ``persistence`` values is over ``deviation_sigmas`` sigmas from it
+    (:class:`~repro.core.scoring.ChangeDeclarationPolicy`'s defaults)
+    and the out-of-band run ending there (or the tick, if in band)
+    starts at or after the baseline's last tick, the offline 1-bin
+    slack.  A KPI declares once; ticks are the scheduler's; ``score``
+    is the median's distance from the baseline's in sigmas."""
 
     BASELINE_TICKS = 60
-    OMEGA = 5
-    SCORE_CHUNK = 4
 
     def __init__(self) -> None:
-        # Imported here, not at module level: repro.live imports this
-        # module for the verdict-lag metric constants.
-        from ..core.funnel import FunnelConfig
-        from ..core.rsst import ImprovedSSTParams
-        from ..live.detector import IncrementalDetector
-
-        config = FunnelConfig(sst=ImprovedSSTParams(omega=self.OMEGA))
-        self._detector = IncrementalDetector(
-            [self.BASELINE_TICKS] * len(DEFAULT_SELF_KPIS), config)
-        #: the ticks not fed yet, one list of KPI values each
-        self._columns: List[List[float]] = []
+        self.policy = ChangeDeclarationPolicy()
+        #: the baseline's ticks and KPI columns, until it is whole
+        self._baseline: List[Tuple[int, List[float]]] = []
+        self._since: Optional[int] = None       # the baseline's last tick
+        #: the KPIs not declared yet, once the baseline is whole
+        self.watches: Dict[str, _KpiWatch] = {}
         self.detections: List[dict] = []
 
-    def _record(self, kpi: str, declared, tick: int) -> dict:
-        return {
-            "kind": DETECTION_KIND,
-            "kpi": kpi,
-            "tick": tick,
-            "declared_tick": declared.index,
-            "start_tick": declared.start_index,
-            "direction": declared.direction,
-            "score": round(float(declared.score), 4),
-        }
-
-    def _undeclared(self) -> List[int]:
-        return [row for row, declared
-                in enumerate(self._detector.declarations) if declared is None]
-
-    def _found(self, rows: List[int], tick: int) -> List[dict]:
-        declarations = self._detector.declarations
-        found = [self._record(DEFAULT_SELF_KPIS[row], declarations[row], tick)
-                 for row in rows if declarations[row] is not None]
+    def observe(self, tick: int, values: dict) -> List[dict]:
+        """Apply the rule to one tick's KPI values; returns any fresh
+        detections."""
+        if self._since is None:
+            self._baseline.append((tick, [float(values.get(kpi) or 0.0)
+                                          for kpi in DEFAULT_SELF_KPIS]))
+            if len(self._baseline) == self.BASELINE_TICKS:
+                ticks, columns = zip(*self._baseline)
+                self.watches = {
+                    kpi: _KpiWatch(ticks, row, self.policy)
+                    for kpi, row in zip(DEFAULT_SELF_KPIS, zip(*columns))}
+                self._since, self._baseline = tick, []
+            return []
+        found = []
+        for kpi, watch in list(self.watches.items()):
+            value = float(values.get(kpi) or 0.0)
+            watch.values.append(value)
+            watch.track(tick, value)
+            deviation = statistics.median(watch.values) - watch.median
+            start = tick if watch.run_start is None else watch.run_start
+            if abs(deviation) <= watch.band or start < self._since:
+                continue
+            del self.watches[kpi]
+            found.append({
+                "kind": DETECTION_KIND, "kpi": kpi, "tick": tick,
+                "declared_tick": tick, "start_tick": start,
+                "direction": 1 if deviation > 0 else -1,
+                "score": round(abs(deviation) / watch.sigma, 4)})
         self.detections.extend(found)
         return found
-
-    def _feed(self, tick: int) -> List[dict]:
-        """The buffered ticks as one block over the KPIs not yet
-        declared, then one pass; returns any fresh detections."""
-        rows = self._undeclared()
-        if rows and self._columns:
-            self._detector.extend(np.array(self._columns).T[rows], rows)
-            self._detector.flush()
-        self._columns = []
-        return self._found(rows, tick)
-
-    def observe(self, tick: int, values: dict) -> List[dict]:
-        """Buffer one tick's KPI values, feeding every ``SCORE_CHUNK``-th
-        tick; returns any fresh detections."""
-        self._columns.append([float(values.get(kpi) or 0.0)
-                              for kpi in DEFAULT_SELF_KPIS])
-        if len(self._columns) < self.SCORE_CHUNK:
-            return []
-        return self._feed(tick)
-
-    def finalize(self, tick: int) -> List[dict]:
-        """Feed the remainder (end of stream); returns late finds."""
-        return self._feed(tick)
 
 
 # -- the monitor --------------------------------------------------------------
@@ -478,14 +477,10 @@ class HealthMonitor:
     # -- shutdown -------------------------------------------------------------
 
     def finalize(self) -> dict:
-        """End of stream: flush self detectors, summarise, close file."""
+        """End of stream: summarise, close the file."""
         if self.finalized:
             return self.summary()
         self.finalized = True
-        late = self.self_assessor.finalize(self.ticks)
-        if self.writer is not None:
-            for doc in late:
-                self.writer.offer(doc)
         summary = self.summary()
         if self.writer is not None:
             self.writer.offer(dict(summary, kind=SUMMARY_KIND))

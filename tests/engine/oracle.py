@@ -28,14 +28,12 @@ def oracle_result(job) -> JobResult:
         return JobResult(job_id=job.job_id, detector=name, outcome=outcome)
     assessment = funnel.assess(job.treated, job.change_index,
                                control=job.control, history=job.history)
-    if assessment.change is None:
-        # A detect negative: the engine attaches no verdict.
-        return JobResult(job_id=job.job_id, detector=name,
-                         outcome=ItemOutcome(positive=False))
+    # A detect negative carries the NO_CHANGE verdict assess gives it.
+    index = assessment.change.index if assessment.change else None
     return JobResult(
         job_id=job.job_id, detector=name,
         outcome=ItemOutcome(positive=assessment.positive,
-                            detection_index=assessment.change.index),
+                            detection_index=index),
         verdict=assessment.verdict, did_estimate=assessment.did_estimate)
 
 

@@ -205,6 +205,23 @@ class TestFleetPlanning:
         assert stats["recall"] == 1.0
         assert doc["throughput_jobs_per_second"] > 0
 
+    def test_every_funnel_job_has_a_verdict(self):
+        """Detect negatives count as ``no_change``, as ``Funnel.assess``
+        gives them: the funnel verdict histogram sums to its jobs."""
+        source = SyntheticFleetSource(FleetScenarioSpec(
+            n_services=2, n_servers=8, n_changes=2, history_days=1))
+        report, _, results = AssessmentEngine(
+            detectors=("funnel", "improved_sst")).assess_fleet(source)
+        stats = report.as_dict()["detectors"]
+        funnel = stats["funnel"]
+        assert sum(funnel["verdicts"].values()) == funnel["jobs"]
+        negatives = sum(r.outcome.detection_index is None
+                        for r in results if r.detector == "funnel")
+        assert funnel["verdicts"]["no_change"] == negatives > 0
+        assert stats["improved_sst"]["verdicts"] == {}
+        assert all(r.verdict is None for r in results
+                   if r.detector == "improved_sst")
+
     def test_fleet_windows_deterministic(self):
         spec = FleetScenarioSpec(n_services=4, n_servers=20, n_changes=2,
                                  history_days=1, seed=11)

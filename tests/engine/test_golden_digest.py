@@ -25,6 +25,7 @@ import pytest
 from repro.core.funnel import Funnel
 from repro.engine import (AssessmentEngine, FleetScenarioSpec,
                           SyntheticFleetSource, reset_shared_cache)
+from repro.types import Verdict
 
 #: the live golden test's fleet, assessed offline
 SPEC = FleetScenarioSpec(n_services=2, n_servers=8, n_changes=3,
@@ -48,9 +49,15 @@ TWO_SHIFT_CHANGES = [
 
 
 def results_sha(results) -> str:
-    """sha256 over everything a job's result says except its timings."""
+    """sha256 over everything a job's result says except its timings.
+
+    A ``no_change`` verdict is written as no verdict, as at the recording
+    commit: the engine attached none to a funnel job that declared
+    nothing then, and no declared change ever gets ``no_change``, so the
+    two encodings say the same (``test_engine.py`` pins the verdict)."""
     lines = ["%d|%s|%s|%s|%s|%r" % (
-        r.job_id, r.detector, r.verdict and r.verdict.value,
+        r.job_id, r.detector,
+        None if r.verdict in (None, Verdict.NO_CHANGE) else r.verdict.value,
         r.outcome.positive, r.outcome.detection_index, r.did_estimate)
         for r in results]
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()

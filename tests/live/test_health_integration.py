@@ -5,9 +5,9 @@ The acceptance contract has three legs:
 * **parity safety** — a replay with health enabled writes a verdict
   JSONL *byte-identical* to a health-off run (telemetry reads state,
   never steers it);
-* **zero false positives** — a fault-free replay's FUNNEL-on-FUNNEL
-  self-assessment declares nothing (its default KPIs are constant in a
-  healthy virtual-time replay);
+* **zero false positives** — a fault-free replay's self-assessment
+  declares nothing (its default KPIs are constant in a healthy
+  virtual-time replay);
 * **real detection** — a mid-run ``agent-silence`` outage is detected
   on the assessor's *own* KPI series, while the verdict stream still
   matches the offline engine.
@@ -18,11 +18,12 @@ import os
 
 import pytest
 
+from repro.cli import main
 from repro.engine.fleet import FleetScenarioSpec
 from repro.faults import preset_plan
 from repro.live import JsonlVerdictSink, parity_live_config, replay_scenario
 from repro.obs.health import (DETECTION_KIND, HEARTBEAT_KIND, SUMMARY_KIND,
-                              HealthMonitor, load_heartbeat)
+                              HealthMonitor, SelfAssessor, load_heartbeat)
 from repro.telemetry.timeseries import MINUTE
 
 #: The heartbeat record: what the report, the SLOs and the self KPIs read.
@@ -148,6 +149,22 @@ class TestChaosSelfDetection:
                     if r.get("kind") == DETECTION_KIND]
         assert {d["kpi"] for d in streamed} == set(by_kpi)
 
+    def test_start_tick_is_the_heartbeat_tick_the_dip_starts(self,
+                                                             chaos_run):
+        """Detections and heartbeats count ticks on one clock: the dip's
+        start is the first heartbeat after the baseline whose ingest
+        left the baseline's (constant) rate."""
+        report, records = chaos_run
+        beats = [r for r in records if r.get("kind") == HEARTBEAT_KIND]
+        baseline = {b["ingest_fragments"]
+                    for b in beats[:SelfAssessor.BASELINE_TICKS]}
+        assert len(baseline) == 1
+        first = next(b["tick"] for b in beats[SelfAssessor.BASELINE_TICKS:]
+                     if b["ingest_fragments"] not in baseline)
+        dip = next(d for d in report.service_report["health"][
+            "self_detections"] if d["kpi"] == "ingest_fragments")
+        assert dip["start_tick"] == first == 100
+
     def test_parity_survives_the_detected_outage(self, chaos_run):
         report, _ = chaos_run
         assert report.parity_ok is True
@@ -159,6 +176,40 @@ class TestChaosSelfDetection:
                                  check_offline=True)
         assert report.parity_ok is True
         assert "health" not in report.service_report
+
+
+#: What each preset self-detects (fault seed 11, the CI chaos smoke's
+#: scenario), at fault offsets 0 and 100 bins: ``(kpi, declared_tick,
+#: start_tick, direction)`` in the order declared.
+WATERMARK_DDD = ("watermark_lag_bins", 63, 60, 1)
+WATERMARK_REORDER = ("watermark_lag_bins", 65, 65, 1)
+SILENCE = [("ingest_fragments", 103, 100, -1),
+           ("watermark_lag_bins", 103, 100, 1)]
+PRESET_DETECTIONS = {
+    ("none", 0): [], ("none", 100): [],
+    ("drop-delay-dup", 0): [WATERMARK_DDD],
+    ("drop-delay-dup", 100): [WATERMARK_DDD],
+    ("reorder", 0): [WATERMARK_REORDER],
+    ("reorder", 100): [WATERMARK_REORDER],
+    ("flaky-history", 0): [], ("flaky-history", 100): [],
+    ("agent-silence", 0): [], ("agent-silence", 100): SILENCE,
+    ("all", 0): [WATERMARK_DDD],
+    ("all", 100): [WATERMARK_DDD, ("ingest_fragments", 103, 100, -1)],
+}
+
+
+@pytest.mark.parametrize("plan,offset", sorted(PRESET_DETECTIONS))
+def test_preset_self_detections(plan, offset, tmp_path, capsys):
+    path = str(tmp_path / "heartbeat.jsonl")
+    assert main(["chaos-replay", "--plan", plan, "--fault-seed", "11",
+                 "--fault-offset-bins", str(offset),
+                 "--services", "2", "--servers", "8", "--changes", "2",
+                 "--history-days", "1", "--window-bins", "120",
+                 "--change-offset", "60", "--health", path]) == 0
+    capsys.readouterr()
+    found = [(d["kpi"], d["declared_tick"], d["start_tick"], d["direction"])
+             for d in load_heartbeat(path) if d["kind"] == DETECTION_KIND]
+    assert found == PRESET_DETECTIONS[plan, offset]
 
 
 class TestMonitorMechanics:

@@ -4,14 +4,11 @@ import json
 import os
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core.funnel import FunnelConfig
-from repro.core.rsst import ImprovedSSTParams
-from repro.live import DetectorPool
-from repro.live.detector import IncrementalDetector
+from repro.core.robust import MAD_TO_SIGMA
 from repro.obs.health import (DEFAULT_SELF_KPIS, DEFAULT_SLOS, SUMMARY_KIND,
                               HeartbeatWriter, SelfAssessor, Slo, SloTracker,
                               build_health_report, load_heartbeat,
@@ -164,7 +161,6 @@ class TestSelfAssessor:
         assessor = SelfAssessor()
         for tick in range(200):
             assert assessor.observe(tick, {"queue_depth": 7.0}) == []
-        assert assessor.finalize(200) == []
         assert assessor.detections == []
 
     def test_step_after_baseline_is_declared(self):
@@ -173,7 +169,6 @@ class TestSelfAssessor:
         for tick in range(160):
             value = 7.0 if tick < 100 else 0.0
             found += assessor.observe(tick, {"queue_depth": value})
-        found += assessor.finalize(160)
         assert len(found) == 1
         record = found[0]
         assert record["kpi"] == "queue_depth"
@@ -187,84 +182,101 @@ class TestSelfAssessor:
         for tick in range(260):
             value = 7.0 if tick < 100 or 160 <= tick else 0.0
             found += assessor.observe(tick, {"queue_depth": value})
-        found += assessor.finalize(260)
         assert len(found) == 1
 
     def test_missing_kpi_reads_as_zero(self):
         assessor = SelfAssessor()
         for tick in range(80):
-            assessor.observe(tick, {})
-        assert assessor.finalize(80) == []
+            assert assessor.observe(tick, {}) == []
+        assert assessor.detections == []
+
+    def test_state_is_bounded(self):
+        """However long the run, a KPI holds its last ``persistence``
+        values once the baseline is whole."""
+        assessor = SelfAssessor()
+        for tick in range(1, 20001):
+            assert assessor.observe(tick, {"ingest_fragments": 26.0,
+                                           "queue_depth": tick % 2}) == []
+        assert sorted(assessor.watches) == sorted(DEFAULT_SELF_KPIS)
+        assert all(len(watch.values) <= assessor.policy.persistence
+                   for watch in assessor.watches.values())
+        assert assessor._baseline == []
 
 
-def _column_per_tick(columns):
-    """The self-assessor as it was before it buffered ticks: a 4-row
-    detector (omega 5, chunk 4) extended by one column per tick over
-    the KPIs not yet declared, each column followed by a pool pass over
-    it, then flushed; its detection records."""
-    detector = IncrementalDetector(
-        [60] * 4, FunnelConfig(sst=ImprovedSSTParams(omega=5)),
-        score_chunk_bins=4)
-    records = []
-
-    def found(rows, tick):
-        for row in rows:
-            declared = detector.declarations[row]
-            if declared is not None:
-                records.append({
-                    "kind": "self_detection", "kpi": DEFAULT_SELF_KPIS[row],
-                    "tick": tick, "declared_tick": declared.index,
-                    "start_tick": declared.start_index,
-                    "direction": declared.direction,
-                    "score": round(float(declared.score), 4)})
-
-    def undeclared():
-        return [row for row, declared in enumerate(detector.declarations)
-                if declared is None]
-
-    for tick, column in enumerate(columns):
-        rows = undeclared()
-        if rows:
-            detector.extend(np.array([[column[row]] for row in rows]), rows)
-            DetectorPool().score_pending([detector])
-        found(rows, tick)
-    rows = undeclared()
-    detector.flush()
-    found(rows, len(columns))
+def _oracle(columns, persistence=7, deviation_sigmas=3.0):
+    """The self-assessment rule recomputed from the whole history on
+    every tick, ticks counted from 1 as the scheduler does: per KPI the
+    median and robust sigma of the first ``BASELINE_TICKS`` values, the
+    median of the last ``persistence``, and the out-of-band run ending
+    at the tick, scanned back from it.  Returns the detection records."""
+    history = np.array(columns, dtype=np.float64)
+    baseline = SelfAssessor.BASELINE_TICKS
+    records, declared = [], set()
+    for now in range(baseline, len(history)):
+        for row, kpi in enumerate(DEFAULT_SELF_KPIS):
+            if kpi in declared:
+                continue
+            x = history[:now + 1, row]
+            median = np.median(x[:baseline])
+            sigma = MAD_TO_SIGMA * np.median(
+                np.abs(x[:baseline] - median)) + 1e-9
+            band = deviation_sigmas * sigma
+            deviation = np.median(x[now + 1 - persistence:]) - median
+            first = now
+            while (abs(x[now] - median) > band and first > 0
+                   and abs(x[first - 1] - median) > band):
+                first -= 1
+            if abs(deviation) <= band or first + 1 < baseline:
+                continue
+            declared.add(kpi)
+            records.append({
+                "kind": "self_detection", "kpi": kpi, "tick": now + 1,
+                "declared_tick": now + 1, "start_tick": first + 1,
+                "direction": 1 if deviation > 0 else -1,
+                "score": round(float(abs(deviation) / sigma), 4)})
     return records
 
 
-class TestChunkedSelfAssessor:
-    """Feeding ``SCORE_CHUNK`` ticks as one block, a pass after each,
-    declares what a column per tick under a ``SCORE_CHUNK`` chunk gate
-    declares, at the same tick: the baseline is whole blocks, so every
-    gated pass falls on a block boundary."""
+class TestSelfAssessorRule:
+    """The O(1)-per-tick assessor declares what the rule recomputed from
+    the whole history declares, at the same ticks: steps and spikes,
+    with and without noise, starting after the baseline or inside it,
+    with KPIs absent throughout or missing on some ticks."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(at=st.integers(61, 200), size=st.floats(-50.0, 50.0),
-           kpi=st.sampled_from(DEFAULT_SELF_KPIS),
-           # a few ticks past the step: the remainder finalize feeds
-           # is what declares it
-           extra=st.one_of(st.integers(0, 12), st.integers(13, 60)),
+    @settings(max_examples=120, deadline=None)
+    # a step whose run starts one tick before the baseline's last tick
+    # (pre-existing), and one starting on it (reportable)
+    @example(kpi="queue_depth", at=58, width=None, size=20.0, noise=0.0,
+             absent=set(), gaps=0.0, extra=20, seed=0)
+    @example(kpi="queue_depth", at=59, width=None, size=20.0, noise=0.0,
+             absent=set(), gaps=0.0, extra=20, seed=0)
+    @given(kpi=st.sampled_from(DEFAULT_SELF_KPIS),
+           # ticks 57-63 straddle the baseline's last tick, 60
+           at=st.one_of(st.integers(56, 62), st.integers(30, 160)),
+           width=st.one_of(st.integers(1, 4), st.just(None)),
+           size=st.floats(-50.0, 50.0),
            noise=st.sampled_from([0.0, 0.5]),
+           absent=st.sets(st.sampled_from(DEFAULT_SELF_KPIS), max_size=2),
+           gaps=st.sampled_from([0.0, 0.05]),
+           extra=st.integers(0, 60),
            seed=st.integers(0, 2 ** 16))
-    def test_equals_a_column_per_tick(self, at, size, kpi, extra, noise,
-                                      seed):
-        assert SelfAssessor.BASELINE_TICKS % SelfAssessor.SCORE_CHUNK == 0
+    def test_equals_the_rule_over_the_whole_history(
+            self, kpi, at, width, size, noise, absent, gaps, extra, seed):
         rng = np.random.default_rng(seed)
-        ticks = at + extra
-        columns = []
-        for tick in range(ticks):
+        columns, found = [], []
+        assessor = SelfAssessor()
+        for tick in range(at + extra):
             values = dict.fromkeys(DEFAULT_SELF_KPIS, 7.0)
             values[kpi] += noise * float(rng.standard_normal())
-            if tick >= at:
+            if at <= tick and (width is None or tick < at + width):
                 values[kpi] += size
-            columns.append([values[name] for name in DEFAULT_SELF_KPIS])
-        assessor = SelfAssessor()
-        for tick, column in enumerate(columns):
-            assessor.observe(tick, dict(zip(DEFAULT_SELF_KPIS, column)))
-        assessor.finalize(ticks)
-        assert assessor.detections == _column_per_tick(columns)
+            for name in DEFAULT_SELF_KPIS:
+                if name in absent or rng.random() < gaps:
+                    del values[name]
+            columns.append([values.get(name, 0.0)
+                            for name in DEFAULT_SELF_KPIS])
+            found += assessor.observe(tick + 1, values)
+        assert found == assessor.detections == _oracle(columns)
 
 
 # -- histogram percentiles ----------------------------------------------------

@@ -206,7 +206,7 @@ ALLOWED_KNOBS = {
     "write_run_artifacts.run_id": _GOLDEN,
     "write_run_artifacts.unix_time": _GOLDEN,
     "BaselineStatsCache.__init__.max_entries":
-        "ROADMAP item 4 deletes the baseline cache module whole",
+        "ROADMAP item 6 deletes the baseline cache module whole",
 }
 
 

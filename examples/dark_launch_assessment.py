@@ -16,7 +16,6 @@ from repro.engine import (AssessmentEngine, FleetScenarioSpec,
                           spec_for_method)
 from repro.telemetry import KpiKey
 from repro.topology.impact import identify_impact_set
-from repro.types import Verdict
 
 
 def main() -> None:
@@ -49,12 +48,13 @@ def main() -> None:
     results = AssessmentEngine().run(jobs)
     keys = [KpiKey(job.entity_type, job.entity, job.metric) for job in jobs]
 
-    # A KPI in which nothing was declared carries no verdict: no change.
     print("\nper-KPI verdicts (%d KPIs assessed):" % len(jobs))
     for key, result in zip(keys, results):
         marker = "  <-- impact" if result.positive else ""
-        print("  %-56s %s%s" % (key, (result.verdict
-                                       or Verdict.NO_CHANGE).value, marker))
+        # The control group that justified the verdict: peers (the
+        # cservers) or history; none when nothing was declared.
+        print("  %-56s %s (%s)%s" % (key, result.verdict.value,
+                                     result.control, marker))
 
     flagged = {key for key, result in zip(keys, results) if result.positive}
     truth = {key for key, job in zip(keys, jobs) if job.truth_positive}

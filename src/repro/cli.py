@@ -404,10 +404,10 @@ def _write_fleet_verdicts(fh, jobs, results) -> None:
             "entity": job.entity,
             "metric": job.metric,
             "detector": result.detector,
-            "verdict": (result.verdict.value if result.verdict is not None
-                        else "no_change"),
+            "verdict": getattr(result.verdict, "value", "no_change"),
             "declaration_bin": result.outcome.detection_index,
             "did_estimate": result.did_estimate,
+            "control": result.control,
         }, sort_keys=True) + "\n")
 
 

@@ -16,7 +16,6 @@ from ..exceptions import InsufficientDataError, ParameterError
 from ..types import as_float_array
 
 __all__ = [
-    "median",
     "median_and_mad",
     "MAD_TO_SIGMA",
     "window_pair",
@@ -32,14 +31,6 @@ def _middle(srt: np.ndarray) -> np.ndarray:
     middles, bitwise ``np.median``'s value at a fifth of its cost."""
     lo, hi = (srt.shape[-1] - 1) // 2, srt.shape[-1] // 2
     return srt[..., lo] if lo == hi else (srt[..., lo] + srt[..., hi]) / 2.0
-
-
-def median(values: Sequence[float]) -> float:
-    """Median of ``values`` (finite, 1-D)."""
-    arr = as_float_array(values)
-    if arr.size == 0:
-        raise InsufficientDataError("median of an empty sequence")
-    return float(_middle(np.sort(arr)))
 
 
 def _median_and_mad(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

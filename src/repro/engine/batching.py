@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.funnel import Funnel
-from ..types import DetectedChange, Verdict
+from ..types import Assessment, DetectedChange, Verdict
 from .cache import shared_cache
 from .jobs import AssessmentJob, DetectorSpec, ItemOutcome, JobResult
 
@@ -140,22 +140,15 @@ def run_detect_batch(batch: DetectBatch) -> List[DetectionRecord]:
             for position, changes in zip(batch.positions, declared)]
 
 
-def detect_only_result(job: AssessmentJob, spec_name: str,
+def detect_only_result(job: AssessmentJob,
                        record: DetectionRecord) -> JobResult:
-    """The final result for a job whose batched answer needs no DiD.
-
-    Covers improved_sst (positive iff anything declared; no verdict) and
-    funnel negatives (``NO_CHANGE``, as ``Funnel.assess`` gives them).
-    """
-    changes = record.changes
-    if spec_name == "improved_sst" and changes:
-        outcome = ItemOutcome(positive=True,
-                              detection_index=changes[0].index)
-    else:
-        outcome = ItemOutcome(positive=False)
-    return JobResult(job_id=job.job_id, detector=spec_name, outcome=outcome,
-                     verdict=(Verdict.NO_CHANGE if spec_name == "funnel"
-                              else None),
+    """The final result for a job whose batched answer needs no DiD:
+    an improved_sst job (positive iff anything declared) or a funnel
+    negative (``NO_CHANGE``, as ``Funnel.assess`` gives it)."""
+    name = job.detector.name
+    answer = (Assessment(Verdict.NO_CHANGE) if name == "funnel"
+              else ItemOutcome.of(record.changes))
+    return JobResult(job_id=job.job_id, detector=name, answer=answer,
                      timings=(("detect", record.detect_seconds),))
 
 
@@ -179,9 +172,10 @@ def run_attribution_batch(
     """Attribute every declared change of the batch with one
     :meth:`~repro.core.funnel.Funnel.attribute_batch` call per detector
     configuration — the second half of
-    :meth:`~repro.core.funnel.Funnel.assess`; each job is charged an
-    equal share of its call's time."""
-    answers: Dict[int, tuple] = {}
+    :meth:`~repro.core.funnel.Funnel.assess`; each job's answer is its
+    ``Assessment``, and each job is charged an equal share of its call's
+    time."""
+    out: List[Tuple[int, JobResult]] = []
     for spec in dict.fromkeys(job.detector for job in batch.jobs):
         items = [i for i, job in enumerate(batch.jobs) if job.detector == spec]
         started = time.perf_counter()
@@ -190,19 +184,9 @@ def run_attribution_batch(
             for job, change in ((batch.jobs[i], batch.changes[i])
                                 for i in items)])
         share = (time.perf_counter() - started) / len(items)
-        answers.update((i, (a, share)) for i, a in zip(items, assessments))
-    out: List[Tuple[int, JobResult]] = []
-    for item, (job, position, detect_seconds) in enumerate(zip(
-            batch.jobs, batch.positions, batch.detect_seconds)):
-        assessment, attribute_seconds = answers[item]
-        index = assessment.change.index if assessment.change else None
-        out.append((position, JobResult(
-            job_id=job.job_id, detector=job.detector.name,
-            outcome=ItemOutcome(positive=assessment.positive,
-                                detection_index=index),
-            verdict=assessment.verdict,
-            did_estimate=assessment.did_estimate,
-            timings=(("detect", detect_seconds),
-                     ("attribute", attribute_seconds)),
-        )))
+        for i, assessment in zip(items, assessments):
+            out.append((batch.positions[i], JobResult(
+                job_id=batch.jobs[i].job_id, detector=spec.name,
+                answer=assessment, timings=(("detect", batch.detect_seconds[i]),
+                                            ("attribute", share)))))
     return out

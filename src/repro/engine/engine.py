@@ -11,6 +11,7 @@ a JSON-safe :class:`FleetAssessmentReport`.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -61,15 +62,13 @@ class FleetAssessmentReport:
             stats = per_detector.setdefault(result.detector, {
                 "jobs": 0, "positives": 0, "true_positives": 0,
                 "false_positives": 0, "false_negatives": 0,
-                "labelled_jobs": 0, "verdicts": {},
+                "labelled_jobs": 0, "verdicts": Counter(),
             })
             stats["jobs"] += 1
             if result.positive:
                 stats["positives"] += 1
             if result.verdict is not None:
-                verdict = result.verdict.value
-                stats["verdicts"][verdict] = \
-                    stats["verdicts"].get(verdict, 0) + 1
+                stats["verdicts"][result.verdict.value] += 1
             if job.truth_positive is not None:
                 stats["labelled_jobs"] += 1
                 if result.positive and job.truth_positive:

@@ -106,10 +106,9 @@ def run_job(job: AssessmentJob) -> JobResult:
     relevant = [c for c in changes
                 if _reportable(c.start_index, job.change_index)]
     detect_seconds = time.perf_counter() - started
-    outcome = (ItemOutcome(positive=True, detection_index=relevant[0].index)
-               if relevant else ItemOutcome(positive=False))
     return JobResult(job_id=job.job_id, detector=job.detector.name,
-                     outcome=outcome, timings=(("detect", detect_seconds),))
+                     answer=ItemOutcome.of(relevant),
+                     timings=(("detect", detect_seconds),))
 
 
 def _latency(obs: ObsContext):
@@ -267,8 +266,7 @@ def _execute_batched(jobs: Iterable[AssessmentJob], config: EngineConfig,
                 attr_items.append((record.position, job, record.changes[0],
                                    record.detect_seconds))
             else:
-                results[record.position] = detect_only_result(
-                    job, batch.spec.name, record)
+                results[record.position] = detect_only_result(job, record)
     attr_items.sort(key=lambda item: item[0])
     attr_batches = []
     for start in range(0, len(attr_items), size):

@@ -6,20 +6,20 @@ must assess it.  Jobs are frozen value objects — numpy payloads plus
 parameter dataclasses — so a job means the same thing in any batch.
 
 The executor (:func:`repro.engine.executor.execute_jobs`) turns each
-job into a :class:`JobResult`.  :class:`ItemOutcome` is the
-method-agnostic detection answer the evaluation harness consumes; it
-used to live in :mod:`repro.eval.runner` and is re-exported from there
-for compatibility.
+job into a :class:`JobResult`: FUNNEL's
+:class:`~repro.types.Assessment` for a ``funnel`` job, an
+:class:`ItemOutcome` — the method-agnostic detection answer the
+evaluation harness consumes — for any other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..types import Verdict
+from ..types import Assessment, DetectedChange, Verdict
 
 __all__ = ["ItemOutcome", "DetectorSpec", "AssessmentJob", "JobResult"]
 
@@ -30,6 +30,11 @@ class ItemOutcome:
 
     positive: bool
     detection_index: Optional[int] = None
+
+    @classmethod
+    def of(cls, changes: Sequence[DetectedChange]) -> "ItemOutcome":
+        """Positive at the first of ``changes``; negative if none."""
+        return cls(True, changes[0].index) if changes else cls(False)
 
     def delay(self, truth_start: int) -> Optional[int]:
         if self.detection_index is None:
@@ -113,6 +118,12 @@ class AssessmentJob:
 class JobResult:
     """A detector's full answer for one job.
 
+    A ``funnel`` job's ``answer`` is the :class:`~repro.types.Assessment`
+    :meth:`~repro.core.funnel.Funnel.assess` gives its item — a detect
+    negative's is ``NO_CHANGE`` — and its verdict, DiD estimate, control
+    kind and :class:`ItemOutcome` are read from it.  Any other
+    detector's ``answer`` is an :class:`ItemOutcome` alone: no verdict.
+
     ``timings`` holds per-stage wall-clock seconds (``detect``,
     ``attribute``; a stacked detect's time is shared evenly by its
     rows); a fleet report sums them into
@@ -121,11 +132,33 @@ class JobResult:
 
     job_id: int
     detector: str
-    outcome: ItemOutcome
-    verdict: Optional[Verdict] = None
-    did_estimate: Optional[float] = None
+    answer: Union[Assessment, ItemOutcome]
     timings: Tuple[Tuple[str, float], ...] = field(default=())
 
     @property
+    def assessment(self) -> Optional[Assessment]:
+        return self.answer if isinstance(self.answer, Assessment) else None
+
+    @property
+    def outcome(self) -> ItemOutcome:
+        if self.assessment is None:
+            return self.answer
+        change = self.answer.change
+        return ItemOutcome(self.answer.positive, change and change.index)
+
+    @property
+    def verdict(self) -> Optional[Verdict]:
+        return getattr(self.answer, "verdict", None)
+
+    @property
+    def did_estimate(self) -> Optional[float]:
+        return getattr(self.answer, "did_estimate", None)
+
+    @property
+    def control(self) -> Optional[str]:
+        """``"peers"`` or ``"history"`` when a DiD comparison ran."""
+        return getattr(self.answer, "control", None)
+
+    @property
     def positive(self) -> bool:
-        return self.outcome.positive
+        return self.answer.positive

@@ -35,9 +35,8 @@ from ..types import KpiCharacter
 from .confusion import ConfusionMatrix
 from .delay import DelayDistribution
 
-__all__ = ["ItemOutcome", "make_method",
-           "EvaluationResult", "evaluate_corpus", "CLEAN_SCALE_FACTOR",
-           "METHOD_NAMES"]
+__all__ = ["make_method", "EvaluationResult", "evaluate_corpus",
+           "CLEAN_SCALE_FACTOR", "METHOD_NAMES"]
 
 #: The paper's synthesis factor for the clean half (6194 / 72 ~= 86).
 CLEAN_SCALE_FACTOR = 86.0

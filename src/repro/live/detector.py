@@ -332,13 +332,13 @@ class IncrementalDetector:
 
     def flush(self) -> Optional[DetectedChange]:
         """Decide everything decidable now: one :func:`score_pass` over
-        this detector's open rows, the chunk threshold waived.  Returns
-        the declaration of the lowest row that declared, if any."""
+        this detector's open rows, the chunk threshold waived.  A one-row
+        detector gets the declaration this pass made, if any."""
         rows = self.pending_rows(flush=True)
         if not rows.size:
             return None
         found = score_pass([(self, rows)])[2]
-        return min(found, key=lambda entry: entry[1])[2] if found else None
+        return found[0][2] if found else None
 
     # -- the scoring pass ------------------------------------------------------
 

@@ -86,13 +86,9 @@ def offline_verdict_records(source: SyntheticFleetSource,
     engine = AssessmentEngine(detectors=("funnel",),
                               funnel_config=funnel_config)
     _, jobs, results = engine.assess_fleet(source)
-    records = []
-    for job, result in zip(jobs, results):
-        verdict = (result.verdict.value if result.verdict is not None
-                   else "no_change")
-        records.append((job.change_id, job.entity_type, job.entity,
-                        job.metric, verdict, result.outcome.detection_index))
-    return sorted(records, key=_record_key)
+    return sorted(((job.change_id, job.entity_type, job.entity, job.metric,
+                    result.verdict.value, result.outcome.detection_index)
+                   for job, result in zip(jobs, results)), key=_record_key)
 
 
 def _record_key(record: ParityRecord) -> tuple:

@@ -14,27 +14,19 @@ from repro.engine import ItemOutcome, JobResult, run_job
 
 
 def oracle_result(job) -> JobResult:
-    """One job's answer from the core pipeline (or ``run_job``)."""
+    """One job's answer from the core pipeline (or ``run_job``): a
+    ``funnel`` job's is ``Funnel.assess``'s whole ``Assessment``."""
     name = job.detector.name
     if name not in ("funnel", "improved_sst"):
         return run_job(job)
     funnel = Funnel(job.detector.option("funnel_config"))
-    if name == "improved_sst":
-        changes = funnel.detect(job.treated_aggregate, job.change_index,
-                                first_only=True)
-        outcome = (ItemOutcome(positive=True,
-                               detection_index=changes[0].index)
-                   if changes else ItemOutcome(positive=False))
-        return JobResult(job_id=job.job_id, detector=name, outcome=outcome)
-    assessment = funnel.assess(job.treated, job.change_index,
-                               control=job.control, history=job.history)
-    # A detect negative carries the NO_CHANGE verdict assess gives it.
-    index = assessment.change.index if assessment.change else None
-    return JobResult(
-        job_id=job.job_id, detector=name,
-        outcome=ItemOutcome(positive=assessment.positive,
-                            detection_index=index),
-        verdict=assessment.verdict, did_estimate=assessment.did_estimate)
+    if name == "funnel":
+        answer = funnel.assess(job.treated, job.change_index,
+                           control=job.control, history=job.history)
+    else:
+        answer = ItemOutcome.of(funnel.detect(
+            job.treated_aggregate, job.change_index, first_only=True))
+    return JobResult(job_id=job.job_id, detector=name, answer=answer)
 
 
 def oracle_results(jobs):
@@ -42,12 +34,13 @@ def oracle_results(jobs):
 
 
 def assert_identical(a, b):
-    """Same jobs, detectors, outcomes, verdicts and DiD estimates, bit
-    for bit (timings aside)."""
+    """Same jobs, detectors and answers, bit for bit (timings aside): a
+    ``funnel`` job's whole ``Assessment`` — verdict, declared change,
+    DiD estimate, control kind and notes — any other job's outcome."""
     assert len(a) == len(b)
     for left, right in zip(a, b):
         assert left.job_id == right.job_id
         assert left.detector == right.detector
+        assert left.control == right.control
+        assert left.assessment == right.assessment
         assert left.outcome == right.outcome
-        assert left.verdict == right.verdict
-        assert left.did_estimate == right.did_estimate

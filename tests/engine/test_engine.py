@@ -7,6 +7,9 @@ scoring is bitwise the per-series pipeline, and a baseline job's
 detector is built with a seed derived from the job's identity alone.
 """
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from repro.engine import (AssessmentEngine, AssessmentJob, DetectorSpec,
@@ -72,6 +75,47 @@ class TestRegistry:
         spec = DetectorSpec.create("funnel", funnel_config=None)
         assert spec.options == ()
         assert spec == spec_for_method("funnel")
+
+
+class TestFunnelAnswer:
+    """A ``funnel`` job's result is ``Funnel.assess``'s whole
+    ``Assessment``: verdict, declared change, DiD estimate, control kind
+    and notes."""
+
+    def test_corpus_slice_through_the_runner(self, tiny_corpus,
+                                             monkeypatch):
+        """The jobs ``evaluate_corpus`` plans and runs, held to the
+        oracle: its FUNNEL jobs answer against peers and history."""
+        runs = []
+
+        def recording(jobs, config=None, obs=None):
+            results = execute_jobs(jobs, config=config, obs=obs)
+            runs.append((jobs, results))
+            return results
+
+        monkeypatch.setattr("repro.eval.runner.execute_jobs", recording)
+        methods = {name: make_method(name)
+                   for name in ("funnel", "improved_sst", "cusum")}
+        evaluate_corpus(tiny_corpus[:40], methods, batch_size=4)
+        assert [len(jobs) for jobs, _ in runs] == [48, 48, 24]
+        for jobs, results in runs:
+            assert_identical(results, oracle_results(jobs))
+        controls = Counter(r.control for _, results in runs
+                           for r in results if r.detector == "funnel")
+        assert controls == {None: 35, "history": 3, "peers": 2}
+
+    def test_no_control_group_is_noted(self, tiny_corpus):
+        """Neither peers nor history: the change is attributed with a
+        note that other factors were not excluded."""
+        spec = spec_for_method("funnel")
+        jobs = [replace(job_from_item(item, spec), control=None,
+                        history=None)
+                for item in tiny_corpus if item.truth.positive]
+        results = execute_jobs(jobs)
+        assert_identical(results, oracle_results(jobs))
+        noted = [r for r in results if r.positive]
+        assert noted and all(r.control is None and r.assessment.notes
+                             for r in noted)
 
 
 class TestJobSeed:

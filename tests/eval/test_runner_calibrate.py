@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.engine import DetectorSpec, execute_jobs, job_from_item
+from repro.engine import (DetectorSpec, ItemOutcome, execute_jobs,
+                          job_from_item)
 from repro.eval.calibrate import (ItemStatistic, calibrate_baseline,
                                   collect_statistics, pick_threshold,
                                   sweep_threshold)
 from repro.eval.confusion import ConfusionMatrix
 from repro.eval.runner import (CLEAN_SCALE_FACTOR, METHOD_NAMES,
-                               ItemOutcome, evaluate_corpus, make_method)
+                               evaluate_corpus, make_method)
 from repro.exceptions import EvaluationError
 from repro.synthetic.dataset import CorpusSpec, EvaluationCorpus
 

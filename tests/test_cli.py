@@ -342,7 +342,7 @@ class TestAssessFleetVerdicts:
         assert len(lines) == payload["jobs"] > 0
         doc = json.loads(lines[0])
         for field in ("change_id", "entity_type", "entity", "metric",
-                      "detector", "verdict"):
+                      "detector", "verdict", "control"):
             assert field in doc
 
     def test_unwritable_target_fails_before_planning(self, tmp_path,
